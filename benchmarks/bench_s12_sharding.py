@@ -8,7 +8,7 @@ Two questions, one harness:
    charges a per-commit ``service_time`` (the stand-in for a real
    registry server's disk/index cost).  Eight client threads advertise
    a population of sources and then resolve every advertisement back,
-   all through :class:`ShardedRegistryClient` over real GIOP endpoints.
+   all through :class:`Registry` over real GIOP shard endpoints.
    With one shard every commit queues behind one lock; with four, the
    ring spreads the same workload over four independent servers and
    aggregate advertise+resolve throughput must rise accordingly
@@ -36,10 +36,9 @@ from pathlib import Path
 
 from repro.bench import print_table
 from repro.core.model import SourceDescription
-from repro.core.registry import Registry
+from repro.core.registry import Registry, RegistryShard
 from repro.core.sharding import (REGISTRY_SHARD_INTERFACE, HashRing,
-                                 RegistryShardServant, RemoteShard,
-                                 ShardedRegistryClient)
+                                 RegistryShardServant, RemoteShard)
 from repro.core.system import WebFinditSystem
 from repro.oodb.database import ObjectDatabase
 from repro.orb.orb import Orb
@@ -69,12 +68,13 @@ def build_federation(shard_count):
         orb = Orb(name=f"bench-shard{index}", transport=transport,
                   host=f"shard{index}.bench", product="WebFINDIT")
         ior = orb.activate(
-            RegistryShardServant(Registry(), service_time=SERVICE_TIME),
+            RegistryShardServant(RegistryShard(),
+                                 service_time=SERVICE_TIME),
             REGISTRY_SHARD_INTERFACE, object_name=f"shard{index}")
         handles.append(RemoteShard(orb.proxy(ior,
                                              REGISTRY_SHARD_INTERFACE)))
-    return ShardedRegistryClient(
-        handles, ring=HashRing(range(shard_count), vnodes=VNODES))
+    return Registry(shards=handles,
+                    ring=HashRing(range(shard_count), vnodes=VNODES))
 
 
 def fan_out(names, work):

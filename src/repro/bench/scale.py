@@ -45,12 +45,6 @@ class ScaledSpace:
     def discovery_engine(self, **kwargs) -> DiscoveryEngine:
         return DiscoveryEngine(self.local_resolver, **kwargs)
 
-    def caching_engine(self, cache, **kwargs) -> DiscoveryEngine:
-        """An engine whose resolver answers reads from *cache*."""
-        from repro.core.metacache import caching_resolver
-        return DiscoveryEngine(caching_resolver(self.local_resolver, cache),
-                               **kwargs)
-
 
 def build_scaled_system(databases: int, coalitions: int,
                         links_per_coalition: int = 2,

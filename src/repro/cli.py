@@ -166,12 +166,10 @@ class Shell:
                         f"(naming generation "
                         f"{report['naming_generation']})")
             ring = report["ring"]
-            if ring is not None:
-                points = ", ".join(
-                    f"shard{node}={count}"
-                    for node, count in sorted(ring["points"].items()))
-                self._print(f"ring: {ring['vnodes']} vnodes/shard "
-                            f"({points})")
+            points = ", ".join(
+                f"shard{node}={count}"
+                for node, count in sorted(ring["points"].items()))
+            self._print(f"ring: {ring['vnodes']} vnodes/shard ({points})")
             for status in report["statuses"]:
                 self._print(
                     f"  shard{status['shard']}: "

@@ -237,12 +237,6 @@ class TieredCoDatabaseClient(CoDatabaseClient):
         self.cache_misses = 0
         self.cache_bypassed = 0
 
-    @classmethod
-    def wrapping(cls, client: CoDatabaseClient,
-                 tier: CacheTierClient) -> "TieredCoDatabaseClient":
-        """Wrap an existing client (same target, same name)."""
-        return cls(client.target, client.name, tier)
-
     def _fetch_versioned(self, operation: str,
                          args: tuple) -> tuple[Any, int]:
         """One counted metadata call returning ``(value, epoch_tag)``."""
@@ -277,20 +271,6 @@ class TieredCoDatabaseClient(CoDatabaseClient):
         except BYPASS_ERRORS:
             self.cache_bypassed += 1
         return value
-
-
-def tiered_resolver(resolver: Callable[[str], CoDatabaseClient],
-                    tier: Optional[CacheTierClient]
-                    ) -> Callable[[str], CoDatabaseClient]:
-    """Wrap *resolver* so every client it yields consults *tier* first
-    (``tier=None`` returns the resolver unchanged)."""
-    if tier is None:
-        return resolver
-
-    def resolve(name: str) -> CoDatabaseClient:
-        return TieredCoDatabaseClient.wrapping(resolver(name), tier)
-
-    return resolve
 
 
 class InvalidationBroadcaster:

@@ -115,18 +115,19 @@ class CoDatabase:
         # Epoch bumps are unconditional — a replayed no-op must move the
         # version exactly as the original call did.
         self.epoch += 1
-        if self._db.schema.has_class(coalition.name):
-            self.applied = self.epoch
-            return
-        parent = coalition.parent
-        base = parent if parent and self._db.schema.has_class(parent) \
-            else SOURCE_ROOT_CLASS
-        self._db.define_class(coalition.name, [], bases=[base],
-                              doc=coalition.doc)
-        self._db.create("CoalitionInfo", name=coalition.name,
-                        information_type=coalition.information_type,
-                        parent=coalition.parent or "",
-                        doc=coalition.doc)
+        if not self._db.schema.has_class(coalition.name):
+            parent = coalition.parent
+            base = parent if parent and self._db.schema.has_class(parent) \
+                else SOURCE_ROOT_CLASS
+            self._db.define_class(coalition.name, [], bases=[base],
+                                  doc=coalition.doc)
+        # forget_coalition keeps the class (append-only schema) but
+        # deletes the record, so a re-join finds one without the other.
+        if not self._db.select("CoalitionInfo", name=coalition.name):
+            self._db.create("CoalitionInfo", name=coalition.name,
+                            information_type=coalition.information_type,
+                            parent=coalition.parent or "",
+                            doc=coalition.doc)
         self.applied = self.epoch
 
     def record_membership(self, coalition_name: str) -> None:

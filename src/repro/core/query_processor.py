@@ -10,10 +10,9 @@ co-databases (meta-data layer) and databases (data layer)."
 * a :class:`~repro.core.discovery.DiscoveryEngine` (topic resolution),
 * co-database clients (meta-data queries),
 * Information Source Interfaces (data queries),
-* a :class:`~repro.core.registry.Registry` (maintenance statements) —
-  or any object with the same maintenance surface, such as a
-  :class:`~repro.core.sharding.ShardedRegistryClient` routing those
-  statements across consistent-hash registry shards.
+* a :class:`~repro.core.registry.Registry` (maintenance statements),
+  which routes them across however many consistent-hash registry
+  shards the deployment has.
 
 Results come back as :class:`WtResult`: structured data plus the
 rendered text a browser displays (the content of Figures 4–6).
@@ -22,7 +21,7 @@ rendered text a browser displays (the content of Figures 4–6).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.core.discovery import (CoDatabaseClient, DiscoveryEngine,
                                   DiscoveryResult)
@@ -36,13 +35,6 @@ from repro.sql.result import ResultSet
 from repro.webtassili import ast
 from repro.webtassili.parser import parse
 from repro.wrappers.base import InformationSourceInterface
-
-if TYPE_CHECKING:
-    from repro.core.sharding import ShardedRegistryClient
-
-#: Maintenance statements only need the registry's mutation surface,
-#: which the singleton and the sharded coordinator share.
-RegistryLike = Union[Registry, "ShardedRegistryClient"]
 
 
 @dataclass
@@ -84,7 +76,7 @@ class QueryProcessor:
     def __init__(self,
                  resolver: Callable[[str], CoDatabaseClient],
                  wrapper_for: Callable[[str], InformationSourceInterface],
-                 registry: Optional[RegistryLike] = None,
+                 registry: Optional[Registry] = None,
                  match_threshold: float = 0.5,
                  parallel: bool = False,
                  max_workers: Optional[int] = None,
@@ -120,7 +112,7 @@ class QueryProcessor:
     def _client(self, database_name: str) -> CoDatabaseClient:
         return self._resolver(database_name)
 
-    def _require_registry(self) -> RegistryLike:
+    def _require_registry(self) -> Registry:
         if self._registry is None:
             raise WebFinditError(
                 "maintenance statements require an administrative registry")

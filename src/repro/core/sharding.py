@@ -1,30 +1,15 @@
 """Consistent-hash sharding of the WebFINDIT registry.
 
-The paper's repository layer is one logical catalog; this module lets N
-autonomous registry servants share it.  Co-database and coalition names
-are placed on a :class:`HashRing` (SHA-1 based, vnode-weighted, so the
-mapping is identical in every process regardless of ``PYTHONHASHSEED``),
-each shard owns the names that hash into its arc, and a
-:class:`ShardedRegistryClient` runs the cross-shard orchestration that
-:class:`~repro.core.registry.Registry` performs in one process:
-
-* single-name operations (``source``, ``codatabase``, ``advertise``,
-  ``remove_source``, ``join``, ``leave``) route by ring lookup;
-* global reads (``source_names``, ``summary``, ``epochs``, coalition
-  listings) fan out to every shard and merge deterministically — name
-  lists sorted, counters summed, per-name dicts unioned;
-* coalitions live on the shard owning the coalition name; the
-  specialization index of a coalition lives with it; service links are
-  federation-wide routing metadata and are replicated to every shard in
-  coordinator order, which preserves the singleton's link ordering.
-
-The coordinator composes every mutation from the shard-local
-primitives that ``Registry`` itself now uses (``refresh_advertisement``,
-``put_coalition``, ``codb_write``, ``notify_mutation`` …), so a sharded
-deployment performs the same counted co-database writes and fires the
-same invalidation sets as the singleton — the invariant the
-conformance suite in ``tests/core/test_sharding_properties.py`` locks
-down.
+The paper's repository layer is one logical catalog; this module is the
+machinery that lets N autonomous registry servants share it.
+Co-database and coalition names are placed on a :class:`HashRing`
+(SHA-1 based, vnode-weighted, so the mapping is identical in every
+process regardless of ``PYTHONHASHSEED``) and each shard owns the names
+that hash into its arc.  The coordination rules themselves — which
+shard is asked what, and how fan-out reads merge — live once, in
+:class:`~repro.core.registry.Registry`, which composes every mutation
+from the shard-local primitives of
+:class:`~repro.core.registry.RegistryShard`.
 
 Shards are exported over the ORB by :class:`RegistryShardServant`
 (interface :data:`REGISTRY_SHARD_INTERFACE`, bound at
@@ -39,18 +24,17 @@ import bisect
 import hashlib
 import threading
 import time
-from dataclasses import replace
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from repro.core.coalition import Coalition
 from repro.core.codatabase import CoDatabase
-from repro.core.model import Ontology, SourceDescription
-from repro.core.registry import Registry
-from repro.core.resilience import HealthBoard
+from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.errors import (MembershipError, UnknownCoalition,
-                          WebFinditError)
+from repro.errors import WebFinditError
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
+
+if TYPE_CHECKING:  # registry.py imports this module for the ring
+    from repro.core.registry import RegistryShard
 
 #: Virtual nodes per unit of shard weight.  64 points per shard keeps
 #: the largest/smallest arc ratio low enough that random name sets
@@ -113,6 +97,10 @@ class HashRing:
         """The node owning *key*: first vnode clockwise from its point."""
         if not self._ring:
             raise WebFinditError("hash ring has no nodes")
+        if len(self._weights) == 1:
+            # Every arc belongs to the only node, so the hash could not
+            # pick another: the default one-shard registry skips it.
+            return self._ring[0][2]
         point = self._hash(f"key:{key}")
         index = bisect.bisect_right(self._points, point) % len(self._ring)
         return self._ring[index][2]
@@ -139,7 +127,8 @@ class HashRing:
 # ---------------------------------------------------------------------------
 
 #: The registry-shard server interface: the shard-local primitive
-#: surface of :class:`Registry`, plus the reads a coordinator fans out.
+#: surface of :class:`RegistryShard`, plus the reads the coordinator
+#: fans out.
 REGISTRY_SHARD_INTERFACE: InterfaceDef = (
     InterfaceBuilder("RegistryShard", module="webfindit",
                      doc="One consistent-hash arc of the registry")
@@ -208,13 +197,13 @@ class RegistryShardServant:
 
     A shard server is a single authoritative writer for its arc, so the
     servant serializes every operation under one lock (the in-process
-    :class:`Registry` is not thread-safe).  ``service_time`` models the
+    :class:`RegistryShard` is not thread-safe).  ``service_time`` models the
     per-write commit cost of a real registry server; bench S12 uses it
     to measure how aggregate throughput scales when independent shard
     endpoints absorb that cost concurrently.
     """
 
-    def __init__(self, registry: Registry, service_time: float = 0.0):
+    def __init__(self, registry: RegistryShard, service_time: float = 0.0):
         self.registry = registry
         self.service_time = service_time
         self._lock = threading.Lock()
@@ -394,8 +383,8 @@ class RegistryShardServant:
 
 class RemoteShard:
     """A proxy-backed shard handle with the same primitive surface a
-    local :class:`Registry` offers, so :class:`ShardedRegistryClient`
-    orchestrates identically over in-process and GIOP shards."""
+    local :class:`RegistryShard` offers, so the coordinator orchestrates
+    identically over in-process and GIOP shards."""
 
     def __init__(self, proxy):
         self._proxy = proxy
@@ -513,392 +502,3 @@ class RemoteShard:
 
     def notify_mutation(self, names: Iterable[str]) -> None:
         self._proxy.invoke("notify_mutation", sorted(set(names)))
-
-
-ShardHandle = Union[Registry, RemoteShard]
-
-
-class ShardedRegistryClient:
-    """Routes registry maintenance across consistent-hash shards.
-
-    The client mirrors the :class:`Registry` API (same operations, same
-    exceptions, same ``update_operations`` accounting in aggregate) so
-    :class:`~repro.core.query_processor.QueryProcessor` and
-    :class:`~repro.core.system.WebFinditSystem` use either
-    interchangeably.  Shard handles may be in-process ``Registry``
-    instances, proxy-backed :class:`RemoteShard` handles, or a mix.
-    """
-
-    def __init__(self, shards: Sequence[ShardHandle],
-                 ring: Optional[HashRing] = None,
-                 ontology: Optional[Ontology] = None):
-        if not shards:
-            raise WebFinditError("a sharded registry needs >= 1 shard")
-        self._shards = list(shards)
-        self.ring = ring if ring is not None \
-            else HashRing(range(len(self._shards)))
-        if sorted(self.ring.nodes()) != sorted(range(len(self._shards))):
-            raise WebFinditError(
-                "ring nodes must be the shard indices 0..N-1")
-        self.ontology = ontology
-        self._health = HealthBoard()
-        for shard in self._shards:
-            if isinstance(shard, Registry):
-                shard.health = self._health
-
-    @classmethod
-    def local(cls, shard_count: int, ontology: Optional[Ontology] = None,
-              codatabase_factory: Optional[Callable[[str], CoDatabase]]
-              = None,
-              vnodes: int = DEFAULT_VNODES) -> "ShardedRegistryClient":
-        """Build *shard_count* in-process registries behind one ring."""
-        registries = [Registry(ontology=ontology,
-                               codatabase_factory=codatabase_factory)
-                      for __ in range(shard_count)]
-        return cls(registries,
-                   ring=HashRing(range(shard_count), vnodes=vnodes),
-                   ontology=ontology)
-
-    # ------------------------------------------------------------- plumbing --
-
-    @property
-    def shards(self) -> list[ShardHandle]:
-        return list(self._shards)
-
-    def shard_of(self, name: str) -> int:
-        """Ring lookup: index of the shard owning *name*."""
-        return self.ring.owner(name)
-
-    def _shard(self, name: str) -> ShardHandle:
-        return self._shards[self.ring.owner(name)]
-
-    @property
-    def health(self) -> HealthBoard:
-        return self._health
-
-    @health.setter
-    def health(self, board: HealthBoard) -> None:
-        self._health = board
-        for shard in self._shards:
-            if isinstance(shard, Registry):
-                shard.health = board
-
-    @property
-    def update_operations(self) -> int:
-        """Aggregate counted co-database writes across all shards."""
-        return sum(shard.shard_status()["update_operations"]
-                   for shard in self._shards)
-
-    def add_invalidation_listener(
-            self, listener: Callable[[frozenset[str]], None]) -> None:
-        """Subscribe to mutations on every in-process shard.
-
-        Remote shards run their listeners server-side (that is where
-        the cache-tier invalidation broadcaster lives), so a proxy-only
-        client cannot subscribe from here.
-        """
-        for shard in self._shards:
-            if not isinstance(shard, Registry):
-                raise WebFinditError(
-                    "invalidation listeners attach in the shard server "
-                    "process, not through a remote shard handle")
-        for shard in self._shards:
-            shard.add_invalidation_listener(listener)
-
-    def _notify_names(self, names: Iterable[str]) -> None:
-        """Tell each shard which of its co-databases were written; the
-        per-shard subsets union to exactly the singleton's notify set."""
-        by_shard: dict[int, set[str]] = {}
-        for name in names:
-            if not name:
-                continue
-            by_shard.setdefault(self.ring.owner(name), set()).add(name)
-        for index in sorted(by_shard):
-            self._shards[index].notify_mutation(sorted(by_shard[index]))
-
-    def shard_statuses(self) -> list[dict]:
-        """Per-shard inspection rows for ``\\shards`` and metrics."""
-        statuses = []
-        for index, shard in enumerate(self._shards):
-            status = dict(shard.shard_status())
-            status["shard"] = index
-            statuses.append(status)
-        return statuses
-
-    # ------------------------------------------------------------- sources --
-
-    def add_source(self, description: SourceDescription,
-                   codatabase_product: str = "ObjectStore"):
-        shard = self._shard(description.name)
-        return shard.add_source(description, codatabase_product)
-
-    def advertise(self, description: SourceDescription):
-        name = description.name
-        shard = self._shard(name)
-        if not shard.has_source(name):
-            return self.add_source(description)
-        shard.refresh_advertisement(description)
-        touched = {name}
-        for coalition_name in shard.memberships_of(name):
-            coalition_shard = self._shard(coalition_name)
-            if not coalition_shard.has_coalition(coalition_name):
-                continue
-            for member in list(coalition_shard.coalition(
-                    coalition_name).members):
-                self._shard(member).refresh_member(member, coalition_name,
-                                                   description)
-                touched.add(member)
-        self._notify_names(touched)
-        if isinstance(shard, Registry):
-            return shard.codatabase(name)
-        return None
-
-    def source(self, name: str) -> SourceDescription:
-        return self._shard(name).source(name)
-
-    def has_source(self, name: str) -> bool:
-        return self._shard(name).has_source(name)
-
-    def codatabase(self, name: str) -> CoDatabase:
-        return self._shard(name).codatabase(name)
-
-    def source_names(self) -> list[str]:
-        """Fan-out merge: every shard's names, sorted (the deterministic
-        merge order; a singleton registry reports insertion order)."""
-        merged: list[str] = []
-        for shard in self._shards:
-            merged.extend(shard.source_names())
-        return sorted(merged)
-
-    def epochs(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for shard in self._shards:
-            merged.update(shard.epochs())
-        return merged
-
-    def leases(self) -> dict[str, dict]:
-        merged: dict[str, dict] = {}
-        for shard in self._shards:
-            merged.update(shard.leases())
-        return merged
-
-    def remove_source(self, name: str) -> None:
-        shard = self._shard(name)
-        shard.source(name)
-        for coalition_shard in self._shards:
-            for coalition_name in coalition_shard.coalitions_containing(name):
-                self.leave(name, coalition_name)
-        for any_shard in self._shards:
-            any_shard.drop_links_involving(EndpointKind.DATABASE, name)
-        shard.drop_source(name)
-
-    # ------------------------------------------------------------ coalitions --
-
-    def create_coalition(self, name: str, information_type: str,
-                         parent: Optional[str] = None,
-                         doc: str = "") -> Coalition:
-        shard = self._shard(name)
-        if shard.has_coalition(name):
-            raise WebFinditError(f"coalition {name!r} already exists")
-        parent_shard = None
-        if parent is not None:
-            parent_shard = self._shard(parent)
-            if not parent_shard.has_coalition(parent):
-                raise UnknownCoalition(f"no parent coalition {parent!r}")
-        coalition = Coalition(name=name, information_type=information_type,
-                              parent=parent, doc=doc)
-        shard.put_coalition(coalition)
-        if parent is not None and parent_shard is not None:
-            parent_shard.note_child(parent, name)
-            parent_members = list(parent_shard.coalition(parent).members)
-            for member in parent_members:
-                self._write_lattice(member, coalition)
-            self._notify_names(parent_members)
-        return coalition
-
-    def coalition(self, name: str) -> Coalition:
-        return self._shard(name).coalition(name)
-
-    def has_coalition(self, name: str) -> bool:
-        return self._shard(name).has_coalition(name)
-
-    def coalition_names(self) -> list[str]:
-        merged: list[str] = []
-        for shard in self._shards:
-            merged.extend(shard.coalition_names())
-        return sorted(merged)
-
-    def dissolve_coalition(self, name: str) -> None:
-        shard = self._shard(name)
-        coalition = shard.coalition(name)
-        children = shard.children_of(name)
-        if children:
-            raise WebFinditError(
-                f"coalition {name!r} has specializations "
-                f"{children!r}; dissolve them first")
-        for member in list(coalition.members):
-            self.leave(member, name)
-        for link in [l for l in self.service_links()
-                     if l.involves(EndpointKind.COALITION, name)]:
-            self.remove_service_link(link)
-        if coalition.parent is not None:
-            self._shard(coalition.parent).forget_child(coalition.parent,
-                                                       name)
-        shard.drop_coalition(name)
-
-    # ------------------------------------------------------------ membership --
-
-    def _coalition_chain(self, coalition: Coalition) -> list[Coalition]:
-        """*coalition* plus its ancestors, fetched shard by shard."""
-        chain = [coalition]
-        current = coalition
-        while current.parent:
-            parent_shard = self._shard(current.parent)
-            if not parent_shard.has_coalition(current.parent):
-                break
-            current = parent_shard.coalition(current.parent)
-            chain.append(current)
-        return chain
-
-    def _write_lattice(self, database_name: str,
-                       coalition: Coalition) -> None:
-        """Register *coalition* and its ancestor chain in the owner's
-        co-database — one counted write per lattice class, exactly as
-        the singleton's ``_register_lattice``."""
-        shard = self._shard(database_name)
-        for ancestor in reversed(self._coalition_chain(coalition)):
-            shard.codb_write(database_name, "register_coalition", ancestor)
-
-    def join(self, database_name: str, coalition_name: str) -> None:
-        database_shard = self._shard(database_name)
-        coalition_shard = self._shard(coalition_name)
-        description = database_shard.source(database_name)
-        coalition = coalition_shard.coalition(coalition_name)
-        if coalition.has_member(database_name):
-            raise MembershipError(
-                f"{database_name!r} is already in {coalition_name!r}")
-        coalition_shard.coalition_add_member(coalition_name, database_name)
-        members = list(coalition_shard.coalition(coalition_name).members)
-
-        self._write_lattice(database_name, coalition)
-        for child_name in coalition_shard.children_of(coalition_name):
-            child = self._shard(child_name).coalition(child_name)
-            self._write_lattice(database_name, child)
-        database_shard.codb_write(database_name, "record_membership",
-                                  coalition_name)
-
-        # The joiner learns every existing member (and itself)...
-        for member in members:
-            member_description = self._shard(member).source(member)
-            database_shard.codb_write(database_name, "add_member",
-                                      coalition_name, member_description)
-        # ...and existing links involving the coalition.
-        for link in self.service_links():
-            if link.involves(EndpointKind.COALITION, coalition_name):
-                database_shard.codb_write(database_name, "add_service_link",
-                                          link)
-
-        # Existing members learn the joiner.
-        for member in members:
-            if member == database_name:
-                continue
-            self._shard(member).codb_write(member, "add_member",
-                                           coalition_name, description)
-        self._notify_names(members)
-
-    def leave(self, database_name: str, coalition_name: str) -> None:
-        coalition_shard = self._shard(coalition_name)
-        coalition = coalition_shard.coalition(coalition_name)
-        if not coalition.has_member(database_name):
-            raise MembershipError(
-                f"{database_name!r} is not in {coalition_name!r}")
-        coalition_shard.coalition_remove_member(coalition_name,
-                                                database_name)
-        remaining = [member for member in coalition.members
-                     if member != database_name]
-        self._shard(database_name).codb_write(database_name,
-                                              "forget_coalition",
-                                              coalition_name)
-        for member in remaining:
-            self._shard(member).codb_write(member, "remove_member",
-                                           coalition_name, database_name)
-        self._notify_names([database_name, *remaining])
-
-    # ------------------------------------------------------------ service links --
-
-    def _audience_names(self, link: ServiceLink) -> list[str]:
-        """Databases whose co-databases must know about *link* — the
-        singleton's audience, by name."""
-        audience: list[str] = []
-        for kind, name in ((link.from_kind, link.from_name),
-                           (link.to_kind, link.to_name)):
-            if kind is EndpointKind.COALITION:
-                for member in self.coalition(name).members:
-                    if member not in audience:
-                        audience.append(member)
-            else:
-                self.source(name)
-                if name not in audience:
-                    audience.append(name)
-        return audience
-
-    def add_service_link(self, link: ServiceLink) -> None:
-        for kind, name in ((link.from_kind, link.from_name),
-                           (link.to_kind, link.to_name)):
-            if kind is EndpointKind.COALITION:
-                self.coalition(name)
-            else:
-                self.source(name)
-        if not link.contact:
-            if link.to_kind is EndpointKind.DATABASE:
-                contact = link.to_name
-            else:
-                members = self.coalition(link.to_name).members
-                contact = members[0] if members else ""
-            link = replace(link, contact=contact)
-        if self._shards[0].find_link(link) is not None:
-            raise WebFinditError(f"service link {link.label} already exists")
-        # Links are replicated to every shard in coordinator order, so
-        # each shard's stored list matches the singleton's ordering.
-        for shard in self._shards:
-            shard.append_link(link)
-        audience = self._audience_names(link)
-        for name in audience:
-            self._shard(name).codb_write(name, "add_service_link", link)
-        self._notify_names(audience)
-
-    def remove_service_link(self, link: ServiceLink) -> None:
-        stored = self._shards[0].find_link(link)
-        if stored is None:
-            raise WebFinditError(f"no service link {link.label}")
-        for shard in self._shards:
-            shard.remove_link(stored)
-        audience = self._audience_names(stored)
-        for name in audience:
-            self._shard(name).codb_write(name, "remove_service_link", stored)
-        self._notify_names(audience)
-
-    def service_links(self) -> list[ServiceLink]:
-        return self._shards[0].service_links()
-
-    # ------------------------------------------------------------- documents --
-
-    def attach_document(self, source_name: str, format_name: str,
-                        content: str, url: str = "") -> None:
-        shard = self._shard(source_name)
-        shard.codb_write(source_name, "attach_document", source_name,
-                         format_name, content, url)
-        shard.notify_mutation([source_name])
-
-    # ------------------------------------------------------------- summary --
-
-    def summary(self) -> dict:
-        """Deterministic fan-out merge: counters summed; the replicated
-        link list counted once."""
-        parts = [shard.summary() for shard in self._shards]
-        return {
-            "sources": sum(part["sources"] for part in parts),
-            "coalitions": sum(part["coalitions"] for part in parts),
-            "service_links": parts[0]["service_links"],
-            "memberships": sum(part["memberships"] for part in parts),
-        }

@@ -51,6 +51,11 @@ def export_topology(registry: Registry) -> dict[str, Any]:
         "sources": [registry.source(name).to_wire()
                     for name in registry.source_names()],
         "coalitions": coalitions,
+        # Each source's coalitions in join order: with every coalition's
+        # ``members`` order it lets import replay the joins in an order
+        # consistent with the original history.
+        "memberships": {name: list(registry.codatabase(name).memberships)
+                        for name in registry.source_names()},
         "service_links": [link.to_wire()
                           for link in registry.service_links()],
         "documents": documents,
@@ -97,9 +102,29 @@ def import_topology(payload: dict[str, Any],
                 f"cyclic or dangling coalition parents: {names!r}")
         remaining = deferred
 
-    for coalition in coalitions:
-        for member in coalition.get("members", []):
-            registry.join(member, coalition["name"])
+    # Replay joins so that each coalition's ``members`` order and each
+    # source's ``memberships`` order both come back: a join is due when
+    # it heads both lists.  Payloads without "memberships" (older
+    # exports) constrain nothing and replay in listing order.
+    pending = {coalition["name"]: list(coalition.get("members", []))
+               for coalition in coalitions}
+    order = {name: list(joined)
+             for name, joined in payload.get("memberships", {}).items()}
+    while any(pending.values()):
+        progressed = False
+        for coalition_name, members in pending.items():
+            while members:
+                queue = order.get(members[0])
+                if queue and queue[0] != coalition_name:
+                    break  # this member joined another coalition first
+                registry.join(members.pop(0), coalition_name)
+                if queue:
+                    queue.pop(0)
+                progressed = True
+        if not progressed:
+            raise WebFinditError(
+                "coalition member lists and source membership lists "
+                "describe no common join order")
     for link_payload in payload.get("service_links", []):
         registry.add_service_link(ServiceLink.from_wire(link_payload))
     for document in payload.get("documents", []):

@@ -46,8 +46,7 @@ from repro.core.replication import (DEFAULT_LEASE_DURATION,
 from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.sharding import (REGISTRY_SHARD_INTERFACE,
-                                 RegistryShardServant, RemoteShard,
-                                 ShardedRegistryClient)
+                                 RegistryShardServant)
 from repro.errors import CommFailure, UnknownDatabase, WebFinditError
 from repro.gateway.api import DriverManager
 from repro.gateway.drivers import LocalDriver
@@ -93,9 +92,7 @@ class WebFinditSystem:
                  journal_sync: str = "never",
                  lease_duration: float = DEFAULT_LEASE_DURATION,
                  shards: int = 1,
-                 shard_service_time: float = 0.0,
-                 cache_tier: bool = False,
-                 cache_tier_ttl: float = 300.0):
+                 cache_tier: bool = False):
         self.transport = transport if transport is not None \
             else InMemoryNetwork()
         self.ontology = ontology
@@ -135,21 +132,11 @@ class WebFinditSystem:
         #: ring (each exported on its own ORB endpoint, see
         #: ``docs/sharding.md``) and an optional shared cache tier that
         #: peers consult before crossing GIOP to a co-database.
-        #: ``shards=1`` keeps the seed's singleton registry.
-        self.shards = max(1, shards)
-        self.shard_service_time = shard_service_time
         self.cache_tier = cache_tier
-        self._cache_tier_ttl = cache_tier_ttl
-        codatabase_factory = (self._replicated_codatabase
-                              if replicate else None)
-        if self.shards > 1:
-            self.registry: Registry | ShardedRegistryClient = \
-                ShardedRegistryClient.local(
-                    self.shards, ontology=ontology,
-                    codatabase_factory=codatabase_factory)
-        else:
-            self.registry = Registry(ontology=ontology,
-                                     codatabase_factory=codatabase_factory)
+        self.registry = Registry(
+            ontology=ontology, shards=shards,
+            codatabase_factory=(self._replicated_codatabase
+                                if replicate else None))
         #: Fault-tolerance policy every query processor shares.  Its
         #: health board *is* the registry's, so breaker memory persists
         #: across sessions and engines (and `remove_source` clears it).
@@ -167,24 +154,20 @@ class WebFinditSystem:
                                host="system.webfindit.net",
                                product="WebFINDIT")
         __, self.naming = start_naming_service(self._system_orb)
-        #: Sharded deployments export every shard as its own registry
-        #: servant (``webfindit/registry/shard<i>``) so remote peers can
-        #: run the same ring-routed coordination over GIOP.
+        #: Every shard is exported as its own registry servant
+        #: (``webfindit/registry/shard<i>``) so remote peers can run the
+        #: same ring-routed coordination over GIOP.
         self._shard_orbs: list[Orb] = []
-        self._shard_servants: list[RegistryShardServant] = []
-        if self.shards > 1:
-            for index, shard in enumerate(self.registry.shards):
-                orb = Orb(name=f"webfindit-registry-shard{index}",
-                          transport=self.transport,
-                          host=f"registry-shard{index}.webfindit.net",
-                          product="WebFINDIT")
-                servant = RegistryShardServant(
-                    shard, service_time=self.shard_service_time)
-                ior = orb.activate(servant, REGISTRY_SHARD_INTERFACE,
-                                   object_name=f"registry-shard{index}")
-                self.naming.bind(f"webfindit/registry/shard{index}", ior)
-                self._shard_orbs.append(orb)
-                self._shard_servants.append(servant)
+        for index, shard in enumerate(self.registry.shards):
+            orb = Orb(name=f"webfindit-registry-shard{index}",
+                      transport=self.transport,
+                      host=f"registry-shard{index}.webfindit.net",
+                      product="WebFINDIT")
+            ior = orb.activate(RegistryShardServant(shard),
+                               REGISTRY_SHARD_INTERFACE,
+                               object_name=f"registry-shard{index}")
+            self.naming.bind(f"webfindit/registry/shard{index}", ior)
+            self._shard_orbs.append(orb)
         #: The shared cache tier: one CacheTierServant on its own
         #: endpoint, plus one invalidation broadcaster per registry
         #: shard pushing epoch floors at every mutation.
@@ -196,13 +179,11 @@ class WebFinditSystem:
         self._broadcasters: list[InvalidationBroadcaster] = []
         if cache_tier:
             self._start_cache_tier(initial=True)
-            shard_registries = (list(self.registry.shards)
-                                if self.shards > 1 else [self.registry])
-            for index, registry in enumerate(shard_registries):
+            for index, shard in enumerate(self.registry.shards):
                 broadcaster = InvalidationBroadcaster(
-                    registry, deliver=self._deliver_invalidation,
+                    shard, deliver=self._deliver_invalidation,
                     origin=f"shard{index}")
-                registry.add_invalidation_listener(broadcaster)
+                shard.add_invalidation_listener(broadcaster)
                 self._broadcasters.append(broadcaster)
         self._deployments: dict[str, DeploymentRecord] = {}
         self._wrappers: dict[str, InformationSourceInterface] = {}
@@ -502,42 +483,12 @@ class WebFinditSystem:
 
     # ------------------------------------------------------ sharding / cache tier --
 
-    def sharded_registry_client(self) -> ShardedRegistryClient:
-        """A coordinator over the *exported* shard endpoints.
-
-        Where :attr:`registry` orchestrates over in-process shard
-        handles, this client resolves every ``webfindit/registry/
-        shard<i>`` binding and talks GIOP — the path a peer process
-        would use, and what bench S12 and the conformance suites
-        exercise.
-        """
-        if self.shards < 2:
-            raise WebFinditError(
-                "system was deployed with a single registry shard "
-                "(deploy with shards > 1)")
-        handles = []
-        for index in range(self.shards):
-            ior = self.naming.resolve(f"webfindit/registry/shard{index}")
-            proxy = self._system_orb.proxy(ior, REGISTRY_SHARD_INTERFACE)
-            handles.append(RemoteShard(proxy))
-        client = ShardedRegistryClient(handles, ring=self.registry.ring,
-                                       ontology=self.ontology)
-        client.health = self.registry.health
-        return client
-
     def shard_report(self) -> dict:
         """Ring + per-shard inspection (the CLI's ``\\shards``)."""
-        if self.shards > 1:
-            statuses = self.registry.shard_statuses()
-            ring = self.registry.ring.describe()
-        else:
-            status = dict(self.registry.shard_status())
-            status["shard"] = 0
-            statuses, ring = [status], None
         return {
-            "shards": self.shards,
-            "ring": ring,
-            "statuses": statuses,
+            "shards": len(self.registry.shards),
+            "ring": self.registry.ring.describe(),
+            "statuses": self.registry.shard_statuses(),
             "naming_generation": self.naming.namespace_generation(
                 "webfindit/registry/"),
             "cache_tier": self._cache_tier_metrics(),
@@ -549,7 +500,7 @@ class WebFinditSystem:
                               transport=self.transport,
                               host="cache-tier.webfindit.net",
                               product="WebFINDIT")
-        self.cache_tier_servant = CacheTierServant(ttl=self._cache_tier_ttl)
+        self.cache_tier_servant = CacheTierServant()
         ior = self._cache_orb.activate(self.cache_tier_servant,
                                        CACHE_TIER_INTERFACE,
                                        object_name="cache-tier")
@@ -779,10 +730,9 @@ class WebFinditSystem:
                             if self.resilience.hedge is not None else None),
             },
             "replication": self._replication_metrics(),
-            "sharding": ({"shards": self.shards,
-                          "ring": self.registry.ring.describe(),
-                          "per_shard": self.registry.shard_statuses()}
-                         if self.shards > 1 else None),
+            "sharding": {"shards": len(self.registry.shards),
+                         "ring": self.registry.ring.describe(),
+                         "per_shard": self.registry.shard_statuses()},
             "cache_tier": self._cache_tier_metrics(),
         }
 

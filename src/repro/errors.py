@@ -218,10 +218,6 @@ class UnknownDatabase(WebFinditError):
     """The named information source is not registered."""
 
 
-class UnknownInformationType(WebFinditError):
-    """No coalition or source advertises the requested information type."""
-
-
 class MembershipError(WebFinditError):
     """Invalid coalition join/leave operation."""
 

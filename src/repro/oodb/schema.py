@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Iterator, Optional
+from typing import Any, Optional
 
 from repro.errors import SchemaError
 
@@ -227,6 +227,3 @@ class Schema:
         """Classes with no bases (the top of the lattice)."""
         return [name for name, oclass in self._classes.items()
                 if not oclass.bases]
-
-    def iter_classes(self) -> Iterator[OClass]:
-        yield from self._classes.values()

@@ -184,9 +184,6 @@ class Orb:
         with self._lock:
             self._servants.pop(ior.primary.object_key, None)
 
-    def servant_count(self) -> int:
-        return len(self._servants)
-
     def _handle_message(self, data: "bytes | memoryview") -> Optional[bytes]:
         # *data* may be a zero-copy ``memoryview`` sliced out of the
         # event-loop transport's receive buffer; decoding works on the

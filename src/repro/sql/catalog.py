@@ -5,8 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.errors import CatalogError, SqlTypeError
-from repro.sql.types import TYPE_SYNONYMS, SqlType
+from repro.errors import CatalogError
+from repro.sql.types import SqlType
 
 
 @dataclass
@@ -19,14 +19,6 @@ class Column:
     not_null: bool = False
     unique: bool = False
     default: Any = None
-
-    @classmethod
-    def from_type_name(cls, name: str, type_name: str, **flags: Any) -> "Column":
-        """Build a column from a SQL type spelling such as ``VARCHAR``."""
-        sql_type = TYPE_SYNONYMS.get(type_name.upper())
-        if sql_type is None:
-            raise SqlTypeError(f"unknown column type: {type_name}")
-        return cls(name=name, sql_type=sql_type, **flags)
 
 
 @dataclass
@@ -148,10 +140,6 @@ class Catalog:
         if key not in self._indexes:
             raise CatalogError(f"no index {name!r}")
         return self._indexes.pop(key)
-
-    def indexes_for(self, table: str) -> list[IndexDef]:
-        lowered = table.lower()
-        return [d for d in self._indexes.values() if d.table.lower() == lowered]
 
     def index(self, name: str) -> IndexDef:
         key = name.lower()

@@ -52,6 +52,20 @@ class TestStructure:
         # instances_of includes subclass members
         assert "QCF" in {d.name for d in codb.instances_of("Research")}
 
+    def test_reregistering_a_forgotten_coalition_restores_its_record(
+            self, codb):
+        """forget_coalition keeps the class but deletes the record;
+        registering again must bring the record back (once), still as
+        one unconditional epoch bump."""
+        codb.forget_coalition("Research")
+        assert [c.name for c in codb.known_coalitions()] == ["Medical"]
+        epoch = codb.epoch
+        codb.register_coalition(Coalition("Research", "Medical Research"))
+        codb.register_coalition(Coalition("Research", "Medical Research"))
+        assert sorted(c.name for c in codb.known_coalitions()) \
+            == ["Medical", "Research"]
+        assert codb.epoch == codb.applied == epoch + 2
+
     def test_duplicate_member_ignored(self, codb):
         codb.add_member("Research", description("QUT", "Medical Research"))
         assert len(codb.instances_of("Research")) == 2

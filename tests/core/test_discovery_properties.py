@@ -32,8 +32,8 @@ def build(coalition_count, sources_per, extra_links):
 
 
 def populate(registry, coalition_count, sources_per, extra_links):
-    """Apply one drawn topology to any registry-like target (a singleton
-    ``Registry`` or a ``ShardedRegistryClient``) in identical order."""
+    """Apply one drawn topology to a ``Registry`` of any shard count,
+    in identical order."""
     names = []
     for index in range(coalition_count):
         topic = TOPICS[index % len(TOPICS)]
@@ -271,10 +271,11 @@ def test_sharded_discovery_equals_singleton(topology, shard_count,
     """Sharding the registry is invisible to discovery: for any random
     topology, any shard count, sequential or parallel fan-out, the
     DiscoveryResult is byte-identical to the singleton deployment's."""
-    from repro.core.sharding import ShardedRegistryClient
+    from repro.core.sharding import HashRing
 
     singleton, names, databases = build(*topology)
-    sharded = ShardedRegistryClient.local(shard_count, vnodes=8)
+    sharded = Registry(shards=shard_count,
+                       ring=HashRing(range(shard_count), vnodes=8))
     populate(sharded, *topology)
 
     def sharded_engine():
@@ -304,11 +305,12 @@ def test_sharded_discovery_equals_singleton_with_failures(topology,
     """The equivalence holds through partial failure: with the same
     co-databases dead in both deployments, unreachable lists, degraded
     reports, and surviving leads match byte for byte."""
-    from repro.core.sharding import ShardedRegistryClient
+    from repro.core.sharding import HashRing
     from repro.errors import CommFailure
 
     singleton, names, databases = build(*topology)
-    sharded = ShardedRegistryClient.local(shard_count, vnodes=8)
+    sharded = Registry(shards=shard_count,
+                       ring=HashRing(range(shard_count), vnodes=8))
     populate(sharded, *topology)
     start = databases[0]
     dead = {name for index, name in enumerate(databases)

@@ -7,6 +7,7 @@ from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
+from tests.core.test_sharding_properties import codb_fingerprint
 
 
 def description(name, info="Medical"):
@@ -210,3 +211,66 @@ class TestAccounting:
         assert summary["sources"] == 4
         assert summary["coalitions"] == 2
         assert summary["memberships"] == 2
+
+
+@pytest.mark.parametrize("shards", [1, 4])
+class TestLeaveUndoesJoin:
+    """Regressions fixed once in the one coordinator: what ``join``
+    copies into the joiner's co-database, ``leave`` takes out again —
+    and a second ``join`` puts back."""
+
+    @staticmethod
+    def build(shards):
+        registry = Registry(shards=shards)
+        for name in ("A", "B", "G"):
+            registry.add_source(description(name))
+        registry.create_coalition("Med", "Medical")
+        registry.create_coalition("Ins", "Insurance")
+        registry.join("A", "Med")
+        registry.join("B", "Ins")
+        registry.add_service_link(ServiceLink(
+            EndpointKind.COALITION, "Med", EndpointKind.COALITION, "Ins",
+            information_type="Insurance"))
+        return registry
+
+    @staticmethod
+    def contents(registry):
+        fingerprint = codb_fingerprint(registry, "G")
+        del fingerprint["epoch"], fingerprint["applied"]  # only ever grow
+        return fingerprint
+
+    def test_leave_takes_the_coalitions_links_with_it(self, shards):
+        registry = self.build(shards)
+        before = self.contents(registry)
+        registry.join("G", "Med")
+        assert len(self.contents(registry)["links"]) == 1
+        writes = registry.update_operations
+        registry.leave("G", "Med")
+        assert self.contents(registry) == before
+        # forget_coalition + one link removal + A's remove_member
+        assert registry.update_operations - writes == 3
+
+    def test_leaver_keeps_links_it_is_still_entitled_to(self, shards):
+        registry = self.build(shards)
+        registry.add_service_link(ServiceLink(
+            EndpointKind.DATABASE, "G", EndpointKind.COALITION, "Med"))
+        registry.join("G", "Med")
+        registry.join("G", "Ins")
+        registry.leave("G", "Med")
+        # Med_to_Ins still reaches G through Ins, G_to_Med through G.
+        assert len(registry.codatabase("G").service_links()) == 2
+        registry.leave("G", "Ins")
+        assert [link.label
+                for link in registry.codatabase("G").service_links()] \
+            == ["G_to_Med"]
+
+    def test_rejoin_sees_the_coalition_again(self, shards):
+        registry = self.build(shards)
+        registry.join("G", "Med")
+        registry.leave("G", "Med")
+        registry.join("G", "Med")
+        guest = registry.codatabase("G")
+        assert [c.name for c in guest.known_coalitions()] == ["Med"]
+        assert [m["name"] for m in guest.find_coalitions("Medical")] \
+            == ["Med"]
+        assert guest.memberships == ["Med"]

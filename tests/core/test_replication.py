@@ -108,6 +108,22 @@ class TestCrashRecovery:
         assert runtime.codatabase.memberships == ["Cardio"]
         assert runtime.restarts == 1
 
+    def test_replay_of_leave_then_rejoin_keeps_the_coalition_record(self):
+        """forget_coalition then register_coalition again (what leave
+        followed by re-join writes) must replay to a co-database that
+        still lists the coalition, at the same epoch."""
+        facade = populated(replicas=2)
+        facade.forget_coalition("Cardio")
+        facade.register_coalition(Coalition("Cardio", "cardiology"))
+        facade.record_membership("Cardio")
+        facade.mark_dead(1)
+        facade.recover(1)
+        for runtime in facade.runtimes:
+            codb = runtime.codatabase
+            assert [c.name for c in codb.known_coalitions()] == ["Cardio"]
+            assert codb.memberships == ["Cardio"]
+            assert codb.epoch == facade.epoch == 9
+
     def test_recover_catches_up_by_anti_entropy(self):
         facade = populated(replicas=2)
         facade.mark_dead(1)

@@ -6,14 +6,17 @@ Two families of invariants:
   only the arcs that changed hands (minimal remapping), and placement
   is a pure function of the name (identical across processes and
   ``PYTHONHASHSEED`` values).
-* **Coordinator** — for any shard count, running the same maintenance
-  script through a :class:`ShardedRegistryClient` leaves the federation
-  observably identical to the singleton :class:`Registry`: the same
-  sorted name sets, the same summary counters, the same per-source
-  epochs, the same counted co-database writes, and byte-identical
-  co-database *contents* — sharding relocates authority, never data.
+* **Coordinator** (partition invariance) — for any shard count, local
+  or over GIOP, running the same maintenance script through
+  :class:`Registry` leaves the federation observably identical to the
+  one-shard ring ("singleton" below): the same sorted name sets, the
+  same summary counters, the same per-source epochs, the same counted
+  co-database writes, and byte-identical co-database *contents* —
+  sharding relocates authority, never data.  Absolute behaviour is
+  pinned by ``test_registry*.py``, independently of shard count.
 """
 
+import bisect
 import json
 import os
 import string
@@ -25,10 +28,9 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.core.model import SourceDescription
-from repro.core.registry import Registry
+from repro.core.registry import Registry, RegistryShard
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.sharding import (DEFAULT_VNODES, HashRing,
-                                 ShardedRegistryClient)
+from repro.core.sharding import DEFAULT_VNODES, HashRing
 from repro.errors import WebFinditError
 
 NAME_ALPHABET = string.ascii_letters + string.digits + " -_."
@@ -163,6 +165,23 @@ def test_two_rings_with_same_nodes_agree(keys):
         == {k: second.owner(k) for k in keys}
 
 
+@given(key_sets, st.integers(min_value=1, max_value=64))
+@settings(max_examples=40, deadline=None)
+def test_one_node_ring_answers_what_hashing_would(keys, vnodes):
+    """A one-node ring may answer without hashing; this pins that
+    shortcut to the rule (first vnode clockwise of the key's point),
+    restated here over the ring's own points."""
+    ring = HashRing(["only"], vnodes=vnodes)
+    for key in keys:
+        point = HashRing._hash(f"key:{key}")
+        index = bisect.bisect_right(ring._points, point) % len(ring._ring)
+        assert ring.owner(key) == ring._ring[index][2] == "only"
+    ring.add_node("second")
+    assert {ring.owner(key) for key in keys} <= {"only", "second"}
+    ring.remove_node("second")
+    assert {ring.owner(key) for key in keys} == {"only"}
+
+
 def test_vnodes_spread_load_within_reason():
     """With vnode weighting, random names spread across shards instead
     of piling onto one arc (loose 4x bound: this guards pathological
@@ -274,7 +293,8 @@ def test_sharded_federation_equals_singleton(script, shard_count):
     sharded coordinator and the singleton registry are observably the
     same federation."""
     singleton = Registry()
-    sharded = ShardedRegistryClient.local(shard_count, vnodes=8)
+    sharded = Registry(shards=shard_count,
+                       ring=HashRing(range(shard_count), vnodes=8))
     run_script(singleton, script)
     coalitions, sources = run_script(sharded, script)
 
@@ -304,7 +324,8 @@ def test_sharded_errors_match_singleton(script, shard_count):
     """Invalid operations fail identically (same exception type and
     message) whether the name space is sharded or not."""
     singleton = Registry()
-    sharded = ShardedRegistryClient.local(shard_count, vnodes=8)
+    sharded = Registry(shards=shard_count,
+                       ring=HashRing(range(shard_count), vnodes=8))
     run_script(singleton, script)
     run_script(sharded, script)
     probes = [
@@ -342,7 +363,7 @@ def test_remote_giop_shards_equal_local_shards(script):
     singleton = Registry()
     run_script(singleton, script)
 
-    backing = [Registry() for __ in range(shard_count)]
+    backing = [RegistryShard() for __ in range(shard_count)]
     transport = InMemoryNetwork()
     handles = []
     for index, registry in enumerate(backing):
@@ -353,9 +374,8 @@ def test_remote_giop_shards_equal_local_shards(script):
                            object_name=f"shard{index}")
         handles.append(RemoteShard(orb.proxy(ior,
                                              REGISTRY_SHARD_INTERFACE)))
-    remote = ShardedRegistryClient(handles,
-                                   ring=HashRing(range(shard_count),
-                                                 vnodes=8))
+    remote = Registry(shards=handles,
+                      ring=HashRing(range(shard_count), vnodes=8))
     run_script(remote, script)
 
     assert remote.source_names() == sorted(singleton.source_names())
@@ -365,22 +385,21 @@ def test_remote_giop_shards_equal_local_shards(script):
     assert remote.update_operations == singleton.update_operations
     # Co-database contents live in the shard processes; compare their
     # fingerprints through the backing registries.
-    local = ShardedRegistryClient(backing,
-                                  ring=HashRing(range(shard_count),
-                                                vnodes=8))
+    local = Registry(shards=backing,
+                     ring=HashRing(range(shard_count), vnodes=8))
     for name in singleton.source_names():
         assert codb_fingerprint(local, name) \
             == codb_fingerprint(singleton, name)
 
 
 def test_shard_of_agrees_with_ring():
-    sharded = ShardedRegistryClient.local(4)
+    sharded = Registry(shards=4)
     for name in ("Alpha", "Beta", "Royal Brisbane Hospital"):
         assert sharded.shard_of(name) == sharded.ring.owner(name)
 
 
 def test_shard_statuses_cover_every_shard():
-    sharded = ShardedRegistryClient.local(3)
+    sharded = Registry(shards=3)
     sharded.add_source(SourceDescription(name="Solo",
                                          information_type="cardiology"))
     statuses = sharded.shard_statuses()

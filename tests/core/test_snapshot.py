@@ -86,6 +86,57 @@ class TestRoundTrip:
         assert restored.coalition("Pediatric Cardio").parent == "Cardio"
 
 
+@pytest.mark.parametrize("shards", [1, 4])
+class TestJoinOrderRoundTrip:
+    """Membership order is join order, not coalition-listing order."""
+
+    @staticmethod
+    def build(shards):
+        registry = Registry(shards=shards)
+        for name in ("A", "B", "C"):
+            registry.add_source(SourceDescription(
+                name=name, information_type="x", location=f"{name}.net"))
+        # Created Alpha-first, joined Zeta-first; and within each
+        # coalition the member order is not alphabetical either.
+        registry.create_coalition("Alpha", "alpha")
+        registry.create_coalition("Zeta", "zeta")
+        registry.join("C", "Zeta")
+        registry.join("A", "Zeta")
+        registry.join("C", "Alpha")
+        registry.join("B", "Alpha")
+        registry.join("A", "Alpha")
+        return registry
+
+    def test_memberships_and_members_preserved(self, shards):
+        original = self.build(shards)
+        restored = import_topology(export_topology(original))
+        assert restored.codatabase("A").memberships == ["Zeta", "Alpha"]
+        for name in original.source_names():
+            assert restored.codatabase(name).memberships \
+                == original.codatabase(name).memberships
+        for name in original.coalition_names():
+            assert restored.coalition(name).members \
+                == original.coalition(name).members
+        assert restored.coalition("Alpha").members == ["C", "B", "A"]
+
+    def test_payload_without_memberships_still_imports(self, shards):
+        payload = export_topology(self.build(shards))
+        del payload["memberships"]
+        restored = import_topology(payload)
+        assert restored.coalition("Zeta").members == ["C", "A"]
+        assert restored.summary() == self.build(shards).summary()
+
+    def test_contradictory_orders_rejected(self, shards):
+        payload = export_topology(self.build(shards))
+        payload["memberships"]["A"] = ["Alpha", "Zeta"]
+        payload["memberships"]["C"] = ["Zeta", "Alpha"]
+        for coalition in payload["coalitions"]:
+            coalition["members"] = {"Alpha": ["C", "A"],
+                                    "Zeta": ["A", "C"]}[coalition["name"]]
+        with pytest.raises(WebFinditError):
+            import_topology(payload)
+
+
 class TestValidation:
     def test_wrong_format_rejected(self):
         with pytest.raises(WebFinditError):

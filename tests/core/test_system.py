@@ -111,3 +111,67 @@ class TestFourLayers:
         system.reset_metrics()
         metrics = system.metrics()
         assert metrics["giop_messages"] == 0
+
+
+@pytest.fixture(scope="module")
+def deployments():
+    from repro.apps.healthcare import build_healthcare_system
+    return {shards: build_healthcare_system(shards=shards)
+            for shards in (1, 4)}
+
+
+class TestAnyShardCountIsTheSameSystem:
+    """The default deployment is the one-shard ring: nothing in the
+    facade branches on the shard count, so every report has the same
+    shape and every answer the same content at 1 and 4 shards."""
+
+    SCENARIO = [
+        "Display Coalitions With Information Medical Research",
+        "Display Instances of Class Research",
+        "Display Documentation of Instance Royal Brisbane Hospital "
+        "of Class Research",
+        "Find Coalitions With Information Medical Insurance",
+    ]
+
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_reports_have_one_shape(self, deployments, shards):
+        system = deployments[shards].system
+        report = system.shard_report()
+        assert report["shards"] == len(report["statuses"]) == shards
+        assert [status["shard"] for status in report["statuses"]] \
+            == list(range(shards))
+        assert report["ring"]["points"] \
+            == {str(index): report["ring"]["vnodes"]
+                for index in range(shards)}
+        assert set(report) == set(deployments[1].system.shard_report())
+        assert set(report["statuses"][0]) \
+            == set(deployments[1].system.shard_report()["statuses"][0])
+        sharding = system.metrics()["sharding"]
+        assert sharding["shards"] == len(sharding["per_shard"]) == shards
+        assert sharding["ring"] == report["ring"]
+        names = system.naming.list_names("webfindit/registry/")
+        assert sorted(names) == [f"webfindit/registry/shard{index}"
+                                 for index in range(shards)]
+
+    def test_registry_state_does_not_depend_on_the_partition(
+            self, deployments):
+        one, four = (deployments[n].system.registry for n in (1, 4))
+        assert one.summary() == four.summary()
+        assert one.epochs() == four.epochs()
+        assert one.update_operations == four.update_operations
+        assert one.source_names() == four.source_names() \
+            == sorted(one.source_names())
+        assert one.coalition_names() == four.coalition_names() \
+            == sorted(one.coalition_names())
+
+    def test_figure_4_to_6_answers_are_identical(self, deployments):
+        transcripts = {}
+        for shards, deployment in deployments.items():
+            browser = deployment.browser(topo.QUT)
+            answers = [browser.submit(text).text for text in self.SCENARIO]
+            fetched = browser.fetch(topo.RBH,
+                                    "SELECT * FROM MedicalStudent")
+            answers.append(fetched.text)
+            transcripts[shards] = answers
+        assert transcripts[1] == transcripts[4]
+        assert "Research" in transcripts[1][0]
