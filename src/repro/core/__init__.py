@@ -11,8 +11,7 @@ from repro.core.codatabase import (CODATABASE_INTERFACE, CoDatabase,
                                    CoDatabaseServant)
 from repro.core.discovery import (CoalitionLead, CoDatabaseClient,
                                   DiscoveryEngine, DiscoveryResult)
-from repro.core.metacache import (CachingCoDatabaseClient, MetadataCache,
-                                  caching_resolver)
+from repro.core.metacache import MetadataCache
 from repro.core.model import (InformationType, Ontology, SourceDescription,
                               topic_score, topic_words)
 from repro.core.query_processor import QueryProcessor, Session, WtResult
@@ -28,7 +27,7 @@ __all__ = [
     "CoDatabase", "CoDatabaseServant", "CODATABASE_INTERFACE",
     "DiscoveryEngine", "DiscoveryResult", "CoalitionLead",
     "CoDatabaseClient",
-    "MetadataCache", "CachingCoDatabaseClient", "caching_resolver",
+    "MetadataCache",
     "QueryProcessor", "Session", "WtResult", "Browser",
     "SourceDescription", "InformationType", "Ontology",
     "topic_score", "topic_words",

@@ -7,28 +7,29 @@ module adds the paper-era remedy — one cache *server* (itself just
 another CORBA object on the fabric) that peers consult before making a
 GIOP round-trip to an authoritative co-database.
 
-Coherence reuses the PR 3 epoch machinery end to end:
+The tier is the *same cache behind the same rule* as the process-local
+one: :class:`CacheTierServant` holds a :class:`MetadataCache`, whose
+epoch floors decide every lookup and store, and
+:class:`CacheTierClient` offers the ``lookup`` / ``store`` pair
+:class:`~repro.core.discovery.CoDatabaseClient` reads through — for
+single-servant and replicated sources alike.  What this module adds is
+the part that crosses the wire:
 
-* every cached value carries the epoch tag of the co-database state it
-  was read from (:meth:`CoDatabaseServant.versioned` reads the
-  ``applied`` watermark *before* the value, so a racing write can only
-  make the tag conservative);
 * a registry mutation bumps the owning co-database's epoch and the
   shard's :class:`InvalidationBroadcaster` pushes ``{name: floor}``
-  batches to the tier — the floor is the post-mutation epoch, or
-  :data:`TOMBSTONE` when the source was removed;
-* the tier drops every entry below its floor, refuses *stores* below
-  it (an in-flight read that fetched pre-mutation data cannot
-  resurrect it), and deduplicates replayed batches by per-origin
-  sequence number, so retrying a dropped broadcast is always safe.
+  batches — the floor is the post-mutation epoch, or
+  :data:`TOMBSTONE` when the source was removed — to the tier, or to
+  the local cache when that is what the system deploys;
+* the servant deduplicates replayed batches by per-origin sequence
+  number, so retrying a dropped broadcast is always safe.
 
 Staleness after a mutation is therefore bounded by one broadcast delay
 plus the configured retry budget — and it is never silent: a broadcast
 that exhausts its retries stays in :attr:`InvalidationBroadcaster.
 pending` and is re-pushed with the next batch.
 
-Availability is strictly one-way: :class:`TieredCoDatabaseClient`
-treats any tier failure (killed servant, refused connection, shed
+Availability is strictly one-way: the client treats any tier failure
+in :data:`BYPASS_ERRORS` (killed servant, refused connection, shed
 request) as a miss and goes straight to the authoritative co-database,
 counting the event in ``cache_bypassed`` — queries keep completeness
 1.00 with the tier down (the chaos suite in
@@ -42,16 +43,11 @@ import threading
 import time
 from typing import Any, Callable, Iterable, Optional
 
-from repro.core.codatabase import CoDatabase
-from repro.core.discovery import CoDatabaseClient
-from repro.core.metacache import CACHEABLE_OPERATIONS, MetadataCache
+from repro.core.metacache import TOMBSTONE, MetadataCache
 from repro.core.resilience import call_policy
 from repro.errors import CommFailure, ObjectNotExist, ServerBusy
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 from repro.orb.orb import RemoteSystemError
-
-#: Floor value meaning "this source is gone: cache nothing for it".
-TOMBSTONE = -1
 
 #: Tier failures that degrade to a direct GIOP call instead of failing
 #: the query: dead endpoint, deactivated servant, shed request, or any
@@ -77,24 +73,22 @@ CACHE_TIER_INTERFACE: InterfaceDef = (
 class CacheTierServant:
     """CORBA servant for the shared cache tier.
 
-    Entries live in a :class:`MetadataCache` (TTL + bounded size); the
-    servant adds per-source epoch floors and the idempotent
-    invalidation protocol.  Floor bookkeeping and entry access share
-    one lock so a store racing an invalidation can never slip a
-    pre-mutation value past its floor.
+    Entries and their epoch floors live in a :class:`MetadataCache`
+    (TTL + bounded size, floor checked under the same lock as the entry
+    insert); the servant adds the idempotent invalidation protocol and
+    the tier's own counters.  A system with only a process-local cache
+    applies its floor batches through :meth:`invalidate` too, in place.
     """
 
     def __init__(self, cache: Optional[MetadataCache] = None,
                  ttl: float = 300.0, max_entries: int = 65536):
         self.cache = cache if cache is not None \
             else MetadataCache(ttl=ttl, max_entries=max_entries)
-        self._floors: dict[str, int] = {}
         #: (origin, database) -> last applied broadcast sequence.
         self._applied_seq: dict[tuple[str, str], int] = {}
         self._lock = threading.Lock()
         self.lookups = 0
         self.stores = 0
-        self.stale_stores_refused = 0
         self.invalidation_batches = 0
         self.invalidated_entries = 0
 
@@ -105,32 +99,18 @@ class CacheTierServant:
                arguments: list) -> dict[str, Any]:
         with self._lock:
             self.lookups += 1
-            floor = self._floors.get(database)
-            if floor == TOMBSTONE:
-                return {"hit": False, "value": None}
-            hit, value = self.cache.lookup_fresh(database, operation,
-                                                 tuple(arguments), floor)
-            return {"hit": hit, "value": value}
+        hit, value = self.cache.lookup(database, operation,
+                                       tuple(arguments))
+        return {"hit": hit, "value": value}
 
     def store(self, database: str, operation: str, arguments: list,
               value: Any, epoch: int) -> bool:
-        """Accept a read-through fill unless it is provably stale.
-
-        A fill tagged below the source's floor fetched pre-mutation
-        state that an invalidation already retired; accepting it would
-        resurrect stale data with no bound on how long it survives.
-        """
-        with self._lock:
-            floor = self._floors.get(database)
-            if floor == TOMBSTONE \
-                    or (floor is not None
-                        and (epoch is None or epoch < floor)):
-                self.stale_stores_refused += 1
-                return False
-            self.cache.store(database, operation, tuple(arguments), value,
-                             epoch)
-            self.stores += 1
-            return True
+        stored = self.cache.store(database, operation, tuple(arguments),
+                                  value, epoch)
+        if stored:
+            with self._lock:
+                self.stores += 1
+        return stored
 
     def invalidate(self, origin: str, seq: int, floors: dict) -> bool:
         """Apply one floor batch from shard *origin*.
@@ -139,36 +119,36 @@ class CacheTierServant:
         sequence is newer than the last one applied for it from that
         origin, so dropped-and-retried or duplicated broadcasts cannot
         regress a floor (every source is owned by exactly one shard,
-        hence one origin).
+        hence one origin).  Floors move before the entries are retired:
+        a fill racing the batch is refused by the floor, not dropped by
+        luck.
         """
         with self._lock:
             self.invalidation_batches += 1
-            affected = []
+            fresh = {}
             for database, floor in floors.items():
                 key = (origin, database)
                 last = self._applied_seq.get(key)
                 if last is not None and seq <= last:
                     continue
                 self._applied_seq[key] = seq
-                self._floors[database] = floor
-                affected.append(database)
-            if affected:
-                before = self.cache.invalidations
-                self.cache.invalidate(affected)
-                self.invalidated_entries += (self.cache.invalidations
-                                             - before)
+                fresh[database] = floor
+            if fresh:
+                self.cache.raise_floors(fresh)
+                self.invalidated_entries += self.cache.invalidate(fresh)
             return True
 
     def stats(self) -> dict[str, Any]:
+        cache = self.cache.stats()
         with self._lock:
             return {
                 "lookups": self.lookups,
                 "stores": self.stores,
-                "stale_stores_refused": self.stale_stores_refused,
+                "stale_stores_refused": cache["stale_stores_refused"],
                 "invalidation_batches": self.invalidation_batches,
                 "invalidated_entries": self.invalidated_entries,
-                "floors": len(self._floors),
-                "cache": self.cache.stats(),
+                "floors": cache["floors"],
+                "cache": cache,
             }
 
 
@@ -208,69 +188,6 @@ class CacheTierClient:
 
     def stats(self) -> dict[str, Any]:
         return dict(self._invoke("stats"))
-
-
-def _wire(value: Any) -> Any:
-    """Shape a read result for CDR: objects become their wire structs
-    (what the cacheable operations' proxies return anyway)."""
-    if isinstance(value, list):
-        return [_wire(item) for item in value]
-    if hasattr(value, "to_wire"):
-        return value.to_wire()
-    return value
-
-
-class TieredCoDatabaseClient(CoDatabaseClient):
-    """A co-database client that consults the shared cache tier before
-    crossing the ORB to the authoritative co-database.
-
-    Misses fetch through the co-database's ``versioned`` operation so
-    the fill carries a conservative epoch tag.  Any tier failure counts
-    in :attr:`cache_bypassed` and falls through to a direct call —
-    results are always complete, with or without the tier.
-    """
-
-    def __init__(self, target: Any, name: str, tier: CacheTierClient):
-        super().__init__(target, name)
-        self._tier = tier
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_bypassed = 0
-
-    def _fetch_versioned(self, operation: str,
-                         args: tuple) -> tuple[Any, int]:
-        """One counted metadata call returning ``(value, epoch_tag)``."""
-        self.calls += 1
-        target = self.target
-        if isinstance(target, CoDatabase):
-            tag = target.applied
-            if operation == "memberships":
-                value: Any = list(target.memberships)
-            else:
-                value = getattr(target, operation)(*args)
-            return _wire(value), tag
-        with call_policy(idempotent=True):
-            reply = target.invoke("versioned", operation, list(args))
-        return reply["value"], int(reply["epoch"])
-
-    def _call(self, operation: str, *args: Any) -> Any:
-        if operation not in CACHEABLE_OPERATIONS:
-            return super()._call(operation, *args)
-        try:
-            hit, value = self._tier.lookup(self.name, operation, args)
-        except BYPASS_ERRORS:
-            self.cache_bypassed += 1
-            return super()._call(operation, *args)
-        if hit:
-            self.cache_hits += 1
-            return value
-        self.cache_misses += 1
-        value, epoch = self._fetch_versioned(operation, args)
-        try:
-            self._tier.store(self.name, operation, args, value, epoch)
-        except BYPASS_ERRORS:
-            self.cache_bypassed += 1
-        return value
 
 
 class InvalidationBroadcaster:

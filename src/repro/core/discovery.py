@@ -18,7 +18,10 @@ exploration of co-databases:
 
 Every co-database consulted and every metadata call is counted; the
 scalability benchmarks (S1) compare these counts against the broadcast
-baseline.
+baseline.  The engine reaches a co-database through exactly one thing,
+:class:`CoDatabaseClient` — the same class whatever sits behind it
+(in-process, one servant, a replica set) and whatever cache, if any,
+sits in front.
 
 Consultations within one BFS depth are independent — remote
 co-databases are autonomous servers — so the engine can fan them out
@@ -37,7 +40,9 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.core.codatabase import CoDatabase
+from repro.core.cachetier import BYPASS_ERRORS
+from repro.core.codatabase import CoDatabase, CoDatabaseServant
+from repro.core.metacache import CACHEABLE_OPERATIONS
 from repro.core.model import topic_score
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
                                    call_policy)
@@ -57,18 +62,36 @@ DEADLINE_GRACE = 0.25
 
 
 class CoDatabaseClient:
-    """Uniform client over a co-database, local or behind the ORB.
+    """The one client over a co-database, however it is deployed.
 
-    The discovery engine only speaks this interface, so the same
-    algorithm runs against in-process co-databases (unit tests, the
-    centralized baseline) and CORBA proxies (the deployed system).
-    Each method call increments :attr:`calls`.
+    The discovery engine only speaks this interface.  Every read runs
+    the same three stages:
+
+    * **cache** — with a *cache* attached (anything with the ``lookup``
+      / ``store`` pair of :class:`~repro.core.metacache.MetadataCache`:
+      the process-local cache or the shared tier's client), the
+      :data:`~repro.core.metacache.CACHEABLE_OPERATIONS` are answered
+      from it.  A miss fetches through the co-database's ``versioned``
+      operation, so the fill carries its epoch tag in the same round
+      trip; a cache that cannot be reached is bypassed, not waited for.
+    * **route** — *target* is anything with ``invoke``: one servant's
+      CORBA proxy, or a :class:`~repro.core.replication.ReplicaRoute`
+      across a replica set.  An in-process :class:`CoDatabase` (unit
+      tests, the centralized baseline) is read directly.
+    * **invoke** — one metadata call, flagged idempotent, counted in
+      :attr:`calls`: the *remote* metadata-call currency of the S1
+      benches.  Cache hits never increment it; nothing crosses the ORB
+      to a co-database without incrementing it.
     """
 
-    def __init__(self, target: CoDatabase | Proxy, name: str):
+    def __init__(self, target: Any, name: str, cache: Any = None):
         self._target = target
         self.name = name
+        self._cache = cache
         self.calls = 0
+        self.cache_hits = 0
+        self.cache_misses = 0
+        self.cache_bypassed = 0
 
     @classmethod
     def for_local(cls, codatabase: CoDatabase) -> "CoDatabaseClient":
@@ -79,24 +102,56 @@ class CoDatabaseClient:
         return cls(proxy, name)
 
     @property
-    def target(self) -> CoDatabase | Proxy:
-        """The wrapped co-database or proxy (for cache wrappers)."""
+    def target(self) -> Any:
+        """What this client reads: a co-database, a proxy or a route."""
         return self._target
 
+    @property
+    def failovers(self) -> int:
+        """Failovers made on this client's behalf: its replica route's
+        count, 0 over anything else.  Asked of the target's *type* — a
+        Proxy instance answers every public name with a remote stub."""
+        target = self._target
+        return target.failovers if hasattr(type(target), "failovers") else 0
+
     def _call(self, operation: str, *args: Any) -> Any:
+        cache = self._cache
+        if cache is None or operation not in CACHEABLE_OPERATIONS:
+            return self._invoke(operation, *args)
+        try:
+            hit, value = cache.lookup(self.name, operation, args)
+        except BYPASS_ERRORS:
+            # The cache is an optimisation; it is never allowed to
+            # subtract availability.
+            self.cache_bypassed += 1
+            return self._invoke(operation, *args)
+        if hit:
+            self.cache_hits += 1
+            return value
+        self.cache_misses += 1
+        reply = self._invoke("versioned", operation, list(args))
+        try:
+            cache.store(self.name, operation, args, reply["value"],
+                        int(reply["epoch"]))
+        except BYPASS_ERRORS:
+            self.cache_bypassed += 1
+        return reply["value"]
+
+    def _invoke(self, operation: str, *args: Any) -> Any:
         self.calls += 1
-        if isinstance(self._target, CoDatabase):
+        target = self._target
+        if isinstance(target, CoDatabase):
+            if operation == "versioned":
+                # The servant is what shapes and tags a read for a cache.
+                return CoDatabaseServant(target).versioned(*args)
             if operation == "memberships":
-                return list(self._target.memberships)
-            if operation == "epoch":
-                return self._target.epoch
-            method = getattr(self._target, operation)
-            return method(*args)
+                return list(target.memberships)
+            return getattr(target, operation)(*args)
         # Every co-database operation is a metadata *read*: safe to
         # resend after an ambiguous transport failure, so flag it for
         # the pooled-connection retry in TcpTransport.
         with call_policy(idempotent=True):
-            return self._target.invoke(operation, *args)
+            return target.invoke(operation, *args)
 
     def find_coalitions(self, query: str) -> list[dict[str, Any]]:
         matches = self._call("find_coalitions", query)
@@ -248,6 +303,10 @@ class DiscoveryResult:
     #: through to a direct co-database call (tier-down degradation —
     #: completeness is unaffected, only the optimisation is lost).
     cache_bypassed: int = 0
+    #: Times a replicated co-database answered from a sibling of the
+    #: replica it was first asked at (invisible in the leads; zero
+    #: when nothing is replicated or nothing failed).
+    failovers: int = 0
     #: Structured account of every co-database this resolution skipped,
     #: timed out on, or found tripped — empty means the reachable
     #: information space was explored in full.
@@ -483,16 +542,10 @@ class DiscoveryEngine:
             max_depth_reached=max_depth_reached,
             trace=trace,
             unreachable=unreachable,
-            cache_hits=sum(getattr(client, "cache_hits", 0)
-                           for client in clients),
-            cache_misses=sum(getattr(client, "cache_misses", 0)
-                             for client in clients),
-            # Guarded with isinstance: duck-typed clients that swallow
-            # unknown attributes via __getattr__ hand back callables.
-            cache_bypassed=sum(
-                count for client in clients
-                if isinstance(count := getattr(client, "cache_bypassed",
-                                               0), int)),
+            cache_hits=sum(client.cache_hits for client in clients),
+            cache_misses=sum(client.cache_misses for client in clients),
+            cache_bypassed=sum(client.cache_bypassed for client in clients),
+            failovers=sum(client.failovers for client in clients),
             degraded=degraded)
 
     # -- internals ---------------------------------------------------------------

@@ -5,39 +5,37 @@ co-databases the same handful of questions (``find_coalitions``,
 ``service_links``, ``memberships``, ``known_coalitions``), and the
 answers only change when the registry mutates the information space —
 a join, a leave, a new service link.  :class:`MetadataCache` keeps
-those answers for a bounded TTL and is *explicitly invalidated* by the
-registry's mutation hooks (see
-:meth:`repro.core.registry.Registry.add_invalidation_listener`), so a
-cached entry can be stale for at most the TTL even if a mutation slips
-past the hooks.
+those answers for a bounded TTL behind **one coherence rule**, the same
+whether it sits in the client process (``WebFinditSystem(
+metadata_cache=...)``) or inside the shared tier's servant
+(:mod:`repro.core.cachetier`):
 
-:class:`CachingCoDatabaseClient` is a drop-in
-:class:`~repro.core.discovery.CoDatabaseClient` that consults a shared
-cache before crossing the ORB.  Hits are counted per client and
-surfaced in :class:`~repro.core.discovery.DiscoveryResult` — the S1/S2
-benches read them — and never increment :attr:`calls`, because no
-remote metadata call happened.
+* every entry carries the epoch tag its value was read at (the
+  ``applied`` watermark :meth:`~repro.core.codatabase.
+  CoDatabaseServant.versioned` returns with the value);
+* every source has an epoch **floor**, raised by each registry
+  mutation that wrote to its co-database — the mutation's *audience*,
+  not the whole cache — and :data:`TOMBSTONE` once the source is gone;
+* a lookup hits iff the entry is inside its TTL and its tag is at or
+  above the floor; a store below the floor is refused and counted, so
+  a fill fetched before a mutation and arriving after it can never
+  resurrect pre-mutation metadata.
 
-Coherence rules (documented in ``docs/discovery.md``):
-
-* only the four read-heavy operations above are ever cached — metadata
-  *about a specific lead* (``describe_instance``, ``documents_of``, …)
-  always goes to the authoritative co-database;
-* a registry mutation invalidates every cached entry of every
-  co-database it wrote to (the mutation's *audience*), not the whole
-  cache;
-* entries expire after ``ttl`` seconds regardless, bounding staleness
-  for out-of-band mutations (autonomous sources may change without
-  telling the registry).
+:class:`~repro.core.discovery.CoDatabaseClient` is the one reader.
+Only the four read-heavy operations above are ever cached — metadata
+*about a specific lead* (``describe_instance``, ``documents_of``, …)
+always goes to the authoritative co-database — and entries expire after
+``ttl`` seconds regardless, bounding staleness for out-of-band
+mutations (autonomous sources may change without telling the registry)
+and for floors that could not be delivered.  ``docs/discovery.md`` has
+the full account.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Optional
-
-from repro.core.discovery import CoDatabaseClient
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 #: The read-heavy co-database operations worth caching.  Everything
 #: else (instance descriptions, documents, subclass walks) stays
@@ -46,19 +44,27 @@ from repro.core.discovery import CoDatabaseClient
 CACHEABLE_OPERATIONS = frozenset({
     "find_coalitions", "service_links", "memberships", "known_coalitions"})
 
+#: Floor value meaning "this source is gone: cache nothing for it".
+TOMBSTONE = -1
+
 _Key = tuple[str, str, tuple]
 
-#: Epoch tag meaning "no epoch tracking" — entries so tagged match any
-#: requested epoch (the pre-replication behaviour).
-UNVERSIONED = None
+
+def _below(tag: Optional[int], floor: Optional[int]) -> bool:
+    """Is a value tagged *tag* older than its source's *floor*?  An
+    untagged value can never prove itself fresh once a floor exists."""
+    return floor is not None and (floor == TOMBSTONE or tag is None
+                                  or tag < floor)
 
 
 class MetadataCache:
-    """A TTL + explicit-invalidation cache over co-database reads.
+    """A TTL + epoch-floor cache over co-database reads.
 
     Thread-safe: parallel discovery fan-out hits it from many worker
-    threads at once.  *clock* is injectable so tests can advance time
-    without sleeping.
+    threads at once.  Floors and entries share one lock, so a store
+    racing a floor update can never slip a pre-mutation value past its
+    floor.  *clock* is injectable so tests can advance time without
+    sleeping.
     """
 
     def __init__(self, ttl: float = 30.0, max_entries: int = 4096,
@@ -67,25 +73,26 @@ class MetadataCache:
         self.max_entries = max_entries
         self._clock = clock
         self._entries: dict[_Key, tuple[float, Any, Optional[int]]] = {}
+        self._floors: dict[str, int] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
         self.expirations = 0
-        #: Entries dropped because their epoch tag no longer matched
-        #: the serving replica (failover to a lagging sibling).
+        #: Entries dropped at lookup because their epoch tag had fallen
+        #: below the source's floor.
         self.epoch_invalidations = 0
+        #: Fills refused because they were fetched before a mutation
+        #: whose floor had already arrived.
+        self.stale_stores_refused = 0
 
-    def lookup(self, database: str, operation: str, args: tuple,
-               epoch: Optional[int] = None) -> tuple[bool, Any]:
+    def lookup(self, database: str, operation: str,
+               args: tuple) -> tuple[bool, Any]:
         """``(True, value)`` on a live hit, ``(False, None)`` otherwise.
 
-        With *epoch* given, an entry only hits when it was stored under
-        the **same** co-database epoch: after a failover to a replica
-        at a different version, every mismatched entry is dropped
-        rather than served (replication's stale-read rule).  Entries
-        stored without an epoch keep the pre-replication TTL-only
-        behaviour.
+        An entry is live while it is inside its TTL and its epoch tag
+        is at or above the source's floor; a dead entry is dropped
+        rather than served.
         """
         key = (database, operation, args)
         with self._lock:
@@ -93,46 +100,13 @@ class MetadataCache:
             if entry is None:
                 self.misses += 1
                 return False, None
-            expires, value, stored_epoch = entry
+            expires, value, tag = entry
             if self._clock() >= expires:
                 del self._entries[key]
                 self.expirations += 1
                 self.misses += 1
                 return False, None
-            if epoch is not None and stored_epoch is not None \
-                    and stored_epoch != epoch:
-                del self._entries[key]
-                self.epoch_invalidations += 1
-                self.misses += 1
-                return False, None
-            self.hits += 1
-            return True, value
-
-    def lookup_fresh(self, database: str, operation: str, args: tuple,
-                     floor: Optional[int] = None) -> tuple[bool, Any]:
-        """Floor-semantics lookup for the shared cache tier.
-
-        An entry hits only when its epoch tag is **at least** *floor*
-        (the owning shard's post-mutation epoch pushed by the last
-        invalidation broadcast); older tags are dropped and counted as
-        :attr:`epoch_invalidations`.  Entries stored without an epoch
-        tag never satisfy a floor — the tier only serves provably-fresh
-        data.
-        """
-        key = (database, operation, args)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return False, None
-            expires, value, stored_epoch = entry
-            if self._clock() >= expires:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return False, None
-            if floor is not None and (stored_epoch is None
-                                      or stored_epoch < floor):
+            if _below(tag, self._floors.get(database)):
                 del self._entries[key]
                 self.epoch_invalidations += 1
                 self.misses += 1
@@ -141,16 +115,39 @@ class MetadataCache:
             return True, value
 
     def store(self, database: str, operation: str, args: tuple,
-              value: Any, epoch: Optional[int] = None) -> None:
+              value: Any, epoch: Optional[int] = None) -> bool:
+        """Accept a read-through fill unless it is provably stale.
+
+        A fill tagged below the source's floor fetched pre-mutation
+        state that a mutation already retired; accepting it would
+        resurrect stale data for a whole TTL.
+        """
         key = (database, operation, args)
         with self._lock:
+            if _below(epoch, self._floors.get(database)):
+                self.stale_stores_refused += 1
+                return False
             while len(self._entries) >= self.max_entries:
                 # Evict the oldest insertion (dicts preserve order).
                 self._entries.pop(next(iter(self._entries)))
             self._entries[key] = (self._clock() + self.ttl, value, epoch)
+            return True
 
-    def invalidate(self, databases: Iterable[str] | str) -> None:
-        """Drop every cached entry for the given co-database owner(s).
+    def raise_floors(self, floors: Mapping[str, int]) -> None:
+        """Set each named source's floor to its post-mutation epoch
+        (:data:`TOMBSTONE` for a removed source).
+
+        Assignment, not ``max``: a re-registered source restarts its
+        epochs below its old floor.  Ordering the batches is the
+        caller's job (:class:`~repro.core.cachetier.CacheTierServant`
+        deduplicates them by per-origin sequence number).
+        """
+        with self._lock:
+            self._floors.update(floors)
+
+    def invalidate(self, databases: Iterable[str] | str) -> int:
+        """Drop every cached entry for the given co-database owner(s);
+        returns how many went.
 
         This is the listener signature
         :meth:`~repro.core.registry.Registry.add_invalidation_listener`
@@ -164,15 +161,7 @@ class MetadataCache:
             for key in doomed:
                 del self._entries[key]
             self.invalidations += len(doomed)
-
-    def invalidate_source(self, name: str) -> None:
-        """Drop every entry for one co-database owner.
-
-        The failover hook: routing away from a replica (server death,
-        re-bound IOR, epoch mismatch) calls this so no entry cached
-        from the previous replica survives the topology change.
-        """
-        self.invalidate((name,))
+            return len(doomed)
 
     def clear(self) -> None:
         with self._lock:
@@ -188,57 +177,6 @@ class MetadataCache:
                     "invalidations": self.invalidations,
                     "expirations": self.expirations,
                     "epoch_invalidations": self.epoch_invalidations,
+                    "stale_stores_refused": self.stale_stores_refused,
+                    "floors": len(self._floors),
                     "entries": len(self._entries)}
-
-
-class CachingCoDatabaseClient(CoDatabaseClient):
-    """A co-database client that answers cacheable reads from a shared
-    :class:`MetadataCache` instead of crossing the ORB.
-
-    Per-client hit/miss counters feed
-    :class:`~repro.core.discovery.DiscoveryResult`; the shared cache
-    accumulates federation-wide totals.  Cache hits do not increment
-    :attr:`calls` — that counter is the *remote* metadata-call currency
-    of the S1 benches.
-    """
-
-    def __init__(self, target: Any, name: str, cache: MetadataCache):
-        super().__init__(target, name)
-        self._cache = cache
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @classmethod
-    def wrapping(cls, client: CoDatabaseClient,
-                 cache: MetadataCache) -> "CachingCoDatabaseClient":
-        """Wrap an existing client (same target, same name)."""
-        return cls(client.target, client.name, cache)
-
-    def _call(self, operation: str, *args: Any) -> Any:
-        if operation not in CACHEABLE_OPERATIONS:
-            return super()._call(operation, *args)
-        hit, value = self._cache.lookup(self.name, operation, args)
-        if hit:
-            self.cache_hits += 1
-            return value
-        self.cache_misses += 1
-        value = super()._call(operation, *args)
-        self._cache.store(self.name, operation, args, value)
-        return value
-
-
-def caching_resolver(resolver: Callable[[str], CoDatabaseClient],
-                     cache: Optional[MetadataCache]
-                     ) -> Callable[[str], CoDatabaseClient]:
-    """Wrap *resolver* so every client it yields consults *cache*.
-
-    With ``cache=None`` the resolver is returned unchanged, letting
-    callers keep one code path for both configurations.
-    """
-    if cache is None:
-        return resolver
-
-    def resolve(name: str) -> CoDatabaseClient:
-        return CachingCoDatabaseClient.wrapping(resolver(name), cache)
-
-    return resolve

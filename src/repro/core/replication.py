@@ -17,14 +17,15 @@ the client-side resilience of :mod:`repro.core.resilience` can only
   at the crash epoch; restarting replays snapshot + journal and, when
   the set advanced past the crash epoch, catches up by **anti-entropy**
   from a live peer (a peer snapshot install).
-* :class:`FailoverCoDatabaseClient` — the routing half: a
-  :class:`~repro.core.discovery.CoDatabaseClient` over the whole
-  replica set.  Calls prefer the first replica whose circuit breaker
-  admits them, fail over to siblings on transport faults or timeouts,
-  re-resolve through the naming service when a cached IOR's generation
-  went stale, and tag / invalidate
-  :class:`~repro.core.metacache.MetadataCache` entries by epoch so a
-  lagging replica can never serve metadata the cache would keep.
+* :class:`ReplicaRoute` — the routing half: what a
+  :class:`~repro.core.discovery.CoDatabaseClient` targets in place of a
+  single servant's proxy.  Calls prefer the first replica whose
+  circuit breaker admits them, fail over to siblings on transport
+  faults or timeouts, hedge a tail-slow primary, and re-resolve through
+  the naming service when a cached IOR's generation went stale.  It
+  knows nothing of caching: the client's cache stage sits in front of
+  it as in front of any target, and the cache's epoch floors are what
+  keep a lagging replica's answers out of it.
 
 ``docs/availability.md`` documents the protocol; the S8 bench
 (``BENCH_availability.json``) measures what it buys.
@@ -38,10 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.core.codatabase import CoDatabase
-from repro.core.discovery import CoDatabaseClient
 from repro.core.journal import (JournalEntry, ReplicaJournal, apply_entry,
                                 encode_operation, replay_entries)
-from repro.core.metacache import CACHEABLE_OPERATIONS, MetadataCache
 from repro.core.model import Ontology
 from repro.core.quorum import LeaseState, PrimaryLease, majority
 from repro.core.resilience import (FAILURE_ERRORS, HealthBoard, HedgePolicy,
@@ -679,7 +678,7 @@ def replica_key(source_name: str, index: int) -> str:
 
 @dataclass
 class ReplicaTarget:
-    """What the failover client needs to reach one replica."""
+    """What the replica route needs to reach one replica."""
 
     key: str           # health-board key, e.g. "RBH/r0"
     binding: str       # naming path, e.g. "webfindit/codb/RBH/r0"
@@ -687,53 +686,43 @@ class ReplicaTarget:
     refresh: Callable[[], tuple[Any, bool]]  # re-resolve; -> (proxy, changed)
 
 
-class FailoverCoDatabaseClient(CoDatabaseClient):
-    """A co-database client that routes across the replica set.
+class ReplicaRoute:
+    """One client's route across a co-database's replica set.
 
-    Order of preference is replica order (primary first).  A replica is
-    skipped without a call when its breaker is open; a transport-level
-    failure (refused, dropped, timed out) records a per-replica health
-    failure, then tries a **naming re-resolve**: when the binding's
-    generation changed (the server restarted and re-bound), the retry
-    goes to the fresh IOR — closing the stale-IOR window — otherwise
-    the caller fails over to the next sibling.  Only when every replica
-    fails does the call raise, which is what lets the discovery layer
-    mark the co-database degraded only when *all* replicas are down.
-
-    With a :class:`~repro.core.metacache.MetadataCache` attached, the
-    four cacheable reads are served from / stored into the cache tagged
-    with the serving replica's epoch; a failover that lands on a
-    replica at a different epoch therefore invalidates rather than
-    reuses the entries (`invalidate_source` is also fired so detail
-    reads cannot mix).
+    A route is a *target*: :class:`~repro.core.discovery.
+    CoDatabaseClient` calls :meth:`invoke` on it exactly as it would on
+    one servant's proxy.  Order of preference is replica order (primary
+    first), starting from the replica that last served this client.  A
+    replica is skipped without a call when its breaker is open; a
+    transport-level failure (refused, dropped, timed out) records a
+    per-replica health failure, then tries a **naming re-resolve**:
+    when the binding's generation changed (the server restarted and
+    re-bound), the retry goes to the fresh IOR — closing the stale-IOR
+    window — otherwise the call fails over to the next sibling.  Only
+    when every replica fails does the call raise, which is what lets
+    the discovery layer mark the co-database degraded only when *all*
+    replicas are down.
     """
+
+    #: Failovers this route performed.  Declared on the class: that is
+    #: how CoDatabaseClient.failovers tells a route from a proxy.
+    failovers = 0
 
     def __init__(self, name: str, targets: list[ReplicaTarget],
                  health: HealthBoard,
-                 cache: Optional[MetadataCache] = None,
                  hedge: Optional[HedgePolicy] = None):
         if not targets:
             raise WebFinditError(f"no replicas known for {name!r}")
-        super().__init__(targets[0].proxy(), name)
+        self.name = name
         self._targets = targets
         self._health = health
-        self._cache = cache
         #: Hedged reads: with a policy attached and >= 2 healthy
         #: replicas, a primary slower than the rolling p99 gets a
         #: second copy fired at a sibling, first success wins.  Safe
         #: because every co-database operation routed here is an
         #: idempotent metadata read.
         self._hedge = hedge
-        #: Epoch of the replica currently serving this client (learned
-        #: lazily, refreshed after every failover).
-        self._serving_epoch: Optional[int] = None
         self._serving_index = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        #: Failovers this client performed (result accounting).
-        self.failovers = 0
-
-    # ------------------------------------------------------------- routing --
 
     def _invoke_target(self, target: ReplicaTarget, operation: str,
                        *args: Any) -> Any:
@@ -751,7 +740,7 @@ class FailoverCoDatabaseClient(CoDatabaseClient):
                     raise
                 return refreshed.invoke(operation, *args)
 
-    def _routed_call(self, operation: str, *args: Any) -> Any:
+    def invoke(self, operation: str, *args: Any) -> Any:
         last_error: Optional[Exception] = None
         start = self._serving_index if self._serving_index \
             < len(self._targets) else 0
@@ -759,11 +748,7 @@ class FailoverCoDatabaseClient(CoDatabaseClient):
         allowed = [index for index in order
                    if self._health.allow(self._targets[index].key)]
         remaining = allowed
-        # The epoch probe is fired from the failover bookkeeping itself;
-        # hedging it could bounce the serving index between two replicas
-        # (each win re-probing the other), so it always runs sequential.
-        if self._hedge is not None and len(allowed) >= 2 \
-                and operation != "epoch":
+        if self._hedge is not None and len(allowed) >= 2:
             try:
                 value, winner = self._hedged_pair(
                     allowed[0], allowed[1], operation, *args)
@@ -772,8 +757,7 @@ class FailoverCoDatabaseClient(CoDatabaseClient):
                 remaining = allowed[2:]
             else:
                 if winner is not None:
-                    if winner != self._serving_index:
-                        self._failed_over(self._targets[winner], winner)
+                    self._served_by(winner)
                     return value
                 # Primary failed fast, before the hedge delay elapsed:
                 # nothing was hedged, fall through to plain sequential
@@ -788,14 +772,19 @@ class FailoverCoDatabaseClient(CoDatabaseClient):
                 last_error = exc
                 continue
             self._health.record(target.key, ok=True)
-            if index != self._serving_index:
-                self._failed_over(target, index)
+            self._served_by(index)
             return value
         if last_error is not None:
             raise last_error
         raise CommFailure(
             f"all {len(self._targets)} replicas of the co-database of "
             f"{self.name!r} have open circuits")
+
+    def _served_by(self, index: int) -> None:
+        """Stick to whichever replica answered; count the move."""
+        if index != self._serving_index:
+            self.failovers += 1
+            self._serving_index = index
 
     def _hedged_pair(self, primary_index: int, backup_index: int,
                      operation: str, *args: Any) -> tuple[Any, Optional[int]]:
@@ -873,52 +862,3 @@ class FailoverCoDatabaseClient(CoDatabaseClient):
         self._health.record(backup.key, ok=True)
         hedge.record_hedge(won=True)
         return value, backup_index
-
-    def _failed_over(self, target: ReplicaTarget, index: int) -> None:
-        """Bookkeeping after routing away from the current replica."""
-        self.failovers += 1
-        self._serving_index = index
-        previous_epoch = self._serving_epoch
-        self._serving_epoch = None
-        epoch = self._current_epoch()
-        if self._cache is not None and epoch != previous_epoch:
-            # Entries cached from the old replica are tagged with its
-            # epoch; a mismatch means they can no longer be trusted to
-            # agree with what this replica will serve.
-            self._cache.invalidate_source(self.name)
-
-    def _current_epoch(self) -> Optional[int]:
-        if self._serving_epoch is None:
-            try:
-                self._serving_epoch = int(self._routed_call("epoch"))
-            except FAILURE_ERRORS:
-                return None
-        return self._serving_epoch
-
-    # ----------------------------------------------------- CoDatabaseClient --
-
-    def _call(self, operation: str, *args: Any) -> Any:
-        if self._cache is None or operation not in CACHEABLE_OPERATIONS:
-            self.calls += 1
-            return self._routed_call(operation, *args)
-        epoch = self._current_epoch()
-        if epoch is None:
-            # The epoch probe failed transiently: bypass the cache
-            # entirely — an UNVERSIONED entry would match any epoch on
-            # lookup and so survive the failover invalidation.
-            self.calls += 1
-            return self._routed_call(operation, *args)
-        hit, value = self._cache.lookup(self.name, operation, args,
-                                        epoch=epoch)
-        if hit:
-            self.cache_hits += 1
-            return value
-        self.cache_misses += 1
-        self.calls += 1
-        value = self._routed_call(operation, *args)
-        if self._serving_epoch is not None:
-            # The routed call may have failed over and the epoch of the
-            # new serving replica may be unknown; same rule as above.
-            self._cache.store(self.name, operation, args, value,
-                              epoch=self._serving_epoch)
-        return value

@@ -382,7 +382,7 @@ class ResiliencePolicy:
         self.health = health if health is not None else HealthBoard()
         self.default_deadline = default_deadline
         #: Hedged requests for idempotent replica reads; None (the
-        #: default) disables hedging.  The failover client consults it.
+        #: default) disables hedging.  The replica route consults it.
         self.hedge = hedge
 
     def deadline_for(self, budget: Union[None, float, Deadline]

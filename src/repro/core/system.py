@@ -19,7 +19,10 @@ Registering a source:
 
 Browsers obtained from :meth:`browser` then exercise the full stack:
 WebTassili text → query processor → GIOP over the transport →
-co-database / wrapper servants → native engines.
+co-database / wrapper servants → native engines.  However the
+metadata layer is deployed — replicated or not, behind the local cache,
+the cache tier or neither — :meth:`codatabase_client` hands the query
+layer the same client class, built over a different route and cache.
 """
 
 from __future__ import annotations
@@ -30,19 +33,18 @@ from typing import Optional
 
 from repro.core.browser import Browser
 from repro.core.cachetier import (CACHE_TIER_INTERFACE, CacheTierClient,
-                                  CacheTierServant, InvalidationBroadcaster,
-                                  TieredCoDatabaseClient)
+                                  CacheTierServant, InvalidationBroadcaster)
 from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
 from repro.core.discovery import CoDatabaseClient
 from repro.core.journal import ReplicaJournal
-from repro.core.metacache import CachingCoDatabaseClient, MetadataCache
+from repro.core.metacache import MetadataCache
 from repro.core.model import Ontology, SourceDescription
 from repro.core.query_processor import QueryProcessor, Session
 from repro.core.registry import Registry
 from repro.core.replication import (DEFAULT_LEASE_DURATION,
-                                    FailoverCoDatabaseClient,
-                                    ReplicatedCoDatabase, ReplicaTarget,
-                                    replica_binding, replica_key)
+                                    ReplicaRoute, ReplicatedCoDatabase,
+                                    ReplicaTarget, replica_binding,
+                                    replica_key)
 from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.sharding import (REGISTRY_SHARD_INTERFACE,
@@ -96,9 +98,10 @@ class WebFinditSystem:
         self.transport = transport if transport is not None \
             else InMemoryNetwork()
         self.ontology = ontology
-        #: Hot-path knobs: a shared TTL cache over co-database reads
-        #: (invalidated by registry mutations) and concurrent frontier
-        #: fan-out in every DiscoveryEngine this system hands out.
+        #: Hot-path knobs: a process-local cache over co-database reads
+        #: (its epoch floors raised by registry mutations) and
+        #: concurrent frontier fan-out in every DiscoveryEngine this
+        #: system hands out.
         self.metadata_cache = metadata_cache
         self.parallel_discovery = parallel_discovery
         self.discovery_workers = discovery_workers
@@ -121,7 +124,7 @@ class WebFinditSystem:
         self.lease_duration = lease_duration
         self._replicated: dict[str, ReplicatedCoDatabase] = {}
         #: Generation-checked proxy cache: naming binding -> (proxy,
-        #: generation).  Shared by every failover client so one
+        #: generation).  Shared by every replica route so one
         #: re-resolve heals them all.
         self._replica_proxies: dict[str, tuple] = {}
         replicate = (self.replication_factor > 1
@@ -145,9 +148,6 @@ class WebFinditSystem:
         else:
             self.registry.health = resilience.health
         self.resilience = resilience
-        if metadata_cache is not None:
-            self.registry.add_invalidation_listener(
-                metadata_cache.invalidate)
         self._orbs: dict[str, Orb] = {}
         self._system_orb = Orb(name="webfindit-system",
                                transport=self.transport,
@@ -169,20 +169,28 @@ class WebFinditSystem:
             self.naming.bind(f"webfindit/registry/shard{index}", ior)
             self._shard_orbs.append(orb)
         #: The shared cache tier: one CacheTierServant on its own
-        #: endpoint, plus one invalidation broadcaster per registry
-        #: shard pushing epoch floors at every mutation.
+        #: endpoint.  Whichever cache is deployed — the tier, else the
+        #: local one — is kept coherent the same way: one invalidation
+        #: broadcaster per registry shard pushing epoch floors at every
+        #: mutation.
         self.cache_tier_servant: Optional[CacheTierServant] = None
         self._cache_tier_client: Optional[CacheTierClient] = None
         self._cache_orb: Optional[Orb] = None
         self._cache_tier_alive = False
         self._cache_tier_restarts = 0
         self._broadcasters: list[InvalidationBroadcaster] = []
+        deliver = None
         if cache_tier:
             self._start_cache_tier(initial=True)
+            deliver = self._deliver_invalidation
+        elif metadata_cache is not None:
+            # The local cache takes floor batches the way the tier
+            # does — same sequence dedup, same retire — minus the wire.
+            deliver = CacheTierServant(cache=metadata_cache).invalidate
+        if deliver is not None:
             for index, shard in enumerate(self.registry.shards):
                 broadcaster = InvalidationBroadcaster(
-                    shard, deliver=self._deliver_invalidation,
-                    origin=f"shard{index}")
+                    shard, deliver=deliver, origin=f"shard{index}")
                 shard.add_invalidation_listener(broadcaster)
                 self._broadcasters.append(broadcaster)
         self._deployments: dict[str, DeploymentRecord] = {}
@@ -317,7 +325,7 @@ class WebFinditSystem:
         ORB, bound under ``webfindit/codb/<name>/r<i>``.
 
         Returns r0's IOR so the base ``webfindit/codb/<name>`` binding
-        (what non-failover clients resolve) points at the primary.
+        (what clients outside this system resolve) points at the primary.
         """
         for runtime in facade.runtimes:
             orb = self._replica_orb(name, runtime.index, product)
@@ -428,8 +436,9 @@ class WebFinditSystem:
         anti-entropy from a live peer when the set advanced past the
         crash epoch), re-activate the servant on a fresh endpoint,
         ``rebind`` its name (bumping the binding generation so cached
-        proxies self-invalidate), close its breaker, and drop any
-        metadata cached from the dead incarnation.
+        proxies self-invalidate), close its breaker, and retire any
+        metadata cached from the dead incarnation (one more floor
+        batch, to whichever cache is deployed).
         """
         facade = self._facade(source_name)
         runtime = facade.recover(index)
@@ -446,7 +455,7 @@ class WebFinditSystem:
         self.naming.rebind(binding, ior)
         self._replica_proxies.pop(binding, None)
         if index == 0:
-            # The base name tracks the primary for non-failover clients.
+            # The base name tracks the primary for clients that resolve it.
             self.naming.rebind(f"webfindit/codb/{source_name}", ior)
             self._ior_cache.pop(f"codb/{source_name}", None)
         # The replica demonstrably answered recovery; close its breaker
@@ -455,8 +464,9 @@ class WebFinditSystem:
         # routes to it without waiting out a cooldown.
         self.registry.health.record(replica_key(source_name, index), ok=True)
         self.registry.health.record(source_name, ok=True)
-        if self.metadata_cache is not None:
-            self.metadata_cache.invalidate_source(source_name)
+        if self._broadcasters:
+            self._broadcasters[self.registry.ring.owner(source_name)](
+                [source_name])
 
     def replica_status(self, source_name: Optional[str] = None) -> dict:
         """Per-replica availability view (the CLI's ``\\replicas``)."""
@@ -523,7 +533,7 @@ class WebFinditSystem:
 
     def kill_cache_tier(self) -> None:
         """Crash the cache-tier server: its endpoint closes, lookups
-        start raising, and every tiered client degrades to direct GIOP
+        start raising, and every client degrades to direct GIOP
         (counted in ``cache_bypassed``) — never a failed query."""
         if not self.cache_tier:
             raise WebFinditError(
@@ -563,9 +573,6 @@ class WebFinditSystem:
 
     # ----------------------------------------------------------------- access --
 
-    def _client_orb(self) -> Orb:
-        return self._system_orb
-
     def _resolve_ior(self, kind: str, name: str) -> Ior:
         cache_key = f"{kind}/{name}"
         ior = self._ior_cache.get(cache_key)
@@ -580,7 +587,7 @@ class WebFinditSystem:
         if cached is not None:
             return cached[0]
         ior, generation = self.naming.resolve_with_generation(binding)
-        proxy = self._client_orb().proxy(ior, CODATABASE_INTERFACE)
+        proxy = self._system_orb.proxy(ior, CODATABASE_INTERFACE)
         self._replica_proxies[binding] = (proxy, generation)
         return proxy
 
@@ -595,12 +602,12 @@ class WebFinditSystem:
         ior, generation = self.naming.resolve_with_generation(binding)
         if cached is not None and cached[1] == generation:
             return cached[0], False
-        proxy = self._client_orb().proxy(ior, CODATABASE_INTERFACE)
+        proxy = self._system_orb.proxy(ior, CODATABASE_INTERFACE)
         self._replica_proxies[binding] = (proxy, generation)
         return proxy, True
 
-    def _failover_client(self, name: str,
-                         facade: ReplicatedCoDatabase) -> CoDatabaseClient:
+    def _replica_route(self, name: str,
+                       facade: ReplicatedCoDatabase) -> ReplicaRoute:
         targets = []
         for runtime in facade.runtimes:
             binding = replica_binding(name, runtime.index)
@@ -610,40 +617,34 @@ class WebFinditSystem:
                 proxy=lambda binding=binding: self._replica_proxy(binding),
                 refresh=lambda binding=binding:
                     self._refresh_replica_proxy(binding)))
-        return FailoverCoDatabaseClient(name, targets,
-                                        health=self.registry.health,
-                                        cache=self.metadata_cache,
-                                        hedge=self.resilience.hedge)
+        targets[0].proxy()  # a source never deployed has no binding
+        return ReplicaRoute(name, targets, health=self.registry.health,
+                            hedge=self.resilience.hedge)
 
     def codatabase_client(self, database_name: str) -> CoDatabaseClient:
         """A CORBA-backed metadata client for one source's co-database.
 
-        Replicated sources get a failover client over the whole replica
-        set; single-servant sources keep the seed's direct (optionally
-        caching) client.
+        One class for every deployment; only what it is built over
+        differs.  The route is the replica set's when the source is
+        replicated, else the single servant's proxy.  The cache is the
+        shared tier when one is deployed — it supersedes the
+        per-process cache: one fleet-wide working set instead of N
+        private ones — else the local cache, else none.
         """
         facade = self._replicated.get(database_name)
-        if facade is not None:
-            try:
-                return self._failover_client(database_name, facade)
-            except Exception as exc:
-                raise UnknownDatabase(
-                    f"no co-database bound for {database_name!r}") from exc
         try:
-            ior = self._resolve_ior("codb", database_name)
+            if facade is not None:
+                route = self._replica_route(database_name, facade)
+            else:
+                route = self._system_orb.proxy(
+                    self._resolve_ior("codb", database_name),
+                    CODATABASE_INTERFACE)
         except Exception as exc:
             raise UnknownDatabase(
                 f"no co-database bound for {database_name!r}") from exc
-        proxy = self._client_orb().proxy(ior, CODATABASE_INTERFACE)
-        if self._cache_tier_client is not None:
-            # The shared tier supersedes the per-process cache: one
-            # fleet-wide working set instead of N private ones.
-            return TieredCoDatabaseClient(proxy, database_name,
-                                          self._cache_tier_client)
-        if self.metadata_cache is not None:
-            return CachingCoDatabaseClient(proxy, database_name,
-                                           self.metadata_cache)
-        return CoDatabaseClient.for_proxy(proxy, database_name)
+        cache = self._cache_tier_client if self.cache_tier \
+            else self.metadata_cache
+        return CoDatabaseClient(route, database_name, cache=cache)
 
     def wrapper_client(self, database_name: str) -> InformationSourceInterface:
         """A CORBA-backed ISI client for one source.
@@ -660,7 +661,7 @@ class WebFinditSystem:
         except Exception as exc:
             raise UnknownDatabase(
                 f"no wrapper bound for {database_name!r}") from exc
-        proxy = self._client_orb().proxy(ior, ISI_INTERFACE)
+        proxy = self._system_orb.proxy(ior, ISI_INTERFACE)
         client = RemoteIsi(proxy)
         self._remote_isi_cache[database_name] = client
         return client

@@ -8,8 +8,8 @@ cache-tier servant, and tiered co-database clients:
   invalidation broadcast has landed, and a late read-through fill of
   pre-mutation data must be refused by its epoch floor rather than
   resurrected.
-* **Outages** — killing the cache-tier server degrades every tiered
-  client to direct GIOP (counted in ``cache_bypassed``); queries stay
+* **Outages** — killing the cache-tier server degrades every client
+  to direct GIOP (counted in ``cache_bypassed``); queries stay
   complete (identical leads to an untiered deployment, nothing
   degraded).  A restarted tier comes back cold and refills.
 * **Lossy broadcast** — with a seeded :class:`FaultyTransport`
@@ -125,7 +125,7 @@ class TestInvalidationRaces:
         servant.invalidate("shard1", 1, {"Alpha": 3})
         assert servant.store("Alpha", "memberships", [],
                              ["pre-mutation"], 2) is False
-        assert servant.stale_stores_refused == 1
+        assert servant.stats()["stale_stores_refused"] == 1
         assert servant.lookup("Alpha", "memberships", []) \
             == {"hit": False, "value": None}
         # A fill at (or above) the floor is the fresh one: accepted.
@@ -160,7 +160,7 @@ class TestInvalidationRaces:
         system = build_system()
         system.codatabase_client("Zeta").memberships()  # warm an entry
         system.registry.remove_source("Zeta")
-        floors = system.cache_tier_servant._floors
+        floors = system.cache_tier_servant.cache._floors
         assert floors.get("Zeta") == TOMBSTONE
         assert pending_floors(system) == 0
 

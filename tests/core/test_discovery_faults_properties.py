@@ -40,6 +40,7 @@ class _DyingClient:
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_bypassed = 0
+        self.failovers = 0
 
     def __getattr__(self, operation):
         def fail(*__args, **__kwargs):

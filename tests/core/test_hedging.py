@@ -1,4 +1,4 @@
-"""Hedged requests: the adaptive delay policy and the failover client's
+"""Hedged requests: the adaptive delay policy and the replica route's
 primary/backup race."""
 
 import threading
@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.core.replication import FailoverCoDatabaseClient, ReplicaTarget
+from repro.core.replication import ReplicaRoute, ReplicaTarget
 from repro.core.resilience import HealthBoard, HedgePolicy
 from repro.deadline import Deadline, call_policy
 from repro.errors import CommFailure
@@ -58,8 +58,6 @@ class FakeProxy:
     def invoke(self, operation, *args):
         with self._lock:
             self.calls.append(operation)
-        if operation == "epoch":
-            return 1
         if self.latency:
             time.sleep(self.latency)
         with self._lock:
@@ -75,7 +73,7 @@ def _client(primary, backup, hedge):
                              proxy=lambda: proxy,
                              refresh=lambda: (proxy, False))
 
-    return FailoverCoDatabaseClient(
+    return ReplicaRoute(
         "rbh", [target("rbh#0", primary), target("rbh#1", backup)],
         health=HealthBoard(), hedge=hedge)
 
@@ -87,7 +85,7 @@ class TestHedgedFailoverClient:
         hedge = HedgePolicy(default_delay=0.2)
         client = _client(primary, backup, hedge)
         for __ in range(3):
-            assert client._routed_call("lookup") == "primary"
+            assert client.invoke("lookup") == "primary"
         assert hedge.snapshot()["hedges_fired"] == 0
         assert backup.calls == []
         assert client.failovers == 0
@@ -98,7 +96,7 @@ class TestHedgedFailoverClient:
         hedge = HedgePolicy(default_delay=0.02)
         client = _client(primary, backup, hedge)
         started = time.monotonic()
-        assert client._routed_call("lookup") == "backup"
+        assert client.invoke("lookup") == "backup"
         elapsed = time.monotonic() - started
         assert elapsed < 0.4  # did not wait out the slow primary
         assert hedge.snapshot()["hedges_won"] == 1
@@ -109,7 +107,7 @@ class TestHedgedFailoverClient:
         backup = FakeProxy("backup")
         hedge = HedgePolicy(default_delay=0.2)
         client = _client(primary, backup, hedge)
-        assert client._routed_call("lookup") == "backup"
+        assert client.invoke("lookup") == "backup"
         # A fast failure is plain failover, not a hedge.
         assert hedge.snapshot()["hedges_fired"] == 0
         assert client.failovers == 1
@@ -119,7 +117,7 @@ class TestHedgedFailoverClient:
         backup = FakeProxy("backup", failures=5)
         hedge = HedgePolicy(default_delay=0.02)
         client = _client(primary, backup, hedge)
-        assert client._routed_call("lookup") == "primary"
+        assert client.invoke("lookup") == "primary"
         snapshot = hedge.snapshot()
         assert snapshot["hedges_fired"] == 1
         assert snapshot["hedges_lost"] == 1
@@ -136,7 +134,7 @@ class TestHedgedFailoverClient:
         started = time.monotonic()
         with call_policy(deadline=Deadline(0.1)):
             with pytest.raises(CommFailure):
-                client._routed_call("lookup")
+                client.invoke("lookup")
         elapsed = time.monotonic() - started
         assert elapsed < 0.4  # did not wait out the 0.5s primary
         assert hedge.snapshot()["hedges_lost"] == 1
@@ -147,12 +145,12 @@ class TestHedgedFailoverClient:
         hedge = HedgePolicy(default_delay=0.02)
         client = _client(primary, backup, hedge)
         with pytest.raises(CommFailure):
-            client._routed_call("lookup")
+            client.invoke("lookup")
         assert hedge.snapshot()["hedges_fired"] == 1
 
     def test_no_hedge_policy_keeps_sequential_failover(self):
         primary = FakeProxy("primary", failures=1)
         backup = FakeProxy("backup")
         client = _client(primary, backup, hedge=None)
-        assert client._routed_call("lookup") == "backup"
+        assert client.invoke("lookup") == "backup"
         assert client.failovers == 1

@@ -10,9 +10,8 @@ the locality rule the co-databases guarantee.
 import pytest
 
 from repro.core.discovery import CoDatabaseClient, DiscoveryEngine
-from repro.core.metacache import (CACHEABLE_OPERATIONS,
-                                  CachingCoDatabaseClient, MetadataCache,
-                                  caching_resolver)
+from repro.core.metacache import (CACHEABLE_OPERATIONS, TOMBSTONE,
+                                  MetadataCache)
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -52,10 +51,9 @@ def build_world():
 
 
 def engines(registry, cache):
-    resolver = caching_resolver(
-        lambda name: CoDatabaseClient.for_local(registry.codatabase(name)),
-        cache)
-    return DiscoveryEngine(resolver)
+    return DiscoveryEngine(
+        lambda name: CoDatabaseClient(registry.codatabase(name), name,
+                                      cache=cache))
 
 
 class TestMetadataCache:
@@ -105,8 +103,8 @@ class TestCachingClient:
     def test_cacheable_reads_skip_remote_call(self):
         registry = build_world()
         cache = MetadataCache()
-        client = CachingCoDatabaseClient(
-            registry.codatabase("QUT"), "QUT", cache)
+        client = CoDatabaseClient(
+            registry.codatabase("QUT"), "QUT", cache=cache)
         first = client.service_links()
         calls_after_first = client.calls
         second = client.service_links()
@@ -119,8 +117,8 @@ class TestCachingClient:
     def test_uncacheable_reads_always_go_remote(self):
         registry = build_world()
         cache = MetadataCache()
-        client = CachingCoDatabaseClient(
-            registry.codatabase("QUT"), "QUT", cache)
+        client = CoDatabaseClient(
+            registry.codatabase("QUT"), "QUT", cache=cache)
         assert "describe_instance" not in CACHEABLE_OPERATIONS
         client.describe_instance("QUT")
         calls = client.calls
@@ -131,8 +129,8 @@ class TestCachingClient:
     def test_distinct_queries_cached_separately(self):
         registry = build_world()
         cache = MetadataCache()
-        client = CachingCoDatabaseClient(
-            registry.codatabase("QUT"), "QUT", cache)
+        client = CoDatabaseClient(
+            registry.codatabase("QUT"), "QUT", cache=cache)
         research = client.find_coalitions("Medical Research")
         insurance = client.find_coalitions("Medical Insurance")
         # Different args → different cache keys: both calls miss, and the
@@ -200,8 +198,8 @@ class TestDiscoveryIntegration:
         registry = build_world()
         cache = MetadataCache(ttl=1e9)
         registry.add_invalidation_listener(cache.invalidate)
-        client = CachingCoDatabaseClient(
-            registry.codatabase("QUT"), "QUT", cache)
+        client = CoDatabaseClient(
+            registry.codatabase("QUT"), "QUT", cache=cache)
         assert "RMIT" in [m for m in client.neighbor_databases()]
         client.find_coalitions("Medical Research")  # warm the cache
         registry.leave("RMIT", "Research")
@@ -257,8 +255,8 @@ def test_every_cacheable_operation_round_trips(operation):
     second invocation (guards against signature drift)."""
     registry = build_world()
     cache = MetadataCache()
-    client = CachingCoDatabaseClient(
-        registry.codatabase("RBH"), "RBH", cache)
+    client = CoDatabaseClient(
+        registry.codatabase("RBH"), "RBH", cache=cache)
     call = {
         "find_coalitions": lambda: client.find_coalitions("Medical"),
         "service_links": client.service_links,
@@ -271,28 +269,37 @@ def test_every_cacheable_operation_round_trips(operation):
 
 
 class TestEpochTaggedEntries:
-    """Replication coherence: entries carry the serving replica's epoch
-    and die on mismatch (see docs/availability.md)."""
+    """The one coherence rule: entries carry the epoch tag they were
+    read at and live while that tag is at or above their source's
+    floor (see docs/availability.md)."""
 
     def test_same_epoch_hits(self):
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"], epoch=4)
-        hit, value = cache.lookup("RBH", "memberships", (), epoch=4)
+        cache.raise_floors({"RBH": 4})
+        hit, value = cache.lookup("RBH", "memberships", ())
         assert hit and value == ["Research"]
 
     def test_mismatched_epoch_drops_the_entry(self):
+        """Mismatched *downwards*: a tag above the floor is fresher
+        than the mutation and keeps hitting."""
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"], epoch=4)
-        hit, __ = cache.lookup("RBH", "memberships", (), epoch=5)
+        cache.raise_floors({"RBH": 3})
+        assert cache.lookup("RBH", "memberships", ())[0]
+        cache.raise_floors({"RBH": 5})
+        hit, __ = cache.lookup("RBH", "memberships", ())
         assert not hit
         assert cache.stats()["epoch_invalidations"] == 1
         assert len(cache) == 0  # dropped, not just skipped
 
-    def test_unversioned_entries_match_any_epoch(self):
+    def test_untagged_entries_never_satisfy_a_floor(self):
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"])
-        hit, __ = cache.lookup("RBH", "memberships", (), epoch=7)
-        assert hit
+        assert cache.lookup("RBH", "memberships", ())[0]  # no floor yet
+        cache.raise_floors({"RBH": 1})
+        assert not cache.lookup("RBH", "memberships", ())[0]
+        assert not cache.store("RBH", "memberships", (), ["Research"])
 
     def test_versioned_entries_match_unversioned_lookups(self):
         cache = MetadataCache()
@@ -300,10 +307,21 @@ class TestEpochTaggedEntries:
         hit, __ = cache.lookup("RBH", "memberships", ())
         assert hit
 
+    def test_stores_below_the_floor_are_refused_and_counted(self):
+        cache = MetadataCache()
+        cache.raise_floors({"RBH": 5, "Gone": TOMBSTONE})
+        assert not cache.store("RBH", "memberships", (), ["old"], epoch=4)
+        assert cache.store("RBH", "memberships", (), ["new"], epoch=5)
+        assert not cache.store("Gone", "memberships", (), ["any"], epoch=99)
+        assert cache.stats()["stale_stores_refused"] == 2
+        assert cache.lookup("RBH", "memberships", ()) == (True, ["new"])
+
     def test_invalidate_source_drops_only_that_owner(self):
+        """One source's floor batch, as the system delivers it."""
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"], epoch=4)
         cache.store("QUT", "memberships", (), ["Research"], epoch=2)
-        cache.invalidate_source("RBH")
-        assert not cache.lookup("RBH", "memberships", (), epoch=4)[0]
-        assert cache.lookup("QUT", "memberships", (), epoch=2)[0]
+        cache.raise_floors({"RBH": 4})
+        cache.invalidate("RBH")
+        assert not cache.lookup("RBH", "memberships", ())[0]
+        assert cache.lookup("QUT", "memberships", ())[0]

@@ -102,9 +102,11 @@ def test_metadata_cache_stats_never_tear():
 
     def write(index):
         database = f"db{index}"
+        cache.raise_floors({database: 1})
         cache.store(database, "memberships", (), ["Cardio"], epoch=1)
         cache.lookup(database, "memberships", ())          # hit
-        cache.lookup(database, "memberships", (), epoch=2)  # epoch drop
+        cache.raise_floors({database: 2})
+        cache.lookup(database, "memberships", ())          # epoch drop
         cache.lookup(f"absent{index}", "memberships", ())  # plain miss
         cache.invalidate(database)
 

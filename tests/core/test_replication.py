@@ -5,14 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cachetier import CacheTierClient, CacheTierServant
 from repro.core.coalition import Coalition
+from repro.core.discovery import CoDatabaseClient
 from repro.core.journal import (JournalEntry, ReplicaJournal, apply_entry,
                                 encode_operation, replay_entries)
 from repro.core.metacache import MetadataCache
 from repro.core.model import SourceDescription
-from repro.core.replication import (FailoverCoDatabaseClient,
-                                    ReplicatedCoDatabase, ReplicaTarget,
-                                    replica_binding, replica_key)
+from repro.core.replication import (ReplicaRoute, ReplicatedCoDatabase,
+                                    ReplicaTarget, replica_binding,
+                                    replica_key)
 from repro.core.resilience import HealthBoard
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.snapshot import export_codatabase, import_codatabase
@@ -357,20 +359,18 @@ class _Endpoint:
         self.epoch = epoch
         self.invocations = []
         self.generation = 1
-        #: Fail only the "epoch" probe (transient fault scripting).
-        self.fail_epoch_probe = False
 
     def invoke(self, operation, *args):
+        if operation == "versioned":
+            read, arguments = args
+            return {"value": self.invoke(read, *arguments),
+                    "epoch": self.epoch}
         self.invocations.append(operation)
         if not self.alive:
             raise CommFailure(f"{self.name} is down")
-        if operation == "epoch":
-            if self.fail_epoch_probe:
-                raise CommFailure(f"{self.name} dropped the epoch probe")
-            return self.epoch
         if operation == "memberships":
             return ["Cardio"]
-        if operation == "documents_of":
+        if operation in ("documents_of", "service_links"):
             return []
         return f"{self.name}:{operation}"
 
@@ -382,21 +382,27 @@ class _Endpoint:
             refresh=lambda: (self, False))
 
 
+def failover_client(targets, health=None, cache=None):
+    """The one client class over a replica route."""
+    route = ReplicaRoute("Alpha", targets,
+                         health=health if health is not None
+                         else HealthBoard())
+    return CoDatabaseClient(route, "Alpha", cache=cache)
+
+
 class TestFailoverClient:
     def test_prefers_the_primary(self):
         r0, r1 = _Endpoint("r0"), _Endpoint("r1")
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=HealthBoard())
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)])
         assert client.memberships() == ["Cardio"]
         assert r1.invocations == []
 
     def test_fails_over_when_the_primary_dies(self):
         r0, r1 = _Endpoint("r0"), _Endpoint("r1")
         health = HealthBoard()
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=health)
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)], health=health)
         r0.alive = False
         assert client.memberships() == ["Cardio"]
         assert client.failovers == 1
@@ -405,9 +411,8 @@ class TestFailoverClient:
 
     def test_sticks_to_the_failover_target(self):
         r0, r1 = _Endpoint("r0"), _Endpoint("r1")
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=HealthBoard())
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)])
         r0.alive = False
         client.memberships()
         r0.invocations.clear()
@@ -416,9 +421,8 @@ class TestFailoverClient:
 
     def test_raises_only_when_every_replica_fails(self):
         r0, r1 = _Endpoint("r0"), _Endpoint("r1")
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=HealthBoard())
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)])
         r0.alive = r1.alive = False
         with pytest.raises(CommFailure):
             client.memberships()
@@ -426,13 +430,12 @@ class TestFailoverClient:
     def test_open_breakers_are_skipped_without_a_call(self):
         r0, r1 = _Endpoint("r0"), _Endpoint("r1")
         health = HealthBoard(failure_threshold=1, reset_timeout=3600.0)
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=health)
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)], health=health)
         r0.alive = False
         client.memberships()  # trips r0's breaker
         r0.invocations.clear()
-        client._serving_index = 0  # force routing from the top again
+        client.target._serving_index = 0  # route from the top again
         client.memberships()
         assert r0.invocations == []  # skipped: circuit open
 
@@ -444,8 +447,7 @@ class TestFailoverClient:
             binding=replica_binding("Alpha", 0),
             proxy=lambda: dead,
             refresh=lambda: (fresh, True))  # generation changed
-        client = FailoverCoDatabaseClient("Alpha", [target],
-                                          health=HealthBoard())
+        client = failover_client([target])
         assert client.memberships() == ["Cardio"]
         assert client.failovers == 0  # healed in place, no sibling used
 
@@ -454,52 +456,62 @@ class TestFailoverCacheCoherence:
     def test_cache_entries_are_epoch_tagged(self):
         r0, r1 = _Endpoint("r0", epoch=5), _Endpoint("r1", epoch=5)
         cache = MetadataCache()
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=HealthBoard(), cache=cache)
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)], cache=cache)
         client.memberships()
         assert client.memberships() == ["Cardio"]
         assert client.cache_hits == 1
+        # The tag came with the value, in the one round trip counted.
+        assert client.calls == 1 and r0.invocations == ["memberships"]
+        assert [tag for __, __, tag in cache._entries.values()] == [5]
 
-    def test_failover_to_lagging_replica_invalidates_the_source(self):
+    @pytest.mark.parametrize("kind", ["local", "tier"])
+    def test_lagging_replica_fills_refused(self, kind):
+        """Property (c) of docs/availability.md: a replica *behind* the
+        floor still answers reads, but its fills are refused; entries
+        at or above the floor keep hitting.  Same for both cache kinds,
+        which differ only in whether reads cross the tier's IDL."""
         r0, r1 = _Endpoint("r0", epoch=5), _Endpoint("r1", epoch=3)
         cache = MetadataCache()
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0), r1.target("Alpha", 1)],
-            health=HealthBoard(), cache=cache)
+        cache.raise_floors({"Alpha": 5})  # the last mutation's epoch
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)],
+            cache=cache if kind == "local"
+            else CacheTierClient(CacheTierServant(cache=cache)))
         client.memberships()  # cached under r0's epoch 5
         r0.alive = False
-        # A cacheable read would still be served from the cache (the
-        # TTL-bounded staleness rule); an uncacheable one must route —
-        # and notice the primary is gone.
+        # A cacheable read is still served from the cache (it is at
+        # the floor); an uncacheable one must route — and notice the
+        # primary is gone.
         client.documents_of("Alpha")
         assert client.failovers == 1
-        assert cache.stats()["invalidations"] > 0  # epoch 5 != 3
-        # Reads now come from r1 and re-cache under its epoch.
-        r1.invocations.clear()
-        client.memberships()
-        client.memberships()
-        assert r1.invocations.count("memberships") == 1
-
-    def test_failed_epoch_probe_bypasses_the_cache(self):
-        """When the epoch probe fails transiently, the read must not be
-        stored unversioned — such an entry would match any epoch and
-        survive the failover invalidation."""
-        r0 = _Endpoint("r0", epoch=5)
-        r0.fail_epoch_probe = True
-        cache = MetadataCache()
-        client = FailoverCoDatabaseClient(
-            "Alpha", [r0.target(index=0)], health=HealthBoard(),
-            cache=cache)
         assert client.memberships() == ["Cardio"]
-        assert len(cache) == 0  # bypassed, not stored unversioned
-        # Probe heals: reads are cached again, epoch-tagged.
-        r0.fail_epoch_probe = False
-        client.memberships()
-        client.memberships()
+        assert client.cache_hits == 1 and len(cache) == 1
+        # Misses are answered by r1, whose epoch-3 fills are refused.
+        assert client.service_links() == []
+        assert client.service_links() == []
+        assert r1.invocations.count("service_links") == 2
+        assert cache.stats()["stale_stores_refused"] == 2
+        assert [tag for __, __, tag in cache._entries.values()] == [5]
+
+    def test_fills_are_never_stored_untagged(self):
+        """The epoch travels with the value, so there is no probe to
+        lose: a fetch that fails stores nothing, and whichever replica
+        ends up answering tags the fill itself."""
+        r0, r1 = _Endpoint("r0", epoch=5), _Endpoint("r1", epoch=5)
+        r0.alive = False
+        cache = MetadataCache()
+        client = failover_client(
+            [r0.target(index=0), r1.target("Alpha", 1)], cache=cache)
+        assert client.memberships() == ["Cardio"]
+        assert client.memberships() == ["Cardio"]
         assert client.cache_hits == 1
-        assert all(epoch is not None
-                   for __, __, epoch in cache._entries.values())
+        assert all(tag is not None
+                   for __, __, tag in cache._entries.values())
+        r1.alive = False
+        with pytest.raises(CommFailure):
+            client.known_coalitions()
+        assert len(cache) == 1  # the failed fetch stored nothing
 
     def test_replica_set_status_reports_lag_and_breakers(self):
         facade = populated(replicas=2)

@@ -4,20 +4,29 @@ These tests exercise what tests/core/test_replication.py stubs out —
 replica servants on their own endpoints, the generation-checked proxy
 cache, kill/restart through the system facade, and the interaction
 with metrics and health state.
+
+``WEBFINDIT_SHARDS`` sets the registry shard count (CI's tier-2
+sharding job sweeps {1, 4}).
 """
+
+import os
 
 import pytest
 
+from repro.core.discovery import CoDatabaseClient
 from repro.core.metacache import MetadataCache
 from repro.core.model import SourceDescription
-from repro.core.replication import FailoverCoDatabaseClient
+from repro.core.replication import ReplicaRoute
 from repro.core.system import WebFinditSystem
-from repro.errors import CommFailure, WebFinditError
+from repro.errors import CommFailure, UnknownDatabase, WebFinditError
 from repro.oodb.database import ObjectDatabase
 
 
+SHARDS = int(os.environ.get("WEBFINDIT_SHARDS", "1"))
+
+
 def build_system(**kwargs):
-    system = WebFinditSystem(replication_factor=2, **kwargs)
+    system = WebFinditSystem(replication_factor=2, shards=SHARDS, **kwargs)
     for name in ("Alpha", "Beta"):
         database = ObjectDatabase(name=name.lower(), product="ObjectStore")
         system.register_object_source(database, SourceDescription(
@@ -47,7 +56,8 @@ class TestReplicatedDeployment:
     def test_clients_are_failover_clients(self):
         system = build_system()
         client = system.codatabase_client("Alpha")
-        assert isinstance(client, FailoverCoDatabaseClient)
+        assert type(client) is CoDatabaseClient
+        assert isinstance(client.target, ReplicaRoute)
         assert client.memberships() == ["Cardio"]
 
     def test_unreplicated_system_keeps_plain_clients(self):
@@ -56,7 +66,18 @@ class TestReplicatedDeployment:
         system.register_object_source(database, SourceDescription(
             name="Solo", information_type="x"))
         client = system.codatabase_client("Solo")
-        assert not isinstance(client, FailoverCoDatabaseClient)
+        assert type(client) is CoDatabaseClient
+        assert not isinstance(client.target, ReplicaRoute)
+
+    def test_a_source_never_deployed_is_unknown(self):
+        """Registered behind the facade's back: a replica set exists
+        but no servant was bound — reported when the client is built,
+        not as a naming error on its first read."""
+        system = build_system()
+        system.registry.add_source(SourceDescription(
+            name="Ghost", information_type="cardiology"))
+        with pytest.raises(UnknownDatabase):
+            system.codatabase_client("Ghost")
 
     def test_kill_requires_a_replicated_source(self):
         system = WebFinditSystem()
