@@ -270,30 +270,21 @@ def main(argv: Optional[list[str]] = None,
     parser.add_argument("--stripes", type=int, default=None,
                         help="with --tcp: enable GIOP request pipelining "
                              "with this many striped connections per "
-                             "endpoint (see docs/pipelining.md)")
+                             "endpoint (implies --transport-loop; see "
+                             "docs/pipelining.md)")
     parser.add_argument("--pipeline-depth", type=int, default=32,
                         help="with --tcp --stripes: max requests in "
                              "flight per pipelined connection "
                              "(default 32)")
     parser.add_argument("--transport-loop", action="store_true",
                         help="with --tcp: run the transport on the "
-                             "selector event loop instead of threads "
-                             "(see docs/event-loop.md)")
-    parser.add_argument("--batch-flush", type=int, default=64 * 1024,
-                        help="with --tcp --transport-loop: max bytes one "
-                             "flush coalesces into a single send "
-                             "(default 65536)")
-    parser.add_argument("--accept-backlog", type=int, default=None,
-                        help="with --tcp: listen(2) backlog per endpoint "
-                             "(default: 64 threaded, 512 event loop)")
+                             "selector event loop instead of threads, "
+                             "promoting busy endpoints to pipelining on "
+                             "demand (see docs/event-loop.md)")
     parser.add_argument("--loop-workers", type=int, default=6,
                         help="with --tcp --transport-loop: servant "
                              "dispatch threads shared by all endpoints "
                              "(default 6)")
-    parser.add_argument("--connection-workers", type=int, default=None,
-                        help="with --tcp --stripes: dispatch threads per "
-                             "pipelined connection (default: tracks "
-                             "--pipeline-depth)")
     parser.add_argument("--shedding", action="store_true",
                         help="with --tcp: deadline-aware admission "
                              "control and load shedding on every "
@@ -332,21 +323,19 @@ def main(argv: Optional[list[str]] = None,
         from repro.orb.overload import OverloadPolicy
         from repro.orb.transport import TcpTransport
         overload = OverloadPolicy(shed=True) if options.shedding else None
-        tcp_kwargs = dict(pipeline_depth=options.pipeline_depth,
-                          loop=options.transport_loop or None,
-                          loop_workers=options.loop_workers,
-                          batch_flush=options.batch_flush,
-                          accept_backlog=options.accept_backlog,
-                          connection_workers=options.connection_workers,
-                          overload=overload)
-        if options.stripes is not None:
-            transport = TcpTransport(pipelined=True,
-                                     stripes=options.stripes,
-                                     **tcp_kwargs)
-        else:
-            # No explicit striping: let the transport watch demand and
-            # promote busy endpoints to pipelining on its own.
-            transport = TcpTransport(pipelined="auto", **tcp_kwargs)
+        # Plain --tcp is the default transport — serial round trips
+        # against the thread-per-connection server, the faster pair for
+        # one sequential shell.  --transport-loop lets the transport
+        # watch demand and promote busy endpoints to pipelining on its
+        # own; --stripes forces pipelining (loop implied).
+        pipelined = (True if options.stripes is not None
+                     else "auto" if options.transport_loop else False)
+        transport = TcpTransport(pipelined=pipelined,
+                                 stripes=options.stripes,
+                                 pipeline_depth=options.pipeline_depth,
+                                 loop=options.transport_loop or None,
+                                 loop_workers=options.loop_workers,
+                                 overload=overload)
     resilience = None
     if options.deadline is not None:
         from repro.core.resilience import ResiliencePolicy

@@ -60,10 +60,10 @@ _request_ids = itertools.count(1)
 class OrbStats:
     """Per-ORB request counters.
 
-    Requests on one keep-alive socket are dispatched concurrently when
-    the transport pipelines (on top of the thread-per-connection server
-    concurrency that always existed), so increments go through a lock —
-    unlocked ``+=`` loses counts under contention.
+    Requests are dispatched concurrently — by the event loop's worker
+    pool, or by the thread-per-connection server's handler threads —
+    so increments go through a lock: unlocked ``+=`` loses counts under
+    contention.
     """
 
     requests_sent: int = 0

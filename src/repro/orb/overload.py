@@ -4,9 +4,11 @@ Past saturation, an ORB that accepts everything serves *nothing*: every
 request waits out its deadline in the dispatch queue, the server burns
 its capacity on work whose caller has already given up, and client
 retries multiply the offered load — metastable congestion collapse.
-The :class:`AdmissionController` defends both dispatch paths of
-:class:`~repro.orb.transport.TcpTransport` (the threaded per-connection
-pool and the event-loop ``loop_workers`` pool) with three complementary
+The :class:`AdmissionController` defends the dispatch pool of
+:class:`~repro.orb.transport.TcpTransport` (the event loop's
+``loop_workers``; a thread-per-connection endpoint asks the same
+controller but has no in-process queue for requests to age in, so only
+the arrival-time checks can fire there) with three complementary
 checks:
 
 * **Bounded queues** — a hard cap on requests admitted but not yet
@@ -82,9 +84,8 @@ class AdmissionTicket:
 
 
 class AdmissionController:
-    """Thread-safe admission state shared by every connection of one
-    transport endpoint (both dispatch paths feed the same instance, as
-    they share the same worker capacity)."""
+    """Thread-safe admission state shared by every connection of every
+    endpoint of one transport (they share the same worker capacity)."""
 
     def __init__(self, policy: OverloadPolicy,
                  clock: Callable[[], float] = time.monotonic):

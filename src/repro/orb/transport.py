@@ -16,16 +16,18 @@ Two interchangeable transports:
 
 :class:`TcpTransport` runs in one of two I/O modes:
 
-* **threaded** (the legacy mode) — a ``ThreadingTCPServer`` per
-  endpoint, one handler thread per accepted connection, and one reader
-  thread per pipelined client stripe;
-* **event-loop** (``loop=True``, or ``REPRO_TRANSPORT_LOOP=1``) — a
-  single ``selectors``-based reader/writer thread demultiplexes every
-  server-side connection *and* every pipelined client channel.
-  Servant dispatch runs on a small bounded worker pool so application
-  code never blocks the loop; replies are posted back to the loop for
-  non-blocking, batched writes (small GIOP frames queued for the same
-  connection coalesce into one ``send``).  See ``docs/event-loop.md``.
+* **threaded** (the default) — a ``ThreadingTCPServer`` per endpoint,
+  one handler thread per accepted connection serving one frame at a
+  time, and the serial pooled client.  This is the paper's
+  one-request-per-connection IIOP, and the path ``mixed_tcp`` measures;
+* **event-loop** (``loop=True``, ``REPRO_TRANSPORT_LOOP=1``, or any
+  pipelining mode) — a single ``selectors``-based reader/writer thread
+  demultiplexes every server-side connection *and* every pipelined
+  client channel.  Servant dispatch runs on a small bounded worker
+  pool so application code never blocks the loop; replies are posted
+  back to the loop for non-blocking, batched writes (small GIOP frames
+  queued for the same connection coalesce into one ``send``).  GIOP
+  request pipelining exists only here.  See ``docs/event-loop.md``.
 
 Both expose the same two operations: ``register`` a server endpoint and
 ``send`` a request to an endpoint, returning the reply bytes.
@@ -318,12 +320,10 @@ class FrameBuffer:
     ``memoryview`` of it (or the chunk itself when they coincide —
     the common case once the peer batches one frame per send), and
     only a frame spanning chunk boundaries pays one join of exactly
-    its own bytes.  This replaces both the byte-at-a-time header
-    ``recv(1)`` loop and the ``b"".join`` reassembly the threaded
-    readers used on the hot path.
+    its own bytes.
 
     Not thread-safe: each connection's buffer is owned by one reader
-    (a channel's reader thread, or the event loop).
+    (the event loop).
     """
 
     __slots__ = ("_chunks", "_offset", "_size")
@@ -402,124 +402,58 @@ class FrameBuffer:
 
 
 class _GiopRequestHandler(socketserver.BaseRequestHandler):
-    """Serves one client connection for its lifetime.
+    """Serves one client connection for its lifetime, a frame at a time.
 
     Frames keep arriving on the same socket until the peer closes it
     (keep-alive IIOP) — pooled clients amortise the TCP handshake over
-    many requests, per-call clients simply close after one frame.
-
-    On a **pipelined** transport the client may have many requests in
-    flight on this one socket, so frames are dispatched to a
-    per-connection worker pool: request processing (and the modelled
-    ``latency`` sleeps) overlaps, and replies go back as they finish —
-    possibly out of request order, which GIOP permits because clients
-    match replies by ``request_id``.  The pool's threads persist for
-    the connection's life (spawning a thread per frame costs more than
-    a small request round-trip).  A per-connection write lock keeps
-    concurrently-finished reply frames from interleaving on the wire.
+    many requests, per-call clients simply close after one frame.  Each
+    frame is admitted, dispatched and answered on this connection's
+    thread before the next is read, so a peer that writes requests back
+    to back (another transport's pipelined channel) is served serially
+    and in request order.  Returning closes the connection.
     """
 
     def handle(self) -> None:
         transport: TcpTransport = self.server.transport  # type: ignore[attr-defined]
         endpoint = self.server.server_address  # type: ignore[attr-defined]
-        write_lock = threading.Lock()
-        workers: Optional[ThreadPoolExecutor] = None
-        in_flight: dict[Future, Any] = {}
-        if transport.pipelined:
-            workers = ThreadPoolExecutor(
-                max_workers=transport.connection_workers
-                or transport.pipeline_depth,
-                thread_name_prefix=f"giop-worker-{endpoint[1]}")
         admission = transport.admission
-        try:
-            while True:
-                try:
-                    data = read_giop_frame(self.request)
-                except CommFailure:
-                    return  # peer closed (or died) between frames
-                handler = transport.handler_for((endpoint[0], endpoint[1]))
-                if handler is None:
-                    return
-                ticket = None
-                if admission.enabled:
-                    budget, traffic_class = peek_request_admission(data)
-                    ticket, reason = admission.enqueue(budget, traffic_class)
-                    if reason is not None:
-                        transport.metrics.record_shed(reason)
-                        self._send_busy(data, reason, write_lock)
-                        continue
-                if workers is not None:
-                    future = workers.submit(self._serve_one, transport,
-                                            handler, data, write_lock,
-                                            ticket)
-                    in_flight[future] = ticket
-
-                    # The abandon must happen *here*, not in a sweep
-                    # after shutdown(): this callback pops the future
-                    # from ``in_flight`` as soon as it settles, so a
-                    # later sweep would never see cancelled entries and
-                    # their queue slots would leak on the
-                    # transport-shared admission controller.
-                    def _settle(f: Future, t=ticket) -> None:
-                        in_flight.pop(f, None)
-                        if t is not None and f.cancelled():
-                            admission.abandon(t)
-
-                    future.add_done_callback(_settle)
-                else:
-                    self._serve_one(transport, handler, data, write_lock,
-                                    ticket)
-        finally:
-            if workers is not None:
-                # Drain, don't abandon: a dispatch already running may
-                # hold servant-side locks (journal group commit, the
-                # registry lock) — give it a bounded window to finish.
-                # Queued-but-unstarted frames are cancelled: their
-                # caller's connection is gone, the work is dead, and
-                # each one's done-callback abandons its admission
-                # ticket so the shared controller gets its slot back.
-                workers.shutdown(wait=False, cancel_futures=True)
-                pending = [future for future in list(in_flight)
-                           if not future.done()]
-                if pending:
-                    _wait_futures(pending, timeout=_DRAIN_TIMEOUT)
-
-    def _serve_one(self, transport: "TcpTransport", handler: Handler,
-                   data: bytes, write_lock: threading.Lock,
-                   ticket=None) -> None:
-        if ticket is not None:
-            reason = transport.admission.dequeue(ticket)
-            if reason is not None:
-                transport.metrics.record_shed(reason)
-                self._send_busy(data, reason, write_lock)
-                return
-        if transport.latency > 0:
-            time.sleep(transport.latency)
-        try:
-            reply = handler(data)
-        except Exception:  # noqa: BLE001 - undecodable frame: the
-            _close_quietly(self.request)  # stream is poisoned, drop it
-            return
-        if reply:
+        while True:
             try:
-                with write_lock:
+                data = read_giop_frame(self.request)
+            except CommFailure:
+                return  # peer closed (or died) between frames
+            handler = transport.handler_for((endpoint[0], endpoint[1]))
+            if handler is None:
+                return
+            reason = None
+            if admission.enabled:
+                # Nothing queues in-process here (the kernel's socket
+                # buffer is the queue), so the ticket is picked up at
+                # once: the same two checks the loop server makes, with
+                # no sojourn in between.
+                ticket, reason = admission.enqueue(
+                    *peek_request_admission(data))
+                if reason is None:
+                    reason = admission.dequeue(ticket)
+            if reason is not None:
+                # A BUSY reply is cheap — no servant dispatch, no
+                # modelled latency: shedding must cost less than
+                # serving, or it cannot protect anything.  None for a
+                # oneway or unattributable frame: shed silently.
+                transport.metrics.record_shed(reason)
+                reply = busy_reply(data, reason)
+            else:
+                if transport.latency > 0:
+                    time.sleep(transport.latency)
+                try:
+                    reply = handler(data)
+                except Exception:  # noqa: BLE001 - undecodable frame:
+                    return  # the stream is poisoned, drop it
+            if reply:
+                try:
                     self.request.sendall(reply)
-            except OSError:
-                _close_quietly(self.request)
-
-    def _send_busy(self, data: bytes, reason: str,
-                   write_lock: threading.Lock) -> None:
-        """Answer a shed request with a BUSY reply (cheap: no servant
-        dispatch, no modelled latency — shedding must cost less than
-        serving, or it cannot protect anything)."""
-        reply = busy_reply(data, reason)
-        if reply is None:
-            return  # oneway or unattributable: shed silently
-        try:
-            with write_lock:
-                self.request.sendall(reply)
-        except OSError:
-            _close_quietly(self.request)
+                except OSError:
+                    return
 
 
 #: How long transport teardown waits for in-flight servant dispatches
@@ -534,8 +468,6 @@ class _GiopServer(socketserver.ThreadingTCPServer):
     # Parallel discovery fan-out opens bursts of simultaneous
     # connections; the socketserver default backlog of 5 drops the
     # overflow SYNs, stalling clients on kernel retransmit timers.
-    # This is only the default — ``TcpTransport(accept_backlog=...)``
-    # overrides it per instance before the listen socket activates.
     request_queue_size = 64
 
 
@@ -593,12 +525,6 @@ class _ConnectionPool:
             _close_quietly(connection)
 
 
-#: Floor for the socket timeout on pipelined connections: reads happen
-#: in slices of at least this much, so a caller with a nearly-spent
-#: deadline cannot force a mid-frame timeout that would desync framing
-#: for every other request on the connection.
-_MIN_READ_SLICE = 0.1
-
 #: How much one recv pulls off a socket on the framed read paths.
 _RECV_SIZE = 256 * 1024
 
@@ -620,7 +546,7 @@ class _RequestIdBusy(Exception):
 
 
 class _PendingReply:
-    """One caller's wait slot: filled by the reader, or failed."""
+    """One caller's wait slot: filled by the loop, or failed."""
 
     __slots__ = ("event", "frame", "error")
 
@@ -630,141 +556,17 @@ class _PendingReply:
         self.error: Optional[Exception] = None
 
 
-class _PipelinedChannel:
-    """One GIOP connection carrying multiple in-flight requests.
-
-    Callers ``submit`` a frame (serialized by a send lock) and receive
-    a wait slot; a dedicated reader thread reads reply frames as they
-    arrive — in whatever order the server finished them — and delivers
-    each to the slot whose ``request_id`` it answers.  A read error,
-    peer close, or unattributable frame kills the channel: every
-    pending caller is failed with the same cause (their replies can no
-    longer arrive on this stream), and the owning transport discards
-    only this stripe.
-    """
-
-    def __init__(self, endpoint: Endpoint, connection: socket.socket):
-        self.endpoint = endpoint
-        self._sock = connection
-        self._send_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._pending: dict[int, _PendingReply] = {}
-        self._dead: Optional[Exception] = None
-        self._closed = False
-        self._reader = threading.Thread(
-            target=self._read_loop, daemon=True,
-            name=f"giop-pipe-{endpoint[1]}")
-        self._reader.start()
-
-    @property
-    def dead(self) -> bool:
-        return self._dead is not None
-
-    def in_flight(self) -> int:
-        with self._state_lock:
-            return len(self._pending)
-
-    def submit(self, request_id: int, data: bytes,
-               timeout: float) -> tuple[_PendingReply, int]:
-        """Register *request_id* and send *data*; returns the wait slot
-        and the in-flight depth at submission (for metrics)."""
-        slot = _PendingReply()
-        with self._state_lock:
-            if self._dead is not None:
-                raise _ChannelDead(self._dead)
-            if request_id in self._pending:
-                raise _RequestIdBusy(request_id)
-            self._pending[request_id] = slot
-            depth = len(self._pending)
-        try:
-            with self._send_lock:
-                self._sock.settimeout(max(timeout, _MIN_READ_SLICE))
-                self._sock.sendall(data)
-        except OSError as exc:
-            # A failed (possibly partial) send poisons the framing for
-            # everything behind it: the whole channel is dead, but the
-            # error each pending caller sees names their own request.
-            self._forget(request_id)
-            self._kill(exc)
-            raise
-        return slot, depth
-
-    def cancel(self, request_id: int) -> None:
-        """Stop waiting for *request_id* (stall timeout): a late reply
-        for it will be read and dropped, keeping the stream in sync."""
-        self._forget(request_id)
-
-    def close(self) -> None:
-        self._closed = True
-        _close_quietly(self._sock)  # wakes the reader, which kills us
-
-    # ------------------------------------------------------------- internals --
-
-    def _forget(self, request_id: int) -> None:
-        with self._state_lock:
-            self._pending.pop(request_id, None)
-
-    def _kill(self, cause: Exception) -> None:
-        with self._state_lock:
-            if self._dead is None:
-                self._dead = cause
-            doomed = list(self._pending.values())
-            self._pending.clear()
-        for slot in doomed:
-            slot.error = cause
-            slot.event.set()
-        _close_quietly(self._sock)
-
-    def _read_loop(self) -> None:
-        # Frames are sliced out of a growable buffer fed by large
-        # recvs: the old implementation read the first header byte with
-        # recv(1) in a loop — one syscall per byte between frames.
-        # Timeouts while the buffer sits on a frame boundary are benign
-        # (an idle keep-alive connection); a timeout with a partial
-        # frame buffered is fatal, because the stream can no longer be
-        # resynchronised.
-        buffer = FrameBuffer()
-        try:
-            while True:
-                frame = buffer.next_frame()
-                if frame is None:
-                    try:
-                        chunk = self._sock.recv(_RECV_SIZE)
-                    except TimeoutError:
-                        if self._closed:
-                            raise CommFailure(
-                                "pipelined connection closed") from None
-                        if len(buffer):
-                            raise CommFailure(
-                                f"timed out mid-frame on pipelined "
-                                f"connection to {self.endpoint!r}") from None
-                        continue
-                    if not chunk:
-                        raise CommFailure("connection closed by peer")
-                    buffer.feed(chunk)
-                    continue
-                request_id = peek_reply_id(frame)
-                if request_id is None:
-                    raise CommFailure(
-                        f"unattributable frame on pipelined connection "
-                        f"to {self.endpoint!r}")
-                with self._state_lock:
-                    slot = self._pending.pop(request_id, None)
-                if slot is not None:
-                    slot.frame = frame
-                    slot.event.set()
-                # No slot: the caller cancelled (stall timeout) and the
-                # reply arrived late — drop it, framing stays in sync.
-        except (OSError, CommFailure, MarshalError) as exc:
-            self._kill(CommFailure(f"pipelined connection to "
-                                   f"{self.endpoint!r} broke: {exc}")
-                       if not isinstance(exc, CommFailure) else exc)
-
-
 #: Listen backlog for event-loop endpoints.  The loop drains accepts in
 #: a tight non-blocking burst, so a storm of connecting clients queues
 #: here instead of hitting kernel SYN retransmit timers.
 _LOOP_BACKLOG = 512
+
+#: Most queued bytes one flush coalesces into a single ``send``.
+_BATCH_FLUSH = 64 * 1024
+
+#: Concurrent senders to one endpoint that promote it in
+#: ``pipelined="auto"`` mode: the first time any overlap is observed.
+_AUTO_PROMOTE_AT = 2
 
 
 def _loop_default() -> bool:
@@ -972,12 +774,16 @@ class _EventLoop:
 
 
 class _LoopStream:
-    """A non-blocking socket driven by the event loop, with a write
-    queue whose flush coalesces queued frames into batched sends."""
+    """A non-blocking socket driven by the event loop: reads are sliced
+    into GIOP frames for :meth:`on_frame`, and a write queue's flush
+    coalesces queued frames into batched sends.  Anything that ends the
+    stream — a read or write error, the peer closing, a header that is
+    not GIOP — goes to :meth:`on_broken`."""
 
     def __init__(self, loop: _EventLoop, sock: socket.socket):
         self.loop = loop
         self.sock = sock
+        self.buffer = FrameBuffer()
         self._out: deque[Frame] = deque()
         self._out_view: Optional[memoryview] = None
         self._write_interest = False
@@ -1000,9 +806,35 @@ class _LoopStream:
             self.flush()
 
     def on_readable(self) -> None:
+        while True:
+            try:
+                chunk = self.sock.recv(_RECV_SIZE)
+            except (BlockingIOError, InterruptedError):
+                break
+            except OSError as exc:
+                self.on_broken(exc)
+                return
+            if not chunk:
+                self.on_broken(CommFailure("connection closed by peer"))
+                return
+            self.buffer.feed(chunk)
+            if len(chunk) < _RECV_SIZE:
+                break
+        while not self._stream_closed:
+            try:
+                frame = self.buffer.next_frame()
+            except MarshalError as exc:
+                # Not a GIOP stream (or desynchronised): poisoned.
+                self.on_broken(exc)
+                return
+            if frame is None:
+                return
+            self.on_frame(frame)
+
+    def on_frame(self, frame: Frame) -> None:
         raise NotImplementedError  # pragma: no cover - interface
 
-    def on_write_error(self, exc: OSError) -> None:
+    def on_broken(self, cause: Exception) -> None:
         raise NotImplementedError  # pragma: no cover - interface
 
     def enqueue(self, data: Frame) -> None:
@@ -1034,7 +866,7 @@ class _LoopStream:
         except (BlockingIOError, InterruptedError):
             pass
         except OSError as exc:
-            self.on_write_error(exc)
+            self.on_broken(exc)
             return
         self._set_write_interest(self._out_view is not None
                                  or bool(self._out))
@@ -1076,9 +908,9 @@ class _LoopStream:
 
 
 class _LoopServerConnection(_LoopStream):
-    """One accepted server-side connection: reads are sliced into
-    frames and dispatched to the transport's worker pool; replies are
-    posted back by the workers and leave through the batched flush."""
+    """One accepted server-side connection: each frame read is
+    dispatched to the transport's worker pool; replies are posted back
+    by the workers and leave through the batched flush."""
 
     def __init__(self, loop: _EventLoop, transport: "TcpTransport",
                  listener: "_LoopListener", sock: socket.socket):
@@ -1086,35 +918,11 @@ class _LoopServerConnection(_LoopStream):
         self.transport = transport
         self.listener = listener
         self.endpoint = listener.endpoint
-        self.buffer = FrameBuffer()
 
-    def on_readable(self) -> None:
-        while True:
-            try:
-                chunk = self.sock.recv(_RECV_SIZE)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError:
-                self.close()
-                return
-            if not chunk:
-                self.close()
-                return
-            self.buffer.feed(chunk)
-            if len(chunk) < _RECV_SIZE:
-                break
-        while True:
-            try:
-                frame = self.buffer.next_frame()
-            except MarshalError:
-                # Not a GIOP stream (or desynchronised): poisoned.
-                self.close()
-                return
-            if frame is None:
-                return
-            self.transport._dispatch_loop_frame(self, frame)
+    def on_frame(self, frame: Frame) -> None:
+        self.transport._dispatch_loop_frame(self, frame)
 
-    def on_write_error(self, exc: OSError) -> None:
+    def on_broken(self, cause: Exception) -> None:
         self.close()
 
     def close(self) -> None:
@@ -1172,24 +980,23 @@ class _LoopListener:
 
 
 class _LoopChannel(_LoopStream):
-    """A pipelined client channel multiplexed on the event loop.
+    """One GIOP connection carrying multiple in-flight requests,
+    multiplexed on the event loop.
 
-    Duck-types :class:`_PipelinedChannel` (``submit`` / ``cancel`` /
-    ``close`` / ``dead`` / ``in_flight``) so the transport's stripe
-    checkout, overflow, and fault-attribution machinery is shared
-    verbatim between the threaded and event-loop modes.  The
-    differences: there is no reader thread (the loop delivers reply
-    frames), and the send happens asynchronously on the loop — so a
-    write failure surfaces through each pending caller's slot (the
-    same path as a mid-pipeline connection death) rather than as a
-    synchronous ``OSError`` from ``submit``.
+    Callers ``submit`` a frame and receive a wait slot; the loop writes
+    it, reads reply frames as they arrive — in whatever order the
+    server finished them — and delivers each to the slot whose
+    ``request_id`` it answers.  A read or write error, peer close, or
+    unattributable frame kills the channel: every pending caller is
+    failed with the same cause through its slot (their replies can no
+    longer arrive on this stream), and the owning transport discards
+    only this stripe.
     """
 
     def __init__(self, loop: _EventLoop, endpoint: Endpoint,
                  sock: socket.socket):
         super().__init__(loop, sock)
         self.endpoint = endpoint
-        self.buffer = FrameBuffer()
         self._state_lock = threading.Lock()
         self._pending: dict[int, _PendingReply] = {}
         self._dead_cause: Optional[Exception] = None
@@ -1205,8 +1012,11 @@ class _LoopChannel(_LoopStream):
         with self._state_lock:
             return len(self._pending)
 
-    def submit(self, request_id: int, data: bytes,
-               timeout: float) -> tuple[_PendingReply, int]:
+    def submit(self, request_id: int,
+               data: bytes) -> tuple[_PendingReply, int]:
+        """Register *request_id* and queue *data* for the loop to send;
+        returns the wait slot and the in-flight depth at submission
+        (for metrics)."""
         slot = _PendingReply()
         with self._state_lock:
             if self._dead_cause is not None:
@@ -1219,6 +1029,8 @@ class _LoopChannel(_LoopStream):
         return slot, depth
 
     def cancel(self, request_id: int) -> None:
+        """Stop waiting for *request_id* (stall timeout): a late reply
+        for it will be read and dropped, keeping the stream in sync."""
         with self._state_lock:
             self._pending.pop(request_id, None)
 
@@ -1245,54 +1057,24 @@ class _LoopChannel(_LoopStream):
 
     # ------------------------------------------------------- loop thread --
 
-    def on_readable(self) -> None:
-        while True:
-            try:
-                chunk = self.sock.recv(_RECV_SIZE)
-            except (BlockingIOError, InterruptedError):
-                break
-            except OSError as exc:
-                self._kill(CommFailure(
-                    f"pipelined connection to {self.endpoint!r} broke: "
-                    f"{exc}"))
-                return
-            if not chunk:
-                self._kill(CommFailure("connection closed by peer"))
-                return
-            self.buffer.feed(chunk)
-            if len(chunk) < _RECV_SIZE:
-                break
-        while True:
-            try:
-                frame = self.buffer.next_frame()
-            except MarshalError as exc:
-                self._kill(CommFailure(
-                    f"pipelined connection to {self.endpoint!r} broke: "
-                    f"{exc}"))
-                return
-            if frame is None:
-                return
-            request_id = peek_reply_id(frame)
-            if request_id is None:
-                self._kill(CommFailure(
-                    f"unattributable frame on pipelined connection to "
-                    f"{self.endpoint!r}"))
-                return
-            with self._state_lock:
-                slot = self._pending.pop(request_id, None)
-            if slot is not None:
-                slot.frame = frame
-                slot.event.set()
-            # No slot: cancelled caller's late reply — drop it.
+    def on_frame(self, frame: Frame) -> None:
+        request_id = peek_reply_id(frame)
+        if request_id is None:
+            self._kill(CommFailure(
+                f"unattributable frame on pipelined connection to "
+                f"{self.endpoint!r}"))
+            return
+        with self._state_lock:
+            slot = self._pending.pop(request_id, None)
+        if slot is not None:
+            slot.frame = frame
+            slot.event.set()
+        # No slot: cancelled caller's late reply (or a frame behind the
+        # one that killed us) — drop it.
 
-    def on_write_error(self, exc: OSError) -> None:
+    def on_broken(self, cause: Exception) -> None:
         self._kill(CommFailure(
-            f"pipelined connection to {self.endpoint!r} broke: {exc}"))
-
-
-#: Either pipelined-channel implementation; they share the submit /
-#: cancel / close / dead / in_flight contract.
-_AnyChannel = Union[_PipelinedChannel, _LoopChannel]
+            f"pipelined connection to {self.endpoint!r} broke: {cause}"))
 
 
 class TcpTransport(Transport):
@@ -1316,14 +1098,22 @@ class TcpTransport(Transport):
     thread's :class:`~repro.deadline.Deadline`, so a discovery query's
     total budget propagates down to every socket operation.
 
+    ``loop=True`` (or ``REPRO_TRANSPORT_LOOP=1``) selects the
+    event-loop I/O mode — every endpoint served from one loop thread
+    instead of a server and a thread per connection; ``loop_workers``
+    bounds the servant dispatch pool they share.  See
+    ``docs/event-loop.md``.
+
     With ``pipelined=True`` the client side switches from one
     round-trip per checked-out connection to **GIOP request
     pipelining**: concurrent callers share *stripes* connections per
     endpoint, each carrying up to *pipeline_depth* requests in flight
     at once, with replies matched back to callers by ``request_id``
-    (out-of-order reply delivery is allowed — the server dispatches
-    concurrently and answers as it finishes).  Requests that find every
-    stripe at its depth cap overflow onto a dedicated serial
+    (out-of-order reply delivery is allowed — a loop server dispatches
+    concurrently and answers as it finishes).  Pipelined channels live
+    on the event loop, so any pipelining mode is a loop transport and
+    ``loop=False`` beside it is a ``ValueError``.  Requests that find
+    every stripe at its depth cap overflow onto a dedicated serial
     round-trip rather than queueing.  A connection that dies
     mid-pipeline fails exactly the requests that were in flight *on
     it* — each caller gets its own failure, the idempotence gate
@@ -1337,11 +1127,6 @@ class TcpTransport(Transport):
     a shared multiplexed connection beats per-caller round-trips.
     ``stripes``/``pipeline_depth`` then act as tuning hints for the
     promoted regime (``stripes`` defaults to 4 in auto mode).
-
-    ``loop=True`` (or ``REPRO_TRANSPORT_LOOP=1``) selects the
-    event-loop I/O mode; ``loop_workers`` bounds the servant dispatch
-    pool and ``batch_flush`` caps how many queued bytes one flush
-    coalesces into a single ``send``.  See ``docs/event-loop.md``.
     """
 
     _instance_seq = itertools.count(1)
@@ -1352,14 +1137,16 @@ class TcpTransport(Transport):
                  pipelined: Union[bool, str] = False,
                  stripes: Optional[int] = None, pipeline_depth: int = 32,
                  loop: Optional[bool] = None, loop_workers: int = 6,
-                 batch_flush: int = 64 * 1024, auto_threshold: int = 2,
-                 accept_backlog: Optional[int] = None,
-                 connection_workers: Optional[int] = None,
                  overload: Optional[OverloadPolicy] = None):
         if pipelined not in (False, True, "auto"):
             raise ValueError(
                 f"pipelined must be False, True, or 'auto', "
                 f"got {pipelined!r}")
+        if pipelined and loop is not None and not loop:
+            raise ValueError(
+                f"pipelined={pipelined!r} needs the event loop (pipelined "
+                f"channels live on it); loop=False only goes with "
+                f"pipelined=False")
         self.host = host
         self.timeout = timeout
         self.pooled = pooled
@@ -1378,24 +1165,16 @@ class TcpTransport(Transport):
         #: every request.  The paper's federation spans Internet sites;
         #: loopback is the degenerate zero-latency case, so benches set
         #: this to model realistic inter-site RTTs.  In threaded mode
-        #: the handler sleeps (releasing the GIL, so concurrent
-        #: requests overlap the delay); in event-loop mode the reply is
-        #: delayed on the loop's timer heap instead, so the wait
+        #: the connection's handler sleeps (releasing the GIL, so other
+        #: connections overlap the delay); in event-loop mode the reply
+        #: is delayed on the loop's timer heap instead, so the wait
         #: occupies no worker thread at all.
         self.latency = latency
-        #: Event-loop mode, defaulting from ``REPRO_TRANSPORT_LOOP``.
-        self.loop_enabled = _loop_default() if loop is None else bool(loop)
+        #: Event-loop mode: always for a pipelining transport, else
+        #: as asked, defaulting from ``REPRO_TRANSPORT_LOOP``.
+        self.loop_enabled = bool(pipelined) or (
+            _loop_default() if loop is None else bool(loop))
         self.loop_workers = max(1, int(loop_workers))
-        self.batch_flush = max(1, int(batch_flush))
-        #: Listen backlog for every endpoint this transport binds.
-        #: Unset, the mode defaults apply (64 threaded, 512 loop).
-        self.accept_backlog = (None if accept_backlog is None
-                               else max(1, int(accept_backlog)))
-        #: Per-connection dispatch pool size in threaded pipelined
-        #: mode.  Unset, it tracks ``pipeline_depth`` (the pre-existing
-        #: behaviour: enough workers that a full pipeline never queues).
-        self.connection_workers = (None if connection_workers is None
-                                   else max(1, int(connection_workers)))
         #: Server-side admission control, defaulting from
         #: ``REPRO_SHEDDING``.  Disabled, the controller is never
         #: consulted and the dispatch paths are byte-identical to a
@@ -1403,11 +1182,8 @@ class TcpTransport(Transport):
         if overload is None:
             overload = OverloadPolicy(shed=_shed_default())
         self.admission = AdmissionController(overload)
-        #: Concurrent senders to one endpoint that trigger an auto
-        #: promotion (2 = the first time any overlap is observed).
-        self.auto_threshold = max(2, int(auto_threshold))
         self._pool = _ConnectionPool(max_idle=pool_size) if pooled else None
-        self._channels: dict[Endpoint, list[_AnyChannel]] = {}
+        self._channels: dict[Endpoint, list[_LoopChannel]] = {}
         self._channels_lock = threading.Lock()
         self._servers: dict[Endpoint, _GiopServer] = {}
         self._listeners: dict[Endpoint, _LoopListener] = {}
@@ -1430,8 +1206,7 @@ class TcpTransport(Transport):
     def _ensure_loop(self) -> _EventLoop:
         with self._loop_lock:
             if self._event_loop is None or not self._event_loop.running:
-                self._event_loop = _EventLoop(self.batch_flush,
-                                              self.metrics,
+                self._event_loop = _EventLoop(_BATCH_FLUSH, self.metrics,
                                               name=self._loop_name)
                 self._workers = ThreadPoolExecutor(
                     max_workers=self.loop_workers,
@@ -1446,17 +1221,9 @@ class TcpTransport(Transport):
         __, port = endpoint
         if self.loop_enabled:
             return self._register_loop(port, handler)
-        # bind_and_activate=False so the instance's accept backlog is
-        # in place before ``listen`` runs.
-        server = _GiopServer((self.host, port), _GiopRequestHandler,
-                             bind_and_activate=False)
-        if self.accept_backlog is not None:
-            server.request_queue_size = self.accept_backlog
         try:
-            server.server_bind()
-            server.server_activate()
+            server = _GiopServer((self.host, port), _GiopRequestHandler)
         except OSError as exc:
-            server.server_close()
             raise CommFailure(
                 f"cannot bind {(self.host, port)!r}: {exc}") from exc
         server.transport = self  # type: ignore[attr-defined]
@@ -1474,9 +1241,8 @@ class TcpTransport(Transport):
         # returning), then hand the listener to the loop to accept on.
         loop = self._ensure_loop()
         try:
-            sock = socket.create_server(
-                (self.host, port),
-                backlog=self.accept_backlog or _LOOP_BACKLOG)
+            sock = socket.create_server((self.host, port),
+                                        backlog=_LOOP_BACKLOG)
         except OSError as exc:
             raise CommFailure(
                 f"cannot bind {(self.host, port)!r}: {exc}") from exc
@@ -1543,10 +1309,12 @@ class TcpTransport(Transport):
             return
         self._loop_futures.add(future)
 
-        # Mirrors the threaded path: a future cancelled by
-        # ``close()``'s shutdown(cancel_futures=True) never reaches
-        # ``_serve_loop_frame``, so its admission slot must be
-        # released here or it leaks on the shared controller.
+        # A future cancelled by ``close()``'s
+        # shutdown(cancel_futures=True) never reaches
+        # ``_serve_loop_frame``, so its admission slot must be released
+        # here — in the callback, not in a sweep after shutdown, which
+        # would race this very discard — or it leaks on the shared
+        # controller.
         def _settle(f: Future, t=ticket) -> None:
             self._loop_futures.discard(f)
             if t is not None and f.cancelled():
@@ -1641,7 +1409,7 @@ class TcpTransport(Transport):
                 return True, False
             depth = self._auto_inflight.get(endpoint, 0) + 1
             self._auto_inflight[endpoint] = depth
-            if depth < self.auto_threshold:
+            if depth < _AUTO_PROMOTE_AT:
                 return False, True
             self._auto_promoted.add(endpoint)
         self.metrics.record_auto_promotion()
@@ -1681,16 +1449,7 @@ class TcpTransport(Transport):
                     # the caller having declared this call idempotent
                     # (the metadata reads of the discovery hot path).
                     _close_quietly(pooled)
-                    if deadline is not None and deadline.expired:
-                        raise DeadlineExceeded(
-                            f"IIOP request to {endpoint!r} overran its "
-                            f"deadline: {exc}") from exc
-                    if not current_policy().idempotent:
-                        raise CommFailure(
-                            f"IIOP send to {endpoint!r} failed on a "
-                            f"pooled connection; not resending a "
-                            f"non-idempotent request ({exc})") from exc
-                    self._charge_resend(endpoint, exc)
+                    self._gate_resend(endpoint, exc, deadline)
                 else:
                     self._pool.checkin(endpoint, pooled)
                     self.metrics.record_connection(reused=True)
@@ -1749,7 +1508,7 @@ class TcpTransport(Transport):
                 self.metrics.record_overflow()
                 return self._send_serial(endpoint, data, timeout, deadline)
             try:
-                slot, depth = channel.submit(request_id, data, timeout)
+                slot, depth = channel.submit(request_id, data)
             except _RequestIdBusy:
                 # Another caller already has this id in flight here
                 # (hand-crafted frames can collide); never cross wires.
@@ -1763,11 +1522,6 @@ class TcpTransport(Transport):
                 raise CommFailure(
                     f"no live pipelined connection to {endpoint!r}: "
                     f"{exc.cause}") from exc.cause
-            except OSError as exc:
-                # The send itself failed — bytes may be on the wire.
-                self._drop_channel(endpoint, channel)
-                self._gate_resend(endpoint, exc, deadline)
-                return self._send_serial(endpoint, data, timeout, deadline)
             break
         self.metrics.record_connection(reused=not opened)
         self.metrics.record_pipeline(depth)
@@ -1802,7 +1556,7 @@ class TcpTransport(Transport):
 
     def _checkout_channel(self, endpoint: Endpoint, timeout: float,
                           deadline: Optional[Deadline]
-                          ) -> tuple[Optional[_AnyChannel], bool]:
+                          ) -> tuple[Optional[_LoopChannel], bool]:
         """The least-loaded live stripe for *endpoint* (opening a new
         one while under the stripe cap and all existing stripes are
         busy), as ``(channel, opened)``.  ``(None, False)`` means every
@@ -1830,23 +1584,19 @@ class TcpTransport(Transport):
                         f"deadline: {exc}") from exc
                 raise CommFailure(
                     f"IIOP connect to {endpoint!r} failed: {exc}") from exc
-            channel: _AnyChannel
-            if self.loop_enabled:
-                connection.setblocking(False)
-                try:
-                    connection.setsockopt(socket.IPPROTO_TCP,
-                                          socket.TCP_NODELAY, 1)
-                except OSError:  # pragma: no cover - not fatal
-                    pass
-                channel = _LoopChannel(self._ensure_loop(), endpoint,
-                                       connection)
-            else:
-                channel = _PipelinedChannel(endpoint, connection)
+            connection.setblocking(False)
+            try:
+                connection.setsockopt(socket.IPPROTO_TCP,
+                                      socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - not fatal
+                pass
+            channel = _LoopChannel(self._ensure_loop(), endpoint,
+                                   connection)
             channels.append(channel)
             return channel, True
 
     def _drop_channel(self, endpoint: Endpoint,
-                      channel: _AnyChannel) -> None:
+                      channel: _LoopChannel) -> None:
         """Discard one dead stripe.  Healthy sibling stripes — and the
         requests in flight on them — are untouched."""
         with self._channels_lock:
@@ -1859,25 +1609,21 @@ class TcpTransport(Transport):
                      deadline: Optional[Deadline]) -> None:
         """Raise unless the current call may be resent: the request may
         already have executed server-side, so only an idempotence vouch
-        (see :mod:`repro.deadline`) permits a second copy."""
+        (see :mod:`repro.deadline`) permits a second copy — and it
+        costs one retry token: even "free" transport retries must stay
+        inside the caller's retry budget, or a busy endpoint sees its
+        offered load multiply exactly when it can least afford it."""
         if deadline is not None and deadline.expired:
             raise DeadlineExceeded(
                 f"IIOP request to {endpoint!r} overran its deadline: "
                 f"{cause}") from cause
-        if not current_policy().idempotent:
+        policy = current_policy()
+        if not policy.idempotent:
             raise CommFailure(
-                f"IIOP send to {endpoint!r} failed on a pipelined "
-                f"connection; not resending a non-idempotent request "
-                f"({cause})") from cause
-        self._charge_resend(endpoint, cause)
-
-    def _charge_resend(self, endpoint: Endpoint, cause: Exception) -> None:
-        """Withdraw one retry token for a transparent resend; without a
-        token the failure surfaces instead — even "free" transport
-        retries must stay inside the caller's retry budget, or a busy
-        endpoint sees its offered load multiply exactly when it can
-        least afford it."""
-        budget = current_policy().retry_budget
+                f"IIOP send to {endpoint!r} failed on a connection "
+                f"already written to; not resending a non-idempotent "
+                f"request ({cause})") from cause
+        budget = policy.retry_budget
         if budget is not None \
                 and not budget.try_acquire(f"{endpoint[0]}:{endpoint[1]}"):
             raise CommFailure(
@@ -1919,9 +1665,12 @@ class TcpTransport(Transport):
             loop, self._event_loop = self._event_loop, None
             workers, self._workers = self._workers, None
         if workers is not None:
-            # Same teardown contract as the per-connection pools: let
-            # running dispatches finish within a bounded window (they
-            # may hold journal/registry locks), cancel the queued rest.
+            # Drain, don't abandon: a dispatch already running may
+            # hold servant-side locks (journal group commit, the
+            # registry lock) — give it a bounded window to finish.
+            # Queued-but-unstarted frames are cancelled: their callers'
+            # connections are gone, the work is dead, and each one's
+            # done-callback hands its admission ticket back.
             workers.shutdown(wait=False, cancel_futures=True)
             pending = [future for future in list(self._loop_futures)
                        if not future.done()]

@@ -115,6 +115,21 @@ def test_env_variable_flips_default_mode(monkeypatch):
     assert TcpTransport(loop=True).loop_enabled
 
 
+@pytest.mark.parametrize("pipelined", [True, "auto"])
+def test_pipelining_is_a_loop_transport(monkeypatch, pipelined):
+    """Pipelined channels live on the event loop: whatever the process
+    default says, a pipelining transport runs it, and asking for
+    threads beside pipelining is refused rather than ignored."""
+    for value in (None, "0", "1"):
+        if value is None:
+            monkeypatch.delenv("REPRO_TRANSPORT_LOOP", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TRANSPORT_LOOP", value)
+        assert TcpTransport(pipelined=pipelined).loop_enabled
+        with pytest.raises(ValueError, match="loop"):
+            TcpTransport(pipelined=pipelined, loop=False)
+
+
 # ---------------------------------------------------------- frame batching --
 
 
@@ -202,13 +217,11 @@ class BarrierEchoServant:
         return value
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_auto_mode_flips_serial_to_striped_deterministically(loop):
+def test_auto_mode_flips_serial_to_striped_deterministically():
     """Two calls forced to overlap (the servant's barrier needs both in
     flight to release either) promote the endpoint exactly once; a lone
     serial call beforehand does not."""
-    transport = TcpTransport(loop=loop, pipelined="auto")
+    transport = TcpTransport(pipelined="auto")
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     try:
         servant = BarrierEchoServant(parties=2)

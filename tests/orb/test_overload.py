@@ -1,7 +1,6 @@
 """Admission control: the controller, the wire protocol, and shedding
-end-to-end over both transport dispatch paths."""
+end-to-end over both transport servers."""
 
-import socket
 import threading
 import time
 
@@ -259,7 +258,11 @@ class TestSheddingOverTcp:
                              ids=["threaded", "event-loop"])
     def test_close_drains_in_flight_dispatches(self, loop):
         """Teardown must not abandon a dispatch mid-servant (it may be
-        holding journal locks): close() waits out in-flight work."""
+        holding journal locks): close() waits out in-flight work on
+        the loop's worker pool; on the serial thread-per-connection
+        server the dispatch runs on its connection's handler thread,
+        which close() never interrupts and whose accept-loop shutdown
+        (one 0.5 s poll) outlasts this servant."""
         finished = threading.Event()
 
         class SlowServant:
@@ -268,7 +271,8 @@ class TestSheddingOverTcp:
                 finished.set()
                 return value
 
-        transport = TcpTransport(loop=loop, pipelined=True, stripes=1)
+        transport = (TcpTransport(pipelined=True, stripes=1) if loop
+                     else TcpTransport(loop=False))
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
         client = create_orb(VISIBROKER, transport, host="127.0.0.1", port=0)
         proxy = client.proxy(server.activate(SlowServant(), ECHO), ECHO)
@@ -288,9 +292,9 @@ class TestSheddingOverTcp:
         caller.join(timeout=2.0)
 
     def test_connection_teardown_abandons_queued_admission_tickets(self):
-        """Frames still queued behind a busy worker when their
-        connection dies are cancelled; each cancelled frame must hand
-        its admission ticket back, or the transport-shared controller
+        """Frames still queued behind a busy worker when the transport
+        is torn down are cancelled; each cancelled frame must hand its
+        admission ticket back, or the transport-shared controller
         leaks queue capacity until everything is shed as queue-full."""
         release = threading.Event()
 
@@ -302,7 +306,8 @@ class TestSheddingOverTcp:
         policy = OverloadPolicy(shed=True, queue_limit=64,
                                 codel_target=10.0, codel_interval=10.0)
         transport = TcpTransport(pipelined=True, stripes=1,
-                                 connection_workers=1, overload=policy)
+                                 loop_workers=1, overload=policy)
+        closer = threading.Thread(target=transport.close, daemon=True)
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -327,21 +332,13 @@ class TestSheddingOverTcp:
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             assert transport.admission.snapshot()["pending"] == 3
-            # Kill the connection under the server (a plain close would
-            # not surface until the blocked reader thread wakes): the
-            # handler tears down its pool while the worker is still
-            # busy, so the three queued frames get *cancelled*.
-            with transport._channels_lock:
-                channels = [channel for stripes
-                            in transport._channels.values()
-                            for channel in stripes]
-            assert channels, "expected an open pipelined channel"
-            for channel in channels:
-                channel._sock.shutdown(socket.SHUT_RDWR)
-            # Teardown runs in the handler thread: poll for the
-            # cancelled frames' tickets to be abandoned.  The worker
-            # stays blocked throughout, so dequeue cannot be the one
-            # releasing them.
+            # close() shuts the pool down while the worker is still
+            # busy, so the three queued frames get *cancelled* — from a
+            # side thread, because it then waits out the running one.
+            closer.start()
+            # Poll for the cancelled frames' tickets to be abandoned.
+            # The worker stays blocked throughout, so dequeue cannot be
+            # the one releasing them.
             deadline = time.monotonic() + 2.0
             while (transport.admission.snapshot()["pending"] > 0
                    and time.monotonic() < deadline):
@@ -351,7 +348,10 @@ class TestSheddingOverTcp:
                 "cancelled dispatches leaked admission tickets"
         finally:
             release.set()
+            if closer.is_alive():
+                closer.join(timeout=5.0)
             transport.close()
+        assert not closer.is_alive()
         for caller in callers:
             caller.join(timeout=2.0)
 

@@ -10,6 +10,7 @@ schedule the echo servant sleeps by, so replies come back in delay
 order rather than submission order, across every stripe count.
 """
 
+import socket
 import threading
 
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
 from repro.orb.giop import (LocateReplyMessage, LocateRequestMessage,
                             LocateStatus, ReplyMessage, ReplyStatus,
-                            RequestMessage, encode_message, peek_reply_id,
-                            peek_request)
+                            RequestMessage, decode_message, encode_message,
+                            peek_reply_id, peek_request)
+from repro.orb.transport import read_giop_frame
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
 
@@ -45,15 +47,19 @@ class ScheduledEchoServant:
         return value
 
 
-def run_pipelined_batch(delays, stripes, depth=32):
+def run_pipelined_batch(delays, stripes, depth=32, server_transport=None):
     """Fire ``len(delays)`` concurrent pipelined requests; returns
-    ``(results, errors, metrics)``."""
+    ``(results, errors, metrics)``.  The pipelining transport serves
+    its own servant unless *server_transport* (closed here too) is
+    given to host it instead."""
     transport = TcpTransport(pipelined=True, stripes=stripes,
                              pipeline_depth=depth)
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    server = orb if server_transport is None else create_orb(
+        ORBIX, server_transport, host="127.0.0.1", port=0)
     try:
-        ior = orb.activate(ScheduledEchoServant(delays), ECHO,
-                           object_name="echo")
+        ior = server.activate(ScheduledEchoServant(delays), ECHO,
+                              object_name="echo")
         proxy = orb.proxy(ior, ECHO)
         count = len(delays)
         barrier = threading.Barrier(count)
@@ -75,6 +81,8 @@ def run_pipelined_batch(delays, stripes, depth=32):
         return results, errors, transport.metrics
     finally:
         transport.close()
+        if server_transport is not None:
+            server_transport.close()
 
 
 @STRIPE_COUNTS
@@ -144,6 +152,48 @@ def test_depth_cap_overflows_to_serial():
     assert results == {index: index for index in range(len(delays))}
     assert metrics.pipeline_overflows > 0
     assert metrics.max_in_flight <= 2
+
+
+# --------------------------------- pipelining client, serial server --
+
+
+@given(delays=st.lists(
+    st.sampled_from([0.0, 0.001, 0.005, 0.02]), min_size=2, max_size=8))
+@settings(max_examples=5, deadline=None)
+def test_pipelining_client_of_a_serial_server(delays):
+    """Mixed deployment: endpoints of a thread-per-connection transport
+    are reachable from another transport's pipelined channel.  The
+    server reads the back-to-back frames one at a time, so nothing
+    overlaps — but attribution holds all the same: every caller gets
+    its own reply, none lost, none stalled."""
+    results, errors, metrics = run_pipelined_batch(
+        delays, stripes=1, server_transport=TcpTransport(loop=False))
+    assert errors == []
+    assert results == {index: index for index in range(len(delays))}
+    assert metrics.messages_sent == len(delays)
+    assert metrics.pipeline_stalls == 0
+
+
+def test_serial_server_answers_back_to_back_frames_in_order():
+    """A foreign client that writes three requests in one ``sendall``
+    to a thread-per-connection endpoint reads three replies in request
+    order — even when the first is the slowest."""
+    transport = TcpTransport(loop=False)
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    try:
+        ior = orb.activate(ScheduledEchoServant([0.02, 0.0, 0.0]), ECHO,
+                           object_name="echo")
+        frames = [encode_message(RequestMessage(
+            request_id=100 + index, object_key=ior.primary.object_key,
+            operation="echo", arguments=[index])) for index in range(3)]
+        with socket.create_connection(orb.endpoint, timeout=5.0) as sock:
+            sock.sendall(b"".join(frames))
+            replies = [decode_message(read_giop_frame(sock))
+                       for __ in frames]
+        assert [reply.request_id for reply in replies] == [100, 101, 102]
+        assert [reply.body for reply in replies] == [0, 1, 2]
+    finally:
+        transport.close()
 
 
 # --------------------------------------------------------- frame peeking --

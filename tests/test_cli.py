@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.apps.healthcare import topology as topo
+from repro import cli
 from repro.cli import Shell, main
 
 
@@ -109,3 +110,32 @@ class TestMain:
         code = main([], input_stream=stream, output=output)
         assert code == 0
         assert "bye." in output.getvalue()
+
+    @pytest.mark.parametrize("flags, loop_enabled, pipelined", [
+        (["--tcp"], False, False),
+        (["--tcp", "--transport-loop"], True, "auto"),
+        (["--tcp", "--stripes", "2"], True, True),
+    ], ids=["tcp", "transport-loop", "stripes"])
+    def test_tcp_spellings_build_the_transport_they_name(
+            self, monkeypatch, flags, loop_enabled, pipelined):
+        """Plain ``--tcp`` is the default ``TcpTransport()`` (serial,
+        thread-per-connection); the event loop and pipelining are
+        asked for, never implied."""
+        monkeypatch.delenv("REPRO_TRANSPORT_LOOP", raising=False)
+        built = []
+        deploy = cli.build_healthcare_system
+
+        def recording_deploy(**kwargs):
+            built.append(kwargs["transport"])
+            return deploy(**kwargs)
+
+        monkeypatch.setattr(cli, "build_healthcare_system",
+                            recording_deploy)
+        output = io.StringIO()
+        code = main(flags + ["-s", "Find Coalitions With Information "
+                                   "Medical Research"], output=output)
+        assert code == 0
+        assert "Research" in output.getvalue()
+        (transport,) = built
+        assert transport.loop_enabled is loop_enabled
+        assert transport.pipelined == pipelined
