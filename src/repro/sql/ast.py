@@ -8,7 +8,7 @@ base; statement nodes share :class:`Statement`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 
 class Node:
@@ -21,6 +21,19 @@ class Expression(Node):
 
 class Statement(Node):
     """Base class for statement nodes."""
+
+
+def walk(node: Node) -> Iterator[Node]:
+    """*node* and every node below it, depth first.  A nested query
+    block is yielded but not entered: its columns and aggregates belong
+    to its own scope."""
+    yield node
+    if isinstance(node, Statement):
+        return
+    for value in vars(node).values():
+        for child in value if isinstance(value, list) else (value,):
+            if isinstance(child, Node):
+                yield from walk(child)
 
 
 # ---------------------------------------------------------------------------

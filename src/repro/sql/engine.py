@@ -4,6 +4,11 @@
 executor into a single object with an ``execute(sql, params)`` entry
 point, vendor dialects, and snapshot-based transactions.
 
+A statement text is parsed once and planned once, in an LRU cache keyed
+by the text; a plan is rebuilt when the *catalog version* it was made
+under is no longer current.  Every DDL statement and ``rollback()``
+moves it, since plans bind tables, indexes and column positions.
+
 Example::
 
     db = Database("hospital", dialect="oracle")
@@ -16,16 +21,36 @@ Example::
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Any, Iterable, Optional
 
 from repro.errors import CatalogError, SqlError, TransactionError
 from repro.sql import ast
 from repro.sql.catalog import Catalog, Column, IndexDef, TableSchema
 from repro.sql.dialect import GENERIC, Dialect, get_dialect
-from repro.sql.executor import Executor
+from repro.sql.executor import execute_plan, run_query
+from repro.sql.explain import explain_lines
 from repro.sql.parser import Parser
+from repro.sql.planner import Planner
 from repro.sql.result import ResultSet
 from repro.sql.storage import Table
+
+
+#: What the planner plans; DDL and transaction control run directly.
+_PLANNED = (ast.Select, ast.Union, ast.Insert, ast.Update, ast.Delete)
+#: Statement texts kept parsed and planned, least recently used first out.
+_STATEMENT_CACHE_SIZE = 512
+
+
+class _Prepared:
+    """A parsed statement and, once planned, its plan."""
+
+    __slots__ = ("statement", "plan", "catalog_version")
+
+    def __init__(self, statement: ast.Statement):
+        self.statement = statement
+        self.plan: Any = None
+        self.catalog_version = -1  # never current: not planned yet
 
 
 class Database:
@@ -38,11 +63,15 @@ class Database:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ast.Statement] = {}
         self._view_display_names: list[str] = []
-        self._statement_cache: dict[str, ast.Statement] = {}
+        self._statement_cache: OrderedDict[str, _Prepared] = OrderedDict()
+        self._catalog_version = 0
         self._snapshot: Optional[dict[str, tuple[dict, int]]] = None
         self._lock = threading.RLock()
         #: Cumulative statement counter, surfaced through metadata.
         self.statements_executed = 0
+        #: Plans built, and executions that found theirs still current.
+        self.plans_compiled = 0
+        self.plan_cache_hits = 0
 
     # ------------------------------------------------------------- metadata --
 
@@ -85,69 +114,72 @@ class Database:
     def execute(self, sql: str, params: Optional[list[Any]] = None) -> ResultSet:
         """Parse and execute one SQL statement."""
         with self._lock:
-            statement = self._parse(sql)
-            return self._execute_statement(statement, params)
+            return self._run(self._prepare(sql), params)
 
     def executemany(self, sql: str, rows: Iterable[list[Any]]) -> int:
         """Execute one parameterized statement once per parameter row."""
         total = 0
         with self._lock:
-            statement = self._parse(sql)
+            prepared = self._prepare(sql)
             for params in rows:
-                result = self._execute_statement(statement, list(params))
-                total += result.rowcount
+                total += self._run(prepared, list(params)).rowcount
         return total
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Execute a ``;``-separated script, returning one result per statement."""
         with self._lock:
-            statements = Parser(sql).parse_script()
-            return [self._execute_statement(s, None) for s in statements]
+            return [self._run(_Prepared(statement), None)
+                    for statement in Parser(sql).parse_script()]
 
-    def _parse(self, sql: str) -> ast.Statement:
-        statement = self._statement_cache.get(sql)
-        if statement is None:
-            statement = Parser(sql).parse_statement()
-            if len(self._statement_cache) > 512:
-                self._statement_cache.clear()
-            self._statement_cache[sql] = statement
-        return statement
+    def _prepare(self, sql: str) -> _Prepared:
+        cache = self._statement_cache
+        prepared = cache.get(sql)
+        if prepared is None:
+            prepared = cache[sql] = _Prepared(Parser(sql).parse_statement())
+            if len(cache) > _STATEMENT_CACHE_SIZE:
+                cache.popitem(last=False)
+        else:
+            cache.move_to_end(sql)
+        return prepared
 
-    def _execute_statement(self, statement: ast.Statement,
-                           params: Optional[list[Any]]) -> ResultSet:
+    def _run(self, prepared: _Prepared, params: Optional[list[Any]]) -> ResultSet:
         self.statements_executed += 1
-        if isinstance(statement, ast.Explain):
-            from repro.sql.explain import explain_statement_lines
-            lines = explain_statement_lines(statement.statement, storage=self)
-            return ResultSet(columns=["plan"],
-                             rows=[(line,) for line in lines])
-        if isinstance(statement, ast.CreateTable):
-            return self._create_table(statement)
-        if isinstance(statement, ast.DropTable):
-            return self._drop_table(statement)
-        if isinstance(statement, ast.AlterTableAddColumn):
-            return self._alter_add_column(statement)
-        if isinstance(statement, ast.CreateView):
-            return self._create_view(statement)
-        if isinstance(statement, ast.DropView):
-            return self._drop_view(statement)
-        if isinstance(statement, ast.CreateIndex):
-            return self._create_index(statement)
-        if isinstance(statement, ast.DropIndex):
-            return self._drop_index(statement)
-        if isinstance(statement, ast.BeginTransaction):
-            self.begin()
+        statement = prepared.statement
+        ddl = self._DDL.get(type(statement))
+        if ddl is not None:
+            self._catalog_version += 1
+            return ddl(self, statement)
+        control = self._TRANSACTION_CONTROL.get(type(statement))
+        if control is not None:
+            control(self)
             return ResultSet.empty()
-        if isinstance(statement, ast.Commit):
-            self.commit()
-            return ResultSet.empty()
-        if isinstance(statement, ast.Rollback):
-            self.rollback()
-            return ResultSet.empty()
-        executor = Executor(self, params=params)
-        return executor.execute(statement)
+        explained = isinstance(statement, ast.Explain)
+        target = statement.statement if explained else statement
+        if prepared.catalog_version == self._catalog_version:
+            self.plan_cache_hits += 1
+        elif isinstance(target, _PLANNED):
+            prepared.plan = Planner(self, run_query).plan(target)
+            prepared.catalog_version = self._catalog_version
+            self.plans_compiled += 1
+        if explained:
+            return ResultSet(columns=["plan"], rows=[
+                (line,) for line in explain_lines(target, prepared.plan)])
+        return execute_plan(prepared.plan, params)
 
     # ----------------------------------------------------------------- DDL --
+
+    def _column(self, column_def: ast.ColumnDef) -> Column:
+        """A catalog column from its parsed definition."""
+        default = None
+        if column_def.default is not None:
+            if not isinstance(column_def.default, ast.Literal):
+                raise SqlError("only literal defaults are supported")
+            default = column_def.default.value
+        return Column(
+            name=column_def.name,
+            sql_type=self.dialect.resolve_type(column_def.type_name),
+            primary_key=column_def.primary_key, not_null=column_def.not_null,
+            unique=column_def.unique, default=default)
 
     def _create_table(self, statement: ast.CreateTable) -> ResultSet:
         if statement.name.lower() in self._views:
@@ -157,22 +189,7 @@ class Database:
             if statement.if_not_exists:
                 return ResultSet.empty()
             raise CatalogError(f"table {statement.name!r} already exists")
-        columns = []
-        for column_def in statement.columns:
-            sql_type = self.dialect.resolve_type(column_def.type_name)
-            default = None
-            if column_def.default is not None:
-                if not isinstance(column_def.default, ast.Literal):
-                    raise SqlError("only literal defaults are supported")
-                default = column_def.default.value
-            columns.append(Column(
-                name=column_def.name,
-                sql_type=sql_type,
-                primary_key=column_def.primary_key,
-                not_null=column_def.not_null,
-                unique=column_def.unique,
-                default=default,
-            ))
+        columns = [self._column(column_def) for column_def in statement.columns]
         schema = TableSchema(name=statement.name, columns=columns,
                              primary_key=list(statement.primary_key))
         self.catalog.add_table(schema)
@@ -193,18 +210,8 @@ class Database:
         column_def = statement.column
         if column_def.primary_key:
             raise SqlError("cannot ADD COLUMN with PRIMARY KEY")
-        default = None
-        if column_def.default is not None:
-            if not isinstance(column_def.default, ast.Literal):
-                raise SqlError("only literal defaults are supported")
-            default = column_def.default.value
-        column = Column(
-            name=column_def.name,
-            sql_type=self.dialect.resolve_type(column_def.type_name),
-            not_null=column_def.not_null,
-            unique=column_def.unique,
-            default=default)
-        table.add_column(column, default)
+        column = self._column(column_def)
+        table.add_column(column, column.default)
         if column.unique:
             table.add_index(f"__unique_{column.name.lower()}__",
                             [column.name], unique=True)
@@ -246,6 +253,13 @@ class Database:
         index = self.catalog.drop_index(statement.name)
         self.table_for(index.table).drop_index(statement.name.lower())
         return ResultSet.empty()
+
+    _DDL = {
+        ast.CreateTable: _create_table, ast.DropTable: _drop_table,
+        ast.AlterTableAddColumn: _alter_add_column,
+        ast.CreateView: _create_view, ast.DropView: _drop_view,
+        ast.CreateIndex: _create_index, ast.DropIndex: _drop_index,
+    }
 
     # ---------------------------------------------------------- transactions --
 
@@ -291,6 +305,10 @@ class Database:
                 if table is not None:
                     table.restore(rows, next_row_id)
             self._snapshot = None
+            self._catalog_version += 1
+
+    _TRANSACTION_CONTROL = {ast.BeginTransaction: begin, ast.Commit: commit,
+                            ast.Rollback: rollback}
 
     # ------------------------------------------------------------ bulk loading --
 

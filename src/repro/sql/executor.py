@@ -1,625 +1,267 @@
-"""Statement execution for the relational engine.
+"""Plan execution for the relational engine.
 
-The :class:`Executor` runs parsed statements against an engine's storage.
-SELECT processing follows the textbook pipeline::
+The executor runs the plan objects of :mod:`repro.sql.planner`.  SELECT
+processing follows the textbook pipeline::
 
-    row source (planner) -> WHERE -> GROUP BY/aggregate -> HAVING
+    row source (scans, probes, joins, WHERE filters)
+        -> GROUP BY/aggregate -> HAVING
         -> projection -> DISTINCT -> ORDER BY -> LIMIT/OFFSET
 
-Correlated subqueries work by chaining row environments: a subquery is
-executed with the enclosing row's environment as its outer scope.
+A correlated subquery is a nested plan, run with the enclosing row
+pushed onto the *frame* ``(params, outer_row, outer_frame)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
-from repro.errors import CatalogError, IntegrityError, SqlError
-from repro.sql import ast
-from repro.sql.expressions import (Environment, Evaluator, Header,
-                                   collect_aggregates, is_truthy)
-from repro.sql.functions import AGGREGATE_FUNCTIONS, CountAggregate
-from repro.sql.planner import (DerivedTable, HashJoin, IndexLookup,
-                               NestedLoopJoin, Planner, RowSource, TableScan)
+from repro.errors import IntegrityError, SqlError
+from repro.sql.expressions import Compiled, Frame
+from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
+                               IndexLookup, InsertPlan, ModifyPlan,
+                               NestedLoopJoin, OrderKey, QueryPlan, RowSource,
+                               SelectPlan, SingleRow, TableScan, UnionPlan)
 from repro.sql.result import ResultSet
-
-Relation = tuple[Header, list[tuple]]
-
-_EMPTY_HEADER = Header([])
-_EMPTY_ENV_ROW: tuple = ()
+from repro.sql.storage import Row
 
 
-class Executor:
-    """Executes statements against an engine exposing ``table_for(name)``."""
+def execute_plan(plan, params: Optional[Sequence[Any]]) -> ResultSet:
+    """Run any planned statement with its ``?`` bindings."""
+    frame: Frame = (params or (), None, None)
+    if isinstance(plan, (SelectPlan, UnionPlan)):
+        return ResultSet(columns=plan.columns, rows=run_query(plan, frame))
+    if isinstance(plan, InsertPlan):
+        return ResultSet.empty(_insert(plan, frame))
+    assert isinstance(plan, ModifyPlan)
+    return ResultSet.empty(_modify(plan, frame))
 
-    def __init__(self, engine, params: Optional[list[Any]] = None):
-        self._engine = engine
-        self._planner = Planner(engine)
-        self._evaluator = Evaluator(subquery_executor=self._run_subquery,
-                                    params=params)
-        #: Number of index lookups chosen by the planner during this
-        #: statement — surfaced for tests and benchmarks.
-        self.index_lookups = 0
 
-    # ------------------------------------------------------------------ API --
-
-    def execute(self, statement: ast.Statement) -> ResultSet:
-        """Execute any supported statement, returning a :class:`ResultSet`."""
-        if isinstance(statement, (ast.Select, ast.Union)):
-            header, rows = self.execute_query(statement, outer_env=None)
-            return ResultSet(columns=header.column_names, rows=rows)
-        if isinstance(statement, ast.Insert):
-            return ResultSet.empty(self._insert(statement))
-        if isinstance(statement, ast.Update):
-            return ResultSet.empty(self._update(statement))
-        if isinstance(statement, ast.Delete):
-            return ResultSet.empty(self._delete(statement))
-        raise SqlError(f"executor cannot run {type(statement).__name__}")
-
-    def execute_query(self, statement: ast.Statement,
-                      outer_env: Optional[Environment]) -> Relation:
-        """Execute a SELECT or UNION tree, returning header + rows."""
-        if isinstance(statement, ast.Union):
-            return self._execute_union(statement, outer_env)
-        assert isinstance(statement, ast.Select)
-        return self._execute_select(statement, outer_env)
-
-    # -------------------------------------------------------------- subquery --
-
-    def _run_subquery(self, select: ast.Select,
-                      outer_env: Environment) -> list[tuple]:
-        __, rows = self._execute_select(select, outer_env)
+def run_query(plan: QueryPlan, frame: Frame) -> list[tuple]:
+    """Execute a SELECT or UNION plan, returning its rows."""
+    if isinstance(plan, UnionPlan):
+        rows = run_query(plan.left, frame) + run_query(plan.right, frame)
+        if not plan.union.all:
+            rows = list(dict.fromkeys(rows))
+        if plan.order:
+            rows = _ordered(rows, rows, plan.order, frame)
+        if plan.limit is not None:
+            rows = rows[:_constant_int(plan.limit, "LIMIT", frame)]
         return rows
 
-    # ----------------------------------------------------------------- UNION --
+    rows = _materialize(plan.source, frame)
+    if plan.aggregates is not None:
+        rows = _aggregate(plan, rows, frame)
+    project = plan.project
+    outputs = rows if project is None else [project(row, frame) for row in rows]
+    if plan.select.distinct:
+        # output row -> the input row that first produced it (ORDER BY
+        # keys may read the input); dicts keep first-insertion order.
+        first: dict[tuple, Sequence] = {}
+        for output, row in zip(outputs, rows):
+            first.setdefault(output, row)
+        outputs, rows = list(first), list(first.values())
+    if plan.order:
+        outputs = _ordered(outputs, rows, plan.order, frame)
+    if plan.offset is not None:
+        outputs = outputs[_constant_int(plan.offset, "OFFSET", frame):]
+    if plan.limit is not None:
+        outputs = outputs[:_constant_int(plan.limit, "LIMIT", frame)]
+    return outputs
 
-    def _execute_union(self, union: ast.Union,
-                       outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self.execute_query(union.left, outer_env)
-        right_header, right_rows = self.execute_query(union.right, outer_env)
-        if len(left_header) != len(right_header):
-            raise SqlError("UNION operands have different column counts")
-        rows = list(left_rows) + list(right_rows)
-        if not union.all:
-            rows = _dedupe(rows)
-        header = Header([(None, name) for name in left_header.column_names])
-        if union.order_by:
-            rows = self._sort_output_rows(header, rows, union.order_by, outer_env)
-        if union.limit is not None:
-            limit = self._constant_int(union.limit, "LIMIT")
-            rows = rows[:limit]
-        return header, rows
 
-    # ---------------------------------------------------------------- SELECT --
+def _constant_int(expression: Compiled, label: str, frame: Frame) -> int:
+    value = expression((), frame)
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise SqlError(f"{label} requires a non-negative integer")
+    return value
 
-    def _execute_select(self, select: ast.Select,
-                        outer_env: Optional[Environment]) -> Relation:
-        plan = self._planner.plan(select)
-        if plan.used_index:
-            self.index_lookups += 1
-        if plan.source is None:
-            input_header = _EMPTY_HEADER
-            input_rows: list[tuple] = [_EMPTY_ENV_ROW]
+
+# -- aggregation ------------------------------------------------------------
+
+def _aggregate(plan: SelectPlan, rows: list[tuple], frame: Frame) -> list[tuple]:
+    """One row per group that passes HAVING: the group's first input row
+    extended by its aggregate results."""
+    factories = [factory for factory, __ in plan.aggregates]
+    arguments = [argument for __, argument in plan.aggregates]
+    group_key = plan.group_key
+    groups: dict[Any, tuple[tuple, list]] = {}
+    for row in rows:
+        key = group_key(row, frame) if group_key is not None else None
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = (row, [factory() for factory in factories])
+        for accumulator, argument in zip(group[1], arguments):
+            accumulator.add(1 if argument is None else argument(row, frame))
+    if not groups and group_key is None:
+        # Aggregates over an empty input still yield one row.
+        width = len(plan.source.header)
+        groups[None] = ((None,) * width, [factory() for factory in factories])
+    extended = [row + tuple([a.result() for a in accumulators])
+                for row, accumulators in groups.values()]
+    having = plan.having
+    if having is not None:
+        extended = [row for row in extended if having(row, frame) is True]
+    return extended
+
+
+# -- ordering ----------------------------------------------------------------
+
+def _ordered(outputs: list[tuple], inputs: Sequence[Sequence],
+             order: list[OrderKey], frame: Frame) -> list[tuple]:
+    """Sort *outputs*; a key is an output ordinal or a closure over the
+    matching row of *inputs*.  NULLs sort first ascending."""
+    keyed = [(output, [output[ordinal] if closure is None
+                       else closure(row, frame) for ordinal, closure, __ in order])
+             for output, row in zip(outputs, inputs)]
+    # Stable-sort from the least-significant key to the most.
+    for position in range(len(order) - 1, -1, -1):
+        keyed.sort(key=lambda pair: (pair[1][position] is not None,
+                                     pair[1][position]),
+                   reverse=not order[position][2])
+    return [output for output, __ in keyed]
+
+
+# ------------------------------------------------------------- row sources --
+
+def _materialize(source: RowSource, frame: Frame) -> list[tuple]:
+    probe = source.child if isinstance(source, FilteredSource) else source
+    if isinstance(probe, IndexLookup):
+        return [tuple(row) for __, row in _access(source, frame)]
+    if isinstance(source, FilteredSource):
+        tests = source.tests
+        if isinstance(source.child, TableScan):
+            # Fused scan + filter: test the stored rows, copy survivors.
+            first = tests[0]
+            rows = [tuple(row) for row in source.child.table.rows()
+                    if first(row, frame) is True]
+            tests = tests[1:]
         else:
-            input_header, input_rows = self._materialize(plan.source, outer_env)
-        if plan.residual_where is not None:
-            input_rows = [
-                row for row in input_rows
-                if is_truthy(self._evaluator.evaluate(
-                    plan.residual_where,
-                    Environment(input_header, row, outer_env)))
-            ]
+            rows = _materialize(source.child, frame)
+        for test in tests:
+            rows = [row for row in rows if test(row, frame) is True]
+        return rows
+    if isinstance(source, TableScan):
+        return [tuple(row) for row in source.table.rows()]
+    if isinstance(source, HashJoin):
+        return _hash_join(source, frame)
+    if isinstance(source, NestedLoopJoin):
+        return _nested_loop(source, frame)
+    if isinstance(source, DerivedTable):
+        return run_query(source.plan, frame)
+    assert isinstance(source, SingleRow)
+    return [()]
 
-        aggregates = self._collect_select_aggregates(select)
-        if select.group_by or aggregates:
-            header, out_rows = self._aggregate(
-                select, input_header, input_rows, aggregates, outer_env)
-        else:
-            header, out_rows = self._project(
-                select, input_header, input_rows, outer_env)
 
-        if select.distinct:
-            out_rows = [pair for pair in _dedupe_keyed(out_rows)]
+def _access(source: RowSource, frame: Frame) -> list[tuple[int, Row]]:
+    """``(row_id, stored row)`` pairs of a single-table access path (an
+    index probe or a scan, filtered or not) — how a probe finds rows,
+    and the only form UPDATE and DELETE can use: they need the ids."""
+    tests: Sequence[Compiled] = ()
+    if isinstance(source, FilteredSource):
+        source, tests = source.child, source.tests
+    probe = isinstance(source, IndexLookup)
+    if probe and type(key := source.key((), frame)) in source.key_types:
+        table = source.table
+        pairs = [(row_id, table.row(row_id))
+                 for row_id in sorted(source.index.lookup((key,)))]
+    else:
+        assert probe or isinstance(source, TableScan)
+        if probe:
+            # The index holds no value of this type, yet `=` may still
+            # match (text spelling a date, say): ask every row.
+            tests = [source.fallback, *tests]
+        pairs = list(source.table.scan())
+    for test in tests:
+        pairs = [pair for pair in pairs if test(pair[1], frame) is True]
+    return pairs
 
-        if select.order_by:
-            out_rows = self._apply_order(out_rows, select.order_by)
-        rows = [row for row, __ in out_rows]
 
-        if select.offset is not None:
-            rows = rows[self._constant_int(select.offset, "OFFSET"):]
-        if select.limit is not None:
-            rows = rows[:self._constant_int(select.limit, "LIMIT")]
-        return header, rows
+def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:
+    left_rows = _materialize(source.left, frame)
+    right_rows = _materialize(source.right, frame)
+    left_key, right_key = source.left_key, source.right_key
 
-    # -- projection ------------------------------------------------------------
-
-    def _output_columns(self, select: ast.Select,
-                        input_header: Header) -> list[str]:
-        names: list[str] = []
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                if item.expression.table is None:
-                    names.extend(input_header.column_names)
-                else:
-                    positions = input_header.positions_for_binding(
-                        item.expression.table)
-                    if not positions:
-                        raise CatalogError(
-                            f"unknown table {item.expression.table!r} in select list")
-                    names.extend(input_header.slots[i][1] for i in positions)
-            elif item.alias:
-                names.append(item.alias)
-            else:
-                names.append(_derive_name(item.expression))
-        return names
-
-    def _project_row(self, select: ast.Select, env: Environment) -> tuple:
-        values: list[Any] = []
-        for item in select.items:
-            if isinstance(item.expression, ast.Star):
-                if item.expression.table is None:
-                    values.extend(env.row)
-                else:
-                    positions = env.header.positions_for_binding(
-                        item.expression.table)
-                    if not positions:
-                        raise CatalogError(
-                            f"unknown table {item.expression.table!r} in select list")
-                    values.extend(env.row[i] for i in positions)
-            else:
-                values.append(self._evaluator.evaluate(item.expression, env))
-        return tuple(values)
-
-    def _project(self, select: ast.Select, input_header: Header,
-                 input_rows: list[tuple],
-                 outer_env: Optional[Environment]
-                 ) -> tuple[Header, list[tuple[tuple, list[Any]]]]:
-        """Project rows; returns (header, [(output_row, sort_keys)])."""
-        names = self._output_columns(select, input_header)
-        header = Header([(None, name) for name in names])
-        out: list[tuple[tuple, list[Any]]] = []
-        for row in input_rows:
-            env = Environment(input_header, row, outer_env)
-            output = self._project_row(select, env)
-            keys = self._order_keys(select, env, output, names)
-            out.append((output, keys))
-        return header, out
-
-    # -- aggregation ------------------------------------------------------------
-
-    def _collect_select_aggregates(self,
-                                   select: ast.Select) -> list[ast.FunctionCall]:
-        found: list[ast.FunctionCall] = []
-        for item in select.items:
-            if not isinstance(item.expression, ast.Star):
-                found.extend(collect_aggregates(item.expression))
-        found.extend(collect_aggregates(select.having))
-        for order in select.order_by:
-            found.extend(collect_aggregates(order.expression))
-        return found
-
-    def _aggregate(self, select: ast.Select, input_header: Header,
-                   input_rows: list[tuple],
-                   aggregate_nodes: list[ast.FunctionCall],
-                   outer_env: Optional[Environment]
-                   ) -> tuple[Header, list[tuple[tuple, list[Any]]]]:
-        names = self._output_columns(select, input_header)
-        header = Header([(None, name) for name in names])
-        group_exprs = [self._resolve_group_alias(expr, select, input_header)
-                       for expr in select.group_by]
-
-        groups: dict[tuple, dict[str, Any]] = {}
-        order_of_groups: list[tuple] = []
-        for row in input_rows:
-            env = Environment(input_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in group_exprs)
-            state = groups.get(key)
-            if state is None:
-                state = {
-                    "row": row,
-                    "accumulators": [self._make_accumulator(node)
-                                     for node in aggregate_nodes],
-                }
-                groups[key] = state
-                order_of_groups.append(key)
-            for node, accumulator in zip(aggregate_nodes, state["accumulators"]):
-                self._feed(node, accumulator, env)
-
-        if not select.group_by and not groups:
-            # Aggregates over an empty input still yield one row.
-            groups[()] = {
-                "row": None,
-                "accumulators": [self._make_accumulator(node)
-                                 for node in aggregate_nodes],
-            }
-            order_of_groups.append(())
-
-        out: list[tuple[tuple, list[Any]]] = []
-        for key in order_of_groups:
-            state = groups[key]
-            agg_values = {
-                id(node): accumulator.result()
-                for node, accumulator in zip(aggregate_nodes,
-                                             state["accumulators"])
-            }
-            representative = state["row"]
-            row = representative if representative is not None \
-                else tuple([None] * len(input_header))
-            env = Environment(input_header, row, outer_env, aggregates=agg_values)
-            if select.having is not None:
-                if not is_truthy(self._evaluator.evaluate(select.having, env)):
-                    continue
-            output = self._project_row(select, env)
-            keys = self._order_keys(select, env, output, names)
-            out.append((output, keys))
-        return header, out
-
-    def _resolve_group_alias(self, expression: ast.Expression,
-                             select: ast.Select,
-                             input_header: Header) -> ast.Expression:
-        """Allow ``GROUP BY alias`` by substituting the aliased select
-        expression when the name does not resolve against the input."""
-        if not (isinstance(expression, ast.ColumnRef)
-                and expression.table is None):
-            return expression
-        try:
-            if input_header.resolve(expression.name) is not None:
-                return expression
-        except CatalogError:
-            return expression  # ambiguous in input: keep SQL's normal error
-        lowered = expression.name.lower()
-        for item in select.items:
-            if item.alias and item.alias.lower() == lowered:
-                return item.expression
-        return expression
-
-    def _make_accumulator(self, node: ast.FunctionCall):
-        cls = AGGREGATE_FUNCTIONS[node.name]
-        if cls is CountAggregate:
-            count_star = bool(node.args) and isinstance(node.args[0], ast.Star) \
-                or not node.args
-            return CountAggregate(distinct=node.distinct, count_star=count_star)
-        return cls(distinct=node.distinct)
-
-    def _feed(self, node: ast.FunctionCall, accumulator, env: Environment) -> None:
-        if isinstance(accumulator, CountAggregate) and (
-                not node.args or isinstance(node.args[0], ast.Star)):
-            accumulator.add(1)
-            return
-        if not node.args:
-            raise SqlError(f"aggregate {node.name} requires an argument")
-        accumulator.add(self._evaluator.evaluate(node.args[0], env))
-
-    # -- ordering ----------------------------------------------------------------
-
-    def _order_keys(self, select: ast.Select, env: Environment,
-                    output: tuple, names: list[str]) -> list[Any]:
-        """Evaluate ORDER BY keys for one produced row.
-
-        Resolution order per SQL custom: output ordinal (integer literal),
-        then output alias, then any expression over the input row.
-        """
-        keys: list[Any] = []
-        for item in select.order_by:
-            expr = item.expression
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int) \
-                    and not isinstance(expr.value, bool):
-                position = expr.value - 1
-                if position < 0 or position >= len(output):
-                    raise SqlError(f"ORDER BY position {expr.value} out of range")
-                keys.append(output[position])
-                continue
-            if isinstance(expr, ast.ColumnRef) and expr.table is None:
-                lowered = expr.name.lower()
-                matches = [i for i, name in enumerate(names)
-                           if name.lower() == lowered]
-                if len(matches) == 1:
-                    keys.append(output[matches[0]])
-                    continue
-            keys.append(self._evaluator.evaluate(expr, env))
-        return keys
-
-    def _apply_order(self, keyed_rows: list[tuple[tuple, list[Any]]],
-                     order_by: list[ast.OrderItem]
-                     ) -> list[tuple[tuple, list[Any]]]:
-        result = list(keyed_rows)
-        # Stable-sort from the least-significant key to the most.
-        for position in range(len(order_by) - 1, -1, -1):
-            ascending = order_by[position].ascending
-            result.sort(key=lambda pair: _null_aware_key(pair[1][position]),
-                        reverse=not ascending)
-        return result
-
-    def _sort_output_rows(self, header: Header, rows: list[tuple],
-                          order_by: list[ast.OrderItem],
-                          outer_env: Optional[Environment]) -> list[tuple]:
-        keyed: list[tuple[tuple, list[Any]]] = []
-        for row in rows:
-            env = Environment(header, row, outer_env)
-            keys = []
-            for item in order_by:
-                expr = item.expression
-                if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                    keys.append(row[expr.value - 1])
-                else:
-                    keys.append(self._evaluator.evaluate(expr, env))
-            keyed.append((row, keys))
-        return [row for row, __ in self._apply_order(keyed, order_by)]
-
-    # ------------------------------------------------------------- row sources --
-
-    def _materialize(self, source: RowSource,
-                     outer_env: Optional[Environment]) -> Relation:
-        if isinstance(source, TableScan):
-            table = self._engine.table_for(source.table)
-            header = Header([(source.binding, name)
-                             for name in table.schema.column_names])
-            return header, [tuple(row) for __, row in table.scan()]
-        if isinstance(source, IndexLookup):
-            return self._materialize_index_lookup(source, outer_env)
-        if isinstance(source, DerivedTable):
-            sub_header, sub_rows = self.execute_query(source.select, outer_env)
-            header = Header([(source.binding, name)
-                             for name in sub_header.column_names])
-            return header, sub_rows
-        if isinstance(source, HashJoin):
-            return self._materialize_hash_join(source, outer_env)
-        if isinstance(source, NestedLoopJoin):
-            return self._materialize_nested_loop(source, outer_env)
-        raise SqlError(f"cannot materialize {type(source).__name__}")
-
-    def _materialize_index_lookup(self, source: IndexLookup,
-                                  outer_env: Optional[Environment]) -> Relation:
-        table = self._engine.table_for(source.table)
-        header = Header([(source.binding, name)
-                         for name in table.schema.column_names])
-        env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW, outer_env)
-        key = tuple(self._evaluator.evaluate(expr, env) for expr in source.keys)
-        index = table.index_on(source.columns)
-        if index is None:  # index dropped between planning and execution
-            return header, [tuple(row) for __, row in table.scan()]
-        row_ids = sorted(index.lookup(key))
-        return header, [tuple(table.row(row_id)) for row_id in row_ids]
-
-    def _materialize_hash_join(self, source: HashJoin,
-                               outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self._materialize(source.left, outer_env)
-        right_header, right_rows = self._materialize(source.right, outer_env)
-        header = left_header + right_header
-        right_width = len(right_header)
-
-        buckets: dict[tuple, list[tuple]] = {}
-        for row in right_rows:
-            env = Environment(right_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in source.right_keys)
-            if None in key:
-                continue
+    buckets: dict[Any, list[tuple]] = {}
+    for row in right_rows:
+        key = right_key(row, frame)
+        if key is not None:
             buckets.setdefault(key, []).append(row)
 
-        out: list[tuple] = []
-        null_pad = tuple([None] * right_width)
-        for row in left_rows:
-            env = Environment(left_header, row, outer_env)
-            key = tuple(self._evaluator.evaluate(expr, env)
-                        for expr in source.left_keys)
-            matches = buckets.get(key, []) if None not in key else []
-            if matches:
-                for right_row in matches:
-                    out.append(row + right_row)
-            elif source.kind == "LEFT":
-                out.append(row + null_pad)
-        return header, out
-
-    def _materialize_nested_loop(self, source: NestedLoopJoin,
-                                 outer_env: Optional[Environment]) -> Relation:
-        left_header, left_rows = self._materialize(source.left, outer_env)
-        right_header, right_rows = self._materialize(source.right, outer_env)
-
-        condition = source.condition
-        drop_right_positions: list[int] = []
-        if source.using:
-            condition, drop_right_positions = self._using_condition(
-                source.using, left_header, right_header)
-
-        header = left_header + right_header
-        right_width = len(right_header)
-        left_width = len(left_header)
-        out: list[tuple] = []
-
-        def matches(combined: tuple) -> bool:
-            if condition is None:
-                return True
-            env = Environment(header, combined, outer_env)
-            return is_truthy(self._evaluator.evaluate(condition, env))
-
-        if source.kind in ("INNER", "CROSS"):
-            for left_row in left_rows:
-                for right_row in right_rows:
-                    combined = left_row + right_row
-                    if matches(combined):
-                        out.append(combined)
-        elif source.kind == "LEFT":
-            null_pad = tuple([None] * right_width)
-            for left_row in left_rows:
-                found = False
-                for right_row in right_rows:
-                    combined = left_row + right_row
-                    if matches(combined):
-                        out.append(combined)
-                        found = True
-                if not found:
-                    out.append(left_row + null_pad)
-        elif source.kind == "RIGHT":
-            null_pad = tuple([None] * left_width)
-            for right_row in right_rows:
-                found = False
-                for left_row in left_rows:
-                    combined = left_row + right_row
-                    if matches(combined):
-                        out.append(combined)
-                        found = True
-                if not found:
-                    out.append(null_pad + right_row)
-        else:  # pragma: no cover - parser restricts kinds
-            raise SqlError(f"unsupported join kind {source.kind!r}")
-
-        if drop_right_positions:
-            keep = [i for i in range(len(header))
-                    if i not in drop_right_positions]
-            header = Header([header.slots[i] for i in keep])
-            out = [tuple(row[i] for i in keep) for row in out]
-        return header, out
-
-    def _using_condition(self, using: list[str], left_header: Header,
-                         right_header: Header
-                         ) -> tuple[Optional[ast.Expression], list[int]]:
-        """Build the implicit equality condition for JOIN ... USING and the
-        combined-header positions of the right-side duplicates to drop."""
-        conjuncts: list[ast.Expression] = []
-        drop: list[int] = []
-        left_width = len(left_header)
-        for column in using:
-            left_position = left_header.resolve(column)
-            right_position = right_header.resolve(column)
-            if left_position is None or right_position is None:
-                raise CatalogError(f"USING column {column!r} missing from a side")
-            left_binding = left_header.slots[left_position][0]
-            right_binding = right_header.slots[right_position][0]
-            conjuncts.append(ast.Binary(
-                "=",
-                ast.ColumnRef(name=column, table=left_binding),
-                ast.ColumnRef(name=column, table=right_binding)))
-            drop.append(left_width + right_position)
-        condition = conjuncts[0]
-        for conjunct in conjuncts[1:]:
-            condition = ast.Binary("AND", condition, conjunct)
-        return condition, drop
-
-    # --------------------------------------------------------------------- DML --
-
-    def _insert(self, statement: ast.Insert) -> int:
-        table = self._engine.table_for(statement.table)
-        schema = table.schema
-        if statement.columns is not None:
-            positions = [schema.column_index(name) for name in statement.columns]
-        else:
-            positions = list(range(len(schema.columns)))
-
-        def widen(values: list[Any]) -> list[Any]:
-            if len(values) != len(positions):
-                raise IntegrityError(
-                    f"INSERT supplies {len(values)} values for "
-                    f"{len(positions)} columns")
-            row: list[Any] = [None] * len(schema.columns)
-            for index, column in enumerate(schema.columns):
-                if column.default is not None:
-                    row[index] = column.default
-            for position, value in zip(positions, values):
-                row[position] = value
-            return row
-
-        count = 0
-        if statement.rows is not None:
-            env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW)
-            for value_row in statement.rows:
-                values = [self._evaluator.evaluate(expr, env)
-                          for expr in value_row]
-                table.insert(widen(values))
-                count += 1
-        else:
-            assert statement.select is not None
-            __, rows = self.execute_query(statement.select, outer_env=None)
-            for row in rows:
-                table.insert(widen(list(row)))
-                count += 1
-        return count
-
-    def _update(self, statement: ast.Update) -> int:
-        table = self._engine.table_for(statement.table)
-        schema = table.schema
-        header = Header([(statement.table, name)
-                         for name in schema.column_names])
-        assignments = [(schema.column_index(a.column), a.value)
-                       for a in statement.assignments]
-        touched: list[tuple[int, list[Any]]] = []
-        for row_id, row in table.scan():
-            env = Environment(header, tuple(row))
-            if statement.where is not None and not is_truthy(
-                    self._evaluator.evaluate(statement.where, env)):
-                continue
-            new_row = list(row)
-            for position, expression in assignments:
-                new_row[position] = self._evaluator.evaluate(expression, env)
-            touched.append((row_id, new_row))
-        for row_id, new_row in touched:
-            table.update(row_id, new_row)
-        return len(touched)
-
-    def _delete(self, statement: ast.Delete) -> int:
-        table = self._engine.table_for(statement.table)
-        header = Header([(statement.table, name)
-                         for name in table.schema.column_names])
-        doomed: list[int] = []
-        for row_id, row in table.scan():
-            env = Environment(header, tuple(row))
-            if statement.where is None or is_truthy(
-                    self._evaluator.evaluate(statement.where, env)):
-                doomed.append(row_id)
-        for row_id in doomed:
-            table.delete(row_id)
-        return len(doomed)
-
-    # ----------------------------------------------------------------- helpers --
-
-    def _constant_int(self, expression: ast.Expression, label: str) -> int:
-        env = Environment(_EMPTY_HEADER, _EMPTY_ENV_ROW)
-        value = self._evaluator.evaluate(expression, env)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-            raise SqlError(f"{label} requires a non-negative integer")
-        return value
+    out: list[tuple] = []
+    pad_misses = source.kind == "LEFT"
+    null_pad = (None,) * len(source.right.header)
+    for row in left_rows:
+        key = left_key(row, frame)
+        matches = buckets.get(key) if key is not None else None
+        if matches:
+            for right_row in matches:
+                out.append(row + right_row)
+        elif pad_misses:
+            out.append(row + null_pad)
+    return out
 
 
-def _derive_name(expression: ast.Expression) -> str:
-    """Output column name for an unaliased select item."""
-    if isinstance(expression, ast.ColumnRef):
-        return expression.name
-    if isinstance(expression, ast.FunctionCall):
-        if not expression.args:
-            return f"{expression.name}(*)"
-        if len(expression.args) == 1 and isinstance(expression.args[0], ast.Star):
-            return f"{expression.name}(*)"
-        if len(expression.args) == 1 and isinstance(expression.args[0],
-                                                    ast.ColumnRef):
-            return f"{expression.name}({expression.args[0].name})"
-        return f"{expression.name}(...)"
-    if isinstance(expression, ast.Literal):
-        return str(expression.value)
-    return "expr"
+def _nested_loop(source: NestedLoopJoin, frame: Frame) -> list[tuple]:
+    left_rows = _materialize(source.left, frame)
+    right_rows = _materialize(source.right, frame)
+    test = source.test
+    out: list[tuple] = []
+
+    # RIGHT is LEFT with the loops swapped; *combined* rows always read
+    # left columns first.
+    preserved = source.kind in ("LEFT", "RIGHT")
+    swapped = source.kind == "RIGHT"
+    outer_rows, inner_rows = (right_rows, left_rows) if swapped \
+        else (left_rows, right_rows)
+    null_pad = (None,) * len((source.left if swapped else source.right).header)
+    for outer_row in outer_rows:
+        found = False
+        for inner_row in inner_rows:
+            combined = inner_row + outer_row if swapped else outer_row + inner_row
+            if test is None or test(combined, frame) is True:
+                out.append(combined)
+                found = True
+        if preserved and not found:
+            out.append(null_pad + outer_row if swapped else outer_row + null_pad)
+
+    if source.keep is not None:
+        keep = source.keep
+        out = [tuple([row[i] for i in keep]) for row in out]
+    return out
 
 
-def _null_aware_key(value: Any):
-    """Sort key placing NULLs first and ordering mixed values stably."""
-    return (value is not None, value)
+# --------------------------------------------------------------------- DML --
+
+def _insert(plan: InsertPlan, frame: Frame) -> int:
+    positions = plan.positions
+    count = 0
+    for values in plan.rows_of(frame):
+        if len(values) != len(positions):
+            raise IntegrityError(
+                f"INSERT supplies {len(values)} values for "
+                f"{len(positions)} columns")
+        row = list(plan.defaults)
+        for position, value in zip(positions, values):
+            row[position] = value
+        plan.table.insert(row)
+        count += 1
+    return count
 
 
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    result: list[tuple] = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            result.append(row)
-    return result
-
-
-def _dedupe_keyed(keyed_rows: list[tuple[tuple, list[Any]]]
-                  ) -> list[tuple[tuple, list[Any]]]:
-    seen: set[tuple] = set()
-    result: list[tuple[tuple, list[Any]]] = []
-    for row, keys in keyed_rows:
-        if row not in seen:
-            seen.add(row)
-            result.append((row, keys))
-    return result
+def _modify(plan: ModifyPlan, frame: Frame) -> int:
+    """UPDATE or DELETE: every affected row is found, and every new
+    value computed, before the first one is written."""
+    found = _access(plan.source, frame)
+    if plan.assignments is None:
+        for row_id, __ in found:
+            plan.table.delete(row_id)
+        return len(found)
+    touched: list[tuple[int, Row]] = []
+    for row_id, row in found:
+        new_row = list(row)
+        for position, value in plan.assignments:
+            new_row[position] = value(row, frame)
+        touched.append((row_id, new_row))
+    for row_id, new_row in touched:
+        plan.table.update(row_id, new_row)
+    return len(touched)

@@ -1,19 +1,25 @@
-"""EXPLAIN rendering: a human-readable access-plan description.
+"""EXPLAIN rendering: a human-readable description of a plan — the
+very object the engine caches and the executor runs.
 
 ``EXPLAIN <statement>`` returns one row per plan line, e.g.::
 
-    SELECT
-      IndexLookup(orders) key=(id)
-      Filter: amount > 100
-      Aggregate: group by customer
-      Sort: total DESC
+    Select
+      HashJoin[INNER] on o.customer = c.id
+        IndexLookup(orders) key=(status)
+        Filter: o.amount > 100
+        SeqScan(customers) as c
+      Aggregate: group by c.region
+
+A ``Filter:`` line applies to the node just above it at the same depth.
 """
 
 from __future__ import annotations
 
 from repro.sql import ast
-from repro.sql.planner import (DerivedTable, HashJoin, IndexLookup,
-                               NestedLoopJoin, Planner, RowSource, TableScan)
+from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
+                               IndexLookup, InsertPlan, ModifyPlan,
+                               NestedLoopJoin, RowSource, SelectPlan,
+                               TableScan, UnionPlan)
 
 
 def _render_expression(expression: ast.Expression) -> str:
@@ -57,81 +63,66 @@ def _render_expression(expression: ast.Expression) -> str:
     return type(expression).__name__
 
 
-def _render_source(source: RowSource, indent: int,
-                   lines: list[str], storage=None) -> None:
+def _render_source(source: RowSource, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
-    if isinstance(source, TableScan):
-        lines.append(f"{pad}SeqScan({source.table})"
+    if isinstance(source, FilteredSource):
+        _render_source(source.child, indent, lines)
+        lines.append(f"{pad}Filter: " + " AND ".join(
+            _render_expression(conjunct) for conjunct in source.conjuncts))
+    elif isinstance(source, TableScan):
+        lines.append(f"{pad}SeqScan({source.name})"
                      + (f" as {source.binding}"
-                        if source.binding != source.table else ""))
+                        if source.binding != source.name else ""))
     elif isinstance(source, IndexLookup):
-        keys = ", ".join(source.columns)
-        lines.append(f"{pad}IndexLookup({source.table}) key=({keys})")
+        lines.append(f"{pad}IndexLookup({source.name}) key=({source.column})")
     elif isinstance(source, DerivedTable):
         lines.append(f"{pad}Derived({source.binding})")
-        for line in explain_statement_lines(source.select, storage):
-            lines.append(f"{pad}  {line}")
+        lines.extend(f"{pad}  {line}" for line in _query_lines(source.plan))
     elif isinstance(source, HashJoin):
         keys = ", ".join(
             f"{_render_expression(l)} = {_render_expression(r)}"
             for l, r in zip(source.left_keys, source.right_keys))
         lines.append(f"{pad}HashJoin[{source.kind}] on {keys}")
-        _render_source(source.left, indent + 1, lines, storage)
-        _render_source(source.right, indent + 1, lines, storage)
+        _render_source(source.left, indent + 1, lines)
+        _render_source(source.right, indent + 1, lines)
     elif isinstance(source, NestedLoopJoin):
         condition = (f" on {_render_expression(source.condition)}"
                      if source.condition is not None else "")
         using = f" using ({', '.join(source.using)})" if source.using else ""
         lines.append(f"{pad}NestedLoop[{source.kind}]{condition}{using}")
-        _render_source(source.left, indent + 1, lines, storage)
-        _render_source(source.right, indent + 1, lines, storage)
-    else:  # pragma: no cover - future sources
-        lines.append(f"{pad}{type(source).__name__}")
+        _render_source(source.left, indent + 1, lines)
+        _render_source(source.right, indent + 1, lines)
+    # SingleRow (SELECT without FROM) has no line of its own.
 
 
-def explain_statement_lines(statement: ast.Statement,
-                            storage=None) -> list[str]:
-    """Plan description lines for *statement* (SELECT trees are planned
-    against *storage* when given, so index choices are visible)."""
-    if isinstance(statement, ast.Union):
-        lines = [f"Union[{'ALL' if statement.all else 'DISTINCT'}]"]
-        for side in (statement.left, statement.right):
-            for line in explain_statement_lines(side, storage):
-                lines.append(f"  {line}")
+def explain_lines(statement: ast.Statement, plan) -> list[str]:
+    """Plan description lines; *plan* is None for statements that are
+    not planned (DDL, transaction control)."""
+    if isinstance(plan, (SelectPlan, UnionPlan)):
+        return _query_lines(plan)
+    if isinstance(plan, InsertPlan):
+        return [f"Insert({plan.name})"]
+    if isinstance(plan, ModifyPlan):
+        verb = "Delete" if plan.assignments is None else "Update"
+        lines = [f"{verb}({plan.name})"]
+        _render_source(plan.source, 1, lines)
         return lines
-    if isinstance(statement, ast.Select):
-        return _explain_select(statement, storage)
-    if isinstance(statement, ast.Insert):
-        return [f"Insert({statement.table})"]
-    if isinstance(statement, ast.Update):
-        return [f"Update({statement.table})"]
-    if isinstance(statement, ast.Delete):
-        return [f"Delete({statement.table})"]
     return [type(statement).__name__]
 
 
-def _explain_select(select: ast.Select, storage) -> list[str]:
+def _query_lines(plan) -> list[str]:
+    if isinstance(plan, UnionPlan):
+        lines = [f"Union[{'ALL' if plan.union.all else 'DISTINCT'}]"]
+        for side in (plan.left, plan.right):
+            lines.extend(f"  {line}" for line in _query_lines(side))
+        return lines
+    select = plan.select
     lines = ["Select" + (" DISTINCT" if select.distinct else "")]
-    if select.from_item is not None:
-        if storage is not None:
-            plan = Planner(storage).plan(select)
-            _render_source(plan.source, 1, lines, storage)
-            if plan.residual_where is not None:
-                lines.append(
-                    f"  Filter: {_render_expression(plan.residual_where)}")
-        else:
-            lines.append("  (unplanned FROM)")
-    elif select.where is not None:
-        lines.append(f"  Filter: {_render_expression(select.where)}")
-    if select.from_item is not None and storage is None and select.where:
-        lines.append(f"  Filter: {_render_expression(select.where)}")
+    _render_source(plan.source, 1, lines)
     if select.group_by:
         keys = ", ".join(_render_expression(e) for e in select.group_by)
         lines.append(f"  Aggregate: group by {keys}")
-    elif any(True for item in select.items
-             if isinstance(item.expression, ast.FunctionCall)
-             and item.expression.name in ("COUNT", "SUM", "AVG", "MIN",
-                                          "MAX")):
+    elif plan.aggregates is not None:
         lines.append("  Aggregate: scalar")
     if select.having is not None:
         lines.append(f"  Having: {_render_expression(select.having)}")

@@ -1,23 +1,34 @@
-"""Expression evaluation with SQL semantics.
+"""Expression compilation with SQL semantics.
 
-The evaluator implements three-valued logic (NULL-aware AND/OR/NOT),
-NULL-propagating arithmetic and comparisons, LIKE pattern matching,
-scalar function dispatch, CASE, and subquery forms (scalar, IN, EXISTS).
+An AST expression compiles, once per plan, into a closure
+``fn(row, frame)``: column references are resolved to slot positions
+against a :class:`Scope` (so an unknown or ambiguous name is an error
+whatever the data), operators are specialised, and a same-type fast
+path sits in front of the full rules — three-valued logic,
+NULL-propagating arithmetic and comparisons, LIKE, scalar functions,
+CASE, and the subquery forms (scalar, IN, EXISTS).
 
-Rows are evaluated inside an :class:`Environment`: a mapping from column
-bindings to values that chains to an outer environment so correlated
-subqueries can see enclosing rows.
+A *frame* is all that varies between executions: ``(params, outer_row,
+outer_frame)``, the ``?`` bindings plus the chain of enclosing rows a
+correlated subquery reads.  Closures hold none of it, so one plan
+serves concurrent and nested executions alike.
 """
 
 from __future__ import annotations
 
+import datetime
+import operator
 import re
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import CatalogError, SqlError
 from repro.sql import ast
 from repro.sql.functions import SCALAR_FUNCTIONS, is_aggregate
 from repro.sql.types import TYPE_SYNONYMS, coerce, comparable
+
+Frame = tuple  # (params, outer_row, outer_frame)
+Compiled = Callable[[Sequence, Frame], Any]
 
 
 class Header:
@@ -31,20 +42,22 @@ class Header:
 
     def __init__(self, slots: list[tuple[Optional[str], str]]):
         self.slots = slots
+        self._bindings = [b.lower() if b is not None else None
+                          for b, _ in slots]
         self._by_qualified: dict[tuple[str, str], int] = {}
         self._by_name: dict[str, list[int]] = {}
-        for position, (binding, column) in enumerate(slots):
+        for position, (__, column) in enumerate(slots):
             lowered = column.lower()
             self._by_name.setdefault(lowered, []).append(position)
-            if binding is not None:
-                self._by_qualified[(binding.lower(), lowered)] = position
+            if self._bindings[position] is not None:
+                self._by_qualified[(self._bindings[position], lowered)] = \
+                    position
 
     def resolve(self, name: str, table: Optional[str] = None) -> Optional[int]:
         """Slot position for a column reference, or None when unknown."""
-        lowered = name.lower()
         if table is not None:
-            return self._by_qualified.get((table.lower(), lowered))
-        positions = self._by_name.get(lowered)
+            return self._by_qualified.get((table.lower(), name.lower()))
+        positions = self._by_name.get(name.lower())
         if not positions:
             return None
         if len(positions) > 1:
@@ -54,8 +67,7 @@ class Header:
     def positions_for_binding(self, binding: str) -> list[int]:
         """All slots belonging to one table binding (for ``t.*``)."""
         lowered = binding.lower()
-        return [i for i, (b, _) in enumerate(self.slots)
-                if b is not None and b.lower() == lowered]
+        return [i for i, b in enumerate(self._bindings) if b == lowered]
 
     def __add__(self, other: "Header") -> "Header":
         return Header(self.slots + other.slots)
@@ -68,50 +80,63 @@ class Header:
         return [column for _, column in self.slots]
 
 
-class Environment:
-    """One row bound to a header, chained to an optional outer scope."""
+@dataclass
+class Scope:
+    """Compile-time name resolution for one query block: its input
+    header, chained to the scope of the enclosing block.
 
-    def __init__(self, header: Header, row: tuple,
-                 outer: Optional["Environment"] = None,
-                 aggregates: Optional[dict[int, Any]] = None):
-        self.header = header
-        self.row = row
-        self.outer = outer
-        #: id(FunctionCall-node) -> computed aggregate value, used when
-        #: projecting the output of a GROUP BY.
-        self.aggregates = aggregates or {}
+    *aggregates* maps ``id(FunctionCall)`` to a slot: after grouping,
+    expressions run over the group's representative row extended by one
+    value per aggregate, and read aggregate results by position.
+    """
 
-    def lookup(self, name: str, table: Optional[str]) -> Any:
-        position = self.header.resolve(name, table)
-        if position is not None:
-            return self.row[position]
-        if self.outer is not None:
-            return self.outer.lookup(name, table)
-        qualified = f"{table}.{name}" if table else name
-        raise CatalogError(f"unknown column {qualified!r}")
+    header: Header
+    outer: Optional["Scope"] = None
+    aggregates: Optional[dict[int, int]] = None
+
+    def resolve(self, node: ast.ColumnRef) -> tuple[int, int]:
+        """``(depth, position)``: how many frames out, which slot."""
+        scope: Optional[Scope] = self
+        depth = 0
+        while scope is not None:
+            position = scope.header.resolve(node.name, node.table)
+            if position is not None:
+                return depth, position
+            scope, depth = scope.outer, depth + 1
+        raise CatalogError(f"unknown column {str(node)!r}")
 
 
 _LIKE_CACHE: dict[str, re.Pattern] = {}
+
+
+def _like_regex(pattern: Any) -> re.Pattern:
+    compiled = _LIKE_CACHE.get(pattern)
+    if compiled is None:
+        parts = [".*" if char == "%" else "." if char == "_"
+                 else re.escape(char) for char in str(pattern)]
+        compiled = re.compile("^" + "".join(parts) + "$",
+                              re.IGNORECASE | re.DOTALL)
+        _LIKE_CACHE[pattern] = compiled
+    return compiled
 
 
 def like_match(value: Any, pattern: Any) -> Optional[bool]:
     """SQL LIKE with ``%`` and ``_``; NULL operands yield NULL."""
     if value is None or pattern is None:
         return None
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        regex_parts = ["^"]
-        for char in str(pattern):
-            if char == "%":
-                regex_parts.append(".*")
-            elif char == "_":
-                regex_parts.append(".")
-            else:
-                regex_parts.append(re.escape(char))
-        regex_parts.append("$")
-        compiled = re.compile("".join(regex_parts), re.IGNORECASE | re.DOTALL)
-        _LIKE_CACHE[pattern] = compiled
-    return compiled.match(str(value)) is not None
+    return _like_regex(pattern).match(str(value)) is not None
+
+
+_NUMERIC = frozenset((int, float))
+#: Exact type -> the exact types it compares with directly.  A pair
+#: outside this table (NULLs, dates against ISO strings, mixed types,
+#: subclasses) takes the full rules of :func:`_compare`.
+SAME_KIND: dict[type, frozenset] = {
+    int: _NUMERIC, float: _NUMERIC, str: frozenset((str,)),
+    bool: frozenset((bool,)), datetime.date: frozenset((datetime.date,))}
+_TESTS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+          "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
@@ -127,37 +152,44 @@ def _compare(op: str, left: Any, right: Any) -> Optional[bool]:
         if op == "<>":
             return True
         raise SqlError(f"cannot compare {type(left).__name__} with {type(right).__name__}")
-    if op == "=":
-        return left == right
-    if op == "<>":
-        return left != right
-    if op == "<":
-        return left < right
-    if op == "<=":
-        return left <= right
-    if op == ">":
-        return left > right
-    if op == ">=":
-        return left >= right
-    raise SqlError(f"unknown comparison operator {op!r}")  # pragma: no cover
+    return _TESTS[op](left, right)
+
+
+def iso_text_as_date(text: str) -> Any:
+    """The date an ISO string spells, or the string itself."""
+    try:
+        return datetime.date.fromisoformat(text)
+    except ValueError:
+        return text
 
 
 def _coerce_date_pair(left: Any, right: Any) -> tuple[Any, Any]:
     """Promote an ISO string to a date when compared against a date
     column, the way SQL engines implicitly cast date literals."""
-    import datetime
-
     if isinstance(left, datetime.date) and isinstance(right, str):
-        try:
-            return left, datetime.date.fromisoformat(right)
-        except ValueError:
-            return left, right
+        return left, iso_text_as_date(right)
     if isinstance(right, datetime.date) and isinstance(left, str):
-        try:
-            return datetime.date.fromisoformat(left), right
-        except ValueError:
-            return left, right
+        return iso_text_as_date(left), right
     return left, right
+
+
+def _equal(left: Any, right: Any) -> bool:
+    """True only when the two non-NULL values are SQL-equal."""
+    if type(right) in SAME_KIND.get(type(left), ()):
+        return left == right
+    return _compare("=", left, right) is True
+
+
+def _member(value: Any, candidates: Iterable[Any], negated: bool) -> Optional[bool]:
+    """Three-valued ``value [NOT] IN (candidates)``; over no candidates
+    at all the answer is known even for a NULL *value*."""
+    saw_null = False
+    for candidate in candidates:
+        if value is None or candidate is None:
+            saw_null = True
+        elif _equal(value, candidate):
+            return not negated
+    return None if saw_null else negated
 
 
 def _arith(op: str, left: Any, right: Any) -> Any:
@@ -170,12 +202,8 @@ def _arith(op: str, left: Any, right: Any) -> Any:
             not isinstance(right, (int, float)) or isinstance(right, bool):
         raise SqlError(f"operator {op!r} requires numeric operands, "
                        f"got {left!r} and {right!r}")
-    if op == "+":
-        return left + right
-    if op == "-":
-        return left - right
-    if op == "*":
-        return left * right
+    if op in _ARITHMETIC:
+        return _ARITHMETIC[op](left, right)
     if op == "/":
         if right == 0:
             raise SqlError("division by zero")
@@ -190,240 +218,272 @@ def _arith(op: str, left: Any, right: Any) -> Any:
     raise SqlError(f"unknown arithmetic operator {op!r}")  # pragma: no cover
 
 
-def is_truthy(value: Any) -> bool:
-    """Collapse three-valued logic to a WHERE-clause decision."""
-    return value is True
+class Compiler:
+    """Compiles AST expressions to closures over ``(row, frame)``.
 
-
-class Evaluator:
-    """Evaluates AST expressions against an :class:`Environment`.
-
-    *subquery_executor* is a callable ``(select, outer_env) -> list[tuple]``
-    supplied by the executor so subqueries can run with correlation.
-    *params* carries positional ``?`` bindings.
+    *plan_subquery* is a callable ``(select, scope) -> rows_of`` supplied
+    by the planner; ``rows_of(frame)`` runs the nested block.
     """
 
-    def __init__(self,
-                 subquery_executor: Optional[Callable[[ast.Select, Environment], list[tuple]]] = None,
-                 params: Optional[list[Any]] = None):
-        self._run_subquery = subquery_executor
-        self._params = params or []
+    def __init__(self, plan_subquery: Callable[[ast.Select, Scope],
+                                               Callable[[Frame], list[tuple]]]):
+        self._plan_subquery = plan_subquery
 
-    def evaluate(self, expression: ast.Expression, env: Environment) -> Any:
-        method = getattr(self, f"_eval_{type(expression).__name__.lower()}", None)
-        if method is None:
-            raise SqlError(f"cannot evaluate {type(expression).__name__}")
-        return method(expression, env)
+    def compile(self, node: ast.Expression, scope: Scope) -> Compiled:
+        build = self._BUILDERS.get(type(node))
+        if build is None:
+            raise SqlError(f"cannot evaluate {type(node).__name__}")
+        return build(self, node, scope)
 
     # -- leaf nodes -----------------------------------------------------------
 
-    def _eval_literal(self, node: ast.Literal, env: Environment) -> Any:
-        return node.value
+    def _literal(self, node: ast.Literal, scope: Scope) -> Compiled:
+        value = node.value
+        return lambda row, frame: value
 
-    def _eval_columnref(self, node: ast.ColumnRef, env: Environment) -> Any:
-        return env.lookup(node.name, node.table)
+    def _column(self, node: ast.ColumnRef, scope: Scope) -> Compiled:
+        depth, position = scope.resolve(node)
+        if depth == 0:
+            return lambda row, frame: row[position]
 
-    def _eval_param(self, node: ast.Param, env: Environment) -> Any:
-        if node.index >= len(self._params):
-            raise SqlError(f"missing value for parameter {node.index + 1}")
-        return self._params[node.index]
+        def outer(row, frame):
+            for __ in range(depth - 1):
+                frame = frame[2]
+            return frame[1][position]
+        return outer
 
-    def _eval_star(self, node: ast.Star, env: Environment) -> Any:
+    def _param(self, node: ast.Param, scope: Scope) -> Compiled:
+        index = node.index
+
+        def param(row, frame):
+            try:
+                return frame[0][index]
+            except IndexError:
+                raise SqlError(f"missing value for parameter {index + 1}") from None
+        return param
+
+    def _star(self, node: ast.Star, scope: Scope) -> Compiled:
         raise SqlError("* is only valid in a select list or COUNT(*)")
 
     # -- operators ---------------------------------------------------------------
 
-    def _eval_unary(self, node: ast.Unary, env: Environment) -> Any:
-        if node.op == "NOT":
-            value = self.evaluate(node.operand, env)
+    def _unary(self, node: ast.Unary, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        op = node.op
+        if op == "NOT":
+            def negate(row, frame):
+                value = operand(row, frame)
+                return None if value is None else value is not True
+            return negate
+
+        def sign(row, frame):
+            value = operand(row, frame)
             if value is None:
                 return None
-            return not is_truthy(value)
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SqlError(f"unary {node.op} requires a number, got {value!r}")
-        return -value if node.op == "-" else value
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise SqlError(f"unary {op} requires a number, got {value!r}")
+            return -value if op == "-" else value
+        return sign
 
-    def _eval_binary(self, node: ast.Binary, env: Environment) -> Any:
-        if node.op == "AND":
-            left = self.evaluate(node.left, env)
-            if left is False:
+    def _binary(self, node: ast.Binary, scope: Scope) -> Compiled:
+        op = node.op
+        if op in _TESTS:
+            return self._comparison(node, scope)
+        left = self.compile(node.left, scope)
+        right = self.compile(node.right, scope)
+        if op == "AND":
+            def conjunction(row, frame):
+                a = left(row, frame)
+                if a is False:
+                    return False
+                b = right(row, frame)
+                if b is False:
+                    return False
+                if a is None or b is None:
+                    return None
+                return a is True and b is True
+            return conjunction
+        if op == "OR":
+            def disjunction(row, frame):
+                a = left(row, frame)
+                if a is True:
+                    return True
+                b = right(row, frame)
+                if b is True:
+                    return True
+                if a is None or b is None:
+                    return None
                 return False
-            right = self.evaluate(node.right, env)
-            if right is False:
-                return False
-            if left is None or right is None:
-                return None
-            return is_truthy(left) and is_truthy(right)
-        if node.op == "OR":
-            left = self.evaluate(node.left, env)
-            if left is True:
-                return True
-            right = self.evaluate(node.right, env)
-            if right is True:
-                return True
-            if left is None or right is None:
-                return None
-            return is_truthy(left) or is_truthy(right)
-        left = self.evaluate(node.left, env)
-        right = self.evaluate(node.right, env)
-        if node.op in ("=", "<>", "<", "<=", ">", ">="):
-            return _compare(node.op, left, right)
-        return _arith(node.op, left, right)
+            return disjunction
+        return lambda row, frame: _arith(op, left(row, frame), right(row, frame))
 
-    def _eval_isnull(self, node: ast.IsNull, env: Environment) -> bool:
-        value = self.evaluate(node.operand, env)
-        return (value is not None) if node.negated else (value is None)
+    def _comparison(self, node: ast.Binary, scope: Scope) -> Compiled:
+        op, test = node.op, _TESTS[node.op]
+        slot = self.local_slot(node.left, scope)
+        if slot is not None and isinstance(node.right, ast.Literal) \
+                and type(node.right.value) in SAME_KIND:
+            # The common shape, column <op> constant, in one call per row.
+            constant = node.right.value
+            kinds = SAME_KIND[type(constant)]
 
-    def _eval_between(self, node: ast.Between, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        low = self.evaluate(node.low, env)
-        high = self.evaluate(node.high, env)
-        lower_ok = _compare(">=", value, low)
-        upper_ok = _compare("<=", value, high)
-        if lower_ok is None or upper_ok is None:
-            return None
-        result = lower_ok and upper_ok
-        return (not result) if node.negated else result
+            def column_to_constant(row, frame):
+                a = row[slot]
+                if type(a) in kinds:
+                    return test(a, constant)
+                return _compare(op, a, constant)
+            return column_to_constant
+        left = self.compile(node.left, scope)
+        right = self.compile(node.right, scope)
 
-    def _eval_like(self, node: ast.Like, env: Environment) -> Optional[bool]:
-        result = like_match(self.evaluate(node.operand, env),
-                            self.evaluate(node.pattern, env))
-        if result is None:
-            return None
-        return (not result) if node.negated else result
+        def comparison(row, frame):
+            a = left(row, frame)
+            b = right(row, frame)
+            if type(b) in SAME_KIND.get(type(a), ()):
+                return test(a, b)
+            return _compare(op, a, b)
+        return comparison
 
-    def _eval_inlist(self, node: ast.InList, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        saw_null = False
-        for item in node.items:
-            candidate = self.evaluate(item, env)
-            if candidate is None:
-                saw_null = True
-                continue
-            if _compare("=", value, candidate) is True:
-                return not node.negated
-        if saw_null:
-            return None
-        return node.negated
-
-    def _eval_insubquery(self, node: ast.InSubquery, env: Environment) -> Optional[bool]:
-        value = self.evaluate(node.operand, env)
-        if value is None:
-            return None
-        rows = self._execute_subquery(node.subquery, env)
-        saw_null = False
-        for row in rows:
-            candidate = row[0]
-            if candidate is None:
-                saw_null = True
-            elif _compare("=", value, candidate) is True:
-                return not node.negated
-        if saw_null:
-            return None
-        return node.negated
-
-    def _eval_exists(self, node: ast.Exists, env: Environment) -> bool:
-        rows = self._execute_subquery(node.subquery, env)
-        found = bool(rows)
-        return (not found) if node.negated else found
-
-    def _eval_scalarsubquery(self, node: ast.ScalarSubquery, env: Environment) -> Any:
-        rows = self._execute_subquery(node.subquery, env)
-        if not rows:
-            return None
-        if len(rows) > 1:
-            raise SqlError("scalar subquery returned more than one row")
-        if len(rows[0]) != 1:
-            raise SqlError("scalar subquery must return exactly one column")
-        return rows[0][0]
-
-    def _eval_case(self, node: ast.Case, env: Environment) -> Any:
-        if node.operand is not None:
-            subject = self.evaluate(node.operand, env)
-            for when in node.whens:
-                if _compare("=", subject, self.evaluate(when.condition, env)) is True:
-                    return self.evaluate(when.result, env)
-        else:
-            for when in node.whens:
-                if is_truthy(self.evaluate(when.condition, env)):
-                    return self.evaluate(when.result, env)
-        if node.default is not None:
-            return self.evaluate(node.default, env)
+    @staticmethod
+    def local_slot(node: ast.Expression, scope: Scope) -> Optional[int]:
+        """Slot of *node* when it is a column of the current row."""
+        if isinstance(node, ast.ColumnRef):
+            depth, position = scope.resolve(node)
+            if depth == 0:
+                return position
         return None
 
-    def _eval_cast(self, node: ast.Cast, env: Environment) -> Any:
-        value = self.evaluate(node.operand, env)
+    def _is_null(self, node: ast.IsNull, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        negated = node.negated
+        return lambda row, frame: (operand(row, frame) is None) != negated
+
+    def _between(self, node: ast.Between, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        low = self.compile(node.low, scope)
+        high = self.compile(node.high, scope)
+        negated = node.negated
+
+        def decide(value, lower, upper):
+            kinds = SAME_KIND.get(type(value), ())
+            if type(lower) in kinds and type(upper) in kinds:
+                return (lower <= value <= upper) != negated
+            # value >= lower AND value <= upper, three-valued: a false
+            # side decides even when the other is NULL.
+            above = _compare(">=", value, lower)
+            below = _compare("<=", value, upper)
+            if above is False or below is False:
+                return negated
+            if above is None or below is None:
+                return None
+            return not negated
+
+        slot = self.local_slot(node.operand, scope)
+        if slot is not None and isinstance(node.low, ast.Literal) \
+                and isinstance(node.high, ast.Literal):
+            lower, upper = node.low.value, node.high.value
+            return lambda row, frame: decide(row[slot], lower, upper)
+        return lambda row, frame: decide(operand(row, frame), low(row, frame),
+                                         high(row, frame))
+
+    def _like(self, node: ast.Like, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        negated = node.negated
+        if isinstance(node.pattern, ast.Literal) and node.pattern.value is not None:
+            matches = _like_regex(node.pattern.value).match
+
+            def like_constant(row, frame):
+                value = operand(row, frame)
+                if value is None:
+                    return None
+                return (matches(str(value)) is not None) != negated
+            return like_constant
+        pattern = self.compile(node.pattern, scope)
+
+        def like(row, frame):
+            result = like_match(operand(row, frame), pattern(row, frame))
+            return None if result is None else result != negated
+        return like
+
+    def _in_list(self, node: ast.InList, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        negated = node.negated
+        if all(isinstance(item, ast.Literal) for item in node.items):
+            constants = tuple(item.value for item in node.items)
+            return lambda row, frame: _member(operand(row, frame), constants,
+                                              negated)
+        items = [self.compile(item, scope) for item in node.items]
+        # A generator, so items after a match are not evaluated.
+        return lambda row, frame: _member(
+            operand(row, frame), (item(row, frame) for item in items), negated)
+
+    def _in_subquery(self, node: ast.InSubquery, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
+        rows_of = self._plan_subquery(node.subquery, scope)
+        negated = node.negated
+        return lambda row, frame: _member(
+            operand(row, frame),
+            [found[0] for found in rows_of((frame[0], row, frame))], negated)
+
+    def _exists(self, node: ast.Exists, scope: Scope) -> Compiled:
+        rows_of = self._plan_subquery(node.subquery, scope)
+        negated = node.negated
+        return lambda row, frame: \
+            bool(rows_of((frame[0], row, frame))) != negated
+
+    def _scalar_subquery(self, node: ast.ScalarSubquery, scope: Scope) -> Compiled:
+        rows_of = self._plan_subquery(node.subquery, scope)
+
+        def scalar(row, frame):
+            rows = rows_of((frame[0], row, frame))
+            if not rows:
+                return None
+            if len(rows) > 1:
+                raise SqlError("scalar subquery returned more than one row")
+            if len(rows[0]) != 1:
+                raise SqlError("scalar subquery must return exactly one column")
+            return rows[0][0]
+        return scalar
+
+    def _case(self, node: ast.Case, scope: Scope) -> Compiled:
+        # CASE x WHEN v THEN ... is CASE WHEN x = v THEN ...
+        arms = [(self.compile(when.condition if node.operand is None else
+                              ast.Binary("=", node.operand, when.condition), scope),
+                 self.compile(when.result, scope)) for when in node.whens]
+        default = self.compile(node.default, scope) \
+            if node.default is not None else (lambda row, frame: None)
+
+        def case(row, frame):
+            for condition, result in arms:
+                if condition(row, frame) is True:
+                    return result(row, frame)
+            return default(row, frame)
+        return case
+
+    def _cast(self, node: ast.Cast, scope: Scope) -> Compiled:
+        operand = self.compile(node.operand, scope)
         target = TYPE_SYNONYMS.get(node.type_name)
         if target is None:
             raise SqlError(f"CAST to unknown type {node.type_name!r}")
-        return coerce(value, target)
+        return lambda row, frame: coerce(operand(row, frame), target)
 
-    def _eval_functioncall(self, node: ast.FunctionCall, env: Environment) -> Any:
+    def _function(self, node: ast.FunctionCall, scope: Scope) -> Compiled:
         if is_aggregate(node.name):
-            if id(node) in env.aggregates:
-                return env.aggregates[id(node)]
-            raise SqlError(
-                f"aggregate {node.name} used outside GROUP BY context")
+            if scope.aggregates is None or id(node) not in scope.aggregates:
+                raise SqlError(
+                    f"aggregate {node.name} used outside GROUP BY context")
+            slot = scope.aggregates[id(node)]
+            return lambda row, frame: row[slot]
         fn = SCALAR_FUNCTIONS.get(node.name)
         if fn is None:
             raise SqlError(f"unknown function {node.name}")
-        args = [self.evaluate(arg, env) for arg in node.args]
-        return fn(*args)
+        args = [self.compile(arg, scope) for arg in node.args]
+        return lambda row, frame: fn(*[arg(row, frame) for arg in args])
 
-    # -- helpers --------------------------------------------------------------
-
-    def _execute_subquery(self, select: ast.Select, env: Environment) -> list[tuple]:
-        if self._run_subquery is None:
-            raise SqlError("subqueries are not available in this context")
-        return self._run_subquery(select, env)
-
-
-def collect_aggregates(expression: Optional[ast.Expression]) -> list[ast.FunctionCall]:
-    """All aggregate FunctionCall nodes inside *expression* (not descending
-    into subqueries, which are evaluated in their own scope)."""
-    found: list[ast.FunctionCall] = []
-
-    def walk(node: Any) -> None:
-        if node is None:
-            return
-        if isinstance(node, ast.FunctionCall):
-            if is_aggregate(node.name):
-                found.append(node)
-                return  # nested aggregates are invalid; don't descend
-            for arg in node.args:
-                walk(arg)
-            return
-        if isinstance(node, (ast.ScalarSubquery, ast.InSubquery, ast.Exists)):
-            return
-        if isinstance(node, ast.Unary):
-            walk(node.operand)
-        elif isinstance(node, ast.Binary):
-            walk(node.left)
-            walk(node.right)
-        elif isinstance(node, ast.IsNull):
-            walk(node.operand)
-        elif isinstance(node, ast.InList):
-            walk(node.operand)
-            for item in node.items:
-                walk(item)
-        elif isinstance(node, ast.Between):
-            walk(node.operand)
-            walk(node.low)
-            walk(node.high)
-        elif isinstance(node, ast.Like):
-            walk(node.operand)
-            walk(node.pattern)
-        elif isinstance(node, ast.Case):
-            walk(node.operand)
-            for when in node.whens:
-                walk(when.condition)
-                walk(when.result)
-            walk(node.default)
-
-    walk(expression)
-    return found
+    _BUILDERS = {
+        ast.Literal: _literal, ast.ColumnRef: _column, ast.Param: _param,
+        ast.Star: _star, ast.Unary: _unary, ast.Binary: _binary,
+        ast.IsNull: _is_null, ast.Between: _between, ast.Like: _like,
+        ast.InList: _in_list, ast.InSubquery: _in_subquery,
+        ast.Exists: _exists, ast.ScalarSubquery: _scalar_subquery,
+        ast.Case: _case, ast.Cast: _cast, ast.FunctionCall: _function,
+    }

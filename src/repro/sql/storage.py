@@ -12,13 +12,14 @@ row map, and rollback swaps it back.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional
+from typing import AbstractSet, Any, Iterable, Iterator, Optional
 
 from repro.errors import IntegrityError
 from repro.sql.catalog import TableSchema
 from repro.sql.types import coerce
 
 Row = list[Any]
+_NO_ROWS: AbstractSet[int] = frozenset()
 
 
 class HashIndex:
@@ -54,9 +55,10 @@ class HashIndex:
             if not bucket:
                 del self._entries[key]
 
-    def lookup(self, key: tuple) -> frozenset[int]:
-        """Row ids whose indexed columns equal *key* (empty when none)."""
-        return frozenset(self._entries.get(key, frozenset()))
+    def lookup(self, key: tuple) -> AbstractSet[int]:
+        """Row ids whose indexed columns equal *key* (empty when none):
+        the index's own bucket, for reading only."""
+        return self._entries.get(key, _NO_ROWS)
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
@@ -148,6 +150,11 @@ class Table:
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Iterate (row_id, row) pairs in insertion order."""
         yield from list(self._rows.items())
+
+    def rows(self) -> Iterable[Row]:
+        """The stored rows in insertion order, uncopied: for readers that
+        finish before the table next changes."""
+        return self._rows.values()
 
     def __len__(self) -> int:
         return len(self._rows)

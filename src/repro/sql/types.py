@@ -51,6 +51,12 @@ TYPE_SYNONYMS: dict[str, SqlType] = {
 }
 
 
+#: The exact Python type :func:`coerce` stores for each column type.
+STORED_AS: dict[SqlType, type] = {
+    SqlType.INTEGER: int, SqlType.REAL: float, SqlType.TEXT: str,
+    SqlType.DATE: datetime.date, SqlType.BOOLEAN: bool}
+
+
 def parse_date(text: str) -> datetime.date:
     """Parse an ISO ``YYYY-MM-DD`` date literal."""
     try:

@@ -10,9 +10,18 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.apps.healthcare import build_healthcare_system
 from repro.sql.engine import Database
+
+# Loaded with ``--hypothesis-profile=ci`` by CI's sql-differential job:
+# ten times hypothesis's default example count, examples chosen by
+# ``--hypothesis-seed``.  Only tests/sql/test_differential_sqlite.py
+# takes its settings from the loaded profile; tier-1 loads none.
+settings.register_profile(
+    "ci", max_examples=10 * settings.get_profile("default").max_examples,
+    derandomize=False, deadline=None)
 
 
 @pytest.fixture(scope="session")
