@@ -38,7 +38,7 @@ from repro.bench import print_table
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry, RegistryShard
 from repro.core.sharding import (REGISTRY_SHARD_INTERFACE, HashRing,
-                                 RegistryShardServant, RemoteShard)
+                                 RegistryShardServant)
 from repro.core.system import WebFinditSystem
 from repro.oodb.database import ObjectDatabase
 from repro.orb.orb import Orb
@@ -71,8 +71,7 @@ def build_federation(shard_count):
             RegistryShardServant(RegistryShard(),
                                  service_time=SERVICE_TIME),
             REGISTRY_SHARD_INTERFACE, object_name=f"shard{index}")
-        handles.append(RemoteShard(orb.proxy(ior,
-                                             REGISTRY_SHARD_INTERFACE)))
+        handles.append(orb.proxy(ior, REGISTRY_SHARD_INTERFACE))
     return Registry(shards=handles,
                     ring=HashRing(range(shard_count), vnodes=VNODES))
 

@@ -88,9 +88,9 @@ class Browser:
         lines = [f"Information space (from co-database of "
                  f"{self.session.metadata_source}):"]
         for coalition in client.known_coalitions():
-            lines.append(f"  + {coalition['name']}  "
-                         f"[{coalition.get('information_type', '')}]")
-            for member in coalition.get("members", []):
+            lines.append(f"  + {coalition.name}  "
+                         f"[{coalition.information_type}]")
+            for member in coalition.members:
                 lines.append(f"      - {member}")
         return "\n".join(lines)
 

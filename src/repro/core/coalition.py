@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import MembershipError
+from repro.orb.cdr import register_value
 
 
 @dataclass
@@ -61,3 +62,11 @@ class Coalition:
                    parent=payload.get("parent"),
                    doc=payload.get("doc", ""),
                    members=list(payload.get("members", [])))
+
+    def copy(self) -> "Coalition":
+        """An independent copy (own member list): what a cache hands
+        each caller."""
+        return self.from_wire(vars(self))
+
+
+register_value("Coalition", Coalition, Coalition.to_wire, Coalition.from_wire)

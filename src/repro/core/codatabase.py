@@ -401,7 +401,10 @@ VERSIONED_OPERATIONS = frozenset({
 
 
 class CoDatabaseServant:
-    """CORBA servant exposing one co-database."""
+    """CORBA servant exposing one co-database: its reads (the model
+    objects they return are CDR value types and cross as themselves),
+    its ``memberships`` / ``owner`` / ``epoch`` attributes as
+    operations, and :meth:`versioned`."""
 
     def __init__(self, codatabase: CoDatabase):
         self._codb = codatabase
@@ -409,8 +412,8 @@ class CoDatabaseServant:
     def find_coalitions(self, query: str) -> list[dict[str, Any]]:
         return self._codb.find_coalitions(query)
 
-    def known_coalitions(self) -> list[dict[str, Any]]:
-        return [c.to_wire() for c in self._codb.known_coalitions()]
+    def known_coalitions(self) -> list[Coalition]:
+        return self._codb.known_coalitions()
 
     def memberships(self) -> list[str]:
         return list(self._codb.memberships)
@@ -418,17 +421,17 @@ class CoDatabaseServant:
     def subclasses_of(self, class_name: str) -> list[str]:
         return self._codb.subclasses_of(class_name)
 
-    def instances_of(self, class_name: str) -> list[dict[str, Any]]:
-        return [d.to_wire() for d in self._codb.instances_of(class_name)]
+    def instances_of(self, class_name: str) -> list[SourceDescription]:
+        return self._codb.instances_of(class_name)
 
-    def describe_instance(self, source_name: str) -> dict[str, Any]:
-        return self._codb.describe_instance(source_name).to_wire()
+    def describe_instance(self, source_name: str) -> SourceDescription:
+        return self._codb.describe_instance(source_name)
 
     def documents_of(self, source_name: str) -> list[dict[str, str]]:
         return self._codb.documents_of(source_name)
 
-    def service_links(self) -> list[dict[str, Any]]:
-        return [link.to_wire() for link in self._codb.service_links()]
+    def service_links(self) -> list[ServiceLink]:
+        return self._codb.service_links()
 
     def neighbor_databases(self) -> list[str]:
         return self._codb.neighbor_databases()

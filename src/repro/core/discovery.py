@@ -41,9 +41,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
 from repro.core.cachetier import BYPASS_ERRORS
+from repro.core.coalition import Coalition
 from repro.core.codatabase import CoDatabase, CoDatabaseServant
 from repro.core.metacache import CACHEABLE_OPERATIONS
-from repro.core.model import topic_score
+from repro.core.model import SourceDescription, topic_score
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
                                    call_policy)
 from repro.core.service_link import ServiceLink
@@ -82,6 +83,11 @@ class CoDatabaseClient:
       :attr:`calls`: the *remote* metadata-call currency of the S1
       benches.  Cache hits never increment it; nothing crosses the ORB
       to a co-database without incrementing it.
+
+    Whatever the route, a read answers with model objects (CDR value
+    types: a proxy delivers them as themselves) or plain structs, and
+    hands each caller its own copy of anything mutable — a cached value
+    or an in-process co-database's stored description is shared.
     """
 
     def __init__(self, target: Any, name: str, cache: Any = None):
@@ -109,10 +115,8 @@ class CoDatabaseClient:
     @property
     def failovers(self) -> int:
         """Failovers made on this client's behalf: its replica route's
-        count, 0 over anything else.  Asked of the target's *type* — a
-        Proxy instance answers every public name with a remote stub."""
-        target = self._target
-        return target.failovers if hasattr(type(target), "failovers") else 0
+        count, 0 over anything else."""
+        return getattr(self._target, "failovers", 0)
 
     def _call(self, operation: str, *args: Any) -> Any:
         cache = self._cache
@@ -141,12 +145,10 @@ class CoDatabaseClient:
         self.calls += 1
         target = self._target
         if isinstance(target, CoDatabase):
-            if operation == "versioned":
-                # The servant is what shapes and tags a read for a cache.
-                return CoDatabaseServant(target).versioned(*args)
-            if operation == "memberships":
-                return list(target.memberships)
-            return getattr(target, operation)(*args)
+            # In process, the operations are still the servant's: it is
+            # what tags a ``versioned`` read for a cache and answers
+            # ``memberships``; everything else it passes through.
+            return getattr(CoDatabaseServant(target), operation)(*args)
         # Every co-database operation is a metadata *read*: safe to
         # resend after an ambiguous transport failure, so flag it for
         # the pooled-connection retry in TcpTransport.
@@ -161,30 +163,24 @@ class CoDatabaseClient:
         return list(self._call("memberships"))
 
     def service_links(self) -> list[ServiceLink]:
-        links = self._call("service_links")
-        return [link if isinstance(link, ServiceLink)
-                else ServiceLink.from_wire(link) for link in links]
+        return list(self._call("service_links"))  # links are immutable
 
     def neighbor_databases(self) -> list[str]:
         return list(self._call("neighbor_databases"))
 
-    def known_coalitions(self) -> list[dict[str, Any]]:
-        coalitions = self._call("known_coalitions")
-        return [c.to_wire() if hasattr(c, "to_wire") else dict(c)
-                for c in coalitions]
+    def known_coalitions(self) -> list[Coalition]:
+        return [c.copy() for c in self._call("known_coalitions")]
 
     def subclasses_of(self, class_name: str) -> list[str]:
         return list(self._call("subclasses_of", class_name))
 
-    def instances_of(self, class_name: str) -> list[dict[str, Any]]:
-        instances = self._call("instances_of", class_name)
-        return [d.to_wire() if hasattr(d, "to_wire") else dict(d)
-                for d in instances]
+    def instances_of(self, class_name: str) -> list[SourceDescription]:
+        # Never cached, and built per call by the co-database (or the
+        # decoder): already the caller's own.
+        return list(self._call("instances_of", class_name))
 
-    def describe_instance(self, source_name: str) -> dict[str, Any]:
-        description = self._call("describe_instance", source_name)
-        return description.to_wire() if hasattr(description, "to_wire") \
-            else dict(description)
+    def describe_instance(self, source_name: str) -> SourceDescription:
+        return self._call("describe_instance", source_name).copy()
 
     def documents_of(self, source_name: str) -> list[dict[str, str]]:
         return [dict(d) for d in self._call("documents_of", source_name)]

@@ -13,6 +13,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+from repro.orb.cdr import register_value
+
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
 #: Words ignored when matching topics.
@@ -121,6 +123,11 @@ class SourceDescription:
             structure=list(payload.get("structure", [])),
         )
 
+    def copy(self) -> "SourceDescription":
+        """An independent copy — the wire form is the field set, read
+        back with its own lists: what a cache hands each caller."""
+        return self.from_wire(vars(self))
+
     def render(self) -> str:
         """The paper's advertisement syntax."""
         lines = [f"Information Source {self.name} {{"]
@@ -135,6 +142,10 @@ class SourceDescription:
             lines.append(f"    Interface {', '.join(self.interface)}")
         lines.append("}")
         return "\n".join(lines)
+
+
+register_value("SourceDescription", SourceDescription,
+               SourceDescription.to_wire, SourceDescription.from_wire)
 
 
 class Ontology:

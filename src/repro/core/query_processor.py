@@ -179,8 +179,7 @@ class QueryProcessor:
         if entry is None:
             return 0.0
         try:
-            members = [SourceDescription.from_wire(d) for d in
-                       self._client(entry).instances_of(lead.name)]
+            members = self._client(entry).instances_of(lead.name)
         except (UnknownDatabase, UnknownCoalition, WebFinditError):
             return 0.0
         if not members or not requested:
@@ -210,8 +209,7 @@ class QueryProcessor:
                 instances = self._client(entry).instances_of(lead.name)
             except (UnknownDatabase, UnknownCoalition, WebFinditError):
                 continue
-            for payload in instances:
-                description = SourceDescription.from_wire(payload)
+            for description in instances:
                 if description.name in seen:
                     continue
                 score = topic_score(statement.information,
@@ -295,8 +293,7 @@ class QueryProcessor:
     def _do_displayinstances(self, statement: ast.DisplayInstances,
                              session: Session) -> WtResult:
         client = self._client(session.metadata_source)
-        instances = [SourceDescription.from_wire(d)
-                     for d in client.instances_of(statement.class_name)]
+        instances = client.instances_of(statement.class_name)
         lines = [f"Instances of Class {statement.class_name}:"]
         for description in instances:
             lines.append(f"    {description.name}  "
@@ -312,13 +309,11 @@ class QueryProcessor:
         co-database does not know it."""
         client = self._client(session.metadata_source)
         try:
-            return SourceDescription.from_wire(
-                client.describe_instance(source_name))
+            return client.describe_instance(source_name)
         except UnknownDatabase:
             pass
         try:
-            return SourceDescription.from_wire(
-                self._client(source_name).describe_instance(source_name))
+            return self._client(source_name).describe_instance(source_name)
         except (UnknownDatabase, WebFinditError) as exc:
             raise UnknownDatabase(
                 f"no information source {source_name!r} reachable from "
@@ -413,8 +408,7 @@ class QueryProcessor:
         information sources' half of the paper's motivation."""
         coalition_name = statement.database_name
         entry = self._entry_for_coalition(coalition_name, session)
-        members = [SourceDescription.from_wire(d) for d in
-                   self._client(entry).instances_of(coalition_name)]
+        members = self._client(entry).instances_of(coalition_name)
         per_source: dict[str, Any] = {}
         errors_seen: dict[str, str] = {}
         for member in members:

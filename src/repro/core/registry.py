@@ -37,8 +37,9 @@ primitives to whichever shard the ring says owns each name:
   coordinator order, so every shard stores the same link ordering.
 
 ``Registry()`` is a ring of one in-process shard, ``Registry(shards=4)``
-a ring of four; the shard handles may equally be
-:class:`~repro.core.sharding.RemoteShard` proxies.  The partition never
+a ring of four; the shard handles may equally be proxies over
+:data:`~repro.core.sharding.REGISTRY_SHARD_INTERFACE`, whose operations
+are these primitives under the same names.  The partition never
 shows: any shard count performs the same counted co-database writes and
 fires the same invalidation sets (the invariant
 ``tests/core/test_sharding_properties.py`` locks down).
@@ -54,9 +55,10 @@ from repro.core.codatabase import CoDatabase
 from repro.core.model import Ontology, SourceDescription
 from repro.core.resilience import HealthBoard
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.sharding import HashRing, RemoteShard
+from repro.core.sharding import HashRing
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
+from repro.orb.orb import Proxy
 
 
 class RegistryShard:
@@ -263,8 +265,9 @@ class RegistryShard:
     def find_link(self, link: ServiceLink) -> Optional[ServiceLink]:
         """The stored link matching *link*'s identity (label + endpoint
         kinds), or None."""
+        label = link.label
         return next((existing for existing in self._links
-                     if existing.label == link.label
+                     if existing.label == label
                      and existing.from_kind == link.from_kind
                      and existing.to_kind == link.to_kind), None)
 
@@ -274,7 +277,14 @@ class RegistryShard:
         self._links.append(link)
 
     def remove_link(self, link: ServiceLink) -> None:
-        self._links.remove(link)
+        """Remove the stored link with *link*'s identity: the caller's
+        copy may have crossed GIOP, or lack the filled-in contact."""
+        stored = self.find_link(link)
+        if stored is None:
+            raise WebFinditError(
+                f"no stored link matches {link.from_name!r} -> "
+                f"{link.to_name!r}")
+        self._links.remove(stored)
 
     def service_links(self) -> list[ServiceLink]:
         return list(self._links)
@@ -291,7 +301,7 @@ class RegistryShard:
     })
 
     def codb_write(self, database_name: str, operation: str,
-                   *args) -> None:
+                   arguments: Sequence) -> None:
         """One counted maintenance write into an owned co-database.
 
         This is the unit the coordinator composes every operation from;
@@ -301,7 +311,7 @@ class RegistryShard:
             raise WebFinditError(
                 f"{operation!r} is not a co-database maintenance write")
         codatabase = self.codatabase(database_name)
-        getattr(codatabase, operation)(*args)
+        getattr(codatabase, operation)(*arguments)
         self.update_operations += 1
 
     def epoch_of(self, name: str) -> int:
@@ -333,7 +343,8 @@ class RegistryShard:
         }
 
 
-ShardHandle = Union[RegistryShard, RemoteShard]
+#: An in-process shard, or a proxy over REGISTRY_SHARD_INTERFACE.
+ShardHandle = Union[RegistryShard, Proxy]
 
 
 class Registry:
@@ -346,8 +357,8 @@ class Registry:
                  shards: Union[int, Sequence[ShardHandle]] = 1,
                  ring: Optional[HashRing] = None):
         """*shards* is a count of in-process shards to create, or the
-        handles (in-process, :class:`RemoteShard`, or a mix) to
-        coordinate; *ring* defaults to one over the shard indices."""
+        handles (in-process, typed proxies, or a mix) to coordinate;
+        *ring* defaults to one over the shard indices."""
         if isinstance(shards, int):
             shards = [RegistryShard(ontology, codatabase_factory)
                       for __ in range(shards)]
@@ -404,7 +415,7 @@ class Registry:
                 continue
             by_shard.setdefault(self.ring.owner(name), set()).add(name)
         for index in sorted(by_shard):
-            self.shards[index].notify_mutation(by_shard[index])
+            self.shards[index].notify_mutation(sorted(by_shard[index]))
 
     def shard_statuses(self) -> list[dict]:
         """Per-shard inspection rows for ``\\shards`` and metrics."""
@@ -557,7 +568,7 @@ class Registry:
         co-database — one counted write per lattice class."""
         shard = self._shard(database_name)
         for ancestor in reversed(self._coalition_chain(coalition)):
-            shard.codb_write(database_name, "register_coalition", ancestor)
+            shard.codb_write(database_name, "register_coalition", [ancestor])
 
     def join(self, database_name: str, coalition_name: str) -> None:
         """Join a database to a coalition, propagating metadata both ways."""
@@ -576,25 +587,25 @@ class Registry:
             child = self._shard(child_name).coalition(child_name)
             self._write_lattice(database_name, child)
         database_shard.codb_write(database_name, "record_membership",
-                                  coalition_name)
+                                  [coalition_name])
 
         # The joiner learns every existing member (and itself)...
         for member in members:
             member_description = self._shard(member).source(member)
             database_shard.codb_write(database_name, "add_member",
-                                      coalition_name, member_description)
+                                      [coalition_name, member_description])
         # ...and existing links involving the coalition.
         for link in self.service_links():
             if link.involves(EndpointKind.COALITION, coalition_name):
                 database_shard.codb_write(database_name, "add_service_link",
-                                          link)
+                                          [link])
 
         # Existing members learn the joiner.
         for member in members:
             if member == database_name:
                 continue
             self._shard(member).codb_write(member, "add_member",
-                                           coalition_name, description)
+                                           [coalition_name, description])
         self._notify(members)
 
     def leave(self, database_name: str, coalition_name: str) -> None:
@@ -610,7 +621,7 @@ class Registry:
                      if member != database_name]
         database_shard = self._shard(database_name)
         database_shard.codb_write(database_name, "forget_coalition",
-                                  coalition_name)
+                                  [coalition_name])
         # The leaver unlearns the coalition's links (join copied them
         # in) unless the locality rule still entitles it to them: as a
         # database endpoint, or through a coalition it remains in.
@@ -622,10 +633,10 @@ class Registry:
                     and not any(link.involves(EndpointKind.COALITION, other)
                                 for other in kept):
                 database_shard.codb_write(database_name,
-                                          "remove_service_link", link)
+                                          "remove_service_link", [link])
         for member in remaining:
             self._shard(member).codb_write(member, "remove_member",
-                                           coalition_name, database_name)
+                                           [coalition_name, database_name])
         self._notify([database_name, *remaining])
 
     # ------------------------------------------------------------ service links --
@@ -674,7 +685,7 @@ class Registry:
             shard.append_link(link)
         audience = self._audience_names(link)
         for name in audience:
-            self._shard(name).codb_write(name, "add_service_link", link)
+            self._shard(name).codb_write(name, "add_service_link", [link])
         self._notify(audience)
 
     def remove_service_link(self, link: ServiceLink) -> None:
@@ -685,7 +696,8 @@ class Registry:
             shard.remove_link(stored)
         audience = self._audience_names(stored)
         for name in audience:
-            self._shard(name).codb_write(name, "remove_service_link", stored)
+            self._shard(name).codb_write(name, "remove_service_link",
+                                         [stored])
         self._notify(audience)
 
     def service_links(self) -> list[ServiceLink]:
@@ -697,8 +709,8 @@ class Registry:
                         content: str, url: str = "") -> None:
         """Store documentation in the owner's co-database."""
         shard = self._shard(source_name)
-        shard.codb_write(source_name, "attach_document", source_name,
-                         format_name, content, url)
+        shard.codb_write(source_name, "attach_document",
+                         [source_name, format_name, content, url])
         shard.notify_mutation([source_name])
 
     # ------------------------------------------------------------- summary --

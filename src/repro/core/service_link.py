@@ -12,6 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import WebFinditError
+from repro.orb.cdr import register_value
 
 
 class EndpointKind(enum.Enum):
@@ -28,6 +29,10 @@ class EndpointKind(enum.Enum):
             raise WebFinditError(
                 f"service-link endpoint kind must be coalition or "
                 f"database, not {value!r}") from exc
+
+
+register_value("EndpointKind", EndpointKind,
+               lambda kind: kind.value, EndpointKind.parse)
 
 
 @dataclass(frozen=True)
@@ -94,3 +99,7 @@ class ServiceLink:
             information_type=payload.get("information_type", ""),
             description=payload.get("description", ""),
             contact=payload.get("contact", ""))
+
+
+register_value("ServiceLink", ServiceLink,
+               ServiceLink.to_wire, ServiceLink.from_wire)

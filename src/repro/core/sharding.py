@@ -13,8 +13,10 @@ from the shard-local primitives of
 
 Shards are exported over the ORB by :class:`RegistryShardServant`
 (interface :data:`REGISTRY_SHARD_INTERFACE`, bound at
-``webfindit/registry/shard<i>``); :class:`RemoteShard` presents a
-proxy-backed shard through the same primitive surface, so the
+``webfindit/registry/shard<i>``).  The interface *is* the primitive
+surface — same operation names, same arities — and the model objects
+the primitives exchange are CDR value types, so a remote shard handle
+is nothing more than ``orb.proxy(ior, REGISTRY_SHARD_INTERFACE)``: the
 coordinator does not care whether a shard is in-process or across GIOP.
 """
 
@@ -24,12 +26,8 @@ import bisect
 import hashlib
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterable
 
-from repro.core.coalition import Coalition
-from repro.core.codatabase import CoDatabase
-from repro.core.model import SourceDescription
-from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import WebFinditError
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 
@@ -127,13 +125,15 @@ class HashRing:
 # ---------------------------------------------------------------------------
 
 #: The registry-shard server interface: the shard-local primitive
-#: surface of :class:`RegistryShard`, plus the reads the coordinator
-#: fans out.
+#: surface of :class:`RegistryShard` under the same names, plus the
+#: reads the coordinator fans out.  ``codatabase`` is deliberately not
+#: here — co-database objects are shard-local; remote peers resolve the
+#: co-database servant through the naming service instead.
 REGISTRY_SHARD_INTERFACE: InterfaceDef = (
     InterfaceBuilder("RegistryShard", module="webfindit",
                      doc="One consistent-hash arc of the registry")
     .operation("has_source", "name")
-    .operation("get_source", "name")
+    .operation("source", "name")
     .operation("source_names")
     .operation("memberships_of", "name")
     .operation("coalitions_containing", "member")
@@ -142,7 +142,7 @@ REGISTRY_SHARD_INTERFACE: InterfaceDef = (
     .operation("leases")
     .operation("summary")
     .operation("has_coalition", "name")
-    .operation("get_coalition", "name")
+    .operation("coalition", "name")
     .operation("coalition_names")
     .operation("children_of", "name")
     .operation("service_links")
@@ -166,41 +166,25 @@ REGISTRY_SHARD_INTERFACE: InterfaceDef = (
     .operation("notify_mutation", "names")
     .build())
 
-
-def _encode_arg(value: Any) -> Any:
-    """CDR-friendly encoding of one primitive argument."""
-    if isinstance(value, SourceDescription):
-        return {"__kind__": "source", "value": value.to_wire()}
-    if isinstance(value, Coalition):
-        return {"__kind__": "coalition", "value": value.to_wire()}
-    if isinstance(value, ServiceLink):
-        return {"__kind__": "link", "value": value.to_wire()}
-    return value
-
-
-def _decode_arg(value: Any) -> Any:
-    if isinstance(value, dict) and "__kind__" in value:
-        kind = value["__kind__"]
-        payload = value.get("value", {})
-        if kind == "source":
-            return SourceDescription.from_wire(payload)
-        if kind == "coalition":
-            return Coalition.from_wire(payload)
-        if kind == "link":
-            return ServiceLink.from_wire(payload)
-        raise WebFinditError(f"unknown wire argument kind {kind!r}")
-    return value
+#: The operations that commit to the shard's store and so pay the
+#: modelled per-write ``service_time``.
+COMMIT_OPERATIONS = frozenset({
+    "add_source", "refresh_advertisement", "refresh_member", "drop_source",
+    "put_coalition", "drop_coalition", "coalition_add_member",
+    "coalition_remove_member", "codb_write"})
 
 
 class RegistryShardServant:
-    """CORBA servant exposing one shard's registry primitives.
+    """CORBA skeleton of one :class:`RegistryShard`.
 
-    A shard server is a single authoritative writer for its arc, so the
-    servant serializes every operation under one lock (the in-process
-    :class:`RegistryShard` is not thread-safe).  ``service_time`` models the
-    per-write commit cost of a real registry server; bench S12 uses it
-    to measure how aggregate throughput scales when independent shard
-    endpoints absorb that cost concurrently.
+    Every operation of :data:`REGISTRY_SHARD_INTERFACE` is the shard's
+    same-named primitive; the skeleton adds only what a server adds.  A
+    shard server is a single authoritative writer for its arc, so every
+    operation runs under one lock (the in-process :class:`RegistryShard`
+    is not thread-safe).  ``service_time`` models the per-write commit
+    cost of a real registry server on the :data:`COMMIT_OPERATIONS`;
+    bench S12 uses it to measure how aggregate throughput scales when
+    independent shard endpoints absorb that cost concurrently.
     """
 
     def __init__(self, registry: RegistryShard, service_time: float = 0.0):
@@ -208,297 +192,18 @@ class RegistryShardServant:
         self.service_time = service_time
         self._lock = threading.Lock()
 
-    def _commit_cost(self) -> None:
-        if self.service_time > 0:
-            time.sleep(self.service_time)
-
-    # ----------------------------------------------------------------- reads --
-
-    def has_source(self, name: str) -> bool:
-        with self._lock:
-            return self.registry.has_source(name)
-
-    def get_source(self, name: str) -> dict:
-        with self._lock:
-            return self.registry.source(name).to_wire()
-
-    def source_names(self) -> list[str]:
-        with self._lock:
-            return self.registry.source_names()
-
-    def memberships_of(self, name: str) -> list[str]:
-        with self._lock:
-            return self.registry.memberships_of(name)
-
-    def coalitions_containing(self, member: str) -> list[str]:
-        with self._lock:
-            return self.registry.coalitions_containing(member)
-
-    def epochs(self) -> dict:
-        with self._lock:
-            return self.registry.epochs()
-
-    def epoch_of(self, name: str) -> int:
-        with self._lock:
-            return self.registry.epoch_of(name)
-
-    def leases(self) -> dict:
-        with self._lock:
-            return self.registry.leases()
-
-    def summary(self) -> dict:
-        with self._lock:
-            return self.registry.summary()
-
-    def has_coalition(self, name: str) -> bool:
-        with self._lock:
-            return self.registry.has_coalition(name)
-
-    def get_coalition(self, name: str) -> dict:
-        with self._lock:
-            return self.registry.coalition(name).to_wire()
-
-    def coalition_names(self) -> list[str]:
-        with self._lock:
-            return self.registry.coalition_names()
-
-    def children_of(self, name: str) -> list[str]:
-        with self._lock:
-            return self.registry.children_of(name)
-
-    def service_links(self) -> list[dict]:
-        with self._lock:
-            return [link.to_wire() for link in self.registry.service_links()]
-
-    def find_link(self, link: dict) -> Optional[dict]:
-        with self._lock:
-            stored = self.registry.find_link(ServiceLink.from_wire(link))
-            return stored.to_wire() if stored is not None else None
-
-    def shard_status(self) -> dict:
-        with self._lock:
-            return self.registry.shard_status()
-
-    # ------------------------------------------------------------- mutations --
-
-    def add_source(self, description: dict, codatabase_product: str) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.add_source(SourceDescription.from_wire(description),
-                                     codatabase_product or "ObjectStore")
-            return True
-
-    def refresh_advertisement(self, description: dict) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.refresh_advertisement(
-                SourceDescription.from_wire(description))
-            return True
-
-    def refresh_member(self, member_name: str, coalition_name: str,
-                       description: dict) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.refresh_member(
-                member_name, coalition_name,
-                SourceDescription.from_wire(description))
-            return True
-
-    def drop_source(self, name: str) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.drop_source(name)
-            return True
-
-    def drop_links_involving(self, kind: str, name: str) -> bool:
-        with self._lock:
-            self.registry.drop_links_involving(EndpointKind.parse(kind), name)
-            return True
-
-    def put_coalition(self, coalition: dict) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.put_coalition(Coalition.from_wire(coalition))
-            return True
-
-    def drop_coalition(self, name: str) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.drop_coalition(name)
-            return True
-
-    def note_child(self, parent: str, child: str) -> bool:
-        with self._lock:
-            self.registry.note_child(parent, child)
-            return True
-
-    def forget_child(self, parent: str, child: str) -> bool:
-        with self._lock:
-            self.registry.forget_child(parent, child)
-            return True
-
-    def coalition_add_member(self, coalition_name: str,
-                             database_name: str) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.coalition_add_member(coalition_name, database_name)
-            return True
-
-    def coalition_remove_member(self, coalition_name: str,
-                                database_name: str) -> bool:
-        with self._lock:
-            self._commit_cost()
-            self.registry.coalition_remove_member(coalition_name,
-                                                  database_name)
-            return True
-
-    def append_link(self, link: dict) -> bool:
-        with self._lock:
-            self.registry.append_link(ServiceLink.from_wire(link))
-            return True
-
-    def remove_link(self, link: dict) -> bool:
-        with self._lock:
-            stored = self.registry.find_link(ServiceLink.from_wire(link))
-            if stored is None:
-                raise WebFinditError(
-                    f"no stored link matches {link.get('from_name')!r} -> "
-                    f"{link.get('to_name')!r}")
-            self.registry.remove_link(stored)
-            return True
-
-    def codb_write(self, database_name: str, operation: str,
-                   arguments: list) -> bool:
-        with self._lock:
-            self._commit_cost()
-            decoded = [_decode_arg(argument) for argument in arguments]
-            self.registry.codb_write(database_name, operation, *decoded)
-            return True
-
-    def notify_mutation(self, names: list[str]) -> bool:
-        with self._lock:
-            self.registry.notify_mutation(names)
-            return True
-
-
-class RemoteShard:
-    """A proxy-backed shard handle with the same primitive surface a
-    local :class:`RegistryShard` offers, so the coordinator orchestrates
-    identically over in-process and GIOP shards."""
-
-    def __init__(self, proxy):
-        self._proxy = proxy
-
-    # ----------------------------------------------------------------- reads --
-
-    def has_source(self, name: str) -> bool:
-        return bool(self._proxy.invoke("has_source", name))
-
-    def source(self, name: str) -> SourceDescription:
-        return SourceDescription.from_wire(self._proxy.invoke("get_source",
-                                                              name))
-
-    def source_names(self) -> list[str]:
-        return list(self._proxy.invoke("source_names"))
-
-    def memberships_of(self, name: str) -> list[str]:
-        return list(self._proxy.invoke("memberships_of", name))
-
-    def coalitions_containing(self, member: str) -> list[str]:
-        return list(self._proxy.invoke("coalitions_containing", member))
-
-    def epochs(self) -> dict:
-        return dict(self._proxy.invoke("epochs"))
-
-    def epoch_of(self, name: str) -> int:
-        return int(self._proxy.invoke("epoch_of", name))
-
-    def leases(self) -> dict:
-        return dict(self._proxy.invoke("leases"))
-
-    def summary(self) -> dict:
-        return dict(self._proxy.invoke("summary"))
-
-    def has_coalition(self, name: str) -> bool:
-        return bool(self._proxy.invoke("has_coalition", name))
-
-    def coalition(self, name: str) -> Coalition:
-        return Coalition.from_wire(self._proxy.invoke("get_coalition", name))
-
-    def coalition_names(self) -> list[str]:
-        return list(self._proxy.invoke("coalition_names"))
-
-    def children_of(self, name: str) -> list[str]:
-        return list(self._proxy.invoke("children_of", name))
-
-    def service_links(self) -> list[ServiceLink]:
-        return [ServiceLink.from_wire(payload)
-                for payload in self._proxy.invoke("service_links")]
-
-    def find_link(self, link: ServiceLink) -> Optional[ServiceLink]:
-        payload = self._proxy.invoke("find_link", link.to_wire())
-        return ServiceLink.from_wire(payload) if payload else None
-
-    def shard_status(self) -> dict:
-        return dict(self._proxy.invoke("shard_status"))
-
-    def codatabase(self, name: str) -> CoDatabase:
-        raise WebFinditError(
-            "co-database objects are shard-local; resolve the co-database "
-            "servant through the naming service instead")
-
-    # ------------------------------------------------------------- mutations --
-
-    def add_source(self, description: SourceDescription,
-                   codatabase_product: str = "ObjectStore") -> None:
-        self._proxy.invoke("add_source", description.to_wire(),
-                           codatabase_product)
-
-    def refresh_advertisement(self, description: SourceDescription) -> None:
-        self._proxy.invoke("refresh_advertisement", description.to_wire())
-
-    def refresh_member(self, member_name: str, coalition_name: str,
-                       description: SourceDescription) -> None:
-        self._proxy.invoke("refresh_member", member_name, coalition_name,
-                           description.to_wire())
-
-    def drop_source(self, name: str) -> None:
-        self._proxy.invoke("drop_source", name)
-
-    def drop_links_involving(self, kind: EndpointKind, name: str) -> None:
-        self._proxy.invoke("drop_links_involving", kind.value, name)
-
-    def put_coalition(self, coalition: Coalition) -> None:
-        self._proxy.invoke("put_coalition", coalition.to_wire())
-
-    def drop_coalition(self, name: str) -> None:
-        self._proxy.invoke("drop_coalition", name)
-
-    def note_child(self, parent: str, child: str) -> None:
-        self._proxy.invoke("note_child", parent, child)
-
-    def forget_child(self, parent: str, child: str) -> None:
-        self._proxy.invoke("forget_child", parent, child)
-
-    def coalition_add_member(self, coalition_name: str,
-                             database_name: str) -> None:
-        self._proxy.invoke("coalition_add_member", coalition_name,
-                           database_name)
-
-    def coalition_remove_member(self, coalition_name: str,
-                                database_name: str) -> None:
-        self._proxy.invoke("coalition_remove_member", coalition_name,
-                           database_name)
-
-    def append_link(self, link: ServiceLink) -> None:
-        self._proxy.invoke("append_link", link.to_wire())
-
-    def remove_link(self, link: ServiceLink) -> None:
-        self._proxy.invoke("remove_link", link.to_wire())
-
-    def codb_write(self, database_name: str, operation: str, *args) -> None:
-        self._proxy.invoke("codb_write", database_name, operation,
-                           [_encode_arg(argument) for argument in args])
-
-    def notify_mutation(self, names: Iterable[str]) -> None:
-        self._proxy.invoke("notify_mutation", sorted(set(names)))
+    def __getattr__(self, operation: str) -> Callable[..., Any]:
+        if REGISTRY_SHARD_INTERFACE.find_operation(operation) is None:
+            raise AttributeError(operation)
+        primitive = getattr(self.registry, operation)
+
+        def locked(*arguments: Any) -> Any:
+            with self._lock:
+                if operation in COMMIT_OPERATIONS and self.service_time > 0:
+                    time.sleep(self.service_time)
+                result = primitive(*arguments)
+            # add_source answers in-process callers with the new
+            # CoDatabase, which is shard-local and not a wire value.
+            return None if operation == "add_source" else result
+
+        return locked

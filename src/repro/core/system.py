@@ -56,8 +56,8 @@ from repro.oodb.database import ObjectDatabase
 from repro.orb.ior import Ior
 from repro.orb.naming import start_naming_service
 from repro.orb.orb import Orb
-from repro.orb.products import (ORBIX, ORBIXWEB, VISIBROKER, OrbProduct,
-                                create_orb, get_product)
+from repro.orb.products import (ORBIX, VISIBROKER, OrbProduct, create_orb,
+                                get_product)
 from repro.orb.transport import InMemoryNetwork, Transport
 from repro.sql.engine import Database
 from repro.wrappers.base import ExportedType, InformationSourceInterface
@@ -765,7 +765,3 @@ class WebFinditSystem:
             transport_metrics.reset()
         for orb in [self._system_orb, *self._orbs.values()]:
             orb.stats.reset()
-
-
-#: Convenience re-export of the paper's product trio for deployments.
-PRODUCT_TRIO = (ORBIX, ORBIXWEB, VISIBROKER)

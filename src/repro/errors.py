@@ -129,8 +129,10 @@ class LeaseExpired(QuorumError):
     """The primary's lease lapsed before the write could be issued."""
 
 
-class BadOperation(OrbError):
-    """The operation is not part of the target interface."""
+class BadOperation(OrbError, AttributeError):
+    """The operation is not part of the target interface.  Also an
+    :class:`AttributeError`: a typed stub has no such attribute, so
+    ``hasattr(proxy, name)`` answers from the interface."""
 
 
 class IdlError(OrbError):

@@ -21,6 +21,7 @@ from typing import Any, Optional
 from repro.errors import GatewayError
 from repro.gateway.api import Connection
 from repro.gateway.drivers import parse_url
+from repro.orb.cdr import register_value
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 from repro.orb.ior import Ior
 from repro.orb.naming import NamingClient
@@ -33,7 +34,7 @@ DATABASE_INTERFACE: InterfaceDef = (
     InterfaceBuilder("DatabaseServer", module="webfindit",
                      doc="SQL access to one wrapped database")
     .operation("execute", "sql", "params",
-               doc="Run one statement; returns {columns, rows, rowcount}")
+               doc="Run one statement; returns its ResultSet")
     .operation("banner", doc="Vendor banner of the wrapped database")
     .operation("table_names", doc="Visible table names")
     .build())
@@ -55,15 +56,19 @@ def result_from_wire(payload: dict[str, Any]) -> ResultSet:
                      rowcount=int(payload.get("rowcount", 0)))
 
 
+# Registered here, not beside the class: repro.sql imports nothing from
+# repro.orb, and this bridge is where a ResultSet first meets the wire.
+register_value("ResultSet", ResultSet, result_to_wire, result_from_wire)
+
+
 class DatabaseServant:
     """CORBA servant exposing one relational database."""
 
     def __init__(self, database: Database):
         self._database = database
 
-    def execute(self, sql: str, params: list[Any]) -> dict[str, Any]:
-        result = self._database.execute(sql, params or None)
-        return result_to_wire(result)
+    def execute(self, sql: str, params: list[Any]) -> ResultSet:
+        return self._database.execute(sql, params or None)
 
     def banner(self) -> str:
         return self._database.banner
@@ -89,11 +94,11 @@ class RemoteConnection(Connection):
 
     def _run(self, sql: str, params: list[Any]) -> ResultSet:
         self._check_open()
-        payload = self._proxy.invoke("execute", sql, params)
-        if not isinstance(payload, dict):
+        result = self._proxy.invoke("execute", sql, params)
+        if not isinstance(result, ResultSet):
             raise GatewayError(
-                f"remote database returned malformed payload: {payload!r}")
-        return result_from_wire(payload)
+                f"remote database returned malformed payload: {result!r}")
+        return result
 
     @property
     def banner(self) -> str:

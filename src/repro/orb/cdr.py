@@ -7,9 +7,13 @@ the message flags.  This module implements a faithful subset:
 * aligned primitives — octet, boolean, short, long, long long, double;
 * strings — unsigned long length (including NUL), UTF-8 bytes, NUL;
 * sequences — unsigned long count then elements;
-* and a tagged ``any`` encoding that lets the RPC layer ship Python
+* a tagged ``any`` encoding that lets the RPC layer ship Python
   values (None, bool, int, float, str, bytes, date, list, tuple, dict)
-  without a compiled IDL type for each.
+  without a compiled IDL type for each;
+* and *value types* — CORBA's ``valuetype``: a class registered with
+  :func:`register_value` crosses the wire as itself (``TAG_VALUE``,
+  its type id, then its registered wire form), so the codec is the
+  one place that knows how a model object crosses the wire.
 
 Encoders and decoders track absolute stream position so alignment
 padding matches on both sides.
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 import datetime
 import struct
-from typing import Any
+from typing import Any, Callable
 
 from repro.errors import MarshalError
 
@@ -36,10 +40,47 @@ TAG_DATE = 8          # days since epoch, as long
 TAG_SEQUENCE = 9
 TAG_STRUCT = 10       # string-keyed map
 TAG_BIGINT = 11       # arbitrary precision: sign octet + byte count + bytes
+TAG_VALUE = 12        # registered value type: type id string + its wire form
+
+#: Containers (sequence, struct, value) one ``any`` may nest.  The
+#: deepest legitimate value — a row in a result in a struct in a reply —
+#: is 4; the bound only has to stay well under the interpreter's
+#: recursion limit, so that deeper input (a hostile frame, a list that
+#: contains itself) is a MarshalError, not a RecursionError.  Encoder and
+#: decoder count in ``_depth`` on entering a container and restore it on
+#: leaving — not when a nested call raises: that object is finished.
+MAX_NESTING = 64
+_TOO_DEEP = "CDR value nested too deeply"
 
 _INT32_MIN, _INT32_MAX = -2**31, 2**31 - 1
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 _EPOCH = datetime.date(1970, 1, 1)
+
+#: Registered value types, for the encoder by class and for the decoder
+#: by type id.  The id travels as a CDR string; both sides keep it as
+#: that string's octets, NUL included, and move it as an octet sequence
+#: (the same bytes) — no UTF-8 round trip per value.
+_VALUES_BY_CLASS: dict[type, tuple[bytes, Callable[[Any], Any]]] = {}
+_VALUES_BY_ID: dict[bytes, tuple[type, Callable[[Any], Any]]] = {}
+
+
+def register_value(type_id: str, cls: type,
+                   to_wire: Callable[[Any], Any],
+                   from_wire: Callable[[Any], Any]) -> None:
+    """Make instances of exactly *cls* marshal as themselves.
+
+    ``to_wire(instance)`` produces a value the ``any`` encoding already
+    carries (typically a struct) and ``from_wire`` rebuilds the instance
+    from it.  Called at import time by the module that owns *cls*: both
+    ends agree on the wire form by importing the class.  The encoder
+    consults the registry only for values nothing else in the ``any``
+    ladder claims — a plain struct is just a struct.
+    """
+    octets = type_id.encode("utf-8") + b"\x00"
+    if _VALUES_BY_ID.get(octets, (cls,))[0] is not cls:
+        raise MarshalError(f"value type id {type_id!r} is already taken")
+    _VALUES_BY_CLASS[cls] = (octets, to_wire)
+    _VALUES_BY_ID[octets] = (cls, from_wire)
 
 
 class CdrEncoder:
@@ -51,6 +92,7 @@ class CdrEncoder:
         self._size = 0
         self._joined: bytes | None = None
         self._fmt = "<" if little_endian else ">"
+        self._depth = 0
 
     # -- low level ------------------------------------------------------------
 
@@ -142,23 +184,36 @@ class CdrEncoder:
                 value, datetime.datetime):
             self.write_octet(TAG_DATE)
             self.write_long((value - _EPOCH).days)
-        elif isinstance(value, (list, tuple)):
-            self.write_octet(TAG_SEQUENCE)
-            self.write_ulong(len(value))
-            for item in value:
-                self.write_any(item)
-        elif isinstance(value, dict):
-            self.write_octet(TAG_STRUCT)
-            self.write_ulong(len(value))
-            for key, item in value.items():
-                if not isinstance(key, str):
-                    raise MarshalError(
-                        f"struct keys must be strings, got {key!r}")
-                self.write_string(key)
-                self.write_any(item)
         else:
-            raise MarshalError(
-                f"cannot marshal {type(value).__name__} value {value!r}")
+            depth = self._depth = self._depth + 1
+            if depth > MAX_NESTING:
+                raise MarshalError(_TOO_DEEP)
+            if isinstance(value, (list, tuple)):
+                self.write_octet(TAG_SEQUENCE)
+                self.write_ulong(len(value))
+                for item in value:
+                    self.write_any(item)
+            elif isinstance(value, dict):
+                self.write_octet(TAG_STRUCT)
+                self.write_ulong(len(value))
+                for key, item in value.items():
+                    if not isinstance(key, str):
+                        raise MarshalError(
+                            f"struct keys must be strings, got {key!r}")
+                    self.write_string(key)
+                    self.write_any(item)
+            else:
+                # Last resort, never a pre-check: every value the ladder
+                # above claims keeps the bytes it always had.
+                registered = _VALUES_BY_CLASS.get(type(value))
+                if registered is None:
+                    raise MarshalError(
+                        f"cannot marshal {type(value).__name__} "
+                        f"value {value!r}")
+                self.write_octet(TAG_VALUE)
+                self.write_octets(registered[0])
+                self.write_any(registered[1](value))
+            self._depth = depth - 1
 
     def getvalue(self) -> bytes:
         # The GIOP framer calls this twice per message (once for the
@@ -193,6 +248,7 @@ class CdrDecoder:
         self._pos = offset
         self.little_endian = little_endian
         self._fmt = "<" if little_endian else ">"
+        self._depth = 0
 
     # -- low level -----------------------------------------------------------
 
@@ -287,17 +343,38 @@ class CdrDecoder:
                 return _EPOCH + datetime.timedelta(days=self.read_long())
             except OverflowError as exc:
                 raise MarshalError("CDR date out of range") from exc
-        if tag == TAG_SEQUENCE:
-            count = self.read_ulong()
-            return [self.read_any() for _ in range(count)]
-        if tag == TAG_STRUCT:
-            count = self.read_ulong()
-            result: dict[str, Any] = {}
-            for _ in range(count):
-                key = self.read_string()
-                result[key] = self.read_any()
-            return result
+        if tag == TAG_SEQUENCE or tag == TAG_STRUCT or tag == TAG_VALUE:
+            depth = self._depth = self._depth + 1
+            if depth > MAX_NESTING:
+                raise MarshalError(_TOO_DEEP)
+            if tag == TAG_SEQUENCE:
+                value = [self.read_any() for _ in range(self.read_ulong())]
+            elif tag == TAG_STRUCT:
+                value = {}
+                for _ in range(self.read_ulong()):
+                    key = self.read_string()
+                    value[key] = self.read_any()
+            else:
+                value = self._read_value()
+            self._depth = depth - 1
+            return value
         raise MarshalError(f"unknown CDR any tag {tag}")
+
+    def _read_value(self) -> Any:
+        type_id = self.read_octets()
+        registered = _VALUES_BY_ID.get(type_id)
+        if registered is None:
+            raise MarshalError(f"unknown CDR value type {type_id!r}")
+        payload = self.read_any()
+        try:
+            return registered[1](payload)
+        except Exception as exc:  # noqa: BLE001 - decode boundary
+            # The rebuild hook is the owning module's code run on
+            # outside input: whatever a payload of the wrong shape makes
+            # it raise is a marshalling fault (cause chained), not the
+            # caller's AttributeError.
+            raise MarshalError(
+                f"malformed {registered[0].__name__} value: {exc}") from exc
 
     @property
     def position(self) -> int:

@@ -94,7 +94,8 @@ class Proxy:
 
     ``proxy.find_sources("Medical")`` marshals the call through the
     owning ORB.  The optional interface enables client-side operation
-    checking before any bytes move.
+    checking before any bytes move: a typed proxy stubs only what it
+    declares (else :class:`BadOperation`), an untyped one every name.
     """
 
     def __init__(self, orb: "Orb", ior: Ior,
@@ -116,6 +117,8 @@ class Proxy:
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
+        if self._interface is not None:
+            self._interface.operation(name)
 
         def remote_call(*args: Any) -> Any:
             return self.invoke(name, *args)

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
+# Imported for its registration: a native query answers with a
+# ResultSet, which crosses this interface as a CDR value type.
+import repro.gateway.bridge  # noqa: F401
 from repro.errors import AccessError
-from repro.gateway.bridge import result_from_wire, result_to_wire
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 from repro.orb.ior import Ior
 from repro.orb.orb import Orb, Proxy
-from repro.sql.result import ResultSet
 from repro.wrappers.base import (ExportedAttribute, ExportedFunction,
                                  ExportedType, InformationSourceInterface)
 
@@ -32,29 +33,6 @@ ISI_INTERFACE: InterfaceDef = (
     .build())
 
 
-def _value_to_wire(value: Any) -> Any:
-    if isinstance(value, ResultSet):
-        payload = result_to_wire(value)
-        payload["__kind__"] = "resultset"
-        return payload
-    if isinstance(value, list) and value and isinstance(value[0], dict):
-        return {"__kind__": "dictrows", "rows": value}
-    return {"__kind__": "scalar", "value": value}
-
-
-def _value_from_wire(payload: Any) -> Any:
-    if not isinstance(payload, dict):
-        return payload
-    kind = payload.get("__kind__")
-    if kind == "resultset":
-        return result_from_wire(payload)
-    if kind == "dictrows":
-        return payload["rows"]
-    if kind == "scalar":
-        return payload["value"]
-    return payload
-
-
 class IsiServant:
     """CORBA servant exposing any local ISI."""
 
@@ -65,12 +43,11 @@ class IsiServant:
         return self._isi.describe()
 
     def execute_native(self, query: str, params: list[Any]) -> Any:
-        return _value_to_wire(self._isi.execute_native(query, params or None))
+        return self._isi.execute_native(query, params or None)
 
     def invoke(self, type_name: str, function_name: str,
                args: list[Any]) -> Any:
-        return _value_to_wire(self._isi.invoke(type_name, function_name,
-                                               args))
+        return self._isi.invoke(type_name, function_name, args)
 
 
 def serve_isi(orb: Orb, isi: InformationSourceInterface,
@@ -122,18 +99,16 @@ class RemoteIsi(InformationSourceInterface):
 
     def execute_native(self, query: str,
                        params: Optional[Sequence[Any]] = None) -> Any:
-        return _value_from_wire(
-            self._proxy.invoke("execute_native", query,
-                               list(params) if params else []))
+        return self._proxy.invoke("execute_native", query,
+                                  list(params) if params else [])
 
     def invoke(self, type_name: str, function_name: str,
                args: Sequence[Any]) -> Any:
         # Forward without local binding checks: the authoritative
         # interface lives with the remote wrapper.
         self.invocations += 1
-        return _value_from_wire(
-            self._proxy.invoke("invoke", type_name, function_name,
-                               list(args)))
+        return self._proxy.invoke("invoke", type_name, function_name,
+                                  list(args))
 
     def _run_binding(self, fn: ExportedFunction,
                      args: list[Any]) -> Any:  # pragma: no cover - unused

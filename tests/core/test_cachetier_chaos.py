@@ -58,8 +58,8 @@ def epsilon_visible_from(system, observer):
     """Does *observer*'s co-database (read through the tier) currently
     list Epsilon as a Cardio member?"""
     for coalition in system.codatabase_client(observer).known_coalitions():
-        if coalition["name"] == "Cardio":
-            return "Epsilon" in coalition["members"]
+        if coalition.name == "Cardio":
+            return "Epsilon" in coalition.members
     return False
 
 

@@ -7,6 +7,7 @@ from repro.core.coalition import Coalition
 from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import UnknownCoalition, UnknownDatabase
+from repro.orb.cdr import decode_any, encode_any
 
 
 def description(name, info="Medical", **kwargs):
@@ -180,13 +181,21 @@ class TestServant:
         assert servant.memberships() == ["Research", "Medical"]
         matches = servant.find_coalitions("Medical Research")
         assert isinstance(matches[0], dict)
+        # Model objects are CDR value types: the servant hands them to
+        # the ORB as themselves and they arrive as equal objects.
         instances = servant.instances_of("Research")
-        assert all(isinstance(d, dict) for d in instances)
+        assert all(isinstance(d, SourceDescription) for d in instances)
+        assert decode_any(encode_any(instances)) == instances
         described = servant.describe_instance("QUT")
-        assert described["name"] == "QUT"
+        assert described.name == "QUT"
         codb.add_service_link(ServiceLink(
             EndpointKind.DATABASE, "RBH", EndpointKind.DATABASE, "X"))
-        assert isinstance(servant.service_links()[0], dict)
+        links = servant.service_links()
+        assert isinstance(links[0], ServiceLink)
+        assert decode_any(encode_any(links)) == links
+        coalitions = servant.known_coalitions()
+        assert isinstance(coalitions[0], Coalition)
+        assert decode_any(encode_any(coalitions)) == coalitions
 
 
 class TestTopicProximity:

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.core.coalition import Coalition
+from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
 from repro.core.discovery import CoDatabaseClient, DiscoveryEngine
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import DiscoveryFailure
+from repro.orb import Orb
 
 
 def description(name, info):
@@ -128,4 +131,31 @@ class TestClientAdapter:
         links = local.service_links()
         assert links and links[0].to_name == "Insurance"
         instance = local.describe_instance("RBH")
-        assert instance["information_type"] == "Research and Medical"
+        assert instance.information_type == "Research and Medical"
+
+    def test_every_read_answers_the_same_objects_over_giop(self, world):
+        """Model objects are CDR value types: a proxy-backed client and
+        an in-process one return equal objects of the same classes."""
+        orb = Orb(name="codb")
+        ior = orb.activate(CoDatabaseServant(world.codatabase("RBH")),
+                           CODATABASE_INTERFACE, object_name="RBH")
+        wire = CoDatabaseClient.for_proxy(
+            orb.proxy(ior, CODATABASE_INTERFACE), "RBH")
+        local = CoDatabaseClient.for_local(world.codatabase("RBH"))
+        reads = [("memberships",), ("service_links",),
+                 ("neighbor_databases",), ("known_coalitions",),
+                 ("find_coalitions", "Medical"),
+                 ("subclasses_of", "Medical"), ("instances_of", "Medical"),
+                 ("describe_instance", "RBH"), ("documents_of", "RBH")]
+        for operation, *args in reads:
+            ours = getattr(wire, operation)(*args)
+            theirs = getattr(local, operation)(*args)
+            assert ours == theirs, operation
+            assert type(ours) is type(theirs), operation
+            if isinstance(ours, list):
+                assert [type(item) for item in ours] \
+                    == [type(item) for item in theirs], operation
+        assert wire.calls == local.calls == len(reads)
+        assert isinstance(wire.describe_instance("RBH"), SourceDescription)
+        assert isinstance(wire.known_coalitions()[0], Coalition)
+        assert isinstance(wire.service_links()[0], ServiceLink)

@@ -5,6 +5,7 @@ import threading
 
 import pytest
 
+from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
 from repro.core.discovery import (SKIPPED, TIMED_OUT, TRIPPED, UNREACHABLE,
                                   CoDatabaseClient, DegradedReport,
                                   DiscoveryEngine)
@@ -14,6 +15,9 @@ from repro.core.resilience import (Deadline, HealthBoard, ResiliencePolicy,
                                    RetryPolicy)
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import CommFailure, DeadlineExceeded
+from repro.orb import CdrEncoder, InMemoryNetwork, Orb
+
+from tests.orb.test_cdr import nested_sequences
 
 
 def build_world():
@@ -237,3 +241,39 @@ class TestDegradedDiscovery:
         with pytest.raises(CommFailure):
             engine.discover("anything", "QUT",
                             deadline=Deadline.after(30.0))
+
+    def test_corrupt_reply_degrades_one_codatabase_not_the_resolution(self):
+        """A reply nested 5,000 sequences deep used to escape
+        ``Orb.invoke`` as RecursionError — not a ReproError, so the
+        whole resolution aborted.  The codec's depth bound makes it a
+        MarshalError: RMIT is marked unreachable, the rest answers."""
+        registry = build_world()
+
+        class CorruptsRmitReplies(InMemoryNetwork):
+            def send(self, endpoint, data):
+                reply = super().send(endpoint, data)
+                if b"codb-RMIT" not in bytes(data):
+                    return reply
+                body = CdrEncoder()
+                body.write_ulong(0)     # service contexts
+                body.write_ulong(1)     # request id (unchecked in memory)
+                body.write_ulong(0)     # NO_EXCEPTION
+                payload = nested_sequences(5000, body)
+                return b"GIOP\x01\x00\x00\x01" \
+                    + len(payload).to_bytes(4, "big") + payload
+
+        orb = Orb(name="codbs", transport=CorruptsRmitReplies())
+        iors = {name: orb.activate(
+                    CoDatabaseServant(registry.codatabase(name)),
+                    CODATABASE_INTERFACE, object_name=f"codb-{name}")
+                for name in registry.source_names()}
+        engine = DiscoveryEngine(lambda name: CoDatabaseClient.for_proxy(
+            orb.proxy(iors[name], CODATABASE_INTERFACE), name))
+        result = engine.discover("Medical Insurance", "QUT")
+        assert result.resolved
+        assert result.best().name == "Insurance"
+        assert result.unreachable == ["RMIT"]
+        [entry] = result.degraded.entries
+        assert (entry.database, entry.reason, entry.depth) \
+            == ("RMIT", UNREACHABLE, 1)
+        assert "nested too deeply" in entry.detail

@@ -17,6 +17,7 @@ Two families of invariants:
 """
 
 import bisect
+import inspect
 import json
 import os
 import string
@@ -27,11 +28,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
+from repro.core import sharding
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry, RegistryShard
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.sharding import DEFAULT_VNODES, HashRing
-from repro.errors import WebFinditError
+from repro.core.sharding import (COMMIT_OPERATIONS, DEFAULT_VNODES,
+                                 REGISTRY_SHARD_INTERFACE, HashRing,
+                                 RegistryShardServant)
+from repro.errors import ReproError, WebFinditError
+from repro.orb.orb import Orb
+from repro.orb.transport import InMemoryNetwork, TcpTransport
 
 NAME_ALPHABET = string.ascii_letters + string.digits + " -_."
 
@@ -348,34 +354,25 @@ def test_sharded_errors_match_singleton(script, shard_count):
         assert outcomes[0] == outcomes[1]
 
 
-@given(maintenance_scripts())
-@settings(max_examples=15, deadline=None)
-def test_remote_giop_shards_equal_local_shards(script):
-    """Exporting the shards over real ORB endpoints changes nothing:
-    the GIOP-backed coordinator reports the same federation as the
-    in-process one and the singleton."""
-    from repro.core.sharding import (REGISTRY_SHARD_INTERFACE,
-                                     RegistryShardServant, RemoteShard)
-    from repro.orb.orb import Orb
-    from repro.orb.transport import InMemoryNetwork
+def export_shard(index, shard, transport):
+    """*shard* behind its skeleton on its own ORB; returns ``(orb,
+    skeleton, proxy handle over REGISTRY_SHARD_INTERFACE)``."""
+    orb = Orb(name=f"shard{index}", transport=transport,
+              host="127.0.0.1", product="WebFINDIT")
+    skeleton = RegistryShardServant(shard)
+    ior = orb.activate(skeleton, REGISTRY_SHARD_INTERFACE,
+                       object_name=f"shard{index}")
+    return orb, skeleton, orb.proxy(ior, REGISTRY_SHARD_INTERFACE)
 
-    shard_count = 3
+
+def assert_giop_federation_equals_singleton(script, backing, handles):
+    """Run *script* through a coordinator over *handles* (proxies onto
+    the *backing* shards, or some of those shards themselves) and
+    through the singleton: the federations are observably identical."""
     singleton = Registry()
     run_script(singleton, script)
-
-    backing = [RegistryShard() for __ in range(shard_count)]
-    transport = InMemoryNetwork()
-    handles = []
-    for index, registry in enumerate(backing):
-        orb = Orb(name=f"shard{index}", transport=transport,
-                  host=f"shard{index}.test", product="WebFINDIT")
-        ior = orb.activate(RegistryShardServant(registry),
-                           REGISTRY_SHARD_INTERFACE,
-                           object_name=f"shard{index}")
-        handles.append(RemoteShard(orb.proxy(ior,
-                                             REGISTRY_SHARD_INTERFACE)))
     remote = Registry(shards=handles,
-                      ring=HashRing(range(shard_count), vnodes=8))
+                      ring=HashRing(range(len(handles)), vnodes=8))
     run_script(remote, script)
 
     assert remote.source_names() == sorted(singleton.source_names())
@@ -383,13 +380,133 @@ def test_remote_giop_shards_equal_local_shards(script):
     assert remote.summary() == singleton.summary()
     assert remote.epochs() == singleton.epochs()
     assert remote.update_operations == singleton.update_operations
+    # Links cross GIOP as ServiceLink value types: equal objects.
+    assert remote.service_links() == singleton.service_links()
     # Co-database contents live in the shard processes; compare their
     # fingerprints through the backing registries.
     local = Registry(shards=backing,
-                     ring=HashRing(range(shard_count), vnodes=8))
+                     ring=HashRing(range(len(backing)), vnodes=8))
     for name in singleton.source_names():
         assert codb_fingerprint(local, name) \
             == codb_fingerprint(singleton, name)
+
+
+@given(maintenance_scripts())
+@settings(max_examples=15, deadline=None)
+def test_remote_giop_shards_equal_local_shards(script):
+    """Exporting the shards over real ORB endpoints changes nothing:
+    a coordinator over proxy handles reports the same federation as
+    the in-process one and the singleton."""
+    backing = [RegistryShard() for __ in range(3)]
+    transport = InMemoryNetwork()
+    handles = [export_shard(index, shard, transport)[2]
+               for index, shard in enumerate(backing)]
+    assert_giop_federation_equals_singleton(script, backing, handles)
+
+
+@given(maintenance_scripts())
+@settings(max_examples=15, deadline=None)
+def test_mixed_in_process_and_proxy_shards_equal_local_shards(script):
+    """One coordinator, one in-process shard, one proxy shard."""
+    backing = [RegistryShard(), RegistryShard()]
+    handles = [backing[0],
+               export_shard(1, backing[1], InMemoryNetwork())[2]]
+    assert_giop_federation_equals_singleton(script, backing, handles)
+
+
+@pytest.fixture(scope="module")
+def tcp_shards():
+    """Three skeletons on one default ``TcpTransport()``, exported once
+    for the module (closing a threaded endpoint costs its 0.5 s poll
+    interval); each example rebinds them to fresh shards."""
+    transport = TcpTransport()
+    exported = [export_shard(index, RegistryShard(), transport)
+                for index in range(3)]
+    yield ([skeleton for __, skeleton, __ in exported],
+           [proxy for __, __, proxy in exported])
+    transport.close()
+
+
+@given(script=maintenance_scripts())
+@settings(max_examples=8, deadline=None)
+def test_tcp_giop_shards_equal_local_shards(tcp_shards, script):
+    """The same statement over loopback sockets."""
+    skeletons, handles = tcp_shards
+    backing = [RegistryShard() for __ in skeletons]
+    for skeleton, shard in zip(skeletons, backing):
+        skeleton.registry = shard
+    assert_giop_federation_equals_singleton(script, backing, handles)
+
+
+def test_interface_shard_and_skeleton_agree_on_every_operation():
+    """The 31 operations exist once each in three places — the IDL
+    table, ``RegistryShard`` and its skeleton — under the same name and
+    arity, so a proxy is a drop-in shard handle.  A method added to one
+    and not the others fails here, not in production."""
+    operations = REGISTRY_SHARD_INTERFACE.all_operations()
+    assert len(operations) == 31
+    skeleton = RegistryShardServant(RegistryShard())
+    REGISTRY_SHARD_INTERFACE.validate_servant(skeleton)
+    for name, operation in operations.items():
+        parameters = list(inspect.signature(
+            getattr(RegistryShard, name)).parameters.values())[1:]
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters), \
+            name
+        assert [p.name for p in parameters] \
+            == [p.name for p in operation.parameters], name
+    # The skeleton answers for the interface and nothing else...
+    assert not hasattr(skeleton, "codatabase")
+    assert not hasattr(skeleton, "add_invalidation_listener")
+    # ...and every public shard method is either an operation or one of
+    # the two deliberately in-process-only ones.
+    public = {name for name, member in vars(RegistryShard).items()
+              if callable(member) and not name.startswith("_")}
+    assert public - set(operations) \
+        == {"codatabase", "add_invalidation_listener"}
+    assert COMMIT_OPERATIONS <= set(operations)
+
+
+@pytest.mark.parametrize("operation, arguments, pays", [
+    ("add_source", [SourceDescription(name="A", information_type="t"),
+                    "ObjectStore"], True),
+    ("has_source", ["A"], False),
+    ("note_child", ["P", "C"], False),
+])
+def test_skeleton_locks_every_operation_and_charges_commits(
+        operation, arguments, pays, monkeypatch):
+    """One lock around every operation; ``service_time`` slept (inside
+    it) on the commit operations only; no reply body for ``add_source``,
+    whose in-process result is the shard-local CoDatabase."""
+    slept, held = [], []
+    skeleton = RegistryShardServant(RegistryShard(), service_time=0.25)
+    monkeypatch.setattr(sharding.time, "sleep", lambda seconds: (
+        slept.append(seconds), held.append(skeleton._lock.locked())))
+    primitive = getattr(skeleton.registry, operation)
+    monkeypatch.setattr(
+        skeleton.registry, operation,
+        lambda *args: (held.append(skeleton._lock.locked()),
+                       primitive(*args))[1])
+    result = getattr(skeleton, operation)(*arguments)
+    assert slept == ([0.25] if pays else [])
+    assert held and all(held)
+    assert not skeleton._lock.locked()
+    if operation == "add_source":
+        assert result is None and skeleton.registry.has_source("A")
+
+
+def test_proxy_shard_refuses_undeclared_operations_before_sending():
+    """``codatabase`` is not an operation: co-database objects are
+    shard-local.  A typed proxy says so without moving a byte."""
+    transport = InMemoryNetwork()
+    orb, __, proxy_shard = export_shard(0, RegistryShard(), transport)
+    sent = orb.stats.requests_sent
+    with pytest.raises(ReproError, match="codatabase"):
+        proxy_shard.codatabase("RBH")
+    with pytest.raises(ReproError, match="codatabase"):
+        Registry(shards=[proxy_shard]).codatabase("RBH")
+    assert orb.stats.requests_sent == sent
+    assert not hasattr(proxy_shard, "failovers")
+    assert hasattr(proxy_shard, "source")
 
 
 def test_shard_of_agrees_with_ring():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
-from repro.orb.cdr import CdrDecoder, CdrEncoder, decode_any, encode_any
+from repro.orb.cdr import (MAX_NESTING, TAG_NULL, TAG_SEQUENCE, CdrDecoder,
+                           CdrEncoder, decode_any, encode_any)
 
 
 class TestPrimitives:
@@ -109,6 +110,51 @@ class TestAny:
     def test_unknown_tag_raises(self):
         with pytest.raises(MarshalError):
             decode_any(b"\xfa")
+
+
+def nested_sequences(levels: int, encoder: CdrEncoder = None) -> bytes:
+    """*levels* one-element sequences around a null, written tag by tag
+    (the encoder's own ``write_any`` refuses past MAX_NESTING): 5,000
+    levels are a 40 KB frame that used to end in RecursionError."""
+    encoder = encoder or CdrEncoder()
+    for __ in range(levels):
+        encoder.write_octet(TAG_SEQUENCE)
+        encoder.write_ulong(1)
+    encoder.write_octet(TAG_NULL)
+    return encoder.getvalue()
+
+
+class TestNestingBound:
+    def test_decoding_past_the_bound_is_a_marshal_error(self):
+        with pytest.raises(MarshalError, match="nested too deeply"):
+            decode_any(nested_sequences(5000))
+        with pytest.raises(MarshalError, match="nested too deeply"):
+            decode_any(nested_sequences(MAX_NESTING + 1))
+
+    def test_the_bound_itself_decodes_and_encodes(self):
+        value = decode_any(nested_sequences(MAX_NESTING))
+        assert encode_any(value) == nested_sequences(MAX_NESTING)
+        for __ in range(MAX_NESTING - 1):
+            value = value[0]
+        assert value == [None]
+
+    def test_the_bound_is_far_above_any_legitimate_value(self):
+        # A row inside a result inside a struct inside a reply is 4.
+        assert MAX_NESTING >= 8 * 4
+
+    def test_self_referential_values_are_a_marshal_error(self):
+        loop = []
+        loop.append(loop)
+        with pytest.raises(MarshalError, match="nested too deeply"):
+            encode_any(loop)
+        knot = {}
+        knot["self"] = knot
+        with pytest.raises(MarshalError, match="nested too deeply"):
+            encode_any({"rows": [knot]})
+
+    def test_siblings_do_not_accumulate_depth(self):
+        wide = [[[index]] for index in range(10 * MAX_NESTING)]
+        assert decode_any(encode_any(wide)) == wide
 
 
 json_like = st.recursive(

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.errors import (BadOperation, CommFailure, IdlError, NamingError,
-                          ObjectNotExist, UnknownCoalition)
-from repro.orb import (InMemoryNetwork, InterfaceBuilder, NamingClient, Orb,
-                       RemoteSystemError, create_orb, get_product, ORBIX,
-                       ORBIXWEB, VISIBROKER, start_naming_service)
+                          ObjectNotExist, OrbError, UnknownCoalition)
+from repro.orb import (CdrEncoder, InMemoryNetwork, InterfaceBuilder,
+                       NamingClient, Orb, RemoteSystemError, create_orb,
+                       get_product, ORBIX, ORBIXWEB, VISIBROKER,
+                       start_naming_service)
+
+from tests.orb.test_cdr import nested_sequences
 
 CALC = (InterfaceBuilder("Calc")
         .operation("add", "a", "b")
@@ -60,6 +63,21 @@ class TestInvocation:
         with pytest.raises(BadOperation):
             client.proxy(ior, CALC).subtract(1, 2)
 
+    def test_typed_proxy_stubs_only_what_its_interface_declares(self, fabric):
+        __, __, client, ior = fabric
+        typed = client.proxy(ior, CALC)
+        assert hasattr(typed, "add")
+        assert not hasattr(typed, "failovers")
+        assert getattr(typed, "failovers", 0) == 0
+        sent = client.stats.requests_sent
+        with pytest.raises(BadOperation, match="subtract"):
+            typed.subtract  # noqa: B018 - refused at lookup, unsent
+        assert client.stats.requests_sent == sent
+        # No interface attached: every public name is a stub, as ever.
+        untyped = client.proxy(ior)
+        assert hasattr(untyped, "failovers")
+        assert not hasattr(untyped, "_private")
+
     def test_unknown_operation_server_checked(self, fabric):
         __, __, client, ior = fabric
         # no client-side interface: the server must reject it
@@ -70,6 +88,26 @@ class TestInvocation:
         __, __, client, ior = fabric
         with pytest.raises(BadOperation):
             client.proxy(ior).add(1)
+
+    def test_too_deeply_nested_request_is_an_orb_error(self, fabric):
+        """5,000 nested sequences used to raise RecursionError out of
+        the server's message handler; the sender now sees the codec's
+        own error."""
+        network, server, __, ior = fabric
+        body = CdrEncoder()
+        body.write_ulong(0)                       # service contexts
+        body.write_ulong(1)                       # request id
+        body.write_boolean(True)                  # response expected
+        body.write_octets(ior.primary.object_key)
+        body.write_string("echo")
+        body.write_ulong(1)                       # one argument
+        payload = nested_sequences(5000, body)
+        frame = b"GIOP\x01\x00\x00\x00" \
+            + len(payload).to_bytes(4, "big") + payload
+        with pytest.raises(OrbError, match="nested too deeply"):
+            network.send(server.endpoint, frame)
+        # The endpoint is unharmed.
+        assert server.proxy(ior, CALC).add(1, 2) == 3
 
     def test_system_exception_propagates(self, fabric):
         __, __, client, ior = fabric
