@@ -24,13 +24,13 @@ class Browser:
     def __init__(self, processor: QueryProcessor, session: Session):
         self._processor = processor
         self.session = session
-        #: (statement, rendered result) pairs, oldest first.
-        self.transcript: list[tuple[str, str]] = []
+        #: (statement, result) pairs, oldest first.
+        self.transcript: list[tuple[str, WtResult]] = []
 
     def submit(self, statement: str) -> WtResult:
         """Execute one WebTassili statement and record it."""
         result = self._processor.execute(statement, self.session)
-        self.transcript.append((statement, result.text))
+        self.transcript.append((statement, result))
         return result
 
     # -- guided operations (the applet's buttons) ----------------------------------
@@ -96,10 +96,8 @@ class Browser:
 
     def render_transcript(self) -> str:
         """The whole session as alternating prompt/response text."""
-        blocks = []
-        for statement, text in self.transcript:
-            blocks.append(f"webtassili> {statement}\n{text}")
-        return "\n\n".join(blocks)
+        return "\n\n".join(f"webtassili> {statement}\n{result.text}"
+                           for statement, result in self.transcript)
 
 
 def _literal(value) -> str:

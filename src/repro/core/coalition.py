@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.errors import MembershipError
-from repro.orb.cdr import register_value
+from repro.orb.cdr import register_value, struct_value
 
 
 @dataclass
@@ -69,4 +69,5 @@ class Coalition:
         return self.from_wire(vars(self))
 
 
-register_value("Coalition", Coalition, Coalition.to_wire, Coalition.from_wire)
+register_value("Coalition", Coalition,
+               *struct_value(Coalition.to_wire, Coalition.from_wire))

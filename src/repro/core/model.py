@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from repro.orb.cdr import register_value
+from repro.orb.cdr import register_value, struct_value
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -144,8 +144,8 @@ class SourceDescription:
         return "\n".join(lines)
 
 
-register_value("SourceDescription", SourceDescription,
-               SourceDescription.to_wire, SourceDescription.from_wire)
+register_value("SourceDescription", SourceDescription, *struct_value(
+    SourceDescription.to_wire, SourceDescription.from_wire))
 
 
 class Ontology:

@@ -15,7 +15,9 @@ co-databases (meta-data layer) and databases (data layer)."
   shards the deployment has.
 
 Results come back as :class:`WtResult`: structured data plus the
-rendered text a browser displays (the content of Figures 4–6).
+rendered text a browser displays (the content of Figures 4–6) — which
+the data-level statements render only when it is first read: laying a
+500-row answer out as a table costs more than fetching it.
 """
 
 from __future__ import annotations
@@ -37,13 +39,24 @@ from repro.webtassili.parser import parse
 from repro.wrappers.base import InformationSourceInterface
 
 
-@dataclass
 class WtResult:
-    """Outcome of one WebTassili statement."""
+    """Outcome of one WebTassili statement.
 
-    kind: str
-    data: Any
-    text: str
+    *text* is the rendered string, or a zero-argument callable that
+    renders it: called on the first read of :attr:`text`, never again.
+    """
+
+    def __init__(self, kind: str, data: Any,
+                 text: str | Callable[[], str]):
+        self.kind = kind
+        self.data = data
+        self._text = text
+
+    @property
+    def text(self) -> str:
+        if not isinstance(self._text, str):
+            self._text = self._text()
+        return self._text
 
     def __str__(self) -> str:
         return self.text
@@ -395,11 +408,10 @@ class QueryProcessor:
         wrapper = self._wrapper_for(statement.database_name)
         value = wrapper.invoke(statement.type_name, statement.function_name,
                                statement.arguments)
-        rendered = _render_value(value)
-        text = (f"{statement.type_name}.{statement.function_name}"
-                f"({', '.join(repr(a) for a in statement.arguments)}) "
-                f"on {statement.database_name} = {rendered}")
-        return WtResult(kind="value", data=value, text=text)
+        return WtResult(kind="value", data=value, text=lambda: (
+            f"{statement.type_name}.{statement.function_name}"
+            f"({', '.join(repr(a) for a in statement.arguments)}) "
+            f"on {statement.database_name} = {_render_value(value)}"))
 
     def _invoke_on_coalition(self, statement: ast.InvokeFunction,
                              session: Session) -> WtResult:
@@ -421,26 +433,30 @@ class QueryProcessor:
                     statement.arguments)
             except ReproError as exc:
                 errors_seen[member.name] = str(exc)
-        lines = [f"{statement.type_name}.{statement.function_name} "
-                 f"across coalition {coalition_name}:"]
-        for name, value in per_source.items():
-            lines.append(f"    {name}: {_render_value(value)}")
-        for name, message in errors_seen.items():
-            lines.append(f"    {name}: FAILED ({message})")
-        if not per_source and not errors_seen:
-            lines.append(f"    (no member exports type "
-                         f"{statement.type_name})")
+
+        def render() -> str:
+            lines = [f"{statement.type_name}.{statement.function_name} "
+                     f"across coalition {coalition_name}:"]
+            for name, value in per_source.items():
+                lines.append(f"    {name}: {_render_value(value)}")
+            for name, message in errors_seen.items():
+                lines.append(f"    {name}: FAILED ({message})")
+            if not per_source and not errors_seen:
+                lines.append(f"    (no member exports type "
+                             f"{statement.type_name})")
+            return "\n".join(lines)
+
         return WtResult(kind="federated",
                         data={"results": per_source, "errors": errors_seen},
-                        text="\n".join(lines))
+                        text=render)
 
     def _do_nativequery(self, statement: ast.NativeQuery,
                         session: Session) -> WtResult:
         wrapper = self._wrapper_for(statement.database_name)
         value = wrapper.execute_native(statement.text)
-        text = (f"Native query on {statement.database_name} "
-                f"({wrapper.native_language}):\n{_render_value(value)}")
-        return WtResult(kind="rows", data=value, text=text)
+        return WtResult(kind="rows", data=value, text=lambda: (
+            f"Native query on {statement.database_name} "
+            f"({wrapper.native_language}):\n{_render_value(value)}"))
 
     # ------------------------------------------------------------ maintenance --
 

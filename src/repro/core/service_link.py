@@ -12,7 +12,7 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import WebFinditError
-from repro.orb.cdr import register_value
+from repro.orb.cdr import register_value, struct_value
 
 
 class EndpointKind(enum.Enum):
@@ -32,7 +32,7 @@ class EndpointKind(enum.Enum):
 
 
 register_value("EndpointKind", EndpointKind,
-               lambda kind: kind.value, EndpointKind.parse)
+               *struct_value(lambda kind: kind.value, EndpointKind.parse))
 
 
 @dataclass(frozen=True)
@@ -102,4 +102,4 @@ class ServiceLink:
 
 
 register_value("ServiceLink", ServiceLink,
-               ServiceLink.to_wire, ServiceLink.from_wire)
+               *struct_value(ServiceLink.to_wire, ServiceLink.from_wire))

@@ -9,7 +9,6 @@ from repro.gateway.api import (Connection, Cursor, DriverManager, connect,
                                default_manager)
 from repro.gateway.bridge import (DATABASE_INTERFACE, DatabaseServant,
                                   RemoteConnection, RemoteDriver,
-                                  result_from_wire, result_to_wire,
                                   serve_database)
 from repro.gateway.drivers import (LocalConnection, LocalDriver,
                                    make_vendor_drivers, parse_url)
@@ -18,5 +17,5 @@ __all__ = [
     "connect", "Connection", "Cursor", "DriverManager", "default_manager",
     "LocalDriver", "LocalConnection", "make_vendor_drivers", "parse_url",
     "RemoteDriver", "RemoteConnection", "DatabaseServant", "serve_database",
-    "DATABASE_INTERFACE", "result_to_wire", "result_from_wire",
+    "DATABASE_INTERFACE",
 ]

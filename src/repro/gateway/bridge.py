@@ -16,12 +16,14 @@ object.  This module provides both halves:
 
 from __future__ import annotations
 
+import datetime
+import itertools
 from typing import Any, Optional
 
-from repro.errors import GatewayError
+from repro.errors import GatewayError, MarshalError
 from repro.gateway.api import Connection
 from repro.gateway.drivers import parse_url
-from repro.orb.cdr import register_value
+from repro.orb.cdr import CdrDecoder, CdrEncoder, register_value
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 from repro.orb.ior import Ior
 from repro.orb.naming import NamingClient
@@ -40,25 +42,113 @@ DATABASE_INTERFACE: InterfaceDef = (
     .build())
 
 
-def result_to_wire(result: ResultSet) -> dict[str, Any]:
-    """Encode a ResultSet as a CDR-marshallable struct."""
-    return {
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
-        "rowcount": result.rowcount,
-    }
+# The ResultSet on the wire, column-packed (layout: docs/middleware.md):
+# names, ``rowcount``, the row count, then per column a kind octet and —
+# when every non-null cell is of exactly one of the types below — a null
+# index array and ONE packed array; any other column is an ``any`` a cell.
+
+_ANY, _LONG, _LONGLONG, _DOUBLE, _DATE, _BOOLEAN, _STRING = range(7)
+_KINDS = {int: _LONG, float: _DOUBLE, datetime.date: _DATE, bool: _BOOLEAN,
+          str: _STRING}
+#: kind -> (array code, what a null cell is packed as)
+_PACKING = {_LONG: ("i", 0), _LONGLONG: ("q", 0), _DOUBLE: ("d", 0.0),
+            _DATE: ("i", datetime.date.min), _BOOLEAN: ("?", False),
+            _STRING: ("I", "")}
 
 
-def result_from_wire(payload: dict[str, Any]) -> ResultSet:
-    """Decode the struct produced by :func:`result_to_wire`."""
-    return ResultSet(columns=list(payload.get("columns", [])),
-                     rows=[tuple(row) for row in payload.get("rows", [])],
-                     rowcount=int(payload.get("rowcount", 0)))
+def _write_result(encoder: CdrEncoder, result: ResultSet) -> None:
+    width, rows = len(result.columns), result.rows
+    encoder.write_ulong(width)
+    for name in result.columns:
+        encoder.write_string(name)
+    encoder.write_any(result.rowcount)
+    encoder.write_ulong(len(rows))
+    # strict: a ragged row list is an error, never zip's truncation.
+    columns = list(zip(*rows, strict=True)) if rows else [()] * width
+    if len(columns) != width:
+        raise MarshalError(f"rows are not {width} cells wide")
+    if not width:
+        # Every row is backed by at least one octet on the wire, so the
+        # reader can refuse a row count its frame cannot hold.
+        encoder.write_octets(bytes(len(rows)))
+    for column in columns:
+        _write_column(encoder, column)
+
+
+def _write_column(encoder: CdrEncoder, column: tuple) -> None:
+    types = set(map(type, column))
+    holes = type(None) in types
+    types.discard(type(None))
+    kind = _KINDS.get(types.pop(), _ANY) if len(types) == 1 else _ANY
+    cells, nulls = column, []
+    if holes and kind != _ANY:
+        filler = _PACKING[kind][1]
+        nulls = [index for index, cell in enumerate(column) if cell is None]
+        cells = [filler if cell is None else cell for cell in column]
+    if kind == _LONG:
+        low, high = min(cells), max(cells)
+        if not -2**31 <= low <= high < 2**31:
+            kind = _LONGLONG if -2**63 <= low <= high < 2**63 else _ANY
+    encoder.write_octet(kind)
+    if kind == _ANY:
+        for cell in column:
+            encoder.write_any(cell)
+        return
+    encoder.write_ulong(len(nulls))
+    encoder.write_array("I", nulls)
+    if kind == _DATE:
+        cells = list(map(datetime.date.toordinal, cells))
+    elif kind == _STRING:
+        # Character lengths first, then all the text as one UTF-8 blob.
+        encoder.write_array("I", list(map(len, cells)))
+        encoder.write_octets("".join(cells).encode("utf-8"))
+        return
+    encoder.write_array(_PACKING[kind][0], cells)
+
+
+def _read_result(decoder: CdrDecoder) -> ResultSet:
+    names = [decoder.read_string() for _ in range(decoder.read_ulong())]
+    rowcount = decoder.read_any()
+    count = decoder.read_ulong()
+    if type(rowcount) is not int or count > decoder.remaining():
+        raise MarshalError(f"rowcount {rowcount!r} / {count} rows in "
+                           f"{decoder.remaining()} octets")
+    if not names:
+        if len(decoder.read_octets()) != count:
+            raise MarshalError(f"{count} empty rows are not backed by octets")
+        return ResultSet(names, [()] * count, rowcount)
+    columns = [_read_column(decoder, count) for _ in names]
+    return ResultSet(names, list(zip(*columns)), rowcount)
+
+
+def _read_column(decoder: CdrDecoder, count: int) -> list:
+    kind = decoder.read_octet()
+    if kind == _ANY:
+        return [decoder.read_any() for _ in range(count)]
+    if kind not in _PACKING:
+        raise MarshalError(f"unknown column kind {kind}")
+    nulls = decoder.read_array("I", decoder.read_ulong())
+    cells = decoder.read_array(_PACKING[kind][0], count)
+    if kind == _DATE:
+        column = list(map(datetime.date.fromordinal, cells))
+    elif kind == _STRING:
+        text = decoder.read_octets().decode("utf-8")
+        ends = list(itertools.accumulate(cells))
+        if len(text) != (ends[-1] if ends else 0):
+            raise MarshalError("string lengths do not add up to the text")
+        column = [text[start:end] for start, end in zip([0] + ends, ends)]
+    else:
+        column = list(cells)
+    for index in nulls:
+        column[index] = None  # an index past the last row: IndexError
+    return column
 
 
 # Registered here, not beside the class: repro.sql imports nothing from
 # repro.orb, and this bridge is where a ResultSet first meets the wire.
-register_value("ResultSet", ResultSet, result_to_wire, result_from_wire)
+# The id is not the "ResultSet" of the row-per-struct form this replaced:
+# a stale peer fails on an unknown value type, it never misparses.
+register_value("ResultSet/2", ResultSet, _write_result, _read_result)
 
 
 class DatabaseServant:

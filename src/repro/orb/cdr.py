@@ -6,24 +6,29 @@ the message flags.  This module implements a faithful subset:
 
 * aligned primitives — octet, boolean, short, long, long long, double;
 * strings — unsigned long length (including NUL), UTF-8 bytes, NUL;
-* sequences — unsigned long count then elements;
+* sequences — unsigned long count then elements, and *arrays* of one
+  primitive type packed and unpacked in a single call;
 * a tagged ``any`` encoding that lets the RPC layer ship Python
   values (None, bool, int, float, str, bytes, date, list, tuple, dict)
   without a compiled IDL type for each;
 * and *value types* — CORBA's ``valuetype``: a class registered with
   :func:`register_value` crosses the wire as itself (``TAG_VALUE``,
-  its type id, then its registered wire form), so the codec is the
-  one place that knows how a model object crosses the wire.
+  its type id, then whatever its write hook puts on the stream), so the
+  codec is the one place that knows how a model object crosses the wire.
 
 Encoders and decoders track absolute stream position so alignment
-padding matches on both sides.
+padding matches on both sides.  Both boundaries are closed: whatever
+the decoder is fed it returns a value or raises :class:`MarshalError`,
+and whatever the encoder is handed it writes or raises
+:class:`MarshalError` — a string UTF-8 cannot carry and an integer too
+wide for its primitive included.
 """
 
 from __future__ import annotations
 
 import datetime
 import struct
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import MarshalError
 
@@ -54,179 +59,234 @@ _TOO_DEEP = "CDR value nested too deeply"
 
 _INT32_MIN, _INT32_MAX = -2**31, 2**31 - 1
 _INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
-_EPOCH = datetime.date(1970, 1, 1)
-
-#: Registered value types, for the encoder by class and for the decoder
-#: by type id.  The id travels as a CDR string; both sides keep it as
-#: that string's octets, NUL included, and move it as an octet sequence
-#: (the same bytes) — no UTF-8 round trip per value.
-_VALUES_BY_CLASS: dict[type, tuple[bytes, Callable[[Any], Any]]] = {}
-_VALUES_BY_ID: dict[bytes, tuple[type, Callable[[Any], Any]]] = {}
+_EPOCH_ORDINAL = datetime.date(1970, 1, 1).toordinal()
+_PAD = tuple(bytes(count) for count in range(8))
+#: Octets per element of each array code (``struct`` format characters).
+_SIZES = {"?": 1, "B": 1, "h": 2, "H": 2, "i": 4, "I": 4, "q": 8, "d": 8}
+_UNPACKABLE = (struct.error, OverflowError)
 
 
-def register_value(type_id: str, cls: type,
-                   to_wire: Callable[[Any], Any],
-                   from_wire: Callable[[Any], Any]) -> None:
-    """Make instances of exactly *cls* marshal as themselves.
+class _Order:
+    """Every ``struct.Struct`` one byte order needs, compiled once.
 
-    ``to_wire(instance)`` produces a value the ``any`` encoding already
-    carries (typically a struct) and ``from_wire`` rebuilds the instance
-    from it.  Called at import time by the module that owns *cls*: both
-    ends agree on the wire form by importing the class.  The encoder
-    consults the registry only for values nothing else in the ``any``
-    ladder claims — a plain struct is just a struct.
+    ``pack[code]`` / ``unpack[code]`` move one primitive;
+    ``tagged[code][position & 7]`` writes an ``any`` tag octet, the
+    padding that position calls for and the primitive in one call.
     """
-    octets = type_id.encode("utf-8") + b"\x00"
-    if _VALUES_BY_ID.get(octets, (cls,))[0] is not cls:
-        raise MarshalError(f"value type id {type_id!r} is already taken")
-    _VALUES_BY_CLASS[cls] = (octets, to_wire)
-    _VALUES_BY_ID[octets] = (cls, from_wire)
+
+    def __init__(self, prefix: str):
+        self.prefix = prefix
+        self.pack, self.unpack, self.tagged = {}, {}, {}
+        for code in "hHiIqd":
+            compiled = struct.Struct(prefix + code)
+            self.pack[code] = compiled.pack
+            self.unpack[code] = compiled.unpack_from
+            self.tagged[code] = tuple(
+                struct.Struct(
+                    f"{prefix}B{-(at + 1) & (_SIZES[code] - 1)}x{code}").pack
+                for at in range(8))
+
+
+_BIG, _LITTLE = _Order(">"), _Order("<")
+
+
+def _enter(codec: "CdrEncoder | CdrDecoder") -> int:
+    """One container deeper; the new depth (see :data:`MAX_NESTING`)."""
+    depth = codec._depth = codec._depth + 1
+    if depth > MAX_NESTING:
+        raise MarshalError(_TOO_DEEP)
+    return depth
+
+
+def _not_utf8(value: str, exc: UnicodeEncodeError) -> MarshalError:
+    return MarshalError(f"cannot marshal {value!r} as a CDR string: {exc}")
+
+
+def _writer(code: str) -> Callable[["CdrEncoder", Any], None]:
+    """``write_<primitive>``: pad to the primitive's size, pack it."""
+    mask = _SIZES[code] - 1
+
+    def write(self: "CdrEncoder", value: Any) -> None:
+        buf = self._buf
+        buf += _PAD[-len(buf) & mask]
+        try:
+            buf += self._pack[code](value)
+        except _UNPACKABLE as exc:
+            raise MarshalError(
+                f"cannot marshal {value!r} as CDR {code!r}: {exc}") from exc
+    return write
 
 
 class CdrEncoder:
-    """Appends CDR-encoded values to a growing buffer."""
+    """Appends CDR-encoded values to one growing ``bytearray``."""
 
     def __init__(self, little_endian: bool = False):
         self.little_endian = little_endian
-        self._chunks: list[bytes] = []
-        self._size = 0
-        self._joined: bytes | None = None
-        self._fmt = "<" if little_endian else ">"
+        order = _LITTLE if little_endian else _BIG
+        self._prefix, self._pack, self._tagged = \
+            order.prefix, order.pack, order.tagged
+        self._buf = bytearray()
         self._depth = 0
 
     # -- low level ------------------------------------------------------------
 
-    def _append(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._size += len(data)
-        self._joined = None
-
-    def align(self, boundary: int) -> None:
-        """Pad with zero octets to the next *boundary* multiple."""
-        remainder = self._size % boundary
-        if remainder:
-            self._append(b"\x00" * (boundary - remainder))
-
     def write_octet(self, value: int) -> None:
-        self._append(struct.pack("B", value & 0xFF))
+        self._buf.append(value & 0xFF)
 
     def write_boolean(self, value: bool) -> None:
-        self.write_octet(1 if value else 0)
+        self._buf.append(1 if value else 0)
 
-    def write_short(self, value: int) -> None:
-        self.align(2)
-        self._append(struct.pack(self._fmt + "h", value))
-
-    def write_ushort(self, value: int) -> None:
-        self.align(2)
-        self._append(struct.pack(self._fmt + "H", value))
-
-    def write_long(self, value: int) -> None:
-        self.align(4)
-        self._append(struct.pack(self._fmt + "i", value))
-
-    def write_ulong(self, value: int) -> None:
-        self.align(4)
-        self._append(struct.pack(self._fmt + "I", value))
-
-    def write_longlong(self, value: int) -> None:
-        self.align(8)
-        self._append(struct.pack(self._fmt + "q", value))
-
-    def write_double(self, value: float) -> None:
-        self.align(8)
-        self._append(struct.pack(self._fmt + "d", value))
+    write_short, write_ushort = _writer("h"), _writer("H")
+    write_long, write_ulong = _writer("i"), _writer("I")
+    write_longlong, write_double = _writer("q"), _writer("d")
 
     def write_string(self, value: str) -> None:
-        encoded = value.encode("utf-8")
+        try:
+            encoded = value.encode()
+        except UnicodeEncodeError as exc:
+            raise _not_utf8(value, exc) from exc
         self.write_ulong(len(encoded) + 1)  # CDR counts the trailing NUL
-        self._append(encoded)
-        self._append(b"\x00")
+        self._buf += encoded
+        self._buf.append(0)
 
     def write_octets(self, value: bytes) -> None:
         self.write_ulong(len(value))
-        self._append(value)
+        self._buf += value
+
+    def write_array(self, code: str, values: Sequence) -> None:
+        """Every element of *values* as the primitive *code*, aligned
+        once and packed in one call; the reader is told the count."""
+        buf = self._buf
+        buf += _PAD[-len(buf) & (_SIZES[code] - 1)]
+        try:
+            buf += struct.pack(f"{self._prefix}{len(values)}{code}", *values)
+        except _UNPACKABLE as exc:
+            raise MarshalError(
+                f"cannot marshal a CDR {code!r} array: {exc}") from exc
 
     # -- any ---------------------------------------------------------------------
 
-    def write_any(self, value: Any) -> None:
-        """Encode an arbitrary supported Python value with a type tag."""
-        if value is None:
-            self.write_octet(TAG_NULL)
-        elif value is True:
-            self.write_octet(TAG_TRUE)
-        elif value is False:
-            self.write_octet(TAG_FALSE)
-        elif isinstance(value, int):
-            if _INT32_MIN <= value <= _INT32_MAX:
-                self.write_octet(TAG_LONG)
-                self.write_long(value)
-            elif _INT64_MIN <= value <= _INT64_MAX:
-                self.write_octet(TAG_LONGLONG)
-                self.write_longlong(value)
-            else:
-                self.write_octet(TAG_BIGINT)
-                magnitude = abs(value)
-                raw = magnitude.to_bytes((magnitude.bit_length() + 7) // 8 or 1,
-                                         "big")
-                self.write_octet(0 if value >= 0 else 1)
-                self.write_octets(raw)
-        elif isinstance(value, float):
-            self.write_octet(TAG_DOUBLE)
-            self.write_double(value)
-        elif isinstance(value, str):
-            self.write_octet(TAG_STRING)
-            self.write_string(value)
-        elif isinstance(value, bytes):
-            self.write_octet(TAG_BYTES)
-            self.write_octets(value)
-        elif isinstance(value, datetime.date) and not isinstance(
-                value, datetime.datetime):
-            self.write_octet(TAG_DATE)
-            self.write_long((value - _EPOCH).days)
+    def _any(self, value: Any) -> None:
+        (_WRITERS.get(type(value)) or _subclass_writer(value))(self, value)
+
+    #: Encode an arbitrary supported Python value with a type tag.  The
+    #: framer calls this once per argument / body; what a value nests
+    #: goes through ``_any``, so a tool that wraps ``write_any`` sees
+    #: one call per top-level value.
+    write_any = _any
+
+    def _any_int(self, value: int) -> None:
+        buf = self._buf
+        if _INT32_MIN <= value <= _INT32_MAX:
+            buf += self._tagged["i"][len(buf) & 7](TAG_LONG, value)
+        elif _INT64_MIN <= value <= _INT64_MAX:
+            buf += self._tagged["q"][len(buf) & 7](TAG_LONGLONG, value)
         else:
-            depth = self._depth = self._depth + 1
-            if depth > MAX_NESTING:
-                raise MarshalError(_TOO_DEEP)
-            if isinstance(value, (list, tuple)):
-                self.write_octet(TAG_SEQUENCE)
-                self.write_ulong(len(value))
-                for item in value:
-                    self.write_any(item)
-            elif isinstance(value, dict):
-                self.write_octet(TAG_STRUCT)
-                self.write_ulong(len(value))
-                for key, item in value.items():
-                    if not isinstance(key, str):
-                        raise MarshalError(
-                            f"struct keys must be strings, got {key!r}")
-                    self.write_string(key)
-                    self.write_any(item)
-            else:
-                # Last resort, never a pre-check: every value the ladder
-                # above claims keeps the bytes it always had.
-                registered = _VALUES_BY_CLASS.get(type(value))
-                if registered is None:
-                    raise MarshalError(
-                        f"cannot marshal {type(value).__name__} "
-                        f"value {value!r}")
-                self.write_octet(TAG_VALUE)
-                self.write_octets(registered[0])
-                self.write_any(registered[1](value))
-            self._depth = depth - 1
+            magnitude = abs(value)
+            buf.append(TAG_BIGINT)
+            buf.append(0 if value >= 0 else 1)
+            self.write_octets(magnitude.to_bytes(
+                (magnitude.bit_length() + 7) // 8 or 1, "big"))
+
+    def _any_double(self, value: float) -> None:
+        buf = self._buf
+        buf += self._tagged["d"][len(buf) & 7](TAG_DOUBLE, value)
+
+    def _any_string(self, value: str) -> None:
+        try:
+            encoded = value.encode()
+        except UnicodeEncodeError as exc:
+            raise _not_utf8(value, exc) from exc
+        buf = self._buf
+        buf += self._tagged["I"][len(buf) & 7](TAG_STRING, len(encoded) + 1)
+        buf += encoded
+        buf.append(0)
+
+    def _any_bytes(self, value: bytes) -> None:
+        buf = self._buf
+        buf += self._tagged["I"][len(buf) & 7](TAG_BYTES, len(value))
+        buf += value
+
+    def _any_date(self, value: datetime.date) -> None:
+        buf = self._buf
+        buf += self._tagged["i"][len(buf) & 7](
+            TAG_DATE, value.toordinal() - _EPOCH_ORDINAL)
+
+    def _any_sequence(self, value: Sequence) -> None:
+        depth = _enter(self)
+        buf = self._buf
+        buf += self._tagged["I"][len(buf) & 7](TAG_SEQUENCE, len(value))
+        writers = _WRITERS
+        for item in value:
+            (writers.get(type(item)) or _subclass_writer(item))(self, item)
+        self._depth = depth - 1
+
+    def _any_struct(self, value: dict) -> None:
+        depth = _enter(self)
+        buf = self._buf
+        buf += self._tagged["I"][len(buf) & 7](TAG_STRUCT, len(value))
+        writers, ulong = _WRITERS, self._pack["I"]
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise MarshalError(f"struct keys must be strings, got {key!r}")
+            try:
+                encoded = key.encode()
+            except UnicodeEncodeError as exc:
+                raise _not_utf8(key, exc) from exc
+            buf += _PAD[-len(buf) & 3]
+            buf += ulong(len(encoded) + 1)
+            buf += encoded
+            buf.append(0)
+            (writers.get(type(item)) or _subclass_writer(item))(self, item)
+        self._depth = depth - 1
 
     def getvalue(self) -> bytes:
-        # The GIOP framer calls this twice per message (once for the
-        # header's size field, once for the payload), so the join is
-        # cached and the chunk list collapsed to it; any later append
-        # invalidates the cache.
-        if self._joined is None:
-            self._joined = b"".join(self._chunks)
-            self._chunks = [self._joined] if self._joined else []
-        return self._joined
+        return bytes(self._buf)
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._buf)
+
+
+#: ``write_any`` dispatches on the exact type through this one table
+#: (registered value types are added to it).  An instance of a subclass
+#: — an ``IntEnum``, a ``str`` subclass, a named tuple — misses it and
+#: walks ``_LADDER``, the ``isinstance`` order the encoder always had;
+#: a ``datetime`` is a ``date`` nothing here carries.
+_WRITERS: dict[type, Callable[[CdrEncoder, Any], None]] = {
+    type(None): lambda encoder, value: encoder._buf.append(TAG_NULL),
+    bool: lambda encoder, value: encoder._buf.append(
+        TAG_TRUE if value else TAG_FALSE),
+    int: CdrEncoder._any_int, float: CdrEncoder._any_double,
+    str: CdrEncoder._any_string, bytes: CdrEncoder._any_bytes,
+    datetime.date: CdrEncoder._any_date, list: CdrEncoder._any_sequence,
+    tuple: CdrEncoder._any_sequence, dict: CdrEncoder._any_struct,
+}
+_LADDER = tuple((base, _WRITERS.get(base)) for base in (
+    int, float, str, bytes, datetime.datetime, datetime.date, list, tuple,
+    dict))
+
+
+def _subclass_writer(value: Any) -> Callable[[CdrEncoder, Any], None]:
+    for base, writer in _LADDER:
+        if isinstance(value, base):
+            if writer is not None:
+                return writer
+            break
+    raise MarshalError(
+        f"cannot marshal {type(value).__name__} value {value!r}")
+
+
+def _reader(code: str) -> Callable[["CdrDecoder"], Any]:
+    """``read_<primitive>``: skip the padding, check, unpack in place."""
+    size = _SIZES[code]
+
+    def read(self: "CdrDecoder") -> Any:
+        start = self._pos + (-self._pos & (size - 1))
+        if start + size > self._end:
+            raise self._underflow(size, start)
+        self._pos = start + size
+        return self._unpack[code](self._data, start)[0]
+    return read
 
 
 class CdrDecoder:
@@ -234,154 +294,203 @@ class CdrDecoder:
 
     Accepts ``bytes`` or a ``memoryview`` without copying: the
     event-loop transport slices request frames straight out of its
-    receive buffer, and every read here works on that view in place
-    (``struct.unpack``/``int.from_bytes`` consume buffers directly).
-    Values that escape the decoder — octet sequences, strings — are
-    materialised at the last moment, so decoding a view allocates only
-    for the values actually produced.
+    receive buffer, and every read here unpacks from that buffer in
+    place at a tracked offset, bounds-checked first.  Values that escape
+    the decoder — octet sequences, strings, arrays — are materialised,
+    so nothing decoded keeps a view (or the frame) alive.
     """
 
     def __init__(self, data: bytes | bytearray | memoryview,
                  little_endian: bool = False, offset: int = 0):
-        self._data = data if isinstance(data, memoryview) \
-            else memoryview(data)
+        self._data = data
+        self._end = len(data)
         self._pos = offset
         self.little_endian = little_endian
-        self._fmt = "<" if little_endian else ">"
+        order = _LITTLE if little_endian else _BIG
+        self._prefix, self._unpack = order.prefix, order.unpack
         self._depth = 0
 
     # -- low level -----------------------------------------------------------
 
-    def align(self, boundary: int) -> None:
-        remainder = self._pos % boundary
-        if remainder:
-            self._pos += boundary - remainder
+    def _underflow(self, count: int, start: int) -> MarshalError:
+        return MarshalError(f"CDR underflow: need {count} bytes at {start}, "
+                            f"have {self._end}")
 
-    def _take(self, count: int) -> memoryview:
-        if self._pos + count > len(self._data):
-            raise MarshalError(
-                f"CDR underflow: need {count} bytes at {self._pos}, "
-                f"have {len(self._data)}")
-        chunk = self._data[self._pos:self._pos + count]
-        self._pos += count
-        return chunk
+    def _take(self, count: int) -> int:
+        """Where the next *count* octets start; moves past them."""
+        start = self._pos
+        if start + count > self._end:
+            raise self._underflow(count, start)
+        self._pos = start + count
+        return start
 
     def read_octet(self) -> int:
-        return self._take(1)[0]
+        return self._data[self._take(1)]
 
     def read_boolean(self) -> bool:
-        return self.read_octet() != 0
+        return self._data[self._take(1)] != 0
 
-    def read_short(self) -> int:
-        self.align(2)
-        return struct.unpack(self._fmt + "h", self._take(2))[0]
-
-    def read_ushort(self) -> int:
-        self.align(2)
-        return struct.unpack(self._fmt + "H", self._take(2))[0]
-
-    def read_long(self) -> int:
-        self.align(4)
-        return struct.unpack(self._fmt + "i", self._take(4))[0]
-
-    def read_ulong(self) -> int:
-        self.align(4)
-        return struct.unpack(self._fmt + "I", self._take(4))[0]
-
-    def read_longlong(self) -> int:
-        self.align(8)
-        return struct.unpack(self._fmt + "q", self._take(8))[0]
-
-    def read_double(self) -> float:
-        self.align(8)
-        return struct.unpack(self._fmt + "d", self._take(8))[0]
+    read_short, read_ushort = _reader("h"), _reader("H")
+    read_long, read_ulong = _reader("i"), _reader("I")
+    read_longlong, read_double = _reader("q"), _reader("d")
 
     def read_string(self) -> str:
-        length = self.read_ulong()
-        if length == 0:
+        data = self._data
+        start = self._pos + (-self._pos & 3) + 4  # behind the length
+        if start > self._end:
+            raise self._underflow(4, start - 4)
+        end = start + self._unpack["I"](data, start - 4)[0]
+        if end == start:
             raise MarshalError("CDR string with zero length (missing NUL)")
-        raw = self._take(length)
-        if raw[-1] != 0:
+        if end > self._end:
+            raise self._underflow(end - start, start)
+        if data[end - 1] != 0:
             raise MarshalError("CDR string not NUL-terminated")
+        self._pos = end
         try:
-            # str(buffer, encoding) decodes a memoryview slice without
-            # an intermediate bytes copy.
-            return str(raw[:-1], "utf-8")
+            return str(data[start:end - 1], "utf-8")
         except UnicodeDecodeError as exc:
             raise MarshalError(f"CDR string is not valid UTF-8: {exc}") \
                 from exc
 
     def read_octets(self) -> bytes:
-        return bytes(self._take(self.read_ulong()))
+        start = self._take(self.read_ulong())
+        return bytes(self._data[start:self._pos])
+
+    def read_array(self, code: str, count: int) -> tuple:
+        """*count* primitives of type *code* in one unpack; the size is
+        checked against what is left before anything is built."""
+        size = _SIZES[code]
+        self._pos += -self._pos & (size - 1)
+        start = self._take(count * size)
+        return struct.unpack_from(f"{self._prefix}{count}{code}",
+                                  self._data, start)
 
     # -- any -------------------------------------------------------------------
 
-    def read_any(self) -> Any:
-        tag = self.read_octet()
-        if tag == TAG_NULL:
-            return None
-        if tag == TAG_TRUE:
-            return True
-        if tag == TAG_FALSE:
-            return False
-        if tag == TAG_LONG:
-            return self.read_long()
-        if tag == TAG_LONGLONG:
-            return self.read_longlong()
-        if tag == TAG_BIGINT:
-            negative = self.read_octet() == 1
-            magnitude = int.from_bytes(self.read_octets(), "big")
-            return -magnitude if negative else magnitude
-        if tag == TAG_DOUBLE:
-            return self.read_double()
-        if tag == TAG_STRING:
-            return self.read_string()
-        if tag == TAG_BYTES:
-            return self.read_octets()
-        if tag == TAG_DATE:
-            try:
-                return _EPOCH + datetime.timedelta(days=self.read_long())
-            except OverflowError as exc:
-                raise MarshalError("CDR date out of range") from exc
-        if tag == TAG_SEQUENCE or tag == TAG_STRUCT or tag == TAG_VALUE:
-            depth = self._depth = self._depth + 1
-            if depth > MAX_NESTING:
-                raise MarshalError(_TOO_DEEP)
-            if tag == TAG_SEQUENCE:
-                value = [self.read_any() for _ in range(self.read_ulong())]
-            elif tag == TAG_STRUCT:
-                value = {}
-                for _ in range(self.read_ulong()):
-                    key = self.read_string()
-                    value[key] = self.read_any()
-            else:
-                value = self._read_value()
-            self._depth = depth - 1
-            return value
-        raise MarshalError(f"unknown CDR any tag {tag}")
+    def _any(self) -> Any:
+        start = self._pos
+        if start >= self._end:
+            raise self._underflow(1, start)
+        self._pos = start + 1
+        try:
+            reader = _READERS[self._data[start]]
+        except IndexError:
+            raise MarshalError(
+                f"unknown CDR any tag {self._data[start]}") from None
+        return reader(self)
 
-    def _read_value(self) -> Any:
+    #: Decode one tagged value; nested values go through ``_any`` (see
+    #: :attr:`CdrEncoder.write_any`).
+    read_any = _any
+
+    def _any_bigint(self) -> int:
+        negative = self._data[self._take(1)] == 1
+        magnitude = int.from_bytes(self.read_octets(), "big")
+        return -magnitude if negative else magnitude
+
+    def _any_date(self) -> datetime.date:
+        try:
+            return datetime.date.fromordinal(
+                self.read_long() + _EPOCH_ORDINAL)
+        except (ValueError, OverflowError) as exc:
+            raise MarshalError("CDR date out of range") from exc
+
+    def _any_sequence(self) -> list:
+        depth = _enter(self)
+        read = self._any
+        value = [read() for _ in range(self.read_ulong())]
+        self._depth = depth - 1
+        return value
+
+    def _any_struct(self) -> dict:
+        depth = _enter(self)
+        value, read_key, read = {}, self.read_string, self._any
+        for _ in range(self.read_ulong()):
+            key = read_key()
+            value[key] = read()
+        self._depth = depth - 1
+        return value
+
+    def _any_value(self) -> Any:
+        depth = _enter(self)
         type_id = self.read_octets()
         registered = _VALUES_BY_ID.get(type_id)
         if registered is None:
             raise MarshalError(f"unknown CDR value type {type_id!r}")
-        payload = self.read_any()
-        try:
-            return registered[1](payload)
-        except Exception as exc:  # noqa: BLE001 - decode boundary
-            # The rebuild hook is the owning module's code run on
-            # outside input: whatever a payload of the wrong shape makes
-            # it raise is a marshalling fault (cause chained), not the
-            # caller's AttributeError.
-            raise MarshalError(
-                f"malformed {registered[0].__name__} value: {exc}") from exc
+        value = _hooked("malformed", *registered, self)
+        self._depth = depth - 1
+        return value
 
     @property
     def position(self) -> int:
         return self._pos
 
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
+
+
+#: ``read_any`` dispatches on the tag octet; the index is the tag.
+_READERS: tuple[Callable[[CdrDecoder], Any], ...] = (
+    lambda decoder: None, lambda decoder: False, lambda decoder: True,
+    CdrDecoder.read_long, CdrDecoder.read_longlong, CdrDecoder.read_double,
+    CdrDecoder.read_string, CdrDecoder.read_octets, CdrDecoder._any_date,
+    CdrDecoder._any_sequence, CdrDecoder._any_struct, CdrDecoder._any_bigint,
+    CdrDecoder._any_value)
+
+# ------------------------------------------------------------ value types --
+
+#: Registered value types for the decoder, by type id.  The id travels
+#: as a CDR string; both sides keep it as that string's octets, NUL
+#: included, and move it as an octet sequence (the same bytes) — no
+#: UTF-8 round trip per value.  The encoder finds them in ``_WRITERS``.
+_VALUES_BY_ID: dict[bytes, tuple[type, Callable[[CdrDecoder], Any]]] = {}
+
+
+def _hooked(verb: str, cls: type, hook: Callable, *args: Any) -> Any:
+    """Run a value type's hook.  It is the owning module's code, run on
+    the caller's object or on outside input: whatever it raises is a
+    marshalling fault naming the class (cause chained), not the caller's
+    AttributeError."""
+    try:
+        return hook(*args)
+    except Exception as exc:  # noqa: BLE001 - codec boundary
+        raise MarshalError(f"{verb} {cls.__name__} value: {exc}") from exc
+
+
+def register_value(type_id: str, cls: type,
+                   write: Callable[[CdrEncoder, Any], None],
+                   read: Callable[[CdrDecoder], Any]) -> None:
+    """Make instances of exactly *cls* marshal as themselves.
+
+    ``write(encoder, instance)`` puts the instance on the stream with
+    the encoder's own primitives and ``read(decoder)`` takes exactly
+    that back off and returns the rebuilt instance; the codec frames
+    the pair with ``TAG_VALUE`` and the type id and counts the value as
+    one level of nesting.  Called at import time by the module that owns
+    *cls*: both ends agree on the wire form by importing the class.
+    """
+    octets = type_id.encode("utf-8") + b"\x00"
+    if _VALUES_BY_ID.get(octets, (cls,))[0] is not cls:
+        raise MarshalError(f"value type id {type_id!r} is already taken")
+
+    def write_value(encoder: CdrEncoder, value: Any) -> None:
+        depth = _enter(encoder)
+        encoder._buf.append(TAG_VALUE)
+        encoder.write_octets(octets)
+        _hooked("cannot marshal", cls, write, encoder, value)
+        encoder._depth = depth - 1
+
+    _WRITERS[cls] = write_value
+    _VALUES_BY_ID[octets] = (cls, read)
+
+
+def struct_value(to_wire: Callable[[Any], Any],
+                 from_wire: Callable[[Any], Any]) -> tuple[Callable, Callable]:
+    """The ``(write, read)`` hooks of a value type whose wire form is
+    the one ``any`` (typically a struct) that *to_wire* returns."""
+    return (lambda encoder, value: encoder._any(to_wire(value)),
+            lambda decoder: from_wire(decoder._any()))
 
 
 def encode_any(value: Any, little_endian: bool = False) -> bytes:

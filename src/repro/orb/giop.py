@@ -19,6 +19,7 @@ type, and the body size.
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -109,17 +110,15 @@ Message = (RequestMessage | ReplyMessage | LocateRequestMessage
            | LocateReplyMessage)
 
 
-def _encode_header(encoder: CdrEncoder, message_type: MessageType,
-                   body: bytes) -> bytes:
-    header = bytearray()
-    header += MAGIC
-    header.append(VERSION[0])
-    header.append(VERSION[1])
-    header.append(1 if encoder.little_endian else 0)
-    header.append(int(message_type))
-    size = len(body).to_bytes(4, "little" if encoder.little_endian else "big")
-    header += size
-    return bytes(header) + body
+#: magic, version, flags, message type, body size — by ``little_endian``.
+_HEADERS = (struct.Struct(">4sBBBBI"), struct.Struct("<4sBBBBI"))
+
+
+def _frame(encoder: CdrEncoder, message_type: MessageType) -> bytes:
+    body = encoder.getvalue()
+    return _HEADERS[encoder.little_endian].pack(
+        MAGIC, *VERSION, encoder.little_endian, message_type,
+        len(body)) + body
 
 
 def _encode_service_context(encoder: CdrEncoder,
@@ -167,7 +166,7 @@ def encode_message(message: Message, little_endian: bool = False) -> bytes:
         encoder.write_ulong(int(message.status))
     else:
         raise MarshalError(f"cannot encode {type(message).__name__}")
-    return _encode_header(encoder, message_type, encoder.getvalue())
+    return _frame(encoder, message_type)
 
 
 #: Cap on the body size a peeked header may announce before the stream

@@ -209,7 +209,14 @@ class Orb:
             interceptor(message, reply)
         if not message.response_expected:
             return None
-        return encode_message(reply)
+        try:
+            return encode_message(reply)
+        except MarshalError as exc:
+            # What the servant returned (or raised) is not a value the
+            # codec carries.  That is the server's failure like any
+            # other: the caller is told, the connection survives.
+            return encode_message(
+                _system_exception(message.request_id, exc))
 
     # -- interceptors -----------------------------------------------------------
 
@@ -226,12 +233,9 @@ class Orb:
     def _dispatch(self, request: RequestMessage) -> ReplyMessage:
         entry = self._servants.get(request.object_key)
         if entry is None:
-            return ReplyMessage(
-                request_id=request.request_id,
-                status=ReplyStatus.SYSTEM_EXCEPTION,
-                body={"exception": "ObjectNotExist",
-                      "message": f"no servant for key "
-                                 f"{request.object_key.decode('utf-8', 'replace')!r}"})
+            return _system_exception(request.request_id, ObjectNotExist(
+                f"no servant for key "
+                f"{request.object_key.decode('utf-8', 'replace')!r}"))
         servant, interface = entry
         try:
             operation = interface.operation(request.operation)
@@ -249,10 +253,7 @@ class Orb:
                 status=ReplyStatus.USER_EXCEPTION,
                 body={"exception": type(exc).__name__, "message": str(exc)})
         except Exception as exc:  # noqa: BLE001 - server boundary
-            return ReplyMessage(
-                request_id=request.request_id,
-                status=ReplyStatus.SYSTEM_EXCEPTION,
-                body={"exception": type(exc).__name__, "message": str(exc)})
+            return _system_exception(request.request_id, exc)
 
     # ------------------------------------------------------------ client side --
 
@@ -354,6 +355,12 @@ class Orb:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Orb(name={self.name!r}, product={self.product!r}, "
                 f"endpoint={self.endpoint!r}, servants={len(self._servants)})")
+
+
+def _system_exception(request_id: int, exc: Exception) -> ReplyMessage:
+    return ReplyMessage(
+        request_id=request_id, status=ReplyStatus.SYSTEM_EXCEPTION,
+        body={"exception": type(exc).__name__, "message": str(exc)})
 
 
 def _revive_user_exception(body: Any) -> ReproError:

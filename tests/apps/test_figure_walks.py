@@ -128,6 +128,19 @@ def test_walk_matches_the_parent_commit_cold_and_warm(cell, golden):
     assert without_cost(warm) == without_cost(golden)
 
 
+def test_the_transcript_of_the_walk_is_the_parents_byte_for_byte():
+    """``figure_walks_transcript.txt`` is ``render_transcript()`` of this
+    walk at ``eb762ab``, where the transcript held rendered strings; it
+    now holds the results and renders on demand."""
+    browser = build_healthcare_system().browser(topo.QUT)
+    results = walk(browser)
+    assert len(browser.transcript) == len(results) == 17
+    assert all(kept is result for (__, kept), result
+               in zip(browser.transcript, results))
+    with open(GOLDEN.replace("_golden.json", "_transcript.txt")) as handle:
+        assert browser.render_transcript() == handle.read()
+
+
 def cache_contents(system):
     """A deep snapshot of every value the deployment's cache holds."""
     cache = system.cache_tier_servant.cache \

@@ -139,6 +139,29 @@ class TestSessionAndTranscript:
         assert text.startswith("webtassili> ")
         assert "Research" in text
 
+    def test_a_data_level_text_is_rendered_on_first_read_and_once(
+            self, browser, monkeypatch):
+        from repro.core import query_processor
+        calls = []
+        render = query_processor._render_value
+        monkeypatch.setattr(
+            query_processor, "_render_value",
+            lambda value: (calls.append(value), render(value))[1])
+        result = browser.fetch(topo.RBH, "SELECT * FROM MedicalStudent")
+        scalar = browser.invoke(topo.RBH, "ResearchProjects", "Funding",
+                                "AIDS and drugs")
+        assert calls == [] and len(browser.transcript) == 2
+        assert result.text == result.text == str(result)
+        assert result.text.startswith(
+            f"Native query on {topo.RBH} (SQL):\nStudentId")
+        assert calls == [result.data]
+        assert scalar.text.endswith(" = 1250000.0")
+        assert browser.render_transcript().count("webtassili> ") == 2
+        assert calls == [result.data, scalar.data]
+        # The constructor takes the text either way, by the same keyword.
+        assert query_processor.WtResult(kind="ack", data=1, text="done").text \
+            == query_processor.WtResult("ack", 1, lambda: "done").text
+
     def test_information_tree_shows_coalitions(self, browser):
         tree = browser.information_tree()
         assert "+ Research" in tree

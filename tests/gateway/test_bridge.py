@@ -5,10 +5,9 @@ import datetime
 import pytest
 
 from repro.errors import CatalogError, GatewayError
-from repro.gateway import (DriverManager, RemoteDriver, result_from_wire,
-                           result_to_wire, serve_database)
-from repro.orb import (InMemoryNetwork, create_orb, ORBIXWEB, VISIBROKER,
-                       start_naming_service)
+from repro.gateway import DriverManager, RemoteDriver, serve_database
+from repro.orb import (InMemoryNetwork, create_orb, decode_any, encode_any,
+                       ORBIXWEB, VISIBROKER, start_naming_service)
 from repro.sql.engine import Database
 from repro.sql.result import ResultSet
 
@@ -82,12 +81,12 @@ class TestWireFormat:
     def test_result_roundtrip(self):
         result = ResultSet(columns=["a", "b"],
                            rows=[(1, "x"), (None, datetime.date(1998, 1, 1))])
-        revived = result_from_wire(result_to_wire(result))
+        revived = decode_any(encode_any(result))
         assert revived.columns == result.columns
         assert revived.rows == result.rows
         assert revived.rowcount == result.rowcount
 
     def test_empty_result_roundtrip(self):
-        revived = result_from_wire(result_to_wire(ResultSet.empty(5)))
+        revived = decode_any(encode_any(ResultSet.empty(5)))
         assert revived.rowcount == 5
         assert revived.rows == []

@@ -237,15 +237,18 @@ def test_decoded_values_survive_buffer_release():
 
 
 def test_getvalue_is_cached_and_invalidated_on_append():
-    """getvalue() twice in a row (the GIOP framer's pattern) returns
-    the identical object; appending afterwards invalidates the cache."""
+    """getvalue() is a snapshot: twice in a row the bytes are equal, and
+    what is appended afterwards shows in the next one, not in those.
+    (Named for the chunk-list encoder, which cached a join; the one
+    bytearray has nothing to cache, so identity is no longer promised.)"""
     encoder = CdrEncoder()
     encoder.write_string("hello")
     first = encoder.getvalue()
-    assert encoder.getvalue() is first
+    assert encoder.getvalue() == first
+    assert type(first) is bytes
     encoder.write_ulong(7)
     second = encoder.getvalue()
-    assert second is not first
+    assert second != first and len(first) == 10
     assert second.startswith(first)
     decoder = CdrDecoder(second)
     assert decoder.read_string() == "hello"
@@ -258,3 +261,84 @@ def test_getvalue_cache_preserves_length_accounting():
     assert len(encoder.getvalue()) == len(encoder) == 4
     encoder.write_double(2.5)  # 8-aligned: pads to 8 then writes 8
     assert len(encoder.getvalue()) == len(encoder) == 16
+
+
+class TestEncodeBoundary:
+    """The mirror of the decode boundary: whatever the encoder is handed
+    it writes, or raises MarshalError — never UnicodeEncodeError or
+    struct.error."""
+
+    @pytest.mark.parametrize("value", [
+        "\ud800", ["ok", "lone \udfff"], {"key": "\ud800"},
+        {"\ud800": 1}, ("x", {"deep": ["\ud800"]})],
+        ids=["any", "sequence", "struct value", "struct key", "nested"])
+    def test_a_lone_surrogate_is_a_marshal_error(self, value):
+        for little_endian in (False, True):
+            with pytest.raises(MarshalError, match="CDR string"):
+                encode_any(value, little_endian)
+
+    def test_a_string_primitive_utf8_cannot_carry(self):
+        with pytest.raises(MarshalError, match="CDR string"):
+            CdrEncoder().write_string("\ud800")
+
+    def test_an_operation_name_or_a_context_utf8_cannot_carry(self):
+        from repro.orb.giop import RequestMessage, encode_message
+        for request in (
+                RequestMessage(1, b"key", "op\ud800"),
+                RequestMessage(1, b"key", "op", ["\ud800"]),
+                RequestMessage(1, b"key", "op",
+                               service_context=[(0xBEEF, "\ud800")])):
+            with pytest.raises(MarshalError, match="CDR string"):
+                encode_message(request)
+
+    @pytest.mark.parametrize("write, value", [
+        ("write_short", 2**15), ("write_ushort", -1), ("write_ushort", 2**16),
+        ("write_long", 2**40), ("write_long", -2**31 - 1),
+        ("write_ulong", -1), ("write_ulong", 2**32),
+        ("write_longlong", 2**63), ("write_double", 10**400),
+        ("write_long", "7"), ("write_double", None)])
+    def test_a_value_its_primitive_cannot_hold(self, write, value):
+        for little_endian in (False, True):
+            encoder = CdrEncoder(little_endian)
+            with pytest.raises(MarshalError, match="cannot marshal"):
+                getattr(encoder, write)(value)
+
+    def test_an_array_checks_every_element(self):
+        encoder = CdrEncoder()
+        encoder.write_array("i", [1, 2, 3])
+        assert CdrDecoder(encoder.getvalue()).read_array("i", 3) == (1, 2, 3)
+        with pytest.raises(MarshalError, match="array"):
+            encoder.write_array("i", [1, 2**31])
+        with pytest.raises(MarshalError, match="array"):
+            encoder.write_array("I", [1, None])
+
+    def test_a_request_id_a_ulong_cannot_hold(self):
+        from repro.orb.giop import ReplyMessage, ReplyStatus, encode_message
+        with pytest.raises(MarshalError, match="cannot marshal"):
+            encode_message(ReplyMessage(2**32, ReplyStatus.NO_EXCEPTION))
+
+
+class TestArrays:
+    def test_an_array_is_aligned_once_and_packed(self):
+        for little_endian in (False, True):
+            encoder = CdrEncoder(little_endian)
+            encoder.write_octet(1)
+            encoder.write_array("q", [1, -2])
+            encoder.write_array("?", [True, False, True])
+            encoder.write_array("d", [])
+            data = encoder.getvalue()
+            assert len(data) == 8 + 16 + 3 + 5   # the empty array pads too
+            decoder = CdrDecoder(memoryview(data), little_endian)
+            assert decoder.read_octet() == 1
+            assert decoder.read_array("q", 2) == (1, -2)
+            assert decoder.read_array("?", 3) == (True, False, True)
+            assert decoder.read_array("d", 0) == ()
+            assert decoder.remaining() == 0
+
+    def test_an_array_longer_than_what_is_left_is_refused_unbuilt(self):
+        decoder = CdrDecoder(bytes(64))
+        with pytest.raises(MarshalError, match="underflow"):
+            decoder.read_array("q", 0xFFFFFFFF)
+        with pytest.raises(MarshalError, match="underflow"):
+            decoder.read_array("B", 65)
+        assert decoder.read_array("B", 64) == (0,) * 64

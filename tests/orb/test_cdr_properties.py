@@ -8,12 +8,22 @@ in each other — and requires ``decode_any(encode_any(v))`` to be the
 same value in both byte orders: equal, node for node of the same class
 (``True`` is not ``1``, a ``Coalition`` is not its struct).
 
+**Packed columns.**  A ``ResultSet`` travels column-packed
+(``gateway/bridge.py``): the ``result_sets`` strategy draws every column
+kind, the per-cell ``any`` fallback, nulls anywhere, ``True`` among
+ints, ``long`` -> ``long long`` -> bigint promotion inside one column,
+NaN and ``-0.0`` (compared bit for bit), strings with embedded NUL /
+empty / astral, zero columns x n rows, n columns x zero rows, and
+2,000-row results.
+
 **Fuzz.**  Every truncation and every single-byte corruption of a valid
 encoding — standalone, and inside a whole GIOP Request and Reply frame
 through ``decode_message`` — ends in a value or a ``MarshalError``:
 never another exception, never a stall.  The exhaustive sweeps run over
-one fixed sample that uses every tag; hypothesis repeats them at random
-positions of random values.
+one fixed sample that uses every tag and every column kind; hypothesis
+repeats them at random positions of random values.  Hostile counts
+(``0xFFFFFFFF`` rows, columns, nulls, blob octets) are refused before
+anything is allocated.
 
 Tier-1 runs hypothesis's default example count derandomised and, at
 each position of the sweeps, the replacement octets most likely to
@@ -24,13 +34,15 @@ times the examples, ``--hypothesis-seed``) and sweeps all 256.
 
 import dataclasses
 import datetime
+import struct
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.gateway.bridge  # noqa: F401  (registers ResultSet)
+from repro.gateway import bridge  # (importing it registers ResultSet)
 from repro.core.coalition import Coalition
 from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -78,14 +90,47 @@ def coalitions(cells):
                      st.lists(cells, max_size=3))
 
 
+longs = st.integers(min_value=-2**31, max_value=2**31 - 1)
+#: What one packed column may hold, by kind — each also drawn with
+#: nulls.  Mixing ``longs`` with wider integers promotes the column
+#: (long long, then the per-cell fallback for a bigint); a boolean
+#: among integers is two exact types, so the fallback again.
+COLUMN_CELLS = [
+    longs, longs | st.integers(min_value=-2**63, max_value=2**63 - 1),
+    longs | st.integers(min_value=-2**70, max_value=2**70),
+    longs | st.booleans(), st.floats() | st.sampled_from([-0.0, 0.0]),
+    st.dates(), st.booleans(),
+    st.text(max_size=8) | st.sampled_from(["", "\x00", "a\x00b", "𝄞😀"]),
+]
+rowcounts = st.none() | st.integers(min_value=0, max_value=10**6) \
+    | st.just(2**40)
+
+
 def result_sets(cells):
-    def build(columns, rows, rowcount):
-        return ResultSet(columns, [row[:len(columns)] for row in rows],
-                         rowcount)
-    return st.builds(build, st.lists(names, max_size=3),
-                     st.lists(st.lists(cells, min_size=3, max_size=3),
-                              max_size=3),
-                     st.none() | st.integers(min_value=0, max_value=10**6))
+    """Results of 0-4 columns x 0-4 rows: each column homogeneous of
+    one packed kind (with nulls anywhere) or of any *cells* at all."""
+    def column(count):
+        return st.one_of(*(
+            st.lists(st.none() | kind, min_size=count, max_size=count)
+            for kind in (*COLUMN_CELLS, cells)))
+
+    def build(count, columns, names, rowcount):
+        rows = list(zip(*columns)) if columns else [()] * count
+        return ResultSet(names[:len(columns)], rows, rowcount)
+    return st.integers(0, 4).flatmap(lambda count: st.builds(
+        build, st.just(count), st.lists(column(count), max_size=4),
+        st.lists(names, min_size=4, max_size=4), rowcounts))
+
+
+#: 2,000 rows: a few drawn cells per column, tiled.
+big_result_sets = st.builds(
+    lambda pools: ResultSet(
+        [str(index) for index in range(len(pools))],
+        list(zip(*([pool[row % len(pool)] for row in range(2000)]
+                   for pool in pools)))),
+    st.lists(st.one_of(*(st.lists(st.none() | kind, min_size=1, max_size=7)
+                         for kind in COLUMN_CELLS)),
+             min_size=1, max_size=3))
 
 
 #: Any value the codec carries: containers and value types hold each
@@ -113,11 +158,14 @@ def same(a, b):
         return len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, dict):
         return list(a) == list(b) and all(same(a[key], b[key]) for key in a)
+    if isinstance(a, float):  # bit for bit: NaN payloads, -0.0
+        return struct.pack("d", a) == struct.pack("d", b)
     return a == b
 
 
-#: One compact value using every tag, value types inside containers
-#: inside value types: the subject of the exhaustive sweeps.
+#: One compact value using every tag and every column kind, value types
+#: inside containers inside value types: the subject of the exhaustive
+#: sweeps.
 SAMPLE = {
     "primitives": [None, True, False, -7, 2**40, -2**70, 2.5, "hé",
                    b"\x00\xff", datetime.date(1999, 3, 23)],
@@ -125,6 +173,12 @@ SAMPLE = {
                         EndpointKind.COALITION, "Medical", contact="RBH"),
     "result": ResultSet(["cell"], [(Coalition("C", "t", members=[
         EndpointKind.COALITION]),), (None,)]),
+    "packed": ResultSet(
+        ["long", "long long", "double", "date", "boolean", "string", "any"],
+        [(None, 2**40, -0.0, datetime.date(1999, 3, 23), True, "hé", 1),
+         (-7, None, 2.5, None, None, "", True),
+         (7, -1, None, datetime.date.min, False, None, None)],
+        rowcount=2**40),
 }
 
 
@@ -190,12 +244,22 @@ def test_the_sample_uses_every_tag_and_round_trips(monkeypatch):
     tags = {getattr(cdr, name) for name in dir(cdr)
             if name.startswith("TAG_")}
     assert tags == set(range(13))
-    written, write_octet = set(), CdrEncoder.write_octet
-    monkeypatch.setattr(
-        CdrEncoder, "write_octet",
-        lambda self, value: (written.add(value), write_octet(self, value)))
-    encode_any(SAMPLE)
-    assert tags <= written
+    # The tags are read back from the encoded bytes: the decoder's
+    # dispatch table, indexed by tag octet, says which it met.
+    met = set()
+    monkeypatch.setattr(cdr, "_READERS", tuple(
+        lambda decoder, tag=tag, reader=reader: (met.add(tag),
+                                                 reader(decoder))[1]
+        for tag, reader in enumerate(cdr._READERS)))
+    assert same(decode_any(encode_any(SAMPLE)), SAMPLE)
+    assert met == tags
+    # ...and the packed result uses every column kind, fallback included.
+    kinds = set()
+    for column in zip(*SAMPLE["packed"].rows):
+        encoder = CdrEncoder()
+        bridge._write_column(encoder, column)
+        kinds.add(encoder.getvalue()[0])
+    assert kinds == set(range(7))
 
 
 @given(value=values)
@@ -227,20 +291,29 @@ def test_an_unregistered_class_is_a_marshal_error():
 
 
 def test_a_type_id_names_one_class():
+    class Stranger:
+        pass
+
+    hooks = cdr.struct_value(vars, Stranger)
     with pytest.raises(MarshalError, match="already taken"):
-        cdr.register_value("Coalition", dict, dict, dict)
+        cdr.register_value("Coalition", Stranger, *hooks)
     # Registering the owner again (a module re-import) is harmless.
-    cdr.register_value("Coalition", Coalition, Coalition.to_wire,
-                       Coalition.from_wire)
+    cdr.register_value("Coalition", Coalition, *cdr.struct_value(
+        Coalition.to_wire, Coalition.from_wire))
+    assert same(decode_any(encode_any(SAMPLE)), SAMPLE)
+    assert Stranger not in cdr._WRITERS
 
 
 @pytest.mark.parametrize("payload", [
     None, 7, "text", [1, 2], {"interface": 5}, {"structure": None}])
 def test_a_misshapen_value_payload_is_a_marshal_error(payload):
-    """``from_wire`` validates a struct of the right shape; anything it
-    raises on another shape surfaces as the codec's error."""
+    """A read hook runs on outside input: for each value type, a stream
+    that is not what its write hook puts there — here the type id
+    followed by some other ``any`` — is a value (the hook may accept
+    it) or the codec's error naming the class, never the hook's own."""
     for type_id in ("SourceDescription", "ServiceLink", "EndpointKind",
-                    "ResultSet"):
+                    "ResultSet/2"):
+        name = type_id.partition("/")[0]
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
         encoder.write_string(type_id)
@@ -248,7 +321,151 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
         try:
             decode_any(encoder.getvalue())
         except MarshalError as exc:
-            assert type_id in str(exc)
+            assert f"malformed {name} value" in str(exc)
+            assert exc.__cause__ is not None
+    # The id of the row-per-struct form this codec used to carry is
+    # unknown now: a stale peer is refused, never misparsed.
+    encoder = CdrEncoder()
+    encoder.write_octet(cdr.TAG_VALUE)
+    encoder.write_string("ResultSet")
+    encoder.write_any({"columns": ["a"], "rows": [[1]], "rowcount": 1})
+    with pytest.raises(MarshalError, match="unknown CDR value type"):
+        decode_any(encoder.getvalue())
+
+
+def test_whatever_a_write_hook_raises_is_a_marshal_error():
+    ragged = ResultSet(["a", "b"], [(1, 2), (3,)])
+    with pytest.raises(MarshalError, match="cannot marshal ResultSet") as info:
+        encode_any([ragged])
+    assert isinstance(info.value.__cause__, ValueError)  # zip(strict=True)
+    with pytest.raises(MarshalError, match="not 1 cells wide"):
+        encode_any(ResultSet(["a"], [(1, 2), (3, 4)]))
+    with pytest.raises(MarshalError, match="cannot marshal ResultSet"):
+        encode_any(ResultSet(["a"], [("\ud800",), ("x",)]))
+    # Nesting is counted across hooks: values in cells in values ...
+    value = 0
+    for _ in range(cdr.MAX_NESTING):
+        value = ResultSet(["cell"], [(value,)])
+    assert same(decode_any(encode_any(value)), value)
+    with pytest.raises(MarshalError, match="nested too deeply"):
+        encode_any([value])
+
+
+# ------------------------------------------------------ packed columns --
+
+
+@given(result=big_result_sets, little_endian=st.booleans())
+@settings(SETTINGS, max_examples=max(5, SETTINGS.max_examples // 10))
+def test_a_2000_row_result_round_trips(result, little_endian):
+    arrived = decode_any(encode_any(result, little_endian), little_endian)
+    assert same(arrived, result)
+
+
+@pytest.mark.parametrize("holes", [(0,), (4,), (0, 4), (0, 1, 2, 3, 4)],
+                         ids=["first", "last", "both", "every"])
+def test_nulls_at_any_position_of_every_packed_kind(holes):
+    day = datetime.date(1999, 3, 23)
+    full = [(n, 2**40 + n, n / 2 or -0.0, day, n % 2 == 0, f"s{n}\x00𝄞")
+            for n in range(5)]
+    rows = [(None,) * 6 if index in holes else row
+            for index, row in enumerate(full)]
+    result = ResultSet(list("abcdef"), rows)
+    for little_endian in (False, True):
+        assert same(decode_any(encode_any(result, little_endian),
+                               little_endian), result)
+
+
+def test_a_column_is_packed_by_exact_type_only():
+    result = ResultSet(
+        ["true among ints", "promoted", "bigint", "nan"],
+        [(1, 1, 1, float("nan")), (True, 2**31, 2**63, -0.0),
+         (0, -2**63, -1, 0.0)])
+    arrived = decode_any(encode_any(result))
+    assert same(arrived, result)
+    assert arrived.rows[1][0] is True and arrived.rows[2][0] == 0
+    assert arrived.rows[2][0] is not False
+
+
+def test_a_packed_result_is_smaller_and_keeps_empty_rows():
+    rows = [(n, f"Patient {n:04d}", datetime.date(1970, 1, 1), "MF"[n % 2],
+             f"{n} Example St, Brisbane") for n in range(500)]
+    result = ResultSet(["PatientId", "Name", "DateOfBirth", "Gender",
+                        "Address"], rows)
+    assert len(encode_any(result)) <= 30_000
+    for empty in (ResultSet([], [(), (), ()]), ResultSet(["a", "b"], []),
+                  ResultSet.empty(2**40)):
+        arrived = decode_any(encode_any(empty))
+        assert same(arrived, empty) and len(arrived) == len(empty)
+
+
+def hostile(build):
+    """``TAG_VALUE``, the ResultSet id, then whatever *build* writes."""
+    encoder = CdrEncoder()
+    encoder.write_octet(cdr.TAG_VALUE)
+    encoder.write_string("ResultSet/2")
+    build(encoder)
+    return encoder.getvalue()
+
+
+def header(encoder, names, rows):
+    encoder.write_ulong(len(names))
+    for name in names:
+        encoder.write_string(name)
+    encoder.write_any(0)
+    encoder.write_ulong(rows)
+
+
+HUGE = 0xFFFFFFFF
+HOSTILE = {
+    "columns": lambda e: e.write_ulong(HUGE),
+    "rows": lambda e: (header(e, ["a"], HUGE), e.write_octet(bridge._LONG),
+                       e.write_ulong(0)),
+    "empty rows": lambda e: header(e, [], HUGE),
+    "nulls": lambda e: (header(e, ["a"], 2), e.write_octet(bridge._LONG),
+                        e.write_ulong(HUGE), e.write_array("i", [1, 2])),
+    "blob": lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
+                       e.write_ulong(0), e.write_array("I", [1, 1]),
+                       e.write_ulong(HUGE), e.write_octet(0x61)),
+}
+
+
+@pytest.mark.parametrize("count", list(HOSTILE))
+def test_a_hostile_count_is_refused_before_anything_is_allocated(count):
+    frame = encode_message(ReplyMessage(
+        request_id=1, status=ReplyStatus.NO_EXCEPTION, body=None))[:-1] \
+        + hostile(HOSTILE[count])
+    frame = frame[:8] + struct.pack(">I", len(frame) - 12) + frame[12:]
+    tracemalloc.start()
+    try:
+        for decode, data in ((decode_any, hostile(HOSTILE[count])),
+                             (decode_message, frame)):
+            with pytest.raises(MarshalError, match="ResultSet"):
+                decode(data)
+        assert tracemalloc.get_traced_memory()[1] < 2**20
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("damage, complaint", [
+    (lambda e: (header(e, ["a"], 1), e.write_octet(9)), "column kind"),
+    (lambda e: (header(e, ["a"], 2), e.write_octet(bridge._LONG),
+                e.write_ulong(1), e.write_array("I", [2]),
+                e.write_array("i", [1, 2])), "index"),
+    (lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
+                e.write_ulong(0), e.write_array("I", [1, 2]),
+                e.write_octets(b"ab")), "add up"),
+    (lambda e: (header(e, ["a"], 1), e.write_octet(bridge._STRING),
+                e.write_ulong(0), e.write_array("I", [1]),
+                e.write_octets(b"\xff")), "utf-8"),
+    (lambda e: (header(e, ["a"], 1), e.write_octet(bridge._DATE),
+                e.write_ulong(0), e.write_array("i", [0])), "ordinal"),
+    (lambda e: (e.write_ulong(0), e.write_any("many"), e.write_ulong(0)),
+     "rowcount"),
+], ids=["kind", "null index", "lengths", "blob", "date", "rowcount"])
+def test_a_packed_column_that_does_not_add_up_is_a_marshal_error(
+        damage, complaint):
+    with pytest.raises(MarshalError, match=complaint):
+        decode_any(hostile(damage))
 
 
 # --------------------------------------------------------------- fuzz --

@@ -5,9 +5,9 @@ import pytest
 from repro.errors import (BadOperation, CommFailure, IdlError, NamingError,
                           ObjectNotExist, OrbError, UnknownCoalition)
 from repro.orb import (CdrEncoder, InMemoryNetwork, InterfaceBuilder,
-                       NamingClient, Orb, RemoteSystemError, create_orb,
-                       get_product, ORBIX, ORBIXWEB, VISIBROKER,
-                       start_naming_service)
+                       NamingClient, Orb, RemoteSystemError, RequestMessage,
+                       TcpTransport, create_orb, encode_message, get_product,
+                       ORBIX, ORBIXWEB, VISIBROKER, start_naming_service)
 
 from tests.orb.test_cdr import nested_sequences
 
@@ -158,6 +158,60 @@ class TestInvocation:
         before = server.stats.cross_product_requests
         server.proxy(ior, CALC).add(1, 1)
         assert server.stats.cross_product_requests == before
+
+
+UNMARSHALLABLE = (InterfaceBuilder("Unmarshallable")
+                  .operation("a_set")
+                  .operation("a_surrogate_in_a_user_exception")
+                  .operation("fire_and_forget", oneway=True)
+                  .operation("fine")
+                  .build())
+
+
+class UnmarshallableServant:
+    def a_set(self):
+        return {1, 2}
+
+    def a_surrogate_in_a_user_exception(self):
+        raise UnknownCoalition("no coalition \ud800 here")
+
+    def fire_and_forget(self):
+        return {1, 2}
+
+    def fine(self):
+        return "fine"
+
+
+@pytest.mark.parametrize("make_transport", [InMemoryNetwork, TcpTransport],
+                         ids=["mem", "tcp"])
+def test_an_unmarshallable_reply_is_a_system_exception(make_transport):
+    """A result (or exception body) the codec refuses is the server's
+    failure like any other: the caller gets SYSTEM_EXCEPTION — not the
+    server's own MarshalError, not a dropped connection that reads as a
+    retryable CommFailure — and the connection carries the next call."""
+    transport = make_transport()
+    try:
+        server = Orb("server", transport, host="127.0.0.1")
+        client = Orb("client", transport, host="127.0.0.1")
+        ior = server.activate(UnmarshallableServant(), UNMARSHALLABLE)
+        proxy = client.proxy(ior, UNMARSHALLABLE)
+        assert proxy.fine() == "fine"
+        opened = transport.metrics.connections_opened
+        for operation in ("a_set", "a_surrogate_in_a_user_exception"):
+            with pytest.raises(RemoteSystemError) as raised:
+                proxy.invoke(operation)
+            assert raised.value.exception_type == "MarshalError"
+            assert "cannot marshal" in raised.value.remote_message
+            assert proxy.fine() == "fine"
+        assert transport.metrics.connections_opened == opened
+        # Nobody waits on a oneway request: its handler stays silent.
+        oneway = encode_message(RequestMessage(
+            request_id=1, object_key=ior.primary.object_key,
+            operation="fire_and_forget", response_expected=False))
+        assert server._handle_message(oneway) is None
+    finally:
+        if isinstance(transport, TcpTransport):
+            transport.close()
 
 
 class TestActivation:
