@@ -13,10 +13,12 @@ since pipelining lives on the event loop, its whole server side is one
 loop thread plus a bounded worker pool, with the modelled latency
 parked on the loop's timer heap instead of sleeping threads.
 
-Each client runs one depth-0 discovery (three sequential metadata
-calls against the hot co-database) the moment the barrier drops.
-Completeness is checked per client: a run only counts if every
-client's discovery resolved with the expected coalition lead.
+Each client makes three sequential metadata calls against the hot
+co-database the moment the barrier drops — ``find_coalitions``,
+``service_links``, ``neighbor_databases``: what a depth-0 discovery
+cost before it became one ``consult``, kept as this bench's load so its
+numbers stay comparable.  Completeness is checked per client: a run
+only counts if every client was answered the expected coalition.
 
 Expected shape: at small client counts the baseline's
 connection-per-caller model keeps up (each connection is its own
@@ -38,7 +40,7 @@ import time
 from pathlib import Path
 
 from repro.bench import print_table
-from repro.core.discovery import CoDatabaseClient, DiscoveryEngine
+from repro.core.discovery import CoDatabaseClient
 from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
@@ -70,7 +72,7 @@ def _registry():
 
 
 def _run_config(transport, clients):
-    """All *clients* fire one discovery at the hot co-database at
+    """All *clients* fire their three reads at the hot co-database at
     once; returns (wall_clock_s, completeness, metrics_snapshot) —
     the snapshot also carrying the event-loop server's OS thread count
     as the first client saw it on finishing."""
@@ -90,14 +92,14 @@ def _run_config(transport, clients):
         server_threads = [0]
 
         def client(index):
-            engine = DiscoveryEngine(resolver)
+            codatabase = resolver(HOT_DB)
             barrier.wait()
             try:
-                result = engine.discover(TOPIC, HOT_DB)
-                complete.append(
-                    result.resolved
-                    and any(lead.name == "Sky Survey"
-                            for lead in result.leads))
+                matches = codatabase.find_coalitions(TOPIC)
+                codatabase.service_links()
+                codatabase.neighbor_databases()
+                complete.append(any(match["name"] == "Sky Survey"
+                                    for match in matches))
             except Exception as exc:  # noqa: BLE001 - counted below
                 failures.append(exc)
             if index == 0:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.coalition import Coalition
-from repro.core.model import Ontology, SourceDescription, topic_score
+from repro.core.model import Ontology, SourceDescription, topic_scorer
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import UnknownCoalition, UnknownDatabase, WebFinditError
 from repro.oodb.database import ObjectDatabase
@@ -84,8 +84,6 @@ class CoDatabase:
         self.local_description: Optional[SourceDescription] = None
         #: Coalitions the owner database is a member of.
         self.memberships: list[str] = []
-        #: Metadata query counter (benchmarks read this).
-        self.queries_answered = 0
         #: Monotonic version: bumped once per maintenance write.  Two
         #: replicas of the same co-database that applied the same write
         #: prefix carry the same epoch — which is what journal replay,
@@ -231,7 +229,6 @@ class CoDatabase:
 
     def known_coalitions(self) -> list[Coalition]:
         """All coalitions this co-database has metadata for."""
-        self.queries_answered += 1
         result = []
         for obj in self._db.extent("CoalitionInfo"):
             members = [m.get("name") for m in self._db.extent(
@@ -252,24 +249,20 @@ class CoDatabase:
         Returns dicts ``{name, information_type, score, members}`` sorted
         by descending score.
         """
-        self.queries_answered += 1
+        score_of = topic_scorer(query, self.ontology)
         matches: list[dict[str, Any]] = []
         for coalition in self.known_coalitions():
             # A coalition answers for its own topic AND for what its
             # member databases advertise — "every class contains a
             # description about the participating databases and the
             # type of information they contain" (§2.2).
-            member_score = 0.0
+            score = max(score_of(coalition.information_type),
+                        score_of(coalition.name))
             if self._db.schema.has_class(coalition.name):
                 for member in self._db.extent(coalition.name,
                                               include_subclasses=False):
-                    member_score = max(member_score, topic_score(
-                        query, member.get("information_type") or "",
-                        self.ontology))
-            score = max(
-                topic_score(query, coalition.information_type, self.ontology),
-                topic_score(query, coalition.name, self.ontology),
-                member_score)
+                    score = max(score, score_of(
+                        member.get("information_type") or ""))
             # Topic proximity (§2.1: clusters "are related to each other
             # by topic proximity relationships"): a coalition whose
             # topic the ontology marks as *close* to the query is a
@@ -291,14 +284,12 @@ class CoDatabase:
 
     def subclasses_of(self, class_name: str) -> list[str]:
         """Direct subclasses of a coalition class (topic specializations)."""
-        self.queries_answered += 1
         if class_name != SOURCE_ROOT_CLASS:
             self._require_coalition(class_name)
         return self._db.schema.subclasses(class_name)
 
     def instances_of(self, class_name: str) -> list[SourceDescription]:
         """Member databases of a coalition class (including specializations)."""
-        self.queries_answered += 1
         self._require_coalition(class_name)
         seen: set[str] = set()
         result: list[SourceDescription] = []
@@ -312,7 +303,6 @@ class CoDatabase:
 
     def describe_instance(self, source_name: str) -> SourceDescription:
         """Description of one member database, searched across classes."""
-        self.queries_answered += 1
         if self.local_description is not None \
                 and self.local_description.name == source_name:
             return self.local_description
@@ -326,7 +316,6 @@ class CoDatabase:
 
     def documents_of(self, source_name: str) -> list[dict[str, str]]:
         """Documentation artefacts stored for *source_name*."""
-        self.queries_answered += 1
         return [
             {"format": obj.get("format") or "",
              "content": obj.get("content") or "",
@@ -336,7 +325,6 @@ class CoDatabase:
 
     def service_links(self) -> list[ServiceLink]:
         """All service links this co-database knows about."""
-        self.queries_answered += 1
         return [ServiceLink.from_wire(obj.values())
                 for obj in self._db.extent("ServiceLink",
                                            include_subclasses=True)]
@@ -349,7 +337,6 @@ class CoDatabase:
     def neighbor_databases(self) -> list[str]:
         """Other members of the owner's coalitions — the databases the
         discovery algorithm may consult next."""
-        self.queries_answered += 1
         neighbors: list[str] = []
         for coalition_name in self.memberships:
             if not self._db.schema.has_class(coalition_name):
@@ -360,6 +347,43 @@ class CoDatabase:
                 if name != self.owner_name and name not in neighbors:
                     neighbors.append(name)
         return neighbors
+
+    def consult(self, query: str, neighbors: bool,
+                threshold: float) -> dict[str, Any]:
+        """One resolution step, answered where the metadata lives — "the
+        query is sent to a local metadata repository" (§2).
+
+        ``matches`` is :meth:`find_coalitions`.  ``leads`` names, per
+        link target, the first service link that advertises the topic
+        at or over *threshold* (best of its information type, target
+        name and description).  ``contacts`` are the databases the
+        links route the query on to, advertised topic or not;
+        ``neighbors`` is :meth:`neighbor_databases` when asked for (the
+        start repository's courtesy check), else empty.
+        """
+        score_of = topic_scorer(query)
+        links = self.service_links()
+        leads: dict[tuple[str, str], dict[str, Any]] = {}
+        for link in links:
+            kind, name = target = (link.to_kind.value, link.to_name)
+            if target in leads:
+                continue
+            score = max(score_of(link.information_type), score_of(name),
+                        score_of(link.description))
+            if score >= threshold:
+                leads[target] = {
+                    "to_kind": kind, "to_name": name,
+                    "information_type": (link.information_type
+                                         or link.description),
+                    "score": score, "label": link.label,
+                    "contact": link.contact}
+        return {
+            "matches": self.find_coalitions(query, threshold),
+            "leads": list(leads.values()),
+            "contacts": list(dict.fromkeys(
+                link.contact for link in links if link.contact)),
+            "neighbors": self.neighbor_databases() if neighbors else [],
+        }
 
     @property
     def object_database(self) -> ObjectDatabase:
@@ -385,6 +409,9 @@ CODATABASE_INTERFACE: InterfaceDef = (
     .operation("documents_of", "source_name")
     .operation("service_links")
     .operation("neighbor_databases")
+    .operation("consult", "query", "neighbors", "threshold",
+               doc="One resolution step: matching coalitions, link "
+                   "leads, link contacts and (on request) neighbours")
     .operation("owner", doc="Name of the attached database")
     .operation("epoch", doc="Monotonic maintenance-write version")
     .operation("versioned", "operation", "arguments",
@@ -397,7 +424,7 @@ CODATABASE_INTERFACE: InterfaceDef = (
 VERSIONED_OPERATIONS = frozenset({
     "find_coalitions", "known_coalitions", "memberships", "subclasses_of",
     "instances_of", "describe_instance", "documents_of", "service_links",
-    "neighbor_databases"})
+    "neighbor_databases", "consult"})
 
 
 class CoDatabaseServant:
@@ -435,6 +462,10 @@ class CoDatabaseServant:
 
     def neighbor_databases(self) -> list[str]:
         return self._codb.neighbor_databases()
+
+    def consult(self, query: str, neighbors: bool,
+                threshold: float) -> dict[str, Any]:
+        return self._codb.consult(query, neighbors, threshold)
 
     def owner(self) -> str:
         return self._codb.owner_name

@@ -8,20 +8,22 @@ repository sends the query to one or more remote metadata
 repositories."
 
 :class:`DiscoveryEngine` implements that algorithm as a breadth-first
-exploration of co-databases:
+exploration of co-databases.  Each one is sent the query once
+(``consult``) and answers, from its own metadata,
 
-1. ask the **local** co-database for coalitions matching the topic;
-2. examine the **service links** it knows (low-overhead leads to other
-   coalitions/databases);
-3. failing that, consult the co-databases of the **other members of the
-   local coalitions** (the paper's RBH example), and so on outward.
+1. the coalitions it knows that match the topic;
+2. the **service links** that advertise it (low-overhead leads to other
+   coalitions/databases) and the contacts every link routes on to;
+3. for the **local** co-database, the **other members of the local
+   coalitions** (the paper's RBH example) — consulted next, and so on
+   outward along the link contacts.
 
-Every co-database consulted and every metadata call is counted; the
-scalability benchmarks (S1) compare these counts against the broadcast
-baseline.  The engine reaches a co-database through exactly one thing,
-:class:`CoDatabaseClient` — the same class whatever sits behind it
-(in-process, one servant, a replica set) and whatever cache, if any,
-sits in front.
+Every co-database consulted and every metadata call is counted — one
+call per co-database — and the scalability benchmarks (S1) compare
+these counts against the broadcast baseline.  The engine reaches a
+co-database through exactly one thing, :class:`CoDatabaseClient` — the
+same class whatever sits behind it (in-process, one servant, a replica
+set) and whatever cache, if any, sits in front.
 
 Consultations within one BFS depth are independent — remote
 co-databases are autonomous servers — so the engine can fan them out
@@ -44,11 +46,12 @@ from repro.core.cachetier import BYPASS_ERRORS
 from repro.core.coalition import Coalition
 from repro.core.codatabase import CoDatabase, CoDatabaseServant
 from repro.core.metacache import CACHEABLE_OPERATIONS
-from repro.core.model import SourceDescription, topic_score
+from repro.core.model import SourceDescription
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
                                    call_policy)
 from repro.core.service_link import ServiceLink
-from repro.errors import DeadlineExceeded, DiscoveryFailure, ReproError
+from repro.errors import (DeadlineExceeded, DiscoveryFailure, ReproError,
+                          WebFinditError)
 from repro.orb.orb import Proxy
 
 #: Fan-out thread cap when ``max_workers`` is left unset: scaled to the
@@ -154,6 +157,16 @@ class CoDatabaseClient:
         # the pooled-connection retry in TcpTransport.
         with call_policy(idempotent=True):
             return target.invoke(operation, *args)
+
+    def consult(self, query: str, neighbors: bool,
+                threshold: float) -> dict[str, Any]:
+        """The engine's one question (see :meth:`CoDatabase.consult`)."""
+        answer = self._call("consult", query, neighbors, threshold)
+        return {"matches": [{**m, "members": list(m["members"])}
+                            for m in answer["matches"]],
+                "leads": [dict(lead) for lead in answer["leads"]],
+                "contacts": list(answer["contacts"]),
+                "neighbors": list(answer["neighbors"])}
 
     def find_coalitions(self, query: str) -> list[dict[str, Any]]:
         matches = self._call("find_coalitions", query)
@@ -307,6 +320,9 @@ class DiscoveryResult:
     #: timed out on, or found tripped — empty means the reachable
     #: information space was explored in full.
     degraded: DegradedReport = field(default_factory=DegradedReport)
+    #: The budget the resolution ran under; follow-up reads share it.
+    deadline: Optional[Deadline] = field(default=None, compare=False,
+                                         repr=False)
 
     @property
     def resolved(self) -> bool:
@@ -328,7 +344,7 @@ class DiscoveryResult:
 
 @dataclass
 class _Consultation:
-    """Raw metadata one worker fetched from one frontier co-database.
+    """What one worker was answered by one co-database.
 
     Fetch and merge are separate phases: workers only gather, the
     caller merges in frontier order — that split is what keeps the
@@ -336,9 +352,8 @@ class _Consultation:
     """
 
     client: Optional[CoDatabaseClient] = None
-    matches: list[dict[str, Any]] = field(default_factory=list)
-    links: list[ServiceLink] = field(default_factory=list)
-    neighbors: list[str] = field(default_factory=list)
+    #: The co-database's answer (for a frontier member: ``consult``'s).
+    answer: Any = None
     error: Optional[ReproError] = None
     #: True when the consultation was never attempted (query deadline
     #: spent before this frontier member's turn came).
@@ -463,8 +478,11 @@ class DiscoveryEngine:
                         f"{database_name!r}: circuit open")
                     continue
                 consultable.append((database_name, path))
-            consultations = self._consult_frontier(consultable, query,
-                                                   depth, deadline)
+            consultations = self._consult_frontier(
+                consultable,
+                lambda client: client.consult(query, depth == 0,
+                                              self._threshold),
+                deadline)
             for (database_name, path), outcome in zip(consultable,
                                                       consultations):
                 if outcome.skipped:
@@ -499,30 +517,22 @@ class DiscoveryEngine:
                         f"[depth {depth}] co-database of "
                         f"{database_name!r} unreachable: {outcome.error}")
                     continue
-                links = self._merge(outcome, query, path, leads,
-                                    seen_leads, trace)
-                if depth == 0:
-                    # The paper's courtesy check: "WebFINDIT checks
-                    # whether other databases from the local coalition
-                    # are aware of a coalition or service link that
-                    # deal with this information type."  Members of a
-                    # coalition share the same coalition metadata, so
-                    # beyond the local cluster only service links
-                    # route the query onward.
-                    for neighbor in outcome.neighbors:
-                        if neighbor not in visited:
-                            visited.add(neighbor)
-                            next_frontier.append((neighbor,
-                                                  path + [neighbor]))
-                # Service links route the query onward even when the
-                # link itself does not advertise the topic — "the local
-                # repository sends the query to one or more remote
-                # metadata repositories" (§2).
-                for link in links:
-                    if link.contact and link.contact not in visited:
-                        visited.add(link.contact)
-                        next_frontier.append((link.contact,
-                                              path + [link.contact]))
+                answer = outcome.answer
+                self._merge(answer, path, leads, seen_leads, trace)
+                # The paper's courtesy check (asked at depth 0 only):
+                # "WebFINDIT checks whether other databases from the
+                # local coalition are aware of a coalition or service
+                # link that deal with this information type."  Members
+                # of a coalition share the same coalition metadata, so
+                # beyond the local cluster only service links route the
+                # query onward — and they do even when the link itself
+                # does not advertise the topic: "the local repository
+                # sends the query to one or more remote metadata
+                # repositories" (§2).
+                for onward in answer["neighbors"] + answer["contacts"]:
+                    if onward not in visited:
+                        visited.add(onward)
+                        next_frontier.append((onward, path + [onward]))
             if stop_at_first and any(lead.score >= self._full_match
                                      for lead in leads):
                 break
@@ -542,15 +552,43 @@ class DiscoveryEngine:
             cache_misses=sum(client.cache_misses for client in clients),
             cache_bypassed=sum(client.cache_bypassed for client in clients),
             failovers=sum(client.failovers for client in clients),
-            degraded=degraded)
+            degraded=degraded, deadline=deadline)
+
+    def members_of(self, lead: CoalitionLead,
+                   result: DiscoveryResult) -> list[SourceDescription]:
+        """The follow-up read of a resolution: the member descriptions
+        of *lead*, asked of its entry database the way a frontier
+        member is consulted (call policy under the resolution's
+        deadline, retry, health record).  A co-database that cannot
+        answer joins ``result.degraded``; one that does not know the
+        class (a link may lead to a database) has no members to give.
+        """
+        entry = lead.entry_database
+        if entry is None:
+            return []
+        outcome = self._consult(
+            entry, lambda client: client.instances_of(lead.name),
+            result.deadline)
+        error = outcome.error
+        if isinstance(error, WebFinditError):
+            return []
+        if self._policy is not None:
+            self._policy.health.record(entry, ok=error is None)
+        if error is None:
+            return outcome.answer
+        if entry not in result.degraded.names():
+            result.degraded.add(
+                entry, TIMED_OUT if isinstance(error, DeadlineExceeded)
+                else UNREACHABLE, str(error), depth=lead.hops + 1)
+        return []
 
     # -- internals ---------------------------------------------------------------
 
     def _consult_frontier(self, frontier: list[tuple[str, list[str]]],
-                          query: str, depth: int,
+                          ask: Callable[[CoDatabaseClient], Any],
                           deadline: Optional[Deadline] = None
                           ) -> list[_Consultation]:
-        """Fetch raw metadata from every frontier co-database.
+        """Put *ask* to every frontier co-database.
 
         Sequential and parallel modes return the same list in the same
         (frontier) order; parallelism only overlaps the remote I/O.
@@ -563,11 +601,10 @@ class DiscoveryEngine:
                     # reported, not silently dropped.
                     outcomes.append(_Consultation(skipped=True))
                 else:
-                    outcomes.append(self._consult(name, query, depth,
-                                                  deadline))
+                    outcomes.append(self._consult(name, ask, deadline))
             return outcomes
         pool = self._ensure_executor()
-        futures = [pool.submit(self._consult, name, query, depth, deadline)
+        futures = [pool.submit(self._consult, name, ask, deadline)
                    for name, __ in frontier]
         # Collect in submission order, not completion order.
         if deadline is None:
@@ -596,14 +633,15 @@ class DiscoveryEngine:
                     max_workers=workers, thread_name_prefix="discovery")
             return self._executor
 
-    def _consult(self, database_name: str, query: str, depth: int,
+    def _consult(self, database_name: str,
+                 ask: Callable[[CoDatabaseClient], Any],
                  deadline: Optional[Deadline] = None) -> _Consultation:
-        """Fetch one co-database's answers (runs on a worker thread).
+        """Ask one co-database one question (runs on a worker thread).
 
-        The whole consultation runs inside a call-policy context so the
-        query's deadline and the idempotence of metadata reads reach the
+        Both steps run inside a call-policy context so the query's
+        deadline and the idempotence of metadata reads reach the
         transport (per-call socket timeouts, retry-on-stale-connection).
-        When the engine carries a :class:`ResiliencePolicy`, each read
+        When the engine carries a :class:`ResiliencePolicy`, each step
         additionally goes through its retry policy.
         """
         outcome = _Consultation()
@@ -611,23 +649,11 @@ class DiscoveryEngine:
             try:
                 # Resolution is the connection step (naming lookup plus
                 # proxy setup), so transient failures here retry too.
-                client = self._guarded(
+                client = outcome.client = self._guarded(
                     lambda: self._resolve(database_name), deadline,
                     key=database_name)
-            except ReproError as exc:
-                outcome.error = exc
-                return outcome
-            outcome.client = client
-            try:
-                outcome.matches = self._guarded(
-                    lambda: client.find_coalitions(query), deadline,
-                    key=database_name)
-                outcome.links = self._guarded(client.service_links, deadline,
-                                              key=database_name)
-                if depth == 0:
-                    outcome.neighbors = self._guarded(
-                        client.neighbor_databases, deadline,
-                        key=database_name)
+                outcome.answer = self._guarded(lambda: ask(client), deadline,
+                                               key=database_name)
             except ReproError as exc:
                 outcome.error = exc
         return outcome
@@ -645,51 +671,42 @@ class DiscoveryEngine:
         return self._policy.retry.call(fn, idempotent=True,
                                        deadline=deadline, key=key)
 
-    def _merge(self, outcome: _Consultation, query: str, path: list[str],
+    def _merge(self, answer: dict[str, Any], path: list[str],
                leads: list[CoalitionLead], seen: set[str],
-               trace: list[str]) -> list[ServiceLink]:
-        """Fold one consultation into the shared lead/trace state.
-
-        Always runs on the coordinating thread, in frontier order.
-        Returns the service links the co-database knows, so the caller
-        can route the query onward along them.
-        """
-        for match in outcome.matches:
+               trace: list[str]) -> None:
+        """Fold one co-database's answer into the shared lead/trace
+        state.  Always runs on the coordinating thread, in frontier
+        order; *seen* is what keeps one lead per coalition or link
+        target across co-databases."""
+        for match in answer["matches"]:
             key = f"coalition:{match['name']}"
             if key in seen:
                 continue
             seen.add(key)
             leads.append(CoalitionLead(
                 name=match["name"],
-                information_type=match.get("information_type", ""),
-                score=float(match.get("score", 0.0)),
-                members=list(match.get("members", [])),
+                information_type=match["information_type"],
+                score=match["score"],
+                members=match["members"],
                 via=list(path)))
             trace.append(
                 f"    coalition {match['name']!r} matches "
-                f"(score {match.get('score', 0):.2f})")
-        links = outcome.links
-        for link in links:
-            score = max(topic_score(query, link.information_type),
-                        topic_score(query, link.to_name),
-                        topic_score(query, link.description))
-            if score < self._threshold:
-                continue
+                f"(score {match['score']:.2f})")
+        for link in answer["leads"]:
             # One lead per link target: multiple links into the same
             # coalition (Figure 1 has seven into Medical) collapse.
-            key = f"link:{link.to_kind.value}:{link.to_name}"
-            if key in seen or f"coalition:{link.to_name}" in seen:
+            key = f"link:{link['to_kind']}:{link['to_name']}"
+            if key in seen or f"coalition:{link['to_name']}" in seen:
                 continue
             seen.add(key)
             leads.append(CoalitionLead(
-                name=link.to_name,
-                information_type=link.information_type or link.description,
-                score=score,
+                name=link["to_name"],
+                information_type=link["information_type"],
+                score=link["score"],
                 via=list(path),
-                through_link=link.label,
-                contact=link.contact))
+                through_link=link["label"],
+                contact=link["contact"]))
             trace.append(
-                f"    service link {link.label} leads to "
-                f"{link.to_kind.value} {link.to_name!r} "
-                f"(score {score:.2f})")
-        return links
+                f"    service link {link['label']} leads to "
+                f"{link['to_kind']} {link['to_name']!r} "
+                f"(score {link['score']:.2f})")

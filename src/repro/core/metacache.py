@@ -1,14 +1,14 @@
 """Co-database metadata caching (hot-path optimisation for discovery).
 
-Discovery is read-dominated: every resolution asks frontier
-co-databases the same handful of questions (``find_coalitions``,
-``service_links``, ``memberships``, ``known_coalitions``), and the
-answers only change when the registry mutates the information space —
-a join, a leave, a new service link.  :class:`MetadataCache` keeps
-those answers for a bounded TTL behind **one coherence rule**, the same
-whether it sits in the client process (``WebFinditSystem(
-metadata_cache=...)``) or inside the shared tier's servant
-(:mod:`repro.core.cachetier`):
+Discovery is read-dominated: every resolution asks each frontier
+co-database the same one question (``consult``), browsing asks a
+handful more (``find_coalitions``, ``service_links``, ``memberships``,
+``known_coalitions``), and the answers only change when the registry
+mutates the information space — a join, a leave, a new service link.
+:class:`MetadataCache` keeps those answers for a bounded TTL behind
+**one coherence rule**, the same whether it sits in the client process
+(``WebFinditSystem(metadata_cache=...)``) or inside the shared tier's
+servant (:mod:`repro.core.cachetier`):
 
 * every entry carries the epoch tag its value was read at (the
   ``applied`` watermark :meth:`~repro.core.codatabase.
@@ -22,7 +22,7 @@ metadata_cache=...)``) or inside the shared tier's servant
   resurrect pre-mutation metadata.
 
 :class:`~repro.core.discovery.CoDatabaseClient` is the one reader.
-Only the four read-heavy operations above are ever cached — metadata
+Only the five read-heavy operations above are ever cached — metadata
 *about a specific lead* (``describe_instance``, ``documents_of``, …)
 always goes to the authoritative co-database — and entries expire after
 ``ttl`` seconds regardless, bounding staleness for out-of-band
@@ -42,7 +42,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 #: uncached: those answers feed user-facing detail views, not the
 #: discovery hot path.
 CACHEABLE_OPERATIONS = frozenset({
-    "find_coalitions", "service_links", "memberships", "known_coalitions"})
+    "consult", "find_coalitions", "service_links", "memberships",
+    "known_coalitions"})
 
 #: Floor value meaning "this source is gone: cache nothing for it".
 TOMBSTONE = -1

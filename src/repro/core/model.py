@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.orb.cdr import register_value, struct_value
 
@@ -28,6 +28,26 @@ def topic_words(text: str) -> frozenset[str]:
                      if w not in STOP_WORDS)
 
 
+def topic_scorer(query: str, ontology: Optional["Ontology"] = None
+                 ) -> Callable[[str], float]:
+    """:func:`topic_score` with *query* fixed: its word set (and, with
+    an ontology, each word's synonym set) is built once, however many
+    topics are scored against it."""
+    query_set = topic_words(query)
+    if not query_set:
+        return lambda topic: 0.0
+    size = len(query_set)
+    if ontology is None:
+        return lambda topic: len(query_set & topic_words(topic)) / size
+    synonyms = [ontology.expand({word}) for word in query_set]
+
+    def score(topic: str) -> float:
+        target = ontology.expand(topic_words(topic))
+        return sum(1 for group in synonyms
+                   if not group.isdisjoint(target)) / size
+    return score
+
+
 def topic_score(query: str, topic: str,
                 ontology: Optional["Ontology"] = None) -> float:
     """Fraction of the query's words covered by *topic* (0.0–1.0).
@@ -35,17 +55,7 @@ def topic_score(query: str, topic: str,
     With an ontology, query words are expanded to their synonym sets
     before matching.
     """
-    query_set = topic_words(query)
-    if not query_set:
-        return 0.0
-    target = topic_words(topic)
-    if ontology is not None:
-        target = ontology.expand(target)
-    hits = sum(1 for word in query_set
-               if word in target
-               or (ontology is not None
-                   and ontology.expand({word}) & target))
-    return hits / len(query_set)
+    return topic_scorer(query, ontology)(topic)
 
 
 @dataclass(frozen=True)

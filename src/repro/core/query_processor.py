@@ -141,7 +141,7 @@ class QueryProcessor:
             result.leads[:] = [
                 lead for lead in result.leads
                 if self._structure_coverage(lead, statement.structure,
-                                            session) > 0.0
+                                            result) > 0.0
             ]
         qualifier = (f" structure ({', '.join(statement.structure)})"
                      if statement.structure else "")
@@ -185,16 +185,10 @@ class QueryProcessor:
         return False
 
     def _structure_coverage(self, lead, requested: list[str],
-                            session: Session) -> float:
+                            result: DiscoveryResult) -> float:
         """Fraction of requested structure elements some member of the
         lead's coalition exports."""
-        entry = lead.entry_database
-        if entry is None:
-            return 0.0
-        try:
-            members = self._client(entry).instances_of(lead.name)
-        except (UnknownDatabase, UnknownCoalition, WebFinditError):
-            return 0.0
+        members = self.discovery.members_of(lead, result)
         if not members or not requested:
             return 0.0
         best = 0.0
@@ -215,14 +209,7 @@ class QueryProcessor:
         sources: list[SourceDescription] = []
         seen: set[str] = set()
         for lead in result.leads:
-            entry = lead.entry_database
-            if entry is None:
-                continue
-            try:
-                instances = self._client(entry).instances_of(lead.name)
-            except (UnknownDatabase, UnknownCoalition, WebFinditError):
-                continue
-            for description in instances:
+            for description in self.discovery.members_of(lead, result):
                 if description.name in seen:
                     continue
                 score = topic_score(statement.information,

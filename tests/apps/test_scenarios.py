@@ -6,10 +6,14 @@ outcome our stand-in testbed produces.
 
 import pytest
 
-from repro.apps.healthcare import RBH_HTML_DOCUMENT
+from repro.apps.healthcare import (RBH_HTML_DOCUMENT,
+                                   build_healthcare_system)
 from repro.apps.healthcare import topology as topo
 from repro.apps.healthcare.data import (AIDS_PROJECT_FUNDING,
                                         AIDS_PROJECT_TITLE)
+from repro.core.resilience import ResiliencePolicy, RetryPolicy
+from repro.orb.faults import FaultyTransport
+from repro.orb.transport import InMemoryNetwork
 
 
 @pytest.fixture()
@@ -138,3 +142,85 @@ class TestWholeSessionTranscript:
         assert transcript.count("webtassili>") == 4
         assert "MedicalStudent" in browser.session.history[-1] \
             or "medical" in browser.session.history[-1].lower()
+
+
+class TestTheThresholdTravelsWithTheQuestion:
+    """Coalitions and service links are filtered by one number, the
+    engine's: Medibank's co-database used to apply its own 0.5 to
+    coalitions whatever the engine asked of links."""
+
+    QUERY = "Insurance Fraud Detection"  # 1 word of 3: score 0.33
+
+    def sweep(self, healthcare, threshold):
+        engine = healthcare.system.query_processor(
+            match_threshold=threshold).discovery
+        return engine.discover(self.QUERY, topo.MEDIBANK,
+                               stop_at_first=False)
+
+    def test_a_lower_threshold_admits_the_local_coalition(self, healthcare):
+        lead, = self.sweep(healthcare, 0.3).leads
+        assert lead.name == "Medical Insurance"
+        assert round(lead.score, 2) == 0.33
+        # Medibank's own coalition, not something a link pointed at.
+        assert lead.through_link is None
+        assert lead.members == [topo.MEDIBANK, topo.MBF]
+        assert lead.via == [topo.MEDIBANK]
+
+    def test_the_default_threshold_admits_nothing(self, healthcare):
+        assert self.sweep(healthcare, 0.5).leads == []
+
+
+class TestFollowUpReadsDegrade:
+    """Statements that read each lead's members after the resolution
+    (``Find Sources``, ``Find Coalitions … Structure``) go on answering
+    when a lead's entry co-database is down, and say so; they used to
+    raise ``CommFailure`` out of ``Browser.submit``."""
+
+    @staticmethod
+    def refused_by_medibank(**fault):
+        """A QUT browser over a federation whose Medibank co-database
+        refuses connections, and the health board it reports to."""
+        faulty = FaultyTransport(InMemoryNetwork(), seed=1999)
+        policy = ResiliencePolicy(retry=RetryPolicy(
+            max_attempts=2, base_delay=0.001, seed=1999))
+        deployment = build_healthcare_system(
+            transport=faulty, resilience=policy, isolate_sources=True)
+        faulty.refuse(deployment.codatabase_endpoint(topo.MEDIBANK), **fault)
+        return deployment.browser(topo.QUT), policy.health
+
+    @pytest.fixture()
+    def browser_without_medibank(self):
+        return self.refused_by_medibank()[0]
+
+    PARTIAL = ("!! partial exploration: 1 co-database(s) skipped — "
+               f"unreachable: {topo.MEDIBANK}")
+
+    def test_find_sources_answers_from_the_other_leads(
+            self, browser_without_medibank):
+        result = browser_without_medibank.submit(
+            "Find Sources With Information 'Medical Insurance'")
+        assert result.kind == "sources"
+        assert {source.name for source in result.data} \
+            >= {topo.QUT, topo.RBH}
+        assert topo.MEDIBANK not in {source.name for source in result.data}
+        assert self.PARTIAL in result.text
+
+    def test_structure_qualified_find_answers(self, browser_without_medibank):
+        result = browser_without_medibank.submit(
+            "Find Coalitions With Information 'Medical Insurance' "
+            "Structure (PlanName)")
+        assert result.kind == "coalitions"
+        assert result.data.degraded.names() == [topo.MEDIBANK]
+        assert self.PARTIAL in result.text
+
+    def test_the_read_is_retried_and_feeds_the_health_board(self):
+        """The follow-up read runs on the engine's guarded path."""
+        find = "Find Sources With Information 'Medical Insurance'"
+        browser, health = self.refused_by_medibank(until=1)
+        once = browser.submit(find)
+        assert topo.MEDIBANK in {source.name for source in once.data}
+        assert "partial exploration" not in once.text
+        assert health.snapshot()[topo.MEDIBANK]["failures"] == 0
+        browser, health = self.refused_by_medibank()
+        browser.submit(find)
+        assert health.snapshot()[topo.MEDIBANK]["failures"] == 1

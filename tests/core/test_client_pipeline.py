@@ -361,7 +361,13 @@ class TestReplicatedSourcesUseTheTier:
         assert lead_fingerprint(result) == lead_fingerprint(tiered.cold)
         assert result.degraded.names() == []
         assert result.cache_hits > 0 and self.lookups(tiered) > before
-        assert result.failovers >= 1  # the uncacheable read did route
+        # A warm resolution crosses no ORB to a co-database, so it had
+        # nothing to fail over; an uncacheable read does route.
+        assert result.metadata_calls == 0 and result.failovers == 0
+        client = tiered.system.codatabase_client(topo.QUT)
+        assert topo.QUT in [member.name
+                            for member in client.instances_of("Research")]
+        assert client.failovers >= 1
 
     def test_losing_the_tier_degrades_to_direct_reads(self, tiered):
         tiered.system.kill_cache_tier()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.codatabase import CoDatabase, CoDatabaseServant
 from repro.core.coalition import Coalition
+from repro.core.discovery import CoDatabaseClient
 from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import UnknownCoalition, UnknownDatabase
@@ -125,10 +126,13 @@ class TestQueries:
         assert codb.documents_of("QUT") == []
 
     def test_query_counter_increments(self, codb):
-        before = codb.queries_answered
-        codb.find_coalitions("x")
-        codb.neighbor_databases()
-        assert codb.queries_answered == before + 3  # find calls known_coalitions
+        """The counted currency is the client's ``calls``: one per
+        question, however many reads the co-database makes of itself
+        to answer it."""
+        client = CoDatabaseClient.for_local(codb)
+        client.find_coalitions("x")  # reads known_coalitions
+        client.consult("x", True, 0.5)  # coalitions, links, neighbours
+        assert client.calls == 2
 
 
 class TestServiceLinks:

@@ -258,6 +258,7 @@ def test_every_cacheable_operation_round_trips(operation):
     client = CoDatabaseClient(
         registry.codatabase("RBH"), "RBH", cache=cache)
     call = {
+        "consult": lambda: client.consult("Medical", True, 0.5),
         "find_coalitions": lambda: client.find_coalitions("Medical"),
         "service_links": client.service_links,
         "memberships": client.memberships,

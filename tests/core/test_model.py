@@ -1,7 +1,10 @@
 """Information-type model, topic matching, ontology."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.model import (InformationType, Ontology, SourceDescription,
-                              topic_score, topic_words)
+                              topic_score, topic_scorer, topic_words)
 
 
 class TestTopicWords:
@@ -35,6 +38,46 @@ class TestTopicScore:
 
     def test_order_independent(self):
         assert topic_score("research medical", "Medical Research") == 1.0
+
+
+def score_word_by_word(query, topic, ontology=None):
+    """The scorer as first written: the query tokenised, and each of its
+    words expanded, once per topic scored."""
+    query_set = topic_words(query)
+    if not query_set:
+        return 0.0
+    target = topic_words(topic)
+    if ontology is not None:
+        target = ontology.expand(target)
+    hits = sum(1 for word in query_set
+               if word in target
+               or (ontology is not None
+                   and ontology.expand({word}) & target))
+    return hits / len(query_set)
+
+
+class TestTopicScorer:
+    """One query against many topics: the word set is built once, the
+    scores are :func:`topic_score`'s."""
+
+    phrases = st.lists(st.sampled_from(
+        ["medical", "health", "care", "research", "insurance", "cover",
+         "and", "the"]), max_size=4).map(" ".join)
+
+    @settings(derandomize=True, deadline=None)
+    @given(phrases, st.lists(phrases, max_size=4), st.booleans())
+    def test_scores_are_the_word_by_word_scorers(self, query, topics,
+                                                 with_ontology):
+        ontology = None
+        if with_ontology:
+            ontology = Ontology()
+            ontology.add_synonyms("medical", ["health", "care"])
+            ontology.add_synonyms("insurance", ["cover"])
+        score_of = topic_scorer(query, ontology)
+        for topic in topics:
+            expected = score_word_by_word(query, topic, ontology)
+            assert score_of(topic) == expected
+            assert topic_score(query, topic, ontology) == expected
 
 
 class TestOntology:

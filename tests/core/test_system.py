@@ -73,10 +73,12 @@ class TestFourLayers:
             self, healthcare):
         system = healthcare.system
         browser = healthcare.browser()
+        system.codatabase_client(topo.QUT)  # the naming lookup, cached
         system.reset_metrics()
         browser.find("Medical Research")
         metrics = system.metrics()
-        assert metrics["giop_messages"] >= 3  # find + links + neighbors
+        # The local co-database resolves it: one question, consult.
+        assert metrics["giop_messages"] == 1
 
     def test_data_query_reaches_data_layer(self, healthcare):
         system = healthcare.system
