@@ -19,6 +19,7 @@ real middleware traffic.
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, Optional
 
 from repro.core.coalition import Coalition
@@ -147,12 +148,9 @@ class CoDatabase:
         """Store *description* as an instance of the coalition class."""
         self._require_coalition(coalition_name)
         self.epoch += 1
-        existing = self._db.select(coalition_name, include_subclasses=False,
-                                   name=description.name)
-        if existing:
-            self.applied = self.epoch
-            return
-        self._db.create(coalition_name, **description.to_wire())
+        if not self._db.select(coalition_name, include_subclasses=False,
+                               name=description.name):
+            self._db.create(coalition_name, **description.to_wire())
         self.applied = self.epoch
 
     def remove_member(self, coalition_name: str, source_name: str) -> None:
@@ -190,11 +188,10 @@ class CoDatabase:
         existing = self._db.select(class_name, include_subclasses=False,
                                    from_name=link.from_name,
                                    to_name=link.to_name)
-        if any(o.get("from_kind") == payload["from_kind"]
-               and o.get("to_kind") == payload["to_kind"] for o in existing):
-            self.applied = self.epoch
-            return
-        self._db.create(class_name, **payload)
+        if not any(o.get("from_kind") == payload["from_kind"]
+                   and o.get("to_kind") == payload["to_kind"]
+                   for o in existing):
+            self._db.create(class_name, **payload)
         self.applied = self.epoch
 
     def remove_service_link(self, link: ServiceLink) -> None:
@@ -389,6 +386,45 @@ class CoDatabase:
     def object_database(self) -> ObjectDatabase:
         """The underlying object store (for inspection and tests)."""
         return self._db
+
+
+# ---------------------------------------------------------------------------
+# The maintenance-write surface
+# ---------------------------------------------------------------------------
+
+#: Declared once: mutator name -> the value type of each positional
+#: argument (``str`` for plain names; the others have ``to_wire`` /
+#: ``from_wire``).  The journal codec, the replicated facade's mutators
+#: and the registry's write gate derive from it — a new mutator is a
+#: method above plus a line here.
+MAINTENANCE_WRITES: dict[str, tuple[type, ...]] = {
+    "advertise": (SourceDescription,),
+    "register_coalition": (Coalition,),
+    "record_membership": (str,),
+    "drop_membership": (str,),
+    "add_member": (str, SourceDescription),
+    "remove_member": (str, str),
+    "forget_coalition": (str,),
+    "add_service_link": (ServiceLink,),
+    "remove_service_link": (ServiceLink,),
+    "attach_document": (str, str, str, str),
+}
+
+_WRITE_SIGNATURES = {name: inspect.signature(getattr(CoDatabase, name))
+                     for name in MAINTENANCE_WRITES}
+
+
+def write_arguments(operation: str, args: tuple,
+                    kwargs: Optional[dict[str, Any]] = None) -> tuple:
+    """One mutator call's full positional arguments, defaults filled
+    in — what a journal records."""
+    signature = _WRITE_SIGNATURES.get(operation)
+    if signature is None:
+        raise WebFinditError(
+            f"{operation!r} is not a co-database maintenance write")
+    bound = signature.bind(None, *args, **(kwargs or {}))
+    bound.apply_defaults()
+    return bound.args[1:]
 
 
 # ---------------------------------------------------------------------------

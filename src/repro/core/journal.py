@@ -1,43 +1,43 @@
 """Write-ahead journaling of co-database maintenance operations.
 
-Every maintenance write the registry applies to a co-database replica
-is first appended to that replica's journal as a :class:`JournalEntry`
-— the operation name, its wire-encoded arguments, the monotonic epoch
-the write produces, and (under quorum replication) the **fence** of the
-primary lease that issued it.  A replica that crashes therefore owns,
-on disk (or in memory for ephemeral deployments), exactly the prefix of
-writes it had applied; :func:`replay_entries` rebuilds the co-database
-from a snapshot plus that prefix, and the replica's epoch tells the
-replication layer whether it still needs anti-entropy catch-up from a
-live peer (see :mod:`repro.core.replication`).
+Every maintenance write a replica set commits is first appended to each
+replica's journal as a :class:`JournalEntry` — the operation name, its
+wire-encoded arguments, the monotonic epoch the write produces, and
+(under quorum replication) the **fence** of the primary lease that
+issued it.  Which operations exist, and the value type of each
+argument, is declared once (:data:`repro.core.codatabase.
+MAINTENANCE_WRITES`); :func:`encode_operation` and :func:`apply_entry`
+are generic over that table.  A crashed replica owns, on disk (or in
+memory for ephemeral deployments), exactly the prefix of writes it had
+applied; :func:`replay_entries` rebuilds the co-database from a
+snapshot plus that prefix (see :mod:`repro.core.replication`).
 
-Two on-disk formats are supported:
+Two on-disk formats, one read path (the format is sniffed on open):
 
-* **v2** (default for new files) — a binary log: an 8-byte magic
-  header (``WFJRNL2\\n``) followed by length-prefixed records::
+* **v2** (``journal.wal``, every new file) — an 8-byte magic header
+  (``WFJRNL2\\n``) followed by length-prefixed records::
 
       [u32 length][u32 CRC32(payload)][payload: compact JSON, UTF-8]
 
-  Replay verifies every record's length and checksum and halts at the
-  first record that fails either — a **torn write** (crash mid-append)
-  — recovering exactly the longest valid prefix and truncating the
-  file back to it so later appends start from a clean tail.
-* **jsonl** (legacy) — one JSON object per line, as written by earlier
-  releases.  Replay is equally torn-tolerant: a line that no longer
-  parses halts the replay at that record with a counted warning
-  instead of raising a raw ``json.JSONDecodeError``.
+  with payload ``{"epoch":…,"op":…,"args":[…],"fence":…}``.  Replay
+  verifies every record's length and checksum and halts at the first
+  that fails either — a **torn write** (crash mid-append) — recovering
+  the longest valid prefix and truncating the file back to it.
+* **jsonl** (legacy ``journal.jsonl``) — the same object, one per line,
+  as earlier releases wrote it; an existing file keeps its format.
+  Equally torn-tolerant: a line that no longer parses halts the replay
+  there with a counted warning.
 
-Durability is governed by the ``sync=`` knob: ``"never"`` flushes to
-the OS only (the pre-quorum behaviour), ``"always"`` fsyncs every
-append, and ``"batch"`` implements **group commit** — appends are
-fsynced once per *group_size* records (or on :meth:`sync_now`),
-amortising the disk barrier across a burst of writes.
+``sync=`` governs durability: ``"never"`` flushes to the OS only,
+``"always"`` fsyncs every append, ``"batch"`` is **group commit** — one
+fsync per *group_size* appends (or on :meth:`ReplicaJournal.sync_now`).
 
-Snapshots reuse the export format of :mod:`repro.core.snapshot`
-(``webfindit-codatabase/1``) and truncate the journal they cover.  All
-rewrites (snapshot installs, compensating :meth:`discard`) go through a
-temp file + ``os.replace`` so a crash mid-rewrite can never destroy the
-log: either the old file or the new one survives, both complete.
+A snapshot (``snapshot.json`` beside the journal) is the export format
+of :mod:`repro.core.snapshot` (``webfindit-codatabase/1``) plus one
+key, ``fence`` — the fence high-water of the entries it subsumed — and
+truncates the journal it covers.  Rewrites (snapshot installs,
+compensating :meth:`ReplicaJournal.discard`) go through a temp file +
+``os.replace``: a crash leaves the old file or the new, both complete.
 """
 
 from __future__ import annotations
@@ -51,20 +51,14 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.core.coalition import Coalition
-from repro.core.model import SourceDescription
-from repro.core.service_link import ServiceLink
+from repro.core.codatabase import MAINTENANCE_WRITES
 from repro.errors import WebFinditError
 
 log = logging.getLogger("repro.journal")
 
 #: Maintenance operations a journal may carry — exactly the mutator
-#: surface of :class:`~repro.core.codatabase.CoDatabase`.
-JOURNALED_OPERATIONS = frozenset({
-    "advertise", "register_coalition", "record_membership",
-    "drop_membership", "add_member", "remove_member", "forget_coalition",
-    "add_service_link", "remove_service_link", "attach_document",
-})
+#: surface :data:`~repro.core.codatabase.MAINTENANCE_WRITES` declares.
+JOURNALED_OPERATIONS = frozenset(MAINTENANCE_WRITES)
 
 #: File magic of the checksummed v2 journal format.
 JOURNAL_MAGIC = b"WFJRNL2\n"
@@ -104,15 +98,19 @@ class JournalEntry:
                    fence=int(payload.get("fence", 0)))
 
 
+def _argument_types(operation: str) -> tuple:
+    types = MAINTENANCE_WRITES.get(operation)
+    if types is None:
+        raise WebFinditError(
+            f"journal entry for unknown operation {operation!r}")
+    return types
+
+
 def encode_operation(operation: str, args: tuple) -> tuple:
-    """Wire-encode a mutator call's arguments for journaling."""
-    encoded = []
-    for argument in args:
-        if isinstance(argument, (SourceDescription, Coalition, ServiceLink)):
-            encoded.append(argument.to_wire())
-        else:
-            encoded.append(argument)
-    return tuple(encoded)
+    """Wire-encode a mutator call's arguments for journaling: plain
+    names as they are, declared value types through ``to_wire``."""
+    return tuple(argument if kind is str else argument.to_wire()
+                 for kind, argument in zip(_argument_types(operation), args))
 
 
 def apply_entry(codatabase, entry: JournalEntry) -> None:
@@ -122,24 +120,12 @@ def apply_entry(codatabase, entry: JournalEntry) -> None:
     co-database's current epoch has already been applied and is
     skipped, so overlapping snapshot + journal sources are safe.
     """
-    if entry.operation not in JOURNALED_OPERATIONS:
-        raise WebFinditError(
-            f"journal entry for unknown operation {entry.operation!r}")
+    types = _argument_types(entry.operation)
     if entry.epoch <= codatabase.epoch:
         return
-    args = entry.arguments
-    if entry.operation == "advertise":
-        codatabase.advertise(SourceDescription.from_wire(args[0]))
-    elif entry.operation == "register_coalition":
-        codatabase.register_coalition(Coalition.from_wire(args[0]))
-    elif entry.operation == "add_member":
-        codatabase.add_member(args[0], SourceDescription.from_wire(args[1]))
-    elif entry.operation == "add_service_link":
-        codatabase.add_service_link(ServiceLink.from_wire(args[0]))
-    elif entry.operation == "remove_service_link":
-        codatabase.remove_service_link(ServiceLink.from_wire(args[0]))
-    else:  # plain-string operations
-        getattr(codatabase, entry.operation)(*args)
+    getattr(codatabase, entry.operation)(*(
+        wire if kind is str else kind.from_wire(wire)
+        for kind, wire in zip(types, entry.arguments)))
 
 
 def replay_entries(codatabase, entries) -> int:
@@ -251,9 +237,14 @@ class ReplicaJournal:
         self.torn_records = 0
         #: Disk barriers issued (``os.fsync``), for group-commit tests.
         self.fsyncs = 0
+        #: High-water of every fence appended, loaded or snapshotted.
+        self._fence = 0
         if path is not None:
             os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             self._load_files()
+            self._fence = max(
+                [int((self.snapshot or {}).get("fence", 0))]
+                + [entry.fence for entry in self._entries])
 
     # ----------------------------------------------------------- durability --
 
@@ -318,25 +309,23 @@ class ReplicaJournal:
                 self._handle.write(JOURNAL_MAGIC)
         return self._handle
 
+    def _encode(self, entry: JournalEntry) -> bytes:
+        """One record in this journal's on-disk format."""
+        if self.fmt == "v2":
+            return encode_record(entry)
+        return (json.dumps(entry.to_wire()) + "\n").encode("utf-8")
+
     def _write_record(self, entry: JournalEntry) -> None:
         handle = self._open_handle()
-        if self.fmt == "v2":
-            handle.write(encode_record(entry))
-        else:
-            handle.write((json.dumps(entry.to_wire()) + "\n")
-                         .encode("utf-8"))
+        handle.write(self._encode(entry))
         # Data always reaches the OS (a crashed *process* loses
         # nothing); the fsync policy decides when it reaches the disk.
         handle.flush()
-        if self.sync == "always":
-            os.fsync(handle.fileno())
-            self.fsyncs += 1
-        elif self.sync == "batch":
+        if self.sync != "never":
             self._pending_sync += 1
-            if self._pending_sync >= self.group_size:
-                os.fsync(handle.fileno())
-                self.fsyncs += 1
-                self._pending_sync = 0
+            if self.sync == "always" \
+                    or self._pending_sync >= self.group_size:
+                self.sync_now()
 
     def sync_now(self) -> None:
         """Force the group-commit barrier: fsync any pending appends."""
@@ -367,12 +356,7 @@ class ReplicaJournal:
         with open(temp_path, "wb") as handle:
             if self.fmt == "v2":
                 handle.write(JOURNAL_MAGIC)
-                for entry in self._entries:
-                    handle.write(encode_record(entry))
-            else:
-                for entry in self._entries:
-                    handle.write((json.dumps(entry.to_wire()) + "\n")
-                                 .encode("utf-8"))
+            handle.writelines(map(self._encode, self._entries))
             handle.flush()
             os.fsync(handle.fileno())
             self.fsyncs += 1
@@ -382,9 +366,11 @@ class ReplicaJournal:
 
     def append(self, entry: JournalEntry) -> None:
         with self._lock:
-            self._entries.append(entry)
+            # File first: an append that faults has appended nothing.
             if self.path is not None:
                 self._write_record(entry)
+            self._entries.append(entry)
+            self._fence = max(self._fence, entry.fence)
 
     def entries(self) -> list[JournalEntry]:
         with self._lock:
@@ -410,9 +396,10 @@ class ReplicaJournal:
 
     @property
     def last_fence(self) -> int:
-        """Highest fencing epoch recorded anywhere in this journal."""
-        with self._lock:
-            return max((entry.fence for entry in self._entries), default=0)
+        """Highest fencing epoch this journal ever recorded.  It never
+        falls: entries a snapshot subsumed count through the stored
+        snapshot's ``fence`` key (absent in older files: 0)."""
+        return self._fence
 
     def discard(self, epoch: int) -> None:
         """Drop entries at exactly *epoch* — the compensation when a
@@ -428,10 +415,11 @@ class ReplicaJournal:
 
     def install_snapshot(self, payload: dict[str, Any]) -> None:
         """Record *payload* as the recovery base and drop covered
-        entries (the snapshot subsumes every write up to its epoch)."""
+        entries (the snapshot subsumes every write up to its epoch),
+        keeping their fence high-water beside it."""
         epoch = int(payload.get("epoch", 0))
         with self._lock:
-            self.snapshot = payload
+            self.snapshot = payload = {**payload, "fence": self._fence}
             self._entries = [entry for entry in self._entries
                              if entry.epoch > epoch]
             if self.path is not None:

@@ -51,7 +51,7 @@ from dataclasses import replace
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.coalition import Coalition
-from repro.core.codatabase import CoDatabase
+from repro.core.codatabase import MAINTENANCE_WRITES, CoDatabase
 from repro.core.model import Ontology, SourceDescription
 from repro.core.resilience import HealthBoard
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -292,13 +292,11 @@ class RegistryShard:
     # ------------------------------------------------------ co-database writes --
 
     #: Co-database mutators the coordinator may issue through
-    #: :meth:`codb_write`.  Keeping the list explicit makes the wire
-    #: surface of a registry shard auditable.
-    CODB_WRITE_OPERATIONS = frozenset({
-        "register_coalition", "record_membership", "drop_membership",
-        "forget_coalition", "add_member", "remove_member",
-        "add_service_link", "remove_service_link", "attach_document",
-    })
+    #: :meth:`codb_write` — the declared surface minus ``advertise``
+    #: (an advertisement is written by ``add_source`` and
+    #: ``refresh_advertisement`` alone).  This is the auditable wire
+    #: surface of a registry shard.
+    CODB_WRITE_OPERATIONS = frozenset(MAINTENANCE_WRITES) - {"advertise"}
 
     def codb_write(self, database_name: str, operation: str,
                    arguments: Sequence) -> None:

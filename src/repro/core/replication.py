@@ -6,11 +6,14 @@ the client-side resilience of :mod:`repro.core.resilience` can only
 
 * :class:`ReplicatedCoDatabase` — a drop-in for
   :class:`~repro.core.codatabase.CoDatabase` that the registry writes
-  through.  Every maintenance write is appended to each live replica's
-  write-ahead journal (:mod:`repro.core.journal`) and then applied to
-  that replica's co-database, carrying one monotonic per-co-database
-  **epoch**.  Reads delegate to the first live replica, so registry
-  code and the ``update_operations`` accounting are untouched.
+  through.  One routine commits every maintenance write: the entry is
+  appended to the write-ahead journal (:mod:`repro.core.journal`) of
+  each replica it is offered to and, once enough copies exist, applied
+  to those replicas' co-databases, carrying one monotonic
+  per-co-database **epoch**.  Fan-out and quorum differ only in who is
+  offered a write and how many copies it needs.  Reads delegate to the
+  primary, so registry code and the ``update_operations`` accounting
+  are untouched.
 * :class:`ReplicaRuntime` — one replica servant's state: its
   co-database, journal, aliveness, and (filled in by the system layer)
   the ORB/IOR it is served on.  Killing a replica freezes its journal
@@ -27,18 +30,21 @@ the client-side resilience of :mod:`repro.core.resilience` can only
   it as in front of any target, and the cache's epoch floors are what
   keep a lagging replica's answers out of it.
 
-``docs/availability.md`` documents the protocol; the S8 bench
-(``BENCH_availability.json``) measures what it buys.
+``docs/availability.md`` and ``docs/quorum.md`` document the protocol;
+the S8 and S10 benches (``BENCH_availability.json``,
+``BENCH_quorum.json``) measure what it buys.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from repro.core.codatabase import CoDatabase
+from repro.core.codatabase import (MAINTENANCE_WRITES, CoDatabase,
+                                   write_arguments)
 from repro.core.journal import (JournalEntry, ReplicaJournal, apply_entry,
                                 encode_operation, replay_entries)
 from repro.core.model import Ontology
@@ -99,20 +105,23 @@ class ReplicaRuntime:
 class ReplicatedCoDatabase:
     """N replica co-databases behind one registry-facing facade.
 
-    Mutators journal (WAL) and fan out; reads delegate to the primary.
-    The facade's :attr:`epoch` counts logical maintenance writes — each
-    replica that applied the full prefix carries the same number.
+    The mutators :data:`~repro.core.codatabase.MAINTENANCE_WRITES`
+    declares are journaled (WAL) and committed by one routine,
+    :meth:`_commit`; reads delegate to the primary.  The facade's
+    :attr:`epoch` counts logical maintenance writes — each replica that
+    applied the full prefix carries the same number.
 
-    Two write disciplines:
+    A write discipline decides two things only — who is *offered* a
+    write and how many journaled copies it *needs*:
 
-    * **fan-out** (``quorum=False``, the PR 3 behaviour): every *live*
-      replica journals and applies each write; the facade is the
-      implicit, unchallenged primary.
+    * **fan-out** (``quorum=False``): every live replica is offered
+      each write and one copy commits it; the facade is the implicit,
+      unchallenged primary.
     * **quorum** (``quorum=True``): writes require a
       :class:`~repro.core.quorum.PrimaryLease` won by majority
-      election and commit only when a **majority of the configured
-      replica set** journals them; every replica refuses appends
-      fenced below its promised lease.  A partitioned old primary can
+      election, are offered to the live replicas the lease holder can
+      reach that admit its fence, and need a **majority of the
+      configured replica set**.  A partitioned old primary can
       therefore never commit once a newer lease exists, and writes
       stay available as long as some candidate reaches a majority
       (the facade fails over its own lease automatically).  *link*
@@ -176,15 +185,13 @@ class ReplicatedCoDatabase:
         # The facade resumes from the most advanced replica; the others
         # (shorter journals after an unclean stop, or fresh replicas
         # when the factor was raised) catch up by anti-entropy.
-        self.epoch = max(runtime.epoch for runtime in self.runtimes)
-        if self.epoch:
-            leader = max(self.runtimes, key=lambda runtime: runtime.epoch)
-            payload = None
-            for runtime in self.runtimes:
-                if runtime.epoch == self.epoch:
-                    continue
-                if payload is None:
-                    payload = export_codatabase(leader.codatabase)
+        leader = max(self.runtimes, key=lambda runtime: runtime.epoch)
+        self.epoch = leader.epoch
+        laggards = [runtime for runtime in self.runtimes
+                    if runtime.epoch < self.epoch]
+        if laggards:
+            payload = export_codatabase(leader.codatabase)
+            for runtime in laggards:
                 runtime.codatabase = import_codatabase(
                     payload, ontology=self.ontology)
                 runtime.journal.install_snapshot(payload)
@@ -242,19 +249,15 @@ class ReplicatedCoDatabase:
         with self._lock:
             if candidate_index is not None:
                 return self._elect(self.runtime(candidate_index))
-            last_error: Optional[ElectionLost] = None
-            for runtime in self.runtimes:
-                if not runtime.alive:
-                    continue
+            last_error = ElectionLost(
+                f"no live replica of the co-database of "
+                f"{self.owner_name!r} can stand for election")
+            for runtime in self.live_runtimes():
                 try:
                     return self._elect(runtime)
                 except ElectionLost as exc:
                     last_error = exc
-            if last_error is not None:
-                raise last_error
-            raise ElectionLost(
-                f"no live replica of the co-database of "
-                f"{self.owner_name!r} can stand for election")
+            raise last_error
 
     def _elect(self, candidate: ReplicaRuntime) -> PrimaryLease:
         if not candidate.alive:
@@ -297,17 +300,25 @@ class ReplicatedCoDatabase:
 
     # ------------------------------------------------------------- mutators --
 
-    def _write(self, operation: str, *args: Any) -> None:
+    def _write(self, operation: str, *args: Any, **kwargs: Any) -> None:
         """One registry-issued maintenance write, under the configured
         discipline: quorum (with automatic primary failover) or the
-        legacy all-live fan-out."""
-        if not self._quorum:
-            self._fanout_write(operation, *args)
-            return
+        all-live fan-out."""
+        args = write_arguments(operation, args, kwargs)
         with self._lock:
+            if not self._quorum:
+                # With no copy journaled (no live replica) the write is
+                # refused: an epoch bumped for a write nobody holds
+                # would leave the facade ahead of every replica for good.
+                self._commit(
+                    operation, args, self.live_runtimes(), 1,
+                    lambda journaled: CommFailure(
+                        f"no live replica of the co-database of "
+                        f"{self.owner_name!r} journaled maintenance write "
+                        f"{operation!r}; refused"))
+                return
             try:
-                lease = self._ensure_lease()
-                self._quorum_write(lease, operation, *args)
+                self._quorum_write(self._ensure_lease(), operation, args)
                 return
             except (QuorumLost, FencedOut, LeaseExpired, ElectionLost):
                 # The facade's primary lost its majority — partitioned
@@ -316,8 +327,7 @@ class ReplicatedCoDatabase:
                 # and reissue (the aborted attempt journaled nothing
                 # durably, so the retry cannot double-commit).
                 pass
-            lease = self._await_election()
-            self._quorum_write(lease, operation, *args)
+            self._quorum_write(self._await_election(), operation, args)
 
     def _await_election(self) -> PrimaryLease:
         """Elect a new primary, waiting out unexpired grants.
@@ -347,76 +357,18 @@ class ReplicatedCoDatabase:
         This is the dual-primary instrument — chaos tests hold a
         deposed primary's lease and prove its writes can never commit.
         """
-        self._quorum_write(lease, operation, *args)
-
-    def _fanout_write(self, operation: str, *args: Any) -> None:
-        """WAL + fan-out: journal first, then apply, on each live
-        replica, all carrying the same post-write epoch.
-
-        With *no* live replica the write is refused outright — bumping
-        the epoch for a write nobody journals would lose it silently
-        (anti-entropy has no source that knows it) and leave the facade
-        permanently ahead of every replica.
-
-        A write the *first* live replica rejects (application-level
-        validation — an unknown coalition, say) is compensated: the
-        journaled entry and the epoch bump are rolled back before the
-        error propagates, so replay never re-raises it.  Replicas are
-        deterministic state machines over the same prefix, so a write
-        the first accepts should not fail on a sibling — but if one
-        does (a durable-journal IO error, say), the sibling's entry is
-        rolled back and the sibling is taken out of rotation so
-        anti-entropy repairs it at recovery, instead of leaving a
-        journaled-but-unapplied write behind.
-        """
-        with self._lock:
-            if not self.live_runtimes():
-                raise CommFailure(
-                    f"all replicas of the co-database of "
-                    f"{self.owner_name!r} are down; maintenance write "
-                    f"{operation!r} refused")
-            self.epoch += 1
-            entry = JournalEntry(epoch=self.epoch, operation=operation,
-                                 arguments=encode_operation(operation, args))
-            applied = False
-            for runtime in self.runtimes:
-                if not runtime.alive:
-                    continue  # a dead server misses the write (by design)
-                try:
-                    runtime.journal.append(entry)
-                    getattr(runtime.codatabase, operation)(*args)
-                except Exception:
-                    runtime.journal.discard(entry.epoch)
-                    if not applied:
-                        self.epoch -= 1
-                        raise
-                    runtime.alive = False
-                    continue
-                applied = True
-                if self.snapshot_every \
-                        and len(runtime.journal) >= self.snapshot_every:
-                    runtime.journal.install_snapshot(
-                        export_codatabase(runtime.codatabase))
+        self._quorum_write(lease, operation,
+                           write_arguments(operation, args))
 
     def _quorum_write(self, lease: PrimaryLease, operation: str,
-                      *args: Any) -> None:
-        """Majority-quorum write under *lease*.
-
-        Two phases, WAL-ordered: (1) the entry — stamped with the
-        lease's fence — is offered to every replica the primary can
-        reach; each replica refuses stamps below its promised fence
-        and journals the rest.  (2) Only when a **majority of the
-        configured set** journaled does the write commit (apply +
-        epoch bump); otherwise every journaled copy is discarded and
-        the write raises — :class:`~repro.errors.FencedOut` when a
-        newer promise caused the shortfall (the primary is deposed),
-        :class:`~repro.errors.QuorumLost` when the replicas simply
-        were not there.  An aborted write consumes no epoch, so a
-        fenced old primary leaves no trace a replay could resurrect.
-        """
+                      args: tuple) -> None:
+        """Majority-quorum write under *lease*, stamped with its fence.
+        A shortfall is :class:`~repro.errors.FencedOut` when a newer
+        promise caused it (a reachable replica refused the stamp: the
+        primary is deposed), :class:`~repro.errors.QuorumLost` when the
+        replicas simply were not there."""
         with self._lock:
-            now = self._clock()
-            if not lease.valid(now):
+            if not lease.valid(self._clock()):
                 raise LeaseExpired(
                     f"lease of r{lease.index} over the co-database of "
                     f"{self.owner_name!r} (fence {lease.fence}) expired "
@@ -426,116 +378,93 @@ class ReplicatedCoDatabase:
                 raise QuorumLost(
                     f"primary r{lease.index} of {self.owner_name!r} is "
                     f"dead; write {operation!r} refused")
-            epoch = self.epoch + 1
-            entry = JournalEntry(epoch=epoch, operation=operation,
-                                 arguments=encode_operation(operation, args),
-                                 fence=lease.fence)
-            acked: list[ReplicaRuntime] = []
-            fenced = 0
-            for runtime in self.runtimes:
-                if not runtime.alive:
-                    continue
-                if runtime.index != primary.index \
-                        and not self._connected(primary.endpoint,
-                                                runtime.endpoint):
-                    continue  # partitioned away: never sees the offer
-                if not runtime.lease.admits(lease.fence):
-                    fenced += 1
-                    continue  # replica-side fencing: stale stamp refused
-                try:
-                    runtime.journal.append(entry)
-                except Exception:
-                    runtime.alive = False  # journal IO fault: quarantine
-                    continue
-                acked.append(runtime)
+            # A replica partitioned away never sees the offer.
+            reachable = [runtime for runtime in self.live_runtimes()
+                         if runtime is primary
+                         or self._connected(primary.endpoint,
+                                            runtime.endpoint)]
+            offered = [runtime for runtime in reachable
+                       if runtime.lease.admits(lease.fence)]
             needed = majority(len(self.runtimes))
-            if len(acked) < needed:
-                for runtime in acked:
-                    runtime.journal.discard(epoch)
+
+            def shortfall(journaled: int) -> Exception:
                 self.aborted_writes += 1
-                if fenced:
+                if len(offered) < len(reachable):
                     self.fenced_writes += 1
-                    raise FencedOut(
+                    return FencedOut(
                         f"write {operation!r} by r{lease.index} of "
                         f"{self.owner_name!r} carries stale fence "
                         f"{lease.fence}: a newer lease has been promised")
-                raise QuorumLost(
+                return QuorumLost(
                     f"write {operation!r} on the co-database of "
-                    f"{self.owner_name!r} reached {len(acked)} of "
+                    f"{self.owner_name!r} reached {journaled} of "
                     f"{len(self.runtimes)} replicas (quorum {needed})")
-            # Quorum journaled: commit.  Validation failures are
-            # deterministic over the shared prefix, so probing the
-            # first replica decides for all — a refusal compensates
-            # every journaled copy before the error propagates.
-            try:
-                getattr(acked[0].codatabase, operation)(*args)
-            except Exception:
-                for runtime in acked:
-                    runtime.journal.discard(epoch)
-                raise
-            for runtime in acked[1:]:
-                try:
-                    getattr(runtime.codatabase, operation)(*args)
-                except Exception:
-                    runtime.journal.discard(epoch)
-                    runtime.alive = False  # quarantine for anti-entropy
-            self.epoch = epoch
+
+            self._commit(operation, args, offered, needed, shortfall,
+                         fence=lease.fence)
             lease.commits += 1
-            for runtime in acked:
-                if runtime.alive and self.snapshot_every \
-                        and len(runtime.journal) >= self.snapshot_every:
-                    runtime.journal.install_snapshot(
-                        export_codatabase(runtime.codatabase))
 
-    # The full mutator surface of CoDatabase, journaled and fanned out.
+    def _commit(self, operation: str, args: tuple,
+                offered: list[ReplicaRuntime], needed: int,
+                shortfall: Callable[[int], Exception],
+                fence: int = 0) -> None:
+        """The one routine that commits a maintenance write (WAL order).
 
-    def advertise(self, description) -> None:
-        self._write("advertise", description)
-
-    def register_coalition(self, coalition) -> None:
-        self._write("register_coalition", coalition)
-
-    def record_membership(self, coalition_name: str) -> None:
-        self._write("record_membership", coalition_name)
-
-    def drop_membership(self, coalition_name: str) -> None:
-        self._write("drop_membership", coalition_name)
-
-    def add_member(self, coalition_name: str, description) -> None:
-        self._write("add_member", coalition_name, description)
-
-    def remove_member(self, coalition_name: str, source_name: str) -> None:
-        self._write("remove_member", coalition_name, source_name)
-
-    def forget_coalition(self, coalition_name: str) -> None:
-        self._write("forget_coalition", coalition_name)
-
-    def add_service_link(self, link) -> None:
-        self._write("add_service_link", link)
-
-    def remove_service_link(self, link) -> None:
-        self._write("remove_service_link", link)
-
-    def attach_document(self, source_name: str, format_name: str,
-                        content: str, url: str = "") -> None:
-        self._write("attach_document", source_name, format_name, content, url)
+        The entry — post-write epoch, *fence* — is journaled on every
+        *offered* replica; a journal that faults quarantines its
+        replica.  Fewer than *needed* copies abort the write with the
+        verdict *shortfall* names.  Otherwise the first journaled
+        replica applies it: replicas are deterministic state machines
+        over one prefix, so its refusal (an unknown coalition, say)
+        decides for all and propagates.  Abort and refusal discard
+        every copy and consume no epoch — replay can neither resurrect
+        nor re-raise them.  Then the siblings apply (one that diverges
+        is rolled back and quarantined for anti-entropy to repair at
+        recovery), the epoch advances and the snapshot cadence runs.
+        """
+        epoch = self.epoch + 1
+        entry = JournalEntry(epoch=epoch, operation=operation,
+                             arguments=encode_operation(operation, args),
+                             fence=fence)
+        journaled: list[ReplicaRuntime] = []
+        for runtime in offered:
+            try:
+                runtime.journal.append(entry)
+            except Exception:
+                runtime.alive = False  # journal IO fault: quarantine
+            else:
+                journaled.append(runtime)
+        try:
+            if len(journaled) < needed:
+                raise shortfall(len(journaled))
+            getattr(journaled[0].codatabase, operation)(*args)
+        except Exception:
+            for runtime in journaled:
+                runtime.journal.discard(epoch)
+            raise
+        for runtime in journaled[1:]:
+            try:
+                getattr(runtime.codatabase, operation)(*args)
+            except Exception:
+                runtime.journal.discard(epoch)
+                runtime.alive = False  # quarantine for anti-entropy
+        self.epoch = epoch
+        for runtime in journaled:
+            if runtime.alive and self.snapshot_every \
+                    and len(runtime.journal) >= self.snapshot_every:
+                runtime.journal.install_snapshot(
+                    export_codatabase(runtime.codatabase))
 
     # --------------------------------------------------------------- reads --
 
-    @property
-    def memberships(self) -> list[str]:
-        return self.primary.memberships
-
-    @property
-    def local_description(self):
-        return self.primary.local_description
-
     def __getattr__(self, name: str):
-        # Read operations (find_coalitions, service_links, ...) and
-        # inspection helpers delegate to the first live replica.
-        # Mutators are defined explicitly above and never reach here.
+        # The declared mutators are journaled and committed; reads
+        # (find_coalitions, memberships, ...) and inspection helpers
+        # delegate to the primary.
         if name.startswith("_"):
             raise AttributeError(name)
+        if name in MAINTENANCE_WRITES:
+            return functools.partial(self._write, name)
         return getattr(self.primary, name)
 
     # ---------------------------------------------------- crash & recovery --

@@ -1,19 +1,23 @@
-"""Saving and restoring the information-space topology.
+"""Saving and restoring metadata: two JSON-able layouts.
 
-The registry's administrative state — source advertisements, coalitions
-(with hierarchy and membership), service links, and documentation
-artefacts — exports to a plain JSON-able dict and imports back into a
-fresh :class:`~repro.core.registry.Registry`, rebuilding every
-co-database according to the locality rule.
+* ``webfindit-topology/1`` — the registry's administrative state
+  (advertisements, coalitions with hierarchy and membership, service
+  links, documentation); imports into a fresh
+  :class:`~repro.core.registry.Registry`, rebuilding every co-database
+  according to the locality rule.
+* ``webfindit-codatabase/1`` — one co-database's full state, epoch
+  included: the replica snapshot a journal truncates against.
 
-Native database *contents* are deliberately out of scope: sources are
-autonomous, and what WebFINDIT owns is the metadata level.
+Both spell a model object as its ``to_wire()`` form, share one
+parents-first ordering and one document list, and are pinned byte for
+byte by ``tests/core/golden/``.  Native database *contents* are out of
+scope: sources are autonomous; WebFINDIT owns the metadata level.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.coalition import Coalition
 from repro.core.codatabase import CoDatabase
@@ -29,28 +33,51 @@ FORMAT = "webfindit-topology/1"
 CODATABASE_FORMAT = "webfindit-codatabase/1"
 
 
+def _parents_first(coalitions: list[Coalition]) -> Iterator[Coalition]:
+    """*coalitions* in listing order, except that a listed parent comes
+    before its children (as during live registration)."""
+    listed = {coalition.name for coalition in coalitions}
+    placed: set[str] = set()
+    remaining = coalitions
+    while remaining:
+        deferred = []
+        for coalition in remaining:
+            if coalition.parent in listed and coalition.parent not in placed:
+                deferred.append(coalition)
+                continue
+            placed.add(coalition.name)
+            yield coalition
+        if len(deferred) == len(remaining):
+            names = [coalition.name for coalition in deferred]
+            raise WebFinditError(f"cyclic coalition parents: {names!r}")
+        remaining = deferred
+
+
+def _documents(holders: Iterable[tuple[str, Any]]) -> list[dict[str, str]]:
+    """Every artefact of each ``(source, co-database that holds its
+    documentation)`` pair, tagged with its source."""
+    return [{"source": source, **document}
+            for source, codatabase in holders
+            for document in codatabase.documents_of(source)]
+
+
+def _attach_documents(target, payload: dict[str, Any]) -> None:
+    """Re-attach a payload's ``documents`` to a registry or co-database."""
+    for document in payload.get("documents", []):
+        target.attach_document(document["source"],
+                               document.get("format", ""),
+                               document.get("content", ""),
+                               document.get("url", ""))
+
+
 def export_topology(registry: Registry) -> dict[str, Any]:
     """Capture *registry*'s full administrative state."""
-    coalitions = []
-    for name in registry.coalition_names():
-        coalition = registry.coalition(name)
-        coalitions.append({
-            "name": coalition.name,
-            "information_type": coalition.information_type,
-            "parent": coalition.parent,
-            "doc": coalition.doc,
-            "members": list(coalition.members),
-        })
-    documents = []
-    for source_name in registry.source_names():
-        codatabase = registry.codatabase(source_name)
-        for document in codatabase.documents_of(source_name):
-            documents.append({"source": source_name, **document})
     return {
         "format": FORMAT,
         "sources": [registry.source(name).to_wire()
                     for name in registry.source_names()],
-        "coalitions": coalitions,
+        "coalitions": [registry.coalition(name).to_wire()
+                       for name in registry.coalition_names()],
         # Each source's coalitions in join order: with every coalition's
         # ``members`` order it lets import replay the joins in an order
         # consistent with the original history.
@@ -58,7 +85,9 @@ def export_topology(registry: Registry) -> dict[str, Any]:
                         for name in registry.source_names()},
         "service_links": [link.to_wire()
                           for link in registry.service_links()],
-        "documents": documents,
+        "documents": _documents(
+            (name, registry.codatabase(name))
+            for name in registry.source_names()),
         # Per-co-database maintenance-write versions; authoritative on
         # import (the rebuild's own write count is an implementation
         # detail, the recorded epoch is the federation's truth).
@@ -78,35 +107,18 @@ def import_topology(payload: dict[str, Any],
     for source_payload in payload.get("sources", []):
         registry.add_source(SourceDescription.from_wire(source_payload))
 
-    coalitions = list(payload.get("coalitions", []))
-    # Parents must exist before children; resolve in dependency order.
-    created: set[str] = set()
-    remaining = coalitions
-    while remaining:
-        progressed = False
-        deferred = []
-        for coalition in remaining:
-            parent = coalition.get("parent")
-            if parent and parent not in created:
-                deferred.append(coalition)
-                continue
-            registry.create_coalition(coalition["name"],
-                                      coalition.get("information_type", ""),
-                                      parent=parent,
-                                      doc=coalition.get("doc", ""))
-            created.add(coalition["name"])
-            progressed = True
-        if not progressed:
-            names = [c["name"] for c in deferred]
-            raise WebFinditError(
-                f"cyclic or dangling coalition parents: {names!r}")
-        remaining = deferred
+    coalitions = [Coalition.from_wire(wire)
+                  for wire in payload.get("coalitions", [])]
+    for coalition in _parents_first(coalitions):
+        # A parent the payload does not list is dangling: refused here.
+        registry.create_coalition(coalition.name, coalition.information_type,
+                                  parent=coalition.parent, doc=coalition.doc)
 
     # Replay joins so that each coalition's ``members`` order and each
     # source's ``memberships`` order both come back: a join is due when
     # it heads both lists.  Payloads without "memberships" (older
     # exports) constrain nothing and replay in listing order.
-    pending = {coalition["name"]: list(coalition.get("members", []))
+    pending = {coalition.name: coalition.members
                for coalition in coalitions}
     order = {name: list(joined)
              for name, joined in payload.get("memberships", {}).items()}
@@ -127,11 +139,7 @@ def import_topology(payload: dict[str, Any],
                 "describe no common join order")
     for link_payload in payload.get("service_links", []):
         registry.add_service_link(ServiceLink.from_wire(link_payload))
-    for document in payload.get("documents", []):
-        registry.attach_document(document["source"],
-                                 document.get("format", ""),
-                                 document.get("content", ""),
-                                 document.get("url", ""))
+    _attach_documents(registry, payload)
     for name, epoch in payload.get("epochs", {}).items():
         registry.codatabase(name).epoch = int(epoch)
     return registry
@@ -160,10 +168,6 @@ def export_codatabase(codatabase) -> dict[str, Any]:
     document_owners = {codatabase.owner_name}
     document_owners.update(
         member["name"] for names in members.values() for member in names)
-    documents = []
-    for owner in sorted(document_owners):
-        for document in codatabase.documents_of(owner):
-            documents.append({"source": owner, **document})
     return {
         "format": CODATABASE_FORMAT,
         "owner": codatabase.owner_name,
@@ -174,7 +178,8 @@ def export_codatabase(codatabase) -> dict[str, Any]:
         "members": members,
         "service_links": [link.to_wire()
                           for link in codatabase.service_links()],
-        "documents": documents,
+        "documents": _documents((owner, codatabase)
+                                for owner in sorted(document_owners)),
     }
 
 
@@ -189,26 +194,10 @@ def import_codatabase(payload: dict[str, Any],
     if payload.get("description"):
         codatabase.advertise(
             SourceDescription.from_wire(payload["description"]))
-    # Parents before children, as during live registration.
-    coalitions = [Coalition.from_wire(wire)
-                  for wire in payload.get("coalitions", [])]
-    known = {coalition.name for coalition in coalitions}
-    registered: set[str] = set()
-    remaining = coalitions
-    while remaining:
-        deferred = []
-        for coalition in remaining:
-            if coalition.parent and coalition.parent in known \
-                    and coalition.parent not in registered:
-                deferred.append(coalition)
-                continue
-            codatabase.register_coalition(coalition)
-            registered.add(coalition.name)
-        if len(deferred) == len(remaining):
-            names = [coalition.name for coalition in deferred]
-            raise WebFinditError(
-                f"cyclic coalition parents in snapshot: {names!r}")
-        remaining = deferred
+    for coalition in _parents_first([
+            Coalition.from_wire(wire)
+            for wire in payload.get("coalitions", [])]):
+        codatabase.register_coalition(coalition)
     for coalition_name, descriptions in payload.get("members", {}).items():
         for wire in descriptions:
             codatabase.add_member(coalition_name,
@@ -217,11 +206,7 @@ def import_codatabase(payload: dict[str, Any],
         codatabase.record_membership(membership)
     for wire in payload.get("service_links", []):
         codatabase.add_service_link(ServiceLink.from_wire(wire))
-    for document in payload.get("documents", []):
-        codatabase.attach_document(document["source"],
-                                   document.get("format", ""),
-                                   document.get("content", ""),
-                                   document.get("url", ""))
+    _attach_documents(codatabase, payload)
     # The recorded epoch is authoritative — the rebuild's own write
     # count reflects import mechanics, not federation history.
     codatabase.epoch = int(payload.get("epoch", 0))

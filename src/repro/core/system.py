@@ -41,8 +41,8 @@ from repro.core.metacache import MetadataCache
 from repro.core.model import Ontology, SourceDescription
 from repro.core.query_processor import QueryProcessor, Session
 from repro.core.registry import Registry
-from repro.core.replication import (DEFAULT_LEASE_DURATION,
-                                    ReplicaRoute, ReplicatedCoDatabase,
+from repro.core.replication import (DEFAULT_LEASE_DURATION, ReplicaRoute,
+                                    ReplicaRuntime, ReplicatedCoDatabase,
                                     ReplicaTarget, replica_binding,
                                     replica_key)
 from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
@@ -328,16 +328,24 @@ class WebFinditSystem:
         (what clients outside this system resolve) points at the primary.
         """
         for runtime in facade.runtimes:
-            orb = self._replica_orb(name, runtime.index, product)
-            servant = CoDatabaseServant(runtime.codatabase)
-            ior = orb.activate(servant, CODATABASE_INTERFACE,
-                               object_name=f"codb-{name}-r{runtime.index}")
-            runtime.orb, runtime.ior, runtime.servant = orb, ior, servant
-            # Quorum link checks and partition rules key on the real
-            # transport endpoint, not the pre-deployment placeholder.
-            runtime.endpoint = ior.primary.endpoint
-            self.naming.bind(replica_binding(name, runtime.index), ior)
+            self.naming.bind(replica_binding(name, runtime.index),
+                             self._serve_replica(name, runtime, product))
         return facade.runtimes[0].ior
+
+    def _serve_replica(self, name: str, runtime: ReplicaRuntime,
+                       product: OrbProduct) -> Ior:
+        """Bring one replica up: a servant over its current co-database
+        on a fresh ORB.  Binding the returned IOR stays with the caller
+        (``bind`` at deployment, ``rebind`` after a restart)."""
+        orb = self._replica_orb(name, runtime.index, product)
+        servant = CoDatabaseServant(runtime.codatabase)
+        ior = orb.activate(servant, CODATABASE_INTERFACE,
+                           object_name=f"codb-{name}-r{runtime.index}")
+        runtime.orb, runtime.ior, runtime.servant = orb, ior, servant
+        # Quorum link checks and partition rules key on the real
+        # transport endpoint, not the pre-deployment placeholder.
+        runtime.endpoint = ior.primary.endpoint
+        return ior
 
     def _deploy(self, wrapper: InformationSourceInterface,
                 description: SourceDescription, dbms: str,
@@ -445,12 +453,7 @@ class WebFinditSystem:
         record = self._deployments.get(source_name)
         product = get_product(record.orb_product) if record is not None \
             else VISIBROKER
-        orb = self._replica_orb(source_name, index, product)
-        servant = CoDatabaseServant(runtime.codatabase)
-        ior = orb.activate(servant, CODATABASE_INTERFACE,
-                           object_name=f"codb-{source_name}-r{index}")
-        runtime.orb, runtime.ior, runtime.servant = orb, ior, servant
-        runtime.endpoint = ior.primary.endpoint
+        ior = self._serve_replica(source_name, runtime, product)
         binding = replica_binding(source_name, index)
         self.naming.rebind(binding, ior)
         self._replica_proxies.pop(binding, None)

@@ -192,16 +192,21 @@ RUNS = {
 }
 
 
+def run_directory(directory, name):
+    """Where the run that writes golden journal *name* keeps its files."""
+    return directory / name.partition(".")[0]
+
+
 def generate(directory):
     """Write every golden file under *directory*, in the names the
     golden directory uses; returns the facades the journals came from."""
     directory = pathlib.Path(directory)
     facades = {}
     for name, run in RUNS.items():
-        facade = facades[name] = run(directory / name.partition(".")[0])
-        close(facade)
-        (directory / name).write_bytes(
-            replica_files(directory / name.partition(".")[0])[0].read_bytes())
+        home = run_directory(directory, name)
+        facades[name] = run(home)
+        close(facades[name])
+        (directory / name).write_bytes(replica_files(home)[0].read_bytes())
     (directory / "codatabase_snapshot.json").write_text(
         dump(export_codatabase(facades["journal_v2.wal"].primary)),
         encoding="utf-8")

@@ -31,7 +31,7 @@ def golden_text(name):
 def load_journal(name, tmp_path):
     """A journal over a *copy* of a golden file (loading may repair a
     tail, and must never touch the pinned bytes)."""
-    directory = tmp_path / name.partition(".")[0]
+    directory = gen.run_directory(tmp_path, name)
     directory.mkdir()
     path = directory / ("journal.jsonl" if name.endswith(".jsonl")
                         else "journal.wal")
@@ -138,7 +138,7 @@ def test_same_calls_write_byte_identical_journals(name, written):
     directory, facades = written
     assert facades[name].epoch == gen.EPOCH
     golden = (gen.GOLDEN / name).read_bytes()
-    for path in gen.replica_files(directory / name.partition(".")[0]):
+    for path in gen.replica_files(gen.run_directory(directory, name)):
         assert path.read_bytes() == golden, path
 
 

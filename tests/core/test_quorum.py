@@ -7,8 +7,10 @@ deterministically, never by real waiting.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.journal import ReplicaJournal
+from repro.core.journal import JournalEntry, ReplicaJournal
 from repro.core.quorum import LeaseState, PrimaryLease, majority
 from repro.core.replication import ReplicatedCoDatabase
 from repro.errors import (ElectionLost, FencedOut, LeaseExpired,
@@ -251,6 +253,53 @@ def test_promised_fence_survives_restart_via_journal(tmp_path):
     assert all(r.lease.promised_fence == fence for r in reborn.runtimes)
     lease = reborn.elect()
     assert lease.fence == fence + 1
+
+
+def test_promised_fence_survives_a_snapshot_and_restart(tmp_path):
+    """A snapshot drops the entries it covers — it must not drop the
+    fence they were committed under with them."""
+    def factory(owner, index):
+        return ReplicaJournal(str(tmp_path / f"r{index}" / "journal.wal"))
+
+    facade, _ = build(journal_factory=factory, snapshot_every=2)
+    for _ in range(3):
+        facade.elect()
+    facade.attach_document("s1", "html", "one", "")
+    assert [r.journal.last_fence for r in facade.runtimes] == [3, 3, 3]
+    facade.attach_document("s2", "html", "two", "")  # snapshot: journal empty
+    assert [len(r.journal) for r in facade.runtimes] == [0, 0, 0]
+    assert [r.journal.last_fence for r in facade.runtimes] == [3, 3, 3]
+    for runtime in facade.runtimes:
+        runtime.journal.close()
+    reborn, _ = build(journal_factory=factory, snapshot_every=2)
+    assert [r.lease.promised_fence for r in reborn.runtimes] == [3, 3, 3]
+    reborn.attach_document("s3", "html", "three", "")
+    assert reborn._lease.fence == 4
+    assert [r.journal.entries()[-1].fence for r in reborn.runtimes] \
+        == [4, 4, 4]
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.lists(st.one_of(
+    st.tuples(st.just("append"), st.integers(min_value=0, max_value=9)),
+    st.tuples(st.just("discard"), st.integers(min_value=0, max_value=30)),
+    st.tuples(st.just("snapshot"), st.integers(min_value=0, max_value=30))),
+    max_size=30))
+def test_last_fence_never_decreases(steps, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("fence") / "journal.wal")
+    for journal in (ReplicaJournal(), ReplicaJournal(path)):
+        high = 0
+        for step, value in steps:
+            if step == "append":
+                journal.append(JournalEntry(
+                    epoch=journal.last_epoch + 1, operation="drop_membership",
+                    arguments=("C",), fence=value))
+                high = max(high, value)
+            elif step == "discard":
+                journal.discard(value)
+            else:
+                journal.install_snapshot({"epoch": value})
+            assert journal.last_fence == high
 
 
 # ------------------------------------------------------------------ status --

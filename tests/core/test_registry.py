@@ -7,7 +7,9 @@ from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
-from tests.core.test_sharding_properties import codb_fingerprint
+from repro.orb.transport import InMemoryNetwork
+from tests.core.test_sharding_properties import (codb_fingerprint,
+                                                 export_shard)
 
 
 def description(name, info="Medical"):
@@ -211,6 +213,44 @@ class TestAccounting:
         assert summary["sources"] == 4
         assert summary["coalitions"] == 2
         assert summary["memberships"] == 2
+
+
+class TestCodbWriteGate:
+    """``codb_write`` is reachable over GIOP: it issues the declared
+    maintenance writes minus ``advertise``, and nothing else."""
+
+    @pytest.fixture(params=["in-process", "giop"])
+    def handle(self, request, registry):
+        [shard] = registry.shards
+        if request.param == "in-process":
+            return shard
+        return export_shard(0, shard, InMemoryNetwork())[2]
+
+    @pytest.mark.parametrize("operation, arguments", [
+        ("advertise", [description("A", "Forged")]),
+        ("epoch", []),                 # a co-database attribute
+        ("find_coalitions", ["Med"]),  # a read
+        ("_require_coalition", ["Med"]),
+        ("no_such_operation", []),
+    ])
+    def test_refuses_what_is_not_a_declared_write(self, registry, handle,
+                                                  operation, arguments):
+        before = registry.update_operations
+        epoch = registry.codatabase("A").epoch
+        with pytest.raises(WebFinditError, match="maintenance write"):
+            handle.codb_write("A", operation, arguments)
+        assert registry.update_operations == before
+        assert registry.codatabase("A").epoch == epoch
+        assert registry.codatabase("A").local_description.information_type \
+            == "Medical"
+
+    def test_issues_a_declared_write_as_one_update_operation(self, registry,
+                                                             handle):
+        before = registry.update_operations
+        handle.codb_write("A", "attach_document", ["A", "text", "about A"])
+        assert registry.update_operations == before + 1
+        assert registry.codatabase("A").documents_of("A") == [
+            {"format": "text", "content": "about A", "url": ""}]
 
 
 @pytest.mark.parametrize("shards", [1, 4])

@@ -19,6 +19,8 @@ from repro.core.resilience import HealthBoard
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.snapshot import export_codatabase, import_codatabase
 from repro.errors import CommFailure, WebFinditError
+from tests.core.write_scripts import run as run_script
+from tests.core.write_scripts import scripts
 
 
 def description(name="Alpha", info="cardiology"):
@@ -253,18 +255,6 @@ class TestCrashRecovery:
             == equivalent_state(facade.runtimes[0].codatabase)
 
 
-WRITES = [
-    ("advertise", lambda i: (description(),)),
-    ("register_coalition", lambda i: (Coalition(f"C{i}", "cardiology"),)),
-    ("record_membership", lambda i: (f"C{i}",)),
-    ("add_member", lambda i: (f"C{i}", description(f"M{i}"))),
-    ("attach_document", lambda i: ("Alpha", "text", f"doc {i}")),
-    ("add_service_link", lambda i: (ServiceLink(
-        EndpointKind.DATABASE, "Alpha", EndpointKind.DATABASE, f"M{i}",
-        information_type="cardiology"),)),
-]
-
-
 def equivalent_state(codatabase):
     """A comparable digest of one co-database's full state."""
     return {
@@ -277,38 +267,74 @@ def equivalent_state(codatabase):
     }
 
 
+class TestJournalFaults:
+    """A replica whose journal cannot take the append is quarantined and
+    its siblings carry the write — whichever replica it is, under either
+    discipline (before PR 23 a fault on the *first* live replica failed
+    a fan-out write)."""
+
+    @staticmethod
+    def break_journal(runtime):
+        def boom(entry):
+            raise OSError("simulated journal-append fault")
+        runtime.journal.append = boom
+
+    @pytest.mark.parametrize("quorum", [False, True])
+    @pytest.mark.parametrize("faulty", [0, 1])
+    def test_faulty_replica_is_quarantined_and_siblings_commit(self, quorum,
+                                                               faulty):
+        facade = populated(replicas=3, quorum=quorum)
+        broken = facade.runtimes[faulty]
+        self.break_journal(broken)
+        facade.attach_document("Alpha", "text", "late write")
+        assert facade.epoch == 7
+        assert not broken.alive
+        assert broken.epoch == 6 and len(broken.journal) == 6
+        for runtime in facade.live_runtimes():
+            assert runtime.epoch == 7 and runtime.journal.last_epoch == 7
+        del broken.journal.append
+        facade.recover(faulty)
+        assert len({str(export_codatabase(r.codatabase))
+                    for r in facade.runtimes}) == 1
+
+    def test_write_nobody_journaled_is_refused_and_consumes_no_epoch(self):
+        facade = populated(replicas=2)
+        for runtime in facade.runtimes:
+            self.break_journal(runtime)
+        with pytest.raises(CommFailure):
+            facade.attach_document("Alpha", "text", "lost")
+        assert facade.epoch == 6
+        for runtime in facade.runtimes:
+            assert runtime.epoch == 6 and len(runtime.journal) == 6
+            assert not runtime.codatabase.documents_of("Alpha")[1:]
+
+
 class TestCrashRecoveryProperty:
     @settings(max_examples=40, deadline=None)
-    @given(script=st.lists(st.integers(min_value=0,
-                                       max_value=len(WRITES) - 1),
-                           min_size=1, max_size=20),
-           kill_after=st.integers(min_value=0, max_value=20),
+    @given(script=scripts,
+           kill_after=st.integers(min_value=0, max_value=24),
            snapshot_every=st.one_of(st.none(),
                                     st.integers(min_value=1, max_value=5)))
     def test_killed_replica_recovers_to_peer_state(self, script, kill_after,
                                                    snapshot_every):
         """Kill r1 after K writes, keep writing, restart: r1 must equal
-        the never-killed r0 exactly (state and epoch)."""
-        kill_after = min(kill_after, len(script))
+        the never-killed r0 exactly (state and epoch).  The scripts are
+        drawn from the declared mutator surface, all of it."""
         facade = ReplicatedCoDatabase("Alpha", replicas=2,
                                       snapshot_every=snapshot_every)
-        accepted = 0
-        for step, choice in enumerate(script):
+
+        def kill(step):
             if step == kill_after:
                 facade.mark_dead(1)
-            operation, make_args = WRITES[choice]
-            try:
-                getattr(facade, operation)(*make_args(step))
-                accepted += 1
-            except WebFinditError:
-                pass  # invalid write, compensated — no epoch consumed
+
+        refused = run_script(facade, script, before_step=kill)
         if kill_after >= len(script):
             facade.mark_dead(1)
         facade.recover(1)
         survivor, recovered = facade.runtimes
-        assert equivalent_state(recovered.codatabase) \
-            == equivalent_state(survivor.codatabase)
-        assert recovered.epoch == facade.epoch == accepted
+        assert export_codatabase(recovered.codatabase) \
+            == export_codatabase(survivor.codatabase)
+        assert recovered.epoch == facade.epoch == len(script) - len(refused)
 
 
 class TestJournalReplay:
