@@ -14,17 +14,13 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.apps.healthcare import data, schemas
 from repro.apps.healthcare import topology as topo
 from repro.core.model import SourceDescription
 from repro.core.replication import replica_binding
-from repro.core.resilience import ResiliencePolicy
 from repro.core.system import WebFinditSystem
 from repro.oodb.database import ObjectDatabase
 from repro.orb.products import get_product
-from repro.orb.transport import Transport
 from repro.sql.engine import Database
 
 #: The HTML document displayed in Figure 5.
@@ -79,40 +75,15 @@ class HealthcareDeployment:
         return ior.primary.endpoint
 
 
-def build_healthcare_system(
-        transport: Optional[Transport] = None,
-        seed_offset: int = 0,
-        resilience: Optional[ResiliencePolicy] = None,
-        parallel_discovery: bool = False,
-        discovery_workers: Optional[int] = None,
-        isolate_sources: bool = False,
-        replication_factor: int = 1,
-        durable_dir: Optional[str] = None,
-        snapshot_every: Optional[int] = None,
-        quorum: bool = False,
-        journal_sync: str = "never",
-        lease_duration: Optional[float] = None,
-        metadata_cache=None,
-        shards: int = 1,
-        cache_tier: bool = False) -> HealthcareDeployment:
-    """Deploy the full healthcare federation and return its handle."""
-    extra = {} if lease_duration is None \
-        else {"lease_duration": lease_duration}
-    system = WebFinditSystem(transport=transport,
-                             ontology=topo.healthcare_ontology(),
-                             metadata_cache=metadata_cache,
-                             resilience=resilience,
-                             parallel_discovery=parallel_discovery,
-                             discovery_workers=discovery_workers,
-                             isolate_sources=isolate_sources,
-                             replication_factor=replication_factor,
-                             durable_dir=durable_dir,
-                             snapshot_every=snapshot_every,
-                             quorum=quorum,
-                             journal_sync=journal_sync,
-                             shards=shards,
-                             cache_tier=cache_tier,
-                             **extra)
+def build_healthcare_system(**system_options) -> HealthcareDeployment:
+    """Deploy the full healthcare federation and return its handle.
+
+    *system_options* are :class:`~repro.core.system.WebFinditSystem`'s
+    own keywords (``transport=``, ``resilience=``, ``isolate_sources=``,
+    ``shards=``, ...), declared there and nowhere else.
+    """
+    system = WebFinditSystem(ontology=topo.healthcare_ontology(),
+                             **system_options)
     relational: dict[str, Database] = {}
     objects: dict[str, ObjectDatabase] = {}
     relational_exports = schemas.relational_exports()

@@ -48,21 +48,18 @@ class ScaledSpace:
 
 def build_scaled_system(databases: int, coalitions: int,
                         links_per_coalition: int = 2,
-                        seed: int = 1234, transport=None,
-                        metadata_cache=None,
-                        parallel_discovery: bool = False,
-                        discovery_workers=None):
+                        seed: int = 1234, **system_options):
     """Deploy a *running* scaled federation: real engines, wrappers,
     co-database servants and naming bindings on an IIOP fabric — the
-    in-memory one by default, or any *transport* (e.g. a pooled
+    in-memory one by default, or any ``transport=`` (e.g. a pooled
     :class:`~repro.orb.transport.TcpTransport`) — so scalability can be
     measured in GIOP messages and wall-clock, not just metadata calls.
 
     Sources rotate over the three ORB products.  Each source is a tiny
     relational database with one table and one exported function.
-    *metadata_cache*, *parallel_discovery*, and *discovery_workers*
-    pass straight through to the system (the S1 hot-path knobs).
-    Returns a :class:`~repro.core.system.WebFinditSystem`.
+    *system_options* are the system's own keywords (``metadata_cache=``,
+    ``parallel_discovery=``, ``discovery_workers=``: the S1 hot-path
+    knobs).  Returns a :class:`~repro.core.system.WebFinditSystem`.
     """
     import random as _random
 
@@ -77,10 +74,7 @@ def build_scaled_system(databases: int, coalitions: int,
     if coalitions < 1 or databases < coalitions:
         raise ValueError("need at least one database per coalition")
     rng = _random.Random(seed)
-    system = WebFinditSystem(transport=transport,
-                             metadata_cache=metadata_cache,
-                             parallel_discovery=parallel_discovery,
-                             discovery_workers=discovery_workers)
+    system = WebFinditSystem(**system_options)
     products = (ORBIX, ORBIXWEB, VISIBROKER)
 
     coalition_names: list[str] = []

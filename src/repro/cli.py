@@ -30,9 +30,10 @@ The shell accepts WebTassili statements plus a few meta-commands:
     switch the session to another participating database
 ``\\help`` / ``\\quit``
 
-``--deadline SECONDS`` bounds every discovery by a total time budget;
-queries that run out of budget report the part of the information
-space they could not explore instead of silently returning less.
+``--deadline SECONDS`` bounds every statement by a total time budget
+shared by all its hops; a resolution that runs out of budget reports
+the part of the information space it could not explore instead of
+silently returning less, any other statement fails with the deadline.
 ``--replicas N`` deploys N co-database replica servants per source
 (see ``docs/availability.md``).  ``--quorum`` turns the implicit
 primary into majority-quorum writes under lease-fenced election, and
@@ -290,8 +291,9 @@ def main(argv: Optional[list[str]] = None,
                              "control and load shedding on every "
                              "endpoint (see docs/overload.md)")
     parser.add_argument("--deadline", type=float, default=None,
-                        help="total time budget (seconds) for each "
-                             "discovery; partial coverage is reported")
+                        help="total time budget (seconds) that bounds "
+                             "every statement; a resolution reports "
+                             "partial coverage")
     parser.add_argument("--statement", "-s", action="append", default=[],
                         help="execute statement(s) and exit")
     parser.add_argument("--replicas", type=int, default=1,

@@ -84,10 +84,11 @@ class Browser:
     def information_tree(self) -> str:
         """Figure-4-style tree of the coalitions known at the current
         entry point, with member databases as leaves."""
-        client = self._processor._client(self.session.metadata_source)
+        coalitions = self._processor._read(self.session.metadata_source,
+                                           "known_coalitions")
         lines = [f"Information space (from co-database of "
                  f"{self.session.metadata_source}):"]
-        for coalition in client.known_coalitions():
+        for coalition in coalitions:
             lines.append(f"  + {coalition.name}  "
                          f"[{coalition.information_type}]")
             for member in coalition.members:

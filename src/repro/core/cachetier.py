@@ -40,7 +40,6 @@ this).
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Iterable, Optional
 
 from repro.core.metacache import TOMBSTONE, MetadataCache
@@ -205,15 +204,11 @@ class InvalidationBroadcaster:
     """
 
     def __init__(self, registry, deliver: Callable[[str, int, dict], Any],
-                 origin: str = "shard0", retries: int = 2,
-                 backoff: float = 0.0,
-                 sleep: Callable[[float], None] = time.sleep):
+                 origin: str = "shard0", retries: int = 2):
         self.registry = registry
         self._deliver = deliver
         self.origin = origin
         self.retries = retries
-        self.backoff = backoff
-        self._sleep = sleep
         self._lock = threading.Lock()
         self._seq = 0
         self.pending: dict[str, int] = {}
@@ -244,8 +239,6 @@ class InvalidationBroadcaster:
         for attempt in range(1 + self.retries):
             if attempt:
                 self.retried += 1
-                if self.backoff > 0:
-                    self._sleep(self.backoff * attempt)
             try:
                 self._deliver(self.origin, seq, batch)
             except BYPASS_ERRORS:

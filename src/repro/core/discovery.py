@@ -48,15 +48,18 @@ from repro.core.codatabase import CoDatabase, CoDatabaseServant
 from repro.core.metacache import CACHEABLE_OPERATIONS
 from repro.core.model import SourceDescription
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
-                                   call_policy)
+                                   call_policy, current_policy)
 from repro.core.service_link import ServiceLink
-from repro.errors import (DeadlineExceeded, DiscoveryFailure, ReproError,
-                          WebFinditError)
+from repro.errors import (CircuitOpen, DeadlineExceeded, DiscoveryFailure,
+                          ReproError, WebFinditError)
 from repro.orb.orb import Proxy
 
 #: Fan-out thread cap when ``max_workers`` is left unset: scaled to the
 #: frontier, never beyond this.
 DEFAULT_MAX_WORKERS = 16
+
+#: The score at which a lead *resolves* the query (``stop_at_first``).
+FULL_MATCH_SCORE = 0.999
 
 #: Extra seconds a parallel merge waits for an in-flight consultation
 #: after the query deadline expires, before writing it off as timed
@@ -154,7 +157,10 @@ class CoDatabaseClient:
             return getattr(CoDatabaseServant(target), operation)(*args)
         # Every co-database operation is a metadata *read*: safe to
         # resend after an ambiguous transport failure, so flag it for
-        # the pooled-connection retry in TcpTransport.
+        # the pooled-connection retry in TcpTransport — unless the
+        # guarded call this read is part of already has.
+        if current_policy().idempotent:
+            return target.invoke(operation, *args)
         with call_policy(idempotent=True):
             return target.invoke(operation, *args)
 
@@ -342,9 +348,18 @@ class DiscoveryResult:
         return self.leads[0]
 
 
+def _reason_for(error: ReproError) -> str:
+    """The degradation reason a failed consultation is reported under."""
+    if isinstance(error, CircuitOpen):
+        return TRIPPED
+    if isinstance(error, DeadlineExceeded):
+        return TIMED_OUT
+    return UNREACHABLE
+
+
 @dataclass
-class _Consultation:
-    """What one worker was answered by one co-database.
+class Consultation:
+    """What one co-database answered to one question.
 
     Fetch and merge are separate phases: workers only gather, the
     caller merges in frontier order — that split is what keeps the
@@ -376,25 +391,23 @@ class DiscoveryEngine:
     depth boundary, after which no further depth is scheduled.
 
     With a *policy* (:class:`~repro.core.resilience.ResiliencePolicy`)
-    the engine becomes fault-aware: frontier members whose circuit
-    breaker is open are skipped without a call, transient failures on
-    metadata reads are retried with backoff inside the remaining
-    deadline, every consultation outcome feeds the shared health
-    board, and the result's :attr:`DiscoveryResult.degraded` report
-    names everything that was skipped and why.  Without a policy the
-    engine behaves exactly as before (no retries, no breakers), except
-    that an explicit ``deadline=`` is still honoured.
+    every read of a co-database is one guarded call (:meth:`consult`):
+    an open circuit breaker refuses it without a call, a transient
+    failure is retried with backoff inside the remaining deadline and
+    the retry budget, the outcome feeds the shared health board, and a
+    resolution's :attr:`DiscoveryResult.degraded` report names
+    everything that was skipped and why.  Without a policy nothing is
+    retried, refused or remembered; an explicit ``deadline=`` is still
+    honoured.
     """
 
     def __init__(self, resolver: Callable[[str], CoDatabaseClient],
                  match_threshold: float = 0.5,
-                 full_match_score: float = 0.999,
                  parallel: bool = False,
                  max_workers: Optional[int] = None,
                  policy: Optional[ResiliencePolicy] = None):
         self._resolve = resolver
         self._threshold = match_threshold
-        self._full_match = full_match_score
         self._parallel = parallel
         self._max_workers = max_workers
         self._policy = policy
@@ -429,15 +442,16 @@ class DiscoveryEngine:
 
         *deadline* is the **total** budget for the resolution (seconds
         or a shared :class:`~repro.core.resilience.Deadline`), not a
-        per-hop timeout; it defaults to the policy's
-        ``default_deadline``.  When the budget runs out the engine
-        stops exploring and reports everything unvisited in
-        :attr:`DiscoveryResult.degraded` rather than raising — a
-        partial answer beats no answer (§2).
+        per-hop timeout; it defaults to the deadline of the statement
+        the resolution is part of (the enclosing call context's).
+        When the budget runs out the engine stops exploring and reports
+        everything unvisited in :attr:`DiscoveryResult.degraded` rather
+        than raising — a partial answer beats no answer (§2).
+
+        The start repository is the user's own: it is attempted whatever
+        its circuit breaker says, and its failure raises.
         """
-        policy = self._policy
-        deadline = policy.deadline_for(deadline) if policy is not None \
-            else as_deadline(deadline)
+        deadline = as_deadline(deadline)
         trace: list[str] = []
         leads: list[CoalitionLead] = []
         seen_leads: set[str] = set()
@@ -453,39 +467,15 @@ class DiscoveryEngine:
         while frontier and depth <= max_hops:
             max_depth_reached = depth
             next_frontier: list[tuple[str, list[str]]] = []
-            if deadline is not None and deadline.expired:
-                # Budget spent before this depth: report, don't raise.
-                for database_name, __ in frontier:
-                    degraded.add(database_name, SKIPPED,
-                                 "query deadline exhausted before "
-                                 "consultation", depth=depth)
-                    trace.append(
-                        f"[depth {depth}] skipping co-database of "
-                        f"{database_name!r}: deadline exhausted")
-                break
-            consultable: list[tuple[str, list[str]]] = []
-            for database_name, path in frontier:
-                # Health memory: a co-database that has failed
-                # repeatedly (in *any* prior resolution sharing this
-                # policy) is skipped without burning deadline on it.
-                if policy is not None and depth > 0 \
-                        and not policy.health.allow(database_name):
-                    degraded.add(database_name, TRIPPED,
-                                 "circuit open after repeated failures",
-                                 depth=depth)
-                    trace.append(
-                        f"[depth {depth}] skipping co-database of "
-                        f"{database_name!r}: circuit open")
-                    continue
-                consultable.append((database_name, path))
             consultations = self._consult_frontier(
-                consultable,
+                frontier,
                 lambda client: client.consult(query, depth == 0,
                                               self._threshold),
-                deadline)
-            for (database_name, path), outcome in zip(consultable,
+                deadline, start=depth == 0)
+            for (database_name, path), outcome in zip(frontier,
                                                       consultations):
                 if outcome.skipped:
+                    # Budget spent before its turn: report, don't raise.
                     degraded.add(database_name, SKIPPED,
                                  "query deadline exhausted before "
                                  "consultation", depth=depth)
@@ -498,24 +488,22 @@ class DiscoveryEngine:
                     trace.append(
                         f"[depth {depth}] consulting co-database of "
                         f"{database_name!r}")
-                if policy is not None:
-                    policy.health.record(database_name,
-                                         ok=outcome.error is None)
-                if outcome.error is not None:
+                error = outcome.error
+                if error is not None:
                     # Sources join and leave at their own discretion
-                    # (§2.1); a vanished or failing co-database must not
-                    # abort resolution — skip it and keep exploring.
+                    # (§2.1); a vanished, failing or known-dead
+                    # co-database must not abort resolution — report it
+                    # and keep exploring.
                     if depth == 0:
-                        raise outcome.error  # the user's own repository
-                    reason = TIMED_OUT if isinstance(outcome.error,
-                                                     DeadlineExceeded) \
-                        else UNREACHABLE
-                    unreachable.append(database_name)
-                    degraded.add(database_name, reason,
-                                 str(outcome.error), depth=depth)
+                        raise error  # the user's own repository
+                    reason = _reason_for(error)
+                    if reason != TRIPPED:
+                        unreachable.append(database_name)
+                    degraded.add(database_name, reason, str(error),
+                                 depth=depth)
                     trace.append(
                         f"[depth {depth}] co-database of "
-                        f"{database_name!r} unreachable: {outcome.error}")
+                        f"{database_name!r} {reason}: {error}")
                     continue
                 answer = outcome.answer
                 self._merge(answer, path, leads, seen_leads, trace)
@@ -533,7 +521,7 @@ class DiscoveryEngine:
                     if onward not in visited:
                         visited.add(onward)
                         next_frontier.append((onward, path + [onward]))
-            if stop_at_first and any(lead.score >= self._full_match
+            if stop_at_first and any(lead.score >= FULL_MATCH_SCORE
                                      for lead in leads):
                 break
             frontier = next_frontier
@@ -557,59 +545,91 @@ class DiscoveryEngine:
     def members_of(self, lead: CoalitionLead,
                    result: DiscoveryResult) -> list[SourceDescription]:
         """The follow-up read of a resolution: the member descriptions
-        of *lead*, asked of its entry database the way a frontier
-        member is consulted (call policy under the resolution's
-        deadline, retry, health record).  A co-database that cannot
-        answer joins ``result.degraded``; one that does not know the
-        class (a link may lead to a database) has no members to give.
+        of *lead*, asked of its entry database under the resolution's
+        deadline.  A co-database that cannot answer joins
+        ``result.degraded``; one that does not know the class (a link
+        may lead to a database) has no members to give.
         """
         entry = lead.entry_database
         if entry is None:
             return []
-        outcome = self._consult(
+        outcome = self.consult(
             entry, lambda client: client.instances_of(lead.name),
             result.deadline)
         error = outcome.error
-        if isinstance(error, WebFinditError):
-            return []
-        if self._policy is not None:
-            self._policy.health.record(entry, ok=error is None)
         if error is None:
             return outcome.answer
-        if entry not in result.degraded.names():
-            result.degraded.add(
-                entry, TIMED_OUT if isinstance(error, DeadlineExceeded)
-                else UNREACHABLE, str(error), depth=lead.hops + 1)
+        if not isinstance(error, WebFinditError) \
+                and entry not in result.degraded.names():
+            result.degraded.add(entry, _reason_for(error), str(error),
+                                depth=lead.hops + 1)
         return []
+
+    def consult(self, database_name: str,
+                ask: Callable[[CoDatabaseClient], Any],
+                deadline: Optional[Deadline] = None,
+                start: bool = False) -> Consultation:
+        """Ask one co-database one question: the one guarded read, for
+        frontier consultations (on a worker thread when parallel),
+        :meth:`members_of` and the query processor's explore reads.
+
+        Resolving the client is the connection step (naming lookup plus
+        proxy setup), so it runs inside the same
+        :meth:`~repro.core.resilience.ResiliencePolicy.call` as *ask*:
+        breaker, deadline and retry budget in the call context, retry,
+        health record, all keyed by *database_name*.  The *start*
+        repository of a resolution is attempted whatever its breaker
+        says.  A :class:`~repro.errors.ReproError` comes back in the
+        outcome, not raised.
+        """
+        outcome = Consultation()
+
+        def attempt() -> Any:
+            if outcome.client is None:
+                outcome.client = self._resolve(database_name)
+            return ask(outcome.client)
+
+        try:
+            if self._policy is None:
+                with call_policy(deadline=deadline, idempotent=True):
+                    outcome.answer = attempt()
+            else:
+                outcome.answer = self._policy.call(
+                    attempt, key=database_name, idempotent=True,
+                    deadline=deadline, probe=start)
+        except ReproError as exc:
+            outcome.error = exc
+        return outcome
 
     # -- internals ---------------------------------------------------------------
 
     def _consult_frontier(self, frontier: list[tuple[str, list[str]]],
                           ask: Callable[[CoDatabaseClient], Any],
-                          deadline: Optional[Deadline] = None
-                          ) -> list[_Consultation]:
+                          deadline: Optional[Deadline], start: bool
+                          ) -> list[Consultation]:
         """Put *ask* to every frontier co-database.
 
         Sequential and parallel modes return the same list in the same
         (frontier) order; parallelism only overlaps the remote I/O.
         """
-        if not self._parallel or len(frontier) < 2:
-            outcomes: list[_Consultation] = []
+        if not self._parallel or len(frontier) < 2 \
+                or (deadline is not None and deadline.expired):
+            outcomes: list[Consultation] = []
             for name, __ in frontier:
                 if deadline is not None and deadline.expired:
-                    # Mid-depth expiry: the rest of the frontier is
-                    # reported, not silently dropped.
-                    outcomes.append(_Consultation(skipped=True))
+                    # Expiry before or in mid-depth: the rest of the
+                    # frontier is reported, not silently dropped.
+                    outcomes.append(Consultation(skipped=True))
                 else:
-                    outcomes.append(self._consult(name, ask, deadline))
+                    outcomes.append(self.consult(name, ask, deadline, start))
             return outcomes
         pool = self._ensure_executor()
-        futures = [pool.submit(self._consult, name, ask, deadline)
+        futures = [pool.submit(self.consult, name, ask, deadline, start)
                    for name, __ in frontier]
         # Collect in submission order, not completion order.
         if deadline is None:
             return [future.result() for future in futures]
-        results: list[_Consultation] = []
+        results: list[Consultation] = []
         for (name, __), future in zip(frontier, futures):
             # Workers bound their own I/O by the deadline, but a wedged
             # remote can still hold a thread; never wait for it past
@@ -620,7 +640,7 @@ class DiscoveryEngine:
                 results.append(future.result(timeout=wait))
             except FutureTimeout:
                 future.cancel()
-                results.append(_Consultation(error=DeadlineExceeded(
+                results.append(Consultation(error=DeadlineExceeded(
                     f"co-database of {name!r} did not answer within "
                     f"the query deadline")))
         return results
@@ -632,44 +652,6 @@ class DiscoveryEngine:
                 self._executor = ThreadPoolExecutor(
                     max_workers=workers, thread_name_prefix="discovery")
             return self._executor
-
-    def _consult(self, database_name: str,
-                 ask: Callable[[CoDatabaseClient], Any],
-                 deadline: Optional[Deadline] = None) -> _Consultation:
-        """Ask one co-database one question (runs on a worker thread).
-
-        Both steps run inside a call-policy context so the query's
-        deadline and the idempotence of metadata reads reach the
-        transport (per-call socket timeouts, retry-on-stale-connection).
-        When the engine carries a :class:`ResiliencePolicy`, each step
-        additionally goes through its retry policy.
-        """
-        outcome = _Consultation()
-        with call_policy(deadline=deadline, idempotent=True):
-            try:
-                # Resolution is the connection step (naming lookup plus
-                # proxy setup), so transient failures here retry too.
-                client = outcome.client = self._guarded(
-                    lambda: self._resolve(database_name), deadline,
-                    key=database_name)
-                outcome.answer = self._guarded(lambda: ask(client), deadline,
-                                               key=database_name)
-            except ReproError as exc:
-                outcome.error = exc
-        return outcome
-
-    def _guarded(self, fn: Callable[[], Any],
-                 deadline: Optional[Deadline],
-                 key: Optional[str] = None) -> Any:
-        """One metadata read, retried per the engine policy (if any).
-
-        *key* names the consulted source so a retry budget on the
-        policy meters retries per source, not one global pool.
-        """
-        if self._policy is None:
-            return fn()
-        return self._policy.retry.call(fn, idempotent=True,
-                                       deadline=deadline, key=key)
 
     def _merge(self, answer: dict[str, Any], path: list[str],
                leads: list[CoalitionLead], seen: set[str],

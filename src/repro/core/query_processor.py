@@ -23,13 +23,14 @@ the data-level statements render only when it is first read: laying a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import methodcaller
 from typing import Any, Callable, Optional
 
 from repro.core.discovery import (CoDatabaseClient, DiscoveryEngine,
                                   DiscoveryResult)
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
-from repro.core.resilience import ResiliencePolicy
+from repro.core.resilience import ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import (ReproError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
@@ -94,7 +95,6 @@ class QueryProcessor:
                  parallel: bool = False,
                  max_workers: Optional[int] = None,
                  policy: Optional[ResiliencePolicy] = None):
-        self._resolver = resolver
         self._wrapper_for = wrapper_for
         self._registry = registry
         self.policy = policy
@@ -110,7 +110,12 @@ class QueryProcessor:
 
     def execute(self, statement: str | ast.WtStatement,
                 session: Session) -> WtResult:
-        """Parse (if needed) and execute one statement."""
+        """Parse (if needed) and execute one statement.
+
+        Its call context is set here, once: the deadline and the retry
+        budget reach every hop the handler makes — co-database reads
+        (each a guarded call) and wrapper calls (never retried).
+        """
         if isinstance(statement, str):
             session.history.append(statement)
             statement = parse(statement)
@@ -120,10 +125,21 @@ class QueryProcessor:
         if handler is None:
             raise WebFinditError(
                 f"no handler for {type(statement).__name__}")
-        return handler(statement, session)
+        policy = self.policy
+        if policy is None:
+            return handler(statement, session)
+        with call_policy(deadline=policy.deadline_for(None),
+                         retry_budget=policy.retry.budget):
+            return handler(statement, session)
 
-    def _client(self, database_name: str) -> CoDatabaseClient:
-        return self._resolver(database_name)
+    def _read(self, database_name: str, operation: str, *args: Any) -> Any:
+        """One explore read of *database_name*'s co-database, guarded
+        like a frontier consultation (:meth:`DiscoveryEngine.consult`)."""
+        outcome = self.discovery.consult(database_name,
+                                         methodcaller(operation, *args))
+        if outcome.error is not None:
+            raise outcome.error
+        return outcome.answer
 
     def _require_registry(self) -> Registry:
         if self._registry is None:
@@ -263,8 +279,8 @@ class QueryProcessor:
                              session: Session) -> str:
         """A member database whose co-database can answer queries about
         *coalition_name* — the home database when it is itself a member."""
-        home_client = self._client(session.home_database)
-        if coalition_name in home_client.memberships():
+        if coalition_name in self._read(session.home_database,
+                                        "memberships"):
             return session.home_database
         # Sweep (bounded) rather than stop at the first topic match:
         # we need the coalition with this *name*, which may score lower
@@ -280,8 +296,8 @@ class QueryProcessor:
 
     def _do_displaysubclasses(self, statement: ast.DisplaySubclasses,
                               session: Session) -> WtResult:
-        client = self._client(session.metadata_source)
-        subclasses = client.subclasses_of(statement.class_name)
+        subclasses = self._read(session.metadata_source, "subclasses_of",
+                                statement.class_name)
         lines = [f"SubClasses of Class {statement.class_name}:"]
         if subclasses:
             lines.extend(f"    {name}" for name in subclasses)
@@ -292,8 +308,8 @@ class QueryProcessor:
 
     def _do_displayinstances(self, statement: ast.DisplayInstances,
                              session: Session) -> WtResult:
-        client = self._client(session.metadata_source)
-        instances = client.instances_of(statement.class_name)
+        instances = self._read(session.metadata_source, "instances_of",
+                               statement.class_name)
         lines = [f"Instances of Class {statement.class_name}:"]
         for description in instances:
             lines.append(f"    {description.name}  "
@@ -307,14 +323,14 @@ class QueryProcessor:
                          session: Session) -> SourceDescription:
         """Describe a source, falling back to discovery when the current
         co-database does not know it."""
-        client = self._client(session.metadata_source)
         try:
-            return client.describe_instance(source_name)
+            return self._read(session.metadata_source, "describe_instance",
+                              source_name)
         except UnknownDatabase:
             pass
         try:
-            return self._client(source_name).describe_instance(source_name)
-        except (UnknownDatabase, WebFinditError) as exc:
+            return self._read(source_name, "describe_instance", source_name)
+        except WebFinditError as exc:
             raise UnknownDatabase(
                 f"no information source {source_name!r} reachable from "
                 f"{session.metadata_source!r}") from exc
@@ -322,8 +338,8 @@ class QueryProcessor:
     def _do_displaydocument(self, statement: ast.DisplayDocument,
                             session: Session) -> WtResult:
         description = self._describe_source(statement.instance_name, session)
-        owner_client = self._client(description.name)
-        documents = owner_client.documents_of(description.name)
+        documents = self._read(description.name, "documents_of",
+                               description.name)
         lines = [f"Documentation of {description.name}:"]
         lines.append(f"    URL: {description.documentation_url or '(none)'}")
         for document in documents:
@@ -374,8 +390,8 @@ class QueryProcessor:
     def _do_displayservicelinks(self, statement: ast.DisplayServiceLinks,
                                 session: Session) -> WtResult:
         kind = EndpointKind.parse(statement.target_kind)
-        client = self._client(session.metadata_source)
-        links = [link for link in client.service_links()
+        links = [link for link in self._read(session.metadata_source,
+                                             "service_links")
                  if link.involves(kind, statement.name)]
         lines = [f"Service links of {statement.target_kind} "
                  f"{statement.name}:"]
@@ -407,7 +423,7 @@ class QueryProcessor:
         information sources' half of the paper's motivation."""
         coalition_name = statement.database_name
         entry = self._entry_for_coalition(coalition_name, session)
-        members = self._client(entry).instances_of(coalition_name)
+        members = self._read(entry, "instances_of", coalition_name)
         per_source: dict[str, Any] = {}
         errors_seen: dict[str, str] = {}
         for member in members:

@@ -28,8 +28,9 @@ that decides how the system behaves when they do:
 :class:`ResiliencePolicy` bundles the three and is what
 :class:`~repro.core.discovery.DiscoveryEngine`,
 :class:`~repro.core.query_processor.QueryProcessor`, and the system
-facade share.  ``docs/resilience.md`` documents the behaviour and the
-fault-injection DSL used to test it.
+facade share; its :meth:`~ResiliencePolicy.call` is the one guard every
+co-database read goes through.  ``docs/resilience.md`` documents the
+behaviour and the fault-injection DSL used to test it.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Callable, Optional, Union
 from repro.deadline import (BACKGROUND, INTERACTIVE, CallPolicy, Deadline,
                             RetryBudget, call_policy, current_policy)
 from repro.errors import (CircuitOpen, CommFailure, DeadlineExceeded,
-                          ServerBusy)
+                          ServerBusy, WebFinditError)
 
 __all__ = [
     "Deadline", "CallPolicy", "call_policy", "current_policy",
@@ -65,8 +66,11 @@ HALF_OPEN = "half-open"
 
 
 def as_deadline(budget: Union[None, float, Deadline]) -> Optional[Deadline]:
-    """Normalise a seconds-or-Deadline argument."""
-    if budget is None or isinstance(budget, Deadline):
+    """Normalise a seconds-or-Deadline argument; None is the deadline of
+    the enclosing call context (the statement's), if there is one."""
+    if budget is None:
+        return current_policy().deadline
+    if isinstance(budget, Deadline):
         return budget
     return Deadline.after(float(budget))
 
@@ -74,10 +78,11 @@ def as_deadline(budget: Union[None, float, Deadline]) -> Optional[Deadline]:
 class RetryPolicy:
     """Bounded retries with exponential backoff + decorrelated jitter.
 
-    ``call`` retries only :data:`retryable` failures, only when the
-    caller vouches the operation is *idempotent*, and never past the
-    deadline: a retry whose backoff sleep would not leave budget for
-    the attempt itself is abandoned and the last failure re-raised.
+    ``call`` retries only transport failures
+    (:class:`~repro.errors.CommFailure`), only when the caller vouches
+    the operation is *idempotent*, and never past the deadline: a retry
+    whose backoff sleep would not leave budget for the attempt itself
+    is abandoned and the last failure re-raised.
     *seed* fixes the jitter sequence so chaos tests are reproducible;
     *sleep* is injectable so unit tests need not wait.
     """
@@ -86,7 +91,6 @@ class RetryPolicy:
                  max_delay: float = 2.0, multiplier: float = 3.0,
                  seed: Optional[int] = None,
                  sleep: Callable[[float], None] = time.sleep,
-                 retryable: tuple = (CommFailure,),
                  budget: Optional[RetryBudget] = None):
         if max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
@@ -94,7 +98,6 @@ class RetryPolicy:
         self.base_delay = base_delay
         self.max_delay = max_delay
         self.multiplier = multiplier
-        self.retryable = retryable
         #: Token-bucket cap on the retry:first-attempt ratio.  None
         #: keeps the pre-existing behaviour (attempts alone bound
         #: retries).  With a budget, a retry additionally needs a
@@ -140,7 +143,7 @@ class RetryPolicy:
                     return fn()
             except DeadlineExceeded:
                 raise  # the budget is gone; retrying cannot help
-            except self.retryable:
+            except CommFailure:
                 if not idempotent or attempt >= self.max_attempts:
                     raise
                 delay = self.next_delay(delay)
@@ -219,23 +222,22 @@ class CircuitBreaker:
     """Closed / open / half-open health tracking for one endpoint.
 
     *failure_threshold* consecutive failures open the circuit; after
-    *reset_timeout* seconds the next :meth:`allow` admits up to
-    *half_open_trials* probe calls, whose outcome closes or re-opens
-    it.  Thread-safe; *clock* is injectable for tests.
+    *reset_timeout* seconds the next :meth:`allow` admits one probe
+    call, whose outcome closes or re-opens it.  Thread-safe; *clock*
+    is injectable for tests.
     """
 
     def __init__(self, failure_threshold: int = 3,
-                 reset_timeout: float = 5.0, half_open_trials: int = 1,
+                 reset_timeout: float = 5.0,
                  clock: Callable[[], float] = time.monotonic):
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_trials = half_open_trials
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = 0.0
-        self._trials_in_flight = 0
+        self._probing = False
         self.failures = 0
         self.successes = 0
         self.trips = 0
@@ -251,18 +253,17 @@ class CircuitBreaker:
         if self._state == OPEN and \
                 self._clock() - self._opened_at >= self.reset_timeout:
             self._state = HALF_OPEN
-            self._trials_in_flight = 0
+            self._probing = False
 
     def allow(self) -> bool:
-        """May a call proceed right now?  (Counts a probe slot when
+        """May a call proceed right now?  (Takes the probe slot when
         half-open.)"""
         with self._lock:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN and \
-                    self._trials_in_flight < self.half_open_trials:
-                self._trials_in_flight += 1
+            if self._state == HALF_OPEN and not self._probing:
+                self._probing = True
                 return True
             self.rejections += 1
             return False
@@ -271,9 +272,7 @@ class CircuitBreaker:
         with self._lock:
             self.successes += 1
             self._consecutive_failures = 0
-            if self._state != CLOSED:
-                self._state = CLOSED
-                self._trials_in_flight = 0
+            self._state = CLOSED
 
     def record_failure(self) -> None:
         with self._lock:
@@ -286,7 +285,6 @@ class CircuitBreaker:
             if tripping:
                 self._state = OPEN
                 self._opened_at = self._clock()
-                self._trials_in_flight = 0
                 self.trips += 1
 
 
@@ -300,11 +298,10 @@ class HealthBoard:
     """
 
     def __init__(self, failure_threshold: int = 3,
-                 reset_timeout: float = 5.0, half_open_trials: int = 1,
+                 reset_timeout: float = 5.0,
                  clock: Callable[[], float] = time.monotonic):
         self.failure_threshold = failure_threshold
         self.reset_timeout = reset_timeout
-        self.half_open_trials = half_open_trials
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
@@ -316,7 +313,6 @@ class HealthBoard:
                 breaker = CircuitBreaker(
                     failure_threshold=self.failure_threshold,
                     reset_timeout=self.reset_timeout,
-                    half_open_trials=self.half_open_trials,
                     clock=self._clock)
                 self._breakers[key] = breaker
             return breaker
@@ -369,9 +365,9 @@ class HealthBoard:
 class ResiliencePolicy:
     """The bundle the discovery stack shares: retry + health + budget.
 
-    *default_deadline* (seconds) applies to any discovery that does not
-    bring its own; None leaves queries unbounded, matching the paper's
-    interactive prototype.
+    *default_deadline* (seconds) bounds every statement that does not
+    bring its own deadline; None leaves statements unbounded, matching
+    the paper's interactive prototype.
     """
 
     def __init__(self, retry: Optional[RetryPolicy] = None,
@@ -387,40 +383,48 @@ class ResiliencePolicy:
 
     def deadline_for(self, budget: Union[None, float, Deadline]
                      ) -> Optional[Deadline]:
-        """An explicit budget, else the policy default, else unbounded."""
-        explicit = as_deadline(budget)
-        if explicit is not None:
-            return explicit
-        if self.default_deadline is not None:
+        """An explicit budget, else the enclosing call context's, else
+        the policy default, else unbounded."""
+        deadline = as_deadline(budget)
+        if deadline is None and self.default_deadline is not None:
             return Deadline.after(self.default_deadline)
-        return None
+        return deadline
 
     def call(self, fn: Callable[[], object], *, key: Optional[str] = None,
              idempotent: bool = False,
              deadline: Union[None, float, Deadline] = None,
-             traffic_class: Optional[str] = None) -> object:
-        """Guarded standalone call: breaker check, deadline context,
-        retries, and health recording in one place."""
+             probe: bool = False) -> object:
+        """The one guarded call: breaker check, call context, retries
+        and health record.
+
+        *key* names the endpoint on the health board and in the retry
+        budget.  A *probe* is attempted whatever the breaker says — the
+        start repository of a resolution has no alternative — and its
+        outcome feeds the board like any other.  An application-level
+        error (:class:`~repro.errors.WebFinditError`: "no such class")
+        is an answer; anything else raised counts against the endpoint.
+        """
         deadline = self.deadline_for(deadline)
-        if key is not None and not self.health.allow(key):
+        if key is not None and not probe and not self.health.allow(key):
             raise CircuitOpen(
                 f"circuit open for {key!r}: repeated failures "
                 f"(state {self.health.state(key)})")
+        answered = False
         try:
             # The retry budget rides the call context so transport-level
             # transparent resends draw from the same cap as our own
             # retries.
             with call_policy(deadline=deadline, idempotent=idempotent,
-                             traffic_class=traffic_class,
                              retry_budget=self.retry.budget):
                 if deadline is not None:
                     deadline.require(f"call to {key!r}" if key else "call")
                 result = self.retry.call(fn, idempotent=idempotent,
                                          deadline=deadline, key=key)
-        except FAILURE_ERRORS:
-            if key is not None:
-                self.health.record(key, ok=False)
+            answered = True
+            return result
+        except WebFinditError:
+            answered = True
             raise
-        if key is not None:
-            self.health.record(key, ok=True)
-        return result
+        finally:
+            if key is not None:
+                self.health.record(key, ok=answered)

@@ -25,9 +25,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import DeadlineExceeded
 
@@ -148,8 +146,7 @@ class RetryBudget:
                 f"granted={self.granted}, denied={self.denied})")
 
 
-@dataclass(frozen=True)
-class CallPolicy:
+class CallPolicy(NamedTuple):
     """What the layers below may assume about the current call."""
 
     #: Total budget for the logical operation this call is part of
@@ -184,30 +181,38 @@ def current_policy() -> CallPolicy:
     return getattr(_state, "policy", _DEFAULT_POLICY)
 
 
-@contextmanager
-def call_policy(deadline: Optional[Deadline] = None,
-                idempotent: Optional[bool] = None,
-                traffic_class: Optional[str] = None,
-                retry_budget: Optional[RetryBudget] = None,
-                attempt: Optional[int] = None,
-                ) -> Iterator[CallPolicy]:
+class call_policy:
     """Install a call policy for the duration of the ``with`` block.
 
     Unspecified fields inherit from the enclosing context, so a client
     stub can declare ``idempotent=True`` without knowing whether a
-    discovery query above it already set a deadline.
+    discovery query above it already set a deadline.  (A plain class,
+    not a generator: every statement and every co-database read enters
+    one.)
     """
-    previous = current_policy()
-    merged = CallPolicy(
-        deadline=deadline if deadline is not None else previous.deadline,
-        idempotent=previous.idempotent if idempotent is None else idempotent,
-        traffic_class=(previous.traffic_class if traffic_class is None
-                       else traffic_class),
-        retry_budget=(previous.retry_budget if retry_budget is None
-                      else retry_budget),
-        attempt=previous.attempt if attempt is None else attempt)
-    _state.policy = merged
-    try:
-        yield merged
-    finally:
-        _state.policy = previous
+
+    __slots__ = ("_given", "_previous")
+
+    def __init__(self, deadline: Optional[Deadline] = None,
+                 idempotent: Optional[bool] = None,
+                 traffic_class: Optional[str] = None,
+                 retry_budget: Optional[RetryBudget] = None,
+                 attempt: Optional[int] = None):
+        self._given = (deadline, idempotent, traffic_class, retry_budget,
+                        attempt)
+
+    def __enter__(self) -> CallPolicy:
+        previous = self._previous = current_policy()
+        deadline, idempotent, traffic_class, retry_budget, attempt = \
+            self._given
+        merged = _state.policy = CallPolicy(
+            previous.deadline if deadline is None else deadline,
+            previous.idempotent if idempotent is None else idempotent,
+            previous.traffic_class if traffic_class is None
+            else traffic_class,
+            previous.retry_budget if retry_budget is None else retry_budget,
+            previous.attempt if attempt is None else attempt)
+        return merged
+
+    def __exit__(self, *exc_info) -> None:
+        _state.policy = self._previous

@@ -301,10 +301,10 @@ class CdrDecoder:
     """
 
     def __init__(self, data: bytes | bytearray | memoryview,
-                 little_endian: bool = False, offset: int = 0):
+                 little_endian: bool = False):
         self._data = data
         self._end = len(data)
-        self._pos = offset
+        self._pos = 0
         self.little_endian = little_endian
         order = _LITTLE if little_endian else _BIG
         self._prefix, self._unpack = order.prefix, order.unpack

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Any, Optional, Sequence
 
 from repro.errors import IntegrityError, SqlError
-from repro.sql.expressions import Compiled, Frame
+from repro.sql.expressions import SAME_KIND, Compiled, Frame, sql_equal
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
                                IndexLookup, InsertPlan, ModifyPlan,
                                NestedLoopJoin, OrderKey, QueryPlan, RowSource,
@@ -179,26 +179,48 @@ def _access(source: RowSource, frame: Frame) -> list[tuple[int, Row]]:
 def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:
     left_rows = _materialize(source.left, frame)
     right_rows = _materialize(source.right, frame)
-    left_key, right_key = source.left_key, source.right_key
+    left_keys = [source.left_key(row, frame) for row in left_rows]
+    keyed = [(key, row) for row in right_rows
+             if (key := source.right_key(row, frame)) is not None]
 
-    buckets: dict[Any, list[tuple]] = {}
-    for row in right_rows:
-        key = right_key(row, frame)
-        if key is not None:
+    if _one_kind(left_keys + [key for key, __ in keyed],
+                 len(source.left_keys)):
+        buckets: dict[Any, list[tuple]] = {}
+        for key, row in keyed:
             buckets.setdefault(key, []).append(row)
+        matching = buckets.get
+    else:
+        # Across kinds Python's == is not SQL's = (TRUE is not 1, a
+        # date equals the text that spells it): ask `=` itself.
+        equal = sql_equal if len(source.left_keys) == 1 else \
+            lambda left, right: all(map(sql_equal, left, right))
+
+        def matching(key):
+            return [row for other, row in keyed if equal(key, other)]
 
     out: list[tuple] = []
     pad_misses = source.kind == "LEFT"
     null_pad = (None,) * len(source.right.header)
-    for row in left_rows:
-        key = left_key(row, frame)
-        matches = buckets.get(key) if key is not None else None
+    for key, row in zip(left_keys, left_rows):
+        matches = matching(key) if key is not None else None
         if matches:
             for right_row in matches:
                 out.append(row + right_row)
         elif pad_misses:
             out.append(row + null_pad)
     return out
+
+
+def _one_kind(keys: list, width: int) -> bool:
+    """True when a dict may stand in for ``=`` on these join keys:
+    at every key position the non-NULL values are of one kind (the rule
+    an index probe applies to its key)."""
+    present = [key for key in keys if key is not None]
+    for values in (zip(*present) if width > 1 else [present]):
+        kinds = set(map(type, values))
+        if kinds and not kinds <= SAME_KIND.get(next(iter(kinds)), ()):
+            return False
+    return True
 
 
 def _nested_loop(source: NestedLoopJoin, frame: Frame) -> list[tuple]:

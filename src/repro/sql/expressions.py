@@ -173,7 +173,7 @@ def _coerce_date_pair(left: Any, right: Any) -> tuple[Any, Any]:
     return left, right
 
 
-def _equal(left: Any, right: Any) -> bool:
+def sql_equal(left: Any, right: Any) -> bool:
     """True only when the two non-NULL values are SQL-equal."""
     if type(right) in SAME_KIND.get(type(left), ()):
         return left == right
@@ -187,7 +187,7 @@ def _member(value: Any, candidates: Iterable[Any], negated: bool) -> Optional[bo
     for candidate in candidates:
         if value is None or candidate is None:
             saw_null = True
-        elif _equal(value, candidate):
+        elif sql_equal(value, candidate):
             return not negated
     return None if saw_null else negated
 

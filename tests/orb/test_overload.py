@@ -297,9 +297,11 @@ class TestSheddingOverTcp:
         admission ticket back, or the transport-shared controller
         leaks queue capacity until everything is shed as queue-full."""
         release = threading.Event()
+        picked_up = threading.Event()
 
         class BlockingServant:
             def echo(self, value):
+                picked_up.set()
                 release.wait(5.0)
                 return value
 
@@ -327,10 +329,14 @@ class TestSheddingOverTcp:
                 caller.start()
             # One frame occupies the single worker (its ticket settles
             # at pickup); the other three wait in the executor queue.
+            # All four may be enqueued before the first pickup, so wait
+            # for the pickup too, not just for a count.
             deadline = time.monotonic() + 2.0
-            while (transport.admission.snapshot()["pending"] < 3
+            while (not (picked_up.is_set() and
+                        transport.admission.snapshot()["pending"] == 3)
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
+            assert picked_up.is_set()
             assert transport.admission.snapshot()["pending"] == 3
             # close() shuts the pool down while the worker is still
             # busy, so the three queued frames get *cancelled* — from a

@@ -25,7 +25,11 @@ Deliberate divergences, which the generator therefore never produces:
 with and without a secondary index on the filtered column — including
 ``DATE`` and ``BOOLEAN`` columns probed with ISO strings, ``0``/``1``
 and ``TRUE``/``FALSE`` — must return equal multisets: an index probe
-may never answer differently from the scan it replaces.
+may never answer differently from the scan it replaces.  And a join
+on ``t.x = u.y`` for every pair of column types (``BOOLEAN`` against
+``INT``, ``DATE`` against ISO text, ``INT`` against ``REAL``, ...) must
+pair the rows that ``FROM t, u WHERE t.x = u.y`` pairs: a hash join may
+never answer differently from the ``=`` it replaces.
 
 Tier-1 runs hypothesis's default example count derandomised; CI's
 ``sql-differential`` job loads the ``ci`` profile of
@@ -36,7 +40,7 @@ import datetime
 import sqlite3
 from collections import Counter
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CatalogError
@@ -211,7 +215,10 @@ def join_select(draw):
     condition = " WHERE " + " AND ".join(conjuncts) if conjuncts else ""
     sides = draw(st.sampled_from(
         ["a {kind} JOIN b ON a.id = b.a_id", "b {kind} JOIN a ON a.id = b.a_id",
-         "a {kind} JOIN b ON a.id = b.a_id AND a.n = b.m"]))
+         "a {kind} JOIN b ON a.id = b.a_id AND a.n = b.m",
+         # INT against REAL keys: 2 joins 2.0 on both sides
+         "a {kind} JOIN b ON a.r = b.m", "b {kind} JOIN a ON b.a_id = a.r",
+         "a {kind} JOIN b ON a.r = b.m AND a.n = b.a_id"]))
     return (f"SELECT a.id, b.id, n, m, s, t FROM {sides.format(kind=kind)}"
             f"{condition}"), False
 
@@ -327,3 +334,49 @@ def test_index_probe_equals_scan(rows, column, probe, param, flipped, rest):
             (indexed and " OR " not in rest), plan
         answers.append(Counter(db.execute(sql, params).rows))
     assert answers[0] == answers[1], sql
+
+
+u_rows = keyed(nullable(dates), nullable(st.booleans()),
+               nullable(st.integers(min_value=0, max_value=3)),
+               nullable(st.sampled_from([0.0, 1.0, 1.5, 2.0])),
+               # two spellings of one date: each equals the date, and
+               # they do not equal each other
+               nullable(st.sampled_from(["a", "1", "1995-01-11", "19950111",
+                                         "TRUE"])))
+ONE_T = (1, datetime.date(1995, 1, 11), True, 1, "1995-01-11")
+ONE_U = (1, datetime.date(1995, 1, 11), True, 1, 1.0, "1995-01-11")
+T_COLUMNS = ["d", "f", "n", "s"]
+U_COLUMNS = ["d", "f", "n", "r", "s"]
+
+
+@SETTINGS
+@given(t=t_rows, u=u_rows, x=st.sampled_from(T_COLUMNS),
+       y=st.sampled_from(U_COLUMNS), flipped=st.booleans(),
+       second=st.sampled_from(["", " AND t.n = u.n", " AND u.s = t.s"]))
+@example(t=[ONE_T], u=[ONE_U], x="f", y="n", flipped=False, second="")
+@example(t=[ONE_T], u=[ONE_U], x="d", y="s", flipped=False, second="")
+@example(t=[ONE_T], u=[ONE_U], x="s", y="d", flipped=True,
+         second=" AND t.n = u.n")
+@example(t=[ONE_T], u=[ONE_U, (2, None, None, 1, 1.0, "19950111")],
+         x="s", y="s", flipped=False, second="")
+def test_hash_join_equals_where(t, u, x, y, flipped, second):
+    db = Database("meta")
+    db.execute("CREATE TABLE t (id INT NOT NULL, d DATE, f BOOLEAN, "
+               "n INT, s VARCHAR(12))")
+    db.execute("CREATE TABLE u (id INT NOT NULL, d DATE, f BOOLEAN, "
+               "n INT, r REAL, s VARCHAR(12))")
+    db.load_rows("t", t)
+    db.load_rows("u", u)
+    equality = (f"u.{y} = t.{x}" if flipped else f"t.{x} = u.{y}") + second
+    join = f"SELECT t.id, u.id FROM t {{kind}} JOIN u ON {equality}"
+    plan = [line for (line,) in
+            db.execute("EXPLAIN " + join.format(kind="INNER")).rows]
+    assert any("HashJoin" in line for line in plan), plan
+    paired = Counter(db.execute(
+        f"SELECT t.id, u.id FROM t, u WHERE {equality}").rows)
+    assert Counter(db.execute(join.format(kind="INNER")).rows) == paired, \
+        equality
+    matched = {t_id for t_id, __ in paired}
+    unmatched = Counter((row[0], None) for row in t if row[0] not in matched)
+    assert Counter(db.execute(join.format(kind="LEFT")).rows) \
+        == paired + unmatched, equality
