@@ -20,11 +20,12 @@ real middleware traffic.
 from __future__ import annotations
 
 import inspect
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from repro.core.coalition import Coalition
-from repro.core.model import Ontology, SourceDescription, topic_scorer
-from repro.core.service_link import EndpointKind, ServiceLink
+from repro.core.model import (Ontology, SourceDescription, topic_words,
+                              word_scorer)
+from repro.core.service_link import EndpointKind, ServiceLink, link_label
 from repro.errors import UnknownCoalition, UnknownDatabase, WebFinditError
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.schema import Attribute
@@ -32,6 +33,30 @@ from repro.orb.idl import InterfaceBuilder, InterfaceDef
 
 #: Root class name for the coalition lattice inside every co-database.
 SOURCE_ROOT_CLASS = "InformationSource"
+
+
+class _TopicIndex(NamedTuple):
+    """Everything ``consult`` scores, derived from one co-database state.
+
+    Word sets are :func:`~repro.core.model.topic_words` — for coalitions
+    expanded through the ontology, as :meth:`CoDatabase.find_coalitions`
+    scores them; links are scored on their own words.
+    """
+
+    #: ``(epoch, applied, ontology version)`` the index was built at.
+    key: tuple[int, int, int]
+    #: Per coalition: name, information type, member names, and the word
+    #: sets of its type, its name and each member's advertised type.
+    coalitions: tuple[tuple[str, str, tuple[str, ...],
+                            tuple[frozenset[str], ...]], ...]
+    #: Per service link, in store order: target kind and name, advertised
+    #: type (or description), label, contact, and the word sets of its
+    #: type, target name and description.
+    links: tuple[tuple[str, str, str, str, str,
+                       tuple[frozenset[str], ...]], ...]
+    #: The links' distinct contacts, in link order.
+    contacts: tuple[str, ...]
+    neighbors: tuple[str, ...]
 
 _SOURCE_ATTRIBUTES = [
     Attribute("name", "string", required=True),
@@ -96,6 +121,8 @@ class CoDatabase:
         #: freshness — never claim a version whose write it missed.
         #: The shared cache tier's epoch tags rely on this.
         self.applied = 0
+        #: Derived state, see :meth:`_topic_index`.
+        self._index: Optional[_TopicIndex] = None
 
     # ------------------------------------------------------------ population --
 
@@ -246,35 +273,33 @@ class CoDatabase:
         Returns dicts ``{name, information_type, score, members}`` sorted
         by descending score.
         """
-        score_of = topic_scorer(query, self.ontology)
+        return self._matches(self._topic_index(), query, threshold)
+
+    def _matches(self, index: _TopicIndex, query: str,
+                 threshold: float) -> list[dict[str, Any]]:
+        ontology = self.ontology
+        score_of = word_scorer(query, ontology)
         matches: list[dict[str, Any]] = []
-        for coalition in self.known_coalitions():
+        for name, information_type, members, words in index.coalitions:
             # A coalition answers for its own topic AND for what its
             # member databases advertise — "every class contains a
             # description about the participating databases and the
             # type of information they contain" (§2.2).
-            score = max(score_of(coalition.information_type),
-                        score_of(coalition.name))
-            if self._db.schema.has_class(coalition.name):
-                for member in self._db.extent(coalition.name,
-                                              include_subclasses=False):
-                    score = max(score, score_of(
-                        member.get("information_type") or ""))
+            score = max(map(score_of, words))
             # Topic proximity (§2.1: clusters "are related to each other
             # by topic proximity relationships"): a coalition whose
             # topic the ontology marks as *close* to the query is a
             # threshold-level lead even without word overlap.
-            if (score < threshold and self.ontology is not None
-                    and (self.ontology.are_related(
-                        query, coalition.information_type)
-                        or self.ontology.are_related(query, coalition.name))):
+            if (score < threshold and ontology is not None
+                    and (ontology.are_related(query, information_type)
+                         or ontology.are_related(query, name))):
                 score = threshold
             if score >= threshold:
                 matches.append({
-                    "name": coalition.name,
-                    "information_type": coalition.information_type,
+                    "name": name,
+                    "information_type": information_type,
                     "score": score,
-                    "members": coalition.members,
+                    "members": list(members),
                 })
         matches.sort(key=lambda m: (-m["score"], m["name"]))
         return matches
@@ -358,29 +383,89 @@ class CoDatabase:
         ``neighbors`` is :meth:`neighbor_databases` when asked for (the
         start repository's courtesy check), else empty.
         """
-        score_of = topic_scorer(query)
-        links = self.service_links()
+        index = self._topic_index()
+        score_of = word_scorer(query)
         leads: dict[tuple[str, str], dict[str, Any]] = {}
-        for link in links:
-            kind, name = target = (link.to_kind.value, link.to_name)
+        for kind, name, information_type, label, contact, words \
+                in index.links:
+            target = (kind, name)
             if target in leads:
                 continue
-            score = max(score_of(link.information_type), score_of(name),
-                        score_of(link.description))
+            score = max(map(score_of, words))
             if score >= threshold:
                 leads[target] = {
                     "to_kind": kind, "to_name": name,
-                    "information_type": (link.information_type
-                                         or link.description),
-                    "score": score, "label": link.label,
-                    "contact": link.contact}
+                    "information_type": information_type,
+                    "score": score, "label": label, "contact": contact}
         return {
-            "matches": self.find_coalitions(query, threshold),
+            "matches": self._matches(index, query, threshold),
             "leads": list(leads.values()),
-            "contacts": list(dict.fromkeys(
-                link.contact for link in links if link.contact)),
-            "neighbors": self.neighbor_databases() if neighbors else [],
+            "contacts": list(index.contacts),
+            "neighbors": list(index.neighbors) if neighbors else [],
         }
+
+    # ---------------------------------------------------------- topic index --
+
+    def _index_key(self) -> tuple[int, int, int]:
+        ontology = self.ontology
+        return (self.epoch, self.applied,
+                ontology.version if ontology is not None else 0)
+
+    def _topic_index(self) -> _TopicIndex:
+        """The topic index of the current state, rebuilt on the first
+        read after a write or an ontology change.
+
+        Seqlock-style keep rule: an index is kept only when no write was
+        in flight as it was built (``epoch == applied``) and none began
+        before it was done (the key read after the build is the key read
+        before it).  Otherwise it answers this read and is dropped.
+        """
+        key = self._index_key()
+        index = self._index
+        if index is not None and index.key == key:
+            return index
+        index = self._build_index(key)
+        if key[0] == key[1] and self._index_key() == key:
+            self._index = index
+        return index
+
+    def _build_index(self, key: tuple[int, int, int]) -> _TopicIndex:
+        """One pass over the store: what :meth:`find_coalitions` and
+        :meth:`consult` score, as word sets, read straight from the
+        stored values (no model objects)."""
+        db = self._db
+        has_class = db.schema.has_class
+        ontology = self.ontology
+        words_of = topic_words if ontology is None else ontology.topic_words
+        coalitions = []
+        for info in db.extent("CoalitionInfo"):
+            name = info["name"]
+            information_type = info.get("information_type") or ""
+            members = db.extent(name, include_subclasses=False) \
+                if has_class(name) else ()
+            coalitions.append((
+                name, information_type,
+                tuple(member.get("name") for member in members),
+                (words_of(information_type), words_of(name),
+                 *(words_of(member.get("information_type") or "")
+                   for member in members))))
+        links = []
+        for link in db.extent("ServiceLink"):
+            values = link.values()
+            to_name = values["to_name"]
+            information_type = values["information_type"]
+            description = values["description"]
+            links.append((
+                values["to_kind"], to_name,
+                information_type or description,
+                link_label(values["from_name"], to_name),
+                values["contact"],
+                (topic_words(information_type), topic_words(to_name),
+                 topic_words(description))))
+        return _TopicIndex(
+            key, tuple(coalitions), tuple(links),
+            tuple(dict.fromkeys(link[4] for link in links if link[4])),
+            tuple(self.neighbor_databases()))
 
     @property
     def object_database(self) -> ObjectDatabase:

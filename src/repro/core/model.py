@@ -9,6 +9,7 @@ relationships (the paper's "clusters related by topic proximity").
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -21,31 +22,41 @@ _WORD_RE = re.compile(r"[a-z0-9]+")
 STOP_WORDS = frozenset({"and", "or", "of", "the", "a", "an", "in", "on",
                         "for", "with", "to"})
 
+#: Topic strings whose word sets are memoised (an information space
+#: names a few hundred at most; the bound only guards odd callers).
+WORD_MEMO_SIZE = 4096
 
+
+@functools.lru_cache(maxsize=WORD_MEMO_SIZE)
 def topic_words(text: str) -> frozenset[str]:
     """Normalized, stop-word-free word set of a topic string."""
     return frozenset(w for w in _WORD_RE.findall(text.lower())
                      if w not in STOP_WORDS)
 
 
-def topic_scorer(query: str, ontology: Optional["Ontology"] = None
-                 ) -> Callable[[str], float]:
-    """:func:`topic_score` with *query* fixed: its word set (and, with
-    an ontology, each word's synonym set) is built once, however many
-    topics are scored against it."""
+def word_scorer(query: str, ontology: Optional["Ontology"] = None
+                ) -> Callable[[frozenset[str]], float]:
+    """The fraction of *query*'s words a topic covers, given the topic
+    as a word set: :func:`topic_words` of it, or with an ontology
+    :meth:`Ontology.topic_words`.  The query's word set (and each
+    word's synonym set) is built once, however many topics are scored."""
     query_set = topic_words(query)
     if not query_set:
-        return lambda topic: 0.0
+        return lambda words: 0.0
     size = len(query_set)
     if ontology is None:
-        return lambda topic: len(query_set & topic_words(topic)) / size
+        return lambda words: len(query_set & words) / size
     synonyms = [ontology.expand({word}) for word in query_set]
+    return lambda words: sum(1 for group in synonyms
+                             if not group.isdisjoint(words)) / size
 
-    def score(topic: str) -> float:
-        target = ontology.expand(topic_words(topic))
-        return sum(1 for group in synonyms
-                   if not group.isdisjoint(target)) / size
-    return score
+
+def topic_scorer(query: str, ontology: Optional["Ontology"] = None
+                 ) -> Callable[[str], float]:
+    """:func:`topic_score` with *query* fixed (see :func:`word_scorer`)."""
+    score = word_scorer(query, ontology)
+    words_of = topic_words if ontology is None else ontology.topic_words
+    return lambda topic: score(words_of(topic))
 
 
 def topic_score(query: str, topic: str,
@@ -164,17 +175,29 @@ class Ontology:
     Terms are single normalized words; :meth:`relate` records that two
     topics are *close* (the paper's proximity between clusters), which
     discovery uses to rank near-miss coalitions.
+
+    :attr:`version` moves on every change, so state derived from the
+    ontology (a co-database's topic index) can tell it is out of date.
     """
 
     def __init__(self) -> None:
         self._synonyms: dict[str, set[str]] = {}
         self._proximity: dict[str, set[str]] = {}
+        self.version = 0
+        self._words: dict[str, frozenset[str]] = {}
+
+    def _changed(self) -> None:
+        # A fresh memo, not a cleared one: a reader still expanding
+        # against the old synonyms stores into the dict it fetched.
+        self._words = {}
+        self.version += 1
 
     def add_synonyms(self, word: str, synonyms: Iterable[str]) -> None:
         """Declare *synonyms* as interchangeable with *word*."""
         group = {word.lower(), *(s.lower() for s in synonyms)}
         for member in group:
             self._synonyms.setdefault(member, set()).update(group)
+        self._changed()
 
     def expand(self, words: Iterable[str]) -> frozenset[str]:
         """Words plus all their synonyms."""
@@ -184,12 +207,24 @@ class Ontology:
             expanded.update(self._synonyms.get(word, ()))
         return frozenset(expanded)
 
+    def topic_words(self, text: str) -> frozenset[str]:
+        """:func:`topic_words` of *text* plus all their synonyms,
+        memoised per string until the ontology next changes."""
+        memo = self._words
+        words = memo.get(text)
+        if words is None:
+            if len(memo) >= WORD_MEMO_SIZE:
+                memo.clear()
+            words = memo[text] = self.expand(topic_words(text))
+        return words
+
     def relate(self, topic_a: str, topic_b: str) -> None:
         """Record topic proximity (symmetric)."""
         a = topic_a.lower()
         b = topic_b.lower()
         self._proximity.setdefault(a, set()).add(b)
         self._proximity.setdefault(b, set()).add(a)
+        self._changed()
 
     def related(self, topic: str) -> frozenset[str]:
         """Topics recorded as close to *topic*."""

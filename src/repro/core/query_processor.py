@@ -28,7 +28,7 @@ from typing import Any, Callable, Optional
 
 from repro.core.discovery import (CoDatabaseClient, DiscoveryEngine,
                                   DiscoveryResult)
-from repro.core.model import SourceDescription
+from repro.core.model import SourceDescription, topic_scorer
 from repro.core.registry import Registry
 from repro.core.resilience import ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -97,6 +97,7 @@ class QueryProcessor:
                  policy: Optional[ResiliencePolicy] = None):
         self._wrapper_for = wrapper_for
         self._registry = registry
+        self._ontology = registry.ontology if registry is not None else None
         self.policy = policy
         self.discovery = DiscoveryEngine(resolver,
                                          match_threshold=match_threshold,
@@ -217,19 +218,19 @@ class QueryProcessor:
     def _do_findsources(self, statement: ast.FindSources,
                         session: Session) -> WtResult:
         """Locate individual databases: resolve coalitions for the
-        topic, then filter their member descriptions by it."""
-        from repro.core.model import topic_score
-
+        topic, then filter their member descriptions by it — through
+        the deployment's ontology, as the co-databases that found the
+        coalitions scored them."""
         result = self.discovery.discover(statement.information,
                                          session.metadata_source)
+        score_of = topic_scorer(statement.information, self._ontology)
         sources: list[SourceDescription] = []
         seen: set[str] = set()
         for lead in result.leads:
             for description in self.discovery.members_of(lead, result):
                 if description.name in seen:
                     continue
-                score = topic_score(statement.information,
-                                    description.information_type)
+                score = score_of(description.information_type)
                 if score < 0.5:
                     continue
                 if statement.structure and not all(

@@ -69,9 +69,7 @@ class ServiceLink:
     @property
     def label(self) -> str:
         """Figure-1 style label, e.g. ``ATO_to_Medical``."""
-        def compact(name: str) -> str:
-            return name.replace(" ", "")
-        return f"{compact(self.from_name)}_to_{compact(self.to_name)}"
+        return link_label(self.from_name, self.to_name)
 
     def involves(self, kind: EndpointKind, name: str) -> bool:
         """True when either endpoint is (kind, name)."""
@@ -99,6 +97,12 @@ class ServiceLink:
             information_type=payload.get("information_type", ""),
             description=payload.get("description", ""),
             contact=payload.get("contact", ""))
+
+
+def link_label(from_name: str, to_name: str) -> str:
+    """The label of a link between two named ends (:attr:`ServiceLink.
+    label`), for callers holding the names rather than a link."""
+    return f"{from_name.replace(' ', '')}_to_{to_name.replace(' ', '')}"
 
 
 register_value("ServiceLink", ServiceLink,

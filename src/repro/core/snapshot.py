@@ -70,6 +70,14 @@ def _attach_documents(target, payload: dict[str, Any]) -> None:
                                document.get("url", ""))
 
 
+def _adopt_epoch(codatabase: CoDatabase, epoch) -> None:
+    """Give a rebuilt co-database its recorded epoch — authoritative:
+    the rebuild's own write count reflects import mechanics, not
+    federation history.  Every write of it is complete, so ``applied``
+    is the same number (reads are tagged with it)."""
+    codatabase.epoch = codatabase.applied = int(epoch)
+
+
 def export_topology(registry: Registry) -> dict[str, Any]:
     """Capture *registry*'s full administrative state."""
     return {
@@ -141,7 +149,7 @@ def import_topology(payload: dict[str, Any],
         registry.add_service_link(ServiceLink.from_wire(link_payload))
     _attach_documents(registry, payload)
     for name, epoch in payload.get("epochs", {}).items():
-        registry.codatabase(name).epoch = int(epoch)
+        _adopt_epoch(registry.codatabase(name), epoch)
     return registry
 
 
@@ -207,9 +215,7 @@ def import_codatabase(payload: dict[str, Any],
     for wire in payload.get("service_links", []):
         codatabase.add_service_link(ServiceLink.from_wire(wire))
     _attach_documents(codatabase, payload)
-    # The recorded epoch is authoritative — the rebuild's own write
-    # count reflects import mechanics, not federation history.
-    codatabase.epoch = int(payload.get("epoch", 0))
+    _adopt_epoch(codatabase, payload.get("epoch", 0))
     return codatabase
 
 

@@ -86,7 +86,7 @@ class ObjectDatabase:
         if extent is None:  # class defined directly on the schema object
             extent = Extent(class_name)
             self._extents[class_name] = extent
-        extent.add(oid)
+        extent.add(stored)
         return stored
 
     def get(self, oid: Oid) -> OObject:
@@ -121,7 +121,7 @@ class ObjectDatabase:
         for name in class_names:
             extent = self._extents.get(name)
             if extent is not None:
-                result.extend(self._objects[oid] for oid in extent)
+                result.extend(extent.objects())
         return result
 
     def select(self, class_name: str,

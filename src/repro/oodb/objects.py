@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional
+from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import SchemaError
 from repro.oodb.schema import Attribute, Schema
@@ -127,27 +127,32 @@ class Extent:
     """The set of objects of one class (not including subclasses).
 
     Extents preserve creation order, which the browsing layer relies on
-    for stable display.
+    for stable display, and hold the objects themselves: reading an
+    extent hashes no identity.
     """
 
     def __init__(self, class_name: str):
         self.class_name = class_name
-        self._oids: dict[Oid, None] = {}
+        self._objects: dict[Oid, OObject] = {}
 
-    def add(self, oid: Oid) -> None:
-        self._oids[oid] = None
+    def add(self, stored: OObject) -> None:
+        self._objects[stored.oid] = stored
 
     def remove(self, oid: Oid) -> None:
-        self._oids.pop(oid, None)
+        self._objects.pop(oid, None)
+
+    def objects(self) -> Iterable[OObject]:
+        """The members, in creation order."""
+        return self._objects.values()
 
     def __iter__(self) -> Iterator[Oid]:
-        return iter(self._oids)
+        return iter(self._objects)
 
     def __len__(self) -> int:
-        return len(self._oids)
+        return len(self._objects)
 
     def __contains__(self, oid: Oid) -> bool:
-        return oid in self._oids
+        return oid in self._objects
 
 
 def validate_new_object(schema: Schema, class_name: str,

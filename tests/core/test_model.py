@@ -94,6 +94,18 @@ class TestOntology:
                            ontology) == 1.0
         assert topic_score("health services", "medical services") == 0.5
 
+    def test_memoised_word_sets_follow_a_change(self):
+        ontology = Ontology()
+        assert ontology.topic_words("Heart Care") == {"heart", "care"}
+        version = ontology.version
+        ontology.add_synonyms("heart", ["cardiac"])
+        assert ontology.version > version
+        assert ontology.topic_words("Heart Care") \
+            == {"heart", "cardiac", "care"}
+        version = ontology.version
+        ontology.relate("Heart", "Cardiology")
+        assert ontology.version > version
+
     def test_proximity_relationships(self):
         ontology = Ontology()
         ontology.relate("Medical", "Medical Insurance")

@@ -33,6 +33,19 @@ class TestExploration:
         assert not result.data.resolved
         assert "none found" in result.text
 
+    def test_find_sources_scores_through_the_ontology(self, browser):
+        """The healthcare synonyms (health ~ medical, studies ~ research)
+        that find the Research coalition also select its members."""
+        coalitions = browser.submit(
+            "Find Coalitions With Information 'Health Studies'")
+        assert [(lead.name, lead.score) for lead in coalitions.data.leads] \
+            == [("Research", 1.0)]
+        sources = browser.submit(
+            "Find Sources With Information 'Health Studies'")
+        assert [source.name for source in sources.data] == [
+            topo.QUT, topo.RMIT, topo.RBH, topo.QLD_CANCER]
+        assert "none found" not in sources.text
+
     def test_connect_local_coalition(self, browser):
         result = browser.connect_coalition("Research")
         assert browser.session.current_coalition == "Research"

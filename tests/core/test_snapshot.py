@@ -4,10 +4,12 @@ import json
 
 import pytest
 
+from repro.core.codatabase import CoDatabaseServant
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.snapshot import (export_topology, import_topology,
+from repro.core.snapshot import (export_codatabase, export_topology,
+                                 import_codatabase, import_topology,
                                  load_topology, save_topology)
 from repro.errors import WebFinditError
 
@@ -187,3 +189,27 @@ class TestEpochRoundTrip:
         registry.codatabase("A").epoch = 99
         restored = import_topology(export_topology(registry))
         assert restored.codatabase("A").epoch == 99
+
+    def test_topology_import_completes_every_adopted_epoch(self):
+        """``applied`` is the adopted epoch, whether the history was
+        longer than the state (a join and a leave) or shorter."""
+        registry = build_registry()
+        registry.join("C", "Cardio")
+        registry.leave("C", "Cardio")
+        registry.codatabase("B").epoch = registry.codatabase("B").applied = 2
+        restored = import_topology(export_topology(registry))
+        for name, epoch in registry.epochs().items():
+            codatabase = restored.codatabase(name)
+            assert codatabase.epoch == codatabase.applied == epoch
+            assert CoDatabaseServant(codatabase).versioned(
+                "memberships", [])["epoch"] == epoch
+
+    def test_codatabase_import_completes_the_adopted_epoch(self, healthcare):
+        rbh = healthcare.system.registry.codatabase("Royal Brisbane Hospital")
+        payload = export_codatabase(rbh)
+        assert payload["epoch"] > 3
+        payload["epoch"] = 3
+        restored = import_codatabase(payload)
+        assert restored.epoch == restored.applied == 3
+        assert CoDatabaseServant(restored).versioned(
+            "consult", ["Medical", True, 0.5])["epoch"] == 3
