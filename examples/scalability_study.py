@@ -11,7 +11,8 @@ discovery query, WebFINDIT's coalition/service-link routing against
 * **global schema** — the tightly-coupled multidatabase: constant-time
   queries bought with quadratic integration work up front.
 
-This is the runnable form of benches S1 and S3 (see EXPERIMENTS.md).
+This prints the S1 and S3 tables of EXPERIMENTS.md;
+``tests/apps/test_paper_claims.py`` holds their shape.
 """
 
 from repro.bench import (build_scaled_space, discovery_workload, print_table,

@@ -4,7 +4,8 @@ This is what discovery looks like without WebFINDIT's two-level
 organization: each source knows only its own advertisement, so locating
 providers of a topic means contacting **every** source's metadata
 service.  §2 of the paper argues this is what makes "the anarchic Web
-enormously complex"; bench S1 quantifies it against coalition routing.
+enormously complex"; ``tests/apps/test_paper_claims.py`` (S1) holds it
+against coalition routing.
 
 The directory supports the same cost accounting as
 :class:`~repro.core.discovery.DiscoveryEngine` (sources contacted,

@@ -10,8 +10,8 @@ heterogeneous systems."
 Integrating a new source requires reconciling each of its schema items
 against the *entire* existing global schema (conflict detection is
 pairwise), so construction cost grows quadratically with the federation
-while query cost stays flat.  Bench S3 plots exactly this trade-off
-against WebFINDIT's incremental coalition joins.
+while query cost stays flat.  ``tests/apps/test_paper_claims.py`` (S3)
+holds this trade-off against WebFINDIT's incremental coalition joins.
 """
 
 from __future__ import annotations

@@ -3,14 +3,10 @@
 from repro.bench.reporting import format_table, print_table, ratio
 from repro.bench.scale import (ScaledSpace, build_scaled_space,
                                build_scaled_system)
-from repro.bench.workload import (HEALTHCARE_QUERIES, Arrival, OpenLoopResult,
-                                  Query, discovery_workload, open_loop_plan,
-                                  percentile, run_open_loop, sql_workload,
-                                  zipf_weights)
+from repro.bench.workload import (HEALTHCARE_QUERIES, Query,
+                                  discovery_workload, sql_workload)
 
 __all__ = ["build_scaled_space", "build_scaled_system", "ScaledSpace",
            "discovery_workload", "sql_workload", "Query",
            "HEALTHCARE_QUERIES",
-           "Arrival", "OpenLoopResult", "open_loop_plan", "run_open_loop",
-           "percentile", "zipf_weights",
            "format_table", "print_table", "ratio"]

@@ -1,8 +1,5 @@
-"""Plain-text tables for the benchmark harness output.
-
-Every bench prints the rows/series it regenerates through
-:func:`print_table`, so `pytest benchmarks/ --benchmark-only` output is
-directly comparable with EXPERIMENTS.md.
+"""Plain-text tables for ``examples/scalability_study.py``, whose
+output is directly comparable with EXPERIMENTS.md (S1, S3).
 """
 
 from __future__ import annotations
@@ -30,8 +27,8 @@ def format_table(title: str, columns: Sequence[str],
 
 def print_table(title: str, columns: Sequence[str],
                 rows: Iterable[Sequence[Any]]) -> None:
-    """Print a table (flushes so pytest-benchmark output interleaves
-    predictably)."""
+    """Print a table, flushed so it interleaves predictably with other
+    output."""
     print()
     print(format_table(title, columns, rows), flush=True)
 

@@ -1,23 +1,13 @@
-"""Query workload generation for the benchmark harness.
+"""Query workloads over the synthetic and healthcare worlds.
 
-Two families live here:
-
-* the closed-loop discovery/SQL generators the figure benches use
-  (each virtual client waits for its reply before asking again), and
-* the **open-loop** generator for the overload bench (S11): arrivals
-  follow a Poisson process at a fixed offered rate regardless of how
-  the server is doing — the regime where congestion collapse shows,
-  because a slow server faces the *same* arrival rate plus its backlog.
-  Popularity over keys is zipfian, the classic skew of web traffic.
+``examples/scalability_study.py`` and ``tests/apps/test_paper_claims.py``
+drive the scaled spaces with :func:`discovery_workload`.
 """
 
 from __future__ import annotations
 
 import random
-import threading
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
 
 from repro.bench.scale import ScaledSpace
 
@@ -57,7 +47,7 @@ def discovery_workload(space: ScaledSpace, queries: int,
     return result
 
 
-#: Topics of the healthcare world, used by the figure benches.
+#: Topics of the healthcare world, one per Figure-1 coalition.
 HEALTHCARE_QUERIES = (
     "Medical Research",
     "Medical Insurance",
@@ -67,135 +57,8 @@ HEALTHCARE_QUERIES = (
 )
 
 
-#  ------------------------------------------------- open-loop (bench S11) --
-
-
-@dataclass(frozen=True)
-class Arrival:
-    """One scheduled request of an open-loop plan."""
-
-    #: Seconds after the run starts at which this request fires.
-    at: float
-    #: Zipf-popular key index in ``[0, keys)``.
-    key: int
-    #: ``"interactive"`` or ``"background"`` (overload traffic class).
-    traffic_class: str = "interactive"
-
-
-def zipf_weights(keys: int, skew: float = 1.1) -> list[float]:
-    """Unnormalised zipfian popularity weights ``1 / rank**skew``."""
-    if keys < 1:
-        raise ValueError(f"keys must be >= 1, got {keys}")
-    return [1.0 / (rank ** skew) for rank in range(1, keys + 1)]
-
-
-def open_loop_plan(rate: float, duration: float, *, keys: int = 16,
-                   skew: float = 1.1, background_fraction: float = 0.0,
-                   seed: int = 7) -> list[Arrival]:
-    """A deterministic Poisson arrival plan at *rate* requests/second.
-
-    Inter-arrival gaps are exponential (memoryless), keys are drawn
-    zipfian, and a *background_fraction* of arrivals is tagged as
-    maintenance traffic.  The plan is a pure function of its arguments,
-    so every bench configuration replays the identical offered load.
-    """
-    if rate <= 0:
-        raise ValueError(f"rate must be positive, got {rate}")
-    rng = random.Random(seed)
-    weights = zipf_weights(keys, skew)
-    population = list(range(keys))
-    plan: list[Arrival] = []
-    at = rng.expovariate(rate)
-    while at < duration:
-        traffic_class = ("background"
-                         if rng.random() < background_fraction
-                         else "interactive")
-        plan.append(Arrival(at=at,
-                            key=rng.choices(population, weights)[0],
-                            traffic_class=traffic_class))
-        at += rng.expovariate(rate)
-    return plan
-
-
-@dataclass
-class OpenLoopResult:
-    """Outcome of one open-loop run at a fixed offered rate."""
-
-    offered: int = 0
-    completed: int = 0
-    #: Failures bucketed by the runner's classifier (e.g. ``"shed"``,
-    #: ``"expired"``, ``"error"``).
-    failures: dict = field(default_factory=dict)
-    #: Wall-clock latency of each *successful* request (seconds).
-    latencies: list = field(default_factory=list)
-    #: Wall-clock span of the whole run (first fire to last settle).
-    elapsed: float = 0.0
-
-    def goodput(self) -> float:
-        """Successful replies per second of wall clock."""
-        return self.completed / self.elapsed if self.elapsed > 0 else 0.0
-
-    def latency_percentile(self, quantile: float) -> Optional[float]:
-        return percentile(self.latencies, quantile)
-
-
-def percentile(values: list, quantile: float) -> Optional[float]:
-    """The *quantile* (0..1) of *values* by nearest-rank, None if empty."""
-    if not values:
-        return None
-    ordered = sorted(values)
-    rank = min(len(ordered) - 1, int(quantile * len(ordered)))
-    return ordered[rank]
-
-
-def run_open_loop(plan: list[Arrival],
-                  issue: Callable[[Arrival], Any],
-                  classify: Optional[Callable[[Exception], str]] = None,
-                  settle_timeout: float = 30.0) -> OpenLoopResult:
-    """Replay *plan* in real time against *issue*, open loop.
-
-    Each arrival fires on schedule in its own thread whether or not
-    earlier requests have been answered — the generator never slows
-    down for a struggling server.  ``issue(arrival)`` performs one
-    request; an exception counts as a failure in the bucket *classify*
-    assigns it (default: the exception class name).
-    """
-    result = OpenLoopResult(offered=len(plan))
-    lock = threading.Lock()
-    threads: list[threading.Thread] = []
-
-    def fire(arrival: Arrival) -> None:
-        began = time.monotonic()
-        try:
-            issue(arrival)
-        except Exception as exc:  # noqa: BLE001 - bucketed, not dropped
-            bucket = (classify(exc) if classify is not None
-                      else type(exc).__name__)
-            with lock:
-                result.failures[bucket] = result.failures.get(bucket, 0) + 1
-        else:
-            elapsed = time.monotonic() - began
-            with lock:
-                result.completed += 1
-                result.latencies.append(elapsed)
-
-    start = time.monotonic()
-    for arrival in sorted(plan, key=lambda entry: entry.at):
-        delay = start + arrival.at - time.monotonic()
-        if delay > 0:
-            time.sleep(delay)
-        thread = threading.Thread(target=fire, args=(arrival,), daemon=True)
-        thread.start()
-        threads.append(thread)
-    deadline = time.monotonic() + settle_timeout
-    for thread in threads:
-        thread.join(timeout=max(0.0, deadline - time.monotonic()))
-    result.elapsed = time.monotonic() - start
-    return result
-
-
 def sql_workload(seed: int = 7, statements: int = 50) -> list[str]:
-    """A mixed read workload against the RBH schema (bench F6/S5)."""
+    """A mixed read workload against the RBH schema."""
     rng = random.Random(seed)
     templates = [
         "SELECT * FROM MedicalStudent",

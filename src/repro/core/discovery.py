@@ -19,9 +19,10 @@ exploration of co-databases.  Each one is sent the query once
    outward along the link contacts.
 
 Every co-database consulted and every metadata call is counted — one
-call per co-database — and the scalability benchmarks (S1) compare
-these counts against the broadcast baseline.  The engine reaches a
-co-database through exactly one thing, :class:`CoDatabaseClient` — the
+call per co-database — and ``tests/apps/test_paper_claims.py`` (S1)
+compares these counts against the broadcast baseline.  The engine
+reaches a co-database through exactly one thing,
+:class:`CoDatabaseClient` — the
 same class whatever sits behind it (in-process, one servant, a replica
 set) and whatever cache, if any, sits in front.
 
@@ -86,9 +87,10 @@ class CoDatabaseClient:
       across a replica set.  An in-process :class:`CoDatabase` (unit
       tests, the centralized baseline) is read directly.
     * **invoke** — one metadata call, flagged idempotent, counted in
-      :attr:`calls`: the *remote* metadata-call currency of the S1
-      benches.  Cache hits never increment it; nothing crosses the ORB
-      to a co-database without incrementing it.
+      :attr:`calls`: the *remote* metadata-call currency of
+      ``DiscoveryResult.metadata_calls``.  Cache hits never increment
+      it; nothing crosses the ORB to a co-database without
+      incrementing it.
 
     Whatever the route, a read answers with model objects (CDR value
     types: a proxy delivers them as themselves) or plain structs, and

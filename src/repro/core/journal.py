@@ -213,7 +213,7 @@ class ReplicaJournal:
     and *group_size* implement the durability policy described in the
     module docstring.  :attr:`torn_records` counts crash-truncated
     tails detected (and repaired) on load; :attr:`fsyncs` counts disk
-    barriers actually issued — the currency of the group-commit bench.
+    barriers actually issued (``tests/core/test_journal_torn.py``).
     """
 
     def __init__(self, path: Optional[str] = None, fmt: str = "v2",

@@ -83,7 +83,7 @@ class PrimaryLease:
     """A won election: the authority to issue quorum writes.
 
     Held by the facade for registry traffic, or explicitly by chaos
-    tests and benches that script dual-primary scenarios (an old
+    tests that script dual-primary scenarios (an old
     holder keeps its instance while a new election happens elsewhere).
     """
 

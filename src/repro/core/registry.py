@@ -16,7 +16,8 @@ lets WebFINDIT scale and is what the discovery algorithm navigates.
 Query traffic is remote (CORBA, via :class:`~repro.core.codatabase.
 CoDatabaseServant`); maintenance operations run through the registry,
 which writes directly into the affected co-databases and counts every
-write — the currency of benches S2/S3.
+write — the currency of the S2/S3 claims in
+``tests/apps/test_paper_claims.py``.
 
 There is one implementation at every deployment size.  A
 :class:`RegistryShard` holds the state of the names that hash into its
@@ -80,7 +81,7 @@ class RegistryShard:
         #: Children of each coalition (topic specialisations).
         self._children: dict[str, list[str]] = {}
         #: Count of individual co-database writes — the maintenance-cost
-        #: currency reported by benches S2/S3.
+        #: currency of the S2/S3 claims.
         self.update_operations = 0
         #: Called with the set of database names whose co-databases a
         #: mutation just wrote to; metadata caches subscribe here.

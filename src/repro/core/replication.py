@@ -31,8 +31,8 @@ the client-side resilience of :mod:`repro.core.resilience` can only
   keep a lagging replica's answers out of it.
 
 ``docs/availability.md`` and ``docs/quorum.md`` document the protocol;
-the S8 and S10 benches (``BENCH_availability.json``,
-``BENCH_quorum.json``) measure what it buys.
+``tests/apps/test_healthcare_replication_chaos.py`` and
+``tests/apps/test_healthcare_quorum_chaos.py`` hold what it buys.
 """
 
 from __future__ import annotations

@@ -25,7 +25,6 @@ from __future__ import annotations
 import bisect
 import hashlib
 import threading
-import time
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 from repro.errors import WebFinditError
@@ -166,13 +165,6 @@ REGISTRY_SHARD_INTERFACE: InterfaceDef = (
     .operation("notify_mutation", "names")
     .build())
 
-#: The operations that commit to the shard's store and so pay the
-#: modelled per-write ``service_time``.
-COMMIT_OPERATIONS = frozenset({
-    "add_source", "refresh_advertisement", "refresh_member", "drop_source",
-    "put_coalition", "drop_coalition", "coalition_add_member",
-    "coalition_remove_member", "codb_write"})
-
 
 class RegistryShardServant:
     """CORBA skeleton of one :class:`RegistryShard`.
@@ -181,15 +173,12 @@ class RegistryShardServant:
     same-named primitive; the skeleton adds only what a server adds.  A
     shard server is a single authoritative writer for its arc, so every
     operation runs under one lock (the in-process :class:`RegistryShard`
-    is not thread-safe).  ``service_time`` models the per-write commit
-    cost of a real registry server on the :data:`COMMIT_OPERATIONS`;
-    bench S12 uses it to measure how aggregate throughput scales when
-    independent shard endpoints absorb that cost concurrently.
+    is not thread-safe); ``tests/core/test_sharding_properties.py``
+    holds every operation to that lock.
     """
 
-    def __init__(self, registry: RegistryShard, service_time: float = 0.0):
+    def __init__(self, registry: RegistryShard):
         self.registry = registry
-        self.service_time = service_time
         self._lock = threading.Lock()
 
     def __getattr__(self, operation: str) -> Callable[..., Any]:
@@ -199,8 +188,6 @@ class RegistryShardServant:
 
         def locked(*arguments: Any) -> Any:
             with self._lock:
-                if operation in COMMIT_OPERATIONS and self.service_time > 0:
-                    time.sleep(self.service_time)
                 result = primitive(*arguments)
             # add_source answers in-process callers with the new
             # CoDatabase, which is shard-local and not a wire value.

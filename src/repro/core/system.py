@@ -670,7 +670,8 @@ class WebFinditSystem:
         return client
 
     def local_wrapper(self, database_name: str) -> InformationSourceInterface:
-        """The in-process wrapper (bypasses the ORB; used by benches)."""
+        """The in-process wrapper (bypasses the ORB; used by tests and
+        examples)."""
         wrapper = self._wrappers.get(database_name)
         if wrapper is None:
             raise UnknownDatabase(f"no wrapper for {database_name!r}")

@@ -6,8 +6,8 @@ produce must be *exercisable on demand*: connection refusal, lost
 requests, lost replies, latency and jitter, truncated or corrupted
 frames, and sites that slow down before dying.  :class:`FaultyTransport`
 wraps any :class:`~repro.orb.transport.Transport` and injects exactly
-those faults from a scripted, seeded plan, so chaos tests and the S5
-fault benchmarks are reproducible bit-for-bit from a seed.
+those faults from a scripted, seeded plan, so chaos tests are
+reproducible bit-for-bit from a seed.
 
 The injection DSL is a set of chainable rule builders::
 

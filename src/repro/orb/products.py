@@ -5,7 +5,8 @@ Orbix (C++), OrbixWeb (Java) and VisiBroker for Java — to demonstrate
 CORBA 2.0 IIOP interoperability.  We model each product as a configured
 :class:`~repro.orb.orb.Orb` carrying its vendor identity; requests
 between different products increment cross-product counters on both the
-ORB and the transport, which is what bench S4 measures.
+ORB and the transport (``tests/core/test_system.py`` and
+``tests/apps/test_deploy.py`` count them).
 """
 
 from __future__ import annotations

@@ -5,14 +5,14 @@ Two interchangeable transports:
 * :class:`InMemoryNetwork` — a process-local IIOP fabric.  Endpoints
   register handlers; requests are delivered synchronously as *bytes*
   (messages are genuinely marshalled, so the full encode/decode path is
-  exercised) while message and byte counters accumulate for the
-  scalability benchmarks.
+  exercised) while message and byte counters accumulate for
+  ``system.metrics()`` and the budget benchmark's in-memory workloads.
 * :class:`TcpTransport` — real IIOP-over-TCP on the loopback interface,
   framing messages with the GIOP header's size field.  Connections are
   kept alive and pooled per endpoint by default (CORBA 2.0 permits
   either connection reuse or per-call connections); pass
-  ``pooled=False`` for the per-call behaviour benchmarks use as a
-  baseline.
+  ``pooled=False`` for the per-call behaviour
+  (``tests/orb/test_transport.py`` pins both by connection counters).
 
 :class:`TcpTransport` runs in one of two I/O modes:
 
@@ -436,15 +436,13 @@ class _GiopRequestHandler(socketserver.BaseRequestHandler):
                 if reason is None:
                     reason = admission.dequeue(ticket)
             if reason is not None:
-                # A BUSY reply is cheap — no servant dispatch, no
-                # modelled latency: shedding must cost less than
-                # serving, or it cannot protect anything.  None for a
-                # oneway or unattributable frame: shed silently.
+                # A BUSY reply is cheap — no servant dispatch: shedding
+                # must cost less than serving, or it cannot protect
+                # anything.  None for a oneway or unattributable frame:
+                # shed silently.
                 transport.metrics.record_shed(reason)
                 reply = busy_reply(data, reason)
             else:
-                if transport.latency > 0:
-                    time.sleep(transport.latency)
                 try:
                     reply = handler(data)
                 except Exception:  # noqa: BLE001 - undecodable frame:
@@ -595,8 +593,7 @@ class _EventLoop:
     Everything that touches the selector or a stream's write queue runs
     on the loop thread; other threads get in via :meth:`call_soon`
     (append a callback, wake the selector through a socketpair) or
-    :meth:`call_later` (a monotonic timer heap — how the modelled WAN
-    ``latency`` delays replies without parking a worker thread).  Each
+    :meth:`call_later` (a monotonic timer heap).  Each
     iteration drains ready I/O, then callbacks, then due timers, and
     only then flushes connections with queued output — that final flush
     is the frame-batching window: every frame enqueued for the same
@@ -1091,7 +1088,7 @@ class TcpTransport(Transport):
     out on a connection, the server may already have applied the
     request, so a blind resend could execute it twice.  Non-idempotent
     calls surface the failure instead.  ``pooled=False`` restores the
-    connect-per-call behaviour, which benches use as the baseline.
+    connect-per-call behaviour.
 
     The constructor's *timeout* is only the default: each ``send``
     bounds its socket timeout by the remaining budget of the calling
@@ -1133,7 +1130,6 @@ class TcpTransport(Transport):
 
     def __init__(self, host: str = "127.0.0.1", timeout: float = 5.0,
                  pooled: bool = True, pool_size: int = 8,
-                 latency: float = 0.0,
                  pipelined: Union[bool, str] = False,
                  stripes: Optional[int] = None, pipeline_depth: int = 32,
                  loop: Optional[bool] = None, loop_workers: int = 6,
@@ -1161,15 +1157,6 @@ class TcpTransport(Transport):
         self.stripes = max(1, int(stripes))
         #: Max requests in flight per pipelined connection.
         self.pipeline_depth = max(1, int(pipeline_depth))
-        #: Simulated one-way WAN delay (seconds) applied server-side to
-        #: every request.  The paper's federation spans Internet sites;
-        #: loopback is the degenerate zero-latency case, so benches set
-        #: this to model realistic inter-site RTTs.  In threaded mode
-        #: the connection's handler sleeps (releasing the GIL, so other
-        #: connections overlap the delay); in event-loop mode the reply
-        #: is delayed on the loop's timer heap instead, so the wait
-        #: occupies no worker thread at all.
-        self.latency = latency
         #: Event-loop mode: always for a pipelining transport, else
         #: as asked, defaulting from ``REPRO_TRANSPORT_LOOP``.
         self.loop_enabled = bool(pipelined) or (
@@ -1326,9 +1313,7 @@ class TcpTransport(Transport):
                           handler: Handler, frame: Frame,
                           ticket=None) -> None:
         """Worker thread: run the servant, post the reply back to the
-        loop.  The modelled WAN ``latency`` is applied as a timer delay
-        on the reply rather than a worker sleep — a storm of delayed
-        requests parks on the loop's heap, not on scarce threads."""
+        loop."""
         loop = self._event_loop
         if ticket is not None:
             reason = self.admission.dequeue(ticket)
@@ -1345,14 +1330,12 @@ class TcpTransport(Transport):
                 loop.call_soon(connection.close)
             return
         if reply and loop is not None:
-            if self.latency > 0:
-                loop.call_later(self.latency, connection.enqueue, reply)
-            else:
-                loop.call_soon(connection.enqueue, reply)
+            loop.call_soon(connection.enqueue, reply)
 
     def server_thread_count(self) -> int:
         """OS threads this transport's event-loop server side is using
-        (the loop plus started workers) — what the storm bench bounds."""
+        (the loop plus started workers), bounded by
+        ``tests/orb/test_eventloop.py``."""
         return sum(1 for thread in threading.enumerate()
                    if thread.name == self._loop_name
                    or thread.name.startswith(self._worker_prefix))

@@ -28,13 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from repro.core import sharding
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry, RegistryShard
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.sharding import (COMMIT_OPERATIONS, DEFAULT_VNODES,
-                                 REGISTRY_SHARD_INTERFACE, HashRing,
-                                 RegistryShardServant)
+from repro.core.sharding import (DEFAULT_VNODES, REGISTRY_SHARD_INTERFACE,
+                                 HashRing, RegistryShardServant)
 from repro.errors import ReproError, WebFinditError
 from repro.orb.orb import Orb
 from repro.orb.transport import InMemoryNetwork, TcpTransport
@@ -463,7 +461,6 @@ def test_interface_shard_and_skeleton_agree_on_every_operation():
               if callable(member) and not name.startswith("_")}
     assert public - set(operations) \
         == {"codatabase", "add_invalidation_listener"}
-    assert COMMIT_OPERATIONS <= set(operations)
 
 
 @pytest.mark.parametrize("operation, arguments, pays", [
@@ -474,21 +471,20 @@ def test_interface_shard_and_skeleton_agree_on_every_operation():
 ])
 def test_skeleton_locks_every_operation_and_charges_commits(
         operation, arguments, pays, monkeypatch):
-    """One lock around every operation; ``service_time`` slept (inside
-    it) on the commit operations only; no reply body for ``add_source``,
-    whose in-process result is the shard-local CoDatabase."""
-    slept, held = [], []
-    skeleton = RegistryShardServant(RegistryShard(), service_time=0.25)
-    monkeypatch.setattr(sharding.time, "sleep", lambda seconds: (
-        slept.append(seconds), held.append(skeleton._lock.locked())))
+    """One lock around every operation; one counted co-database write
+    for a commit operation and none otherwise; no reply body for
+    ``add_source``, whose in-process result is the shard-local
+    CoDatabase."""
+    held = []
+    skeleton = RegistryShardServant(RegistryShard())
     primitive = getattr(skeleton.registry, operation)
     monkeypatch.setattr(
         skeleton.registry, operation,
         lambda *args: (held.append(skeleton._lock.locked()),
                        primitive(*args))[1])
     result = getattr(skeleton, operation)(*arguments)
-    assert slept == ([0.25] if pays else [])
-    assert held and all(held)
+    assert skeleton.registry.update_operations == (1 if pays else 0)
+    assert held == [True]
     assert not skeleton._lock.locked()
     if operation == "add_source":
         assert result is None and skeleton.registry.has_source("A")

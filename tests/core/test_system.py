@@ -75,10 +75,12 @@ class TestFourLayers:
         browser = healthcare.browser()
         system.codatabase_client(topo.QUT)  # the naming lookup, cached
         system.reset_metrics()
+        statements = browser._processor.statements_processed
         browser.find("Medical Research")
         metrics = system.metrics()
         # The local co-database resolves it: one question, consult.
         assert metrics["giop_messages"] == 1
+        assert browser._processor.statements_processed == statements + 1
 
     def test_data_query_reaches_data_layer(self, healthcare):
         system = healthcare.system
