@@ -271,21 +271,15 @@ def main(argv: Optional[list[str]] = None,
     parser.add_argument("--stripes", type=int, default=None,
                         help="with --tcp: enable GIOP request pipelining "
                              "with this many striped connections per "
-                             "endpoint (implies --transport-loop; see "
-                             "docs/pipelining.md)")
+                             "endpoint (see docs/pipelining.md)")
     parser.add_argument("--pipeline-depth", type=int, default=32,
                         help="with --tcp --stripes: max requests in "
                              "flight per pipelined connection "
                              "(default 32)")
-    parser.add_argument("--transport-loop", action="store_true",
-                        help="with --tcp: run the transport on the "
-                             "selector event loop instead of threads, "
-                             "promoting busy endpoints to pipelining on "
-                             "demand (see docs/event-loop.md)")
     parser.add_argument("--loop-workers", type=int, default=6,
-                        help="with --tcp --transport-loop: servant "
-                             "dispatch threads shared by all endpoints "
-                             "(default 6)")
+                        help="with --tcp: servant dispatch threads the "
+                             "event loop shares across all endpoints "
+                             "(default 6; see docs/event-loop.md)")
     parser.add_argument("--shedding", action="store_true",
                         help="with --tcp: deadline-aware admission "
                              "control and load shedding on every "
@@ -325,17 +319,12 @@ def main(argv: Optional[list[str]] = None,
         from repro.orb.overload import OverloadPolicy
         from repro.orb.transport import TcpTransport
         overload = OverloadPolicy(shed=True) if options.shedding else None
-        # Plain --tcp is the default transport — serial round trips
-        # against the thread-per-connection server, the faster pair for
-        # one sequential shell.  --transport-loop lets the transport
-        # watch demand and promote busy endpoints to pipelining on its
-        # own; --stripes forces pipelining (loop implied).
-        pipelined = (True if options.stripes is not None
-                     else "auto" if options.transport_loop else False)
-        transport = TcpTransport(pipelined=pipelined,
-                                 stripes=options.stripes,
+        # Plain --tcp is the default transport — serial pooled round
+        # trips, the faster client for one sequential shell; --stripes
+        # asks for pipelining.
+        transport = TcpTransport(pipelined=options.stripes is not None,
+                                 stripes=options.stripes or 1,
                                  pipeline_depth=options.pipeline_depth,
-                                 loop=options.transport_loop or None,
                                  loop_workers=options.loop_workers,
                                  overload=overload)
     resilience = None

@@ -45,10 +45,10 @@ acts on exactly one logical request/reply exchange — on a pipelined
 :class:`~repro.orb.transport.TcpTransport` a dropped or truncated
 reply is attributed to the one ``request_id`` whose (already-matched)
 reply it was, and only that caller fails; sibling requests in flight
-on the same connection are untouched.  The same holds in the
-event-loop transport mode: batched flushes and the loop's non-blocking
-write path happen *below* this wrapper, so a fault window still wraps
-whole exchanges, never fractions of a coalesced send.
+on the same connection are untouched.  Batched flushes and the event
+loop's non-blocking write path happen *below* this wrapper, so a fault
+window still wraps whole exchanges, never fractions of a coalesced
+send.
 
 Injected latency is **deadline-aware**: when the calling thread carries
 a :class:`~repro.deadline.Deadline` (see :mod:`repro.deadline`), a

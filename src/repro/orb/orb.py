@@ -61,9 +61,8 @@ class OrbStats:
     """Per-ORB request counters.
 
     Requests are dispatched concurrently — by the event loop's worker
-    pool, or by the thread-per-connection server's handler threads —
-    so increments go through a lock: unlocked ``+=`` loses counts under
-    contention.
+    pool — so increments go through a lock: unlocked ``+=`` loses counts
+    under contention.
     """
 
     requests_sent: int = 0

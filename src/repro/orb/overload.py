@@ -6,10 +6,7 @@ its capacity on work whose caller has already given up, and client
 retries multiply the offered load — metastable congestion collapse.
 The :class:`AdmissionController` defends the dispatch pool of
 :class:`~repro.orb.transport.TcpTransport` (the event loop's
-``loop_workers``; a thread-per-connection endpoint asks the same
-controller but has no in-process queue for requests to age in, so only
-the arrival-time checks can fire there) with three complementary
-checks:
+``loop_workers``) with three complementary checks:
 
 * **Bounded queues** — a hard cap on requests admitted but not yet
   dispatched (``queue_limit``), with a lower cap for background

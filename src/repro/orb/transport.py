@@ -8,26 +8,12 @@ Two interchangeable transports:
   exercised) while message and byte counters accumulate for
   ``system.metrics()`` and the budget benchmark's in-memory workloads.
 * :class:`TcpTransport` — real IIOP-over-TCP on the loopback interface,
-  framing messages with the GIOP header's size field.  Connections are
-  kept alive and pooled per endpoint by default (CORBA 2.0 permits
-  either connection reuse or per-call connections); pass
-  ``pooled=False`` for the per-call behaviour
-  (``tests/orb/test_transport.py`` pins both by connection counters).
-
-:class:`TcpTransport` runs in one of two I/O modes:
-
-* **threaded** (the default) — a ``ThreadingTCPServer`` per endpoint,
-  one handler thread per accepted connection serving one frame at a
-  time, and the serial pooled client.  This is the paper's
-  one-request-per-connection IIOP, and the path ``mixed_tcp`` measures;
-* **event-loop** (``loop=True``, ``REPRO_TRANSPORT_LOOP=1``, or any
-  pipelining mode) — a single ``selectors``-based reader/writer thread
-  demultiplexes every server-side connection *and* every pipelined
-  client channel.  Servant dispatch runs on a small bounded worker
-  pool so application code never blocks the loop; replies are posted
-  back to the loop for non-blocking, batched writes (small GIOP frames
-  queued for the same connection coalesce into one ``send``).  GIOP
-  request pipelining exists only here.  See ``docs/event-loop.md``.
+  framing messages with the GIOP header's size field.  Clients keep
+  connections alive in a per-endpoint pool (CORBA 2.0 permits either
+  connection reuse or per-call connections).  Every endpoint is served
+  by one event loop (:class:`_EventLoop`, ``docs/event-loop.md``):
+  frames arriving on one connection are dispatched concurrently and
+  answered as they finish — GIOP matches a reply to its request by id.
 
 Both expose the same two operations: ``register`` a server endpoint and
 ``send`` a request to an endpoint, returning the reply bytes.
@@ -35,18 +21,13 @@ Both expose the same two operations: ``register`` a server endpoint and
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import os
 import selectors
 import socket
-import socketserver
 import threading
-import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from concurrent.futures import wait as _wait_futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union
 
 from repro.deadline import Deadline, current_policy
@@ -67,10 +48,10 @@ Endpoint = tuple[str, int]
 class TransportMetrics:
     """Counters accumulated by a transport, consumed by benchmarks.
 
-    Transports serve many client threads at once (``ThreadingTCPServer``
-    on the server side, parallel discovery fan-out on the client side),
-    so every update happens under one lock — unlocked ``+=`` on these
-    counters loses increments under contention.
+    Transports serve many client threads at once (the event loop's
+    threads on the server side, parallel discovery fan-out on the client
+    side), so every update happens under one lock — unlocked ``+=`` on
+    these counters loses increments under contention.
     """
 
     messages_sent: int = 0
@@ -80,24 +61,18 @@ class TransportMetrics:
     #: TCP connection accounting (always zero on the in-memory fabric).
     connections_opened: int = 0
     connections_reused: int = 0
-    #: Pipelining accounting: requests submitted while at least one
-    #: other request was already in flight on the same connection, the
-    #: deepest in-flight depth any connection reached, callers that
-    #: gave up waiting for a matched reply (stalls), and requests that
-    #: found every stripe at its depth cap (overflows, served on a
-    #: dedicated serial round-trip instead).
+    #: Pipelining accounting: requests submitted behind another in
+    #: flight on the same connection, the deepest in-flight depth, callers
+    #: that gave up waiting for a matched reply (stalls), and requests
+    #: that found every stripe at its depth cap (overflows).
     requests_pipelined: int = 0
     max_in_flight: int = 0
     pipeline_stalls: int = 0
     pipeline_overflows: int = 0
-    #: Event-loop write batching: flushes that coalesced more than one
-    #: queued frame into a single ``send``, and how many frames rode
-    #: along in them beyond the first.
+    #: Event-loop write batching: flushes that coalesced several queued
+    #: frames into one ``send``, and the frames beyond the first.
     batch_flushes: int = 0
     frames_batched: int = 0
-    #: ``pipelined="auto"`` endpoints promoted serial -> striped after
-    #: concurrent in-flight demand was observed.
-    auto_promotions: int = 0
     #: Admission control: requests shed under overload (queue cap,
     #: brownout, CoDel sojourn) and requests dropped because their
     #: caller's deadline budget was already spent — each answered with
@@ -141,18 +116,14 @@ class TransportMetrics:
     def record_batch(self, frames: int) -> None:
         """One flush wrote *frames* coalesced frames in a single send.
 
-        Called from the event-loop thread while worker threads are
-        recording dispatch counters — the shared lock is what keeps
-        mixed loop/worker updates coherent.
+        Called by the loop's leader while other loop threads record
+        dispatch counters — the shared lock is what keeps mixed
+        updates coherent.
         """
         with self._lock:
             if frames > 1:
                 self.batch_flushes += 1
                 self.frames_batched += frames - 1
-
-    def record_auto_promotion(self) -> None:
-        with self._lock:
-            self.auto_promotions += 1
 
     def record_shed(self, reason: str) -> None:
         with self._lock:
@@ -161,52 +132,32 @@ class TransportMetrics:
             else:
                 self.requests_shed += 1
 
-    def snapshot(self) -> dict[str, int]:
+    def snapshot(self) -> dict[str, Any]:
         """All counters, read atomically under the lock.
 
         Field-by-field reads can tear across a concurrent update (the
-        loop thread flushing while a worker records a dispatch);
+        leader flushing while another loop thread records a dispatch);
         benchmarks and tests that compare related counters should read
         one snapshot instead.
         """
         with self._lock:
-            return {
-                "messages_sent": self.messages_sent,
-                "bytes_sent": self.bytes_sent,
-                "bytes_received": self.bytes_received,
-                "connections_opened": self.connections_opened,
-                "connections_reused": self.connections_reused,
-                "requests_pipelined": self.requests_pipelined,
-                "max_in_flight": self.max_in_flight,
-                "pipeline_stalls": self.pipeline_stalls,
-                "pipeline_overflows": self.pipeline_overflows,
-                "batch_flushes": self.batch_flushes,
-                "frames_batched": self.frames_batched,
-                "auto_promotions": self.auto_promotions,
-                "requests_shed": self.requests_shed,
-                "requests_expired": self.requests_expired,
-                "per_endpoint": {f"{host}:{port}": count
-                                 for (host, port), count
-                                 in self.per_endpoint.items()},
-            }
+            snapshot: dict[str, Any] = {
+                name: getattr(self, name) for name in _COUNTERS}
+            snapshot["per_endpoint"] = {
+                f"{host}:{port}": count
+                for (host, port), count in self.per_endpoint.items()}
+            return snapshot
 
     def reset(self) -> None:
         with self._lock:
-            self.messages_sent = 0
-            self.bytes_sent = 0
-            self.bytes_received = 0
+            for name in _COUNTERS:
+                setattr(self, name, 0)
             self.per_endpoint.clear()
-            self.connections_opened = 0
-            self.connections_reused = 0
-            self.requests_pipelined = 0
-            self.max_in_flight = 0
-            self.pipeline_stalls = 0
-            self.pipeline_overflows = 0
-            self.batch_flushes = 0
-            self.frames_batched = 0
-            self.auto_promotions = 0
-            self.requests_shed = 0
-            self.requests_expired = 0
+
+
+#: The integer counters of :class:`TransportMetrics`, in declaration order.
+_COUNTERS = tuple(spec.name for spec in fields(TransportMetrics)
+                  if spec.type == "int")
 
 
 class Transport:
@@ -302,6 +253,31 @@ def _close_quietly(connection: socket.socket) -> None:
     try:
         connection.close()
     except OSError:  # pragma: no cover - close failures are ignorable
+        pass
+
+
+def _connect(endpoint: Endpoint, timeout: float,
+             deadline: Optional[Deadline]) -> socket.socket:
+    """A fresh client connection; a failure is ``DeadlineExceeded`` once
+    the caller's budget is spent, ``CommFailure`` otherwise."""
+    try:
+        return socket.create_connection(endpoint, timeout=timeout)
+    except OSError as exc:
+        if deadline is not None and deadline.expired:
+            raise DeadlineExceeded(
+                f"IIOP connect to {endpoint!r} overran its deadline: "
+                f"{exc}") from exc
+        raise CommFailure(
+            f"IIOP connect to {endpoint!r} failed: {exc}") from exc
+
+
+def _make_nonblocking(connection: socket.socket) -> None:
+    """Ready a socket for the event loop: non-blocking, and
+    ``TCP_NODELAY`` (the loop's batched flush replaces Nagle)."""
+    connection.setblocking(False)
+    try:
+        connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    except OSError:  # pragma: no cover - not fatal
         pass
 
 
@@ -401,72 +377,10 @@ class FrameBuffer:
         return b"".join(parts)
 
 
-class _GiopRequestHandler(socketserver.BaseRequestHandler):
-    """Serves one client connection for its lifetime, a frame at a time.
-
-    Frames keep arriving on the same socket until the peer closes it
-    (keep-alive IIOP) — pooled clients amortise the TCP handshake over
-    many requests, per-call clients simply close after one frame.  Each
-    frame is admitted, dispatched and answered on this connection's
-    thread before the next is read, so a peer that writes requests back
-    to back (another transport's pipelined channel) is served serially
-    and in request order.  Returning closes the connection.
-    """
-
-    def handle(self) -> None:
-        transport: TcpTransport = self.server.transport  # type: ignore[attr-defined]
-        endpoint = self.server.server_address  # type: ignore[attr-defined]
-        admission = transport.admission
-        while True:
-            try:
-                data = read_giop_frame(self.request)
-            except CommFailure:
-                return  # peer closed (or died) between frames
-            handler = transport.handler_for((endpoint[0], endpoint[1]))
-            if handler is None:
-                return
-            reason = None
-            if admission.enabled:
-                # Nothing queues in-process here (the kernel's socket
-                # buffer is the queue), so the ticket is picked up at
-                # once: the same two checks the loop server makes, with
-                # no sojourn in between.
-                ticket, reason = admission.enqueue(
-                    *peek_request_admission(data))
-                if reason is None:
-                    reason = admission.dequeue(ticket)
-            if reason is not None:
-                # A BUSY reply is cheap — no servant dispatch: shedding
-                # must cost less than serving, or it cannot protect
-                # anything.  None for a oneway or unattributable frame:
-                # shed silently.
-                transport.metrics.record_shed(reason)
-                reply = busy_reply(data, reason)
-            else:
-                try:
-                    reply = handler(data)
-                except Exception:  # noqa: BLE001 - undecodable frame:
-                    return  # the stream is poisoned, drop it
-            if reply:
-                try:
-                    self.request.sendall(reply)
-                except OSError:
-                    return
-
-
 #: How long transport teardown waits for in-flight servant dispatches
 #: before giving up on them: long enough for a journal group commit,
 #: short enough that closing a transport never hangs a test run.
 _DRAIN_TIMEOUT = 2.0
-
-
-class _GiopServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-    # Parallel discovery fan-out opens bursts of simultaneous
-    # connections; the socketserver default backlog of 5 drops the
-    # overflow SYNs, stalling clients on kernel retransmit timers.
-    request_queue_size = 64
 
 
 class _ConnectionPool:
@@ -554,25 +468,14 @@ class _PendingReply:
         self.error: Optional[Exception] = None
 
 
-#: Listen backlog for event-loop endpoints.  The loop drains accepts in
-#: a tight non-blocking burst, so a storm of connecting clients queues
-#: here instead of hitting kernel SYN retransmit timers.
+#: Listen backlog for every endpoint.  The loop drains accepts in a
+#: tight non-blocking burst, so a storm of connecting clients (parallel
+#: discovery fan-out) queues here instead of hitting kernel SYN
+#: retransmit timers.
 _LOOP_BACKLOG = 512
 
 #: Most queued bytes one flush coalesces into a single ``send``.
 _BATCH_FLUSH = 64 * 1024
-
-#: Concurrent senders to one endpoint that promote it in
-#: ``pipelined="auto"`` mode: the first time any overlap is observed.
-_AUTO_PROMOTE_AT = 2
-
-
-def _loop_default() -> bool:
-    """Process-wide default for ``TcpTransport(loop=...)``: CI's
-    transport-mode matrix flips whole suites to the event loop by
-    exporting ``REPRO_TRANSPORT_LOOP=1`` without touching any test."""
-    return os.environ.get("REPRO_TRANSPORT_LOOP", "").lower() in (
-        "1", "true", "yes", "event-loop", "eventloop")
 
 
 def _shed_default() -> bool:
@@ -585,23 +488,36 @@ def _shed_default() -> bool:
         "1", "true", "yes", "on")
 
 
-class _EventLoop:
-    """One ``selectors`` thread demultiplexing every socket the
-    transport owns: listeners, accepted server connections, and
-    pipelined client channels.
+#: One servant dispatch waiting for a thread: ``(run, cancel)``, where
+#: *cancel* (or None) hands back whatever the dispatch held if it is
+#: dropped unrun.
+_Job = tuple[Callable[[], None], Optional[Callable[[], None]]]
 
-    Everything that touches the selector or a stream's write queue runs
-    on the loop thread; other threads get in via :meth:`call_soon`
-    (append a callback, wake the selector through a socketpair) or
-    :meth:`call_later` (a monotonic timer heap).  Each
-    iteration drains ready I/O, then callbacks, then due timers, and
-    only then flushes connections with queued output — that final flush
-    is the frame-batching window: every frame enqueued for the same
-    connection during the iteration leaves in one ``send``.
+
+class _EventLoop:
+    """One ``selectors`` selector demultiplexing every socket the
+    transport owns — listeners, accepted server connections, pipelined
+    client channels — served by threads in the *leader/followers*
+    pattern.
+
+    One thread at a time, the **leader**, owns the selector.  A request
+    frame it reads becomes a servant *job*; the leader takes the job,
+    hands leadership to a follower and runs the servant itself, so the
+    thread woken by the request answers it with no hand-off to a
+    worker.  At most *servants* jobs run at once (more wait in a FIFO
+    that finishing threads drain), and the pool grows lazily to
+    ``servants + 1`` threads: one is always free to lead, so I/O never
+    stalls behind application code.
+
+    Other threads reach the leader through :meth:`call_soon` (a callback
+    plus a socketpair wakeup).  Each leader iteration drains ready I/O,
+    then callbacks, and only then flushes connections with queued
+    output — the frame-batching window: frames enqueued for the same
+    connection during one iteration leave in one ``send``.
     """
 
     def __init__(self, batch_flush: int, metrics: TransportMetrics,
-                 name: str = "giop-loop"):
+                 name: str = "giop-loop", servants: int = 1):
         self.batch_flush = batch_flush
         self.metrics = metrics
         self._selector = selectors.DefaultSelector()
@@ -613,20 +529,32 @@ class _EventLoop:
                                 self._drain_wakeups)
         self._callbacks: deque[tuple[Callable, tuple]] = deque()
         self._callback_lock = threading.Lock()
-        self._timers: list[tuple[float, int, Callable, tuple]] = []
-        self._timer_seq = itertools.count()
         self._dirty: set["_LoopStream"] = set()
         self._running = True
-        self._thread = threading.Thread(target=self._run, name=name,
-                                        daemon=True)
-        self._thread.start()
+        self._name = name
+        self._servants = max(1, servants)
+        self._leadership = threading.Lock()
+        self._leader: Optional[threading.Thread] = None
+        #: Guards the job FIFO and the thread accounting below it.
+        self._state = threading.Condition(threading.Lock())
+        self._jobs: deque[_Job] = deque()
+        self._threads: list[threading.Thread] = []
+        self._working: set[threading.Thread] = set()
+        self._torn_down = False
+        with self._state:
+            self._spawn()
 
     @property
     def running(self) -> bool:
         return self._running
 
     def on_loop_thread(self) -> bool:
-        return threading.current_thread() is self._thread
+        """Whether the calling thread is the current leader."""
+        return threading.current_thread() is self._leader
+
+    def thread_count(self) -> int:
+        with self._state:
+            return len(self._threads)
 
     # ------------------------------------------------- cross-thread entry --
 
@@ -635,18 +563,11 @@ class _EventLoop:
             self._callbacks.append((fn, args))
         self._wake()
 
-    def call_later(self, delay: float, fn: Callable, *args: Any) -> None:
-        due = time.monotonic() + delay
-        with self._callback_lock:
-            heapq.heappush(self._timers,
-                           (due, next(self._timer_seq), fn, args))
-        self._wake()
-
     def call_soon_sync(self, fn: Callable, *args: Any,
                        timeout: float = 5.0) -> Any:
-        """Run *fn* on the loop thread and wait for its result.  Falls
-        back to running inline when the loop is already stopped (then
-        nothing else touches the selector concurrently)."""
+        """Run *fn* on the leader and wait for its result.  Falls back
+        to running inline when the loop is already stopped (then nothing
+        else touches the selector concurrently)."""
         if self.on_loop_thread() or not self._running:
             return fn(*args)
         done = threading.Event()
@@ -666,15 +587,44 @@ class _EventLoop:
             raise box["error"]
         return box.get("result")
 
+    def cancel_jobs(self) -> None:
+        """Drop every job still waiting for a thread, running each one's
+        *cancel* (running jobs are untouched)."""
+        with self._state:
+            doomed, self._jobs = self._jobs, deque()
+        for __, cancel in doomed:
+            if cancel is not None:
+                cancel()
+
+    def drain(self, timeout: float) -> None:
+        """Wait up to *timeout* seconds for running jobs to finish."""
+        with self._state:
+            self._state.wait_for(lambda: not self._working, timeout)
+
     def stop(self) -> None:
+        """Stop leading and tear the selector down.  Threads still inside
+        a servant are not waited for: they find their streams closed."""
         if not self._running:
             return
         self._running = False
         self._wake()
-        if not self.on_loop_thread():
-            self._thread.join(timeout=5.0)
+        with self._state:
+            if threading.current_thread() in self._threads:
+                return  # the last thread out tears down (see _serve)
+            idle = [thread for thread in self._threads
+                    if thread not in self._working]
+        for thread in idle:
+            thread.join(timeout=5.0)
+        self._teardown()
 
-    # ------------------------------------------------- loop-thread only --
+    # ---------------------------------------------------- leader only --
+
+    def dispatch(self, run: Callable[[], None],
+                 cancel: Optional[Callable[[], None]] = None) -> None:
+        """Queue one servant job; the leader takes it at the end of its
+        iteration, or a follower or finishing thread soon after."""
+        with self._state:
+            self._jobs.append((run, cancel))
 
     def register_stream(self, sock: socket.socket, events: int,
                         callback: Callable[[int], None]) -> None:
@@ -693,6 +643,8 @@ class _EventLoop:
     def mark_dirty(self, stream: "_LoopStream") -> None:
         self._dirty.add(stream)
 
+    # ------------------------------------------------------- internals --
+
     def _wake(self) -> None:
         try:
             self._wake_send.send(b"\x00")
@@ -706,30 +658,73 @@ class _EventLoop:
         except (BlockingIOError, OSError):
             pass
 
-    def _run(self) -> None:
-        while self._running:
-            with self._callback_lock:
-                have_callbacks = bool(self._callbacks)
-                next_due = self._timers[0][0] if self._timers else None
-            if have_callbacks:
-                timeout: Optional[float] = 0.0
-            elif next_due is not None:
-                timeout = max(0.0, next_due - time.monotonic())
-            else:
-                timeout = None
-            try:
-                events = self._selector.select(timeout)
-            except OSError:  # pragma: no cover - fd closed mid-select
-                events = []
-            for key, mask in events:
+    def _spawn(self) -> None:
+        """Start one more thread (under ``_state``); it begins as a
+        follower."""
+        thread = threading.Thread(target=self._serve, daemon=True,
+                                  name=f"{self._name}_{len(self._threads)}")
+        self._threads.append(thread)
+        thread.start()
+
+    def _take_job(self) -> Optional[_Job]:
+        """Leader: claim the next job if a servant slot is free, making
+        sure someone will lead while this thread serves it."""
+        with self._state:
+            if not self._jobs or len(self._working) >= self._servants \
+                    or not self._running:
+                return None
+            self._working.add(threading.current_thread())
+            if len(self._working) == len(self._threads):
+                self._spawn()  # nobody left to lead: grow
+            return self._jobs.popleft()
+
+    def _serve(self) -> None:
+        me = threading.current_thread()
+        while True:
+            with self._leadership:
+                if not self._running:
+                    break
+                self._leader = me
                 try:
-                    key.data(mask)
-                except Exception:  # noqa: BLE001 - a broken stream
-                    pass  # must never take the whole loop down
-            self._run_callbacks()
-            self._run_timers()
-            self._flush_dirty()
-        self._teardown()
+                    job = self._take_job()
+                    if job is None:
+                        self._poll()
+                        job = self._take_job()
+                finally:
+                    self._leader = None
+            while job is not None:
+                try:
+                    job[0]()
+                except Exception:  # noqa: BLE001 - see _poll
+                    pass
+                with self._state:
+                    if self._jobs and self._running:
+                        job = self._jobs.popleft()
+                    else:
+                        job = None
+                        self._working.discard(me)
+                        self._state.notify_all()
+        with self._state:
+            self._threads.remove(me)
+            last = not self._threads
+        if last:
+            self._teardown()
+
+    def _poll(self) -> None:
+        """One leader iteration: ready I/O, callbacks, batched flush."""
+        with self._callback_lock:
+            timeout = 0.0 if self._callbacks else None
+        try:
+            events = self._selector.select(timeout)
+        except OSError:  # pragma: no cover - fd closed mid-select
+            events = []
+        for key, mask in events:
+            try:
+                key.data(mask)
+            except Exception:  # noqa: BLE001 - a broken stream
+                pass  # must never take the whole loop down
+        self._run_callbacks()
+        self._flush_dirty()
 
     def _run_callbacks(self) -> None:
         while True:
@@ -739,19 +734,7 @@ class _EventLoop:
                 fn, args = self._callbacks.popleft()
             try:
                 fn(*args)
-            except Exception:  # noqa: BLE001 - see _run
-                pass
-
-    def _run_timers(self) -> None:
-        while True:
-            with self._callback_lock:
-                if not self._timers \
-                        or self._timers[0][0] > time.monotonic():
-                    return
-                __, __, fn, args = heapq.heappop(self._timers)
-            try:
-                fn(*args)
-            except Exception:  # noqa: BLE001 - see _run
+            except Exception:  # noqa: BLE001 - see _poll
                 pass
 
     def _flush_dirty(self) -> None:
@@ -762,6 +745,10 @@ class _EventLoop:
             stream.flush()
 
     def _teardown(self) -> None:
+        with self._state:
+            if self._torn_down:
+                return
+            self._torn_down = True
         for key in list(self._selector.get_map().values()):
             if key.fileobj not in (self._wake_recv, self._wake_send):
                 _close_quietly(key.fileobj)  # type: ignore[arg-type]
@@ -771,11 +758,13 @@ class _EventLoop:
 
 
 class _LoopStream:
-    """A non-blocking socket driven by the event loop: reads are sliced
-    into GIOP frames for :meth:`on_frame`, and a write queue's flush
-    coalesces queued frames into batched sends.  Anything that ends the
-    stream — a read or write error, the peer closing, a header that is
-    not GIOP — goes to :meth:`on_broken`."""
+    """A non-blocking socket driven by the event loop: the leader slices
+    reads into GIOP frames for :meth:`on_frame` and flushes a write
+    queue in batched sends, while a thread that served a request writes
+    the reply itself (:meth:`write`; ``_write_lock`` keeps whole frames
+    whole).  Anything that ends the stream — a read or write error, the
+    peer closing, a header that is not GIOP — goes to
+    :meth:`on_broken`."""
 
     def __init__(self, loop: _EventLoop, sock: socket.socket):
         self.loop = loop
@@ -785,8 +774,32 @@ class _LoopStream:
         self._out_view: Optional[memoryview] = None
         self._write_interest = False
         self._stream_closed = False
+        self._write_lock = threading.Lock()
 
-    # Loop-thread only from here down.
+    def write(self, data: bytes) -> None:
+        """Any thread: send *data* now when nothing is queued ahead of
+        it, else queue it; whatever the socket did not take is left for
+        the leader's flush."""
+        with self._write_lock:
+            if self._stream_closed:
+                return
+            if self._out or self._out_view is not None:
+                self._out.append(data)
+                sent = 0
+            else:
+                try:
+                    sent = self.sock.send(data)
+                except (BlockingIOError, InterruptedError):
+                    sent = 0
+                except OSError as exc:
+                    self.loop.call_soon(self.on_broken, exc)
+                    return
+                if sent == len(data):
+                    return
+                self._out_view = memoryview(data)[sent:]
+        self.loop.call_soon(self.loop.mark_dirty, self)
+
+    # Leader only from here down.
 
     def register(self) -> None:
         if self._stream_closed:
@@ -835,38 +848,43 @@ class _LoopStream:
         raise NotImplementedError  # pragma: no cover - interface
 
     def enqueue(self, data: Frame) -> None:
-        if self._stream_closed:
-            return
-        self._out.append(data)
+        with self._write_lock:
+            if self._stream_closed:
+                return
+            self._out.append(data)
         self.loop.mark_dirty(self)
 
     def flush(self) -> None:
         """Write as much queued output as the socket accepts, frames
         batched: everything enqueued since the last flush leaves in as
         few ``send`` calls as ``batch_flush`` allows."""
-        if self._stream_closed:
-            return
-        try:
-            while True:
-                if self._out_view is None:
-                    if not self._out:
+        broken: Optional[Exception] = None
+        with self._write_lock:
+            if self._stream_closed:
+                return
+            try:
+                while True:
+                    if self._out_view is None:
+                        if not self._out:
+                            break
+                        self._out_view = memoryview(self._next_batch())
+                    sent = self.sock.send(self._out_view)
+                    if sent == len(self._out_view):
+                        self._out_view = None
+                    else:
+                        # Kernel buffer full: keep the remainder for
+                        # the next writability event.
+                        self._out_view = self._out_view[sent:]
                         break
-                    self._out_view = memoryview(self._next_batch())
-                sent = self.sock.send(self._out_view)
-                if sent == len(self._out_view):
-                    self._out_view = None
-                else:
-                    # Kernel buffer full: keep the remainder for the
-                    # next writability event.
-                    self._out_view = self._out_view[sent:]
-                    break
-        except (BlockingIOError, InterruptedError):
-            pass
-        except OSError as exc:
-            self.on_broken(exc)
-            return
-        self._set_write_interest(self._out_view is not None
-                                 or bool(self._out))
+            except (BlockingIOError, InterruptedError):
+                pass
+            except OSError as exc:
+                broken = exc
+            if broken is None:
+                self._set_write_interest(self._out_view is not None
+                                         or bool(self._out))
+        if broken is not None:
+            self.on_broken(broken)
 
     def _next_batch(self) -> bytes:
         if len(self._out) == 1:
@@ -895,29 +913,27 @@ class _LoopStream:
             pass
 
     def close_stream(self) -> None:
-        if self._stream_closed:
-            return
-        self._stream_closed = True
+        with self._write_lock:
+            if self._stream_closed:
+                return
+            self._stream_closed = True
+            self._out.clear()
+            self._out_view = None
         self.loop.unregister_stream(self.sock)
         _close_quietly(self.sock)
-        self._out.clear()
-        self._out_view = None
 
 
 class _LoopServerConnection(_LoopStream):
-    """One accepted server-side connection: each frame read is
-    dispatched to the transport's worker pool; replies are posted back
-    by the workers and leave through the batched flush."""
+    """One accepted server-side connection: each frame read becomes a
+    servant job on the loop, and the thread that runs it writes the
+    reply back with :meth:`write`."""
 
-    def __init__(self, loop: _EventLoop, transport: "TcpTransport",
-                 listener: "_LoopListener", sock: socket.socket):
-        super().__init__(loop, sock)
-        self.transport = transport
+    def __init__(self, listener: "_LoopListener", sock: socket.socket):
+        super().__init__(listener.loop, sock)
         self.listener = listener
-        self.endpoint = listener.endpoint
 
     def on_frame(self, frame: Frame) -> None:
-        self.transport._dispatch_loop_frame(self, frame)
+        self.listener.transport._dispatch_loop_frame(self, frame)
 
     def on_broken(self, cause: Exception) -> None:
         self.close()
@@ -932,11 +948,11 @@ class _LoopListener:
     each accepted connection joins the loop — no thread per client."""
 
     def __init__(self, loop: _EventLoop, transport: "TcpTransport",
-                 endpoint: Endpoint, sock: socket.socket):
+                 sock: socket.socket, handler: Handler):
         self.loop = loop
         self.transport = transport
-        self.endpoint = endpoint
         self.sock = sock
+        self.handler = handler
         self.connections: set[_LoopServerConnection] = set()
         self._closed = False
 
@@ -953,19 +969,13 @@ class _LoopListener:
                 return
             except OSError:
                 return
-            conn_sock.setblocking(False)
-            try:
-                conn_sock.setsockopt(socket.IPPROTO_TCP,
-                                     socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - not fatal
-                pass
-            connection = _LoopServerConnection(self.loop, self.transport,
-                                               self, conn_sock)
+            _make_nonblocking(conn_sock)
+            connection = _LoopServerConnection(self, conn_sock)
             self.connections.add(connection)
             connection.register()
 
     def close(self) -> None:
-        """Loop-thread only (via call_soon_sync from unregister)."""
+        """Leader only (via call_soon_sync from unregister)."""
         if self._closed:
             return
         self._closed = True
@@ -981,13 +991,11 @@ class _LoopChannel(_LoopStream):
     multiplexed on the event loop.
 
     Callers ``submit`` a frame and receive a wait slot; the loop writes
-    it, reads reply frames as they arrive — in whatever order the
-    server finished them — and delivers each to the slot whose
-    ``request_id`` it answers.  A read or write error, peer close, or
-    unattributable frame kills the channel: every pending caller is
-    failed with the same cause through its slot (their replies can no
-    longer arrive on this stream), and the owning transport discards
-    only this stripe.
+    it and delivers each reply frame, in whatever order the server
+    finished them, to the slot whose ``request_id`` it answers.  A read
+    or write error, peer close, or unattributable frame kills the
+    channel: every pending caller fails with the same cause, and the
+    owning transport discards only this stripe.
     """
 
     def __init__(self, loop: _EventLoop, endpoint: Endpoint,
@@ -1038,7 +1046,7 @@ class _LoopChannel(_LoopStream):
     def _kill(self, cause: Exception) -> None:
         """Any thread: fail every pending caller *now* (so checkout
         sees ``dead`` immediately), then tear the socket down on the
-        loop thread where the selector lives."""
+        leader, which owns the selector."""
         with self._state_lock:
             if self._dead_cause is None:
                 self._dead_cause = cause
@@ -1052,7 +1060,7 @@ class _LoopChannel(_LoopStream):
         else:
             self.close_stream()
 
-    # ------------------------------------------------------- loop thread --
+    # ------------------------------------------------------------ leader --
 
     def on_frame(self, frame: Frame) -> None:
         request_id = peek_reply_id(frame)
@@ -1077,116 +1085,63 @@ class _LoopChannel(_LoopStream):
 class TcpTransport(Transport):
     """Real IIOP-over-TCP on localhost.
 
-    Each registered endpoint gets its own threaded TCP server.  By
-    default clients keep connections alive in a per-endpoint pool of at
-    most *pool_size* spares: a request checks a connection out, does its
-    round-trip, and checks it back in, so the steady state costs zero
-    TCP handshakes.  A pooled connection that has gone stale (the server
-    restarted, the peer dropped it) is discarded — and the request is
-    retried once on a fresh connection **only when the current call is
-    flagged idempotent** (see :mod:`repro.deadline`): once bytes went
-    out on a connection, the server may already have applied the
-    request, so a blind resend could execute it twice.  Non-idempotent
-    calls surface the failure instead.  ``pooled=False`` restores the
-    connect-per-call behaviour.
+    Every registered endpoint is a listener on the transport's one event
+    loop; ``loop_workers`` bounds how many servants it runs at once.
 
-    The constructor's *timeout* is only the default: each ``send``
-    bounds its socket timeout by the remaining budget of the calling
-    thread's :class:`~repro.deadline.Deadline`, so a discovery query's
-    total budget propagates down to every socket operation.
+    Clients keep connections alive in a per-endpoint pool of at most
+    *pool_size* spares, so the steady state costs zero TCP handshakes.
+    A pooled connection that has gone stale (the server restarted, the
+    peer dropped it) is discarded, and the request is retried once on a
+    fresh connection **only when the current call is flagged
+    idempotent** (see :mod:`repro.deadline`): the server may already
+    have applied it.  Each ``send`` bounds its socket timeout by the
+    calling thread's remaining :class:`~repro.deadline.Deadline`
+    (*timeout* is only the default).
 
-    ``loop=True`` (or ``REPRO_TRANSPORT_LOOP=1``) selects the
-    event-loop I/O mode — every endpoint served from one loop thread
-    instead of a server and a thread per connection; ``loop_workers``
-    bounds the servant dispatch pool they share.  See
-    ``docs/event-loop.md``.
-
-    With ``pipelined=True`` the client side switches from one
-    round-trip per checked-out connection to **GIOP request
+    ``pipelined=True`` switches the client to **GIOP request
     pipelining**: concurrent callers share *stripes* connections per
-    endpoint, each carrying up to *pipeline_depth* requests in flight
-    at once, with replies matched back to callers by ``request_id``
-    (out-of-order reply delivery is allowed — a loop server dispatches
-    concurrently and answers as it finishes).  Pipelined channels live
-    on the event loop, so any pipelining mode is a loop transport and
-    ``loop=False`` beside it is a ``ValueError``.  Requests that find
-    every stripe at its depth cap overflow onto a dedicated serial
-    round-trip rather than queueing.  A connection that dies
-    mid-pipeline fails exactly the requests that were in flight *on
-    it* — each caller gets its own failure, the idempotence gate
-    decides per caller whether a resend is safe, and only the dead
-    stripe is discarded (healthy sibling stripes keep their traffic).
-    See ``docs/pipelining.md``.
-
-    ``pipelined="auto"`` starts every endpoint serial and promotes it
-    to striped pipelining permanently the first time two callers are
-    observed in ``send`` to the same endpoint at once — the signal that
-    a shared multiplexed connection beats per-caller round-trips.
-    ``stripes``/``pipeline_depth`` then act as tuning hints for the
-    promoted regime (``stripes`` defaults to 4 in auto mode).
+    endpoint, each carrying up to *pipeline_depth* requests in flight,
+    with replies matched back by ``request_id``.  Requests past every
+    stripe's depth cap overflow onto a serial round-trip; a connection
+    that dies fails exactly the requests in flight on it, each through
+    the same idempotence gate, and only that stripe is discarded.  See
+    ``docs/pipelining.md``.
     """
 
     _instance_seq = itertools.count(1)
 
     def __init__(self, host: str = "127.0.0.1", timeout: float = 5.0,
-                 pooled: bool = True, pool_size: int = 8,
-                 pipelined: Union[bool, str] = False,
-                 stripes: Optional[int] = None, pipeline_depth: int = 32,
-                 loop: Optional[bool] = None, loop_workers: int = 6,
+                 pool_size: int = 8, pipelined: bool = False,
+                 stripes: int = 1, pipeline_depth: int = 32,
+                 loop_workers: int = 6,
                  overload: Optional[OverloadPolicy] = None):
-        if pipelined not in (False, True, "auto"):
+        if pipelined not in (False, True):
             raise ValueError(
-                f"pipelined must be False, True, or 'auto', "
-                f"got {pipelined!r}")
-        if pipelined and loop is not None and not loop:
-            raise ValueError(
-                f"pipelined={pipelined!r} needs the event loop (pipelined "
-                f"channels live on it); loop=False only goes with "
-                f"pipelined=False")
+                f"pipelined must be True or False, got {pipelined!r}")
         self.host = host
         self.timeout = timeout
-        self.pooled = pooled
-        self.pipelined = pipelined
+        self.pipelined = bool(pipelined)
         #: Pipelined connections per endpoint; concurrent callers are
         #: spread across stripes by least-loaded choice, and a new
         #: stripe is only opened when every existing one is busy.
-        #: Unset, it defaults to 1 — except in auto mode, where a
-        #: promoted endpoint goes straight to 4-way striping.
-        if stripes is None:
-            stripes = 4 if pipelined == "auto" else 1
         self.stripes = max(1, int(stripes))
         #: Max requests in flight per pipelined connection.
         self.pipeline_depth = max(1, int(pipeline_depth))
-        #: Event-loop mode: always for a pipelining transport, else
-        #: as asked, defaulting from ``REPRO_TRANSPORT_LOOP``.
-        self.loop_enabled = bool(pipelined) or (
-            _loop_default() if loop is None else bool(loop))
         self.loop_workers = max(1, int(loop_workers))
         #: Server-side admission control, defaulting from
         #: ``REPRO_SHEDDING``.  Disabled, the controller is never
-        #: consulted and the dispatch paths are byte-identical to a
+        #: consulted and the dispatch path is byte-identical to a
         #: transport built before it existed.
         if overload is None:
             overload = OverloadPolicy(shed=_shed_default())
         self.admission = AdmissionController(overload)
-        self._pool = _ConnectionPool(max_idle=pool_size) if pooled else None
+        self._pool = _ConnectionPool(max_idle=pool_size)
         self._channels: dict[Endpoint, list[_LoopChannel]] = {}
         self._channels_lock = threading.Lock()
-        self._servers: dict[Endpoint, _GiopServer] = {}
         self._listeners: dict[Endpoint, _LoopListener] = {}
-        self._handlers: dict[Endpoint, Handler] = {}
-        self._lock = threading.RLock()
-        self._auto_lock = threading.Lock()
-        self._auto_inflight: dict[Endpoint, int] = {}
-        self._auto_promoted: set[Endpoint] = set()
-        self._seq = next(TcpTransport._instance_seq)
-        self._loop_name = f"giop-loop-{self._seq}"
-        self._worker_prefix = f"giop-exec-{self._seq}"
+        self._lock = threading.Lock()
+        self._loop_name = f"giop-loop-{next(TcpTransport._instance_seq)}"
         self._event_loop: Optional[_EventLoop] = None
-        self._workers: Optional[ThreadPoolExecutor] = None
-        #: In-flight loop-worker dispatches, so close() can drain them
-        #: with a bounded timeout instead of abandoning them mid-write.
-        self._loop_futures: set[Future] = set()
         self._loop_lock = threading.Lock()
         self.metrics = TransportMetrics()
 
@@ -1194,38 +1149,15 @@ class TcpTransport(Transport):
         with self._loop_lock:
             if self._event_loop is None or not self._event_loop.running:
                 self._event_loop = _EventLoop(_BATCH_FLUSH, self.metrics,
-                                              name=self._loop_name)
-                self._workers = ThreadPoolExecutor(
-                    max_workers=self.loop_workers,
-                    thread_name_prefix=self._worker_prefix)
+                                              name=self._loop_name,
+                                              servants=self.loop_workers)
             return self._event_loop
 
     def register(self, endpoint: Endpoint, handler: Handler) -> Endpoint:
-        # Logical hostnames ("dba.icis.qut.edu.au") are DNS names the
-        # 1999 deployment resolved; on one machine every endpoint binds
-        # the transport's local interface, and the OS-assigned port
-        # keeps endpoints (and therefore IORs) distinct.
+        # Logical hostnames ("dba.icis.qut.edu.au") were DNS names in
+        # 1999; here every endpoint binds the local interface and the
+        # OS-assigned port keeps endpoints (and IORs) distinct.
         __, port = endpoint
-        if self.loop_enabled:
-            return self._register_loop(port, handler)
-        try:
-            server = _GiopServer((self.host, port), _GiopRequestHandler)
-        except OSError as exc:
-            raise CommFailure(
-                f"cannot bind {(self.host, port)!r}: {exc}") from exc
-        server.transport = self  # type: ignore[attr-defined]
-        bound = (self.host, server.server_address[1])
-        with self._lock:
-            self._servers[bound] = server
-            self._handlers[bound] = handler
-        thread = threading.Thread(target=server.serve_forever,
-                                  name=f"giop-{bound[1]}", daemon=True)
-        thread.start()
-        return bound
-
-    def _register_loop(self, port: int, handler: Handler) -> Endpoint:
-        # Bind synchronously (so the OS-assigned port is known before
-        # returning), then hand the listener to the loop to accept on.
         loop = self._ensure_loop()
         try:
             sock = socket.create_server((self.host, port),
@@ -1235,110 +1167,78 @@ class TcpTransport(Transport):
                 f"cannot bind {(self.host, port)!r}: {exc}") from exc
         sock.setblocking(False)
         bound = (self.host, sock.getsockname()[1])
-        listener = _LoopListener(loop, self, bound, sock)
+        listener = _LoopListener(loop, self, sock, handler)
         with self._lock:
             self._listeners[bound] = listener
-            self._handlers[bound] = handler
         loop.call_soon(listener.register)
         return bound
 
-    def handler_for(self, endpoint: Endpoint) -> Optional[Handler]:
-        with self._lock:
-            return self._handlers.get(endpoint)
-
     def unregister(self, endpoint: Endpoint) -> None:
         with self._lock:
-            server = self._servers.pop(endpoint, None)
             listener = self._listeners.pop(endpoint, None)
-            self._handlers.pop(endpoint, None)
-        if self._pool is not None:
-            self._pool.discard(endpoint)
+        self._pool.discard(endpoint)
         with self._channels_lock:
             channels = self._channels.pop(endpoint, [])
         for channel in channels:
             channel.close()
-        if server is not None:
-            server.shutdown()
-            server.server_close()
         if listener is not None and self._event_loop is not None:
             self._event_loop.call_soon_sync(listener.close)
 
-    # ---------------------------------------------------- event-loop server --
+    # --------------------------------------------------------------- server --
 
     def _dispatch_loop_frame(self, connection: _LoopServerConnection,
                              frame: Frame) -> None:
-        """Loop thread: hand one decoded-off-the-wire frame to the
-        worker pool.  The loop never runs servant code itself — and
-        admission control runs *here*, so shed requests cost the loop a
-        service-context peek instead of a worker-pool slot."""
-        handler = self.handler_for(connection.endpoint)
-        if handler is None or self._workers is None:
-            connection.close()
-            return
+        """Leader: turn one frame read off the wire into a servant job.
+        Admission control runs *here*, so a shed request costs the
+        leader a service-context peek and a BUSY reply instead of a
+        servant slot."""
         ticket = None
         if self.admission.enabled:
-            budget, traffic_class = peek_request_admission(frame)
-            ticket, reason = self.admission.enqueue(budget, traffic_class)
+            ticket, reason = self.admission.enqueue(
+                *peek_request_admission(frame))
             if reason is not None:
-                self.metrics.record_shed(reason)
-                shed_reply = busy_reply(frame, reason)
-                if shed_reply is not None:
-                    connection.enqueue(shed_reply)
+                self._shed(connection, frame, reason)
                 return
-        try:
-            future = self._workers.submit(self._serve_loop_frame,
-                                          connection, handler, frame,
-                                          ticket)
-        except RuntimeError:  # pool shut down mid-close
-            if ticket is not None:
-                self.admission.abandon(ticket)
-            connection.close()
-            return
-        self._loop_futures.add(future)
-
-        # A future cancelled by ``close()``'s
-        # shutdown(cancel_futures=True) never reaches
-        # ``_serve_loop_frame``, so its admission slot must be released
-        # here — in the callback, not in a sweep after shutdown, which
-        # would race this very discard — or it leaks on the shared
-        # controller.
-        def _settle(f: Future, t=ticket) -> None:
-            self._loop_futures.discard(f)
-            if t is not None and f.cancelled():
-                self.admission.abandon(t)
-
-        future.add_done_callback(_settle)
+        # A job that ``close()`` cancels before any thread runs it never
+        # reaches ``_serve_loop_frame``, so its admission slot is handed
+        # back by the cancel hook — or it leaks on the shared controller.
+        connection.loop.dispatch(
+            lambda: self._serve_loop_frame(connection, frame, ticket),
+            None if ticket is None
+            else lambda: self.admission.abandon(ticket))
 
     def _serve_loop_frame(self, connection: _LoopServerConnection,
-                          handler: Handler, frame: Frame,
-                          ticket=None) -> None:
-        """Worker thread: run the servant, post the reply back to the
-        loop."""
-        loop = self._event_loop
+                          frame: Frame, ticket=None) -> None:
+        """Loop thread, off the leadership: run the servant and write
+        the reply straight back."""
         if ticket is not None:
             reason = self.admission.dequeue(ticket)
             if reason is not None:
-                self.metrics.record_shed(reason)
-                shed_reply = busy_reply(frame, reason)
-                if shed_reply is not None and loop is not None:
-                    loop.call_soon(connection.enqueue, shed_reply)
+                self._shed(connection, frame, reason)
                 return
         try:
-            reply = handler(frame)
+            reply = connection.listener.handler(frame)
         except Exception:  # noqa: BLE001 - undecodable frame: the
-            if loop is not None:  # stream is poisoned, drop it
-                loop.call_soon(connection.close)
+            # stream is poisoned, drop it
+            connection.loop.call_soon(connection.close)
             return
-        if reply and loop is not None:
-            loop.call_soon(connection.enqueue, reply)
+        if reply:
+            connection.write(reply)
+
+    def _shed(self, connection: _LoopServerConnection, frame: Frame,
+              reason: str) -> None:
+        """Answer *frame* BUSY instead of serving it (a oneway or
+        unattributable frame is shed silently)."""
+        self.metrics.record_shed(reason)
+        reply = busy_reply(frame, reason)
+        if reply is not None:
+            connection.write(reply)
 
     def server_thread_count(self) -> int:
-        """OS threads this transport's event-loop server side is using
-        (the loop plus started workers), bounded by
-        ``tests/orb/test_eventloop.py``."""
-        return sum(1 for thread in threading.enumerate()
-                   if thread.name == self._loop_name
-                   or thread.name.startswith(self._worker_prefix))
+        """OS threads this transport's event loop is using: at most
+        ``loop_workers + 1`` (``tests/orb/test_eventloop.py``)."""
+        loop = self._event_loop
+        return 0 if loop is None else loop.thread_count()
 
     def _roundtrip(self, connection: socket.socket, data: bytes) -> bytes:
         connection.sendall(data)
@@ -1355,114 +1255,52 @@ class TcpTransport(Transport):
     def send(self, endpoint: Endpoint, data: bytes) -> bytes:
         timeout, deadline = self._effective_timeout()
         # First attempts refill the caller's retry budget per endpoint;
-        # transparent resends (stale pool, dead stripe) draw it down.
-        # A send re-entered by a policy-level retry (attempt > 1) is
-        # itself a retry, not a first attempt: refilling for it would
-        # let retry-heavy traffic mint the tokens funding its own
-        # retries, overstating the ratio cap.
+        # transparent resends (stale pool, dead stripe) draw it down.  A
+        # policy-level retry (attempt > 1) refills nothing, or retries
+        # would mint the tokens funding themselves.
         policy = current_policy()
         budget = policy.retry_budget
         if budget is not None and policy.attempt == 1:
             budget.note_attempt(f"{endpoint[0]}:{endpoint[1]}")
-        use_pipeline = self.pipelined is True
-        tracking_auto = False
-        if self.pipelined == "auto":
-            use_pipeline, tracking_auto = self._auto_enter(endpoint)
-        try:
-            if use_pipeline:
-                request_id, response_expected = peek_request(data)
-                if request_id is not None:
-                    return self._send_pipelined(endpoint, data, request_id,
-                                                response_expected, timeout,
-                                                deadline)
-                # Frames without a request id cannot be matched to a
-                # reply: give them a dedicated serial round-trip.
-            return self._send_serial(endpoint, data, timeout, deadline)
-        finally:
-            if tracking_auto:
-                self._auto_leave(endpoint)
-
-    def _auto_enter(self, endpoint: Endpoint) -> tuple[bool, bool]:
-        """Auto mode, on the way into ``send``: returns
-        ``(use_pipeline, tracking)``.  An endpoint not yet promoted has
-        its concurrent-sender count bumped; reaching the threshold
-        promotes it permanently (including for this very call)."""
-        with self._auto_lock:
-            if endpoint in self._auto_promoted:
-                return True, False
-            depth = self._auto_inflight.get(endpoint, 0) + 1
-            self._auto_inflight[endpoint] = depth
-            if depth < _AUTO_PROMOTE_AT:
-                return False, True
-            self._auto_promoted.add(endpoint)
-        self.metrics.record_auto_promotion()
-        return True, True
-
-    def _auto_leave(self, endpoint: Endpoint) -> None:
-        with self._auto_lock:
-            remaining = self._auto_inflight.get(endpoint, 0) - 1
-            if remaining > 0:
-                self._auto_inflight[endpoint] = remaining
-            else:
-                self._auto_inflight.pop(endpoint, None)
-
-    def pipelining_active(self, endpoint: Endpoint) -> bool:
-        """Whether requests to *endpoint* currently pipeline (always in
-        ``pipelined=True`` mode; in auto mode, once promoted)."""
-        if self.pipelined is True:
-            return True
-        if self.pipelined != "auto":
-            return False
-        with self._auto_lock:
-            return endpoint in self._auto_promoted
+        if self.pipelined:
+            request_id, response_expected = peek_request(data)
+            if request_id is not None:
+                return self._send_pipelined(endpoint, data, request_id,
+                                            response_expected, timeout,
+                                            deadline)
+            # Frames without a request id cannot be matched to a reply:
+            # give them a dedicated serial round-trip.
+        return self._send_serial(endpoint, data, timeout, deadline)
 
     def _send_serial(self, endpoint: Endpoint, data: bytes,
                      timeout: float, deadline: Optional[Deadline]) -> bytes:
-        if self._pool is not None:
-            pooled = self._pool.checkout(endpoint)
-            if pooled is not None:
-                try:
-                    pooled.settimeout(timeout)
-                    reply = self._roundtrip(pooled, data)
-                except (OSError, CommFailure) as exc:
-                    # Stale keep-alive connection.  The request may
-                    # already have gone out on it — the server could
-                    # have applied it and only the reply been lost —
-                    # so resending on a fresh connection is gated on
-                    # the caller having declared this call idempotent
-                    # (the metadata reads of the discovery hot path).
-                    _close_quietly(pooled)
-                    self._gate_resend(endpoint, exc, deadline)
-                else:
-                    self._pool.checkin(endpoint, pooled)
-                    self.metrics.record_connection(reused=True)
-                    self.metrics.record(endpoint, len(data), len(reply))
-                    return reply
-        try:
-            connection = socket.create_connection(endpoint,
-                                                  timeout=timeout)
-        except OSError as exc:
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceeded(
-                    f"IIOP connect to {endpoint!r} overran its deadline: "
-                    f"{exc}") from exc
-            raise CommFailure(
-                f"IIOP connect to {endpoint!r} failed: {exc}") from exc
-        try:
-            reply = self._roundtrip(connection, data)
-        except (OSError, CommFailure) as exc:
-            _close_quietly(connection)
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceeded(
-                    f"IIOP request to {endpoint!r} overran its deadline: "
-                    f"{exc}") from exc
-            raise CommFailure(
-                f"IIOP send to {endpoint!r} failed: {exc}") from exc
-        if self._pool is not None:
-            self._pool.checkin(endpoint, connection)
-        else:
-            _close_quietly(connection)
-        self.metrics.record_connection(reused=False)
+        connection = self._pool.checkout(endpoint)
+        if connection is not None:
+            try:
+                connection.settimeout(timeout)
+                reply = self._roundtrip(connection, data)
+            except (OSError, CommFailure) as exc:
+                # Stale keep-alive connection.  The server may have
+                # applied the request and only the reply been lost, so
+                # a resend is gated on the caller's idempotence vouch.
+                _close_quietly(connection)
+                self._gate_resend(endpoint, exc, deadline)
+                connection = None
+        reused = connection is not None
+        if connection is None:
+            connection = _connect(endpoint, timeout, deadline)
+            try:
+                reply = self._roundtrip(connection, data)
+            except (OSError, CommFailure) as exc:
+                _close_quietly(connection)
+                if deadline is not None and deadline.expired:
+                    raise DeadlineExceeded(
+                        f"IIOP request to {endpoint!r} overran its "
+                        f"deadline: {exc}") from exc
+                raise CommFailure(
+                    f"IIOP send to {endpoint!r} failed: {exc}") from exc
+        self._pool.checkin(endpoint, connection)
+        self.metrics.record_connection(reused=reused)
         self.metrics.record(endpoint, len(data), len(reply))
         return reply
 
@@ -1557,22 +1395,8 @@ class TcpTransport(Transport):
                     if load >= self.pipeline_depth:
                         return None, False
                     return best, False
-            try:
-                connection = socket.create_connection(endpoint,
-                                                      timeout=timeout)
-            except OSError as exc:
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceeded(
-                        f"IIOP connect to {endpoint!r} overran its "
-                        f"deadline: {exc}") from exc
-                raise CommFailure(
-                    f"IIOP connect to {endpoint!r} failed: {exc}") from exc
-            connection.setblocking(False)
-            try:
-                connection.setsockopt(socket.IPPROTO_TCP,
-                                      socket.TCP_NODELAY, 1)
-            except OSError:  # pragma: no cover - not fatal
-                pass
+            connection = _connect(endpoint, timeout, deadline)
+            _make_nonblocking(connection)
             channel = _LoopChannel(self._ensure_loop(), endpoint,
                                    connection)
             channels.append(channel)
@@ -1628,36 +1452,29 @@ class TcpTransport(Transport):
 
     def idle_connections(self, endpoint: Optional[Endpoint] = None) -> int:
         """Spare pooled connections (for tests and pool tuning)."""
-        if self._pool is None:
-            return 0
         return self._pool.idle_count(endpoint)
 
     def close(self) -> None:
-        """Shut down every server this transport started."""
-        if self._pool is not None:
-            self._pool.close()
+        """Shut down every listener and connection this transport
+        opened."""
+        self._pool.close()
         with self._channels_lock:
             channels = [channel for stripes in self._channels.values()
                         for channel in stripes]
             self._channels.clear()
         for channel in channels:
             channel.close()
-        for endpoint in list(self._servers) + list(self._listeners):
+        for endpoint in list(self._listeners):
             self.unregister(endpoint)
         with self._loop_lock:
             loop, self._event_loop = self._event_loop, None
-            workers, self._workers = self._workers, None
-        if workers is not None:
-            # Drain, don't abandon: a dispatch already running may
-            # hold servant-side locks (journal group commit, the
-            # registry lock) — give it a bounded window to finish.
-            # Queued-but-unstarted frames are cancelled: their callers'
-            # connections are gone, the work is dead, and each one's
-            # done-callback hands its admission ticket back.
-            workers.shutdown(wait=False, cancel_futures=True)
-            pending = [future for future in list(self._loop_futures)
-                       if not future.done()]
-            if pending:
-                _wait_futures(pending, timeout=_DRAIN_TIMEOUT)
         if loop is not None:
+            # Drain, don't abandon: a dispatch already running may hold
+            # servant-side locks (journal group commit, the registry
+            # lock) — give it a bounded window to finish.  Jobs still
+            # waiting for a thread are cancelled: their callers'
+            # connections are gone, the work is dead, and each one's
+            # cancel hook hands its admission ticket back.
+            loop.cancel_jobs()
+            loop.drain(_DRAIN_TIMEOUT)
             loop.stop()

@@ -1,9 +1,7 @@
 """Chaos acceptance: overload behaviour of the federation.
 
 Two scenarios, both seeded (``CHAOS_SEED``), the second honouring the
-shedding env switch the CI tier-2 matrix sweeps (``REPRO_SHEDDING``;
-its transport pipelines, so it runs on the event loop whatever
-``REPRO_TRANSPORT_LOOP`` says):
+shedding env switch the CI tier-2 matrix sweeps (``REPRO_SHEDDING``):
 
 * **busy faults** — co-databases that shed every request with a BUSY
   reply must degrade discovery, not crash it, and the retry *budget*

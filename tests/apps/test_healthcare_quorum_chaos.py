@@ -17,8 +17,7 @@ over the full healthcare federation:
   ever holds a committed write the quorum side does not.
 
 CI's tier-2 quorum job sweeps CHAOS_SEED over {7, 23, 1999} and
-crosses replicas {3, 5} with the threaded / event-loop transports
-(REPRO_TRANSPORT_LOOP).
+replicas {3, 5}.
 """
 
 import time
@@ -207,8 +206,7 @@ def test_partition_window_heals_after_scripted_probes(chaos_seed):
 
 @pytest.mark.chaos
 def test_quorum_over_tcp_transport_replicas3(chaos_seed):
-    """The same failover cycle over the real TCP transport — threaded
-    or event-loop per REPRO_TRANSPORT_LOOP, as CI's matrix sets it."""
+    """The same failover cycle over the real TCP transport."""
     from repro.orb.transport import TcpTransport
     tcp = TcpTransport()
     try:

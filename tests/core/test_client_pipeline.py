@@ -21,7 +21,7 @@ the late fill into the local cache, and the replicated source that
 ignored the tier it was deployed with.
 
 ``WEBFINDIT_SHARDS`` sets the shard count (CI's tier-2 sharding job
-sweeps {1, 4} × threaded / event-loop transports).
+sweeps {1, 4}).
 """
 
 import os

@@ -415,8 +415,7 @@ def test_mixed_in_process_and_proxy_shards_equal_local_shards(script):
 @pytest.fixture(scope="module")
 def tcp_shards():
     """Three skeletons on one default ``TcpTransport()``, exported once
-    for the module (closing a threaded endpoint costs its 0.5 s poll
-    interval); each example rebinds them to fresh shards."""
+    for the module; each example rebinds them to fresh shards."""
     transport = TcpTransport()
     exported = [export_shard(index, RegistryShard(), transport)
                 for index in range(3)]

@@ -1,7 +1,9 @@
-"""Event-loop transport mode: loop mechanics, batching, auto
-pipelining, and metrics safety under mixed loop/worker access."""
+"""The event loop every TcpTransport serves from: loop mechanics,
+leader/followers dispatch, batching, and metrics safety under mixed
+loop/servant access."""
 
 import socket
+import sys
 import threading
 
 import pytest
@@ -18,7 +20,7 @@ class EchoServant:
 
 
 def _echo_deployment(**transport_kwargs):
-    transport = TcpTransport(loop=True, **transport_kwargs)
+    transport = TcpTransport(**transport_kwargs)
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     ior = orb.activate(EchoServant(), ECHO, object_name="echo")
     return transport, orb, orb.proxy(ior, ECHO)
@@ -72,7 +74,7 @@ def test_loop_pipelined_concurrent_callers():
 
 def test_loop_server_thread_count_is_bounded():
     """The acceptance bound: however many clients connect, the server
-    side is one loop thread plus at most ``loop_workers`` workers."""
+    side is at most ``loop_workers`` servants plus one leader."""
     transport, orb, proxy = _echo_deployment(pipelined=True, stripes=4,
                                              loop_workers=6)
     try:
@@ -93,6 +95,122 @@ def test_loop_server_thread_count_is_bounded():
         transport.close()
 
 
+# ------------------------------------------------------ leader/followers --
+
+GATE = (InterfaceBuilder("Gate").operation("hold", "value")
+        .operation("echo", "value").build())
+
+
+class GateServant:
+    """``hold`` parks its thread until the gate opens; ``echo`` never
+    blocks."""
+
+    def __init__(self):
+        self.gate = threading.Event()
+        self.inside = threading.Semaphore(0)
+
+    def hold(self, value):
+        self.inside.release()
+        self.gate.wait(10.0)
+        return value
+
+    def echo(self, value):
+        return value
+
+
+def _gate_deployment(loop_workers):
+    transport = TcpTransport(loop_workers=loop_workers)
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    servant = GateServant()
+    ior = orb.activate(servant, GATE, object_name="gate")
+    return transport, servant, orb.proxy(ior, GATE)
+
+
+def _hold_in_background(proxy, values, results):
+    threads = [threading.Thread(
+        target=lambda value=value: results.append(proxy.hold(value)))
+        for value in values]
+    for thread in threads:
+        thread.start()
+    return threads
+
+
+def test_blocked_servant_does_not_stall_the_loop():
+    """The thread that reads a request hands the selector on before it
+    runs the servant: while one servant blocks, the next request is
+    read and answered by another thread."""
+    transport, servant, proxy = _gate_deployment(loop_workers=2)
+    results = []
+    try:
+        holders = _hold_in_background(proxy, [1], results)
+        assert servant.inside.acquire(timeout=5.0)
+        assert proxy.echo("through") == "through"
+        servant.gate.set()
+        for thread in holders:
+            thread.join(timeout=5.0)
+        assert results == [1]
+    finally:
+        servant.gate.set()
+        transport.close()
+
+
+def test_requests_past_the_servant_cap_wait_for_a_slot():
+    """At most ``loop_workers`` servants run at once; a request beyond
+    that waits for a slot instead of a new thread, and is served as
+    soon as one frees."""
+    transport, servant, proxy = _gate_deployment(loop_workers=2)
+    results = []
+    try:
+        holders = _hold_in_background(proxy, [1, 2, 3], results)
+        assert servant.inside.acquire(timeout=5.0)
+        assert servant.inside.acquire(timeout=5.0)
+        assert not servant.inside.acquire(timeout=0.2)
+        assert transport.server_thread_count() <= 2 + 1
+        servant.gate.set()
+        for thread in holders:
+            thread.join(timeout=5.0)
+        assert sorted(results) == [1, 2, 3]
+    finally:
+        servant.gate.set()
+        transport.close()
+
+
+def test_concurrent_replies_on_one_connection_stay_whole():
+    """Servants answering one pipelined connection at once each write
+    their reply from their own thread.  With a shortened switch
+    interval and replies larger than a socket buffer takes at once
+    (partial sends, the remainder left for the leader's flush), every
+    caller still gets exactly its own bytes back."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    transport, orb, proxy = _echo_deployment(pipelined=True, stripes=1,
+                                             loop_workers=4)
+    errors, done = [], []
+
+    def caller(index):
+        blob = bytes([index]) * (1024 * 1024 + index)
+        try:
+            for __ in range(2):
+                assert proxy.echo(blob) == blob
+            done.append(index)
+        except Exception as exc:  # noqa: BLE001 - asserted below
+            errors.append(exc)
+
+    threads = [threading.Thread(target=caller, args=(index,))
+               for index in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert sorted(done) == list(range(8))
+    finally:
+        sys.setswitchinterval(previous)
+        transport.close()
+
+
 def test_unregister_closes_loop_listener():
     transport, orb, proxy = _echo_deployment()
     endpoint = orb.endpoint
@@ -103,31 +221,6 @@ def test_unregister_closes_loop_listener():
             socket.create_connection(endpoint, timeout=0.5)
     finally:
         transport.close()
-
-
-def test_env_variable_flips_default_mode(monkeypatch):
-    monkeypatch.setenv("REPRO_TRANSPORT_LOOP", "1")
-    assert TcpTransport().loop_enabled
-    monkeypatch.setenv("REPRO_TRANSPORT_LOOP", "0")
-    assert not TcpTransport().loop_enabled
-    monkeypatch.delenv("REPRO_TRANSPORT_LOOP")
-    assert not TcpTransport().loop_enabled
-    assert TcpTransport(loop=True).loop_enabled
-
-
-@pytest.mark.parametrize("pipelined", [True, "auto"])
-def test_pipelining_is_a_loop_transport(monkeypatch, pipelined):
-    """Pipelined channels live on the event loop: whatever the process
-    default says, a pipelining transport runs it, and asking for
-    threads beside pipelining is refused rather than ignored."""
-    for value in (None, "0", "1"):
-        if value is None:
-            monkeypatch.delenv("REPRO_TRANSPORT_LOOP", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_TRANSPORT_LOOP", value)
-        assert TcpTransport(pipelined=pipelined).loop_enabled
-        with pytest.raises(ValueError, match="loop"):
-            TcpTransport(pipelined=pipelined, loop=False)
 
 
 # ---------------------------------------------------------- frame batching --
@@ -188,83 +281,24 @@ def test_batch_flush_cap_limits_one_batch():
         right.close()
 
 
-def test_call_later_fires_in_order():
-    loop = _EventLoop(batch_flush=1, metrics=TransportMetrics())
-    try:
-        fired = []
-        done = threading.Event()
-        loop.call_later(0.03, lambda: (fired.append("late"), done.set()))
-        loop.call_later(0.01, fired.append, "early")
-        loop.call_soon(fired.append, "now")
-        assert done.wait(2.0)
-        assert fired == ["now", "early", "late"]
-    finally:
-        loop.stop()
-
-
-# --------------------------------------------------------- auto pipelining --
-
-
-class BarrierEchoServant:
-    """Echoes only once *parties* calls are in the servant at the same
-    time — proof of genuinely concurrent in-flight demand."""
-
-    def __init__(self, parties):
-        self.barrier = threading.Barrier(parties)
-
-    def echo(self, value):
-        self.barrier.wait(timeout=10.0)
-        return value
-
-
-def test_auto_mode_flips_serial_to_striped_deterministically():
-    """Two calls forced to overlap (the servant's barrier needs both in
-    flight to release either) promote the endpoint exactly once; a lone
-    serial call beforehand does not."""
-    transport = TcpTransport(pipelined="auto")
-    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
-    try:
-        servant = BarrierEchoServant(parties=2)
-        ior = orb.activate(servant, ECHO, object_name="echo")
-        proxy = orb.proxy(ior, ECHO)
-        endpoint = orb.endpoint
-
-        # A lone call never promotes: demand was never concurrent.
-        servant.barrier = threading.Barrier(1)
-        assert proxy.echo(0) == 0
-        assert not transport.pipelining_active(endpoint)
-        assert transport.metrics.auto_promotions == 0
-
-        # Two overlapping calls: neither can finish until both are in
-        # flight, so the second send observes depth 2 and promotes.
-        servant.barrier = threading.Barrier(2)
-        results = {}
-
-        def caller(index):
-            results[index] = proxy.echo(index)
-
-        threads = [threading.Thread(target=caller, args=(index,))
-                   for index in (1, 2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results == {1: 1, 2: 2}
-        assert transport.pipelining_active(endpoint)
-        assert transport.metrics.auto_promotions == 1
-
-        # Promotion is permanent and auto defaults to 4-way striping.
-        assert transport.stripes == 4
-        servant.barrier = threading.Barrier(1)
-        assert proxy.echo(3) == 3
-        assert transport.metrics.auto_promotions == 1
-    finally:
-        transport.close()
+# ------------------------------------------------------ constructor surface --
 
 
 def test_auto_mode_rejects_bad_values():
-    with pytest.raises(ValueError):
-        TcpTransport(pipelined="always")
+    """``pipelined`` is a plain bool: ``"auto"`` is refused like any
+    other non-bool rather than read as truthy."""
+    for value in ("auto", "always"):
+        with pytest.raises(ValueError):
+            TcpTransport(pipelined=value)
+
+
+@pytest.mark.parametrize("keyword, value", [("loop", True),
+                                            ("pooled", False)])
+def test_server_and_serial_client_are_not_selectable(keyword, value):
+    """One server (the event loop) and one serial client (pooled): no
+    keyword picks another."""
+    with pytest.raises(TypeError):
+        TcpTransport(**{keyword: value})
 
 
 # ------------------------------------------------------------ metrics safety --
@@ -289,7 +323,6 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
             metrics.record_overflow()
             metrics.record_batch(frames=3)
             metrics.record_connection(reused=index % 2 == 0)
-            metrics.record_auto_promotion()
 
     def reader():
         start.wait()
@@ -318,7 +351,6 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
     assert snapshot["pipeline_overflows"] == total
     assert snapshot["batch_flushes"] == total
     assert snapshot["frames_batched"] == total * 2
-    assert snapshot["auto_promotions"] == total
     assert snapshot["connections_opened"] \
         + snapshot["connections_reused"] == total
     assert metrics.per_endpoint[endpoint] == total

@@ -2,8 +2,8 @@
 
 TCP is a byte stream: one ``recv`` can return a single byte of a
 header, three and a half frames, or anything between.  The
-:class:`~repro.orb.transport.FrameBuffer` both transport modes slice
-frames from must therefore be insensitive to chunk boundaries — no
+:class:`~repro.orb.transport.FrameBuffer` the event loop slices frames
+from must therefore be insensitive to chunk boundaries — no
 frame cross-wired, lost, duplicated, or corrupted, however the stream
 is split.  Hypothesis draws the splits: from a 1-byte dribble through
 jumbo coalesced writes, including boundaries that land mid-header and
@@ -25,6 +25,10 @@ from repro.orb.giop import (ReplyMessage, ReplyStatus, RequestMessage,
 from repro.orb.transport import FrameBuffer, read_giop_frame
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
+
+#: The wire tests run against the one server a TcpTransport has; the
+#: id names it.
+ON_THE_WIRE = pytest.mark.parametrize("server", ["event-loop"])
 
 
 def _frames(ids, little_endian=False):
@@ -129,9 +133,8 @@ def test_non_giop_stream_poisons_instead_of_misframing(noise):
         buffer.next_frame()
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_server_survives_dribbled_request_on_the_wire(loop):
+@ON_THE_WIRE
+def test_server_survives_dribbled_request_on_the_wire(server):
     """End-to-end: a request trickled onto a live server socket a few
     bytes at a time still gets exactly its reply."""
 
@@ -139,7 +142,7 @@ def test_server_survives_dribbled_request_on_the_wire(loop):
         def echo(self, value):
             return value
 
-    transport = TcpTransport(loop=loop)
+    transport = TcpTransport()
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     try:
         orb.activate(Echo(), ECHO, object_name="echo")
@@ -157,9 +160,8 @@ def test_server_survives_dribbled_request_on_the_wire(loop):
         transport.close()
 
 
-@pytest.mark.parametrize("loop", [False, True],
-                         ids=["threaded", "event-loop"])
-def test_interleaved_dribblers_are_not_cross_wired(loop):
+@ON_THE_WIRE
+def test_interleaved_dribblers_are_not_cross_wired(server):
     """Several clients dribbling concurrently: each one's reply
     carries its own request id."""
 
@@ -167,7 +169,7 @@ def test_interleaved_dribblers_are_not_cross_wired(loop):
         def echo(self, value):
             return value
 
-    transport = TcpTransport(loop=loop)
+    transport = TcpTransport()
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     results = {}
     try:

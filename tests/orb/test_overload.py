@@ -214,12 +214,15 @@ def _always_shedding_policy():
     return OverloadPolicy(shed=True, codel_target=0.0, codel_interval=0.0)
 
 
+#: The TCP tests run against the one server a TcpTransport has; the id
+#: names it.
+EVENT_LOOP = pytest.mark.parametrize("server", ["event-loop"])
+
+
 class TestSheddingOverTcp:
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_overloaded_server_sheds_with_server_busy(self, loop):
-        transport = TcpTransport(loop=loop,
-                                 overload=_always_shedding_policy())
+    @EVENT_LOOP
+    def test_overloaded_server_sheds_with_server_busy(self, server):
+        transport = TcpTransport(overload=_always_shedding_policy())
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -232,11 +235,9 @@ class TestSheddingOverTcp:
         finally:
             transport.close()
 
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_shedding_disabled_is_inert(self, loop):
-        transport = TcpTransport(loop=loop,
-                                 overload=OverloadPolicy(shed=False))
+    @EVENT_LOOP
+    def test_shedding_disabled_is_inert(self, server):
+        transport = TcpTransport(overload=OverloadPolicy(shed=False))
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -254,15 +255,11 @@ class TestSheddingOverTcp:
         # a dead one — the call moves on instead of crashing.
         assert issubclass(ServerBusy, CommFailure)
 
-    @pytest.mark.parametrize("loop", [False, True],
-                             ids=["threaded", "event-loop"])
-    def test_close_drains_in_flight_dispatches(self, loop):
+    @EVENT_LOOP
+    def test_close_drains_in_flight_dispatches(self, server):
         """Teardown must not abandon a dispatch mid-servant (it may be
-        holding journal locks): close() waits out in-flight work on
-        the loop's worker pool; on the serial thread-per-connection
-        server the dispatch runs on its connection's handler thread,
-        which close() never interrupts and whose accept-loop shutdown
-        (one 0.5 s poll) outlasts this servant."""
+        holding journal locks): close() waits out a servant already
+        running on a loop thread."""
         finished = threading.Event()
 
         class SlowServant:
@@ -271,8 +268,7 @@ class TestSheddingOverTcp:
                 finished.set()
                 return value
 
-        transport = (TcpTransport(pipelined=True, stripes=1) if loop
-                     else TcpTransport(loop=False))
+        transport = TcpTransport(pipelined=True, stripes=1)
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
         client = create_orb(VISIBROKER, transport, host="127.0.0.1", port=0)
         proxy = client.proxy(server.activate(SlowServant(), ECHO), ECHO)
@@ -327,8 +323,8 @@ class TestSheddingOverTcp:
                        for __ in range(4)]
             for caller in callers:
                 caller.start()
-            # One frame occupies the single worker (its ticket settles
-            # at pickup); the other three wait in the executor queue.
+            # One frame occupies the single servant slot (its ticket
+            # settles at pickup); the other three wait in the job queue.
             # All four may be enqueued before the first pickup, so wait
             # for the pickup too, not just for a count.
             deadline = time.monotonic() + 2.0
@@ -338,12 +334,12 @@ class TestSheddingOverTcp:
                 time.sleep(0.01)
             assert picked_up.is_set()
             assert transport.admission.snapshot()["pending"] == 3
-            # close() shuts the pool down while the worker is still
-            # busy, so the three queued frames get *cancelled* — from a
-            # side thread, because it then waits out the running one.
+            # close() runs while the servant is still busy, so the
+            # three queued frames get *cancelled* — from a side thread,
+            # because it then waits out the running one.
             closer.start()
             # Poll for the cancelled frames' tickets to be abandoned.
-            # The worker stays blocked throughout, so dequeue cannot be
+            # The servant stays blocked throughout, so dequeue cannot be
             # the one releasing them.
             deadline = time.monotonic() + 2.0
             while (transport.admission.snapshot()["pending"] > 0

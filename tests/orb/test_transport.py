@@ -226,7 +226,7 @@ class TestConnectionPool:
         return client.proxy(ior, ECHO), ior
 
     def test_pooled_connections_are_reused(self):
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         try:
             proxy, ior = self._echo_pair(transport)
             transport.metrics.reset()
@@ -239,24 +239,11 @@ class TestConnectionPool:
         finally:
             transport.close()
 
-    def test_per_call_mode_opens_every_time(self):
-        transport = TcpTransport(pooled=False)
-        try:
-            proxy, ior = self._echo_pair(transport)
-            transport.metrics.reset()
-            for index in range(5):
-                assert proxy.echo(index) == index
-            assert transport.metrics.connections_opened == 5
-            assert transport.metrics.connections_reused == 0
-            assert transport.idle_connections() == 0
-        finally:
-            transport.close()
-
     def test_stale_pooled_connection_retried(self):
         """A pooled connection the server has dropped must be replaced
         transparently — the request is retried on a fresh socket, but
         only when the caller vouches the request is idempotent."""
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         try:
             proxy, ior = self._echo_pair(transport)
             assert proxy.echo("warm") == "warm"
@@ -275,7 +262,7 @@ class TestConnectionPool:
         """Without the idempotence vouch, a failure on a pooled socket
         surfaces instead of blindly resending — the first copy of the
         request may already have been applied server-side."""
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         try:
             proxy, ior = self._echo_pair(transport)
             assert proxy.echo("warm") == "warm"
@@ -294,7 +281,7 @@ class TestConnectionPool:
             transport.close()
 
     def test_unregister_discards_idle_connections(self):
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         try:
             proxy, ior = self._echo_pair(transport)
             assert proxy.echo("x") == "x"
@@ -310,7 +297,7 @@ class TestConnectionPool:
     def test_pool_bounded(self):
         """Concurrent checkouts beyond pool_size still work; only
         pool_size spares are retained afterwards."""
-        transport = TcpTransport(pooled=True, pool_size=2)
+        transport = TcpTransport(pool_size=2)
         try:
             proxy, ior = self._echo_pair(transport)
             barrier = threading.Barrier(6)
@@ -337,7 +324,7 @@ class TestConnectionPool:
     def test_keep_alive_sequences_many_frames(self):
         """One connection carries many request/reply frames in order
         (the keep-alive server loop must not desynchronise framing)."""
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         try:
             proxy, __ = self._echo_pair(transport)
             payloads = [{"n": index, "blob": "x" * (index * 37 % 400)}
@@ -431,7 +418,7 @@ class TestPipelinedStripes:
     def test_serial_send_unaffected_by_pipelined_flag_default(self):
         """pipelined=False keeps the exact pooled-serial behaviour the
         earlier counters tests pin down."""
-        transport = TcpTransport(pooled=True)
+        transport = TcpTransport()
         assert transport.pipelined is False
         assert transport.stripe_count(("nowhere", 1)) == 0
         transport.close()

@@ -111,17 +111,14 @@ class TestMain:
         assert code == 0
         assert "bye." in output.getvalue()
 
-    @pytest.mark.parametrize("flags, loop_enabled, pipelined", [
-        (["--tcp"], False, False),
-        (["--tcp", "--transport-loop"], True, "auto"),
-        (["--tcp", "--stripes", "2"], True, True),
-    ], ids=["tcp", "transport-loop", "stripes"])
+    @pytest.mark.parametrize("flags, pipelined, stripes", [
+        (["--tcp"], False, 1),
+        (["--tcp", "--stripes", "2"], True, 2),
+    ], ids=["tcp", "stripes"])
     def test_tcp_spellings_build_the_transport_they_name(
-            self, monkeypatch, flags, loop_enabled, pipelined):
-        """Plain ``--tcp`` is the default ``TcpTransport()`` (serial,
-        thread-per-connection); the event loop and pipelining are
-        asked for, never implied."""
-        monkeypatch.delenv("REPRO_TRANSPORT_LOOP", raising=False)
+            self, monkeypatch, flags, pipelined, stripes):
+        """Plain ``--tcp`` is the default ``TcpTransport()`` (serial
+        pooled clients); pipelining is asked for, never implied."""
         built = []
         deploy = cli.build_healthcare_system
 
@@ -137,5 +134,5 @@ class TestMain:
         assert code == 0
         assert "Research" in output.getvalue()
         (transport,) = built
-        assert transport.loop_enabled is loop_enabled
-        assert transport.pipelined == pipelined
+        assert transport.pipelined is pipelined
+        assert transport.stripes == stripes
