@@ -268,14 +268,6 @@ def main(argv: Optional[list[str]] = None,
                         help="participating database the session belongs to")
     parser.add_argument("--tcp", action="store_true",
                         help="run the federation over real TCP sockets")
-    parser.add_argument("--stripes", type=int, default=None,
-                        help="with --tcp: enable GIOP request pipelining "
-                             "with this many striped connections per "
-                             "endpoint (see docs/pipelining.md)")
-    parser.add_argument("--pipeline-depth", type=int, default=32,
-                        help="with --tcp --stripes: max requests in "
-                             "flight per pipelined connection "
-                             "(default 32)")
     parser.add_argument("--loop-workers", type=int, default=6,
                         help="with --tcp: servant dispatch threads the "
                              "event loop shares across all endpoints "
@@ -319,13 +311,7 @@ def main(argv: Optional[list[str]] = None,
         from repro.orb.overload import OverloadPolicy
         from repro.orb.transport import TcpTransport
         overload = OverloadPolicy(shed=True) if options.shedding else None
-        # Plain --tcp is the default transport — serial pooled round
-        # trips, the faster client for one sequential shell; --stripes
-        # asks for pipelining.
-        transport = TcpTransport(pipelined=options.stripes is not None,
-                                 stripes=options.stripes or 1,
-                                 pipeline_depth=options.pipeline_depth,
-                                 loop_workers=options.loop_workers,
+        transport = TcpTransport(loop_workers=options.loop_workers,
                                  overload=overload)
     resilience = None
     if options.deadline is not None:

@@ -160,8 +160,8 @@ class CallPolicy(NamedTuple):
     #: Which shedding class the server should file this call under.
     traffic_class: str = INTERACTIVE
     #: Budget consulted by transport-level resends (stale pooled
-    #: connections, dead pipelined stripes) so even "transparent"
-    #: retries count against the global retry cap.  None: uncapped.
+    #: connections) so even "transparent" retries count against the
+    #: global retry cap.  None: uncapped.
     retry_budget: Optional[RetryBudget] = None
     #: 1 for the first attempt of the logical call; policy-level
     #: retries (:meth:`~repro.core.resilience.RetryPolicy.call`)

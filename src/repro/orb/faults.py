@@ -41,11 +41,9 @@ workload, statistically stable (same marginal rates) for a parallel
 one.
 
 Because the wrapper sits *above* the transport, each injected fault
-acts on exactly one logical request/reply exchange — on a pipelined
-:class:`~repro.orb.transport.TcpTransport` a dropped or truncated
-reply is attributed to the one ``request_id`` whose (already-matched)
-reply it was, and only that caller fails; sibling requests in flight
-on the same connection are untouched.  Batched flushes and the event
+acts on exactly one logical request/reply exchange: a dropped or
+truncated reply fails only the caller whose reply it was, and
+concurrent callers are untouched.  Batched flushes and the event
 loop's non-blocking write path happen *below* this wrapper, so a fault
 window still wraps whole exchanges, never fractions of a coalesced
 send.

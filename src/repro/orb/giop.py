@@ -261,8 +261,8 @@ def _peek_decoder(data: Buffer) -> tuple[Optional[MessageType],
                                          Optional[CdrDecoder]]:
     """Message type and a body decoder, without decoding the body.
 
-    Returns ``(None, None)`` for frames that are not GIOP 1.0 (the
-    pipelined transport falls back to serial round-trips for those).
+    Returns ``(None, None)`` for frames that are not GIOP 1.0 (or are
+    shorter than their header's size field says).
     """
     if len(data) < HEADER_SIZE or data[:4] != MAGIC \
             or (data[4], data[5]) != VERSION:
@@ -283,10 +283,9 @@ def peek_request(data: Buffer) -> tuple[Optional[int], bool]:
     """``(request_id, response_expected)`` of an outgoing frame.
 
     Reads just far enough into the CDR body to find the request id —
-    the client-side pipeline needs the id to match the eventual reply,
-    and the response flag to know whether a reply will come at all.
-    ``(None, True)`` means the frame carries no request id (it cannot
-    be pipelined and must use a dedicated serial round-trip).
+    a BUSY reply must carry it — and the response flag, which tells the
+    TCP client whether a reply will come at all (a oneway request gets
+    none).  ``(None, True)`` means the frame carries no request id.
     """
     message_type, decoder = _peek_decoder(data)
     if decoder is None:
@@ -301,27 +300,6 @@ def peek_request(data: Buffer) -> tuple[Optional[int], bool]:
     except MarshalError:
         return None, True
     return None, True
-
-
-def peek_reply_id(data: Buffer) -> Optional[int]:
-    """The request id an incoming Reply/LocateReply frame answers.
-
-    ``None`` means the frame is not a reply (or is damaged beyond
-    attribution): a pipelined connection cannot deliver it to any
-    waiter and must treat the stream as broken.
-    """
-    message_type, decoder = _peek_decoder(data)
-    if decoder is None:
-        return None
-    try:
-        if message_type is MessageType.REPLY:
-            _decode_service_context(decoder)
-            return decoder.read_ulong()
-        if message_type is MessageType.LOCATE_REPLY:
-            return decoder.read_ulong()
-    except MarshalError:
-        return None
-    return None
 
 
 #: Service-context id we use to carry the calling ORB product (mirrors

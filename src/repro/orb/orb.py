@@ -48,11 +48,10 @@ class RemoteSystemError(OrbError):
         self.remote_message = message
 
 
-#: GIOP request ids need only be unique per connection, but pipelined
+#: GIOP request ids need only be unique per connection, but pooled
 #: connections are shared by every client ORB on one transport — so
-#: ids are drawn from a single process-wide counter, which makes them
-#: unique everywhere and lets the transport match replies to callers
-#: without rewriting frames.
+#: ids are drawn from a single process-wide counter, unique on
+#: whichever connection a request rides.
 _request_ids = itertools.count(1)
 
 
@@ -108,10 +107,14 @@ class Proxy:
         return self._ior
 
     def invoke(self, operation: str, *args: Any) -> Any:
-        """Invoke *operation* remotely with positional arguments."""
+        """Invoke *operation* remotely with positional arguments; a
+        declared oneway operation goes out without waiting for a reply."""
+        oneway = False
         if self._interface is not None:
-            self._interface.operation(operation)  # raises BadOperation early
-        return self._orb.invoke(self._ior, operation, list(args))
+            # Raises BadOperation early.
+            oneway = self._interface.operation(operation).oneway
+        return self._orb.invoke(self._ior, operation, list(args),
+                                oneway=oneway)
 
     def __getattr__(self, name: str):
         if name.startswith("_"):

@@ -8,12 +8,14 @@ Two interchangeable transports:
   exercised) while message and byte counters accumulate for
   ``system.metrics()`` and the budget benchmark's in-memory workloads.
 * :class:`TcpTransport` — real IIOP-over-TCP on the loopback interface,
-  framing messages with the GIOP header's size field.  Clients keep
-  connections alive in a per-endpoint pool (CORBA 2.0 permits either
-  connection reuse or per-call connections).  Every endpoint is served
-  by one event loop (:class:`_EventLoop`, ``docs/event-loop.md``):
-  frames arriving on one connection are dispatched concurrently and
-  answered as they finish — GIOP matches a reply to its request by id.
+  framing messages with the GIOP header's size field.  A client sends
+  one request at a time on a connection it checks out of a per-endpoint
+  keep-alive pool (CORBA 2.0 permits either connection reuse or
+  per-call connections).  Every endpoint is served by one event loop
+  (:class:`_EventLoop`, ``docs/event-loop.md``): frames arriving on one
+  connection — a foreign client may write several back to back — are
+  dispatched concurrently and answered as they finish, since GIOP
+  matches a reply to its request by id.
 
 Both expose the same two operations: ``register`` a server endpoint and
 ``send`` a request to an endpoint, returning the reply bytes.
@@ -33,8 +35,7 @@ from typing import Any, Callable, Optional, Union
 from repro.deadline import Deadline, current_policy
 from repro.errors import CommFailure, DeadlineExceeded, MarshalError
 from repro.orb.giop import (HEADER_SIZE, busy_reply, peek_frame_size,
-                            peek_reply_id, peek_request,
-                            peek_request_admission)
+                            peek_request, peek_request_admission)
 from repro.orb.overload import AdmissionController, OverloadPolicy
 
 #: A server-side message handler: request bytes in, reply bytes out
@@ -61,14 +62,6 @@ class TransportMetrics:
     #: TCP connection accounting (always zero on the in-memory fabric).
     connections_opened: int = 0
     connections_reused: int = 0
-    #: Pipelining accounting: requests submitted behind another in
-    #: flight on the same connection, the deepest in-flight depth, callers
-    #: that gave up waiting for a matched reply (stalls), and requests
-    #: that found every stripe at its depth cap (overflows).
-    requests_pipelined: int = 0
-    max_in_flight: int = 0
-    pipeline_stalls: int = 0
-    pipeline_overflows: int = 0
     #: Event-loop write batching: flushes that coalesced several queued
     #: frames into one ``send``, and the frames beyond the first.
     batch_flushes: int = 0
@@ -97,21 +90,6 @@ class TransportMetrics:
                 self.connections_reused += 1
             else:
                 self.connections_opened += 1
-
-    def record_pipeline(self, depth: int) -> None:
-        with self._lock:
-            if depth > 1:
-                self.requests_pipelined += 1
-            if depth > self.max_in_flight:
-                self.max_in_flight = depth
-
-    def record_stall(self) -> None:
-        with self._lock:
-            self.pipeline_stalls += 1
-
-    def record_overflow(self) -> None:
-        with self._lock:
-            self.pipeline_overflows += 1
 
     def record_batch(self, frames: int) -> None:
         """One flush wrote *frames* coalesced frames in a single send.
@@ -391,7 +369,7 @@ class _ConnectionPool:
     already holds ``max_idle`` spares or the pool is closed.
     """
 
-    def __init__(self, max_idle: int = 8):
+    def __init__(self, max_idle: int):
         self.max_idle = max_idle
         self._idle: dict[Endpoint, deque[socket.socket]] = {}
         self._lock = threading.Lock()
@@ -445,34 +423,16 @@ def _as_bytes(frame: Frame) -> bytes:
     return frame if isinstance(frame, bytes) else bytes(frame)
 
 
-class _ChannelDead(Exception):
-    """The pipelined connection died before this request was sent."""
-
-    def __init__(self, cause: Exception):
-        super().__init__(str(cause))
-        self.cause = cause
-
-
-class _RequestIdBusy(Exception):
-    """This request id is already in flight on the chosen connection."""
-
-
-class _PendingReply:
-    """One caller's wait slot: filled by the loop, or failed."""
-
-    __slots__ = ("event", "frame", "error")
-
-    def __init__(self) -> None:
-        self.event = threading.Event()
-        self.frame: Optional[Frame] = None
-        self.error: Optional[Exception] = None
-
-
 #: Listen backlog for every endpoint.  The loop drains accepts in a
 #: tight non-blocking burst, so a storm of connecting clients (parallel
 #: discovery fan-out) queues here instead of hitting kernel SYN
 #: retransmit timers.
 _LOOP_BACKLOG = 512
+
+#: Idle keep-alive connections a client keeps per endpoint.  More
+#: concurrent callers than this still each get a connection; only this
+#: many are kept for reuse once they finish.
+_POOL_SIZE = 8
 
 #: Most queued bytes one flush coalesces into a single ``send``.
 _BATCH_FLUSH = 64 * 1024
@@ -495,10 +455,11 @@ _Job = tuple[Callable[[], None], Optional[Callable[[], None]]]
 
 
 class _EventLoop:
-    """One ``selectors`` selector demultiplexing every socket the
-    transport owns — listeners, accepted server connections, pipelined
-    client channels — served by threads in the *leader/followers*
-    pattern.
+    """One ``selectors`` selector demultiplexing every server socket the
+    transport owns — listeners and accepted connections — served by
+    threads in the *leader/followers* pattern.  Client connections stay
+    off it: a caller writes its request and reads the reply on its own
+    blocking socket.
 
     One thread at a time, the **leader**, owns the selector.  A request
     frame it reads becomes a servant *job*; the leader takes the job,
@@ -760,11 +721,12 @@ class _EventLoop:
 class _LoopStream:
     """A non-blocking socket driven by the event loop: the leader slices
     reads into GIOP frames for :meth:`on_frame` and flushes a write
-    queue in batched sends, while a thread that served a request writes
-    the reply itself (:meth:`write`; ``_write_lock`` keeps whole frames
-    whole).  Anything that ends the stream — a read or write error, the
-    peer closing, a header that is not GIOP — goes to
-    :meth:`on_broken`."""
+    queue in batched sends, while each thread that served one of the
+    connection's requests writes its reply itself (:meth:`write`;
+    ``_write_lock`` keeps whole frames whole when several replies to
+    back-to-back requests race).  Anything that ends the stream — a
+    read or write error, the peer closing, a header that is not GIOP —
+    goes to :meth:`on_broken`."""
 
     def __init__(self, loop: _EventLoop, sock: socket.socket):
         self.loop = loop
@@ -986,147 +948,32 @@ class _LoopListener:
         self.connections.clear()
 
 
-class _LoopChannel(_LoopStream):
-    """One GIOP connection carrying multiple in-flight requests,
-    multiplexed on the event loop.
-
-    Callers ``submit`` a frame and receive a wait slot; the loop writes
-    it and delivers each reply frame, in whatever order the server
-    finished them, to the slot whose ``request_id`` it answers.  A read
-    or write error, peer close, or unattributable frame kills the
-    channel: every pending caller fails with the same cause, and the
-    owning transport discards only this stripe.
-    """
-
-    def __init__(self, loop: _EventLoop, endpoint: Endpoint,
-                 sock: socket.socket):
-        super().__init__(loop, sock)
-        self.endpoint = endpoint
-        self._state_lock = threading.Lock()
-        self._pending: dict[int, _PendingReply] = {}
-        self._dead_cause: Optional[Exception] = None
-        loop.call_soon(self.register)
-
-    # ----------------------------------------------- channel API (any thread) --
-
-    @property
-    def dead(self) -> bool:
-        return self._dead_cause is not None
-
-    def in_flight(self) -> int:
-        with self._state_lock:
-            return len(self._pending)
-
-    def submit(self, request_id: int,
-               data: bytes) -> tuple[_PendingReply, int]:
-        """Register *request_id* and queue *data* for the loop to send;
-        returns the wait slot and the in-flight depth at submission
-        (for metrics)."""
-        slot = _PendingReply()
-        with self._state_lock:
-            if self._dead_cause is not None:
-                raise _ChannelDead(self._dead_cause)
-            if request_id in self._pending:
-                raise _RequestIdBusy(request_id)
-            self._pending[request_id] = slot
-            depth = len(self._pending)
-        self.loop.call_soon(self.enqueue, data)
-        return slot, depth
-
-    def cancel(self, request_id: int) -> None:
-        """Stop waiting for *request_id* (stall timeout): a late reply
-        for it will be read and dropped, keeping the stream in sync."""
-        with self._state_lock:
-            self._pending.pop(request_id, None)
-
-    def close(self) -> None:
-        self._kill(CommFailure(
-            f"pipelined connection to {self.endpoint!r} closed"))
-
-    def _kill(self, cause: Exception) -> None:
-        """Any thread: fail every pending caller *now* (so checkout
-        sees ``dead`` immediately), then tear the socket down on the
-        leader, which owns the selector."""
-        with self._state_lock:
-            if self._dead_cause is None:
-                self._dead_cause = cause
-            doomed = list(self._pending.values())
-            self._pending.clear()
-        for slot in doomed:
-            slot.error = cause
-            slot.event.set()
-        if self.loop.running:
-            self.loop.call_soon(self.close_stream)
-        else:
-            self.close_stream()
-
-    # ------------------------------------------------------------ leader --
-
-    def on_frame(self, frame: Frame) -> None:
-        request_id = peek_reply_id(frame)
-        if request_id is None:
-            self._kill(CommFailure(
-                f"unattributable frame on pipelined connection to "
-                f"{self.endpoint!r}"))
-            return
-        with self._state_lock:
-            slot = self._pending.pop(request_id, None)
-        if slot is not None:
-            slot.frame = frame
-            slot.event.set()
-        # No slot: cancelled caller's late reply (or a frame behind the
-        # one that killed us) — drop it.
-
-    def on_broken(self, cause: Exception) -> None:
-        self._kill(CommFailure(
-            f"pipelined connection to {self.endpoint!r} broke: {cause}"))
-
-
 class TcpTransport(Transport):
     """Real IIOP-over-TCP on localhost.
 
     Every registered endpoint is a listener on the transport's one event
     loop; ``loop_workers`` bounds how many servants it runs at once.
 
-    Clients keep connections alive in a per-endpoint pool of at most
-    *pool_size* spares, so the steady state costs zero TCP handshakes.
-    A pooled connection that has gone stale (the server restarted, the
+    A client sends one request at a time on a connection checked out of
+    a per-endpoint keep-alive pool that keeps at most ``_POOL_SIZE``
+    spares, so the steady state costs zero TCP handshakes.  A oneway
+    request (no response expected) is written and not waited for.  A
+    pooled connection that has gone stale (the server restarted, the
     peer dropped it) is discarded, and the request is retried once on a
     fresh connection **only when the current call is flagged
     idempotent** (see :mod:`repro.deadline`): the server may already
     have applied it.  Each ``send`` bounds its socket timeout by the
     calling thread's remaining :class:`~repro.deadline.Deadline`
     (*timeout* is only the default).
-
-    ``pipelined=True`` switches the client to **GIOP request
-    pipelining**: concurrent callers share *stripes* connections per
-    endpoint, each carrying up to *pipeline_depth* requests in flight,
-    with replies matched back by ``request_id``.  Requests past every
-    stripe's depth cap overflow onto a serial round-trip; a connection
-    that dies fails exactly the requests in flight on it, each through
-    the same idempotence gate, and only that stripe is discarded.  See
-    ``docs/pipelining.md``.
     """
 
     _instance_seq = itertools.count(1)
 
     def __init__(self, host: str = "127.0.0.1", timeout: float = 5.0,
-                 pool_size: int = 8, pipelined: bool = False,
-                 stripes: int = 1, pipeline_depth: int = 32,
                  loop_workers: int = 6,
                  overload: Optional[OverloadPolicy] = None):
-        if pipelined not in (False, True):
-            raise ValueError(
-                f"pipelined must be True or False, got {pipelined!r}")
         self.host = host
         self.timeout = timeout
-        self.pipelined = bool(pipelined)
-        #: Pipelined connections per endpoint; concurrent callers are
-        #: spread across stripes by least-loaded choice, and a new
-        #: stripe is only opened when every existing one is busy.
-        self.stripes = max(1, int(stripes))
-        #: Max requests in flight per pipelined connection.
-        self.pipeline_depth = max(1, int(pipeline_depth))
         self.loop_workers = max(1, int(loop_workers))
         #: Server-side admission control, defaulting from
         #: ``REPRO_SHEDDING``.  Disabled, the controller is never
@@ -1135,9 +982,7 @@ class TcpTransport(Transport):
         if overload is None:
             overload = OverloadPolicy(shed=_shed_default())
         self.admission = AdmissionController(overload)
-        self._pool = _ConnectionPool(max_idle=pool_size)
-        self._channels: dict[Endpoint, list[_LoopChannel]] = {}
-        self._channels_lock = threading.Lock()
+        self._pool = _ConnectionPool(max_idle=_POOL_SIZE)
         self._listeners: dict[Endpoint, _LoopListener] = {}
         self._lock = threading.Lock()
         self._loop_name = f"giop-loop-{next(TcpTransport._instance_seq)}"
@@ -1177,10 +1022,6 @@ class TcpTransport(Transport):
         with self._lock:
             listener = self._listeners.pop(endpoint, None)
         self._pool.discard(endpoint)
-        with self._channels_lock:
-            channels = self._channels.pop(endpoint, [])
-        for channel in channels:
-            channel.close()
         if listener is not None and self._event_loop is not None:
             self._event_loop.call_soon_sync(listener.close)
 
@@ -1240,45 +1081,35 @@ class TcpTransport(Transport):
         loop = self._event_loop
         return 0 if loop is None else loop.thread_count()
 
-    def _roundtrip(self, connection: socket.socket, data: bytes) -> bytes:
-        connection.sendall(data)
-        return read_giop_frame(connection)
+    # --------------------------------------------------------------- client --
 
-    def _effective_timeout(self) -> tuple[float, Optional[Deadline]]:
-        """Socket timeout for this call: the constructor default,
-        tightened to the calling thread's remaining deadline budget."""
-        deadline = current_policy().deadline
-        if deadline is None:
-            return self.timeout, None
-        return min(self.timeout, deadline.require("IIOP request")), deadline
+    def _roundtrip(self, connection: socket.socket, data: bytes,
+                   response_expected: bool) -> bytes:
+        connection.sendall(data)
+        return read_giop_frame(connection) if response_expected else b""
 
     def send(self, endpoint: Endpoint, data: bytes) -> bytes:
-        timeout, deadline = self._effective_timeout()
+        policy = current_policy()
+        deadline = policy.deadline
+        # The socket timeout: the constructor default, tightened to the
+        # calling thread's remaining deadline budget.
+        timeout = self.timeout if deadline is None \
+            else min(self.timeout, deadline.require("IIOP request"))
         # First attempts refill the caller's retry budget per endpoint;
-        # transparent resends (stale pool, dead stripe) draw it down.  A
+        # a transparent resend (stale pool) draws it down.  A
         # policy-level retry (attempt > 1) refills nothing, or retries
         # would mint the tokens funding themselves.
-        policy = current_policy()
         budget = policy.retry_budget
         if budget is not None and policy.attempt == 1:
             budget.note_attempt(f"{endpoint[0]}:{endpoint[1]}")
-        if self.pipelined:
-            request_id, response_expected = peek_request(data)
-            if request_id is not None:
-                return self._send_pipelined(endpoint, data, request_id,
-                                            response_expected, timeout,
-                                            deadline)
-            # Frames without a request id cannot be matched to a reply:
-            # give them a dedicated serial round-trip.
-        return self._send_serial(endpoint, data, timeout, deadline)
-
-    def _send_serial(self, endpoint: Endpoint, data: bytes,
-                     timeout: float, deadline: Optional[Deadline]) -> bytes:
+        # The server writes nothing back for a oneway request: reading
+        # for a reply would wait out the socket timeout.
+        __, response_expected = peek_request(data)
         connection = self._pool.checkout(endpoint)
         if connection is not None:
             try:
                 connection.settimeout(timeout)
-                reply = self._roundtrip(connection, data)
+                reply = self._roundtrip(connection, data, response_expected)
             except (OSError, CommFailure) as exc:
                 # Stale keep-alive connection.  The server may have
                 # applied the request and only the reply been lost, so
@@ -1290,7 +1121,7 @@ class TcpTransport(Transport):
         if connection is None:
             connection = _connect(endpoint, timeout, deadline)
             try:
-                reply = self._roundtrip(connection, data)
+                reply = self._roundtrip(connection, data, response_expected)
             except (OSError, CommFailure) as exc:
                 _close_quietly(connection)
                 if deadline is not None and deadline.expired:
@@ -1303,114 +1134,6 @@ class TcpTransport(Transport):
         self.metrics.record_connection(reused=reused)
         self.metrics.record(endpoint, len(data), len(reply))
         return reply
-
-    # ------------------------------------------------------- pipelined client --
-
-    def _send_pipelined(self, endpoint: Endpoint, data: bytes,
-                        request_id: int, response_expected: bool,
-                        timeout: float,
-                        deadline: Optional[Deadline]) -> bytes:
-        """One request through a shared pipelined connection.
-
-        Mirrors the serial path's resend contract: a failure *after*
-        the request's bytes may have gone out is only retried (once, on
-        a fresh serial connection) when the caller declared the call
-        idempotent; a failure *before* anything was sent is freely
-        retried on a sibling stripe.
-        """
-        attempts = 0
-        while True:
-            attempts += 1
-            channel, opened = self._checkout_channel(endpoint, timeout,
-                                                     deadline)
-            if channel is None:
-                # Every stripe is at its depth cap: overflow to a
-                # dedicated serial round-trip instead of queueing.
-                self.metrics.record_overflow()
-                return self._send_serial(endpoint, data, timeout, deadline)
-            try:
-                slot, depth = channel.submit(request_id, data)
-            except _RequestIdBusy:
-                # Another caller already has this id in flight here
-                # (hand-crafted frames can collide); never cross wires.
-                return self._send_serial(endpoint, data, timeout, deadline)
-            except _ChannelDead as exc:
-                # Died before our bytes went out: a sibling (or fresh)
-                # stripe is always safe to try.
-                self._drop_channel(endpoint, channel)
-                if attempts <= self.stripes + 1:
-                    continue
-                raise CommFailure(
-                    f"no live pipelined connection to {endpoint!r}: "
-                    f"{exc.cause}") from exc.cause
-            break
-        self.metrics.record_connection(reused=not opened)
-        self.metrics.record_pipeline(depth)
-        if not response_expected:
-            self.metrics.record(endpoint, len(data), 0)
-            return b""
-        if not slot.event.wait(timeout):
-            channel.cancel(request_id)
-            if slot.frame is not None:  # delivered in the cancel race
-                self.metrics.record(endpoint, len(data), len(slot.frame))
-                return _as_bytes(slot.frame)
-            self.metrics.record_stall()
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceeded(
-                    f"pipelined IIOP request {request_id} to {endpoint!r} "
-                    f"overran its deadline (no matching reply within "
-                    f"{timeout:.3f}s)")
-            raise CommFailure(
-                f"pipeline stall: no reply for request {request_id} from "
-                f"{endpoint!r} within {timeout:.3f}s")
-        if slot.error is not None:
-            # The connection died with our request in flight.  Only
-            # this stripe is discarded; whether a resend is safe is the
-            # caller's (idempotence) call, exactly as for a stale
-            # pooled connection.
-            self._drop_channel(endpoint, channel)
-            self._gate_resend(endpoint, slot.error, deadline)
-            return self._send_serial(endpoint, data, timeout, deadline)
-        reply = _as_bytes(slot.frame) if slot.frame is not None else b""
-        self.metrics.record(endpoint, len(data), len(reply))
-        return reply
-
-    def _checkout_channel(self, endpoint: Endpoint, timeout: float,
-                          deadline: Optional[Deadline]
-                          ) -> tuple[Optional[_LoopChannel], bool]:
-        """The least-loaded live stripe for *endpoint* (opening a new
-        one while under the stripe cap and all existing stripes are
-        busy), as ``(channel, opened)``.  ``(None, False)`` means every
-        stripe is at :attr:`pipeline_depth` (overflow)."""
-        with self._channels_lock:
-            channels = [channel
-                        for channel in self._channels.get(endpoint, ())
-                        if not channel.dead]
-            self._channels[endpoint] = channels
-            best = min(channels, key=lambda channel: channel.in_flight(),
-                       default=None)
-            if best is not None:
-                load = best.in_flight()
-                if load == 0 or len(channels) >= self.stripes:
-                    if load >= self.pipeline_depth:
-                        return None, False
-                    return best, False
-            connection = _connect(endpoint, timeout, deadline)
-            _make_nonblocking(connection)
-            channel = _LoopChannel(self._ensure_loop(), endpoint,
-                                   connection)
-            channels.append(channel)
-            return channel, True
-
-    def _drop_channel(self, endpoint: Endpoint,
-                      channel: _LoopChannel) -> None:
-        """Discard one dead stripe.  Healthy sibling stripes — and the
-        requests in flight on them — are untouched."""
-        with self._channels_lock:
-            channels = self._channels.get(endpoint)
-            if channels and channel in channels:
-                channels.remove(channel)
-        channel.close()
 
     def _gate_resend(self, endpoint: Endpoint, cause: Exception,
                      deadline: Optional[Deadline]) -> None:
@@ -1437,19 +1160,6 @@ class TcpTransport(Transport):
                 f"retry budget exhausted for {endpoint!r}; not resending "
                 f"({cause})") from cause
 
-    def stripe_count(self, endpoint: Endpoint) -> int:
-        """Live pipelined connections to *endpoint* (tests, tuning)."""
-        with self._channels_lock:
-            return sum(1 for channel in self._channels.get(endpoint, ())
-                       if not channel.dead)
-
-    def pipeline_in_flight(self, endpoint: Endpoint) -> int:
-        """Requests currently in flight across *endpoint*'s stripes."""
-        with self._channels_lock:
-            return sum(channel.in_flight()
-                       for channel in self._channels.get(endpoint, ())
-                       if not channel.dead)
-
     def idle_connections(self, endpoint: Optional[Endpoint] = None) -> int:
         """Spare pooled connections (for tests and pool tuning)."""
         return self._pool.idle_count(endpoint)
@@ -1458,12 +1168,6 @@ class TcpTransport(Transport):
         """Shut down every listener and connection this transport
         opened."""
         self._pool.close()
-        with self._channels_lock:
-            channels = [channel for stripes in self._channels.values()
-                        for channel in stripes]
-            self._channels.clear()
-        for channel in channels:
-            channel.close()
         for endpoint in list(self._listeners):
             self.unregister(endpoint)
         with self._loop_lock:

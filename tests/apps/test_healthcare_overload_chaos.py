@@ -102,9 +102,7 @@ def test_request_storm_respects_shedding_configuration(chaos_seed):
     Shedding comes from the environment, so the CI matrix drives both
     settings through this one test body.
     """
-    transport = TcpTransport(pipelined=True, stripes=1,
-                             pipeline_depth=2 * STORM_CLIENTS,
-                             loop_workers=WORKERS, timeout=5.0)
+    transport = TcpTransport(loop_workers=WORKERS, timeout=5.0)
     budget = RetryBudget(ratio=RETRY_RATIO, burst=10.0)
     outcomes = {"ok": 0, "shed": 0, "expired": 0, "comm": 0}
     lock = threading.Lock()

@@ -188,21 +188,22 @@ def test_parallel_equals_sequential_with_failures(topology):
         parallel.close()
 
 
-@pytest.mark.parametrize("stripes", [1, 2, 4],
-                         ids=["stripes1", "stripes2", "stripes4"])
+@pytest.mark.parametrize("workers", [1, 2, 4],
+                         ids=["workers1", "workers2", "workers4"])
 @given(topologies())
-@settings(max_examples=4, deadline=None)
-def test_parallel_equals_sequential_over_pipelined_tcp(stripes, topology):
-    """The deterministic-merge invariant survives the pipelined TCP
-    transport: with co-databases behind one real IIOP endpoint and the
-    parallel fan-out sharing `stripes` pipelined connections, leads,
-    counts, traces, and unreachable lists still match the sequential
-    engine exactly."""
+@settings(max_examples=6, deadline=None)
+def test_parallel_equals_sequential_over_tcp(workers, topology):
+    """The deterministic-merge invariant survives the TCP transport:
+    with co-databases behind one real IIOP endpoint whose event loop
+    runs at most `workers` servants at once, and the parallel fan-out's
+    four callers each on their own pooled connection, leads, counts,
+    traces, and unreachable lists still match the sequential engine
+    exactly."""
     from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
     from repro.orb import ORBIX, TcpTransport, create_orb
 
     registry, names, databases = build(*topology)
-    transport = TcpTransport(pipelined=True, stripes=stripes)
+    transport = TcpTransport(loop_workers=workers)
     orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
     try:
         iors = {

@@ -1,15 +1,18 @@
 """The event loop every TcpTransport serves from: loop mechanics,
-leader/followers dispatch, batching, and metrics safety under mixed
-loop/servant access."""
+leader/followers dispatch, back-to-back frames from a foreign client,
+batching, and metrics safety under mixed loop/servant access."""
 
 import socket
 import sys
 import threading
+import time
 
 import pytest
 
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
-from repro.orb.transport import TransportMetrics, _EventLoop, _LoopStream
+from repro.orb.giop import RequestMessage, decode_message, encode_message
+from repro.orb.transport import (TransportMetrics, _EventLoop, _LoopStream,
+                                 read_giop_frame)
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
 
@@ -50,33 +53,10 @@ def test_loop_large_payload_crosses_recv_and_send_boundaries():
         transport.close()
 
 
-def test_loop_pipelined_concurrent_callers():
-    transport, orb, proxy = _echo_deployment(pipelined=True, stripes=2)
-    try:
-        barrier = threading.Barrier(12)
-        results = {}
-
-        def caller(index):
-            barrier.wait()
-            results[index] = proxy.echo(index)
-
-        threads = [threading.Thread(target=caller, args=(index,))
-                   for index in range(12)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert results == {index: index for index in range(12)}
-        assert transport.metrics.requests_pipelined > 0
-    finally:
-        transport.close()
-
-
 def test_loop_server_thread_count_is_bounded():
     """The acceptance bound: however many clients connect, the server
     side is at most ``loop_workers`` servants plus one leader."""
-    transport, orb, proxy = _echo_deployment(pipelined=True, stripes=4,
-                                             loop_workers=6)
+    transport, orb, proxy = _echo_deployment(loop_workers=6)
     try:
         barrier = threading.Barrier(32)
 
@@ -175,37 +155,79 @@ def test_requests_past_the_servant_cap_wait_for_a_slot():
         transport.close()
 
 
+def _send_back_to_back(sock, object_key, values, read_after=0.0):
+    """One round of a foreign client: write one echo request per value
+    in a single ``sendall`` (from a helper thread, so neither side can
+    block on a full socket buffer), start reading *read_after* seconds
+    later, and return ``{request_id: answer}`` for the replies read."""
+    frames = [encode_message(RequestMessage(
+        request_id=100 + index, object_key=object_key, operation="echo",
+        arguments=[value])) for index, value in enumerate(values)]
+    writer = threading.Thread(target=sock.sendall,
+                              args=(b"".join(frames),))
+    writer.start()
+    time.sleep(read_after)
+    answers = {}
+    for __ in frames:
+        reply = decode_message(read_giop_frame(sock))
+        answers[reply.request_id] = reply.body
+    writer.join(timeout=30.0)
+    assert not writer.is_alive()
+    return answers
+
+
+class DelayedEchoServant:
+    """Echoes an integer after ``delays[value]`` seconds (other values
+    at once): the first of several back-to-back requests can be made
+    the slowest."""
+
+    def __init__(self, delays=()):
+        self.delays = delays
+
+    def echo(self, value):
+        if isinstance(value, int) and value < len(self.delays):
+            time.sleep(self.delays[value])
+        return value
+
+
+def test_serial_server_answers_back_to_back_frames_in_order():
+    """A foreign client that writes three requests in one ``sendall``
+    gets exactly one reply per request id, each carrying its own
+    answer — even when the first is the slowest.  The server dispatches
+    the frames concurrently, so replies may arrive in any order: GIOP
+    matches a reply to its request by id, not by position."""
+    transport = TcpTransport()
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    try:
+        ior = orb.activate(DelayedEchoServant([0.02, 0.0, 0.0]), ECHO,
+                           object_name="echo")
+        with socket.create_connection(orb.endpoint, timeout=5.0) as sock:
+            answers = _send_back_to_back(sock, ior.primary.object_key,
+                                         [0, 1, 2])
+        assert answers == {100: 0, 101: 1, 102: 2}
+    finally:
+        transport.close()
+
+
 def test_concurrent_replies_on_one_connection_stay_whole():
-    """Servants answering one pipelined connection at once each write
-    their reply from their own thread.  With a shortened switch
-    interval and replies larger than a socket buffer takes at once
-    (partial sends, the remainder left for the leader's flush), every
-    caller still gets exactly its own bytes back."""
+    """Servants answering back-to-back requests from one connection at
+    once each write their reply from their own thread.  With a
+    shortened switch interval, and a client that reads only once 8 MiB
+    of replies are due (more than the socket buffers hold, so sends are
+    partial and the remainder is left for the leader's flush), every
+    request id still gets exactly its own bytes back."""
     previous = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
-    transport, orb, proxy = _echo_deployment(pipelined=True, stripes=1,
-                                             loop_workers=4)
-    errors, done = [], []
-
-    def caller(index):
-        blob = bytes([index]) * (1024 * 1024 + index)
-        try:
-            for __ in range(2):
-                assert proxy.echo(blob) == blob
-            done.append(index)
-        except Exception as exc:  # noqa: BLE001 - asserted below
-            errors.append(exc)
-
-    threads = [threading.Thread(target=caller, args=(index,))
-               for index in range(8)]
+    transport = TcpTransport(loop_workers=4)
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    blobs = [bytes([index]) * (1024 * 1024 + index) for index in range(8)]
     try:
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60.0)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        assert sorted(done) == list(range(8))
+        ior = orb.activate(DelayedEchoServant(), ECHO, object_name="echo")
+        expected = {100 + index: blob for index, blob in enumerate(blobs)}
+        with socket.create_connection(orb.endpoint, timeout=20.0) as sock:
+            for __ in range(2):
+                assert _send_back_to_back(sock, ior.primary.object_key,
+                                          blobs, read_after=0.3) == expected
     finally:
         sys.setswitchinterval(previous)
         transport.close()
@@ -284,19 +306,12 @@ def test_batch_flush_cap_limits_one_batch():
 # ------------------------------------------------------ constructor surface --
 
 
-def test_auto_mode_rejects_bad_values():
-    """``pipelined`` is a plain bool: ``"auto"`` is refused like any
-    other non-bool rather than read as truthy."""
-    for value in ("auto", "always"):
-        with pytest.raises(ValueError):
-            TcpTransport(pipelined=value)
-
-
-@pytest.mark.parametrize("keyword, value", [("loop", True),
-                                            ("pooled", False)])
+@pytest.mark.parametrize("keyword, value", [
+    ("loop", True), ("pooled", False), ("pipelined", True), ("stripes", 2),
+    ("pipeline_depth", 8), ("pool_size", 2)])
 def test_server_and_serial_client_are_not_selectable(keyword, value):
-    """One server (the event loop) and one serial client (pooled): no
-    keyword picks another."""
+    """One server (the event loop) and one client (serial, pooled, a
+    fixed number of spares): no keyword picks or tunes another."""
     with pytest.raises(TypeError):
         TcpTransport(**{keyword: value})
 
@@ -318,9 +333,8 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
         start.wait()
         for index in range(iterations):
             metrics.record(endpoint, 100, 50)
-            metrics.record_pipeline(depth=(seed + index) % 7)
-            metrics.record_stall()
-            metrics.record_overflow()
+            metrics.record_shed("deadline" if (seed + index) % 2
+                                else "overload")
             metrics.record_batch(frames=3)
             metrics.record_connection(reused=index % 2 == 0)
 
@@ -347,8 +361,7 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
     snapshot = metrics.snapshot()
     assert snapshot["messages_sent"] == total
     assert snapshot["bytes_sent"] == total * 100
-    assert snapshot["pipeline_stalls"] == total
-    assert snapshot["pipeline_overflows"] == total
+    assert snapshot["requests_shed"] + snapshot["requests_expired"] == total
     assert snapshot["batch_flushes"] == total
     assert snapshot["frames_batched"] == total * 2
     assert snapshot["connections_opened"] \

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.errors import MarshalError
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
 from repro.orb.giop import (ReplyMessage, ReplyStatus, RequestMessage,
-                            encode_message, peek_reply_id)
+                            decode_message, encode_message)
 from repro.orb.transport import FrameBuffer, read_giop_frame
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
@@ -155,7 +155,7 @@ def test_server_survives_dribbled_request_on_the_wire(server):
                 time.sleep(0.001)
             sock.settimeout(5.0)
             reply = read_giop_frame(sock)
-        assert peek_reply_id(reply) == 99
+        assert decode_message(reply).request_id == 99
     finally:
         transport.close()
 
@@ -186,7 +186,8 @@ def test_interleaved_dribblers_are_not_cross_wired(server):
                 for start in range(0, len(request), 5):
                     sock.sendall(request[start:start + 5])
                 sock.settimeout(5.0)
-                results[request_id] = peek_reply_id(read_giop_frame(sock))
+                results[request_id] = \
+                    decode_message(read_giop_frame(sock)).request_id
 
         threads = [threading.Thread(target=dribbler, args=(100 + index,))
                    for index in range(4)]

@@ -8,7 +8,7 @@ from repro.errors import MarshalError
 from repro.orb.giop import (HEADER_SIZE, MAGIC, LocateReplyMessage,
                             LocateRequestMessage, LocateStatus, MessageType,
                             ReplyMessage, ReplyStatus, RequestMessage,
-                            decode_message, encode_message)
+                            decode_message, encode_message, peek_request)
 from repro.orb.ior import IiopProfile, Ior, make_ior
 
 
@@ -98,6 +98,61 @@ class TestMessages:
         message = RequestMessage(request_id=request_id, object_key=key,
                                  operation=operation, arguments=args)
         assert decode_message(encode_message(message)) == message
+
+
+class TestPeekRequest:
+    """``peek_request`` reads a frame's request id (a BUSY reply needs
+    it) and response flag (the TCP client waits for no reply to a
+    oneway request) without decoding the body."""
+
+    @given(request_id=st.integers(min_value=0, max_value=2**32 - 1),
+           response_expected=st.booleans(),
+           operation=st.text(min_size=1, max_size=20),
+           little_endian=st.booleans(),
+           context=st.lists(st.tuples(st.integers(0, 2**16),
+                                      st.text(max_size=8)), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_request_roundtrip(self, request_id, response_expected,
+                               operation, little_endian, context):
+        """Exactly the id and response flag that ``encode_message``
+        wrote, through any service context and endianness."""
+        frame = encode_message(
+            RequestMessage(request_id=request_id, object_key=b"key",
+                           operation=operation,
+                           response_expected=response_expected,
+                           service_context=context),
+            little_endian=little_endian)
+        assert peek_request(frame) == (request_id, response_expected)
+
+    @given(request_id=st.integers(min_value=0, max_value=2**32 - 1),
+           little_endian=st.booleans(),
+           body=st.one_of(st.none(), st.integers(-100, 100),
+                          st.text(max_size=16)))
+    @settings(max_examples=100, deadline=None)
+    def test_reply_carries_no_request(self, request_id, little_endian,
+                                      body):
+        frame = encode_message(
+            ReplyMessage(request_id=request_id,
+                         status=ReplyStatus.NO_EXCEPTION, body=body),
+            little_endian=little_endian)
+        assert peek_request(frame) == (None, True)
+
+    @given(request_id=st.integers(min_value=0, max_value=2**32 - 1),
+           little_endian=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_locate_request_expects_a_reply(self, request_id,
+                                            little_endian):
+        locate = encode_message(
+            LocateRequestMessage(request_id=request_id, object_key=b"k"),
+            little_endian=little_endian)
+        assert peek_request(locate) == (request_id, True)
+
+    @given(noise=st.binary(max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_never_raises_on_garbage(self, noise):
+        """Arbitrary bytes — including truncated GIOP prefixes — peek
+        as carrying no request id rather than raising."""
+        assert peek_request(noise) == (None, True)
 
 
 class TestIor:

@@ -268,7 +268,7 @@ class TestSheddingOverTcp:
                 finished.set()
                 return value
 
-        transport = TcpTransport(pipelined=True, stripes=1)
+        transport = TcpTransport()
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
         client = create_orb(VISIBROKER, transport, host="127.0.0.1", port=0)
         proxy = client.proxy(server.activate(SlowServant(), ECHO), ECHO)
@@ -288,8 +288,8 @@ class TestSheddingOverTcp:
         caller.join(timeout=2.0)
 
     def test_connection_teardown_abandons_queued_admission_tickets(self):
-        """Frames still queued behind a busy worker when the transport
-        is torn down are cancelled; each cancelled frame must hand its
+        """Frames from concurrent callers still queued behind a busy
+        worker when the transport is torn down are cancelled; each cancelled frame must hand its
         admission ticket back, or the transport-shared controller
         leaks queue capacity until everything is shed as queue-full."""
         release = threading.Event()
@@ -303,8 +303,7 @@ class TestSheddingOverTcp:
 
         policy = OverloadPolicy(shed=True, queue_limit=64,
                                 codel_target=10.0, codel_interval=10.0)
-        transport = TcpTransport(pipelined=True, stripes=1,
-                                 loop_workers=1, overload=policy)
+        transport = TcpTransport(loop_workers=1, overload=policy)
         closer = threading.Thread(target=transport.close, daemon=True)
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)

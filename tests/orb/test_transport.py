@@ -1,6 +1,7 @@
 """Transport tests: in-memory fabric metrics and real TCP IIOP."""
 
 import threading
+import time
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.deadline import call_policy
 from repro.errors import CommFailure
 from repro.orb import (InMemoryNetwork, InterfaceBuilder, TcpTransport,
                        TransportMetrics, create_orb, ORBIX, VISIBROKER)
+from repro.orb.transport import _POOL_SIZE
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
 
@@ -218,6 +220,15 @@ class TestInMemoryNetworkConcurrency:
         assert not errors
 
 
+class SlowEchoServant:
+    def __init__(self, delay):
+        self.delay = delay
+
+    def echo(self, value):
+        time.sleep(self.delay)
+        return value
+
+
 class TestConnectionPool:
     def _echo_pair(self, transport):
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
@@ -295,12 +306,17 @@ class TestConnectionPool:
             transport.close()
 
     def test_pool_bounded(self):
-        """Concurrent checkouts beyond pool_size still work; only
-        pool_size spares are retained afterwards."""
-        transport = TcpTransport(pool_size=2)
+        """More concurrent callers than the pool keeps each get their own
+        connection; only ``_POOL_SIZE`` spares are retained afterwards."""
+        transport = TcpTransport()
+        callers = _POOL_SIZE + 4
         try:
-            proxy, ior = self._echo_pair(transport)
-            barrier = threading.Barrier(6)
+            server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+            client = create_orb(VISIBROKER, transport, host="127.0.0.1",
+                                port=0)
+            ior = server.activate(SlowEchoServant(0.1), ECHO)
+            proxy = client.proxy(ior, ECHO)
+            barrier = threading.Barrier(callers)
             errors: list[Exception] = []
 
             def call(index):
@@ -311,13 +327,15 @@ class TestConnectionPool:
                     errors.append(exc)
 
             threads = [threading.Thread(target=call, args=(index,))
-                       for index in range(6)]
+                       for index in range(callers)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join()
             assert not errors
-            assert transport.idle_connections(ior.primary.endpoint) <= 2
+            assert transport.metrics.connections_opened > _POOL_SIZE
+            assert transport.idle_connections(ior.primary.endpoint) \
+                == _POOL_SIZE
         finally:
             transport.close()
 
@@ -336,89 +354,67 @@ class TestConnectionPool:
             transport.close()
 
 
-class SlowEchoServant:
-    def __init__(self, delay):
-        self.delay = delay
+NOTIFIER = (InterfaceBuilder("Notifier")
+            .operation("notify", "value", oneway=True)
+            .operation("echo", "value")
+            .build())
+
+
+class NotifierServant:
+    def __init__(self):
+        self.notified: list = []
+        self.arrived = threading.Event()
+
+    def notify(self, value):
+        self.notified.append(value)
+        self.arrived.set()
 
     def echo(self, value):
-        import time
-        time.sleep(self.delay)
         return value
 
 
-class TestPipelinedStripes:
-    """Striping semantics that must hold without fault injection (the
-    chaos suite covers fault attribution)."""
+class TestOneway:
+    """A oneway request is fire-and-forget over TCP: the server writes
+    no reply, so the client must not wait for one."""
 
-    def _slow_echo_pair(self, transport, delay=0.15):
+    def _notifier(self, transport):
         server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
         client = create_orb(VISIBROKER, transport, host="127.0.0.1", port=0)
-        ior = server.activate(SlowEchoServant(delay), ECHO)
-        return client.proxy(ior, ECHO), ior
+        servant = NotifierServant()
+        ior = server.activate(servant, NOTIFIER)
+        return client, servant, ior
 
-    def _build_stripes(self, transport, proxy, endpoint, count):
-        """Staggered concurrent calls open one stripe each."""
-        errors: list[Exception] = []
-
-        def call(index):
-            try:
-                assert proxy.echo(index) == index
-            except Exception as exc:  # noqa: BLE001
-                errors.append(exc)
-
-        import time
-        threads = [threading.Thread(target=call, args=(index,))
-                   for index in range(count)]
-        for thread in threads:
-            thread.start()
-            time.sleep(0.03)
-        for thread in threads:
-            thread.join()
-        assert not errors
-        assert transport.stripe_count(endpoint) == count
-
-    def test_stale_stripe_does_not_evict_healthy_siblings(self):
-        """Regression (ISSUE 5): discarding a dead stripe must not
-        discard the endpoint's healthy sibling stripes — the serial
-        pool's discard-the-whole-endpoint behaviour would sever
-        every other caller's connection."""
-        transport = TcpTransport(pipelined=True, stripes=3)
+    def test_oneway_returns_at_once_and_keeps_the_connection(self):
+        transport = TcpTransport(timeout=5.0)
         try:
-            proxy, ior = self._slow_echo_pair(transport)
-            endpoint = ior.primary.endpoint
-            self._build_stripes(transport, proxy, endpoint, 3)
-            with transport._channels_lock:
-                stale, *siblings = transport._channels[endpoint]
-            # The first stripe goes stale (peer dropped it).
-            stale.close()
-            with call_policy(idempotent=True):
-                assert proxy.echo("after") == "after"
-            assert transport.stripe_count(endpoint) == 2
-            with transport._channels_lock:
-                remaining = list(transport._channels[endpoint])
-            assert stale not in remaining
-            for sibling in siblings:
-                assert sibling in remaining
-                assert not sibling.dead
-        finally:
-            transport.close()
-
-    def test_unregister_closes_endpoint_stripes(self):
-        transport = TcpTransport(pipelined=True, stripes=2)
-        try:
-            proxy, ior = self._slow_echo_pair(transport, delay=0.0)
-            endpoint = ior.primary.endpoint
+            client, servant, ior = self._notifier(transport)
+            proxy = client.proxy(ior, NOTIFIER)
             assert proxy.echo("warm") == "warm"
-            assert transport.stripe_count(endpoint) == 1
-            transport.unregister(endpoint)
-            assert transport.stripe_count(endpoint) == 0
+            reused = transport.metrics.connections_reused
+            started = time.monotonic()
+            assert client.invoke(ior, "notify", [1], oneway=True) is None
+            assert time.monotonic() - started < 0.5
+            assert servant.arrived.wait(5.0)
+            assert proxy.echo("next") == "next"
+            assert transport.metrics.connections_reused == reused + 2
+            assert transport.metrics.connections_opened == 1
+            assert servant.notified == [1]
         finally:
             transport.close()
 
-    def test_serial_send_unaffected_by_pipelined_flag_default(self):
-        """pipelined=False keeps the exact pooled-serial behaviour the
-        earlier counters tests pin down."""
-        transport = TcpTransport()
-        assert transport.pipelined is False
-        assert transport.stripe_count(("nowhere", 1)) == 0
-        transport.close()
+    def test_declared_oneway_operation_goes_out_oneway(self):
+        transport = TcpTransport(timeout=5.0)
+        try:
+            client, servant, ior = self._notifier(transport)
+            sent = []
+            client.add_client_interceptor(
+                lambda request: sent.append(request.response_expected))
+            started = time.monotonic()
+            assert client.proxy(ior, NOTIFIER).notify(2) is None
+            assert time.monotonic() - started < 0.5
+            assert sent == [False]
+            assert transport.metrics.bytes_received == 0
+            assert servant.arrived.wait(5.0)
+            assert servant.notified == [2]
+        finally:
+            transport.close()

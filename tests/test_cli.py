@@ -7,6 +7,7 @@ import pytest
 from repro.apps.healthcare import topology as topo
 from repro import cli
 from repro.cli import Shell, main
+from repro.orb import TcpTransport
 
 
 @pytest.fixture()
@@ -111,14 +112,14 @@ class TestMain:
         assert code == 0
         assert "bye." in output.getvalue()
 
-    @pytest.mark.parametrize("flags, pipelined, stripes", [
-        (["--tcp"], False, 1),
-        (["--tcp", "--stripes", "2"], True, 2),
-    ], ids=["tcp", "stripes"])
+    @pytest.mark.parametrize("flags, loop_workers", [
+        (["--tcp"], 6),
+        (["--tcp", "--loop-workers", "3"], 3),
+    ], ids=["tcp", "loop-workers"])
     def test_tcp_spellings_build_the_transport_they_name(
-            self, monkeypatch, flags, pipelined, stripes):
-        """Plain ``--tcp`` is the default ``TcpTransport()`` (serial
-        pooled clients); pipelining is asked for, never implied."""
+            self, monkeypatch, flags, loop_workers):
+        """``--tcp`` builds a ``TcpTransport`` (one server, one pooled
+        serial client); ``--loop-workers`` sizes its event loop."""
         built = []
         deploy = cli.build_healthcare_system
 
@@ -134,5 +135,15 @@ class TestMain:
         assert code == 0
         assert "Research" in output.getvalue()
         (transport,) = built
-        assert transport.pipelined is pipelined
-        assert transport.stripes == stripes
+        assert isinstance(transport, TcpTransport)
+        assert transport.loop_workers == loop_workers
+
+    @pytest.mark.parametrize("flags", [["--stripes", "2"],
+                                       ["--pipeline-depth", "8"]],
+                             ids=["stripes", "pipeline-depth"])
+    def test_there_is_no_client_mode_flag(self, flags, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["--tcp", *flags, "-s", "Find Coalitions With "
+                                         "Information Medical Research"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
