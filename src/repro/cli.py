@@ -23,9 +23,8 @@ The shell accepts WebTassili statements plus a few meta-commands:
     length, restarts, durability; with ``--quorum`` also the lease
     holder, its fence epoch, and each replica's promised fence
 ``\\shards``
-    consistent-hash ring and per-shard registry state; with
-    ``--cache-tier`` also the shared cache tier's hit/invalidation
-    counters (see ``docs/sharding.md``)
+    consistent-hash ring and per-shard registry state (see
+    ``docs/sharding.md``)
 ``\\home <database>``
     switch the session to another participating database
 ``\\help`` / ``\\quit``
@@ -40,9 +39,7 @@ primary into majority-quorum writes under lease-fenced election, and
 ``--sync {never,batch,always}`` picks the journal's group-commit fsync
 policy with ``--durable-dir`` (see ``docs/quorum.md``).
 ``--shards N`` splits the registry over N consistent-hash shards, each
-exported on its own ORB endpoint, and ``--cache-tier`` adds the shared
-metadata cache tier with epoch-floored invalidation broadcasts (see
-``docs/sharding.md``).
+exported on its own ORB endpoint (see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ _HELP = """Meta-commands:
   \\metrics         middleware counters
   \\health          circuit-breaker state per co-database (and replica)
   \\replicas [name] replica availability: epoch, lag, journal, restarts
-  \\shards          registry shard ring, per-shard state, cache tier
+  \\shards          registry shard ring and per-shard state
   \\home <name>     re-home the session at another database
   \\help            this text
   \\quit            exit
@@ -179,24 +176,6 @@ class Shell:
                     f"{status['service_links']} link(s), "
                     f"{status['update_operations']} update(s), "
                     f"mutation epoch {status['mutation_epoch']}")
-            tier = report["cache_tier"]
-            if tier is None:
-                self._print("cache tier: (not deployed — run with "
-                            "--cache-tier)")
-            else:
-                state = "up" if tier["alive"] else "DOWN"
-                servant = tier["servant"] or {}
-                cache = servant.get("cache", {})
-                pending = sum(b["pending_floors"]
-                              for b in tier["broadcasters"])
-                self._print(
-                    f"cache tier: {state}, "
-                    f"{tier['restarts']} restart(s), "
-                    f"{cache.get('hits', 0)} hit(s) / "
-                    f"{cache.get('misses', 0)} miss(es), "
-                    f"{servant.get('invalidation_batches', 0)} "
-                    f"invalidation batch(es), "
-                    f"{pending} pending floor(s)")
         elif command == "home":
             if not argument:
                 self._print("usage: \\home <database name>")
@@ -300,10 +279,6 @@ def main(argv: Optional[list[str]] = None,
                         help="consistent-hash registry shards, each on "
                              "its own ORB endpoint (default 1; see "
                              "docs/sharding.md)")
-    parser.add_argument("--cache-tier", action="store_true",
-                        help="deploy the shared metadata cache tier "
-                             "with epoch-floored invalidation "
-                             "broadcasts")
     options = parser.parse_args(argv)
 
     transport = None
@@ -323,8 +298,7 @@ def main(argv: Optional[list[str]] = None,
                                          durable_dir=options.durable_dir,
                                          quorum=options.quorum,
                                          journal_sync=options.sync,
-                                         shards=options.shards,
-                                         cache_tier=options.cache_tier)
+                                         shards=options.shards)
     shell = Shell(deployment, options.home, output=output)
     try:
         if options.statement:

@@ -119,7 +119,7 @@ class CoDatabase:
         #: the start of a write and ``applied`` at its end, so a reader
         #: that tags a value with ``applied`` can only understate its
         #: freshness — never claim a version whose write it missed.
-        #: The shared cache tier's epoch tags rely on this.
+        #: The metadata cache's epoch tags rely on this.
         self.applied = 0
         #: Derived state, see :meth:`_topic_index`.
         self._index: Optional[_TopicIndex] = None
@@ -537,10 +537,10 @@ CODATABASE_INTERFACE: InterfaceDef = (
     .operation("epoch", doc="Monotonic maintenance-write version")
     .operation("versioned", "operation", "arguments",
                doc="A read plus the epoch tag it is valid at — the "
-                   "shared cache tier's fetch path")
+                   "metadata cache's fetch path")
     .build())
 
-#: Reads the cache tier may fetch through :meth:`CoDatabaseServant.
+#: Reads a metadata cache may fetch through :meth:`CoDatabaseServant.
 #: versioned` — every query operation, never a mutator.
 VERSIONED_OPERATIONS = frozenset({
     "find_coalitions", "known_coalitions", "memberships", "subclasses_of",
@@ -600,7 +600,7 @@ class CoDatabaseServant:
         The tag is the ``applied`` watermark read *before* the value: a
         maintenance write racing this read bumps ``epoch`` first and
         ``applied`` last, so the tag can only understate the value's
-        freshness — a stale tag makes the cache tier re-fetch, never
+        freshness — a stale tag makes the metadata cache re-fetch, never
         serve silently stale data.
         """
         if operation not in VERSIONED_OPERATIONS:

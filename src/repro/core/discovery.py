@@ -43,10 +43,9 @@ from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
-from repro.core.cachetier import BYPASS_ERRORS
 from repro.core.coalition import Coalition
 from repro.core.codatabase import CoDatabase, CoDatabaseServant
-from repro.core.metacache import CACHEABLE_OPERATIONS
+from repro.core.metacache import CACHEABLE_OPERATIONS, MetadataCache
 from repro.core.model import SourceDescription
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
                                    call_policy, current_policy)
@@ -75,13 +74,11 @@ class CoDatabaseClient:
     The discovery engine only speaks this interface.  Every read runs
     the same three stages:
 
-    * **cache** — with a *cache* attached (anything with the ``lookup``
-      / ``store`` pair of :class:`~repro.core.metacache.MetadataCache`:
-      the process-local cache or the shared tier's client), the
-      :data:`~repro.core.metacache.CACHEABLE_OPERATIONS` are answered
-      from it.  A miss fetches through the co-database's ``versioned``
-      operation, so the fill carries its epoch tag in the same round
-      trip; a cache that cannot be reached is bypassed, not waited for.
+    * **cache** — with a :class:`~repro.core.metacache.MetadataCache`
+      attached, the :data:`~repro.core.metacache.CACHEABLE_OPERATIONS`
+      are answered from it.  A miss fetches through the co-database's
+      ``versioned`` operation, so the fill carries its epoch tag in the
+      same round trip.
     * **route** — *target* is anything with ``invoke``: one servant's
       CORBA proxy, or a :class:`~repro.core.replication.ReplicaRoute`
       across a replica set.  An in-process :class:`CoDatabase` (unit
@@ -98,14 +95,14 @@ class CoDatabaseClient:
     or an in-process co-database's stored description is shared.
     """
 
-    def __init__(self, target: Any, name: str, cache: Any = None):
+    def __init__(self, target: Any, name: str,
+                 cache: Optional[MetadataCache] = None):
         self._target = target
         self.name = name
         self._cache = cache
         self.calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_bypassed = 0
 
     @classmethod
     def for_local(cls, codatabase: CoDatabase) -> "CoDatabaseClient":
@@ -130,23 +127,14 @@ class CoDatabaseClient:
         cache = self._cache
         if cache is None or operation not in CACHEABLE_OPERATIONS:
             return self._invoke(operation, *args)
-        try:
-            hit, value = cache.lookup(self.name, operation, args)
-        except BYPASS_ERRORS:
-            # The cache is an optimisation; it is never allowed to
-            # subtract availability.
-            self.cache_bypassed += 1
-            return self._invoke(operation, *args)
+        hit, value = cache.lookup(self.name, operation, args)
         if hit:
             self.cache_hits += 1
             return value
         self.cache_misses += 1
         reply = self._invoke("versioned", operation, list(args))
-        try:
-            cache.store(self.name, operation, args, reply["value"],
-                        int(reply["epoch"]))
-        except BYPASS_ERRORS:
-            self.cache_bypassed += 1
+        cache.store(self.name, operation, args, reply["value"],
+                    int(reply["epoch"]))
         return reply["value"]
 
     def _invoke(self, operation: str, *args: Any) -> Any:
@@ -316,10 +304,6 @@ class DiscoveryResult:
     #: when no cache is wired in front of the co-database clients).
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Reads that found the shared cache tier unreachable and fell
-    #: through to a direct co-database call (tier-down degradation —
-    #: completeness is unaffected, only the optimisation is lost).
-    cache_bypassed: int = 0
     #: Times a replicated co-database answered from a sibling of the
     #: replica it was first asked at (invisible in the leads; zero
     #: when nothing is replicated or nothing failed).
@@ -540,7 +524,6 @@ class DiscoveryEngine:
             unreachable=unreachable,
             cache_hits=sum(client.cache_hits for client in clients),
             cache_misses=sum(client.cache_misses for client in clients),
-            cache_bypassed=sum(client.cache_bypassed for client in clients),
             failovers=sum(client.failovers for client in clients),
             degraded=degraded, deadline=deadline)
 

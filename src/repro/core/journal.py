@@ -12,21 +12,20 @@ memory for ephemeral deployments), exactly the prefix of writes it had
 applied; :func:`replay_entries` rebuilds the co-database from a
 snapshot plus that prefix (see :mod:`repro.core.replication`).
 
-Two on-disk formats, one read path (the format is sniffed on open):
+One on-disk format, **v2**: an 8-byte magic header (``WFJRNL2\\n``)
+followed by length-prefixed records::
 
-* **v2** (``journal.wal``, every new file) — an 8-byte magic header
-  (``WFJRNL2\\n``) followed by length-prefixed records::
+    [u32 length][u32 CRC32(payload)][payload: compact JSON, UTF-8]
 
-      [u32 length][u32 CRC32(payload)][payload: compact JSON, UTF-8]
+with payload ``{"epoch":…,"op":…,"args":[…],"fence":…}``.  Replay
+verifies every record's length and checksum and halts at the first that
+fails either — a **torn write** (crash mid-append) — recovering the
+longest valid prefix and truncating the file back to it.
 
-  with payload ``{"epoch":…,"op":…,"args":[…],"fence":…}``.  Replay
-  verifies every record's length and checksum and halts at the first
-  that fails either — a **torn write** (crash mid-append) — recovering
-  the longest valid prefix and truncating the file back to it.
-* **jsonl** (legacy ``journal.jsonl``) — the same object, one per line,
-  as earlier releases wrote it; an existing file keeps its format.
-  Equally torn-tolerant: a line that no longer parses halts the replay
-  there with a counted warning.
+Earlier releases wrote the same object one per line (legacy
+``journal.jsonl``).  Such a file is still read, equally torn-tolerantly
+(a line that no longer parses halts the replay there with a counted
+warning), and is then rewritten as v2 in place, crash-atomically.
 
 ``sync=`` governs durability: ``"never"`` flushes to the OS only,
 ``"always"`` fsyncs every append, ``"batch"`` is **group commit** — one
@@ -65,9 +64,6 @@ JOURNAL_MAGIC = b"WFJRNL2\n"
 
 #: ``[u32 payload length][u32 CRC32]`` — big-endian, 8 bytes.
 _RECORD_HEADER = struct.Struct(">II")
-
-#: Journal formats :class:`ReplicaJournal` can write.
-JOURNAL_FORMATS = ("v2", "jsonl")
 
 #: Durability policies for file-backed journals.
 SYNC_POLICIES = ("never", "batch", "always")
@@ -207,23 +203,19 @@ class ReplicaJournal:
     :attr:`snapshot` holds the latest snapshot payload (and its file,
     when durable).
 
-    *fmt* selects the on-disk format for **new** files ("v2" binary
-    checksummed records, or legacy "jsonl"); an existing file keeps the
-    format it was written in, sniffed from its first bytes.  *sync*
-    and *group_size* implement the durability policy described in the
-    module docstring.  :attr:`torn_records` counts crash-truncated
-    tails detected (and repaired) on load; :attr:`fsyncs` counts disk
-    barriers actually issued (``tests/core/test_journal_torn.py``).
+    Files are written in the v2 format; a legacy JSON-lines file is
+    upgraded to it on load.  *sync* and *group_size* implement the
+    durability policy described in the module docstring.
+    :attr:`torn_records` counts crash-truncated tails detected (and
+    repaired) on load; :attr:`fsyncs` counts disk barriers actually
+    issued (``tests/core/test_journal_torn.py``).
     """
 
-    def __init__(self, path: Optional[str] = None, fmt: str = "v2",
-                 sync: str = "never", group_size: int = 8):
-        if fmt not in JOURNAL_FORMATS:
-            raise WebFinditError(f"unknown journal format {fmt!r}")
+    def __init__(self, path: Optional[str] = None, sync: str = "never",
+                 group_size: int = 8):
         if sync not in SYNC_POLICIES:
             raise WebFinditError(f"unknown journal sync policy {sync!r}")
         self.path = path
-        self.fmt = fmt
         self.sync = sync
         self.group_size = max(1, group_size)
         self._entries: list[JournalEntry] = []
@@ -265,8 +257,8 @@ class ReplicaJournal:
             data = handle.read()
         if not data:
             return
+        legacy = False
         if data.startswith(JOURNAL_MAGIC):
-            self.fmt = "v2"
             body = data[len(JOURNAL_MAGIC):]
             self._entries, valid, torn = decode_records(body)
             valid += len(JOURNAL_MAGIC)
@@ -274,16 +266,9 @@ class ReplicaJournal:
                 and JOURNAL_MAGIC.startswith(data):
             # Crash while writing the magic itself: an empty journal.
             self._entries, valid, torn = [], 0, True
-            self.fmt = "v2"
         else:
-            self.fmt = "jsonl"
+            legacy = True
             self._entries, valid, torn = decode_jsonl(data)
-            if not torn and not data.endswith(b"\n"):
-                # The final record is complete but its newline was lost
-                # (crash between the bytes and the separator): restore
-                # it so the next append starts its own line.
-                with open(self.path, "ab") as handle:
-                    handle.write(b"\n")
         if torn:
             self.torn_records += 1
             log.warning(
@@ -292,6 +277,10 @@ class ReplicaJournal:
                 "longest valid prefix", self.path, len(self._entries),
                 "y" if len(self._entries) == 1 else "ies",
                 len(data) - valid)
+        if legacy:
+            # Upgrade in place: the valid prefix, rewritten as v2.
+            self._rewrite()
+        elif torn:
             # Repair the tail so later appends start from a clean
             # record boundary instead of extending the torn bytes.
             with open(self.path, "r+b") as handle:
@@ -305,19 +294,13 @@ class ReplicaJournal:
             fresh = not os.path.exists(self.path) \
                 or os.path.getsize(self.path) == 0
             self._handle = open(self.path, "ab")
-            if fresh and self.fmt == "v2":
+            if fresh:
                 self._handle.write(JOURNAL_MAGIC)
         return self._handle
 
-    def _encode(self, entry: JournalEntry) -> bytes:
-        """One record in this journal's on-disk format."""
-        if self.fmt == "v2":
-            return encode_record(entry)
-        return (json.dumps(entry.to_wire()) + "\n").encode("utf-8")
-
     def _write_record(self, entry: JournalEntry) -> None:
         handle = self._open_handle()
-        handle.write(self._encode(entry))
+        handle.write(encode_record(entry))
         # Data always reaches the OS (a crashed *process* loses
         # nothing); the fsync policy decides when it reaches the disk.
         handle.flush()
@@ -354,9 +337,8 @@ class ReplicaJournal:
             self._pending_sync = 0
         temp_path = self.path + ".tmp"
         with open(temp_path, "wb") as handle:
-            if self.fmt == "v2":
-                handle.write(JOURNAL_MAGIC)
-            handle.writelines(map(self._encode, self._entries))
+            handle.write(JOURNAL_MAGIC)
+            handle.writelines(map(encode_record, self._entries))
             handle.flush()
             os.fsync(handle.fileno())
             self.fsyncs += 1

@@ -6,14 +6,13 @@ handful more (``find_coalitions``, ``service_links``, ``memberships``,
 ``known_coalitions``), and the answers only change when the registry
 mutates the information space — a join, a leave, a new service link.
 :class:`MetadataCache` keeps those answers for a bounded TTL behind
-**one coherence rule**, the same whether it sits in the client process
-(``WebFinditSystem(metadata_cache=...)``) or inside the shared tier's
-servant (:mod:`repro.core.cachetier`):
+**one coherence rule** (``WebFinditSystem(metadata_cache=...)`` wires
+:meth:`MetadataCache.retire` to every registry shard):
 
 * every entry carries the epoch tag its value was read at (the
   ``applied`` watermark :meth:`~repro.core.codatabase.
   CoDatabaseServant.versioned` returns with the value);
-* every source has an epoch **floor**, raised by each registry
+* every source has an epoch **floor**, raised inside each registry
   mutation that wrote to its co-database — the mutation's *audience*,
   not the whole cache — and :data:`TOMBSTONE` once the source is gone;
 * a lookup hits iff the entry is inside its TTL and its tag is at or
@@ -26,9 +25,8 @@ Only the five read-heavy operations above are ever cached — metadata
 *about a specific lead* (``describe_instance``, ``documents_of``, …)
 always goes to the authoritative co-database — and entries expire after
 ``ttl`` seconds regardless, bounding staleness for out-of-band
-mutations (autonomous sources may change without telling the registry)
-and for floors that could not be delivered.  ``docs/discovery.md`` has
-the full account.
+mutations (autonomous sources may change without telling the
+registry).  ``docs/discovery.md`` has the full account.
 """
 
 from __future__ import annotations
@@ -139,30 +137,39 @@ class MetadataCache:
         (:data:`TOMBSTONE` for a removed source).
 
         Assignment, not ``max``: a re-registered source restarts its
-        epochs below its old floor.  Ordering the batches is the
-        caller's job (:class:`~repro.core.cachetier.CacheTierServant`
-        deduplicates them by per-origin sequence number).
+        epochs below its old floor.
         """
         with self._lock:
             self._floors.update(floors)
 
+    def retire(self, floors: Mapping[str, int]) -> int:
+        """Apply one mutation's ``{name: floor}`` map: raise the floors,
+        then drop the named sources' entries; returns how many went.
+
+        This is the listener
+        :meth:`~repro.core.registry.Registry.add_invalidation_listener`
+        expects.  Floors and entries move under one lock, so a fill
+        racing the mutation is refused by the floor, not dropped by
+        luck.
+        """
+        with self._lock:
+            self._floors.update(floors)
+            return self._drop(floors)
+
     def invalidate(self, databases: Iterable[str] | str) -> int:
         """Drop every cached entry for the given co-database owner(s);
-        returns how many went.
-
-        This is the listener signature
-        :meth:`~repro.core.registry.Registry.add_invalidation_listener`
-        expects, so a cache can be wired to a registry directly.
-        """
+        returns how many went."""
         if isinstance(databases, str):
             databases = (databases,)
-        affected = set(databases)
         with self._lock:
-            doomed = [key for key in self._entries if key[0] in affected]
-            for key in doomed:
-                del self._entries[key]
-            self.invalidations += len(doomed)
-            return len(doomed)
+            return self._drop(set(databases))
+
+    def _drop(self, affected) -> int:
+        doomed = [key for key in self._entries if key[0] in affected]
+        for key in doomed:
+            del self._entries[key]
+        self.invalidations += len(doomed)
+        return len(doomed)
 
     def clear(self) -> None:
         with self._lock:

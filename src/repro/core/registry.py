@@ -53,6 +53,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 from repro.core.coalition import Coalition
 from repro.core.codatabase import MAINTENANCE_WRITES, CoDatabase
+from repro.core.metacache import TOMBSTONE
 from repro.core.model import Ontology, SourceDescription
 from repro.core.resilience import HealthBoard
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -83,24 +84,27 @@ class RegistryShard:
         #: Count of individual co-database writes — the maintenance-cost
         #: currency of the S2/S3 claims.
         self.update_operations = 0
-        #: Called with the set of database names whose co-databases a
-        #: mutation just wrote to; metadata caches subscribe here.
+        #: Called with ``{name: floor}`` for the co-databases a mutation
+        #: just wrote to; metadata caches subscribe here.
         self._invalidation_listeners: \
-            list[Callable[[frozenset[str]], None]] = []
+            list[Callable[[dict[str, int]], None]] = []
         #: Monotonic shard-level mutation version: bumped once per
-        #: invalidation broadcast.  The cache tier and the ``\shards``
-        #: inspection read it to see how far a shard has moved.
+        #: notified mutation.  The ``\shards`` inspection reads it to
+        #: see how far a shard has moved.
         self.mutation_epoch = 0
 
     # --------------------------------------------------------- invalidation --
 
     def add_invalidation_listener(
-            self, listener: Callable[[frozenset[str]], None]) -> None:
+            self, listener: Callable[[dict[str, int]], None]) -> None:
         """Subscribe to co-database mutations.
 
-        *listener* receives the names of every database whose
-        co-database content just changed — exactly the entries a
-        metadata cache must drop to stay coherent.
+        *listener* receives ``{name: floor}`` for every database whose
+        co-database content just changed: the floor is that
+        co-database's post-mutation epoch, or :data:`TOMBSTONE` for a
+        removed source — exactly what a metadata cache needs to retire
+        the entries the mutation made stale
+        (:meth:`~repro.core.metacache.MetadataCache.retire`).
         """
         self._invalidation_listeners.append(listener)
 
@@ -108,16 +112,19 @@ class RegistryShard:
         """Fire the invalidation listeners.
 
         The coordinator finishes a mutation by telling each shard which
-        of its co-databases were written, so listeners (metadata
-        caches, the shared cache tier) see, in union, exactly the
-        mutation's audience.
+        of its co-databases were written, so listeners see, in union,
+        exactly the mutation's audience — before the mutation returns.
         """
         affected = frozenset(name for name in names if name)
         if not affected:
             return
         self.mutation_epoch += 1
+        if not self._invalidation_listeners:
+            return
+        floors = {name: self.epoch_of(name) if name in self._sources
+                  else TOMBSTONE for name in affected}
         for listener in self._invalidation_listeners:
-            listener(affected)
+            listener(floors)
 
     # ------------------------------------------------------------- sources --
 
@@ -390,12 +397,12 @@ class Registry:
                    for shard in self.shards)
 
     def add_invalidation_listener(
-            self, listener: Callable[[frozenset[str]], None]) -> None:
+            self, listener: Callable[[dict[str, int]], None]) -> None:
         """Subscribe to mutations on every in-process shard.
 
-        Remote shards run their listeners server-side (that is where
-        the cache-tier invalidation broadcaster lives), so a proxy-only
-        coordinator cannot subscribe from here.
+        Remote shards run their listeners server-side, in the shard
+        server's own process, so a proxy-only coordinator cannot
+        subscribe from here.
         """
         for shard in self.shards:
             if not isinstance(shard, RegistryShard):

@@ -20,9 +20,9 @@ Registering a source:
 Browsers obtained from :meth:`browser` then exercise the full stack:
 WebTassili text → query processor → GIOP over the transport →
 co-database / wrapper servants → native engines.  However the
-metadata layer is deployed — replicated or not, behind the local cache,
-the cache tier or neither — :meth:`codatabase_client` hands the query
-layer the same client class, built over a different route and cache.
+metadata layer is deployed — replicated or not, behind the metadata
+cache or not — :meth:`codatabase_client` hands the query layer the
+same client class, built over a different route and cache.
 """
 
 from __future__ import annotations
@@ -32,8 +32,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.browser import Browser
-from repro.core.cachetier import (CACHE_TIER_INTERFACE, CacheTierClient,
-                                  CacheTierServant, InvalidationBroadcaster)
 from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
 from repro.core.discovery import CoDatabaseClient
 from repro.core.journal import ReplicaJournal
@@ -49,7 +47,7 @@ from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.sharding import (REGISTRY_SHARD_INTERFACE,
                                  RegistryShardServant)
-from repro.errors import CommFailure, UnknownDatabase, WebFinditError
+from repro.errors import UnknownDatabase, WebFinditError
 from repro.gateway.api import DriverManager
 from repro.gateway.drivers import LocalDriver
 from repro.oodb.database import ObjectDatabase
@@ -93,8 +91,7 @@ class WebFinditSystem:
                  quorum: bool = False,
                  journal_sync: str = "never",
                  lease_duration: float = DEFAULT_LEASE_DURATION,
-                 shards: int = 1,
-                 cache_tier: bool = False):
+                 shards: int = 1):
         self.transport = transport if transport is not None \
             else InMemoryNetwork()
         self.ontology = ontology
@@ -131,11 +128,9 @@ class WebFinditSystem:
                      or durable_dir is not None
                      or snapshot_every is not None
                      or quorum)
-        #: Scaling knobs: N registry shards behind a consistent-hash
+        #: Scaling knob: N registry shards behind a consistent-hash
         #: ring (each exported on its own ORB endpoint, see
-        #: ``docs/sharding.md``) and an optional shared cache tier that
-        #: peers consult before crossing GIOP to a co-database.
-        self.cache_tier = cache_tier
+        #: ``docs/sharding.md``).
         self.registry = Registry(
             ontology=ontology, shards=shards,
             codatabase_factory=(self._replicated_codatabase
@@ -168,31 +163,10 @@ class WebFinditSystem:
                                object_name=f"registry-shard{index}")
             self.naming.bind(f"webfindit/registry/shard{index}", ior)
             self._shard_orbs.append(orb)
-        #: The shared cache tier: one CacheTierServant on its own
-        #: endpoint.  Whichever cache is deployed — the tier, else the
-        #: local one — is kept coherent the same way: one invalidation
-        #: broadcaster per registry shard pushing epoch floors at every
-        #: mutation.
-        self.cache_tier_servant: Optional[CacheTierServant] = None
-        self._cache_tier_client: Optional[CacheTierClient] = None
-        self._cache_orb: Optional[Orb] = None
-        self._cache_tier_alive = False
-        self._cache_tier_restarts = 0
-        self._broadcasters: list[InvalidationBroadcaster] = []
-        deliver = None
-        if cache_tier:
-            self._start_cache_tier(initial=True)
-            deliver = self._deliver_invalidation
-        elif metadata_cache is not None:
-            # The local cache takes floor batches the way the tier
-            # does — same sequence dedup, same retire — minus the wire.
-            deliver = CacheTierServant(cache=metadata_cache).invalidate
-        if deliver is not None:
-            for index, shard in enumerate(self.registry.shards):
-                broadcaster = InvalidationBroadcaster(
-                    shard, deliver=deliver, origin=f"shard{index}")
-                shard.add_invalidation_listener(broadcaster)
-                self._broadcasters.append(broadcaster)
+        if metadata_cache is not None:
+            # Every shard hands the cache its epoch floors inside the
+            # mutating call, before the mutation returns.
+            self.registry.add_invalidation_listener(metadata_cache.retire)
         self._deployments: dict[str, DeploymentRecord] = {}
         self._wrappers: dict[str, InformationSourceInterface] = {}
         self._ior_cache: dict[str, Ior] = {}
@@ -296,9 +270,9 @@ class WebFinditSystem:
             def journal_factory(owner: str, index: int) -> ReplicaJournal:
                 slug = owner.lower().replace(" ", "-").replace("/", "-")
                 directory = os.path.join(root, slug, f"r{index}")
-                # Pre-v2 deployments journalled to journal.jsonl; keep
-                # appending to an existing file (the journal sniffs its
-                # format), new replicas get the checksummed v2 log.
+                # Pre-v2 deployments journalled to journal.jsonl; an
+                # existing one is upgraded to v2 in place on open and
+                # keeps its path, new replicas get journal.wal.
                 legacy = os.path.join(directory, "journal.jsonl")
                 path = legacy if os.path.exists(legacy) \
                     else os.path.join(directory, "journal.wal")
@@ -445,8 +419,7 @@ class WebFinditSystem:
         crash epoch), re-activate the servant on a fresh endpoint,
         ``rebind`` its name (bumping the binding generation so cached
         proxies self-invalidate), close its breaker, and retire any
-        metadata cached from the dead incarnation (one more floor
-        batch, to whichever cache is deployed).
+        metadata cached from the dead incarnation.
         """
         facade = self._facade(source_name)
         runtime = facade.recover(index)
@@ -467,9 +440,8 @@ class WebFinditSystem:
         # routes to it without waiting out a cooldown.
         self.registry.health.record(replica_key(source_name, index), ok=True)
         self.registry.health.record(source_name, ok=True)
-        if self._broadcasters:
-            self._broadcasters[self.registry.ring.owner(source_name)](
-                [source_name])
+        if self.metadata_cache is not None:
+            self.metadata_cache.retire({source_name: facade.epoch})
 
     def replica_status(self, source_name: Optional[str] = None) -> dict:
         """Per-replica availability view (the CLI's ``\\replicas``)."""
@@ -494,7 +466,7 @@ class WebFinditSystem:
             return sum(facade.reconcile()
                        for facade in self._replicated.values())
 
-    # ------------------------------------------------------ sharding / cache tier --
+    # --------------------------------------------------------------- sharding --
 
     def shard_report(self) -> dict:
         """Ring + per-shard inspection (the CLI's ``\\shards``)."""
@@ -504,74 +476,6 @@ class WebFinditSystem:
             "statuses": self.registry.shard_statuses(),
             "naming_generation": self.naming.namespace_generation(
                 "webfindit/registry/"),
-            "cache_tier": self._cache_tier_metrics(),
-        }
-
-    def _start_cache_tier(self, initial: bool) -> None:
-        """Activate a (fresh) cache-tier servant on a fresh endpoint."""
-        self._cache_orb = Orb(name="webfindit-cache-tier",
-                              transport=self.transport,
-                              host="cache-tier.webfindit.net",
-                              product="WebFINDIT")
-        self.cache_tier_servant = CacheTierServant()
-        ior = self._cache_orb.activate(self.cache_tier_servant,
-                                       CACHE_TIER_INTERFACE,
-                                       object_name="cache-tier")
-        binding = "webfindit/cache/tier0"
-        if initial:
-            self.naming.bind(binding, ior)
-        else:
-            self.naming.rebind(binding, ior)
-        proxy = self._system_orb.proxy(ior, CACHE_TIER_INTERFACE)
-        self._cache_tier_client = CacheTierClient(proxy)
-        self._cache_tier_alive = True
-
-    def _deliver_invalidation(self, origin: str, seq: int,
-                              floors: dict) -> bool:
-        """Broadcast hook: push one floor batch to the current tier."""
-        client = self._cache_tier_client
-        if client is None:
-            raise CommFailure("cache tier is not running")
-        return client.invalidate(origin, seq, floors)
-
-    def kill_cache_tier(self) -> None:
-        """Crash the cache-tier server: its endpoint closes, lookups
-        start raising, and every client degrades to direct GIOP
-        (counted in ``cache_bypassed``) — never a failed query."""
-        if not self.cache_tier:
-            raise WebFinditError(
-                "system was deployed without a cache tier "
-                "(deploy with cache_tier=True)")
-        if self._cache_orb is not None:
-            self._cache_orb.shutdown()
-        self._cache_tier_alive = False
-
-    def restart_cache_tier(self) -> None:
-        """Bring a fresh (cold) cache tier back on a new endpoint.
-
-        The replacement starts empty — floors, sequence numbers and
-        entries died with the old process — so the broadcasters flush
-        their pending floors at it and read-through refills the rest.
-        """
-        if not self.cache_tier:
-            raise WebFinditError(
-                "system was deployed without a cache tier "
-                "(deploy with cache_tier=True)")
-        self._start_cache_tier(initial=False)
-        self._cache_tier_restarts += 1
-        for broadcaster in self._broadcasters:
-            broadcaster.flush()
-
-    def _cache_tier_metrics(self) -> Optional[dict]:
-        if not self.cache_tier:
-            return None
-        return {
-            "alive": self._cache_tier_alive,
-            "restarts": self._cache_tier_restarts,
-            "servant": (self.cache_tier_servant.stats()
-                        if self.cache_tier_servant is not None else None),
-            "broadcasters": [broadcaster.status()
-                             for broadcaster in self._broadcasters],
         }
 
     # ----------------------------------------------------------------- access --
@@ -629,10 +533,8 @@ class WebFinditSystem:
 
         One class for every deployment; only what it is built over
         differs.  The route is the replica set's when the source is
-        replicated, else the single servant's proxy.  The cache is the
-        shared tier when one is deployed — it supersedes the
-        per-process cache: one fleet-wide working set instead of N
-        private ones — else the local cache, else none.
+        replicated, else the single servant's proxy; the cache is the
+        system's metadata cache, if it has one.
         """
         facade = self._replicated.get(database_name)
         try:
@@ -645,9 +547,8 @@ class WebFinditSystem:
         except Exception as exc:
             raise UnknownDatabase(
                 f"no co-database bound for {database_name!r}") from exc
-        cache = self._cache_tier_client if self.cache_tier \
-            else self.metadata_cache
-        return CoDatabaseClient(route, database_name, cache=cache)
+        return CoDatabaseClient(route, database_name,
+                                cache=self.metadata_cache)
 
     def wrapper_client(self, database_name: str) -> InformationSourceInterface:
         """A CORBA-backed ISI client for one source.
@@ -738,7 +639,6 @@ class WebFinditSystem:
             "sharding": {"shards": len(self.registry.shards),
                          "ring": self.registry.ring.describe(),
                          "per_shard": self.registry.shard_statuses()},
-            "cache_tier": self._cache_tier_metrics(),
         }
 
     def _replication_metrics(self) -> Optional[dict]:

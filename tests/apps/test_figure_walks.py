@@ -7,14 +7,13 @@ commit *before* model objects became CDR value types (PR 19,
 its rendered ``text``.  What a user is shown must not depend on how a
 description crossed the wire, so the same walk is run twice (cold, then
 warm) over every deployment shape — in-memory, loopback TCP, a
-process-local ``metadata_cache``, the shared cache tier, two replicas —
-and must reproduce the golden each time; only the cost line of a
-discovery (``N metadata calls``) may differ, since a warm cache answers
-some of them.
+process-local ``metadata_cache``, two replicas — and must reproduce
+the golden each time; only the cost line of a discovery (``N metadata
+calls``) may differ, since a warm cache answers some of them.
 
 A cache shares one value between callers.  The second half walks the
-same session over a warm cache of either kind and finds its contents
-unchanged — also after a caller scribbles on what it was handed.
+same session over a warm cache and finds its contents unchanged — also
+after a caller scribbles on what it was handed.
 
 Regenerate (only to add statements): ``PYTHONPATH=src python
 tests/apps/test_figure_walks.py > tests/apps/figure_walks_golden.json``
@@ -93,7 +92,6 @@ CELLS = {
     "mem": {},
     "tcp": {"transport": TcpTransport},
     "metadata-cache": {"metadata_cache": MetadataCache},
-    "cache-tier": {"cache_tier": True},
     "two-replicas": {"replication_factor": 2},
 }
 
@@ -143,13 +141,11 @@ def test_the_transcript_of_the_walk_is_the_parents_byte_for_byte():
 
 def cache_contents(system):
     """A deep snapshot of every value the deployment's cache holds."""
-    cache = system.cache_tier_servant.cache \
-        if system.cache_tier_servant is not None else system.metadata_cache
     return copy.deepcopy({key: value for key, (__, value, __unused)
-                          in cache._entries.items()})
+                          in system.metadata_cache._entries.items()})
 
 
-@pytest.mark.parametrize("cell", ["metadata-cache", "cache-tier"])
+@pytest.mark.parametrize("cell", ["metadata-cache"])
 def test_walking_a_warm_cache_leaves_its_contents_unchanged(cell):
     deployment, __ = deploy(cell)
     system = deployment.system

@@ -9,9 +9,9 @@ already guarantees.
 
 CI's tier-2 job sweeps CHAOS_SEED over {7, 23, 1999}; the kill-mode
 matrix (primary / backup / kill-then-restart) is parametrized here,
-each mode with and without the shared cache tier deployed (``-tier``
-ids and ``*_with_the_cache_tier`` twins — a replicated source reads
-through the tier like any other, so losing a replica must stay
+each mode with and without a metadata cache deployed (``-cache`` ids
+and ``*_with_a_metadata_cache`` twins — a replicated source reads
+through the cache like any other, so losing a replica must stay
 invisible with it in the path).
 """
 
@@ -21,6 +21,7 @@ import pytest
 
 from repro.apps.healthcare import build_healthcare_system
 from repro.apps.healthcare import topology as topo
+from repro.core.metacache import MetadataCache
 from repro.core.resilience import (HealthBoard, ResiliencePolicy,
                                    RetryPolicy)
 from repro.orb.faults import ANY, FaultyTransport
@@ -32,14 +33,15 @@ REPLICAS = 2
 FAILURE_COUNT = 3  # sources fully killed in the all-replicas scenario
 
 
-def build_replicated(seed, transport=None, cache_tier=False):
+def build_replicated(seed, transport=None, cached=False):
     policy = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=2, base_delay=0.001,
                           max_delay=0.01, seed=seed),
         health=HealthBoard(failure_threshold=3))
     return build_healthcare_system(transport=transport, resilience=policy,
                                    replication_factor=REPLICAS,
-                                   cache_tier=cache_tier)
+                                   metadata_cache=(MetadataCache()
+                                                   if cached else None))
 
 
 def sweep(deployment, query=QUERY, **kwargs):
@@ -73,17 +75,17 @@ KILL_MODES = [
 
 
 @pytest.mark.chaos
-@pytest.mark.parametrize("kill_index, mid_flight, cache_tier", [
-    pytest.param(kill_index, mid_flight, cache_tier,
-                 id=mode + ("-tier" if cache_tier else ""))
-    for cache_tier in (False, True)
+@pytest.mark.parametrize("kill_index, mid_flight, cached", [
+    pytest.param(kill_index, mid_flight, cached,
+                 id=mode + ("-cache" if cached else ""))
+    for cached in (False, True)
     for mode, kill_index, mid_flight in KILL_MODES])
 def test_single_replica_loss_is_invisible(healthy_leads, chaos_seed,
                                           kill_index, mid_flight,
-                                          cache_tier):
+                                          cached):
     faulty = FaultyTransport(InMemoryNetwork(), seed=chaos_seed)
     deployment = build_replicated(chaos_seed, transport=faulty,
-                                  cache_tier=cache_tier)
+                                  cached=cached)
     faulty.delay(ANY, latency=0.0005, jitter=0.0005)
     rng = random.Random(chaos_seed)
     for name in topo.ALL_DATABASES:
@@ -96,7 +98,7 @@ def test_single_replica_loss_is_invisible(healthy_leads, chaos_seed,
         faulty.refuse(endpoint, after=after)
 
     if mid_flight:
-        # Another topic, so the cache tier cannot answer the sweep
+        # Another topic, so the cache cannot answer the sweep
         # under test; a full sweep visits the same sources for any.
         sweep(deployment, query="Medical Research", deadline=DEADLINE)
     result = sweep(deployment, deadline=DEADLINE)
@@ -118,13 +120,13 @@ def test_single_replica_loss_is_invisible(healthy_leads, chaos_seed,
 @pytest.mark.chaos
 def test_all_replicas_down_reproduces_the_degraded_report(healthy_leads,
                                                           chaos_seed,
-                                                          cache_tier=False):
+                                                          cached=False):
     """Killing every replica of a source is a dead source: the degraded
     report must blame it, exactly as in the single-servant federation."""
     dead = pick_dead(chaos_seed)
     faulty = FaultyTransport(InMemoryNetwork(), seed=chaos_seed)
     deployment = build_replicated(chaos_seed, transport=faulty,
-                                  cache_tier=cache_tier)
+                                  cached=cached)
     for name in dead:
         for index in range(REPLICAS):
             faulty.refuse(
@@ -147,18 +149,18 @@ def test_all_replicas_down_reproduces_the_degraded_report(healthy_leads,
 
 
 @pytest.mark.chaos
-def test_all_replicas_down_with_the_cache_tier(healthy_leads, chaos_seed):
+def test_all_replicas_down_with_a_metadata_cache(healthy_leads, chaos_seed):
     test_all_replicas_down_reproduces_the_degraded_report(
-        healthy_leads, chaos_seed, cache_tier=True)
+        healthy_leads, chaos_seed, cached=True)
 
 
 @pytest.mark.chaos
 def test_kill_then_restart_during_bfs(healthy_leads, chaos_seed,
-                                      cache_tier=False):
+                                      cached=False):
     """A replica killed between sweeps and restarted must rejoin with
     no journal lag, heal stale proxies in place, and leave later sweeps
     indistinguishable from healthy ones."""
-    deployment = build_replicated(chaos_seed, cache_tier=cache_tier)
+    deployment = build_replicated(chaos_seed, cached=cached)
     system = deployment.system
     rng = random.Random(chaos_seed)
     victims = rng.sample(sorted(set(topo.ALL_DATABASES) - {topo.QUT}), 3)
@@ -195,6 +197,6 @@ def test_kill_then_restart_during_bfs(healthy_leads, chaos_seed,
 
 
 @pytest.mark.chaos
-def test_kill_then_restart_with_the_cache_tier(healthy_leads, chaos_seed):
+def test_kill_then_restart_with_a_metadata_cache(healthy_leads, chaos_seed):
     test_kill_then_restart_during_bfs(healthy_leads, chaos_seed,
-                                      cache_tier=True)
+                                      cached=True)

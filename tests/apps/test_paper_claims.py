@@ -15,6 +15,7 @@ from repro.apps.healthcare import topology as topo
 from repro.apps.healthcare.data import AIDS_PROJECT_TITLE
 from repro.bench import (build_scaled_space, build_scaled_system,
                          discovery_workload)
+from repro.core.metacache import MetadataCache
 from repro.core.model import SourceDescription, topic_score
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -226,8 +227,9 @@ def test_a1_early_stop_link_fanout_and_ontology(healthcare):
         .data.resolved
 
 
-def test_s12_the_cache_tier_serves_the_warm_pass_and_drops_one_audience():
-    system = WebFinditSystem(shards=4, cache_tier=True)
+def test_s12_the_metadata_cache_serves_the_warm_pass_and_drops_one_audience():
+    cache = MetadataCache()
+    system = WebFinditSystem(shards=4, metadata_cache=cache)
     names = [f"src{index:05d}" for index in range(48)]
     for name in names:
         system.register_object_source(
@@ -236,26 +238,25 @@ def test_s12_the_cache_tier_serves_the_warm_pass_and_drops_one_audience():
     system.create_coalition("Cardio", "cardiology")
     for name in names[:8]:
         system.join(name, "Cardio")
-    tier = system.cache_tier_servant
 
     def read_pass():
-        before = tier.stats()
+        before = cache.stats()
         for name in names:
             client = system.codatabase_client(name)
             client.memberships()
             client.known_coalitions()
-        after = tier.stats()
-        return (after["cache"]["hits"] - before["cache"]["hits"],
-                after["lookups"] - before["lookups"])
+        after = cache.stats()
+        hits = after["hits"] - before["hits"]
+        return hits, hits + after["misses"] - before["misses"]
 
     cold_hits, lookups = read_pass()
     assert lookups == 2 * len(names)
     assert cold_hits <= 0.10 * lookups
     warm_hits, lookups = read_pass()
     assert warm_hits >= 0.95 * lookups
-    # A join's broadcast reaches its audience — the eight members and
-    # the joiner — and drops their two cached reads each, nothing else.
-    batches = tier.stats()["invalidation_batches"]
+    # A join's floors reach its audience — the eight members and the
+    # joiner — and drop their two cached reads each, nothing else.
+    dropped = cache.stats()["invalidations"]
     system.join(names[8], "Cardio")
-    assert tier.stats()["invalidation_batches"] > batches
-    assert tier.stats()["invalidated_entries"] == 2 * 9
+    assert cache.stats()["invalidations"] - dropped == 2 * 9
+    assert len(cache) == 2 * (len(names) - 9)

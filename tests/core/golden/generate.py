@@ -12,7 +12,8 @@ makes ``test_golden_durable.py`` fail has changed an on-disk layout.
 * ``journal_v2.wal`` — the checksummed binary journal every new
   deployment writes, after :data:`SCRIPT` under fan-out replication.
 * ``journal_legacy.jsonl`` — the same writes in the legacy JSON-lines
-  format (``fmt="jsonl"``).
+  format earlier releases wrote (:func:`jsonl_record`; the journal
+  itself only reads it now, and upgrades it to v2).
 * ``journal_quorum.wal`` — the same writes under quorum replication;
   entries carry fences 3 and 4 (three elections, then a lapsed lease).
 * ``codatabase_snapshot.json`` — ``export_codatabase`` of the state all
@@ -21,7 +22,6 @@ makes ``test_golden_durable.py`` fail has changed an on-disk layout.
   healthcare federation (``webfindit-topology/1``).
 """
 
-import functools
 import json
 import pathlib
 
@@ -120,25 +120,28 @@ def run_script(target, before_write=None):
     return refused
 
 
-def journal_factory(directory, fmt):
-    name = "journal.wal" if fmt == "v2" else "journal.jsonl"
+def jsonl_record(entry):
+    """One journal entry as a legacy JSON line."""
+    return (json.dumps(entry.to_wire()) + "\n").encode("utf-8")
 
+
+def journal_factory(directory):
     def factory(owner, index):
-        return ReplicaJournal(str(directory / f"r{index}" / name), fmt=fmt)
+        return ReplicaJournal(str(directory / f"r{index}" / "journal.wal"))
     return factory
 
 
-def fanout_facade(directory, fmt="v2", **kwargs):
+def fanout_facade(directory, **kwargs):
     return ReplicatedCoDatabase(
         OWNER, replicas=REPLICAS,
-        journal_factory=journal_factory(directory, fmt), **kwargs)
+        journal_factory=journal_factory(directory), **kwargs)
 
 
 def quorum_facade(directory, fake, **kwargs):
     return ReplicatedCoDatabase(
         OWNER, replicas=REPLICAS, quorum=True, lease_duration=LEASE,
         clock=fake.clock, sleep=fake.sleep,
-        journal_factory=journal_factory(directory, "v2"), **kwargs)
+        journal_factory=journal_factory(directory), **kwargs)
 
 
 def run_quorum(directory, **kwargs):
@@ -178,16 +181,29 @@ def healthcare_topology():
     return export_topology(build_healthcare_system().system.registry)
 
 
-def run_fanout(directory, fmt="v2", **kwargs):
-    facade = fanout_facade(directory, fmt, **kwargs)
+def run_fanout(directory, **kwargs):
+    facade = fanout_facade(directory, **kwargs)
     run_script(facade)
+    return facade
+
+
+def run_legacy(directory, **kwargs):
+    """:data:`SCRIPT` under fan-out with in-memory journals, each
+    replica's entries then written out as ``journal.jsonl``."""
+    facade = ReplicatedCoDatabase(OWNER, replicas=REPLICAS, **kwargs)
+    run_script(facade)
+    for runtime in facade.runtimes:
+        home = directory / f"r{runtime.index}"
+        home.mkdir(parents=True)
+        (home / "journal.jsonl").write_bytes(
+            b"".join(map(jsonl_record, runtime.journal.entries())))
     return facade
 
 
 #: Golden journal -> the run that writes it (into its own directory).
 RUNS = {
     "journal_v2.wal": run_fanout,
-    "journal_legacy.jsonl": functools.partial(run_fanout, fmt="jsonl"),
+    "journal_legacy.jsonl": run_legacy,
     "journal_quorum.wal": run_quorum,
 }
 

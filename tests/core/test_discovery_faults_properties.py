@@ -39,7 +39,6 @@ class _DyingClient:
         self.calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.cache_bypassed = 0
         self.failovers = 0
 
     def __getattr__(self, operation):

@@ -15,7 +15,7 @@ import shutil
 import pytest
 
 from repro.core.codatabase import CoDatabase
-from repro.core.journal import ReplicaJournal, replay_entries
+from repro.core.journal import JOURNAL_MAGIC, ReplicaJournal, replay_entries
 from repro.core.replication import ReplicatedCoDatabase
 from repro.core.snapshot import (export_codatabase, export_topology,
                                  import_codatabase, import_topology)
@@ -46,7 +46,6 @@ def load_journal(name, tmp_path):
 def test_golden_journal_replays_to_the_pinned_state(name, tmp_path):
     journal = load_journal(name, tmp_path)
     assert journal.torn_records == 0
-    assert journal.fmt == ("jsonl" if name.endswith(".jsonl") else "v2")
     assert [entry.epoch for entry in journal.entries()] \
         == list(range(1, gen.EPOCH + 1))
     codatabase = CoDatabase(gen.OWNER)
@@ -67,7 +66,8 @@ def test_golden_quorum_journal_carries_its_fences(tmp_path):
 def test_golden_journal_restores_a_facade_that_keeps_appending(name,
                                                                tmp_path):
     """The one read path serves old files and new: a facade over a
-    golden journal resumes at its epoch and appends in its format."""
+    golden journal resumes at its epoch and appends in v2 — after the
+    golden v2 bytes, or over a legacy file upgraded on load."""
     journal = load_journal(name, tmp_path)
     facade = ReplicatedCoDatabase(gen.OWNER, replicas=1,
                                   journal_factory=lambda owner, index: journal)
@@ -75,10 +75,12 @@ def test_golden_journal_restores_a_facade_that_keeps_appending(name,
     facade.attach_document("Alpha", "text", "appended")
     journal.close()
     reread = ReplicaJournal(journal.path)
-    assert reread.fmt == journal.fmt and reread.torn_records == 0
+    assert reread.torn_records == 0
     assert reread.last_epoch == gen.EPOCH + 1
+    golden = (gen.GOLDEN / name).read_bytes()
     with open(journal.path, "rb") as handle:
-        assert handle.read().startswith((gen.GOLDEN / name).read_bytes())
+        assert handle.read().startswith(
+            golden if golden.startswith(JOURNAL_MAGIC) else JOURNAL_MAGIC)
 
 
 def test_golden_snapshot_imports_to_the_pinned_state():

@@ -3,9 +3,9 @@
 The central property: truncate a durable journal at ANY byte offset —
 the crash model for a torn append — and reloading recovers exactly the
 longest valid record prefix, repairs the file tail, and keeps
-accepting appends.  Checked for both the checksummed v2 format and the
-legacy JSONL format, via hypothesis over all (entry count, cut offset)
-pairs.
+accepting appends.  Checked for the checksummed v2 format and for a
+legacy JSON-lines file (which reloads as v2), via hypothesis over all
+(entry count, cut offset) pairs.
 """
 
 import logging
@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.journal import (JOURNAL_MAGIC, JournalEntry, ReplicaJournal,
                                 encode_record)
+from tests.core.golden.generate import jsonl_record
 
 MAX_ENTRIES = 6
 
@@ -28,9 +29,14 @@ def entry(epoch, fence=0):
 
 
 def write_journal(path, fmt, count):
-    journal = ReplicaJournal(str(path), fmt=fmt)
+    """*count* entries, through the journal ("v2") or as the legacy
+    JSON lines earlier releases wrote ("jsonl")."""
     entries = [entry(epoch, fence=1 + epoch // 3)
                for epoch in range(1, count + 1)]
+    if fmt == "jsonl":
+        path.write_bytes(b"".join(map(jsonl_record, entries)))
+        return entries
+    journal = ReplicaJournal(str(path))
     for item in entries:
         journal.append(item)
     journal.close()
@@ -39,14 +45,10 @@ def write_journal(path, fmt, count):
 
 def record_boundaries(fmt, entries):
     """Byte offsets at which a whole record ends (prefix lengths)."""
+    encode = encode_record if fmt == "v2" else jsonl_record
     offsets = [len(JOURNAL_MAGIC) if fmt == "v2" else 0]
-    import json
     for item in entries:
-        if fmt == "v2":
-            offsets.append(offsets[-1] + len(encode_record(item)))
-        else:
-            line = (json.dumps(item.to_wire()) + "\n").encode("utf-8")
-            offsets.append(offsets[-1] + len(line))
+        offsets.append(offsets[-1] + len(encode(item)))
     return offsets
 
 
@@ -65,7 +67,7 @@ def test_truncation_at_any_offset_recovers_longest_valid_prefix(
                     label="cut")
     path.write_bytes(blob[:cut])
 
-    reloaded = ReplicaJournal(str(path), fmt=fmt)
+    reloaded = ReplicaJournal(str(path))
     recovered = reloaded.entries()
 
     # Recovered entries are a strict prefix of what was written...
@@ -81,12 +83,17 @@ def test_truncation_at_any_offset_recovers_longest_valid_prefix(
         # JSONL additionally accepts a final record whose JSON survived
         # complete but lost only its trailing newline to the crash.
         assert len(recovered) in (durable, durable + 1)
+        if cut:
+            # ... and the file was upgraded in place: v2, same prefix.
+            assert path.read_bytes().startswith(JOURNAL_MAGIC)
+            assert ReplicaJournal(str(path)).entries() == recovered
 
     # The tail was repaired: appending works and survives a re-read.
     fresh = entry(epoch=97, fence=9)
     reloaded.append(fresh)
     reloaded.close()
-    reread = ReplicaJournal(str(path), fmt=fmt)
+    assert path.read_bytes().startswith(JOURNAL_MAGIC)
+    reread = ReplicaJournal(str(path))
     assert reread.entries() == recovered + [fresh]
     assert reread.torn_records == 0  # the repair left a clean file
 
@@ -179,18 +186,20 @@ def test_install_snapshot_rewrites_atomically(tmp_path):
     assert reread.last_epoch == 5
 
 
-def test_existing_jsonl_file_keeps_its_format(tmp_path):
+def test_existing_jsonl_file_is_upgraded_to_v2(tmp_path):
     path = tmp_path / "journal.jsonl"
-    write_journal(path, "jsonl", 2)
-    # Reopened with the v2 default, the sniffer must keep appending
-    # JSONL — mixing formats in one file would tear every reader.
+    entries = write_journal(path, "jsonl", 2)
+    # Rewritten on load, before anything is appended, so a file never
+    # mixes formats; the path stays what the deployment opened.
     journal = ReplicaJournal(str(path))
-    assert journal.fmt == "jsonl"
+    assert path.read_bytes().startswith(JOURNAL_MAGIC)
+    assert not os.path.exists(str(path) + ".tmp")  # no debris
+    assert journal.entries() == entries
     journal.append(entry(3))
     journal.close()
-    blob = path.read_bytes()
-    assert not blob.startswith(JOURNAL_MAGIC)
-    assert len(ReplicaJournal(str(path)).entries()) == 3
+    reread = ReplicaJournal(str(path))
+    assert reread.entries() == entries + [entry(3)]
+    assert reread.torn_records == 0
 
 
 def test_last_fence_reports_journaled_high_water(tmp_path):

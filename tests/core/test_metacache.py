@@ -170,7 +170,7 @@ class TestDiscoveryIntegration:
         those entries."""
         registry = build_world()
         cache = MetadataCache(ttl=1e9)  # TTL can never save us here
-        registry.add_invalidation_listener(cache.invalidate)
+        registry.add_invalidation_listener(cache.retire)
         engine = engines(registry, cache)
 
         before = engine.discover("state funding records", "QUT",
@@ -197,7 +197,7 @@ class TestDiscoveryIntegration:
     def test_leave_invalidates_membership_view(self):
         registry = build_world()
         cache = MetadataCache(ttl=1e9)
-        registry.add_invalidation_listener(cache.invalidate)
+        registry.add_invalidation_listener(cache.retire)
         client = CoDatabaseClient(
             registry.codatabase("QUT"), "QUT", cache=cache)
         assert "RMIT" in [m for m in client.neighbor_databases()]
@@ -318,11 +318,11 @@ class TestEpochTaggedEntries:
         assert cache.lookup("RBH", "memberships", ()) == (True, ["new"])
 
     def test_invalidate_source_drops_only_that_owner(self):
-        """One source's floor batch, as the system delivers it."""
+        """One source's floors, as a registry shard hands them over."""
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"], epoch=4)
         cache.store("QUT", "memberships", (), ["Research"], epoch=2)
-        cache.raise_floors({"RBH": 4})
-        cache.invalidate("RBH")
+        assert cache.retire({"RBH": 4}) == 1
         assert not cache.lookup("RBH", "memberships", ())[0]
         assert cache.lookup("QUT", "memberships", ())[0]
+        assert not cache.store("RBH", "memberships", (), ["old"], epoch=3)

@@ -108,7 +108,7 @@ def test_metadata_cache_stats_never_tear():
         cache.raise_floors({database: 2})
         cache.lookup(database, "memberships", ())          # epoch drop
         cache.lookup(f"absent{index}", "memberships", ())  # plain miss
-        cache.invalidate(database)
+        cache.retire({database: 3})
 
     stop, threads, errors = run_writers(write)
     try:

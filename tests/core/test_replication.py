@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cachetier import CacheTierClient, CacheTierServant
 from repro.core.coalition import Coalition
 from repro.core.discovery import CoDatabaseClient
 from repro.core.journal import (JournalEntry, ReplicaJournal, apply_entry,
@@ -491,19 +490,15 @@ class TestFailoverCacheCoherence:
         assert client.calls == 1 and r0.invocations == ["memberships"]
         assert [tag for __, __, tag in cache._entries.values()] == [5]
 
-    @pytest.mark.parametrize("kind", ["local", "tier"])
-    def test_lagging_replica_fills_refused(self, kind):
+    def test_lagging_replica_fills_refused(self):
         """Property (c) of docs/availability.md: a replica *behind* the
         floor still answers reads, but its fills are refused; entries
-        at or above the floor keep hitting.  Same for both cache kinds,
-        which differ only in whether reads cross the tier's IDL."""
+        at or above the floor keep hitting."""
         r0, r1 = _Endpoint("r0", epoch=5), _Endpoint("r1", epoch=3)
         cache = MetadataCache()
         cache.raise_floors({"Alpha": 5})  # the last mutation's epoch
         client = failover_client(
-            [r0.target(index=0), r1.target("Alpha", 1)],
-            cache=cache if kind == "local"
-            else CacheTierClient(CacheTierServant(cache=cache)))
+            [r0.target(index=0), r1.target("Alpha", 1)], cache=cache)
         client.memberships()  # cached under r0's epoch 5
         r0.alive = False
         # A cacheable read is still served from the cache (it is at
