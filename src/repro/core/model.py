@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
-from repro.orb.cdr import register_value, struct_value
+from repro.orb.cdr import CdrDecoder, CdrEncoder, register_value
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 
@@ -117,7 +117,9 @@ class SourceDescription:
     structure: list[str] = field(default_factory=list)
 
     def to_wire(self) -> dict:
-        """CDR-friendly struct for shipping between co-databases."""
+        """The field set as a plain dict: the form journals and
+        snapshots store (between ORBs a description travels as the
+        positional ``SourceDescription/2`` below)."""
         return {
             "name": self.name,
             "information_type": self.information_type,
@@ -165,8 +167,33 @@ class SourceDescription:
         return "\n".join(lines)
 
 
-register_value("SourceDescription", SourceDescription, *struct_value(
-    SourceDescription.to_wire, SourceDescription.from_wire))
+def _write_description(encoder: CdrEncoder,
+                       description: SourceDescription) -> None:
+    interface, structure = description.interface, description.structure
+    encoder.write_array("I", (len(interface), len(structure)))
+    encoder.write_strings([
+        description.name, description.information_type,
+        description.documentation_url, description.location,
+        description.wrapper, description.dbms, description.orb_product,
+        *interface, *structure])
+
+
+def _read_description(decoder: CdrDecoder) -> SourceDescription:
+    interfaces, structures = decoder.read_array("I", 2)
+    strings = decoder.read_strings(7 + interfaces + structures)
+    return SourceDescription(*strings[:5], interface=strings[7:7 + interfaces],
+                             dbms=strings[5], orb_product=strings[6],
+                             structure=strings[7 + interfaces:])
+
+
+# Positional on the wire: the interface and structure counts, then the
+# seven scalar fields and both lists as one packed run of strings
+# (layout: docs/middleware.md).  The id is not the "SourceDescription"
+# of the nine-key struct this replaced: a stale peer fails on an unknown
+# value type, it never misparses.  The journal and snapshots keep the
+# JSON form of ``to_wire`` / ``from_wire``.
+register_value("SourceDescription/2", SourceDescription, _write_description,
+               _read_description)
 
 
 class Ontology:

@@ -17,7 +17,6 @@ object.  This module provides both halves:
 from __future__ import annotations
 
 import datetime
-import itertools
 from typing import Any, Optional
 
 from repro.errors import GatewayError, MarshalError
@@ -96,13 +95,11 @@ def _write_column(encoder: CdrEncoder, column: tuple) -> None:
         return
     encoder.write_ulong(len(nulls))
     encoder.write_array("I", nulls)
+    if kind == _STRING:
+        encoder.write_strings(cells)
+        return
     if kind == _DATE:
         cells = list(map(datetime.date.toordinal, cells))
-    elif kind == _STRING:
-        # Character lengths first, then all the text as one UTF-8 blob.
-        encoder.write_array("I", list(map(len, cells)))
-        encoder.write_octets("".join(cells).encode("utf-8"))
-        return
     encoder.write_array(_PACKING[kind][0], cells)
 
 
@@ -128,17 +125,12 @@ def _read_column(decoder: CdrDecoder, count: int) -> list:
     if kind not in _PACKING:
         raise MarshalError(f"unknown column kind {kind}")
     nulls = decoder.read_array("I", decoder.read_ulong())
-    cells = decoder.read_array(_PACKING[kind][0], count)
-    if kind == _DATE:
-        column = list(map(datetime.date.fromordinal, cells))
-    elif kind == _STRING:
-        text = decoder.read_octets().decode("utf-8")
-        ends = list(itertools.accumulate(cells))
-        if len(text) != (ends[-1] if ends else 0):
-            raise MarshalError("string lengths do not add up to the text")
-        column = [text[start:end] for start, end in zip([0] + ends, ends)]
+    if kind == _STRING:
+        column = decoder.read_strings(count)
     else:
-        column = list(cells)
+        cells = decoder.read_array(_PACKING[kind][0], count)
+        column = list(map(datetime.date.fromordinal, cells)) \
+            if kind == _DATE else list(cells)
     for index in nulls:
         column[index] = None  # an index past the last row: IndexError
     return column

@@ -7,7 +7,9 @@ the message flags.  This module implements a faithful subset:
 * aligned primitives — octet, boolean, short, long, long long, double;
 * strings — unsigned long length (including NUL), UTF-8 bytes, NUL;
 * sequences — unsigned long count then elements, and *arrays* of one
-  primitive type packed and unpacked in a single call;
+  primitive type packed and unpacked in a single call — *packed
+  strings* among them: many strings as one length array and one UTF-8
+  blob, the form value types use for their string fields;
 * a tagged ``any`` encoding that lets the RPC layer ship Python
   values (None, bool, int, float, str, bytes, date, list, tuple, dict)
   without a compiled IDL type for each;
@@ -27,8 +29,9 @@ wide for its primitive included.
 from __future__ import annotations
 
 import datetime
+import itertools
 import struct
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import MarshalError
 
@@ -118,14 +121,20 @@ def _writer(code: str) -> Callable[["CdrEncoder", Any], None]:
 
 
 class CdrEncoder:
-    """Appends CDR-encoded values to one growing ``bytearray``."""
+    """Appends CDR-encoded values to one growing ``bytearray``.
 
-    def __init__(self, little_endian: bool = False):
+    A framer that has already written the head of a message body hands
+    that ``bytearray`` in as *buffer*; the encoder appends behind it and
+    aligns relative to the buffer's first octet.
+    """
+
+    def __init__(self, little_endian: bool = False,
+                 buffer: Optional[bytearray] = None):
         self.little_endian = little_endian
         order = _LITTLE if little_endian else _BIG
         self._prefix, self._pack, self._tagged = \
             order.prefix, order.pack, order.tagged
-        self._buf = bytearray()
+        self._buf = bytearray() if buffer is None else buffer
         self._depth = 0
 
     # -- low level ------------------------------------------------------------
@@ -163,6 +172,18 @@ class CdrEncoder:
         except _UNPACKABLE as exc:
             raise MarshalError(
                 f"cannot marshal a CDR {code!r} array: {exc}") from exc
+
+    def write_strings(self, values: Sequence[str]) -> None:
+        """Several strings, packed: their **character** lengths as one
+        ulong array (the reader is told the count), then all the text as
+        one UTF-8 octet sequence — no NUL, no per-string header."""
+        try:
+            blob = "".join(values).encode()
+        except (TypeError, UnicodeEncodeError) as exc:
+            raise MarshalError(
+                f"cannot marshal packed CDR strings: {exc}") from exc
+        self.write_array("I", list(map(len, values)))
+        self.write_octets(blob)
 
     # -- any ---------------------------------------------------------------------
 
@@ -297,14 +318,16 @@ class CdrDecoder:
     receive buffer, and every read here unpacks from that buffer in
     place at a tracked offset, bounds-checked first.  Values that escape
     the decoder — octet sequences, strings, arrays — are materialised,
-    so nothing decoded keeps a view (or the frame) alive.
+    so nothing decoded keeps a view (or the frame) alive.  A framer that
+    has already read the head of a message body passes *start*, the
+    offset its fields end at.
     """
 
     def __init__(self, data: bytes | bytearray | memoryview,
-                 little_endian: bool = False):
+                 little_endian: bool = False, start: int = 0):
         self._data = data
         self._end = len(data)
-        self._pos = 0
+        self._pos = start
         self.little_endian = little_endian
         order = _LITTLE if little_endian else _BIG
         self._prefix, self._unpack = order.prefix, order.unpack
@@ -365,6 +388,22 @@ class CdrDecoder:
         start = self._take(count * size)
         return struct.unpack_from(f"{self._prefix}{count}{code}",
                                   self._data, start)
+
+    def read_strings(self, count: int) -> list[str]:
+        """*count* strings :meth:`CdrEncoder.write_strings` packed; the
+        lengths are checked against what is left before any is built,
+        and must add up to the text exactly."""
+        lengths = self.read_array("I", count)
+        start = self._take(self.read_ulong())
+        try:
+            text = str(self._data[start:self._pos], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError(
+                f"packed CDR strings are not valid UTF-8: {exc}") from exc
+        ends = list(itertools.accumulate(lengths))
+        if (ends[-1] if ends else 0) != len(text):
+            raise MarshalError("string lengths do not add up to the text")
+        return [text[begin:end] for begin, end in zip([0, *ends], ends)]
 
     # -- any -------------------------------------------------------------------
 

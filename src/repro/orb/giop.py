@@ -14,17 +14,25 @@ path needs:
 Every message starts with the 12-octet GIOP header: the ``GIOP`` magic,
 protocol version, a flags octet (bit 0 = little-endian), the message
 type, and the body size.
+
+The framing is compiled: the header, each service context and the
+request / reply head are packed and unpacked with ``struct.Struct``s
+built once per byte order, at tracked offsets with bounds checks, and a
+``CdrEncoder`` / ``CdrDecoder`` runs only for the arguments or body.
+The bytes are those of the field-by-field framer it replaced
+(``tests/orb/giop_reference.py`` is kept as the oracle).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from repro.errors import MarshalError
-from repro.orb.cdr import CdrDecoder, CdrEncoder
+from repro.orb.cdr import _PAD, CdrDecoder, CdrEncoder, _not_utf8
 
 MAGIC = b"GIOP"
 VERSION = (1, 0)
@@ -109,64 +117,116 @@ class LocateReplyMessage:
 Message = (RequestMessage | ReplyMessage | LocateRequestMessage
            | LocateReplyMessage)
 
-
-#: magic, version, flags, message type, body size — by ``little_endian``.
+# Every struct below by ``little_endian`` (index 0 big, 1 little).
+#: magic, version, flags, message type, body size.
 _HEADERS = (struct.Struct(">4sBBBBI"), struct.Struct("<4sBBBBI"))
+_ULONGS = (struct.Struct(">I"), struct.Struct("<I"))
+#: Two ulongs: a service context's id and string length, a reply's or
+#: locate reply's request id and status, a locate request's id and key
+#: length.
+_PAIRS = (struct.Struct(">II"), struct.Struct("<II"))
+#: A request's id, response flag, three padding octets and key length.
+_REQUEST_HEADS = (struct.Struct(">IB3xI"), struct.Struct("<IB3xI"))
+
+#: The enum member of each octet / status value, indexed by it.
+_MESSAGE_TYPES = tuple(MessageType)
+_REQUEST, _REPLY, _LOCATE_REQUEST, _LOCATE_REPLY = 0, 1, 3, 4
+_REPLY_STATUSES = tuple(ReplyStatus)
+_LOCATE_STATUSES = tuple(LocateStatus)
+
+#: Request tails memoised: one per (byte order, response flag, object
+#: key, operation, argument count) — a federation calls a few dozen.
+TAIL_MEMO_SIZE = 1024
 
 
-def _frame(encoder: CdrEncoder, message_type: MessageType) -> bytes:
-    body = encoder.getvalue()
-    return _HEADERS[encoder.little_endian].pack(
-        MAGIC, *VERSION, encoder.little_endian, message_type,
-        len(body)) + body
+@functools.lru_cache(maxsize=TAIL_MEMO_SIZE)
+def _request_tail(little_endian: bool, response_expected: bool,
+                  object_key: bytes, operation: str,
+                  argument_count: int) -> bytes:
+    """The octets of a request between its id and its arguments.
+
+    They start 4-aligned, right behind the request-id ulong, so they do
+    not depend on what precedes them: the response flag, the object key
+    (3 padding octets bring its length to 4-alignment), the operation
+    name as a CDR string and the argument count.
+    """
+    ulong = _ULONGS[little_endian].pack
+    try:
+        name = operation.encode()
+    except UnicodeEncodeError as exc:
+        raise _not_utf8(operation, exc) from exc
+    tail = bytearray(b"\x01\x00\x00\x00" if response_expected else bytes(4))
+    tail += ulong(len(object_key))
+    tail += object_key
+    tail += _PAD[-len(tail) & 3]
+    tail += ulong(len(name) + 1)
+    tail += name
+    tail.append(0)
+    tail += _PAD[-len(tail) & 3]
+    tail += ulong(argument_count)
+    return bytes(tail)
 
 
-def _encode_service_context(encoder: CdrEncoder,
-                            context: list[tuple[int, str]]) -> None:
-    encoder.write_ulong(len(context))
+def _write_contexts(buf: bytearray, context: list[tuple[int, str]],
+                    little_endian: bool) -> None:
+    """The service-context list: a count, then per context its id and
+    the string's length in one pack, the UTF-8 and the NUL."""
+    pair = _PAIRS[little_endian].pack
+    buf += _ULONGS[little_endian].pack(len(context))
     for context_id, value in context:
-        encoder.write_ulong(context_id)
-        encoder.write_string(value)
-
-
-def _decode_service_context(decoder: CdrDecoder) -> list[tuple[int, str]]:
-    count = decoder.read_ulong()
-    return [(decoder.read_ulong(), decoder.read_string())
-            for _ in range(count)]
+        try:
+            encoded = value.encode()
+        except UnicodeEncodeError as exc:
+            raise _not_utf8(value, exc) from exc
+        buf += _PAD[-len(buf) & 3]
+        buf += pair(context_id, len(encoded) + 1)
+        buf += encoded
+        buf.append(0)
 
 
 def encode_message(message: Message, little_endian: bool = False) -> bytes:
     """Serialize *message* to GIOP bytes (header + CDR body)."""
-    # Body positions are computed relative to the end of the 12-octet
-    # header, which is itself 8-aligned, so alignment stays consistent.
-    encoder = CdrEncoder(little_endian)
-    if isinstance(message, RequestMessage):
-        message_type = MessageType.REQUEST
-        _encode_service_context(encoder, message.service_context)
-        encoder.write_ulong(message.request_id)
-        encoder.write_boolean(message.response_expected)
-        encoder.write_octets(message.object_key)
-        encoder.write_string(message.operation)
-        encoder.write_ulong(len(message.arguments))
-        for argument in message.arguments:
-            encoder.write_any(argument)
-    elif isinstance(message, ReplyMessage):
-        message_type = MessageType.REPLY
-        _encode_service_context(encoder, message.service_context)
-        encoder.write_ulong(message.request_id)
-        encoder.write_ulong(int(message.status))
-        encoder.write_any(message.body)
-    elif isinstance(message, LocateRequestMessage):
-        message_type = MessageType.LOCATE_REQUEST
-        encoder.write_ulong(message.request_id)
-        encoder.write_octets(message.object_key)
-    elif isinstance(message, LocateReplyMessage):
-        message_type = MessageType.LOCATE_REPLY
-        encoder.write_ulong(message.request_id)
-        encoder.write_ulong(int(message.status))
-    else:
-        raise MarshalError(f"cannot encode {type(message).__name__}")
-    return _frame(encoder, message_type)
+    # Body positions count from the end of the 12-octet header: the body
+    # is built on its own and the header put in front of it.
+    little = bool(little_endian)
+    try:
+        if isinstance(message, RequestMessage):
+            message_type = _REQUEST
+            buf = bytearray()
+            _write_contexts(buf, message.service_context, little)
+            buf += _PAD[-len(buf) & 3]
+            buf += _ULONGS[little].pack(message.request_id)
+            arguments = message.arguments
+            buf += _request_tail(little, bool(message.response_expected),
+                                 message.object_key, message.operation,
+                                 len(arguments))
+            if arguments:
+                encoder = CdrEncoder(little, buf)
+                for argument in arguments:
+                    encoder.write_any(argument)
+        elif isinstance(message, ReplyMessage):
+            message_type = _REPLY
+            buf = bytearray()
+            _write_contexts(buf, message.service_context, little)
+            buf += _PAD[-len(buf) & 3]
+            buf += _PAIRS[little].pack(message.request_id, message.status)
+            CdrEncoder(little, buf).write_any(message.body)
+        elif isinstance(message, LocateRequestMessage):
+            message_type = _LOCATE_REQUEST
+            buf = _PAIRS[little].pack(message.request_id,
+                                      len(message.object_key)) \
+                + message.object_key
+        elif isinstance(message, LocateReplyMessage):
+            message_type = _LOCATE_REPLY
+            buf = _PAIRS[little].pack(message.request_id, message.status)
+        else:
+            raise MarshalError(f"cannot encode {type(message).__name__}")
+    except struct.error as exc:
+        raise MarshalError(
+            f"cannot marshal the head of {type(message).__name__} "
+            f"{getattr(message, 'request_id', '?')!r}: {exc}") from exc
+    return _HEADERS[little].pack(MAGIC, *VERSION, little, message_type,
+                                 len(buf)) + buf
 
 
 #: Cap on the body size a peeked header may announce before the stream
@@ -198,107 +258,162 @@ def peek_frame_size(header: Buffer) -> int:
     return HEADER_SIZE + size
 
 
-def decode_message(data: Buffer) -> Message:
-    """Parse GIOP bytes (or a zero-copy ``memoryview``) into a message
-    object."""
+# -- decoding ------------------------------------------------------------------
+#
+# The readers below work on the whole frame at frame offsets.  Nothing
+# in a message head is wider than a ulong, and the header's 12 octets
+# are a multiple of 4, so 4-alignment at a frame offset is 4-alignment
+# in the body.  The arguments or body need the body's own 8-alignment:
+# their decoder gets the body and the offset the head ends at.
+
+
+def _underflow(count: int, at: int, end: int) -> MarshalError:
+    return MarshalError(f"GIOP underflow: need {count} octets at {at}, "
+                        f"frame ends at {end}")
+
+
+def _frame_head(data: Buffer) -> tuple[int, bool, int]:
+    """``(message type octet, little_endian, end of the body)`` of a
+    GIOP 1.0 frame of a known type whose body is all there."""
     if len(data) < HEADER_SIZE:
         raise MarshalError("GIOP message shorter than its header")
-    if data[:4] != MAGIC:
-        raise MarshalError(f"bad GIOP magic {bytes(data[:4])!r}")
-    major, minor = data[4], data[5]
-    if (major, minor) != VERSION:
+    little = bool(data[6] & 1)
+    magic, major, minor, __, message_type, size = \
+        _HEADERS[little].unpack_from(data)
+    if magic != MAGIC:
+        raise MarshalError(f"bad GIOP magic {magic!r}")
+    if major != VERSION[0] or minor != VERSION[1]:
         raise MarshalError(f"unsupported GIOP version {major}.{minor}")
-    little_endian = bool(data[6] & 1)
-    try:
-        message_type = MessageType(data[7])
-    except ValueError as exc:
-        raise MarshalError(f"unknown GIOP message type {data[7]}") from exc
-    size = int.from_bytes(data[8:12], "little" if little_endian else "big")
+    if message_type >= len(_MESSAGE_TYPES):
+        raise MarshalError(f"unknown GIOP message type {message_type}")
     if len(data) - HEADER_SIZE < size:
         raise MarshalError(
             f"GIOP body truncated: header says {size}, "
             f"got {len(data) - HEADER_SIZE}")
-    decoder = CdrDecoder(data[HEADER_SIZE:HEADER_SIZE + size], little_endian)
-    if message_type is MessageType.REQUEST:
-        context = _decode_service_context(decoder)
-        request_id = decoder.read_ulong()
-        response_expected = decoder.read_boolean()
-        object_key = decoder.read_octets()
-        operation = decoder.read_string()
-        argument_count = decoder.read_ulong()
-        arguments = [decoder.read_any() for _ in range(argument_count)]
+    return message_type, little, HEADER_SIZE + size
+
+
+def _text(data: Buffer, start: int, length: int, end: int) -> str:
+    """The CDR string whose *length* (NUL included) was read just
+    before *start*."""
+    stop = start + length
+    if length == 0:
+        raise MarshalError("CDR string with zero length (missing NUL)")
+    if stop > end:
+        raise _underflow(length, start, end)
+    if data[stop - 1] != 0:
+        raise MarshalError("CDR string not NUL-terminated")
+    try:
+        return str(data[start:stop - 1], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"CDR string is not valid UTF-8: {exc}") from exc
+
+
+def _read_contexts(data: Buffer, end: int, little: bool
+                   ) -> tuple[list[tuple[int, str]], int]:
+    """The service-context list at the head of a Request or Reply body,
+    and the frame offset behind it."""
+    if HEADER_SIZE + 4 > end:
+        raise _underflow(4, HEADER_SIZE, end)
+    pair = _PAIRS[little].unpack_from
+    contexts = []
+    pos = HEADER_SIZE + 4
+    for _ in range(_ULONGS[little].unpack_from(data, HEADER_SIZE)[0]):
+        pos += -pos & 3
+        if pos + 8 > end:
+            raise _underflow(8, pos, end)
+        context_id, length = pair(data, pos)
+        contexts.append((context_id, _text(data, pos + 8, length, end)))
+        pos += 8 + length
+    return contexts, pos + (-pos & 3)
+
+
+def decode_message(data: Buffer) -> Message:
+    """Parse GIOP bytes (or a zero-copy ``memoryview``) into a message
+    object."""
+    message_type, little, end = _frame_head(data)
+    if message_type == _REQUEST:
+        context, pos = _read_contexts(data, end, little)
+        if pos + 12 > end:
+            raise _underflow(12, pos, end)
+        request_id, response_flag, key_length = \
+            _REQUEST_HEADS[little].unpack_from(data, pos)
+        pos += 12
+        if pos + key_length > end:
+            raise _underflow(key_length, pos, end)
+        object_key = bytes(data[pos:pos + key_length])
+        pos += key_length
+        pos += -pos & 3
+        if pos + 4 > end:
+            raise _underflow(4, pos, end)
+        ulong = _ULONGS[little].unpack_from
+        length = ulong(data, pos)[0]
+        operation = _text(data, pos + 4, length, end)
+        pos += 4 + length
+        pos += -pos & 3
+        if pos + 4 > end:
+            raise _underflow(4, pos, end)
+        count = ulong(data, pos)[0]
+        arguments = []
+        if count:
+            read = CdrDecoder(data[HEADER_SIZE:end], little,
+                              pos + 4 - HEADER_SIZE).read_any
+            arguments = [read() for _ in range(count)]
         return RequestMessage(request_id=request_id, object_key=object_key,
                               operation=operation, arguments=arguments,
-                              response_expected=response_expected,
+                              response_expected=response_flag != 0,
                               service_context=context)
-    if message_type is MessageType.REPLY:
-        context = _decode_service_context(decoder)
-        request_id = decoder.read_ulong()
-        status_code = decoder.read_ulong()
-        try:
-            status = ReplyStatus(status_code)
-        except ValueError as exc:
-            raise MarshalError(f"unknown reply status {status_code}") from exc
-        body = decoder.read_any()
-        return ReplyMessage(request_id=request_id, status=status, body=body,
+    if message_type == _REPLY:
+        context, pos = _read_contexts(data, end, little)
+        if pos + 8 > end:
+            raise _underflow(8, pos, end)
+        request_id, status = _PAIRS[little].unpack_from(data, pos)
+        if status >= len(_REPLY_STATUSES):
+            raise MarshalError(f"unknown reply status {status}")
+        body = CdrDecoder(data[HEADER_SIZE:end], little,
+                          pos + 8 - HEADER_SIZE).read_any()
+        return ReplyMessage(request_id=request_id,
+                            status=_REPLY_STATUSES[status], body=body,
                             service_context=context)
-    if message_type is MessageType.LOCATE_REQUEST:
-        return LocateRequestMessage(request_id=decoder.read_ulong(),
-                                    object_key=decoder.read_octets())
-    if message_type is MessageType.LOCATE_REPLY:
-        request_id = decoder.read_ulong()
-        status_code = decoder.read_ulong()
-        try:
-            locate_status = LocateStatus(status_code)
-        except ValueError as exc:
-            raise MarshalError(
-                f"unknown locate status {status_code}") from exc
-        return LocateReplyMessage(request_id=request_id, status=locate_status)
-    raise MarshalError(f"unhandled GIOP message type {message_type!r}")
-
-
-def _peek_decoder(data: Buffer) -> tuple[Optional[MessageType],
-                                         Optional[CdrDecoder]]:
-    """Message type and a body decoder, without decoding the body.
-
-    Returns ``(None, None)`` for frames that are not GIOP 1.0 (or are
-    shorter than their header's size field says).
-    """
-    if len(data) < HEADER_SIZE or data[:4] != MAGIC \
-            or (data[4], data[5]) != VERSION:
-        return None, None
-    try:
-        message_type = MessageType(data[7])
-    except ValueError:
-        return None, None
-    little_endian = bool(data[6] & 1)
-    size = int.from_bytes(data[8:12], "little" if little_endian else "big")
-    if len(data) - HEADER_SIZE < size:
-        return None, None
-    return message_type, CdrDecoder(data[HEADER_SIZE:HEADER_SIZE + size],
-                                    little_endian)
+    if HEADER_SIZE + 8 > end:
+        raise _underflow(8, HEADER_SIZE, end)
+    request_id, second = _PAIRS[little].unpack_from(data, HEADER_SIZE)
+    if message_type == _LOCATE_REQUEST:
+        stop = HEADER_SIZE + 8 + second
+        if stop > end:
+            raise _underflow(second, HEADER_SIZE + 8, end)
+        return LocateRequestMessage(
+            request_id=request_id,
+            object_key=bytes(data[HEADER_SIZE + 8:stop]))
+    if message_type == _LOCATE_REPLY:
+        if second >= len(_LOCATE_STATUSES):
+            raise MarshalError(f"unknown locate status {second}")
+        return LocateReplyMessage(request_id=request_id,
+                                  status=_LOCATE_STATUSES[second])
+    raise MarshalError(
+        f"unhandled GIOP message type {_MESSAGE_TYPES[message_type]!r}")
 
 
 def peek_request(data: Buffer) -> tuple[Optional[int], bool]:
     """``(request_id, response_expected)`` of an outgoing frame.
 
-    Reads just far enough into the CDR body to find the request id —
-    a BUSY reply must carry it — and the response flag, which tells the
+    Reads just far enough into the body to find the request id — a
+    BUSY reply must carry it — and the response flag, which tells the
     TCP client whether a reply will come at all (a oneway request gets
     none).  ``(None, True)`` means the frame carries no request id.
     """
-    message_type, decoder = _peek_decoder(data)
-    if decoder is None:
-        return None, True
     try:
-        if message_type is MessageType.REQUEST:
-            _decode_service_context(decoder)
-            request_id = decoder.read_ulong()
-            return request_id, decoder.read_boolean()
-        if message_type is MessageType.LOCATE_REQUEST:
-            return decoder.read_ulong(), True
+        message_type, little, end = _frame_head(data)
+        if message_type == _REQUEST:
+            __, pos = _read_contexts(data, end, little)
+            if pos + 5 <= end:
+                return (_ULONGS[little].unpack_from(data, pos)[0],
+                        data[pos + 4] != 0)
+        elif message_type == _LOCATE_REQUEST \
+                and HEADER_SIZE + 4 <= end:
+            return _ULONGS[little].unpack_from(data, HEADER_SIZE)[0], True
     except MarshalError:
-        return None, True
+        pass
     return None, True
 
 
@@ -326,13 +441,13 @@ def peek_request_admission(data: Buffer) -> tuple[Optional[float], str]:
     default to ``(None, "interactive")``: never shed what cannot be
     read.
     """
-    message_type, decoder = _peek_decoder(data)
-    if decoder is None or message_type is not MessageType.REQUEST:
-        return None, "interactive"
     budget: Optional[float] = None
     traffic_class = "interactive"
     try:
-        for context_id, value in _decode_service_context(decoder):
+        message_type, little, end = _frame_head(data)
+        if message_type != _REQUEST:
+            return None, "interactive"
+        for context_id, value in _read_contexts(data, end, little)[0]:
             if context_id == DEADLINE_BUDGET_CONTEXT:
                 budget = float(value)
             elif context_id == TRAFFIC_CLASS_CONTEXT:

@@ -51,7 +51,10 @@ class RemoteSystemError(OrbError):
 #: GIOP request ids need only be unique per connection, but pooled
 #: connections are shared by every client ORB on one transport — so
 #: ids are drawn from a single process-wide counter, unique on
-#: whichever connection a request rides.
+#: whichever connection a request rides.  GIOP carries the id as a
+#: ulong, so the counter is read modulo 2**32 (:meth:`Orb._next_id`):
+#: an id comes round again only after 2**32 requests, long after the
+#: connection that carried its last use has had that reply.
 _request_ids = itertools.count(1)
 
 
@@ -276,7 +279,7 @@ class Orb:
             service_context.append(
                 (TRAFFIC_CLASS_CONTEXT, policy.traffic_class))
         request = RequestMessage(
-            request_id=next(self._request_ids),
+            request_id=self._next_id(),
             object_key=ior.primary.object_key,
             operation=operation,
             arguments=arguments,
@@ -294,6 +297,7 @@ class Orb:
         reply = decode_message(raw_reply)
         if not isinstance(reply, ReplyMessage):
             raise MarshalError(f"expected Reply, got {type(reply).__name__}")
+        _check_answers(reply, request.request_id, ior, operation)
         if reply.status is ReplyStatus.NO_EXCEPTION:
             return reply.body
         if reply.status is ReplyStatus.USER_EXCEPTION:
@@ -319,7 +323,7 @@ class Orb:
 
     def locate(self, ior: Ior) -> bool:
         """LocateRequest probe: is the object alive at its endpoint?"""
-        message = LocateRequestMessage(request_id=next(self._request_ids),
+        message = LocateRequestMessage(request_id=self._next_id(),
                                        object_key=ior.primary.object_key)
         try:
             raw_reply = self.transport.send(ior.primary.endpoint,
@@ -327,8 +331,13 @@ class Orb:
         except CommFailure:
             return False
         reply = decode_message(raw_reply)
-        return (isinstance(reply, LocateReplyMessage)
-                and reply.status is LocateStatus.OBJECT_HERE)
+        if not isinstance(reply, LocateReplyMessage):
+            return False
+        _check_answers(reply, message.request_id, ior, "locate")
+        return reply.status is LocateStatus.OBJECT_HERE
+
+    def _next_id(self) -> int:
+        return next(self._request_ids) % 2**32
 
     def proxy(self, ior: Ior,
               interface: Optional[InterfaceDef] = None) -> Proxy:
@@ -357,6 +366,16 @@ class Orb:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"Orb(name={self.name!r}, product={self.product!r}, "
                 f"endpoint={self.endpoint!r}, servants={len(self._servants)})")
+
+
+def _check_answers(reply: "ReplyMessage | LocateReplyMessage",
+                   request_id: int, ior: Ior, operation: str) -> None:
+    """Never a cross-wired reply: one that answers another request is a
+    communication failure, whatever it carries."""
+    if reply.request_id != request_id:
+        raise CommFailure(
+            f"{ior.primary.endpoint!r} answered request {reply.request_id} "
+            f"to {operation} request {request_id}")
 
 
 def _system_exception(request_id: int, exc: Exception) -> ReplyMessage:

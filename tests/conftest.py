@@ -19,7 +19,8 @@ from repro.sql.engine import Database
 # cdr-fuzz, discovery-model, tier2-replication and tier2-quorum jobs:
 # ten times hypothesis's default example count, examples chosen by
 # ``--hypothesis-seed``.  Only tests/sql/test_differential_sqlite.py,
-# tests/orb/test_cdr_properties.py, tests/core/test_discovery_model.py,
+# tests/orb/test_cdr_properties.py, tests/orb/test_giop_oracle.py,
+# tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
 # loaded profile; tier-1 loads none.

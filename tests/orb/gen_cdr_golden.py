@@ -1,15 +1,23 @@
 """Generator for ``cdr_golden.json``: value -> hex in both byte orders.
 
-``VALUES`` and ``frames()`` were encoded by the codec of commit
-``eb762ab`` (the chunk-list encoder), so they pin the *bytes* across any
-change of mechanics::
+The *pinned* sections — ``values`` (``VALUES``), ``frames``
+(``frames()``) and ``retired`` (``RETIRED``) — were encoded by the codec
+of commit ``eb762ab`` (the chunk-list encoder), so they pin the *bytes*
+across any change of mechanics::
 
     PYTHONPATH=<checkout of eb762ab>/src python tests/orb/gen_cdr_golden.py
 
-``RESULT_SETS`` are in the column-packed form, which did not exist at
-that commit; ``--result-sets`` rewrites only that section from the
-working tree and leaves the pinned ones as they are.  ``test_cdr_golden``
-reads the values from here and the bytes from the JSON file.
+``retired`` holds wire forms this codec no longer reads: decoding one
+must be a ``MarshalError`` for an unknown value type, never a misparse.
+
+The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
+column-packed ``ResultSet/2``) and ``descriptions`` (``DESCRIPTIONS``,
+the positional ``SourceDescription/2``) — are forms that did not exist
+at that commit; ``--working-tree`` rewrites only those sections from
+the working tree and leaves the pinned ones as they are.  Run it only
+when one of those wire forms changes on purpose (a new type id).
+``test_cdr_golden`` reads the values from here and the bytes from the
+JSON file.
 """
 
 import datetime
@@ -45,6 +53,10 @@ class Label(str):
 LINK = ServiceLink(EndpointKind.DATABASE, "ATO", EndpointKind.COALITION,
                    "Medical", "tax records", "ATO to Medical", contact="RBH")
 DAY = datetime.date(1999, 3, 23)
+DESCRIPTION = SourceDescription(
+    "RBH", "hospital", "http://rbh/doc", "dba.icis.qut.edu.au",
+    "dba.icis.qut.edu.au/WebTassiliOracle", ["Patient", "History"],
+    "Oracle", "VisiBroker", ["Patient.Name", "Funding"])
 
 VALUES = {
     "null": None, "true": True, "false": False,
@@ -67,10 +79,6 @@ VALUES = {
     "coalition": Coalition("Medical", "medical research", "Health", "doc",
                            ["RBH", "QUT Research"]),
     "coalition_no_parent": Coalition("C", "t"),
-    "source_description": SourceDescription(
-        "RBH", "hospital", "http://rbh/doc", "dba.icis.qut.edu.au",
-        "dba.icis.qut.edu.au/WebTassiliOracle", ["Patient", "History"],
-        "Oracle", "VisiBroker", ["Patient.Name", "Funding"]),
     "values_in_containers": {"links": [LINK, LINK], "kind": (
         EndpointKind.DATABASE,), "nested": Coalition("C", "t", members=[
             LINK, [Coalition("D", "u")]])},
@@ -88,6 +96,23 @@ DECODES_AS = {
     "str_subclass": ["tagged", {"key": ""}],
     "values_in_containers": dict(VALUES["values_in_containers"],
                                  kind=[EndpointKind.DATABASE]),
+}
+
+#: The nine-key struct form of ``SourceDescription`` (type id
+#: ``SourceDescription``), replaced by ``SourceDescription/2``.
+RETIRED = {"source_description": DESCRIPTION}
+
+DESCRIPTIONS = {
+    "description": DESCRIPTION,
+    "description_empty_lists": SourceDescription("Solo", "t"),
+    "description_empty_strings": SourceDescription(
+        "", "", "", "", "", [""], "", "", ["", ""]),
+    "description_astral": SourceDescription(
+        "𝄞 Clinic", "pædiatrics 😀", "http://x/\x00", interface=["Ωmega"],
+        structure=["𝄞.Name", "Δ"]),
+    # A string of k characters in front moves the description through
+    # every alignment offset 0-7.
+    **{f"description_aligned_{k}": ["x" * k, DESCRIPTION] for k in range(8)},
 }
 
 RESULT_SETS = {
@@ -147,9 +172,11 @@ def encode_all(values):
 
 
 if __name__ == "__main__":
-    if "--result-sets" in sys.argv:
-        golden = json.loads(GOLDEN.read_text())
+    golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    if "--working-tree" in sys.argv:
+        golden.update(result_sets=encode_all(RESULT_SETS),
+                      descriptions=encode_all(DESCRIPTIONS))
     else:
-        golden = {"values": encode_all(VALUES), "frames": frames()}
-    golden["result_sets"] = encode_all(RESULT_SETS)
+        golden.update(values=encode_all(VALUES), frames=frames(),
+                      retired=encode_all(RETIRED))
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

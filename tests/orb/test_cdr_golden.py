@@ -6,14 +6,17 @@ model value types, subclasses of ``int`` / ``str``, and whole GIOP
 frames.  Those sections were generated by ``gen_cdr_golden.py`` running
 on the codec of commit ``eb762ab`` — the encoder has to write exactly
 those bytes and the decoder has to read them back.  The ``result_sets``
-section pins the column-packed ``ResultSet`` form the same way for the
-next change.
+and ``descriptions`` sections pin the column-packed ``ResultSet/2`` and
+the positional ``SourceDescription/2`` the same way for the next change;
+the ``retired`` section keeps a form they replaced, which must now be
+refused.
 """
 
 import json
 
 import pytest
 
+from repro.errors import MarshalError
 from repro.orb.cdr import decode_any, encode_any
 from repro.orb.giop import decode_message, encode_message
 from repro.sql.result import ResultSet
@@ -33,24 +36,43 @@ def plain(value):
     return repr(value)
 
 
+#: Section of the JSON file -> the values its vectors encode.
+SECTIONS = {"values": gen.VALUES, "result_sets": gen.RESULT_SETS,
+            "descriptions": gen.DESCRIPTIONS}
+PINNED = [(section, name) for section, values in SECTIONS.items()
+          for name in values]
+
+
 def test_every_vector_has_a_value_and_every_value_a_vector():
-    assert set(GOLDEN["values"]) == set(gen.VALUES)
-    assert set(GOLDEN["result_sets"]) == set(gen.RESULT_SETS)
+    for section, values in SECTIONS.items():
+        assert set(GOLDEN[section]) == set(values)
+    assert set(GOLDEN["retired"]) == set(gen.RETIRED)
     assert set(GOLDEN["frames"]) == set(gen.frames())
 
 
 @ORDERS
-@pytest.mark.parametrize("name", list(gen.VALUES) + list(gen.RESULT_SETS))
+@pytest.mark.parametrize("section, name", PINNED,
+                         ids=[name for __, name in PINNED])
 def test_a_value_is_written_as_and_read_back_from_its_pinned_bytes(
-        name, little):
-    pinned = gen.VALUES if name in gen.VALUES else gen.RESULT_SETS
-    section = "values" if name in gen.VALUES else "result_sets"
+        section, name, little):
+    value = SECTIONS[section][name]
     data = bytes.fromhex(GOLDEN[section][name][little])
-    assert encode_any(pinned[name], little).hex() == data.hex()
+    assert encode_any(value, little).hex() == data.hex()
     decoded = decode_any(data, little)
-    assert plain(decoded) == plain(gen.DECODES_AS.get(name, pinned[name]))
+    assert plain(decoded) == plain(gen.DECODES_AS.get(name, value))
     assert encode_any(decoded, little) == data
     assert plain(decode_any(memoryview(data), little)) == plain(decoded)
+
+
+@ORDERS
+@pytest.mark.parametrize("name", sorted(GOLDEN["retired"]))
+def test_a_retired_wire_form_is_refused_as_an_unknown_value_type(
+        name, little):
+    """A stale peer's bytes fail on their type id, never misparse."""
+    data = bytes.fromhex(GOLDEN["retired"][name][little])
+    assert encode_any(gen.RETIRED[name], little) != data
+    with pytest.raises(MarshalError, match="unknown CDR value type"):
+        decode_any(data, little)
 
 
 @ORDERS

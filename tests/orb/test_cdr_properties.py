@@ -14,7 +14,8 @@ kind, the per-cell ``any`` fallback, nulls anywhere, ``True`` among
 ints, ``long`` -> ``long long`` -> bigint promotion inside one column,
 NaN and ``-0.0`` (compared bit for bit), strings with embedded NUL /
 empty / astral, zero columns x n rows, n columns x zero rows, and
-2,000-row results.
+2,000-row results.  A ``SourceDescription`` travels positional
+(``core/model.py``), its strings packed as a string column is.
 
 **Fuzz.**  Every truncation and every single-byte corruption of a valid
 encoding — standalone, and inside a whole GIOP Request and Reply frame
@@ -163,14 +164,16 @@ def same(a, b):
     return a == b
 
 
-#: One compact value using every tag and every column kind, value types
-#: inside containers inside value types: the subject of the exhaustive
-#: sweeps.
+#: One compact value using every tag, every column kind and every
+#: registered value type, value types inside containers inside value
+#: types: the subject of the exhaustive sweeps.
 SAMPLE = {
     "primitives": [None, True, False, -7, 2**40, -2**70, 2.5, "hé",
                    b"\x00\xff", datetime.date(1999, 3, 23)],
     "link": ServiceLink(EndpointKind.DATABASE, "ATO",
                         EndpointKind.COALITION, "Medical", contact="RBH"),
+    "description": SourceDescription("RBH", "hé", "", "qut", "w", ["P"],
+                                     "Oracle", "", ["P.Name", "𝄞"]),
     "result": ResultSet(["cell"], [(Coalition("C", "t", members=[
         EndpointKind.COALITION]),), (None,)]),
     "packed": ResultSet(
@@ -311,7 +314,7 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
     that is not what its write hook puts there — here the type id
     followed by some other ``any`` — is a value (the hook may accept
     it) or the codec's error naming the class, never the hook's own."""
-    for type_id in ("SourceDescription", "ServiceLink", "EndpointKind",
+    for type_id in ("SourceDescription/2", "ServiceLink", "EndpointKind",
                     "ResultSet/2"):
         name = type_id.partition("/")[0]
         encoder = CdrEncoder()
@@ -323,14 +326,18 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
         except MarshalError as exc:
             assert f"malformed {name} value" in str(exc)
             assert exc.__cause__ is not None
-    # The id of the row-per-struct form this codec used to carry is
+    # The ids of the struct forms this codec used to carry — the
+    # row-per-struct ResultSet, the nine-key SourceDescription — are
     # unknown now: a stale peer is refused, never misparsed.
-    encoder = CdrEncoder()
-    encoder.write_octet(cdr.TAG_VALUE)
-    encoder.write_string("ResultSet")
-    encoder.write_any({"columns": ["a"], "rows": [[1]], "rowcount": 1})
-    with pytest.raises(MarshalError, match="unknown CDR value type"):
-        decode_any(encoder.getvalue())
+    for type_id, struct_form in (
+            ("ResultSet", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
+            ("SourceDescription", {"name": "A", "information_type": "t"})):
+        encoder = CdrEncoder()
+        encoder.write_octet(cdr.TAG_VALUE)
+        encoder.write_string(type_id)
+        encoder.write_any(struct_form)
+        with pytest.raises(MarshalError, match="unknown CDR value type"):
+            decode_any(encoder.getvalue())
 
 
 def test_whatever_a_write_hook_raises_is_a_marshal_error():

@@ -1,5 +1,7 @@
 """ORB core tests: activation, invocation, exceptions, naming, interop."""
 
+import itertools
+
 import pytest
 
 from repro.errors import (BadOperation, CommFailure, IdlError, NamingError,
@@ -8,6 +10,7 @@ from repro.orb import (CdrEncoder, InMemoryNetwork, InterfaceBuilder,
                        NamingClient, Orb, RemoteSystemError, RequestMessage,
                        TcpTransport, create_orb, encode_message, get_product,
                        ORBIX, ORBIXWEB, VISIBROKER, start_naming_service)
+from repro.orb.giop import ReplyMessage, decode_message
 
 from tests.orb.test_cdr import nested_sequences
 
@@ -31,6 +34,25 @@ class CalcServant:
 
     def echo(self, value):
         return value
+
+
+class CrossWired:
+    """A transport that answers every request with another request's
+    reply: the status the real server gave, under request id 7 and with
+    someone else's answer in it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def send(self, endpoint, data):
+        reply = decode_message(self.inner.send(endpoint, data))
+        reply.request_id = 7
+        if isinstance(reply, ReplyMessage):
+            reply.body = "someone else's answer"
+        return encode_message(reply)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
 
 
 @pytest.fixture()
@@ -138,6 +160,34 @@ class TestInvocation:
         assert client.locate(ior) is True
         server.deactivate(ior)
         assert client.locate(ior) is False
+
+    def test_request_ids_wrap_at_the_giop_ulong(self, fabric):
+        """The process-wide counter runs past 2**32 - 1; the id on the
+        wire wraps to 0 instead of failing every later call."""
+        __, __, client, ior = fabric
+        client._request_ids = itertools.count(2**32 - 2)
+        sent = []
+        client.add_client_interceptor(
+            lambda request: sent.append(request.request_id))
+        proxy = client.proxy(ior, CALC)
+        assert [proxy.echo(n) for n in range(4)] == [0, 1, 2, 3]
+        assert sent == [2**32 - 2, 2**32 - 1, 0, 1]
+        assert client.locate(ior) is True
+
+    def test_a_reply_to_another_request_is_a_comm_failure(self, fabric):
+        network, __, __, ior = fabric
+        client = create_orb(VISIBROKER, CrossWired(network),
+                            host="client.test")
+        with pytest.raises(CommFailure, match="answered request 7 to echo"):
+            client.proxy(ior, CALC).echo("mine")
+
+    def test_a_locate_reply_to_another_request_is_a_comm_failure(
+            self, fabric):
+        network, __, __, ior = fabric
+        client = create_orb(VISIBROKER, CrossWired(network),
+                            host="client.test")
+        with pytest.raises(CommFailure, match="answered request 7 to locate"):
+            client.locate(ior)
 
     def test_request_counters(self, fabric):
         __, server, client, ior = fabric
