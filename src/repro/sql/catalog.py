@@ -140,9 +140,3 @@ class Catalog:
         if key not in self._indexes:
             raise CatalogError(f"no index {name!r}")
         return self._indexes.pop(key)
-
-    def index(self, name: str) -> IndexDef:
-        key = name.lower()
-        if key not in self._indexes:
-            raise CatalogError(f"no index {name!r}")
-        return self._indexes[key]

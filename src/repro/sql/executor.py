@@ -13,14 +13,17 @@ pushed onto the *frame* ``(params, outer_row, outer_frame)``.
 
 from __future__ import annotations
 
-from typing import Any, Optional, Sequence
+from collections import defaultdict
+from itertools import repeat
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import IntegrityError, SqlError
 from repro.sql.expressions import SAME_KIND, Compiled, Frame, sql_equal
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
-                               IndexLookup, InsertPlan, ModifyPlan,
-                               NestedLoopJoin, OrderKey, QueryPlan, RowSource,
-                               SelectPlan, SingleRow, TableScan, UnionPlan)
+                               IndexLookup, IndexRange, InsertPlan,
+                               ModifyPlan, NestedLoopJoin, OrderKey,
+                               QueryPlan, RowSource, SelectPlan, SingleRow,
+                               TableScan, UnionPlan)
 from repro.sql.result import ResultSet
 from repro.sql.storage import Row
 
@@ -80,24 +83,23 @@ def _constant_int(expression: Compiled, label: str, frame: Frame) -> int:
 
 def _aggregate(plan: SelectPlan, rows: list[tuple], frame: Frame) -> list[tuple]:
     """One row per group that passes HAVING: the group's first input row
-    extended by its aggregate results."""
-    factories = [factory for factory, __ in plan.aggregates]
-    arguments = [argument for __, argument in plan.aggregates]
+    extended by its aggregate results.  One pass buckets the rows by
+    group key; then each aggregate reduces one whole group at a time."""
     group_key = plan.group_key
-    groups: dict[Any, tuple[tuple, list]] = {}
-    for row in rows:
-        key = group_key(row, frame) if group_key is not None else None
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = (row, [factory() for factory in factories])
-        for accumulator, argument in zip(group[1], arguments):
-            accumulator.add(1 if argument is None else argument(row, frame))
-    if not groups and group_key is None:
+    if group_key is None:
         # Aggregates over an empty input still yield one row.
-        width = len(plan.source.header)
-        groups[None] = ((None,) * width, [factory() for factory in factories])
-    extended = [row + tuple([a.result() for a in accumulators])
-                for row, accumulators in groups.values()]
+        groups: dict[Any, list[tuple]] = {None: rows}
+    else:
+        groups = defaultdict(list)
+        for key, row in zip(map(group_key, rows, repeat(frame)), rows):
+            groups[key].append(row)
+    blank = (None,) * len(plan.source.header)
+    extended = [
+        (group[0] if group else blank) + tuple([
+            reducer(group if argument is None
+                    else [argument(row, frame) for row in group])
+            for reducer, argument in plan.aggregates])
+        for group in groups.values()]
     having = plan.having
     if having is not None:
         extended = [row for row in extended if having(row, frame) is True]
@@ -125,7 +127,7 @@ def _ordered(outputs: list[tuple], inputs: Sequence[Sequence],
 
 def _materialize(source: RowSource, frame: Frame) -> list[tuple]:
     probe = source.child if isinstance(source, FilteredSource) else source
-    if isinstance(probe, IndexLookup):
+    if isinstance(probe, (IndexLookup, IndexRange)):
         return [tuple(row) for __, row in _access(source, frame)]
     if isinstance(source, FilteredSource):
         tests = source.tests
@@ -159,21 +161,38 @@ def _access(source: RowSource, frame: Frame) -> list[tuple[int, Row]]:
     tests: Sequence[Compiled] = ()
     if isinstance(source, FilteredSource):
         source, tests = source.child, source.tests
-    probe = isinstance(source, IndexLookup)
-    if probe and type(key := source.key((), frame)) in source.key_types:
-        table = source.table
-        pairs = [(row_id, table.row(row_id))
-                 for row_id in sorted(source.index.lookup((key,)))]
+    found = None if isinstance(source, TableScan) else _probe(source, frame)
+    if found is not None:
+        pairs = source.table.rows_at(found)
     else:
-        assert probe or isinstance(source, TableScan)
-        if probe:
-            # The index holds no value of this type, yet `=` may still
-            # match (text spelling a date, say): ask every row.
+        if not isinstance(source, TableScan):
+            # The index cannot compare this key, yet the conjunct may
+            # still hold (text spelling a date, say): ask every row.
             tests = [source.fallback, *tests]
         pairs = list(source.table.scan())
     for test in tests:
         pairs = [pair for pair in pairs if test(pair[1], frame) is True]
     return pairs
+
+
+def _probe(source: Union[IndexLookup, IndexRange], frame: Frame
+           ) -> Optional[list[int]]:
+    """Row ids an index probe finds, ascending; None when the index
+    cannot answer: a key or range end not of the types the column
+    holds, or (a range) a stored key out of order."""
+    kinds = source.key_types
+    if isinstance(source, IndexLookup):
+        key = source.key((), frame)
+        return sorted(source.index.lookup((key,))) if type(key) in kinds \
+            else None
+    ends = [None if end is None else (end[1]((), frame), end[2])
+            for end in (source.low, source.high)]
+    values = [end[0] for end in ends if end is not None]
+    if any(value is not None and type(value) not in kinds for value in values):
+        return None
+    if any(value is None for value in values):
+        return []  # a NULL end bounds nothing
+    return source.index.range(*ends, kinds)
 
 
 def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:

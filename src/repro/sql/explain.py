@@ -11,15 +11,16 @@ very object the engine caches and the executor runs.
       Aggregate: group by c.region
 
 A ``Filter:`` line applies to the node just above it at the same depth.
+A range probe reads ``IndexRange(t) key=(col) range=[a, +inf)``.
 """
 
 from __future__ import annotations
 
 from repro.sql import ast
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
-                               IndexLookup, InsertPlan, ModifyPlan,
-                               NestedLoopJoin, RowSource, SelectPlan,
-                               TableScan, UnionPlan)
+                               IndexLookup, IndexRange, InsertPlan,
+                               ModifyPlan, NestedLoopJoin, RowSource,
+                               SelectPlan, TableScan, UnionPlan)
 
 
 def _render_expression(expression: ast.Expression) -> str:
@@ -35,18 +36,21 @@ def _render_expression(expression: ast.Expression) -> str:
         return (f"{_render_expression(expression.left)} {expression.op} "
                 f"{_render_expression(expression.right)}")
     if isinstance(expression, ast.IsNull):
-        negation = " NOT" if expression.negated else ""
-        return f"{_render_expression(expression.operand)} IS{negation} NULL"
+        return (f"{_render_expression(expression.operand)} "
+                f"IS{_negation(expression)} NULL")
     if isinstance(expression, ast.Like):
-        return (f"{_render_expression(expression.operand)} LIKE "
+        return (f"{_render_expression(expression.operand)}"
+                f"{_negation(expression)} LIKE "
                 f"{_render_expression(expression.pattern)}")
     if isinstance(expression, ast.Between):
-        return (f"{_render_expression(expression.operand)} BETWEEN "
+        return (f"{_render_expression(expression.operand)}"
+                f"{_negation(expression)} BETWEEN "
                 f"{_render_expression(expression.low)} AND "
                 f"{_render_expression(expression.high)}")
     if isinstance(expression, ast.InList):
         items = ", ".join(_render_expression(i) for i in expression.items)
-        return f"{_render_expression(expression.operand)} IN ({items})"
+        return (f"{_render_expression(expression.operand)}"
+                f"{_negation(expression)} IN ({items})")
     if isinstance(expression, ast.FunctionCall):
         args = ", ".join(_render_expression(a) for a in expression.args)
         return f"{expression.name}({args})"
@@ -63,6 +67,21 @@ def _render_expression(expression: ast.Expression) -> str:
     return type(expression).__name__
 
 
+def _negation(expression) -> str:
+    return " NOT" if expression.negated else ""
+
+
+def _render_range(source: IndexRange) -> str:
+    """``[a, b)`` style: a bracket for an included end, a parenthesis
+    for an excluded or missing one."""
+    low, high = source.low, source.high
+    start = "(-inf" if low is None \
+        else ("[" if low[2] else "(") + _render_expression(low[0])
+    stop = "+inf)" if high is None \
+        else _render_expression(high[0]) + ("]" if high[2] else ")")
+    return f"{start}, {stop}"
+
+
 def _render_source(source: RowSource, indent: int, lines: list[str]) -> None:
     pad = "  " * indent
     if isinstance(source, FilteredSource):
@@ -75,6 +94,9 @@ def _render_source(source: RowSource, indent: int, lines: list[str]) -> None:
                         if source.binding != source.name else ""))
     elif isinstance(source, IndexLookup):
         lines.append(f"{pad}IndexLookup({source.name}) key=({source.column})")
+    elif isinstance(source, IndexRange):
+        lines.append(f"{pad}IndexRange({source.name}) key=({source.column}) "
+                     f"range={_render_range(source)}")
     elif isinstance(source, DerivedTable):
         lines.append(f"{pad}Derived({source.binding})")
         lines.extend(f"{pad}  {line}" for line in _query_lines(source.plan))

@@ -6,14 +6,16 @@ must implement SQL NULL propagation themselves where appropriate (the
 common case — return NULL when any argument is NULL — is provided by the
 ``_null_propagating`` decorator).
 
-Aggregates are small accumulator classes registered in
-:data:`AGGREGATE_FUNCTIONS`.
+Aggregates are reducers registered in :data:`AGGREGATE_FUNCTIONS`:
+each turns the argument values of one whole group into its result.
 """
 
 from __future__ import annotations
 
 import datetime
 import math
+import operator
+from functools import reduce
 from typing import Any, Callable, Optional
 
 from repro.errors import SqlError
@@ -195,117 +197,51 @@ SCALAR_FUNCTIONS: dict[str, ScalarFn] = {
 # Aggregates
 # ---------------------------------------------------------------------------
 
-class Aggregate:
-    """Base accumulator.  ``add`` sees one evaluated argument per row;
-    ``result`` produces the final value."""
-
-    def __init__(self, distinct: bool = False):
-        self._distinct = distinct
-        self._seen: set = set()
-
-    def _admit(self, value: Any) -> bool:
-        """NULLs never participate; DISTINCT filters repeats."""
-        if value is None:
-            return False
-        if self._distinct:
-            if value in self._seen:
-                return False
-            self._seen.add(value)
-        return True
-
-    def add(self, value: Any) -> None:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def result(self) -> Any:  # pragma: no cover - abstract
-        raise NotImplementedError
+#: ``reducer(values, distinct=False)``: one group's argument values, in
+#: row order, to the aggregate's result.
+Reducer = Callable[..., Any]
 
 
-class CountAggregate(Aggregate):
-    """COUNT(expr) / COUNT(*) / COUNT(DISTINCT expr)."""
-
-    def __init__(self, distinct: bool = False, count_star: bool = False):
-        super().__init__(distinct)
-        self._count_star = count_star
-        self._count = 0
-
-    def add(self, value: Any) -> None:
-        if self._count_star:
-            self._count += 1
-        elif self._admit(value):
-            self._count += 1
-
-    def result(self) -> int:
-        return self._count
+def _present(values: list, distinct: bool) -> list:
+    """NULLs never participate; DISTINCT keeps the first of equal values."""
+    present = [value for value in values if value is not None]
+    return list(dict.fromkeys(present)) if distinct else present
 
 
-class SumAggregate(Aggregate):
-    """SUM(expr) — NULL over an empty or all-NULL input."""
-
-    def __init__(self, distinct: bool = False):
-        super().__init__(distinct)
-        self._total: Optional[float] = None
-
-    def add(self, value: Any) -> None:
-        if self._admit(value):
-            self._total = value if self._total is None else self._total + value
-
-    def result(self) -> Any:
-        return self._total
+def _count(values: list, distinct: bool = False) -> int:
+    """COUNT(expr) / COUNT(DISTINCT expr); COUNT(*) is the group's size."""
+    return len(_present(values, distinct))
 
 
-class AvgAggregate(Aggregate):
-    """AVG(expr)."""
-
-    def __init__(self, distinct: bool = False):
-        super().__init__(distinct)
-        self._total = 0.0
-        self._count = 0
-
-    def add(self, value: Any) -> None:
-        if self._admit(value):
-            self._total += value
-            self._count += 1
-
-    def result(self) -> Optional[float]:
-        return self._total / self._count if self._count else None
+def _sum(values: list, distinct: bool = False) -> Any:
+    """SUM(expr), added left to right — NULL over an empty or all-NULL
+    input."""
+    present = _present(values, distinct)
+    return reduce(operator.add, present) if present else None
 
 
-class MinAggregate(Aggregate):
+def _avg(values: list, distinct: bool = False) -> Optional[float]:
+    """AVG(expr), added left to right from 0.0."""
+    present = _present(values, distinct)
+    return reduce(operator.add, present, 0.0) / len(present) if present else None
+
+
+def _min(values: list, distinct: bool = False) -> Any:
     """MIN(expr)."""
-
-    def __init__(self, distinct: bool = False):
-        super().__init__(distinct)
-        self._min: Any = None
-
-    def add(self, value: Any) -> None:
-        if self._admit(value) and (self._min is None or value < self._min):
-            self._min = value
-
-    def result(self) -> Any:
-        return self._min
+    return min(_present(values, distinct), default=None)
 
 
-class MaxAggregate(Aggregate):
+def _max(values: list, distinct: bool = False) -> Any:
     """MAX(expr)."""
-
-    def __init__(self, distinct: bool = False):
-        super().__init__(distinct)
-        self._max: Any = None
-
-    def add(self, value: Any) -> None:
-        if self._admit(value) and (self._max is None or value > self._max):
-            self._max = value
-
-    def result(self) -> Any:
-        return self._max
+    return max(_present(values, distinct), default=None)
 
 
-AGGREGATE_FUNCTIONS: dict[str, type[Aggregate]] = {
-    "COUNT": CountAggregate,
-    "SUM": SumAggregate,
-    "AVG": AvgAggregate,
-    "MIN": MinAggregate,
-    "MAX": MaxAggregate,
+AGGREGATE_FUNCTIONS: dict[str, Reducer] = {
+    "COUNT": _count,
+    "SUM": _sum,
+    "AVG": _avg,
+    "MIN": _min,
+    "MAX": _max,
 }
 
 

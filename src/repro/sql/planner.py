@@ -7,10 +7,14 @@ group keys, aggregate arguments, ORDER BY keys) compiled to a closure.
 A plan binds storage objects and holds no per-execution state, so the
 engine caches it per statement text until the catalog changes.
 
-Three rewrites shape the row-source tree:
+Four rewrites shape the row-source tree:
 
 * **index lookup** — an equality conjunct ``col = <constant>`` on a base
   table with a matching hash index becomes an :class:`IndexLookup`;
+* **index range** — failing that, a range conjunct on an indexed column
+  (``col BETWEEN <constant> AND <constant>``, or ``col`` against a
+  constant with ``<``, ``<=``, ``>``, ``>=``, either side) becomes an
+  :class:`IndexRange` over the index's sorted view;
 * **hash join** — an INNER or LEFT join whose condition is a pure
   conjunction of cross-side equalities becomes a :class:`HashJoin`
   instead of a nested loop;
@@ -24,14 +28,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence, Union
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from repro.errors import CatalogError, SqlError
 from repro.sql import ast
+from repro.sql.catalog import Column
 from repro.sql.expressions import (SAME_KIND, Compiled, Compiler, Frame,
                                    Header, Scope, iso_text_as_date)
-from repro.sql.functions import (AGGREGATE_FUNCTIONS, Aggregate,
-                                 CountAggregate, is_aggregate)
+from repro.sql.functions import AGGREGATE_FUNCTIONS, Reducer, is_aggregate
 from repro.sql.storage import HashIndex, Table
 from repro.sql.types import STORED_AS, SqlType
 
@@ -71,6 +75,29 @@ class IndexLookup(RowSource):
     column: str
     index: HashIndex
     key: Compiled
+    key_types: frozenset
+    fallback: Compiled
+
+
+#: One end of an :class:`IndexRange`: the constant as written, its
+#: closure, and whether the end is included.
+RangeEnd = tuple[ast.Expression, Compiled, bool]
+
+
+@dataclass
+class IndexRange(RowSource):
+    """Range probe into the sorted view of a one-column index: the rows
+    whose key lies from *low* to *high* (None: no end), in row-id order
+    as the scan finds them.  An end not of *key_types*, or a column
+    holding a key that is not, is answered by *fallback*, the range
+    conjunct evaluated row by row; a NULL end selects nothing."""
+
+    table: Table
+    name: str
+    column: str
+    index: HashIndex
+    low: Optional[RangeEnd]
+    high: Optional[RangeEnd]
     key_types: frozenset
     fallback: Compiled
 
@@ -133,9 +160,10 @@ class SelectPlan:
     select: ast.Select
     columns: list[str]
     source: RowSource
-    #: None when the block does not aggregate; else (factory, argument)
-    #: per aggregate call, argument None for ``COUNT(*)``.
-    aggregates: Optional[list[tuple[Callable[[], Aggregate], Optional[Compiled]]]]
+    #: None when the block does not aggregate; else (reducer, argument)
+    #: per aggregate call.  ``COUNT(*)`` is ``(len, None)``: it reduces
+    #: the group's rows themselves.
+    aggregates: Optional[list[tuple[Reducer, Optional[Compiled]]]]
     group_key: Optional[Compiled]
     having: Optional[Compiled]
     #: None when the source rows already are the output rows.
@@ -220,6 +248,42 @@ def _key_closure(parts: list[Compiled], nulls_match: bool) -> Compiled:
         values = tuple([part(row, frame) for part in parts])
         return None if None in values else values
     return key
+
+
+def _equalities(conjunct: ast.Expression
+                ) -> Iterator[tuple[ast.ColumnRef, ast.Expression]]:
+    """``(column, key)`` for each way *conjunct* reads ``column = key``."""
+    if isinstance(conjunct, ast.Binary) and conjunct.op == "=":
+        for column, key in ((conjunct.left, conjunct.right),
+                            (conjunct.right, conjunct.left)):
+            if isinstance(column, ast.ColumnRef):
+                yield column, key
+
+
+#: ``column <op> value``: (is value the low end?, is it included?).
+_RANGE_OPS = {">": (True, False), ">=": (True, True),
+              "<": (False, False), "<=": (False, True)}
+#: The operator that reads the same comparison from its other side.
+_MIRRORED = {">": "<", ">=": "<=", "<": ">", "<=": ">="}
+#: One end of a range as written: ``(value, included)``.
+End = tuple[ast.Expression, bool]
+
+
+def _ranges(conjunct: ast.Expression
+            ) -> Iterator[tuple[ast.ColumnRef, Optional[End], Optional[End]]]:
+    """``(column, low, high)`` for each way *conjunct* bounds a column
+    (None: no end).  A negated BETWEEN bounds nothing."""
+    if isinstance(conjunct, ast.Between):
+        if not conjunct.negated and isinstance(conjunct.operand, ast.ColumnRef):
+            yield conjunct.operand, (conjunct.low, True), (conjunct.high, True)
+    elif isinstance(conjunct, ast.Binary) and conjunct.op in _RANGE_OPS:
+        for column, op, value in ((conjunct.left, conjunct.op, conjunct.right),
+                                  (conjunct.right, _MIRRORED[conjunct.op],
+                                   conjunct.left)):
+            if isinstance(column, ast.ColumnRef):
+                is_low, included = _RANGE_OPS[op]
+                end = (value, included)
+                yield (column, end, None) if is_low else (column, None, end)
 
 
 class Planner:
@@ -339,17 +403,14 @@ class Planner:
         return expression
 
     def _aggregate(self, call: ast.FunctionCall, scope: Scope
-                   ) -> tuple[Callable[[], Aggregate], Optional[Compiled]]:
-        cls = AGGREGATE_FUNCTIONS[call.name]
-        star = not call.args or isinstance(call.args[0], ast.Star)
-        if cls is CountAggregate:
-            factory = partial(CountAggregate, distinct=call.distinct,
-                              count_star=star)
-        elif star:
+                   ) -> tuple[Reducer, Optional[Compiled]]:
+        reducer = AGGREGATE_FUNCTIONS[call.name]
+        if call.args and not isinstance(call.args[0], ast.Star):
+            return (partial(reducer, distinct=call.distinct),
+                    self._compile(call.args[0], scope))
+        if call.name != "COUNT":
             raise SqlError(f"aggregate {call.name} requires an argument")
-        else:
-            factory = partial(cls, distinct=call.distinct)
-        return factory, None if star else self._compile(call.args[0], scope)
+        return len, None
 
     def _order_keys(self, order_by: list[ast.OrderItem], columns: list[str],
                     scope: Scope) -> list[OrderKey]:
@@ -500,34 +561,55 @@ class Planner:
     def _index_access(self, scan: TableScan, conjuncts: list[ast.Expression],
                       outer: Optional[Scope]
                       ) -> tuple[RowSource, list[ast.Expression]]:
-        """Replace a TableScan with an IndexLookup when a conjunct
-        ``column = constant`` matches an existing index."""
+        """Replace a TableScan with an index probe for one conjunct that
+        compares an indexed column with constants: an IndexLookup for
+        ``column = constant``, which wins, else an IndexRange."""
+        def probe(cls, conjunct, column: Column, index: HashIndex, *keys):
+            return cls(scan.header, scan.table, scan.name, column.name, index,
+                       *keys, SAME_KIND[STORED_AS[column.sql_type]],
+                       self._compile(conjunct, Scope(scan.header, outer))), \
+                [c for c in conjuncts if c is not conjunct]
+
         for conjunct in conjuncts:
-            if not (isinstance(conjunct, ast.Binary) and conjunct.op == "="):
-                continue
-            for column_side, key_side in ((conjunct.left, conjunct.right),
-                                          (conjunct.right, conjunct.left)):
-                # The key is evaluated once, before any row is read: it
-                # may hold no column and no subquery.
-                if not isinstance(column_side, ast.ColumnRef) \
-                        or _positions(key_side, _EMPTY_HEADER) is None:
-                    continue
-                position = scan.header.resolve(column_side.name, column_side.table)
-                if position is None:
-                    continue
-                column = scan.table.schema.columns[position]
-                index = scan.table.index_on([column.name])
-                if index is None:
-                    continue
-                key = self._compile(key_side, Scope(_EMPTY_HEADER, outer))
-                if column.sql_type is SqlType.DATE:
-                    key = _iso_text_as_date(key)
-                lookup = IndexLookup(
-                    scan.header, scan.table, scan.name, column.name, index, key,
-                    SAME_KIND[STORED_AS[column.sql_type]],
-                    self._compile(conjunct, Scope(scan.header, outer)))
-                return lookup, [c for c in conjuncts if c is not conjunct]
+            for column_ref, key in _equalities(conjunct):
+                found = self._indexed(scan, column_ref, [key])
+                if found is not None:
+                    return probe(IndexLookup, conjunct, *found,
+                                 self._key(key, found[0], outer))
+        for conjunct in conjuncts:
+            for column_ref, *ends in _ranges(conjunct):
+                found = self._indexed(scan, column_ref, [
+                    end[0] for end in ends if end is not None])
+                if found is not None:
+                    return probe(IndexRange, conjunct, *found, *[
+                        None if end is None else
+                        (end[0], self._key(end[0], found[0], outer), end[1])
+                        for end in ends])
         return scan, conjuncts
+
+    @staticmethod
+    def _indexed(scan: TableScan, column_ref: ast.ColumnRef,
+                 constants: list[ast.Expression]
+                 ) -> Optional[tuple[Column, HashIndex]]:
+        """The column *column_ref* names and an index on it alone, if
+        any — and only when each of *constants* holds no column and no
+        subquery: a probe evaluates them once, before any row is read."""
+        if any(_positions(constant, _EMPTY_HEADER) is None
+               for constant in constants):
+            return None
+        position = scan.header.resolve(column_ref.name, column_ref.table)
+        if position is None:
+            return None
+        column = scan.table.schema.columns[position]
+        index = scan.table.index_on([column.name])
+        return None if index is None else (column, index)
+
+    def _key(self, constant: ast.Expression, column: Column,
+             outer: Optional[Scope]) -> Compiled:
+        """A probe key or range end, compiled; against a DATE column an
+        ISO string probes as the date it spells."""
+        key = self._compile(constant, Scope(_EMPTY_HEADER, outer))
+        return _iso_text_as_date(key) if column.sql_type is SqlType.DATE else key
 
     # --------------------------------------------------------------------- DML --
 

@@ -1,9 +1,12 @@
-"""In-memory row storage with hash indexes.
+"""In-memory row storage with hash indexes that also answer ranges.
 
 A :class:`Table` stores rows keyed by a monotonically increasing row id,
 so updates and deletes can address rows stably while scans iterate in
 insertion order.  :class:`HashIndex` maps a key tuple to the set of row
-ids carrying that key; unique indexes enforce single occupancy.
+ids carrying that key; unique indexes enforce single occupancy.  A
+one-column index also answers a key range: it keeps a sorted view of
+its keys and row ids, searched with :mod:`bisect` and rebuilt on the
+first range read after a write.
 
 Storage is deliberately value-based (every row is a plain ``list``),
 which keeps snapshot/rollback support simple: a snapshot deep-copies the
@@ -12,6 +15,8 @@ row map, and rollback swaps it back.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import itemgetter
 from typing import AbstractSet, Any, Iterable, Iterator, Optional
 
 from repro.errors import IntegrityError
@@ -20,16 +25,23 @@ from repro.sql.types import coerce
 
 Row = list[Any]
 _NO_ROWS: AbstractSet[int] = frozenset()
+#: One end of a key range: ``(value, inclusive)``, or None for no end.
+Bound = Optional[tuple[Any, bool]]
 
 
 class HashIndex:
-    """An equality index over one or more columns of a table."""
+    """An equality index over one or more columns of a table; over one
+    column it answers ranges too."""
 
     def __init__(self, name: str, column_positions: list[int], unique: bool = False):
         self.name = name
         self.column_positions = column_positions
         self.unique = unique
         self._entries: dict[tuple, set[int]] = {}
+        #: ``(keys, row ids, key types)`` ordered by key, or None until
+        #: the first range read after a write.  The key types are None
+        #: when the keys have no order (kinds that do not compare, NaN).
+        self._order: Optional[tuple[list, list[int], Optional[frozenset]]] = None
 
     def key_for(self, row: Row) -> tuple:
         """Extract this index's key tuple from *row*."""
@@ -44,6 +56,7 @@ class HashIndex:
             raise IntegrityError(
                 f"unique index {self.name!r} violated for key {key!r}")
         bucket.add(row_id)
+        self._order = None
 
     def remove(self, row_id: int, row: Row) -> None:
         key = self.key_for(row)
@@ -52,13 +65,49 @@ class HashIndex:
         bucket = self._entries.get(key)
         if bucket is not None:
             bucket.discard(row_id)
+            self._order = None
             if not bucket:
                 del self._entries[key]
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._order = None
 
     def lookup(self, key: tuple) -> AbstractSet[int]:
         """Row ids whose indexed columns equal *key* (empty when none):
         the index's own bucket, for reading only."""
         return self._entries.get(key, _NO_ROWS)
+
+    def range(self, low: Bound, high: Bound,
+              kinds: AbstractSet[type]) -> Optional[list[int]]:
+        """Row ids, ascending, whose one-column key lies from *low* to
+        *high*; a NaN end bounds nothing.  None when a stored key is not
+        of *kinds* (the types that compare directly with the ends) or
+        has no order: only a row-by-row test can answer then."""
+        if self._order is None:
+            self._order = self._sorted()
+        keys, row_ids, stored = self._order
+        if stored is None or not stored <= kinds:
+            return None
+        if any(end is not None and end[0] != end[0] for end in (low, high)):
+            return []
+        start = 0 if low is None else \
+            (bisect_left if low[1] else bisect_right)(keys, low[0])
+        stop = len(keys) if high is None else \
+            (bisect_right if high[1] else bisect_left)(keys, high[0])
+        return sorted(row_ids[start:stop])
+
+    def _sorted(self) -> tuple[list, list[int], Optional[frozenset]]:
+        pairs = [(key, row_id) for (key,), bucket in self._entries.items()
+                 for row_id in bucket]
+        try:
+            pairs.sort(key=itemgetter(0))
+        except TypeError:
+            return [], [], None
+        keys = [key for key, __ in pairs]
+        if any(key != key for key in keys):  # NaN
+            return [], [], None
+        return keys, [row_id for __, row_id in pairs], frozenset(map(type, keys))
 
     def __len__(self) -> int:
         return sum(len(bucket) for bucket in self._entries.values())
@@ -144,8 +193,11 @@ class Table:
         for index in self._indexes.values():
             index.remove(row_id, row)
 
-    def row(self, row_id: int) -> Row:
-        return self._rows[row_id]
+    def rows_at(self, row_ids: Iterable[int]) -> list[tuple[int, Row]]:
+        """``(row_id, row)`` pairs, as :meth:`scan` yields them, for
+        *row_ids* in that order; the rows uncopied."""
+        rows = self._rows
+        return [(row_id, rows[row_id]) for row_id in row_ids]
 
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Iterate (row_id, row) pairs in insertion order."""
@@ -219,7 +271,7 @@ class Table:
         }
         self._next_row_id = next_row_id
         for index in self._indexes.values():
-            index._entries.clear()
+            index.clear()
             for row_id, row in self._rows.items():
                 index.insert(row_id, row)
 

@@ -73,6 +73,9 @@ class TestExplain:
             "Update(t)", "  SeqScan(t)"]
         assert plan_lines(db, "UPDATE t SET v = 0 WHERE grp = 1 AND v > 2") == [
             "Update(t)", "  IndexLookup(t) key=(grp)", "  Filter: v > 2"]
+        assert plan_lines(db, "DELETE FROM t WHERE id >= 3 AND v > 2") == [
+            "Delete(t)", "  IndexRange(t) key=(id) range=[3, +inf)",
+            "  Filter: v > 2"]
         assert plan_lines(db, "INSERT INTO t VALUES (1, 1, 1.0)") == [
             "Insert(t)"]
 
@@ -102,6 +105,28 @@ class TestExplain:
             "    SeqScan(u)",
             "  Filter: u.name IS NULL"]
 
+    @pytest.mark.parametrize("where", ["v NOT BETWEEN 1 AND 5",
+                                       "v NOT LIKE 'a%'", "v NOT IN (1, 2)"])
+    def test_negation_is_rendered(self, db, where):
+        assert plan_lines(db, f"SELECT * FROM t WHERE {where}") == [
+            "Select", "  SeqScan(t)", f"  Filter: {where}"]
+
+    @pytest.mark.parametrize("where, probe", [
+        ("id BETWEEN 2 AND 5", "IndexRange(t) key=(id) range=[2, 5]"),
+        ("id > 2", "IndexRange(t) key=(id) range=(2, +inf)"),
+        ("id <= ?", "IndexRange(t) key=(id) range=(-inf, ?]"),
+        ("3 > grp", "IndexRange(t) key=(grp) range=(-inf, 3)"),
+        ("id > 2 AND grp = 1", "IndexLookup(t) key=(grp)"),  # = wins
+    ])
+    def test_index_range(self, db, where, probe):
+        assert plan_lines(db, f"SELECT * FROM t WHERE {where}")[:2] == [
+            "Select", f"  {probe}"]
+
+    def test_no_range_from_negation_or_columns(self, db):
+        for where in ("id NOT BETWEEN 2 AND 5", "id < grp", "id > v + 1"):
+            assert plan_lines(db, f"SELECT * FROM t WHERE {where}")[1] \
+                == "  SeqScan(t)", where
+
     def test_explain_non_planned_statements(self, db):
         assert plan_lines(db, "CREATE TABLE z (a INT)") == ["CreateTable"]
         assert plan_lines(db, "BEGIN") == ["BeginTransaction"]
@@ -124,14 +149,15 @@ class TestExplainBenchmarkScans:
     def test_bulk(self, rbh):
         assert plan_lines(
             rbh, "SELECT * FROM Patient WHERE PatientId BETWEEN 101 AND 600"
-        ) == ["Select", "  SeqScan(Patient)",
-              "  Filter: PatientId BETWEEN 101 AND 600"]
+        ) == ["Select",
+              "  IndexRange(Patient) key=(PatientId) range=[101, 600]"]
 
     def test_aggregate(self, rbh):
         assert plan_lines(
             rbh, "SELECT Gender, COUNT(*) FROM Patient "
                  "WHERE PatientId > 300 GROUP BY Gender"
-        ) == ["Select", "  SeqScan(Patient)", "  Filter: PatientId > 300",
+        ) == ["Select",
+              "  IndexRange(Patient) key=(PatientId) range=(300, +inf)",
               "  Aggregate: group by Gender"]
 
     def test_selective(self, rbh):

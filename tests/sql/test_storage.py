@@ -60,7 +60,7 @@ class TestTable:
         row_id = table.insert([2, "b", 0])
         with pytest.raises(IntegrityError):
             table.update(row_id, [1, "b", 0])
-        assert table.row(row_id) == [2, "b", 0]
+        assert table.rows_at([row_id]) == [(row_id, [2, "b", 0])]
         assert table.index_on(["id"]).lookup((2,)) == frozenset({row_id})
 
     def test_delete_removes_from_indexes(self):
@@ -124,6 +124,19 @@ class TestSnapshots:
         assert len(table) == 1
         assert table.index_on(["id"]).lookup((1,)) != frozenset()
 
+    def test_restore_leaves_the_range_view_correct(self):
+        table = make_table()
+        table.insert([1, "a", 0])
+        table.insert([2, "b", 0])
+        snapshot, next_id = table.snapshot(), table.next_row_id
+        index = table.index_on(["id"])
+        table.insert([3, "c", 0])
+        assert index.range((2, True), None, {int}) == [2, 3]
+        table.restore(snapshot, next_id)
+        assert index.range((2, True), None, {int}) == [2]
+        table.restore({}, 1)  # no row re-inserted
+        assert index.range(None, None, {int}) == []
+
     def test_snapshot_is_value_copy(self):
         table = make_table()
         row_id = table.insert([1, "a", 0])
@@ -143,3 +156,40 @@ class TestHashIndexDirect:
         index.remove(1, [5])
         index.remove(1, [5])
         assert len(index) == 0
+
+
+def index_of(*keys):
+    """A one-column index holding *keys* at row ids 1, 2, ..."""
+    index = HashIndex("i", [0])
+    for row_id, key in enumerate(keys, 1):
+        index.insert(row_id, [key])
+    return index
+
+
+NUMBERS = frozenset((int, float))
+
+
+class TestRangeView:
+    def test_included_and_excluded_ends(self):
+        index = index_of(5, 1, 3, 3, None, 2)  # row 5 holds NULL
+        assert index.range((2, True), (3, True), NUMBERS) == [3, 4, 6]
+        assert index.range((2, False), None, NUMBERS) == [1, 3, 4]
+        assert index.range(None, (3, False), NUMBERS) == [2, 6]
+        assert index.range((2.5, True), (5.0, False), NUMBERS) == [3, 4]
+        assert index.range((4, True), (2, True), NUMBERS) == []  # inverted
+        assert index.range(None, None, NUMBERS) == [1, 2, 3, 4, 6]
+
+    def test_view_follows_writes(self):
+        index = index_of(1, 2, 3)
+        assert index.range((2, True), None, NUMBERS) == [2, 3]
+        index.remove(2, [2])
+        index.insert(4, [9])
+        assert index.range((2, True), None, NUMBERS) == [3, 4]
+        index.clear()
+        assert index.range(None, None, NUMBERS) == []
+
+    def test_keys_without_an_order_cannot_answer(self):
+        assert index_of(1, "a").range(None, None, NUMBERS) is None
+        assert index_of(1.0, float("nan")).range(None, None, NUMBERS) is None
+        assert index_of(True, 2).range(None, None, NUMBERS) is None
+        assert index_of(1, 2).range((float("nan"), True), None, NUMBERS) == []

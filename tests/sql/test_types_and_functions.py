@@ -6,9 +6,11 @@ import pytest
 
 from repro.errors import SqlError, SqlTypeError
 from repro.sql.engine import Database
-from repro.sql.functions import (AvgAggregate, CountAggregate, MaxAggregate,
-                                 MinAggregate, SumAggregate, is_aggregate)
+from repro.sql.functions import AGGREGATE_FUNCTIONS, is_aggregate
 from repro.sql.types import SqlType, coerce, comparable, infer_type
+
+COUNT, SUM, AVG, MIN, MAX = (AGGREGATE_FUNCTIONS[name]
+                             for name in ("COUNT", "SUM", "AVG", "MIN", "MAX"))
 
 
 class TestCoercion:
@@ -118,41 +120,34 @@ class TestScalarFunctions:
 
 
 class TestAggregateAccumulators:
+    """The reducers each aggregate applies to one group's values."""
+
     def test_is_aggregate(self):
         assert is_aggregate("count") and is_aggregate("SUM")
         assert not is_aggregate("UPPER")
 
     def test_count_star_counts_everything(self):
-        acc = CountAggregate(count_star=True)
-        for value in [1, None, "x"]:
-            acc.add(value)
-        assert acc.result() == 3
+        db = Database("agg")
+        db.execute("CREATE TABLE t (x VARCHAR(5))")
+        db.load_rows("t", [["1"], [None], ["x"]])
+        assert db.execute("SELECT COUNT(*), COUNT(x) FROM t").rows == [(3, 2)]
 
     def test_count_skips_null(self):
-        acc = CountAggregate()
-        for value in [1, None, 2]:
-            acc.add(value)
-        assert acc.result() == 2
+        assert COUNT([1, None, 2]) == 2
+        assert COUNT([1, None, 1], distinct=True) == 1
 
     def test_distinct_sum(self):
-        acc = SumAggregate(distinct=True)
-        for value in [5, 5, 3]:
-            acc.add(value)
-        assert acc.result() == 8
+        assert SUM([5, 5, 3], distinct=True) == 8
 
     def test_sum_empty_is_null(self):
-        assert SumAggregate().result() is None
+        assert SUM([]) is None and SUM([None, None]) is None
 
     def test_avg(self):
-        acc = AvgAggregate()
-        for value in [2, 4, None]:
-            acc.add(value)
-        assert acc.result() == 3.0
+        assert AVG([2, 4, None]) == 3.0
+        assert AVG([None]) is None
 
     def test_min_max(self):
-        low, high = MinAggregate(), MaxAggregate()
-        for value in [3, 1, None, 2]:
-            low.add(value)
-            high.add(value)
-        assert low.result() == 1
-        assert high.result() == 3
+        values = [3, 1, None, 2]
+        assert MIN(values) == 1
+        assert MAX(values) == 3
+        assert MIN([None]) is None and MAX([]) is None
