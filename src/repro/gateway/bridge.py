@@ -44,7 +44,9 @@ DATABASE_INTERFACE: InterfaceDef = (
 # The ResultSet on the wire, column-packed (layout: docs/middleware.md):
 # names, ``rowcount``, the row count, then per column a kind octet and —
 # when every non-null cell is of exactly one of the types below — a null
-# index array and ONE packed array; any other column is an ``any`` a cell.
+# index array and ONE packed array (a string column: its cells joined by
+# NUL, one UTF-8 octet sequence); any other column, and a string column
+# with a NUL in a cell, is an ``any`` a cell.
 
 _ANY, _LONG, _LONGLONG, _DOUBLE, _DATE, _BOOLEAN, _STRING = range(7)
 _KINDS = {int: _LONG, float: _DOUBLE, datetime.date: _DATE, bool: _BOOLEAN,
@@ -88,6 +90,10 @@ def _write_column(encoder: CdrEncoder, column: tuple) -> None:
         low, high = min(cells), max(cells)
         if not -2**31 <= low <= high < 2**31:
             kind = _LONGLONG if -2**63 <= low <= high < 2**63 else _ANY
+    elif kind == _STRING:
+        text = "\x00".join(cells)
+        if text.count("\x00") != len(cells) - 1:
+            kind = _ANY  # a cell holds NUL: the separator would split it
     encoder.write_octet(kind)
     if kind == _ANY:
         for cell in column:
@@ -96,7 +102,7 @@ def _write_column(encoder: CdrEncoder, column: tuple) -> None:
     encoder.write_ulong(len(nulls))
     encoder.write_array("I", nulls)
     if kind == _STRING:
-        encoder.write_strings(cells)
+        encoder.write_octets(text.encode())
         return
     if kind == _DATE:
         cells = list(map(datetime.date.toordinal, cells))
@@ -113,9 +119,9 @@ def _read_result(decoder: CdrDecoder) -> ResultSet:
     if not names:
         if len(decoder.read_octets()) != count:
             raise MarshalError(f"{count} empty rows are not backed by octets")
-        return ResultSet(names, [()] * count, rowcount)
+        return ResultSet._adopt(names, [()] * count, rowcount)
     columns = [_read_column(decoder, count) for _ in names]
-    return ResultSet(names, list(zip(*columns)), rowcount)
+    return ResultSet._adopt(names, list(zip(*columns)), rowcount)
 
 
 def _read_column(decoder: CdrDecoder, count: int) -> list:
@@ -126,7 +132,7 @@ def _read_column(decoder: CdrDecoder, count: int) -> list:
         raise MarshalError(f"unknown column kind {kind}")
     nulls = decoder.read_array("I", decoder.read_ulong())
     if kind == _STRING:
-        column = decoder.read_strings(count)
+        column = _read_string_column(decoder, count)
     else:
         cells = decoder.read_array(_PACKING[kind][0], count)
         column = list(map(datetime.date.fromordinal, cells)) \
@@ -136,11 +142,27 @@ def _read_column(decoder: CdrDecoder, count: int) -> list:
     return column
 
 
+def _read_string_column(decoder: CdrDecoder, count: int) -> list[str]:
+    """A string column's *count* cells: one octet sequence (its length
+    checked against the frame before anything is built), decoded once,
+    split at NUL."""
+    try:
+        cells = str(decoder.read_octets(), "utf-8").split("\x00")
+    except UnicodeDecodeError as exc:
+        raise MarshalError(
+            f"a packed string column is not valid UTF-8: {exc}") from exc
+    if len(cells) != count:
+        raise MarshalError(
+            f"a packed string column of {len(cells)} cells for {count} rows")
+    return cells
+
+
 # Registered here, not beside the class: repro.sql imports nothing from
 # repro.orb, and this bridge is where a ResultSet first meets the wire.
-# The id is not the "ResultSet" of the row-per-struct form this replaced:
-# a stale peer fails on an unknown value type, it never misparses.
-register_value("ResultSet/2", ResultSet, _write_result, _read_result)
+# The id is neither the "ResultSet" of the row-per-struct form nor the
+# "ResultSet/2" whose string columns carried a length array: a stale
+# peer fails on an unknown value type, it never misparses.
+register_value("ResultSet/3", ResultSet, _write_result, _read_result)
 
 
 class DatabaseServant:

@@ -46,6 +46,17 @@ class Literal(Expression):
 
     value: Any
 
+    def __str__(self) -> str:
+        """The constant as SQL spells it: ``NULL``, ``TRUE``, ``'O''Brien'``."""
+        value = self.value
+        if value is None:
+            return "NULL"
+        if isinstance(value, bool):
+            return "TRUE" if value else "FALSE"
+        if isinstance(value, str):
+            return "'" + value.replace("'", "''") + "'"
+        return repr(value)
+
 
 @dataclass
 class ColumnRef(Expression):

@@ -32,7 +32,7 @@ def execute_plan(plan, params: Optional[Sequence[Any]]) -> ResultSet:
     """Run any planned statement with its ``?`` bindings."""
     frame: Frame = (params or (), None, None)
     if isinstance(plan, (SelectPlan, UnionPlan)):
-        return ResultSet(columns=plan.columns, rows=run_query(plan, frame))
+        return ResultSet._adopt(plan.columns, run_query(plan, frame))
     if isinstance(plan, InsertPlan):
         return ResultSet.empty(_insert(plan, frame))
     assert isinstance(plan, ModifyPlan)
@@ -126,6 +126,11 @@ def _ordered(outputs: list[tuple], inputs: Sequence[Sequence],
 # ------------------------------------------------------------- row sources --
 
 def _materialize(source: RowSource, frame: Frame) -> list[tuple]:
+    if isinstance(source, (IndexLookup, IndexRange)):
+        found = _probe(source, frame)
+        if found is not None:
+            # A read-only probe needs no ids: copy each stored row once.
+            return source.table.copies_at(found)
     probe = source.child if isinstance(source, FilteredSource) else source
     if isinstance(probe, (IndexLookup, IndexRange)):
         return [tuple(row) for __, row in _access(source, frame)]

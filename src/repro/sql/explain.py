@@ -24,9 +24,7 @@ from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
 
 
 def _render_expression(expression: ast.Expression) -> str:
-    if isinstance(expression, ast.Literal):
-        return repr(expression.value)
-    if isinstance(expression, ast.ColumnRef):
+    if isinstance(expression, (ast.Literal, ast.ColumnRef)):
         return str(expression)
     if isinstance(expression, ast.Param):
         return "?"

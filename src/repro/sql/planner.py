@@ -670,5 +670,5 @@ def _derive_name(expression: ast.Expression) -> str:
             return f"{expression.name}({args[0].name})"
         return f"{expression.name}(...)"
     if isinstance(expression, ast.Literal):
-        return str(expression.value)
+        return str(expression)
     return "expr"

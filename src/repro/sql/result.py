@@ -21,6 +21,18 @@ class ResultSet:
         self.rowcount = rowcount if rowcount is not None else len(self.rows)
 
     @classmethod
+    def _adopt(cls, columns: list[str], rows: list[tuple],
+               rowcount: int | None = None) -> "ResultSet":
+        """A result that keeps *rows* as it is, uncopied: for a producer
+        (the executor, a wrapper, the wire decoder) that has just built
+        that list of tuples and hands it over."""
+        result = cls.__new__(cls)
+        result.columns = list(columns)
+        result.rows = rows
+        result.rowcount = rowcount if rowcount is not None else len(rows)
+        return result
+
+    @classmethod
     def empty(cls, rowcount: int = 0) -> "ResultSet":
         """A result with no columns, as produced by DML and DDL."""
         return cls(columns=[], rows=[], rowcount=rowcount)

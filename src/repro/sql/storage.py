@@ -199,6 +199,11 @@ class Table:
         rows = self._rows
         return [(row_id, rows[row_id]) for row_id in row_ids]
 
+    def copies_at(self, row_ids: Iterable[int]) -> list[tuple]:
+        """Tuple copies of the rows at *row_ids*, in that order."""
+        rows = self._rows
+        return [tuple(rows[row_id]) for row_id in row_ids]
+
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Iterate (row_id, row) pairs in insertion order."""
         yield from list(self._rows.items())

@@ -54,8 +54,8 @@ class RelationalWrapper(InformationSourceInterface):
         """Run raw SQL (the paper's 'directly using native query languages')."""
         cursor = self._connection.execute(query, params)
         columns = [d[0] for d in cursor.description] if cursor.description else []
-        return ResultSet(columns=columns, rows=cursor.fetchall(),
-                         rowcount=cursor.rowcount)
+        # fetchall() is a new list of the result's (immutable) tuples.
+        return ResultSet._adopt(columns, cursor.fetchall(), cursor.rowcount)
 
     def _run_binding(self, fn: ExportedFunction, args: list[Any]) -> Any:
         if not isinstance(fn.binding, SqlBinding):

@@ -1,21 +1,28 @@
 """Generator for ``cdr_golden.json``: value -> hex in both byte orders.
 
 The *pinned* sections — ``values`` (``VALUES``), ``frames``
-(``frames()``) and ``retired`` (``RETIRED``) — were encoded by the codec
-of commit ``eb762ab`` (the chunk-list encoder), so they pin the *bytes*
-across any change of mechanics::
+(``frames()``) and the ``source_description`` entry of ``retired``
+(``RETIRED_AT_EB762AB``) — were encoded by the codec of commit
+``eb762ab`` (the chunk-list encoder), so they pin the *bytes* across any
+change of mechanics::
 
     PYTHONPATH=<checkout of eb762ab>/src python tests/orb/gen_cdr_golden.py
 
-``retired`` holds wire forms this codec no longer reads: decoding one
-must be a ``MarshalError`` for an unknown value type, never a misparse.
+``retired`` holds wire forms this codec no longer reads, written by two
+commits: decoding one must be a ``MarshalError`` for an unknown value
+type, never a misparse.  Besides the ``eb762ab`` entry, its
+``result_set_2_*`` entries (``RETIRED_RESULT_SET_2``) are the
+``result_sets`` section of commit ``353b5d5`` — ``ResultSet/2``, whose
+string columns carried a character-length array — moved over byte for
+byte when ``ResultSet/3`` replaced it; nothing here rewrites them.
 
 The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
-column-packed ``ResultSet/2``) and ``descriptions`` (``DESCRIPTIONS``,
+column-packed ``ResultSet/3``) and ``descriptions`` (``DESCRIPTIONS``,
 the positional ``SourceDescription/2``) — are forms that did not exist
-at that commit; ``--working-tree`` rewrites only those sections from
+at ``eb762ab``; ``--working-tree`` rewrites only those sections from
 the working tree and leaves the pinned ones as they are.  Run it only
-when one of those wire forms changes on purpose (a new type id).
+when one of those wire forms changes on purpose (a new type id), after
+moving the section's old bytes into ``retired``.
 ``test_cdr_golden`` reads the values from here and the bytes from the
 JSON file.
 """
@@ -100,7 +107,7 @@ DECODES_AS = {
 
 #: The nine-key struct form of ``SourceDescription`` (type id
 #: ``SourceDescription``), replaced by ``SourceDescription/2``.
-RETIRED = {"source_description": DESCRIPTION}
+RETIRED_AT_EB762AB = {"source_description": DESCRIPTION}
 
 DESCRIPTIONS = {
     "description": DESCRIPTION,
@@ -130,7 +137,17 @@ RESULT_SETS = {
     "no_rows": ResultSet(["a", "b", "c"], []),
     "no_columns": ResultSet([], [(), (), ()]),
     "nested": ResultSet(["cell"], [(ResultSet(["x"], [(1,)]),), (LINK,)]),
+    "nul_in_a_string": ResultSet(["packed", "per_cell"],
+                                 [("hé 𝄞", "a\x00b"), (None, None), ("", "")]),
 }
+
+#: ``ResultSet/2`` bytes of the ``result_sets`` values ``353b5d5`` had.
+RETIRED_RESULT_SET_2 = {
+    f"result_set_2_{name}": RESULT_SETS[name]
+    for name in ("point", "every_kind", "fallbacks", "all_null_column", "dml",
+                 "no_rows", "no_columns", "nested")}
+
+RETIRED = {**RETIRED_AT_EB762AB, **RETIRED_RESULT_SET_2}
 
 
 def frames():
@@ -178,5 +195,6 @@ if __name__ == "__main__":
                       descriptions=encode_all(DESCRIPTIONS))
     else:
         golden.update(values=encode_all(VALUES), frames=frames(),
-                      retired=encode_all(RETIRED))
+                      retired={**golden.get("retired", {}),
+                               **encode_all(RETIRED_AT_EB762AB)})
     GOLDEN.write_text(json.dumps(golden, indent=1) + "\n")

@@ -6,10 +6,10 @@ model value types, subclasses of ``int`` / ``str``, and whole GIOP
 frames.  Those sections were generated by ``gen_cdr_golden.py`` running
 on the codec of commit ``eb762ab`` — the encoder has to write exactly
 those bytes and the decoder has to read them back.  The ``result_sets``
-and ``descriptions`` sections pin the column-packed ``ResultSet/2`` and
+and ``descriptions`` sections pin the column-packed ``ResultSet/3`` and
 the positional ``SourceDescription/2`` the same way for the next change;
-the ``retired`` section keeps a form they replaced, which must now be
-refused.
+the ``retired`` section keeps the forms they replaced (the nine-key
+``SourceDescription``, ``ResultSet/2``), which must now be refused.
 """
 
 import json

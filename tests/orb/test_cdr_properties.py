@@ -12,10 +12,11 @@ same value in both byte orders: equal, node for node of the same class
 (``gateway/bridge.py``): the ``result_sets`` strategy draws every column
 kind, the per-cell ``any`` fallback, nulls anywhere, ``True`` among
 ints, ``long`` -> ``long long`` -> bigint promotion inside one column,
-NaN and ``-0.0`` (compared bit for bit), strings with embedded NUL /
-empty / astral, zero columns x n rows, n columns x zero rows, and
-2,000-row results.  A ``SourceDescription`` travels positional
-(``core/model.py``), its strings packed as a string column is.
+NaN and ``-0.0`` (compared bit for bit), strings empty / astral / with
+embedded NUL (a string column is one NUL-separated text, or per cell
+when a cell holds NUL), zero columns x n rows, n columns x zero rows,
+and 2,000-row results.  A ``SourceDescription`` travels positional
+(``core/model.py``), its strings packed by ``write_strings``.
 
 **Fuzz.**  Every truncation and every single-byte corruption of a valid
 encoding — standalone, and inside a whole GIOP Request and Reply frame
@@ -315,7 +316,7 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
     followed by some other ``any`` — is a value (the hook may accept
     it) or the codec's error naming the class, never the hook's own."""
     for type_id in ("SourceDescription/2", "ServiceLink", "EndpointKind",
-                    "ResultSet/2"):
+                    "ResultSet/3"):
         name = type_id.partition("/")[0]
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
@@ -326,11 +327,13 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
         except MarshalError as exc:
             assert f"malformed {name} value" in str(exc)
             assert exc.__cause__ is not None
-    # The ids of the struct forms this codec used to carry — the
-    # row-per-struct ResultSet, the nine-key SourceDescription — are
-    # unknown now: a stale peer is refused, never misparsed.
+    # The ids of the forms this codec used to carry — the row-per-struct
+    # ResultSet, the length-array ResultSet/2, the nine-key
+    # SourceDescription — are unknown now: a stale peer is refused,
+    # never misparsed.
     for type_id, struct_form in (
             ("ResultSet", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
+            ("ResultSet/2", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
             ("SourceDescription", {"name": "A", "information_type": "t"})):
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
@@ -382,6 +385,23 @@ def test_nulls_at_any_position_of_every_packed_kind(holes):
                                little_endian), result)
 
 
+@pytest.mark.parametrize("holes", [(), (0,), (4,), (0, 4), (0, 1, 3, 4)],
+                         ids=["none", "first", "last", "both", "all but one"])
+@pytest.mark.parametrize("cell, kind", [("a b", bridge._STRING),
+                                        ("a\x00b", bridge._ANY)],
+                         ids=["packed", "nul per cell"])
+def test_a_string_column_is_packed_unless_a_cell_holds_nul(holes, cell, kind):
+    column = tuple(None if index in holes else text for index, text in
+                   enumerate(["Ann", "", cell, "𝄞 hé", "\x7f"]))
+    encoder = CdrEncoder()
+    bridge._write_column(encoder, column)
+    assert encoder.getvalue()[0] == kind
+    result = ResultSet(["s", "n"], [(text, n) for n, text in enumerate(column)])
+    for little_endian in (False, True):
+        assert same(decode_any(encode_any(result, little_endian),
+                               little_endian), result)
+
+
 def test_a_column_is_packed_by_exact_type_only():
     result = ResultSet(
         ["true among ints", "promoted", "bigint", "nan"],
@@ -398,7 +418,7 @@ def test_a_packed_result_is_smaller_and_keeps_empty_rows():
              f"{n} Example St, Brisbane") for n in range(500)]
     result = ResultSet(["PatientId", "Name", "DateOfBirth", "Gender",
                         "Address"], rows)
-    assert len(encode_any(result)) <= 30_000
+    assert len(encode_any(result)) <= 25_000
     for empty in (ResultSet([], [(), (), ()]), ResultSet(["a", "b"], []),
                   ResultSet.empty(2**40)):
         arrived = decode_any(encode_any(empty))
@@ -409,7 +429,7 @@ def hostile(build):
     """``TAG_VALUE``, the ResultSet id, then whatever *build* writes."""
     encoder = CdrEncoder()
     encoder.write_octet(cdr.TAG_VALUE)
-    encoder.write_string("ResultSet/2")
+    encoder.write_string("ResultSet/3")
     build(encoder)
     return encoder.getvalue()
 
@@ -431,8 +451,8 @@ HOSTILE = {
     "nulls": lambda e: (header(e, ["a"], 2), e.write_octet(bridge._LONG),
                         e.write_ulong(HUGE), e.write_array("i", [1, 2])),
     "blob": lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
-                       e.write_ulong(0), e.write_array("I", [1, 1]),
-                       e.write_ulong(HUGE), e.write_octet(0x61)),
+                       e.write_ulong(0), e.write_ulong(HUGE),
+                       e.write_octet(0x61)),
 }
 
 
@@ -459,16 +479,20 @@ def test_a_hostile_count_is_refused_before_anything_is_allocated(count):
                 e.write_ulong(1), e.write_array("I", [2]),
                 e.write_array("i", [1, 2])), "index"),
     (lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
-                e.write_ulong(0), e.write_array("I", [1, 2]),
-                e.write_octets(b"ab")), "add up"),
-    (lambda e: (header(e, ["a"], 1), e.write_octet(bridge._STRING),
-                e.write_ulong(0), e.write_array("I", [1]),
-                e.write_octets(b"\xff")), "utf-8"),
+                e.write_ulong(0), e.write_octets(b"ab")), "1 cells for 2"),
+    (lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
+                e.write_ulong(0), e.write_octets(b"a\x00b\x00")),
+     "3 cells for 2"),
+    (lambda e: (header(e, ["a"], 0), e.write_octet(bridge._STRING),
+                e.write_ulong(0), e.write_octets(b"")), "1 cells for 0"),
+    (lambda e: (header(e, ["a"], 2), e.write_octet(bridge._STRING),
+                e.write_ulong(0), e.write_octets(b"\x00\xff")), "UTF-8"),
     (lambda e: (header(e, ["a"], 1), e.write_octet(bridge._DATE),
                 e.write_ulong(0), e.write_array("i", [0])), "ordinal"),
     (lambda e: (e.write_ulong(0), e.write_any("many"), e.write_ulong(0)),
      "rowcount"),
-], ids=["kind", "null index", "lengths", "blob", "date", "rowcount"])
+], ids=["kind", "null index", "lengths", "too many cells", "no rows",
+        "blob", "date", "rowcount"])
 def test_a_packed_column_that_does_not_add_up_is_a_marshal_error(
         damage, complaint):
     with pytest.raises(MarshalError, match=complaint):

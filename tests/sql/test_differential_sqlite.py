@@ -49,6 +49,7 @@ import datetime
 import sqlite3
 from collections import Counter
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -527,3 +528,12 @@ def test_bucketed_aggregate_agrees_with_sqlite(a, calls, key, where, having):
         # Groups come out in the order of their first input row.
         keys = [k for (k,) in db.execute(f"SELECT {key} FROM a{where}").rows]
         assert [row[0] for row in ours] == list(dict.fromkeys(keys)), sql
+
+
+@pytest.mark.parametrize("item", ["7", "0", "'O''Brien'", "'plain'", "''",
+                                  "NULL", "TRUE", "FALSE"])
+def test_an_unaliased_literal_is_labelled_as_sqlite_labels_it(item):
+    db, lite = build_both([], [], DIALECT_TYPES[0], None)
+    for sql in (f"SELECT {item}", f"SELECT id, {item} FROM a"):
+        assert db.execute(sql).columns == \
+            [d[0] for d in lite.execute(sql).description], sql

@@ -122,6 +122,14 @@ class TestExplain:
         assert plan_lines(db, f"SELECT * FROM t WHERE {where}")[:2] == [
             "Select", f"  {probe}"]
 
+    @pytest.mark.parametrize("where", [
+        "name = 'O''Brien'", "name = ''", "name = NULL", "name = TRUE",
+        "name = FALSE", "name = 7 AND name <> 'x'", "name = 2.5"],
+        ids=["quote", "empty text", "null", "true", "false", "int", "real"])
+    def test_a_literal_is_rendered_as_sql_spells_it(self, db, where):
+        assert plan_lines(db, f"SELECT * FROM u WHERE {where}")[-1] \
+            == f"  Filter: {where}"
+
     def test_no_range_from_negation_or_columns(self, db):
         for where in ("id NOT BETWEEN 2 AND 5", "id < grp", "id > v + 1"):
             assert plan_lines(db, f"SELECT * FROM t WHERE {where}")[1] \

@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import CatalogError
 from repro.sql.engine import Database
+from repro.sql.result import ResultSet
 
 
 @pytest.fixture()
@@ -169,3 +170,49 @@ def test_concurrent_executions_keep_their_own_params(db):
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
     assert db.plans_compiled == 2  # the fixture's INSERT and this SELECT
+
+
+class TestEachResultOwnsItsRows:
+    """A result hands its caller a list no cached plan, table or later
+    result shares; a probe copies the stored rows at read time."""
+
+    READS = ["SELECT * FROM t", "SELECT v, id FROM t WHERE grp = 1",
+             "SELECT * FROM t WHERE id = ?", "SELECT * FROM t WHERE id >= ?",
+             "SELECT * FROM t WHERE id BETWEEN ? AND 6 AND v > 0"]
+
+    @pytest.mark.parametrize("sql", READS)
+    def test_two_executes_of_one_plan_return_independent_rows(self, db, sql):
+        params = [1] * sql.count("?")
+        first = db.execute(sql, params)
+        compiled = db.plans_compiled
+        second = db.execute(sql, params)
+        assert db.plans_compiled == compiled  # the cached plan ran again
+        assert first.rows == second.rows and first.rows is not second.rows
+        expected = list(second.rows)
+        first.rows.append((-1,))
+        first.rows[0] = ("replaced",)
+        first.columns.append("extra")
+        assert second.rows == expected
+        third = db.execute(sql, params)
+        assert third.rows == expected and "extra" not in third.columns
+        assert db.execute("SELECT COUNT(*) FROM t").scalar() == 6
+        assert db.execute("SELECT * FROM t WHERE id = 1").rows == [(1, 1, 10)]
+
+    def test_the_public_constructor_copies_rows_into_tuples(self):
+        rows = [[1]]
+        result = ResultSet(["a"], rows)
+        assert result.rows == [(1,)]
+        rows.append([2])
+        assert result.rows == [(1,)]
+
+    @pytest.mark.parametrize("probe", ["SELECT * FROM t WHERE id = 2",
+                                       "SELECT * FROM t WHERE id <= 2"])
+    def test_a_probe_reads_the_row_as_it_is_now(self, db, probe):
+        before = db.execute(probe).rows
+        db.execute("BEGIN")
+        db.execute("UPDATE t SET v = -1, grp = 9 WHERE id = 2")
+        after = db.execute(probe).rows
+        assert (2, 9, -1) in after and (2, 2, 20) not in after
+        db.execute("ROLLBACK")
+        assert db.execute(probe).rows == before
+        assert (2, 2, 20) in before

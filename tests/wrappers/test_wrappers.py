@@ -102,6 +102,18 @@ class TestRelationalWrapper:
             "SELECT COUNT(*) FROM projects WHERE Funding > ?", [500000])
         assert result.scalar() == 1
 
+    def test_a_native_result_owns_its_rows(self, relational):
+        sql = "SELECT Title, Funding FROM projects ORDER BY Title"
+        first = relational.execute_native(sql)
+        expected = list(first.rows)
+        first.rows.append(("Ghost", 0.0))
+        first.rows[0] = ("replaced", -1.0)
+        first.columns.append("extra")
+        again = relational.execute_native(sql)
+        assert again.rows == expected and again.columns == ["Title", "Funding"]
+        assert relational.execute_native(
+            "SELECT COUNT(*) FROM projects").scalar() == 2
+
     def test_wrapper_name_derived_from_dialect(self, relational):
         assert relational.wrapper_name == "WebTassiliOracle"
 
@@ -198,6 +210,14 @@ class TestRemoteIsi:
         result = isi.execute_native("SELECT Title FROM projects "
                                     "ORDER BY Title")
         assert result.rows[0] == ("AIDS and drugs",)
+
+    def test_a_remote_result_owns_its_rows(self, remote):
+        __, isi = remote
+        first = isi.execute_native("SELECT Title FROM projects ORDER BY Title")
+        first.rows.append(("Ghost",))
+        first.rows[0] = ("replaced",)
+        again = isi.execute_native("SELECT Title FROM projects ORDER BY Title")
+        assert again.rows == [("AIDS and drugs",), ("Melanoma",)]
 
     def test_remote_errors_propagate(self, remote):
         __, isi = remote
