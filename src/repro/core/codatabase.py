@@ -20,6 +20,7 @@ real middleware traffic.
 from __future__ import annotations
 
 import inspect
+from dataclasses import dataclass
 from typing import Any, NamedTuple, Optional
 
 from repro.core.coalition import Coalition
@@ -29,6 +30,7 @@ from repro.core.service_link import EndpointKind, ServiceLink, link_label
 from repro.errors import UnknownCoalition, UnknownDatabase, WebFinditError
 from repro.oodb.database import ObjectDatabase
 from repro.oodb.schema import Attribute
+from repro.orb.cdr import CdrDecoder, CdrEncoder, register_value
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 
 #: Root class name for the coalition lattice inside every co-database.
@@ -57,6 +59,109 @@ class _TopicIndex(NamedTuple):
     #: The links' distinct contacts, in link order.
     contacts: tuple[str, ...]
     neighbors: tuple[str, ...]
+
+
+# ---------------------------------------------------------------------------
+# The consult answer
+# ---------------------------------------------------------------------------
+
+class CoalitionMatch(NamedTuple):
+    """A locally-known coalition whose topic matches the query."""
+
+    name: str
+    information_type: str
+    score: float
+    members: tuple[str, ...]
+
+    def to_wire(self) -> dict[str, Any]:
+        """The ``find_coalitions`` dict form."""
+        return {**self._asdict(), "members": list(self.members)}
+
+
+class LinkLead(NamedTuple):
+    """The first service link into one target that advertises the topic."""
+
+    to_kind: str
+    to_name: str
+    information_type: str
+    score: float
+    label: str
+    contact: str
+
+    def to_wire(self) -> dict[str, Any]:
+        return self._asdict()
+
+
+@dataclass(frozen=True)
+class ConsultAnswer:
+    """What one co-database answers to :meth:`CoDatabase.consult`.
+
+    Immutable all the way down — tuples of immutable records — so a
+    cache hands its one stored answer to every caller and nobody copies
+    it.
+    """
+
+    matches: tuple[CoalitionMatch, ...] = ()
+    leads: tuple[LinkLead, ...] = ()
+    contacts: tuple[str, ...] = ()
+    neighbors: tuple[str, ...] = ()
+
+    def to_wire(self) -> dict[str, Any]:
+        """The same answer as plain lists and dicts."""
+        return {"matches": [match.to_wire() for match in self.matches],
+                "leads": [lead.to_wire() for lead in self.leads],
+                "contacts": list(self.contacts),
+                "neighbors": list(self.neighbors)}
+
+
+def _write_answer(encoder: CdrEncoder, answer: ConsultAnswer) -> None:
+    matches, leads = answer.matches, answer.leads
+    encoder.write_array("I", (len(matches), len(leads), len(answer.contacts),
+                              len(answer.neighbors),
+                              *[len(match.members) for match in matches]))
+    strings = [*answer.contacts, *answer.neighbors]
+    if matches or leads:
+        encoder.write_array("d", [*[match.score for match in matches],
+                                  *[lead.score for lead in leads]])
+        for match in matches:
+            strings += (match.name, match.information_type, *match.members)
+        for lead in leads:
+            strings += (lead.to_kind, lead.to_name, lead.information_type,
+                        lead.label, lead.contact)
+    encoder.write_strings(strings)
+
+
+def _read_answer(decoder: CdrDecoder) -> ConsultAnswer:
+    matches, leads, contacts, neighbors = decoder.read_array("I", 4)
+    members = scores = ()
+    if matches or leads:
+        members = decoder.read_array("I", matches)
+        scores = decoder.read_array("d", matches + leads)
+    at = contacts + neighbors
+    strings = decoder.read_strings(at + 2 * matches + sum(members)
+                                   + 5 * leads)
+    found = []
+    for score, count in zip(scores, members):
+        found.append(CoalitionMatch(strings[at], strings[at + 1], score,
+                                    tuple(strings[at + 2:at + 2 + count])))
+        at += 2 + count
+    led = []
+    for score in scores[matches:]:
+        led.append(LinkLead(*strings[at:at + 3], score,
+                            *strings[at + 3:at + 5]))
+        at += 5
+    return ConsultAnswer(tuple(found), tuple(led), tuple(strings[:contacts]),
+                         tuple(strings[contacts:contacts + neighbors]))
+
+
+# Positional on the wire: the four list counts and each match's member
+# count as one ulong array; every score as one double array (matches,
+# then leads; absent when there are neither); every string as one
+# packed run — contacts, neighbours, then per match and per lead
+# (layout: docs/middleware.md).  An answer with no matches and no leads,
+# the commonest, pays for no empty score array.
+register_value("ConsultAnswer/1", ConsultAnswer, _write_answer, _read_answer)
+
 
 _SOURCE_ATTRIBUTES = [
     Attribute("name", "string", required=True),
@@ -273,13 +378,15 @@ class CoDatabase:
         Returns dicts ``{name, information_type, score, members}`` sorted
         by descending score.
         """
-        return self._matches(self._topic_index(), query, threshold)
+        return [match.to_wire()
+                for match in self._matches(self._topic_index(), query,
+                                           threshold)]
 
     def _matches(self, index: _TopicIndex, query: str,
-                 threshold: float) -> list[dict[str, Any]]:
+                 threshold: float) -> tuple[CoalitionMatch, ...]:
         ontology = self.ontology
         score_of = word_scorer(query, ontology)
-        matches: list[dict[str, Any]] = []
+        matches: list[CoalitionMatch] = []
         for name, information_type, members, words in index.coalitions:
             # A coalition answers for its own topic AND for what its
             # member databases advertise — "every class contains a
@@ -295,14 +402,10 @@ class CoDatabase:
                          or ontology.are_related(query, name))):
                 score = threshold
             if score >= threshold:
-                matches.append({
-                    "name": name,
-                    "information_type": information_type,
-                    "score": score,
-                    "members": list(members),
-                })
-        matches.sort(key=lambda m: (-m["score"], m["name"]))
-        return matches
+                matches.append(CoalitionMatch(name, information_type, score,
+                                              members))
+        matches.sort(key=lambda match: (-match.score, match.name))
+        return tuple(matches)
 
     def subclasses_of(self, class_name: str) -> list[str]:
         """Direct subclasses of a coalition class (topic specializations)."""
@@ -371,7 +474,7 @@ class CoDatabase:
         return neighbors
 
     def consult(self, query: str, neighbors: bool,
-                threshold: float) -> dict[str, Any]:
+                threshold: float) -> ConsultAnswer:
         """One resolution step, answered where the metadata lives — "the
         query is sent to a local metadata repository" (§2).
 
@@ -385,7 +488,7 @@ class CoDatabase:
         """
         index = self._topic_index()
         score_of = word_scorer(query)
-        leads: dict[tuple[str, str], dict[str, Any]] = {}
+        leads: dict[tuple[str, str], LinkLead] = {}
         for kind, name, information_type, label, contact, words \
                 in index.links:
             target = (kind, name)
@@ -393,16 +496,11 @@ class CoDatabase:
                 continue
             score = max(map(score_of, words))
             if score >= threshold:
-                leads[target] = {
-                    "to_kind": kind, "to_name": name,
-                    "information_type": information_type,
-                    "score": score, "label": label, "contact": contact}
-        return {
-            "matches": self._matches(index, query, threshold),
-            "leads": list(leads.values()),
-            "contacts": list(index.contacts),
-            "neighbors": list(index.neighbors) if neighbors else [],
-        }
+                leads[target] = LinkLead(kind, name, information_type, score,
+                                         label, contact)
+        return ConsultAnswer(self._matches(index, query, threshold),
+                             tuple(leads.values()), index.contacts,
+                             index.neighbors if neighbors else ())
 
     # ---------------------------------------------------------- topic index --
 
@@ -585,7 +683,7 @@ class CoDatabaseServant:
         return self._codb.neighbor_databases()
 
     def consult(self, query: str, neighbors: bool,
-                threshold: float) -> dict[str, Any]:
+                threshold: float) -> ConsultAnswer:
         return self._codb.consult(query, neighbors, threshold)
 
     def owner(self) -> str:

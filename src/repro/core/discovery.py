@@ -44,7 +44,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
 from repro.core.coalition import Coalition
-from repro.core.codatabase import CoDatabase, CoDatabaseServant
+from repro.core.codatabase import (CoDatabase, CoDatabaseServant,
+                                   ConsultAnswer)
 from repro.core.metacache import CACHEABLE_OPERATIONS, MetadataCache
 from repro.core.model import SourceDescription
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
@@ -92,7 +93,9 @@ class CoDatabaseClient:
     Whatever the route, a read answers with model objects (CDR value
     types: a proxy delivers them as themselves) or plain structs, and
     hands each caller its own copy of anything mutable — a cached value
-    or an in-process co-database's stored description is shared.
+    or an in-process co-database's stored description is shared.  What
+    is immutable (a ``consult`` answer, a service link) is shared as
+    it is.
     """
 
     def __init__(self, target: Any, name: str,
@@ -155,18 +158,14 @@ class CoDatabaseClient:
             return target.invoke(operation, *args)
 
     def consult(self, query: str, neighbors: bool,
-                threshold: float) -> dict[str, Any]:
-        """The engine's one question (see :meth:`CoDatabase.consult`)."""
-        answer = self._call("consult", query, neighbors, threshold)
-        return {"matches": [{**m, "members": list(m["members"])}
-                            for m in answer["matches"]],
-                "leads": [dict(lead) for lead in answer["leads"]],
-                "contacts": list(answer["contacts"]),
-                "neighbors": list(answer["neighbors"])}
+                threshold: float) -> ConsultAnswer:
+        """The engine's one question (see :meth:`CoDatabase.consult`);
+        the answer is immutable, so a cached one is shared."""
+        return self._call("consult", query, neighbors, threshold)
 
     def find_coalitions(self, query: str) -> list[dict[str, Any]]:
         matches = self._call("find_coalitions", query)
-        return [dict(m) for m in matches]
+        return [{**m, "members": list(m["members"])} for m in matches]
 
     def memberships(self) -> list[str]:
         return list(self._call("memberships"))
@@ -503,7 +502,7 @@ class DiscoveryEngine:
                 # does not advertise the topic: "the local repository
                 # sends the query to one or more remote metadata
                 # repositories" (§2).
-                for onward in answer["neighbors"] + answer["contacts"]:
+                for onward in answer.neighbors + answer.contacts:
                     if onward not in visited:
                         visited.add(onward)
                         next_frontier.append((onward, path + [onward]))
@@ -638,42 +637,42 @@ class DiscoveryEngine:
                     max_workers=workers, thread_name_prefix="discovery")
             return self._executor
 
-    def _merge(self, answer: dict[str, Any], path: list[str],
+    def _merge(self, answer: ConsultAnswer, path: list[str],
                leads: list[CoalitionLead], seen: set[str],
                trace: list[str]) -> None:
         """Fold one co-database's answer into the shared lead/trace
         state.  Always runs on the coordinating thread, in frontier
         order; *seen* is what keeps one lead per coalition or link
         target across co-databases."""
-        for match in answer["matches"]:
-            key = f"coalition:{match['name']}"
+        for match in answer.matches:
+            key = f"coalition:{match.name}"
             if key in seen:
                 continue
             seen.add(key)
             leads.append(CoalitionLead(
-                name=match["name"],
-                information_type=match["information_type"],
-                score=match["score"],
-                members=match["members"],
+                name=match.name,
+                information_type=match.information_type,
+                score=match.score,
+                members=list(match.members),
                 via=list(path)))
             trace.append(
-                f"    coalition {match['name']!r} matches "
-                f"(score {match['score']:.2f})")
-        for link in answer["leads"]:
+                f"    coalition {match.name!r} matches "
+                f"(score {match.score:.2f})")
+        for link in answer.leads:
             # One lead per link target: multiple links into the same
             # coalition (Figure 1 has seven into Medical) collapse.
-            key = f"link:{link['to_kind']}:{link['to_name']}"
-            if key in seen or f"coalition:{link['to_name']}" in seen:
+            key = f"link:{link.to_kind}:{link.to_name}"
+            if key in seen or f"coalition:{link.to_name}" in seen:
                 continue
             seen.add(key)
             leads.append(CoalitionLead(
-                name=link["to_name"],
-                information_type=link["information_type"],
-                score=link["score"],
+                name=link.to_name,
+                information_type=link.information_type,
+                score=link.score,
                 via=list(path),
-                through_link=link["label"],
-                contact=link["contact"]))
+                through_link=link.label,
+                contact=link.contact))
             trace.append(
-                f"    service link {link['label']} leads to "
-                f"{link['to_kind']} {link['to_name']!r} "
-                f"(score {link['score']:.2f})")
+                f"    service link {link.label} leads to "
+                f"{link.to_kind} {link.to_name!r} "
+                f"(score {link.score:.2f})")

@@ -12,7 +12,8 @@ import enum
 from dataclasses import dataclass
 
 from repro.errors import WebFinditError
-from repro.orb.cdr import register_value, struct_value
+from repro.orb.cdr import (CdrDecoder, CdrEncoder, register_value,
+                           struct_value)
 
 
 class EndpointKind(enum.Enum):
@@ -31,6 +32,8 @@ class EndpointKind(enum.Enum):
                 f"database, not {value!r}") from exc
 
 
+# A bare kind still crosses the wire: a remote registry shard's
+# ``drop_links_involving(kind, name)``.
 register_value("EndpointKind", EndpointKind,
                *struct_value(lambda kind: kind.value, EndpointKind.parse))
 
@@ -105,5 +108,32 @@ def link_label(from_name: str, to_name: str) -> str:
     return f"{from_name.replace(' ', '')}_to_{to_name.replace(' ', '')}"
 
 
-register_value("ServiceLink", ServiceLink,
-               *struct_value(ServiceLink.to_wire, ServiceLink.from_wire))
+#: An endpoint kind's octet in ``ServiceLink/2``: its index here.
+_KINDS = tuple(EndpointKind)
+_KIND_OCTETS = {kind: octet for octet, kind in enumerate(_KINDS)}
+
+
+def _write_link(encoder: CdrEncoder, link: ServiceLink) -> None:
+    encoder.write_octet(_KIND_OCTETS[link.from_kind])
+    encoder.write_octet(_KIND_OCTETS[link.to_kind])
+    encoder.write_strings((link.from_name, link.to_name,
+                           link.information_type, link.description,
+                           link.contact))
+
+
+def _read_link(decoder: CdrDecoder) -> ServiceLink:
+    from_kind = _KINDS[decoder.read_octet()]
+    to_kind = _KINDS[decoder.read_octet()]
+    from_name, to_name, information_type, description, contact = \
+        decoder.read_strings(5)
+    return ServiceLink(from_kind, from_name, to_kind, to_name,
+                       information_type, description, contact)
+
+
+# Positional on the wire: both endpoint kinds as octets (their index in
+# ``EndpointKind``), then the five names and texts as one packed run of
+# strings (layout: docs/middleware.md).  The id is not the "ServiceLink"
+# of the seven-key struct this replaced: a stale peer fails on an
+# unknown value type, it never misparses.  The journal and snapshots
+# keep the JSON form of ``to_wire`` / ``from_wire``.
+register_value("ServiceLink/2", ServiceLink, _write_link, _read_link)

@@ -176,14 +176,15 @@ class CdrEncoder:
     def write_strings(self, values: Sequence[str]) -> None:
         """Several strings, packed: their **character** lengths as one
         ulong array (the reader is told the count), then all the text as
-        one UTF-8 octet sequence — no NUL, no per-string header."""
+        one UTF-8 octet sequence — no NUL, no per-string header.  The
+        sequence's octet count rides in the same pack as the lengths."""
         try:
             blob = "".join(values).encode()
         except (TypeError, UnicodeEncodeError) as exc:
             raise MarshalError(
                 f"cannot marshal packed CDR strings: {exc}") from exc
-        self.write_array("I", list(map(len, values)))
-        self.write_octets(blob)
+        self.write_array("I", [*map(len, values), len(blob)])
+        self._buf += blob
 
     # -- any ---------------------------------------------------------------------
 
@@ -393,8 +394,8 @@ class CdrDecoder:
         """*count* strings :meth:`CdrEncoder.write_strings` packed; the
         lengths are checked against what is left before any is built,
         and must add up to the text exactly."""
-        lengths = self.read_array("I", count)
-        start = self._take(self.read_ulong())
+        *lengths, size = self.read_array("I", count + 1)
+        start = self._take(size)
         try:
             text = str(self._data[start:self._pos], "utf-8")
         except UnicodeDecodeError as exc:

@@ -13,13 +13,16 @@ node — a subset of the full answer — and say which node it lost.
 One level down, ``consult`` must answer exactly what the engine used to
 work out for itself from three reads (``find_coalitions``,
 ``service_links``, ``neighbor_databases``); that derivation lives on
-here as :func:`derived_from_three_reads`.
+here as :func:`derived_from_three_reads`, and the answer — a
+``ConsultAnswer`` value in process and after crossing the ORB — is
+compared in its plain form, ``answer.to_wire()``.
 
 Tier-1 runs hypothesis's default example count derandomised; CI's
 ``discovery-model`` job loads the ``ci`` profile of ``tests/conftest.py``
 (ten times the examples, ``--hypothesis-seed`` from {7, 23, 1999}).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,15 +227,16 @@ def test_consult_answers_what_three_reads_used_to(topology, query, threshold):
     for name in topology["databases"]:
         codatabase = registry.codatabase(name)
         expected = derived_from_three_reads(codatabase, query, threshold)
-        assert codatabase.consult(query, True, threshold) == expected
+        assert codatabase.consult(query, True, threshold).to_wire() \
+            == expected
         ior = orb.activate(CoDatabaseServant(codatabase),
                            CODATABASE_INTERFACE, object_name=name)
         wire = CoDatabaseClient.for_proxy(
             orb.proxy(ior, CODATABASE_INTERFACE), name)
-        assert wire.consult(query, True, threshold) == expected
+        assert wire.consult(query, True, threshold).to_wire() == expected
         assert wire.calls == 1
         # Neighbours are answered only when asked for.
-        assert wire.consult(query, False, threshold) \
+        assert wire.consult(query, False, threshold).to_wire() \
             == {**expected, "neighbors": []}
 
 
@@ -249,8 +253,8 @@ def test_a_link_under_the_threshold_does_not_shadow_a_later_one():
     # Both links are known to ``far`` (a member of Audit), weak one first.
     consulted = deploy(topology).codatabase("far").consult(
         "medical fraud", False, 0.5)
-    assert [(lead["label"], lead["score"], lead["information_type"])
-            for lead in consulted["leads"]] \
+    assert [(lead.label, lead.score, lead.information_type)
+            for lead in consulted.leads] \
         == [("far_to_Audit", 1.0, "medical fraud")]
 
 
@@ -264,11 +268,35 @@ def test_the_caller_owns_a_cached_consult_answer():
     client = CoDatabaseClient(deploy(topology).codatabase("a"), "a",
                               cache=MetadataCache())
     first = client.consult("tax", True, 0.5)
-    pristine = client.consult("tax", True, 0.5)
-    first["matches"][0]["members"].append("scribble")
-    first["matches"][0]["name"] = "scribble"
-    first["leads"][0]["contact"] = "scribble"
-    for key in first:
-        first[key].append("scribble")
+    second = client.consult("tax", True, 0.5)
     assert client.cache_hits == 2 - client.cache_misses == 1
-    assert client.consult("tax", True, 0.5) == pristine
+    # Nobody can change the answer, so the cache shares it uncopied.
+    assert second is first and first.matches and first.leads
+    match, lead = first.matches[0], first.leads[0]
+    for target, field in ((first, "matches"), (match, "name"),
+                          (lead, "contact")):
+        with pytest.raises(AttributeError):
+            setattr(target, field, "scribble")
+    for sequence in (first.matches, first.leads, first.contacts,
+                     first.neighbors, match.members):
+        assert isinstance(sequence, tuple)
+    assert client.consult("tax", True, 0.5) == second
+
+
+def test_the_caller_owns_a_cached_find_coalitions_answer():
+    """``find_coalitions`` keeps its dict form: each caller gets its own
+    dicts *and* member lists, so a scribble never reaches the cache."""
+    topology = {"databases": {"a": "tax", "b": "tax"},
+                "coalitions": {"T": {"information_type": "tax",
+                                     "members": ["a", "b"]}},
+                "links": []}
+    client = CoDatabaseClient(deploy(topology).codatabase("a"), "a",
+                              cache=MetadataCache())
+    first = client.find_coalitions("tax")
+    pristine = client.find_coalitions("tax")
+    first[0]["members"].append("scribble")
+    first[0]["name"] = "scribble"
+    first.append("scribble")
+    assert client.cache_hits == 2 - client.cache_misses == 1
+    assert client.find_coalitions("tax") == pristine
+    assert pristine[0]["members"] == ["a", "b"]

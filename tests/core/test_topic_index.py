@@ -10,7 +10,8 @@ every question.  It shares no code with ``repro.core.codatabase``.
 The property runs the *unfiltered* write scripts of
 ``tests/core/write_scripts.py`` — states the registry never produces
 (writes naming a forgotten coalition, links into nowhere) included —
-and after every step holds both reads equal to the reference's, with
+and after every step holds both reads equal to the reference's (the
+``consult`` answer in its plain form, ``answer.to_wire()``), with
 no ontology, with the healthcare ontology, and with synonyms and a
 proximity added after the index was built.  The deterministic tests pin
 the keep rule: an index built while a write is in flight answers that
@@ -25,6 +26,7 @@ import re
 import sys
 import threading
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -230,7 +232,7 @@ def test_the_index_answers_what_a_scan_answers_after_every_write(
     def agree():
         for number, query in enumerate(QUERIES):
             neighbors = number % 2 == 0
-            assert codatabase.consult(query, neighbors, threshold) \
+            assert codatabase.consult(query, neighbors, threshold).to_wire() \
                 == reference.consult(query, neighbors, threshold, ontology)
             assert codatabase.find_coalitions(query, threshold) \
                 == reference.find_coalitions(query, threshold, ontology)
@@ -269,8 +271,8 @@ INSURANCE_LINK = ServiceLink(EndpointKind.DATABASE, "Alpha",
 
 
 def _lead_names(codatabase):
-    return [lead["to_name"] for lead in
-            codatabase.consult("insurance", False, 0.5)["leads"]]
+    return [lead.to_name for lead in
+            codatabase.consult("insurance", False, 0.5).leads]
 
 
 def test_a_consult_inside_a_write_does_not_hide_the_write():
@@ -388,13 +390,17 @@ def test_every_answer_is_the_callers_own():
     codatabase = _stocked()
     codatabase.add_service_link(INSURANCE_LINK)
     first = codatabase.consult("cardiology insurance", True, 0.5)
-    pristine = codatabase.consult("cardiology insurance", True, 0.5)
-    assert first["matches"] and first["leads"] and first["neighbors"]
-    first["matches"][0]["members"].append("scribble")
-    first["leads"][0]["contact"] = "scribble"
-    for key in first:
-        first[key].append("scribble")
-    assert codatabase.consult("cardiology insurance", True, 0.5) == pristine
+    assert first.matches and first.leads and first.neighbors
+    # The answer shares the index's tuples: nobody can change them.
+    match, lead = first.matches[0], first.leads[0]
+    for target, field in ((first, "neighbors"), (match, "members"),
+                          (lead, "contact")):
+        with pytest.raises(AttributeError):
+            setattr(target, field, "scribble")
+    for sequence in (first.matches, first.leads, first.contacts,
+                     first.neighbors, match.members):
+        assert isinstance(sequence, tuple)
+    assert codatabase.consult("cardiology insurance", True, 0.5) == first
     found = codatabase.find_coalitions("cardiology")
     found[0]["members"].append("scribble")
     assert codatabase.find_coalitions("cardiology")[0]["members"] == ["Gamma"]

@@ -1,28 +1,36 @@
 """Generator for ``cdr_golden.json``: value -> hex in both byte orders.
 
 The *pinned* sections — ``values`` (``VALUES``), ``frames``
-(``frames()``) and the ``source_description`` entry of ``retired``
-(``RETIRED_AT_EB762AB``) — were encoded by the codec of commit
-``eb762ab`` (the chunk-list encoder), so they pin the *bytes* across any
-change of mechanics::
+(``frames()``) and the ``RETIRED_AT_EB762AB`` entries of ``retired`` —
+were encoded by the codec of commit ``eb762ab`` (the chunk-list
+encoder), so they pin the *bytes* across any change of mechanics::
 
     PYTHONPATH=<checkout of eb762ab>/src python tests/orb/gen_cdr_golden.py
 
-``retired`` holds wire forms this codec no longer reads, written by two
-commits: decoding one must be a ``MarshalError`` for an unknown value
-type, never a misparse.  Besides the ``eb762ab`` entry, its
+``retired`` holds wire forms this codec no longer reads, written by
+three commits: decoding one must be a ``MarshalError`` for an unknown
+value type, never a misparse.  The ``eb762ab`` entries are the
+nine-key struct ``SourceDescription`` and the seven-key struct
+``ServiceLink`` (the last two were the ``service_link`` and
+``values_in_containers`` vectors of ``values``, moved over byte for
+byte when ``ServiceLink/2`` replaced that struct).  The
 ``result_set_2_*`` entries (``RETIRED_RESULT_SET_2``) are the
 ``result_sets`` section of commit ``353b5d5`` — ``ResultSet/2``, whose
 string columns carried a character-length array — moved over byte for
-byte when ``ResultSet/3`` replaced it; nothing here rewrites them.
+byte when ``ResultSet/3`` replaced it, and ``result_set_3_nested``
+(``RETIRED_AT_7FD89D0``) is the ``nested`` vector of ``7fd89d0``'s
+``result_sets``, whose cell holds a struct ``ServiceLink``; nothing here
+rewrites those.
 
 The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
-column-packed ``ResultSet/3``) and ``descriptions`` (``DESCRIPTIONS``,
-the positional ``SourceDescription/2``) — are forms that did not exist
-at ``eb762ab``; ``--working-tree`` rewrites only those sections from
-the working tree and leaves the pinned ones as they are.  Run it only
-when one of those wire forms changes on purpose (a new type id), after
-moving the section's old bytes into ``retired``.
+column-packed ``ResultSet/3``), ``descriptions`` (``DESCRIPTIONS``,
+the positional ``SourceDescription/2``), ``service_links``
+(``SERVICE_LINKS``, the positional ``ServiceLink/2``) and
+``consult_answers`` (``consult_answers()``, ``ConsultAnswer/1``) — are
+forms that did not exist at ``eb762ab``; ``--working-tree`` rewrites
+only those sections from the working tree and leaves the pinned ones as
+they are.  Run it only when one of those wire forms changes on purpose
+(a new type id), after moving the section's old bytes into ``retired``.
 ``test_cdr_golden`` reads the values from here and the bytes from the
 JSON file.
 """
@@ -82,13 +90,9 @@ VALUES = {
     "int_enum": [Colour.RED, Colour.DEEP],
     "str_subclass": [Label("tagged"), {Label("key"): Label("")}],
     "endpoint_kind": [EndpointKind.COALITION, EndpointKind.DATABASE],
-    "service_link": LINK,
     "coalition": Coalition("Medical", "medical research", "Health", "doc",
                            ["RBH", "QUT Research"]),
     "coalition_no_parent": Coalition("C", "t"),
-    "values_in_containers": {"links": [LINK, LINK], "kind": (
-        EndpointKind.DATABASE,), "nested": Coalition("C", "t", members=[
-            LINK, [Coalition("D", "u")]])},
     # A string of k characters in front moves everything behind it
     # through every alignment offset 0-7.
     **{f"aligned_{k}": ["x" * k, 1, 2**40, 1.5, "s", b"o", DAY, True, -2**70,
@@ -96,18 +100,39 @@ VALUES = {
        for k in range(8)},
 }
 
+#: Value types inside containers inside value types.
+IN_CONTAINERS = {"links": [LINK, LINK], "kind": (EndpointKind.DATABASE,),
+                 "nested": Coalition("C", "t", members=[
+                     LINK, [Coalition("D", "u")]])}
+
 #: The tuple and the subclasses arrive as their plain base types.
 DECODES_AS = {
     "tuple": [1, "two", [3.0, None]],
     "int_enum": [1, 2**40],
     "str_subclass": ["tagged", {"key": ""}],
-    "values_in_containers": dict(VALUES["values_in_containers"],
-                                 kind=[EndpointKind.DATABASE]),
+    "values_in_containers": dict(IN_CONTAINERS, kind=[EndpointKind.DATABASE]),
 }
 
-#: The nine-key struct form of ``SourceDescription`` (type id
-#: ``SourceDescription``), replaced by ``SourceDescription/2``.
-RETIRED_AT_EB762AB = {"source_description": DESCRIPTION}
+#: The struct forms of ``SourceDescription`` (type id
+#: ``SourceDescription``, replaced by ``SourceDescription/2``) and of
+#: ``ServiceLink`` (type id ``ServiceLink``, replaced by
+#: ``ServiceLink/2``).
+RETIRED_AT_EB762AB = {"source_description": DESCRIPTION,
+                      "service_link": LINK,
+                      "values_in_containers": IN_CONTAINERS}
+
+SERVICE_LINKS = {
+    "service_link": LINK,
+    "service_link_empty_strings": ServiceLink(
+        EndpointKind.COALITION, "", EndpointKind.COALITION, ""),
+    "service_link_astral": ServiceLink(
+        EndpointKind.COALITION, "𝄞 Clinic", EndpointKind.DATABASE, "a\x00b",
+        "pædiatrics 😀", "", contact="Ωmega"),
+    "values_in_containers": IN_CONTAINERS,
+    # A string of k characters in front moves the link through every
+    # alignment offset 0-7.
+    **{f"service_link_aligned_{k}": ["x" * k, LINK] for k in range(8)},
+}
 
 DESCRIPTIONS = {
     "description": DESCRIPTION,
@@ -147,16 +172,53 @@ RETIRED_RESULT_SET_2 = {
     for name in ("point", "every_kind", "fallbacks", "all_null_column", "dml",
                  "no_rows", "no_columns", "nested")}
 
-RETIRED = {**RETIRED_AT_EB762AB, **RETIRED_RESULT_SET_2}
+#: ``ResultSet/3`` bytes of ``7fd89d0`` whose cell holds a struct
+#: ``ServiceLink``.
+RETIRED_AT_7FD89D0 = {"result_set_3_nested": RESULT_SETS["nested"]}
+
+RETIRED = {**RETIRED_AT_EB762AB, **RETIRED_RESULT_SET_2,
+           **RETIRED_AT_7FD89D0}
+
+
+def consult_answers():
+    """``ConsultAnswer/1`` vectors (a function: the class is newer than
+    ``eb762ab``, whose codec writes the pinned sections)."""
+    from repro.core.codatabase import CoalitionMatch, ConsultAnswer, LinkLead
+    match = CoalitionMatch("Medical", "medical research", 1.0,
+                           ("RBH", "QUT Research"))
+    lonely = CoalitionMatch("Empty", "", 0.5, ())
+    lead = LinkLead("coalition", "Medical", "tax records", 0.75,
+                    "ATO_to_Medical", "RBH")
+    full = ConsultAnswer((match, lonely), (lead,), ("RBH", "QUT"),
+                         ("Alpha", "Beta"))
+    return {
+        "answer_empty": ConsultAnswer(),
+        "answer_matches_only": ConsultAnswer((match, lonely)),
+        "answer_leads_only": ConsultAnswer(leads=(
+            lead, LinkLead("database", "ATO", "", 0.5, "RBH_to_ATO", ""))),
+        "answer_neighbours_asked": full,
+        "answer_neighbours_not_asked": ConsultAnswer(
+            full.matches, full.leads, full.contacts),
+        "answer_strings": ConsultAnswer(
+            (CoalitionMatch("", "𝄞 pædiatrics 😀", 0.0, ("", "a\x00b")),),
+            (LinkLead("", "\x00", "", float("inf"), "𝄞_to_\x00", ""),),
+            ("",), ("😀",)),
+        # A string of k characters in front moves the answer through
+        # every alignment offset 0-7.
+        **{f"answer_aligned_{k}": ["x" * k, full] for k in range(8)},
+    }
 
 
 def frames():
     contexts = [(ORB_PRODUCT_CONTEXT, "OrbixWeb"),
                 (DEADLINE_BUDGET_CONTEXT, "0.250000"),
                 (TRAFFIC_CLASS_CONTEXT, "background")]
+    # The value-type argument is one the eb762ab codec still writes as
+    # today's does (a ServiceLink no longer is).
     request = RequestMessage(
         request_id=2**32 - 1, object_key=b"orb/CoDatabase/RBH",
-        operation="find_coalitions", arguments=["medical research", LINK, 7],
+        operation="find_coalitions",
+        arguments=["medical research", VALUES["coalition"], 7],
         service_context=contexts)
     messages = {
         "request": request,
@@ -192,7 +254,9 @@ if __name__ == "__main__":
     golden = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
     if "--working-tree" in sys.argv:
         golden.update(result_sets=encode_all(RESULT_SETS),
-                      descriptions=encode_all(DESCRIPTIONS))
+                      descriptions=encode_all(DESCRIPTIONS),
+                      service_links=encode_all(SERVICE_LINKS),
+                      consult_answers=encode_all(consult_answers()))
     else:
         golden.update(values=encode_all(VALUES), frames=frames(),
                       retired={**golden.get("retired", {}),

@@ -5,11 +5,14 @@
 model value types, subclasses of ``int`` / ``str``, and whole GIOP
 frames.  Those sections were generated by ``gen_cdr_golden.py`` running
 on the codec of commit ``eb762ab`` — the encoder has to write exactly
-those bytes and the decoder has to read them back.  The ``result_sets``
-and ``descriptions`` sections pin the column-packed ``ResultSet/3`` and
-the positional ``SourceDescription/2`` the same way for the next change;
-the ``retired`` section keeps the forms they replaced (the nine-key
-``SourceDescription``, ``ResultSet/2``), which must now be refused.
+those bytes and the decoder has to read them back.  The
+``result_sets``, ``descriptions``, ``service_links`` and
+``consult_answers`` sections pin the column-packed ``ResultSet/3`` and
+the positional ``SourceDescription/2``, ``ServiceLink/2`` and
+``ConsultAnswer/1`` the same way for the next change; the ``retired``
+section keeps the forms they replaced (the nine-key
+``SourceDescription``, the seven-key ``ServiceLink``, ``ResultSet/2``),
+which must now be refused.
 """
 
 import json
@@ -38,7 +41,9 @@ def plain(value):
 
 #: Section of the JSON file -> the values its vectors encode.
 SECTIONS = {"values": gen.VALUES, "result_sets": gen.RESULT_SETS,
-            "descriptions": gen.DESCRIPTIONS}
+            "descriptions": gen.DESCRIPTIONS,
+            "service_links": gen.SERVICE_LINKS,
+            "consult_answers": gen.consult_answers()}
 PINNED = [(section, name) for section, values in SECTIONS.items()
           for name in values]
 

@@ -3,10 +3,11 @@
 **Round trip.**  Hypothesis builds values from every ``any`` tag —
 primitives, sequences, structs and the registered value types
 (``SourceDescription``, ``Coalition``, ``ServiceLink``,
-``EndpointKind``, ``ResultSet``), nested in sequences, in structs and
-in each other — and requires ``decode_any(encode_any(v))`` to be the
-same value in both byte orders: equal, node for node of the same class
-(``True`` is not ``1``, a ``Coalition`` is not its struct).
+``EndpointKind``, ``ResultSet``, ``ConsultAnswer``), nested in
+sequences, in structs and in each other — and requires
+``decode_any(encode_any(v))`` to be the same value in both byte orders:
+equal, node for node of the same class (``True`` is not ``1``, a
+``Coalition`` is not its struct).
 
 **Packed columns.**  A ``ResultSet`` travels column-packed
 (``gateway/bridge.py``): the ``result_sets`` strategy draws every column
@@ -15,8 +16,10 @@ ints, ``long`` -> ``long long`` -> bigint promotion inside one column,
 NaN and ``-0.0`` (compared bit for bit), strings empty / astral / with
 embedded NUL (a string column is one NUL-separated text, or per cell
 when a cell holds NUL), zero columns x n rows, n columns x zero rows,
-and 2,000-row results.  A ``SourceDescription`` travels positional
-(``core/model.py``), its strings packed by ``write_strings``.
+and 2,000-row results.  A ``SourceDescription``, a ``ServiceLink`` and
+a ``ConsultAnswer`` travel positional (``core/model.py``,
+``core/service_link.py``, ``core/codatabase.py``), their strings packed
+by ``write_strings``.
 
 **Fuzz.**  Every truncation and every single-byte corruption of a valid
 encoding — standalone, and inside a whole GIOP Request and Reply frame
@@ -24,8 +27,8 @@ through ``decode_message`` — ends in a value or a ``MarshalError``:
 never another exception, never a stall.  The exhaustive sweeps run over
 one fixed sample that uses every tag and every column kind; hypothesis
 repeats them at random positions of random values.  Hostile counts
-(``0xFFFFFFFF`` rows, columns, nulls, blob octets) are refused before
-anything is allocated.
+(``0xFFFFFFFF`` rows, columns, nulls, blob octets, a consult answer's
+list and member counts) are refused before anything is allocated.
 
 Tier-1 runs hypothesis's default example count derandomised and, at
 each position of the sweeps, the replacement octets most likely to
@@ -46,6 +49,7 @@ from hypothesis import strategies as st
 
 from repro.gateway import bridge  # (importing it registers ResultSet)
 from repro.core.coalition import Coalition
+from repro.core.codatabase import CoalitionMatch, ConsultAnswer, LinkLead
 from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import MarshalError
@@ -84,6 +88,16 @@ links = st.builds(ServiceLink, kinds, names, kinds, names, names, names,
 descriptions = st.builds(SourceDescription, names, names, names, names,
                          names, st.lists(names, max_size=3), names, names,
                          st.lists(names, max_size=3))
+
+name_tuples = st.lists(names, max_size=3).map(tuple)
+scores = st.floats(allow_nan=False)
+answers = st.builds(
+    ConsultAnswer,
+    st.lists(st.builds(CoalitionMatch, names, names, scores, name_tuples),
+             max_size=3).map(tuple),
+    st.lists(st.builds(LinkLead, names, names, names, scores, names, names),
+             max_size=3).map(tuple),
+    name_tuples, name_tuples)
 
 
 def coalitions(cells):
@@ -139,7 +153,7 @@ big_result_sets = st.builds(
 #: other to any (small) depth.  Sequences are lists — a tuple is carried
 #: too but, like every CDR sequence, comes back as a list.
 values = st.recursive(
-    primitives | links,
+    primitives | links | answers,
     lambda cells: st.one_of(
         st.lists(cells, max_size=4),
         st.dictionaries(st.text(max_size=8), cells, max_size=4),
@@ -156,7 +170,7 @@ def same(a, b):
                     [b.columns, b.rowcount, [list(row) for row in b.rows]])
     if dataclasses.is_dataclass(a):
         return same(vars(a), vars(b))
-    if isinstance(a, list):
+    if isinstance(a, (list, tuple)):
         return len(a) == len(b) and all(map(same, a, b))
     if isinstance(a, dict):
         return list(a) == list(b) and all(same(a[key], b[key]) for key in a)
@@ -173,6 +187,10 @@ SAMPLE = {
                    b"\x00\xff", datetime.date(1999, 3, 23)],
     "link": ServiceLink(EndpointKind.DATABASE, "ATO",
                         EndpointKind.COALITION, "Medical", contact="RBH"),
+    "consult": ConsultAnswer(
+        (CoalitionMatch("Medical", "hé", 1.0, ("RBH", "𝄞")),),
+        (LinkLead("database", "ATO", "tax", 0.5, "RBH_to_ATO", "ATO"),),
+        ("ATO",), ("QUT",)),
     "description": SourceDescription("RBH", "hé", "", "qut", "w", ["P"],
                                      "Oracle", "", ["P.Name", "𝄞"]),
     "result": ResultSet(["cell"], [(Coalition("C", "t", members=[
@@ -227,7 +245,7 @@ def test_every_value_round_trips_in_both_byte_orders(value, little_endian):
 
 
 @given(value=st.one_of(links, descriptions, coalitions(names),
-                       result_sets(primitives), kinds),
+                       result_sets(primitives), kinds, answers),
        little_endian=st.booleans())
 @SETTINGS
 def test_a_model_object_arrives_as_an_equal_object_of_its_class(
@@ -315,8 +333,8 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
     that is not what its write hook puts there — here the type id
     followed by some other ``any`` — is a value (the hook may accept
     it) or the codec's error naming the class, never the hook's own."""
-    for type_id in ("SourceDescription/2", "ServiceLink", "EndpointKind",
-                    "ResultSet/3"):
+    for type_id in ("SourceDescription/2", "ServiceLink/2", "EndpointKind",
+                    "ResultSet/3", "ConsultAnswer/1"):
         name = type_id.partition("/")[0]
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
@@ -329,12 +347,15 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
             assert exc.__cause__ is not None
     # The ids of the forms this codec used to carry — the row-per-struct
     # ResultSet, the length-array ResultSet/2, the nine-key
-    # SourceDescription — are unknown now: a stale peer is refused,
-    # never misparsed.
+    # SourceDescription, the seven-key ServiceLink — are unknown now: a
+    # stale peer is refused, never misparsed.
     for type_id, struct_form in (
             ("ResultSet", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
             ("ResultSet/2", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
-            ("SourceDescription", {"name": "A", "information_type": "t"})):
+            ("SourceDescription", {"name": "A", "information_type": "t"}),
+            ("ServiceLink", ServiceLink(
+                EndpointKind.DATABASE, "A", EndpointKind.DATABASE,
+                "B").to_wire())):
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
         encoder.write_string(type_id)
@@ -425,11 +446,11 @@ def test_a_packed_result_is_smaller_and_keeps_empty_rows():
         assert same(arrived, empty) and len(arrived) == len(empty)
 
 
-def hostile(build):
-    """``TAG_VALUE``, the ResultSet id, then whatever *build* writes."""
+def hostile(build, type_id="ResultSet/3"):
+    """``TAG_VALUE``, *type_id*, then whatever *build* writes."""
     encoder = CdrEncoder()
     encoder.write_octet(cdr.TAG_VALUE)
-    encoder.write_string("ResultSet/3")
+    encoder.write_string(type_id)
     build(encoder)
     return encoder.getvalue()
 
@@ -456,21 +477,77 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("count", list(HOSTILE))
-def test_a_hostile_count_is_refused_before_anything_is_allocated(count):
+def refused_before_allocating(value, name):
+    """*value* (a value type's stream), alone and as a Reply's body,
+    is a MarshalError naming *name*, with under 1 MiB allocated."""
     frame = encode_message(ReplyMessage(
         request_id=1, status=ReplyStatus.NO_EXCEPTION, body=None))[:-1] \
-        + hostile(HOSTILE[count])
+        + value
     frame = frame[:8] + struct.pack(">I", len(frame) - 12) + frame[12:]
     tracemalloc.start()
     try:
-        for decode, data in ((decode_any, hostile(HOSTILE[count])),
-                             (decode_message, frame)):
-            with pytest.raises(MarshalError, match="ResultSet"):
+        for decode, data in ((decode_any, value), (decode_message, frame)):
+            with pytest.raises(MarshalError, match=name):
                 decode(data)
         assert tracemalloc.get_traced_memory()[1] < 2**20
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("count", list(HOSTILE))
+def test_a_hostile_count_is_refused_before_anything_is_allocated(count):
+    refused_before_allocating(hostile(HOSTILE[count]), "ResultSet")
+
+
+def answer(counts, scores=(), strings=()):
+    """A ``ConsultAnswer/1`` stream with these counts, scores and
+    strings, whether or not they agree."""
+    return hostile(lambda e: (e.write_array("I", counts),
+                              e.write_array("d", scores),
+                              e.write_strings(strings)), "ConsultAnswer/1")
+
+
+HOSTILE_ANSWERS = {
+    "matches": answer((HUGE, 0, 0, 0)),
+    "leads": answer((0, HUGE, 0, 0)),
+    "contacts": answer((0, 0, HUGE, 0)),
+    "neighbors": answer((0, 0, 0, HUGE)),
+    "members": answer((1, 0, 0, 0, HUGE), [1.0]),
+    "blob": hostile(lambda e: (e.write_array("I", (0, 0, 1, 0, 1)),
+                               e.write_ulong(HUGE), e.write_octet(0x61)),
+                    "ConsultAnswer/1"),
+}
+
+
+@pytest.mark.parametrize("count", list(HOSTILE_ANSWERS))
+def test_a_hostile_consult_answer_count_is_refused_before_allocating(count):
+    refused_before_allocating(HOSTILE_ANSWERS[count], "ConsultAnswer")
+
+
+@pytest.mark.parametrize("value", [SAMPLE["consult"], SAMPLE["link"]],
+                         ids=["answer", "link"])
+def test_every_truncation_of_a_consult_answer_or_a_link_is_refused(value):
+    for little_endian in (False, True):
+        data = encode_any(value, little_endian)
+        for cut in range(len(data)):
+            with pytest.raises(MarshalError):
+                decode_any(data[:cut], little_endian)
+
+
+@pytest.mark.parametrize("data, name", [
+    (answer((1, 0, 0, 0, 9), [1.0], ["C", "t", "a", "b"]), "ConsultAnswer"),
+    (answer((1, 1, 0, 0, 0), [1.0],
+            ["C", "t", "coalition", "D", "t", "C_to_D", "D"]),
+     "ConsultAnswer"),
+    (answer((1, 0, 0, 0, 0), [1.0, 0.5], ["C", "t"]), "ConsultAnswer"),
+    (hostile(lambda e: (e.write_octet(0), e.write_octet(2),
+                        e.write_strings(["A", "B", "", "", ""])),
+             "ServiceLink/2"), "ServiceLink"),
+], ids=["members past the strings", "a score short", "a score too many",
+        "link kind"])
+def test_a_consult_answer_or_link_that_does_not_add_up_is_refused(data, name):
+    with pytest.raises(MarshalError, match=f"malformed {name} value"):
+        decode_any(data)
 
 
 @pytest.mark.parametrize("damage, complaint", [
