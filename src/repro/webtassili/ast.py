@@ -5,11 +5,15 @@ Statements split into the paper's two levels: *meta-data* exploration
 the definition & maintenance constructs WebTassili provides for the
 information space (create/dissolve coalitions, advertise sources,
 join/leave, service links).
+
+Every statement is a frozen dataclass whose sequence fields are
+tuples: :func:`repro.webtassili.parse` memoises its trees, so one
+tree is shared by every session that sends the same text.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 
@@ -19,7 +23,7 @@ class WtStatement:
 
 # -- exploration (meta-data level) --------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class FindCoalitions(WtStatement):
     """``Find Coalitions With Information <topic>
     [Structure (name, ...)]``.
@@ -30,20 +34,20 @@ class FindCoalitions(WtStatement):
     """
 
     information: str
-    structure: list[str] = field(default_factory=list)
+    structure: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class FindSources(WtStatement):
     """``Find Sources With Information <topic> [Structure (name, ...)]``
     — locate individual information sources (databases) rather than
     coalitions, optionally constrained by exported structure."""
 
     information: str
-    structure: list[str] = field(default_factory=list)
+    structure: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConnectTo(WtStatement):
     """``Connect To Coalition <name>`` / ``Connect To Database <name>``."""
 
@@ -51,21 +55,21 @@ class ConnectTo(WtStatement):
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplaySubclasses(WtStatement):
     """``Display SubClasses of Class <name>``."""
 
     class_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayInstances(WtStatement):
     """``Display Instances of Class <name>``."""
 
     class_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayDocument(WtStatement):
     """``Display Document of Instance <name> [Of Class <class>]``."""
 
@@ -73,21 +77,21 @@ class DisplayDocument(WtStatement):
     class_name: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayAccessInfo(WtStatement):
     """``Display Access Information of Instance <name>``."""
 
     instance_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayInterface(WtStatement):
     """``Display Interface of Instance <name>``."""
 
     instance_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayStructure(WtStatement):
     """``Display Structure of Instance <name>`` — the exported
     attribute/function vocabulary stored in the co-database."""
@@ -95,7 +99,7 @@ class DisplayStructure(WtStatement):
     instance_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisplayServiceLinks(WtStatement):
     """``Display Service Links of Coalition|Database <name>``."""
 
@@ -105,7 +109,7 @@ class DisplayServiceLinks(WtStatement):
 
 # -- data level ------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class InvokeFunction(WtStatement):
     """``Invoke <function> Of Type <type> On [Coalition] <target>
     With (args...)``.
@@ -117,11 +121,11 @@ class InvokeFunction(WtStatement):
     function_name: str
     type_name: str
     database_name: str
-    arguments: list[Any] = field(default_factory=list)
+    arguments: tuple[Any, ...] = ()
     on_coalition: bool = False
 
 
-@dataclass
+@dataclass(frozen=True)
 class NativeQuery(WtStatement):
     """``Query <database> Native '<text>'`` — raw SQL/OQL passthrough."""
 
@@ -131,7 +135,7 @@ class NativeQuery(WtStatement):
 
 # -- definition & maintenance ------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class CreateCoalition(WtStatement):
     """``Create Coalition <name> With Information '<topic>'``."""
 
@@ -139,14 +143,14 @@ class CreateCoalition(WtStatement):
     information: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class DissolveCoalition(WtStatement):
     """``Dissolve Coalition <name>``."""
 
     name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class AdvertiseSource(WtStatement):
     """The paper's advertisement block as a statement::
 
@@ -159,10 +163,10 @@ class AdvertiseSource(WtStatement):
     documentation: Optional[str] = None
     location: Optional[str] = None
     wrapper: Optional[str] = None
-    interface: list[str] = field(default_factory=list)
+    interface: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class JoinCoalition(WtStatement):
     """``Join Database <db> To Coalition <coalition>``."""
 
@@ -170,7 +174,7 @@ class JoinCoalition(WtStatement):
     coalition_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class LeaveCoalition(WtStatement):
     """``Leave Database <db> From Coalition <coalition>``."""
 
@@ -178,7 +182,7 @@ class LeaveCoalition(WtStatement):
     coalition_name: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class CreateServiceLink(WtStatement):
     """``Create Service Link From Coalition|Database <a>
     To Coalition|Database <b> [With Description '<d>']``."""
@@ -190,7 +194,7 @@ class CreateServiceLink(WtStatement):
     description: Optional[str] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DropServiceLink(WtStatement):
     """``Drop Service Link From Coalition|Database <a> To ... <b>``."""
 

@@ -85,7 +85,12 @@ def tokenize(text: str) -> list[Token]:
             while end < length and (text[end].isdigit() or text[end] == "."):
                 end += 1
             raw = text[position:end]
-            value: Any = float(raw) if "." in raw else int(raw)
+            try:
+                value: Any = float(raw) if "." in raw else int(raw)
+            except ValueError:
+                # ``1.2.3``, or a digit ``int`` refuses (``²``).
+                raise WebTassiliSyntaxError(
+                    f"malformed number {raw!r}", column=position) from None
             tokens.append(Token(TokenType.NUMBER, value, position))
             position = end
             continue

@@ -3,15 +3,28 @@
 Multi-word names (``Royal Brisbane Hospital``) are collected greedily
 until the next contextual keyword, matching the prose-like statement
 style shown throughout the paper.
+
+:func:`parse` is a pure function of the statement text, memoised over
+the last :data:`PARSE_CACHE_SIZE` texts: a browsing session sends the
+same few statements again and again, and the frozen tree (see
+:mod:`repro.webtassili.ast`) is shared by every session that sends
+one.  A parse reads nothing but its text (:data:`KEYWORDS` is a
+constant), so the memo is never invalidated.  A text that fails to
+parse is not memoised and raises the same error on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Optional
 
 from repro.errors import WebTassiliSyntaxError
 from repro.webtassili import ast
 from repro.webtassili.lexer import KEYWORDS, Token, TokenType, tokenize
+
+#: Statement texts whose trees :func:`parse` keeps (the SQL engine's
+#: statement cache holds as many plans).
+PARSE_CACHE_SIZE = 512
 
 
 class Parser:
@@ -151,10 +164,10 @@ class Parser:
         return ast.FindSources(information=information,
                                structure=structure)
 
-    def _structure_tail(self) -> list:
+    def _structure_tail(self) -> tuple[str, ...]:
         """Optional ``Structure (name, ...)`` qualifier."""
         if not self._accept_word("STRUCTURE"):
-            return []
+            return ()
         if not self._accept_punct("("):
             raise self._error("expected '(' after STRUCTURE")
         names = [self._structure_name()]
@@ -162,7 +175,7 @@ class Parser:
             names.append(self._structure_name())
         if not self._accept_punct(")"):
             raise self._error("expected ')'")
-        return names
+        return tuple(names)
 
     def _structure_name(self) -> str:
         """One attribute path or function name (dots allowed)."""
@@ -280,7 +293,7 @@ class Parser:
         return ast.InvokeFunction(function_name=function_name,
                                   type_name=type_name,
                                   database_name=database,
-                                  arguments=arguments,
+                                  arguments=tuple(arguments),
                                   on_coalition=on_coalition)
 
     # -- maintenance -----------------------------------------------------------------------
@@ -321,22 +334,24 @@ class Parser:
         self._expect_word("SOURCE")
         name = self._name()
         self._expect_word("INFORMATION")
-        statement = ast.AdvertiseSource(name=name,
-                                        information=self._text_or_name())
+        information = self._text_or_name()
+        clauses: dict[str, Any] = {}
+        interface: list[str] = []
         while True:
             if self._accept_word("DOCUMENTATION"):
-                statement.documentation = self._string()
+                clauses["documentation"] = self._string()
             elif self._accept_word("LOCATION"):
-                statement.location = self._string()
+                clauses["location"] = self._string()
             elif self._accept_word("WRAPPER"):
-                statement.wrapper = self._string()
+                clauses["wrapper"] = self._string()
             elif self._accept_word("INTERFACE"):
-                statement.interface.append(self._name())
+                interface.append(self._name())
                 while self._accept_punct(","):
-                    statement.interface.append(self._name())
+                    interface.append(self._name())
             else:
                 break
-        return statement
+        return ast.AdvertiseSource(name=name, information=information,
+                                   interface=tuple(interface), **clauses)
 
     def _join(self) -> ast.WtStatement:
         self._expect_word("JOIN")
@@ -370,6 +385,7 @@ class Parser:
                                    to_kind=to_kind, to_name=to_name)
 
 
+@lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> ast.WtStatement:
-    """Parse one WebTassili statement."""
+    """Parse one WebTassili statement (memoised; the tree is shared)."""
     return Parser(text).parse()

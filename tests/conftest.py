@@ -16,14 +16,17 @@ from repro.apps.healthcare import build_healthcare_system
 from repro.sql.engine import Database
 
 # Loaded with ``--hypothesis-profile=ci`` by CI's sql-differential,
-# cdr-fuzz, discovery-model, tier2-replication and tier2-quorum jobs:
-# ten times hypothesis's default example count, examples chosen by
-# ``--hypothesis-seed``.  Only tests/sql/test_differential_sqlite.py,
+# webtassili-properties, cdr-fuzz, discovery-model, tier2-replication
+# and tier2-quorum jobs: ten times hypothesis's default example count,
+# examples chosen by ``--hypothesis-seed``.  Only
+# tests/sql/test_differential_sqlite.py,
 # tests/orb/test_cdr_properties.py, tests/orb/test_giop_oracle.py,
 # tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
-# loaded profile; tier-1 loads none.
+# loaded profile, and tests/webtassili/test_roundtrip_properties.py and
+# tests/webtassili/test_parse_memo.py ten times their own example
+# counts; tier-1 loads none.
 settings.register_profile(
     "ci", max_examples=10 * settings.get_profile("default").max_examples,
     derandomize=False, deadline=None)

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.apps.healthcare import build_healthcare_system
 from repro.apps.healthcare import topology as topo
 from repro import cli
 from repro.cli import Shell, main
@@ -31,6 +32,17 @@ class TestShell:
         repl, output = shell
         assert repl.handle("Destroy Everything")
         assert "error: WebTassiliSyntaxError" in output.getvalue()
+
+    @pytest.mark.parametrize("literal", ["1.2.3", "\u00b2"])
+    def test_malformed_number_reported_and_shell_keeps_reading(
+            self, shell, literal):
+        repl, output = shell
+        assert repl.handle(f"Invoke Funding Of Type ResearchProjects "
+                           f"On '{topo.RBH}' With ({literal})")
+        assert "error: WebTassiliSyntaxError: malformed number" \
+            in output.getvalue()
+        assert repl.handle("\\session")
+        assert f"home:      {topo.QUT}" in output.getvalue()
 
     def test_blank_line_ignored(self, shell):
         repl, output = shell
@@ -147,3 +159,54 @@ class TestMain:
                                          "Information Medical Research"])
         assert exited.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestReplicas:
+    """``\\replicas [name]``: one line per replica, and in quorum mode
+    the lease holder and fence epoch the registry reports."""
+
+    def test_default_deployment_has_no_replicas(self):
+        output = io.StringIO()
+        assert main(["-s", "\\replicas"], output=output) == 0
+        assert "no replicated co-databases" in output.getvalue()
+
+    def test_one_line_per_replica(self):
+        output = io.StringIO()
+        main(["--replicas", "3", "-s", f"\\replicas {topo.MEDIBANK}"],
+             output=output)
+        lines = output.getvalue().splitlines()
+        assert lines[0].startswith(f"  {topo.MEDIBANK} (epoch ")
+        replicas = [line.split(":")[0].strip() for line in lines[1:]]
+        assert replicas == ["r0", "r1", "r2"]
+        assert all(": up, epoch " in line for line in lines[1:])
+        assert "lease" not in output.getvalue()
+
+    def test_every_source_listed_without_a_name(self):
+        output = io.StringIO()
+        main(["--replicas", "3", "-s", "\\replicas"], output=output)
+        text = output.getvalue()
+        assert all(f"  {name} (epoch " in text
+                   for name in topo.ALL_DATABASES)
+
+    def test_quorum_prints_lease_holder_and_fence(self):
+        deployment = build_healthcare_system(replication_factor=3,
+                                             quorum=True)
+        output = io.StringIO()
+        repl = Shell(deployment, topo.QUT, output=output)
+        repl.handle(f"\\replicas {topo.MEDIBANK}")
+        lease = deployment.system.registry.leases()[topo.MEDIBANK]
+        epoch = deployment.system.replica_status(topo.MEDIBANK)["epoch"]
+        lines = output.getvalue().splitlines()
+        assert lines[0] == (f"  {topo.MEDIBANK} (epoch {epoch}, quorum 2/3, "
+                            f"lease {lease['holder']} "
+                            f"@ fence {lease['fence']}):")
+        assert len(lines) == 4
+        assert all(line.endswith(f"promised fence {lease['fence']}")
+                   for line in lines[1:])
+
+    def test_unknown_name_is_an_error_line(self):
+        output = io.StringIO()
+        main(["--replicas", "3", "-s", "\\replicas Atlantis"],
+             output=output)
+        assert output.getvalue().startswith("error: ")
+        assert "Atlantis" in output.getvalue()

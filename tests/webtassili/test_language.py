@@ -106,15 +106,15 @@ class TestDataLevel:
             "Invoke Funding Of Type ResearchProjects On Royal Brisbane "
             "Hospital With ('AIDS and drugs', 42, TRUE, NULL)")
         assert isinstance(statement, ast.InvokeFunction)
-        assert statement.arguments == ["AIDS and drugs", 42, True, None]
+        assert statement.arguments == ("AIDS and drugs", 42, True, None)
 
     def test_invoke_without_arguments(self):
         statement = parse("Invoke All Of Type T On DB")
-        assert statement.arguments == []
+        assert statement.arguments == ()
 
     def test_invoke_empty_parens(self):
         statement = parse("Invoke All Of Type T On DB With ()")
-        assert statement.arguments == []
+        assert statement.arguments == ()
 
 
 class TestMaintenance:
@@ -136,7 +136,7 @@ class TestMaintenance:
             "Wrapper 'WebTassiliOracle' "
             "Interface ResearchProjects, PatientHistory")
         assert statement.name == "Royal Brisbane Hospital"
-        assert statement.interface == ["ResearchProjects", "PatientHistory"]
+        assert statement.interface == ("ResearchProjects", "PatientHistory")
         assert statement.wrapper == "WebTassiliOracle"
 
     def test_join_and_leave(self):
@@ -182,6 +182,17 @@ class TestErrors:
         with pytest.raises(WebTassiliSyntaxError):
             parse("Invoke F Of Type T On DB With 'x'")
 
+    @pytest.mark.parametrize("literal", ["1.2.3", "\u00b2", "-\u00b2"])
+    def test_malformed_number_is_a_syntax_error(self, literal):
+        """A run of digits and dots that ``int`` / ``float`` refuse —
+        two dots, or a digit such as ``²`` — is reported at the
+        literal's column, not raised as a bare ``ValueError``."""
+        prefix = "Invoke f Of Type T On X With ("
+        with pytest.raises(WebTassiliSyntaxError,
+                           match="malformed number") as caught:
+            parse(f"{prefix}{literal})")
+        assert caught.value.column == len(prefix)
+
 
 class TestFindSources:
     def test_find_sources(self):
@@ -202,16 +213,16 @@ class TestStructureQualifier:
     def test_structure_list_parsed(self):
         statement = parse("Find Coalitions With Information X "
                           "Structure (ResearchProjects.Title, Funding)")
-        assert statement.structure == ["ResearchProjects.Title", "Funding"]
+        assert statement.structure == ("ResearchProjects.Title", "Funding")
 
     def test_structure_on_sources(self):
         statement = parse("Find Sources With Information X Structure (a)")
         assert isinstance(statement, ast.FindSources)
-        assert statement.structure == ["a"]
+        assert statement.structure == ("a",)
 
     def test_structure_requires_parens(self):
         with pytest.raises(WebTassiliSyntaxError):
             parse("Find Sources With Information X Structure a")
 
     def test_no_structure_defaults_empty(self):
-        assert parse("Find Coalitions With Information X").structure == []
+        assert parse("Find Coalitions With Information X").structure == ()

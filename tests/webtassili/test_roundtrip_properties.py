@@ -1,10 +1,17 @@
 """Property-based WebTassili tests: generated statements parse back to
-their inputs."""
+their inputs.
+
+Tier-1 draws each property's own example count; CI's
+``--hypothesis-profile=ci`` draws ten times as many from the matrix
+seed.
+"""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.webtassili import ast, parse
+
+SCALE = 10 if settings.default is settings.get_profile("ci") else 1
 
 # Bare multi-word names: words that are not keywords and cannot be
 # mistaken for literals.
@@ -42,7 +49,7 @@ def render_literal(value) -> str:
 
 
 @given(topic=name)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * SCALE, deadline=None)
 def test_find_coalitions_roundtrip(topic):
     statement = parse(f"Find Coalitions With Information {quote(topic)}")
     assert isinstance(statement, ast.FindCoalitions)
@@ -50,7 +57,7 @@ def test_find_coalitions_roundtrip(topic):
 
 
 @given(instance=name, class_name=name)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * SCALE, deadline=None)
 def test_display_document_roundtrip(instance, class_name):
     statement = parse(f"Display Document of Instance {quote(instance)} "
                       f"Of Class {quote(class_name)}")
@@ -59,7 +66,7 @@ def test_display_document_roundtrip(instance, class_name):
 
 
 @given(instance=name)
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40 * SCALE, deadline=None)
 def test_bare_multiword_names_roundtrip(instance):
     """Unquoted multi-word names survive when they contain no keywords."""
     statement = parse(f"Display Access Information of Instance {instance}")
@@ -68,7 +75,7 @@ def test_bare_multiword_names_roundtrip(instance):
 
 @given(function=word, type_name=word, database=name,
        args=st.lists(literal, max_size=4))
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=80 * SCALE, deadline=None)
 def test_invoke_roundtrip(function, type_name, database, args):
     rendered = ", ".join(render_literal(a) for a in args)
     text = (f"Invoke {quote(function)} Of Type {quote(type_name)} "
@@ -79,12 +86,12 @@ def test_invoke_roundtrip(function, type_name, database, args):
     assert statement.function_name == function
     assert statement.type_name == type_name
     assert statement.database_name == database
-    assert statement.arguments == args
+    assert statement.arguments == tuple(args)
 
 
 @given(database=name, query=st.text(alphabet="abcdef *=<>'%_,().0123456789 ",
                                     min_size=1, max_size=60))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * SCALE, deadline=None)
 def test_native_query_preserves_text(database, query):
     statement = parse(f"Query {quote(database)} Native {quote(query)}")
     assert statement.text == query
@@ -92,7 +99,7 @@ def test_native_query_preserves_text(database, query):
 
 @given(a=name, b=name, description=st.text(alphabet="abc def",
                                            min_size=1, max_size=20))
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60 * SCALE, deadline=None)
 def test_service_link_roundtrip(a, b, description):
     statement = parse(
         f"Create Service Link From Coalition {quote(a)} "
