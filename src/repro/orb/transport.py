@@ -28,6 +28,7 @@ import os
 import selectors
 import socket
 import threading
+import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional, Union
@@ -76,13 +77,20 @@ class TransportMetrics:
                                   repr=False, compare=False)
 
     def record(self, endpoint: Endpoint, request_size: int,
-               reply_size: int) -> None:
+               reply_size: int, reused: Optional[bool] = None) -> None:
+        """One message exchanged; *reused* (TCP only) says whether it
+        went out on a pooled connection or a freshly opened one."""
         with self._lock:
             self.messages_sent += 1
             self.bytes_sent += request_size
             self.bytes_received += reply_size
             self.per_endpoint[endpoint] = \
                 self.per_endpoint.get(endpoint, 0) + 1
+            if reused is not None:
+                if reused:
+                    self.connections_reused += 1
+                else:
+                    self.connections_opened += 1
 
     def record_connection(self, reused: bool) -> None:
         with self._lock:
@@ -94,7 +102,7 @@ class TransportMetrics:
     def record_batch(self, frames: int) -> None:
         """One flush wrote *frames* coalesced frames in a single send.
 
-        Called by the loop's leader while other loop threads record
+        Called by the loop's poller while other loop threads record
         dispatch counters — the shared lock is what keeps mixed
         updates coherent.
         """
@@ -114,7 +122,7 @@ class TransportMetrics:
         """All counters, read atomically under the lock.
 
         Field-by-field reads can tear across a concurrent update (the
-        leader flushing while another loop thread records a dispatch);
+        poller flushing while another loop thread records a dispatch);
         benchmarks and tests that compare related counters should read
         one snapshot instead.
         """
@@ -192,11 +200,6 @@ class InMemoryNetwork(Transport):
         self.metrics.record(endpoint, len(data), len(reply))
         return reply
 
-    def endpoints(self) -> list[Endpoint]:
-        """Currently bound endpoints."""
-        with self._lock:
-            return list(self._handlers)
-
 
 def _read_exact(connection: socket.socket, count: int) -> bytes:
     chunks: list[bytes] = []
@@ -218,13 +221,26 @@ def _read_exact(connection: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_giop_frame(connection: socket.socket) -> bytes:
-    """Read one GIOP message (header + body) from a socket."""
-    header = _read_exact(connection, HEADER_SIZE)
+def read_giop_frame(connection: socket.socket,
+                    received: bytes = b"") -> bytes:
+    """Read one GIOP message (header + body) from a socket.
+
+    *received* holds the frame's first octets when the caller already
+    read them; only what is missing is read.  Octets past the frame are
+    a ``CommFailure``: a serial client has exactly one frame due, so
+    more means the stream is desynchronised.
+    """
+    header = received
+    if len(header) < HEADER_SIZE:
+        header += _read_exact(connection, HEADER_SIZE - len(header))
     little_endian = bool(header[6] & 1)
-    size = int.from_bytes(header[8:12], "little" if little_endian else "big")
-    body = _read_exact(connection, size) if size else b""
-    return header + body
+    missing = HEADER_SIZE - len(header) + int.from_bytes(
+        header[8:12], "little" if little_endian else "big")
+    if missing > 0:
+        return header + _read_exact(connection, missing)
+    if missing < 0:
+        raise CommFailure(f"{-missing} octets past the GIOP frame")
+    return header
 
 
 def _close_quietly(connection: socket.socket) -> None:
@@ -360,6 +376,18 @@ class FrameBuffer:
 #: short enough that closing a transport never hangs a test run.
 _DRAIN_TIMEOUT = 2.0
 
+#: Lazy promotion (:class:`_EventLoop`): how long a servant may run
+#: inline on the thread that read its request, the selector unattended,
+#: before a spare takes the selector over.  It bounds how late another
+#: connection's request is read while a servant blocks, and is the
+#: watching spare's timed-wait period.
+_WATCH_INTERVAL = 0.010
+
+#: How long after the last inline dispatch a spare keeps watching with
+#: timed waits.  Past it the spare waits untimed, so an idle loop makes
+#: no periodic wakeups; the next inline dispatch notifies it once.
+_WATCH_LINGER = 0.100
+
 
 class _ConnectionPool:
     """Idle keep-alive connections, bounded per endpoint.
@@ -415,8 +443,12 @@ class _ConnectionPool:
             _close_quietly(connection)
 
 
-#: How much one recv pulls off a socket on the framed read paths.
-_RECV_SIZE = 256 * 1024
+#: How much one recv pulls off a socket on the framed read paths.  Kept
+#: under glibc's initial 128 KiB mmap threshold: ``recv`` allocates a
+#: ``bytes`` of this size up front, and a larger one is an mmap/munmap
+#: pair per call (≈ 15 µs) until the process happens to free a block
+#: that large and the threshold rises.
+_RECV_SIZE = 64 * 1024
 
 
 def _as_bytes(frame: Frame) -> bytes:
@@ -454,24 +486,39 @@ def _shed_default() -> bool:
 _Job = tuple[Callable[[], None], Optional[Callable[[], None]]]
 
 
+class _LoopThread(threading.Thread):
+    """A thread of one :class:`_EventLoop`.  It knows its loop, so a
+    servant that calls out through any ``TcpTransport`` can hand the
+    selector on before it blocks (:meth:`_EventLoop.release_selector`)."""
+
+    def __init__(self, loop: "_EventLoop", name: str):
+        super().__init__(target=loop._serve, name=name, daemon=True)
+        self.loop = loop
+
+
 class _EventLoop:
     """One ``selectors`` selector demultiplexing every server socket the
     transport owns — listeners and accepted connections — served by
-    threads in the *leader/followers* pattern.  Client connections stay
-    off it: a caller writes its request and reads the reply on its own
-    blocking socket.
+    threads in the *leader/followers* pattern with lazy promotion.
+    Client connections stay off it: a caller writes its request and
+    reads the reply on its own blocking socket.
 
-    One thread at a time, the **leader**, owns the selector.  A request
-    frame it reads becomes a servant *job*; the leader takes the job,
-    hands leadership to a follower and runs the servant itself, so the
-    thread woken by the request answers it with no hand-off to a
-    worker.  At most *servants* jobs run at once (more wait in a FIFO
-    that finishing threads drain), and the pool grows lazily to
-    ``servants + 1`` threads: one is always free to lead, so I/O never
-    stalls behind application code.
+    One thread at a time, the **poller** (``_poller``), owns the
+    selector.  A request frame it reads becomes a servant *job*; the
+    poller takes the job, leaves the selector unattended (``_inline``)
+    and runs the servant itself, waking nobody.  When the servant is
+    done the same thread takes the selector back — no context switch
+    between a request and the next ``select``.  A **spare** thread
+    watches an unattended selector with timed waits of
+    ``_WATCH_INTERVAL`` and takes it over once a servant has run that
+    long, so a blocked servant delays another connection's request by
+    at most that interval; a servant about to block in an outbound call
+    hands the selector on at once.  At most *servants* jobs run at once
+    (more wait in a FIFO that finishing threads drain), and the pool
+    grows lazily to ``servants + 1`` threads, so a spare always exists.
 
-    Other threads reach the leader through :meth:`call_soon` (a callback
-    plus a socketpair wakeup).  Each leader iteration drains ready I/O,
+    Other threads reach the poller through :meth:`call_soon` (a callback
+    plus a socketpair wakeup).  Each poller iteration drains ready I/O,
     then callbacks, and only then flushes connections with queued
     output — the frame-batching window: frames enqueued for the same
     connection during one iteration leave in one ``send``.
@@ -488,21 +535,33 @@ class _EventLoop:
         self._wake_recv, self._wake_send = wake_recv, wake_send
         self._selector.register(wake_recv, selectors.EVENT_READ,
                                 self._drain_wakeups)
+        #: Appended by any thread, popped by the poller alone (deque
+        #: appends and pops are atomic, so no lock).
         self._callbacks: deque[tuple[Callable, tuple]] = deque()
-        self._callback_lock = threading.Lock()
         self._dirty: set["_LoopStream"] = set()
         self._running = True
         self._name = name
         self._servants = max(1, servants)
-        self._leadership = threading.Lock()
-        self._leader: Optional[threading.Thread] = None
-        #: Guards the job FIFO and the thread accounting below it.
-        self._state = threading.Condition(threading.Lock())
+        #: Guards the job FIFO, the selector roles and the thread
+        #: accounting below.  Spares wait on ``_spares``, ``drain`` on
+        #: ``_drained``: one shared condition would wake the spare at
+        #: every job's end.
+        self._lock = threading.Lock()
+        self._spares = threading.Condition(self._lock)
+        self._drained = threading.Condition(self._lock)
+        #: The thread in or around ``select`` (None while unattended).
+        self._poller: Optional[threading.Thread] = None
+        #: The thread serving inline that will take the selector back
+        #: when its servant is done, and when it left the selector.
+        self._inline: Optional[threading.Thread] = None
+        self._inline_since = -_WATCH_LINGER
+        #: The one spare making timed waits (the others wait untimed).
+        self._watcher: Optional[threading.Thread] = None
         self._jobs: deque[_Job] = deque()
         self._threads: list[threading.Thread] = []
         self._working: set[threading.Thread] = set()
         self._torn_down = False
-        with self._state:
+        with self._lock:
             self._spawn()
 
     @property
@@ -510,23 +569,24 @@ class _EventLoop:
         return self._running
 
     def on_loop_thread(self) -> bool:
-        """Whether the calling thread is the current leader."""
-        return threading.current_thread() is self._leader
+        """Whether the calling thread is the current poller."""
+        return threading.current_thread() is self._poller
 
     def thread_count(self) -> int:
-        with self._state:
+        with self._lock:
             return len(self._threads)
 
     # ------------------------------------------------- cross-thread entry --
 
     def call_soon(self, fn: Callable, *args: Any) -> None:
-        with self._callback_lock:
-            self._callbacks.append((fn, args))
+        self._callbacks.append((fn, args))
         self._wake()
+        if self._poller is None:
+            self._free_selector()  # nobody is in select to run it
 
     def call_soon_sync(self, fn: Callable, *args: Any,
                        timeout: float = 5.0) -> Any:
-        """Run *fn* on the leader and wait for its result.  Falls back
+        """Run *fn* on the poller and wait for its result.  Falls back
         to running inline when the loop is already stopped (then nothing
         else touches the selector concurrently)."""
         if self.on_loop_thread() or not self._running:
@@ -548,10 +608,18 @@ class _EventLoop:
             raise box["error"]
         return box.get("result")
 
+    def release_selector(self, thread: threading.Thread) -> None:
+        """*thread*, a loop thread, is about to block in an outbound
+        call: if it left the selector to serve inline, a spare takes
+        the selector now instead of ``_WATCH_INTERVAL`` later — a
+        nested call into this same loop must never wait that out."""
+        if self._inline is thread:
+            self._free_selector()
+
     def cancel_jobs(self) -> None:
         """Drop every job still waiting for a thread, running each one's
         *cancel* (running jobs are untouched)."""
-        with self._state:
+        with self._lock:
             doomed, self._jobs = self._jobs, deque()
         for __, cancel in doomed:
             if cancel is not None:
@@ -559,17 +627,18 @@ class _EventLoop:
 
     def drain(self, timeout: float) -> None:
         """Wait up to *timeout* seconds for running jobs to finish."""
-        with self._state:
-            self._state.wait_for(lambda: not self._working, timeout)
+        with self._lock:
+            self._drained.wait_for(lambda: not self._working, timeout)
 
     def stop(self) -> None:
-        """Stop leading and tear the selector down.  Threads still inside
+        """Stop polling and tear the selector down.  Threads still inside
         a servant are not waited for: they find their streams closed."""
         if not self._running:
             return
         self._running = False
         self._wake()
-        with self._state:
+        with self._lock:
+            self._spares.notify_all()
             if threading.current_thread() in self._threads:
                 return  # the last thread out tears down (see _serve)
             idle = [thread for thread in self._threads
@@ -578,13 +647,14 @@ class _EventLoop:
             thread.join(timeout=5.0)
         self._teardown()
 
-    # ---------------------------------------------------- leader only --
+    # ---------------------------------------------------- poller only --
 
     def dispatch(self, run: Callable[[], None],
                  cancel: Optional[Callable[[], None]] = None) -> None:
-        """Queue one servant job; the leader takes it at the end of its
-        iteration, or a follower or finishing thread soon after."""
-        with self._state:
+        """Queue one servant job; the poller takes it at the end of its
+        iteration, or a finishing thread or the watching spare soon
+        after (nobody is woken for it)."""
+        with self._lock:
             self._jobs.append((run, cancel))
 
     def register_stream(self, sock: socket.socket, events: int,
@@ -620,61 +690,128 @@ class _EventLoop:
             pass
 
     def _spawn(self) -> None:
-        """Start one more thread (under ``_state``); it begins as a
-        follower."""
-        thread = threading.Thread(target=self._serve, daemon=True,
-                                  name=f"{self._name}_{len(self._threads)}")
+        """Start one more thread (under ``_lock``); it begins as a
+        spare."""
+        thread = _LoopThread(self, f"{self._name}_{len(self._threads)}")
         self._threads.append(thread)
         thread.start()
 
-    def _take_job(self) -> Optional[_Job]:
-        """Leader: claim the next job if a servant slot is free, making
-        sure someone will lead while this thread serves it."""
-        with self._state:
-            if not self._jobs or len(self._working) >= self._servants \
-                    or not self._running:
-                return None
-            self._working.add(threading.current_thread())
-            if len(self._working) == len(self._threads):
-                self._spawn()  # nobody left to lead: grow
-            return self._jobs.popleft()
+    def _free_selector(self) -> None:
+        """Give up an inline thread's claim on an unattended selector
+        and wake a spare to take it."""
+        with self._lock:
+            if self._poller is None:
+                self._inline = None
+                self._spares.notify()
 
     def _serve(self) -> None:
         me = threading.current_thread()
-        while True:
-            with self._leadership:
-                if not self._running:
-                    break
-                self._leader = me
-                try:
-                    job = self._take_job()
-                    if job is None:
-                        self._poll()
-                        job = self._take_job()
-                finally:
-                    self._leader = None
+        with self._lock:
+            polling = self._stand_by(me)
+        while polling:
+            job = self._poll_until_job(me)
+            if job is None:
+                break  # stopped
             while job is not None:
                 try:
                     job[0]()
                 except Exception:  # noqa: BLE001 - see _poll
                     pass
-                with self._state:
-                    if self._jobs and self._running:
-                        job = self._jobs.popleft()
-                    else:
-                        job = None
-                        self._working.discard(me)
-                        self._state.notify_all()
-        with self._state:
+                with self._lock:
+                    job = self._finish_job(me)
+                    if job is None:
+                        polling = self._stand_by(me)
+        with self._lock:
             self._threads.remove(me)
+            if self._poller is me:
+                self._poller = None
             last = not self._threads
         if last:
             self._teardown()
 
+    def _poll_until_job(self, me: threading.Thread) -> Optional[_Job]:
+        """Own the selector until a job can be served on this thread:
+        return it, the selector left unattended, or None once the loop
+        stops."""
+        while self._running:
+            if self._jobs:
+                job = self._take_job(me)
+                if job is not None:
+                    return job
+            self._poll()
+        return None
+
+    def _take_job(self, me: threading.Thread) -> Optional[_Job]:
+        """Poller: claim the next job if a servant slot is free, leaving
+        the selector to a spare only if this thread is slow to return."""
+        with self._lock:
+            if not self._jobs or len(self._working) >= self._servants \
+                    or not self._running:
+                return None
+            self._working.add(me)
+            self._poller = None
+            self._inline = me
+            self._inline_since = time.monotonic()
+            if len(self._working) == len(self._threads):
+                self._spawn()  # nobody left to watch: grow
+            elif self._watcher is None:
+                self._spares.notify()
+            return self._jobs.popleft()
+
+    def _finish_job(self, me: threading.Thread) -> Optional[_Job]:
+        """Under ``_lock``: the next queued job for *me*, or None with
+        *me* no longer counted as working."""
+        if self._jobs and self._running:
+            return self._jobs.popleft()
+        self._working.discard(me)
+        if not self._working:
+            self._drained.notify_all()
+        return None
+
+    def _stand_by(self, me: threading.Thread) -> bool:
+        """Under ``_lock``: wait as a spare until *me* takes the
+        selector (True) or the loop stops (False).
+
+        The selector is *me*'s when nobody polls and nobody is serving
+        inline, when *me* itself left it to serve inline, or when the
+        inline servant has run ``_WATCH_INTERVAL``.  One spare — the
+        watcher — checks with timed waits while the loop has served
+        inline within ``_WATCH_LINGER``; past that it, like every other
+        spare, waits untimed until :meth:`_take_job` or
+        :meth:`_free_selector` notifies it."""
+        while self._running:
+            now = time.monotonic()
+            inline = self._inline
+            if self._poller is None and (
+                    inline is None or inline is me
+                    or now - self._inline_since >= _WATCH_INTERVAL):
+                self._poller, self._inline = me, None
+                if self._watcher is me:
+                    self._watcher = None
+                return True
+            hot = inline is not None \
+                or now - self._inline_since < _WATCH_LINGER
+            if self._watcher is None and hot:
+                self._watcher = me
+            if self._watcher is not me:
+                self._spares.wait()
+            elif inline is not None:
+                self._spares.wait(
+                    self._inline_since + _WATCH_INTERVAL - now)
+            elif hot:
+                self._spares.wait(_WATCH_INTERVAL)
+            else:
+                self._watcher = None
+                self._spares.wait()
+        if self._watcher is me:
+            self._watcher = None
+        return False
+
     def _poll(self) -> None:
-        """One leader iteration: ready I/O, callbacks, batched flush."""
-        with self._callback_lock:
-            timeout = 0.0 if self._callbacks else None
+        """One poller iteration: ready I/O, callbacks, batched flush.
+        A callback appended after the peek at the queue has written a
+        wakeup, so ``select`` returns for it."""
+        timeout = 0.0 if self._callbacks else None
         try:
             events = self._selector.select(timeout)
         except OSError:  # pragma: no cover - fd closed mid-select
@@ -688,11 +825,8 @@ class _EventLoop:
         self._flush_dirty()
 
     def _run_callbacks(self) -> None:
-        while True:
-            with self._callback_lock:
-                if not self._callbacks:
-                    return
-                fn, args = self._callbacks.popleft()
+        while self._callbacks:
+            fn, args = self._callbacks.popleft()
             try:
                 fn(*args)
             except Exception:  # noqa: BLE001 - see _poll
@@ -706,7 +840,7 @@ class _EventLoop:
             stream.flush()
 
     def _teardown(self) -> None:
-        with self._state:
+        with self._lock:
             if self._torn_down:
                 return
             self._torn_down = True
@@ -719,7 +853,7 @@ class _EventLoop:
 
 
 class _LoopStream:
-    """A non-blocking socket driven by the event loop: the leader slices
+    """A non-blocking socket driven by the event loop: the poller slices
     reads into GIOP frames for :meth:`on_frame` and flushes a write
     queue in batched sends, while each thread that served one of the
     connection's requests writes its reply itself (:meth:`write`;
@@ -741,7 +875,7 @@ class _LoopStream:
     def write(self, data: bytes) -> None:
         """Any thread: send *data* now when nothing is queued ahead of
         it, else queue it; whatever the socket did not take is left for
-        the leader's flush."""
+        the poller's flush."""
         with self._write_lock:
             if self._stream_closed:
                 return
@@ -761,7 +895,7 @@ class _LoopStream:
                 self._out_view = memoryview(data)[sent:]
         self.loop.call_soon(self.loop.mark_dirty, self)
 
-    # Leader only from here down.
+    # Poller only from here down.
 
     def register(self) -> None:
         if self._stream_closed:
@@ -937,7 +1071,7 @@ class _LoopListener:
             connection.register()
 
     def close(self) -> None:
-        """Leader only (via call_soon_sync from unregister)."""
+        """Poller only (via call_soon_sync from unregister)."""
         if self._closed:
             return
         self._closed = True
@@ -1029,9 +1163,9 @@ class TcpTransport(Transport):
 
     def _dispatch_loop_frame(self, connection: _LoopServerConnection,
                              frame: Frame) -> None:
-        """Leader: turn one frame read off the wire into a servant job.
+        """Poller: turn one frame read off the wire into a servant job.
         Admission control runs *here*, so a shed request costs the
-        leader a service-context peek and a BUSY reply instead of a
+        poller a service-context peek and a BUSY reply instead of a
         servant slot."""
         ticket = None
         if self.admission.enabled:
@@ -1050,7 +1184,7 @@ class TcpTransport(Transport):
 
     def _serve_loop_frame(self, connection: _LoopServerConnection,
                           frame: Frame, ticket=None) -> None:
-        """Loop thread, off the leadership: run the servant and write
+        """Loop thread, off the selector: run the servant and write
         the reply straight back."""
         if ticket is not None:
             reason = self.admission.dequeue(ticket)
@@ -1085,8 +1219,15 @@ class TcpTransport(Transport):
 
     def _roundtrip(self, connection: socket.socket, data: bytes,
                    response_expected: bool) -> bytes:
+        """Write the request; read the reply in one ``recv`` when it
+        arrives whole, completing a split one with exact reads."""
         connection.sendall(data)
-        return read_giop_frame(connection) if response_expected else b""
+        if not response_expected:
+            return b""
+        received = connection.recv(_RECV_SIZE)
+        if not received:
+            raise CommFailure("connection closed mid-message")
+        return read_giop_frame(connection, received)
 
     def send(self, endpoint: Endpoint, data: bytes) -> bytes:
         policy = current_policy()
@@ -1105,10 +1246,15 @@ class TcpTransport(Transport):
         # The server writes nothing back for a oneway request: reading
         # for a reply would wait out the socket timeout.
         __, response_expected = peek_request(data)
+        # A servant calling out hands its loop's selector on first.
+        thread = threading.current_thread()
+        if type(thread) is _LoopThread:
+            thread.loop.release_selector(thread)
         connection = self._pool.checkout(endpoint)
         if connection is not None:
             try:
-                connection.settimeout(timeout)
+                if connection.gettimeout() != timeout:
+                    connection.settimeout(timeout)
                 reply = self._roundtrip(connection, data, response_expected)
             except (OSError, CommFailure) as exc:
                 # Stale keep-alive connection.  The server may have
@@ -1131,8 +1277,7 @@ class TcpTransport(Transport):
                 raise CommFailure(
                     f"IIOP send to {endpoint!r} failed: {exc}") from exc
         self._pool.checkin(endpoint, connection)
-        self.metrics.record_connection(reused=reused)
-        self.metrics.record(endpoint, len(data), len(reply))
+        self.metrics.record(endpoint, len(data), len(reply), reused=reused)
         return reply
 
     def _gate_resend(self, endpoint: Endpoint, cause: Exception,

@@ -1,8 +1,10 @@
 """The event loop every TcpTransport serves from: loop mechanics,
-leader/followers dispatch, back-to-back frames from a foreign client,
-batching, and metrics safety under mixed loop/servant access."""
+leader/followers dispatch with lazy promotion, back-to-back frames from
+a foreign client, batching, and metrics safety under mixed loop/servant
+access."""
 
 import socket
+import statistics
 import sys
 import threading
 import time
@@ -11,7 +13,8 @@ import pytest
 
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
 from repro.orb.giop import RequestMessage, decode_message, encode_message
-from repro.orb.transport import (TransportMetrics, _EventLoop, _LoopStream,
+from repro.orb.transport import (_WATCH_INTERVAL, _WATCH_LINGER,
+                                 TransportMetrics, _EventLoop, _LoopStream,
                                  read_giop_frame)
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
@@ -152,6 +155,139 @@ def test_requests_past_the_servant_cap_wait_for_a_slot():
         assert sorted(results) == [1, 2, 3]
     finally:
         servant.gate.set()
+        transport.close()
+
+
+# ------------------------------------------------------- lazy promotion --
+
+RELAY = InterfaceBuilder("Relay").operation("relay", "value").build()
+
+
+class RelayServant:
+    """Answers by calling another endpoint and relaying its answer."""
+
+    def __init__(self, proxy):
+        self.proxy = proxy
+
+    def relay(self, value):
+        return self.proxy.echo(value)
+
+
+@pytest.mark.parametrize("calls_out_through", ["own", "another"])
+def test_nested_call_into_the_same_loop_does_not_wait_for_a_spare(
+        calls_out_through):
+    """A servant serving inline that calls another endpoint of its own
+    loop blocks on a reply only a poller can read — whether it calls
+    out through its own transport or through another one.  It hands the
+    selector to the spare before it blocks, so the nested round trip
+    answers well inside ``_WATCH_INTERVAL`` instead of waiting it out."""
+    transport = TcpTransport()
+    client = transport if calls_out_through == "own" else TcpTransport()
+    try:
+        inner = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+        echo_ior = inner.activate(EchoServant(), ECHO, object_name="echo")
+        caller = create_orb(ORBIX, client, host="127.0.0.1", port=0)
+        outer = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+        relay = outer.proxy(outer.activate(
+            RelayServant(caller.proxy(echo_ior, ECHO)), RELAY,
+            object_name="relay"), RELAY)
+        assert relay.relay("warm") == "warm"
+        samples = []
+        for index in range(20):
+            started = time.perf_counter()
+            assert relay.relay(index) == index
+            samples.append(time.perf_counter() - started)
+        assert statistics.median(samples) < _WATCH_INTERVAL / 2
+    finally:
+        client.close()
+        transport.close()
+
+
+def test_an_idle_loop_makes_no_periodic_wakeups():
+    """Once ``_WATCH_LINGER`` has passed without an inline dispatch the
+    spare waits untimed and the poller sits in ``select``: over half a
+    second the loop's threads use next to no CPU."""
+    transport, orb, proxy = _echo_deployment()
+    try:
+        assert proxy.echo(1) == 1  # spawns the spare, starts the linger
+        threads = list(transport._event_loop._threads)
+        assert len(threads) == 2
+        time.sleep(_WATCH_LINGER + 0.05)
+        clocks = [time.pthread_getcpuclockid(thread.ident)
+                  for thread in threads]
+        before = [time.clock_gettime(clock) for clock in clocks]
+        time.sleep(0.5)
+        used = sum(time.clock_gettime(clock) - start
+                   for clock, start in zip(clocks, before))
+        assert used < 2e-4
+    finally:
+        transport.close()
+
+
+def test_burst_keeps_the_thread_bound_and_drain_returns():
+    """32 callers against four servant slots: the loop never has more
+    than five threads, ``drain`` waits while servants hold their slots
+    and returns once they finish, and every caller gets its answer."""
+    transport, servant, proxy = _gate_deployment(loop_workers=4)
+    results = []
+    try:
+        holders = _hold_in_background(proxy, range(32), results)
+        for __ in range(4):
+            assert servant.inside.acquire(timeout=5.0)
+        assert transport.server_thread_count() <= 4 + 1
+        drained = threading.Event()
+        drainer = threading.Thread(target=lambda: (
+            transport._event_loop.drain(10.0), drained.set()))
+        drainer.start()
+        assert not drained.wait(0.2)
+        servant.gate.set()
+        assert drained.wait(5.0)
+        for thread in holders:
+            thread.join(timeout=5.0)
+        assert sorted(results) == list(range(32))
+        assert transport.server_thread_count() <= 4 + 1
+    finally:
+        servant.gate.set()
+        transport.close()
+
+
+def test_hand_offs_lose_no_request_under_a_short_switch_interval():
+    """Stress for the selector hand-offs: twelve callers against three
+    servant slots, one of them making nested calls, at a switch
+    interval short enough to preempt between almost any two bytecodes.
+    Every call gets its own answer, the loop stays within
+    ``loop_workers + 1`` threads, and every caller finishes."""
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    transport = TcpTransport(loop_workers=3)
+    errors = []
+    try:
+        inner = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+        echo = inner.proxy(inner.activate(EchoServant(), ECHO,
+                                          object_name="echo"), ECHO)
+        outer = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+        relay = outer.proxy(outer.activate(RelayServant(echo), RELAY,
+                                           object_name="relay"), RELAY)
+
+        def caller(index):
+            call = relay.relay if index == 0 else echo.echo
+            for step in range(150):
+                value = index * 1000 + step
+                answer = call(value)
+                if answer != value:
+                    errors.append((value, answer))
+
+        threads = [threading.Thread(target=caller, args=(index,))
+                   for index in range(12)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert transport.server_thread_count() <= 3 + 1
+    finally:
+        sys.setswitchinterval(previous)
         transport.close()
 
 

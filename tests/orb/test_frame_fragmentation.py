@@ -7,7 +7,9 @@ from must therefore be insensitive to chunk boundaries — no
 frame cross-wired, lost, duplicated, or corrupted, however the stream
 is split.  Hypothesis draws the splits: from a 1-byte dribble through
 jumbo coalesced writes, including boundaries that land mid-header and
-mid-body.
+mid-body.  The client's side of the same property: a pooled client
+reads its reply in one ``recv`` when it arrives whole and completes it
+with exact reads when it is split anywhere.
 """
 
 import socket
@@ -18,10 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import MarshalError
+from repro.errors import CommFailure, MarshalError
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
-from repro.orb.giop import (ReplyMessage, ReplyStatus, RequestMessage,
-                            decode_message, encode_message)
+from repro.orb.giop import (HEADER_SIZE, ReplyMessage, ReplyStatus,
+                            RequestMessage, decode_message, encode_message)
 from repro.orb.transport import FrameBuffer, read_giop_frame
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
@@ -197,4 +199,119 @@ def test_interleaved_dribblers_are_not_cross_wired(server):
             thread.join()
         assert results == {100 + index: 100 + index for index in range(4)}
     finally:
+        transport.close()
+
+
+# ------------------------------------------------- the client's reply read --
+#
+# A pooled client reads its one due reply with a single ``recv`` when
+# the reply arrives whole, and completes a split one with exact reads.
+
+_REQUEST = encode_message(RequestMessage(
+    request_id=7, object_key=b"obj:echo", operation="echo",
+    arguments=["x"]))
+
+
+def _reply(little_endian=False):
+    return encode_message(ReplyMessage(
+        request_id=7, status=ReplyStatus.NO_EXCEPTION,
+        body="a reply long enough to split"), little_endian=little_endian)
+
+
+class _ScriptedSocket:
+    """A client connection whose peer answers in scripted chunks: each
+    ``recv`` returns at most its size of the next chunk, then b""."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+        self.sent = b""
+        self.recvs = 0
+
+    def sendall(self, data):
+        self.sent += data
+
+    def recv(self, size):
+        self.recvs += 1
+        if not self.chunks:
+            return b""
+        chunk = self.chunks.pop(0)
+        if len(chunk) > size:
+            self.chunks.insert(0, chunk[size:])
+        return chunk[:size]
+
+
+def _roundtrip(sock):
+    return TcpTransport()._roundtrip(sock, _REQUEST, True)
+
+
+def test_client_reads_a_whole_reply_in_one_recv():
+    reply = _reply()
+    sock = _ScriptedSocket([reply])
+    assert _roundtrip(sock) == reply
+    assert sock.sent == _REQUEST
+    assert sock.recvs == 1
+
+
+@pytest.mark.parametrize("little_endian", [False, True])
+def test_client_completes_a_reply_split_at_every_offset(little_endian):
+    """Every cut — inside the 12-octet header or inside the body —
+    yields the same frame."""
+    reply = _reply(little_endian)
+    for cut in range(1, len(reply)):
+        assert _roundtrip(_ScriptedSocket([reply[:cut], reply[cut:]])) \
+            == reply, cut
+
+
+@given(cuts=st.lists(st.integers(min_value=0, max_value=64), max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_client_completes_a_reply_in_any_pieces(cuts):
+    reply = _reply()
+    assert _roundtrip(_ScriptedSocket(_split(reply, cuts))) == reply
+
+
+def test_client_refuses_octets_past_the_reply_frame():
+    with pytest.raises(CommFailure, match="past the GIOP frame"):
+        _roundtrip(_ScriptedSocket([_reply() + b"GIOP"]))
+
+
+@pytest.mark.parametrize("cut", [0, 5, HEADER_SIZE, HEADER_SIZE + 3, -1])
+def test_client_fails_a_reply_the_peer_cuts_short(cut):
+    reply = _reply()
+    with pytest.raises(CommFailure, match="closed mid-message"):
+        _roundtrip(_ScriptedSocket([reply[:cut]] if cut else []))
+
+
+def _one_shot_server(answer):
+    """A raw server: accept one connection, read one request, write
+    ``answer(request)`` in one ``sendall`` and close."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def serve():
+        with listener:
+            conn, __ = listener.accept()
+            with conn:
+                conn.settimeout(5.0)
+                conn.sendall(answer(read_giop_frame(conn)))
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname()[:2], thread
+
+
+@pytest.mark.parametrize("answer, error", [
+    (lambda request: _reply() + b"GIOP\x01\x00", "past the GIOP frame"),
+    (lambda request: _reply()[:HEADER_SIZE + 3], "closed mid-message")])
+def test_a_broken_reply_fails_the_call_and_is_not_pooled(answer, error):
+    """Octets past the reply frame, or a peer that closes mid-reply:
+    the call fails with ``CommFailure`` and the connection is closed,
+    never checked back into the pool."""
+    endpoint, server = _one_shot_server(answer)
+    transport = TcpTransport(timeout=5.0)
+    try:
+        with pytest.raises(CommFailure, match=error):
+            transport.send(endpoint, _REQUEST)
+        assert transport.idle_connections(endpoint) == 0
+        assert transport.idle_connections() == 0
+    finally:
+        server.join(timeout=5.0)
         transport.close()
