@@ -63,10 +63,6 @@ class TransportMetrics:
     #: TCP connection accounting (always zero on the in-memory fabric).
     connections_opened: int = 0
     connections_reused: int = 0
-    #: Event-loop write batching: flushes that coalesced several queued
-    #: frames into one ``send``, and the frames beyond the first.
-    batch_flushes: int = 0
-    frames_batched: int = 0
     #: Admission control: requests shed under overload (queue cap,
     #: brownout, CoDel sojourn) and requests dropped because their
     #: caller's deadline budget was already spent — each answered with
@@ -92,25 +88,6 @@ class TransportMetrics:
                 else:
                     self.connections_opened += 1
 
-    def record_connection(self, reused: bool) -> None:
-        with self._lock:
-            if reused:
-                self.connections_reused += 1
-            else:
-                self.connections_opened += 1
-
-    def record_batch(self, frames: int) -> None:
-        """One flush wrote *frames* coalesced frames in a single send.
-
-        Called by the loop's poller while other loop threads record
-        dispatch counters — the shared lock is what keeps mixed
-        updates coherent.
-        """
-        with self._lock:
-            if frames > 1:
-                self.batch_flushes += 1
-                self.frames_batched += frames - 1
-
     def record_shed(self, reason: str) -> None:
         with self._lock:
             if reason == "deadline":
@@ -122,7 +99,7 @@ class TransportMetrics:
         """All counters, read atomically under the lock.
 
         Field-by-field reads can tear across a concurrent update (the
-        poller flushing while another loop thread records a dispatch);
+        poller recording a shed while a client records a message);
         benchmarks and tests that compare related counters should read
         one snapshot instead.
         """
@@ -226,16 +203,18 @@ def read_giop_frame(connection: socket.socket,
     """Read one GIOP message (header + body) from a socket.
 
     *received* holds the frame's first octets when the caller already
-    read them; only what is missing is read.  Octets past the frame are
-    a ``CommFailure``: a serial client has exactly one frame due, so
-    more means the stream is desynchronised.
+    read them; only what is missing is read.  A header that is not GIOP
+    (bad magic, a body over ``MAX_FRAME_BODY``) and octets past the
+    frame are a ``CommFailure``: a serial client has exactly one frame
+    due, so either means the stream is desynchronised.
     """
     header = received
     if len(header) < HEADER_SIZE:
         header += _read_exact(connection, HEADER_SIZE - len(header))
-    little_endian = bool(header[6] & 1)
-    missing = HEADER_SIZE - len(header) + int.from_bytes(
-        header[8:12], "little" if little_endian else "big")
+    try:
+        missing = peek_frame_size(header) - len(header)
+    except MarshalError as exc:
+        raise CommFailure(f"not a GIOP reply: {exc}") from exc
     if missing > 0:
         return header + _read_exact(connection, missing)
     if missing < 0:
@@ -267,7 +246,8 @@ def _connect(endpoint: Endpoint, timeout: float,
 
 def _make_nonblocking(connection: socket.socket) -> None:
     """Ready a socket for the event loop: non-blocking, and
-    ``TCP_NODELAY`` (the loop's batched flush replaces Nagle)."""
+    ``TCP_NODELAY`` (each reply goes out in one ``send``, so Nagle
+    could only delay it)."""
     connection.setblocking(False)
     try:
         connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -451,10 +431,6 @@ class _ConnectionPool:
 _RECV_SIZE = 64 * 1024
 
 
-def _as_bytes(frame: Frame) -> bytes:
-    return frame if isinstance(frame, bytes) else bytes(frame)
-
-
 #: Listen backlog for every endpoint.  The loop drains accepts in a
 #: tight non-blocking burst, so a storm of connecting clients (parallel
 #: discovery fan-out) queues here instead of hitting kernel SYN
@@ -465,9 +441,6 @@ _LOOP_BACKLOG = 512
 #: concurrent callers than this still each get a connection; only this
 #: many are kept for reuse once they finish.
 _POOL_SIZE = 8
-
-#: Most queued bytes one flush coalesces into a single ``send``.
-_BATCH_FLUSH = 64 * 1024
 
 
 def _shed_default() -> bool:
@@ -518,16 +491,11 @@ class _EventLoop:
     grows lazily to ``servants + 1`` threads, so a spare always exists.
 
     Other threads reach the poller through :meth:`call_soon` (a callback
-    plus a socketpair wakeup).  Each poller iteration drains ready I/O,
-    then callbacks, and only then flushes connections with queued
-    output — the frame-batching window: frames enqueued for the same
-    connection during one iteration leave in one ``send``.
+    plus a socketpair wakeup); every selector change is made on the
+    poller.  Each poller iteration handles ready I/O, then callbacks.
     """
 
-    def __init__(self, batch_flush: int, metrics: TransportMetrics,
-                 name: str = "giop-loop", servants: int = 1):
-        self.batch_flush = batch_flush
-        self.metrics = metrics
+    def __init__(self, name: str = "giop-loop", servants: int = 1):
         self._selector = selectors.DefaultSelector()
         wake_recv, wake_send = socket.socketpair()
         wake_recv.setblocking(False)
@@ -538,7 +506,6 @@ class _EventLoop:
         #: Appended by any thread, popped by the poller alone (deque
         #: appends and pops are atomic, so no lock).
         self._callbacks: deque[tuple[Callable, tuple]] = deque()
-        self._dirty: set["_LoopStream"] = set()
         self._running = True
         self._name = name
         self._servants = max(1, servants)
@@ -670,9 +637,6 @@ class _EventLoop:
             self._selector.unregister(sock)
         except (KeyError, ValueError):
             pass
-
-    def mark_dirty(self, stream: "_LoopStream") -> None:
-        self._dirty.add(stream)
 
     # ------------------------------------------------------- internals --
 
@@ -808,9 +772,9 @@ class _EventLoop:
         return False
 
     def _poll(self) -> None:
-        """One poller iteration: ready I/O, callbacks, batched flush.
-        A callback appended after the peek at the queue has written a
-        wakeup, so ``select`` returns for it."""
+        """One poller iteration: ready I/O, then callbacks.  A callback
+        appended after the peek at the queue has written a wakeup, so
+        ``select`` returns for it."""
         timeout = 0.0 if self._callbacks else None
         try:
             events = self._selector.select(timeout)
@@ -822,7 +786,6 @@ class _EventLoop:
             except Exception:  # noqa: BLE001 - a broken stream
                 pass  # must never take the whole loop down
         self._run_callbacks()
-        self._flush_dirty()
 
     def _run_callbacks(self) -> None:
         while self._callbacks:
@@ -831,13 +794,6 @@ class _EventLoop:
                 fn(*args)
             except Exception:  # noqa: BLE001 - see _poll
                 pass
-
-    def _flush_dirty(self) -> None:
-        if not self._dirty:
-            return
-        dirty, self._dirty = self._dirty, set()
-        for stream in dirty:
-            stream.flush()
 
     def _teardown(self) -> None:
         with self._lock:
@@ -852,64 +808,62 @@ class _EventLoop:
         _close_quietly(self._wake_send)
 
 
-class _LoopStream:
-    """A non-blocking socket driven by the event loop: the poller slices
-    reads into GIOP frames for :meth:`on_frame` and flushes a write
-    queue in batched sends, while each thread that served one of the
-    connection's requests writes its reply itself (:meth:`write`;
-    ``_write_lock`` keeps whole frames whole when several replies to
-    back-to-back requests race).  Anything that ends the stream — a
-    read or write error, the peer closing, a header that is not GIOP —
-    goes to :meth:`on_broken`."""
+class _LoopServerConnection:
+    """One accepted server-side connection, a non-blocking socket on the
+    event loop.  The poller slices its reads into GIOP frames, and each
+    frame becomes a servant job; the thread that runs the job writes
+    the reply itself (:meth:`write`; ``_write_lock`` keeps whole frames
+    whole when replies to back-to-back requests race).  What the socket
+    does not take goes into ``_pending``, the connection's one output
+    queue, which the poller sends as the socket drains — a servant
+    never waits on a slow peer.  Anything that ends the stream — a read
+    or write error, the peer closing, a header that is not GIOP —
+    closes the connection."""
 
-    def __init__(self, loop: _EventLoop, sock: socket.socket):
-        self.loop = loop
+    def __init__(self, listener: "_LoopListener", sock: socket.socket):
+        self.listener = listener
+        self.loop = listener.loop
         self.sock = sock
         self.buffer = FrameBuffer()
-        self._out: deque[Frame] = deque()
-        self._out_view: Optional[memoryview] = None
+        self._pending = bytearray()
         self._write_interest = False
-        self._stream_closed = False
+        self._closed = False
         self._write_lock = threading.Lock()
 
     def write(self, data: bytes) -> None:
-        """Any thread: send *data* now when nothing is queued ahead of
-        it, else queue it; whatever the socket did not take is left for
-        the poller's flush."""
+        """Any thread: send *data* now unless output is pending, in
+        which case it queues behind; whatever the socket did not take
+        waits for the poller's next writability event."""
         with self._write_lock:
-            if self._stream_closed:
+            if self._closed:
                 return
-            if self._out or self._out_view is not None:
-                self._out.append(data)
+            if self._pending:
+                self._pending += data
+                return
+            try:
+                sent = self.sock.send(data)
+            except (BlockingIOError, InterruptedError):
                 sent = 0
-            else:
-                try:
-                    sent = self.sock.send(data)
-                except (BlockingIOError, InterruptedError):
-                    sent = 0
-                except OSError as exc:
-                    self.loop.call_soon(self.on_broken, exc)
-                    return
-                if sent == len(data):
-                    return
-                self._out_view = memoryview(data)[sent:]
-        self.loop.call_soon(self.loop.mark_dirty, self)
+            except OSError:
+                self.loop.call_soon(self.close)
+                return
+            if sent == len(data):
+                return
+            self._pending += memoryview(data)[sent:]
+        self.loop.call_soon(self._send_pending)
 
     # Poller only from here down.
 
     def register(self) -> None:
-        if self._stream_closed:
-            return
-        self.loop.register_stream(self.sock, selectors.EVENT_READ,
-                                  self._on_event)
+        if not self._closed:
+            self.loop.register_stream(self.sock, selectors.EVENT_READ,
+                                      self._on_event)
 
     def _on_event(self, mask: int) -> None:
-        if self._stream_closed:
-            return
         if mask & selectors.EVENT_READ:
             self.on_readable()
-        if mask & selectors.EVENT_WRITE and not self._stream_closed:
-            self.flush()
+        if mask & selectors.EVENT_WRITE:
+            self._send_pending()
 
     def on_readable(self) -> None:
         while True:
@@ -917,126 +871,59 @@ class _LoopStream:
                 chunk = self.sock.recv(_RECV_SIZE)
             except (BlockingIOError, InterruptedError):
                 break
-            except OSError as exc:
-                self.on_broken(exc)
+            except OSError:
+                self.close()
                 return
             if not chunk:
-                self.on_broken(CommFailure("connection closed by peer"))
+                self.close()  # closed by the peer
                 return
             self.buffer.feed(chunk)
             if len(chunk) < _RECV_SIZE:
                 break
-        while not self._stream_closed:
+        transport = self.listener.transport
+        while not self._closed:
             try:
                 frame = self.buffer.next_frame()
-            except MarshalError as exc:
+            except MarshalError:
                 # Not a GIOP stream (or desynchronised): poisoned.
-                self.on_broken(exc)
+                self.close()
                 return
             if frame is None:
                 return
-            self.on_frame(frame)
+            transport._dispatch_loop_frame(self, frame)
 
-    def on_frame(self, frame: Frame) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def on_broken(self, cause: Exception) -> None:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def enqueue(self, data: Frame) -> None:
+    def _send_pending(self) -> None:
+        """Send what the socket takes of ``_pending``, and watch for
+        writability exactly while some is left."""
+        broken = False
         with self._write_lock:
-            if self._stream_closed:
-                return
-            self._out.append(data)
-        self.loop.mark_dirty(self)
-
-    def flush(self) -> None:
-        """Write as much queued output as the socket accepts, frames
-        batched: everything enqueued since the last flush leaves in as
-        few ``send`` calls as ``batch_flush`` allows."""
-        broken: Optional[Exception] = None
-        with self._write_lock:
-            if self._stream_closed:
+            if self._closed:
                 return
             try:
-                while True:
-                    if self._out_view is None:
-                        if not self._out:
-                            break
-                        self._out_view = memoryview(self._next_batch())
-                    sent = self.sock.send(self._out_view)
-                    if sent == len(self._out_view):
-                        self._out_view = None
-                    else:
-                        # Kernel buffer full: keep the remainder for
-                        # the next writability event.
-                        self._out_view = self._out_view[sent:]
-                        break
+                del self._pending[:self.sock.send(self._pending)]
             except (BlockingIOError, InterruptedError):
                 pass
-            except OSError as exc:
-                broken = exc
-            if broken is None:
-                self._set_write_interest(self._out_view is not None
-                                         or bool(self._out))
-        if broken is not None:
-            self.on_broken(broken)
-
-    def _next_batch(self) -> bytes:
-        if len(self._out) == 1:
-            return _as_bytes(self._out.popleft())
-        batch: list[bytes] = []
-        size = 0
-        while self._out and size < self.loop.batch_flush:
-            piece = self._out.popleft()
-            batch.append(_as_bytes(piece))
-            size += len(piece)
-        if len(batch) == 1:
-            return batch[0]
-        self.loop.metrics.record_batch(len(batch))
-        return b"".join(batch)
-
-    def _set_write_interest(self, want: bool) -> None:
-        if want == self._write_interest or self._stream_closed:
-            return
-        self._write_interest = want
-        events = selectors.EVENT_READ
-        if want:
-            events |= selectors.EVENT_WRITE
-        try:
-            self.loop.modify_stream(self.sock, events, self._on_event)
-        except (KeyError, ValueError, OSError):  # pragma: no cover
-            pass
-
-    def close_stream(self) -> None:
-        with self._write_lock:
-            if self._stream_closed:
-                return
-            self._stream_closed = True
-            self._out.clear()
-            self._out_view = None
-        self.loop.unregister_stream(self.sock)
-        _close_quietly(self.sock)
-
-
-class _LoopServerConnection(_LoopStream):
-    """One accepted server-side connection: each frame read becomes a
-    servant job on the loop, and the thread that runs it writes the
-    reply back with :meth:`write`."""
-
-    def __init__(self, listener: "_LoopListener", sock: socket.socket):
-        super().__init__(listener.loop, sock)
-        self.listener = listener
-
-    def on_frame(self, frame: Frame) -> None:
-        self.listener.transport._dispatch_loop_frame(self, frame)
-
-    def on_broken(self, cause: Exception) -> None:
-        self.close()
+            except OSError:
+                broken = True
+            want = bool(self._pending)
+            if not broken and want != self._write_interest:
+                self._write_interest = want
+                events = selectors.EVENT_READ
+                if want:
+                    events |= selectors.EVENT_WRITE
+                self.loop.modify_stream(self.sock, events, self._on_event)
+        if broken:
+            self.close()
 
     def close(self) -> None:
         self.listener.connections.discard(self)
-        self.close_stream()
+        with self._write_lock:
+            if self._closed:
+                return
+            self._closed = True
+            self._pending.clear()
+        self.loop.unregister_stream(self.sock)
+        _close_quietly(self.sock)
 
 
 class _LoopListener:
@@ -1127,8 +1014,7 @@ class TcpTransport(Transport):
     def _ensure_loop(self) -> _EventLoop:
         with self._loop_lock:
             if self._event_loop is None or not self._event_loop.running:
-                self._event_loop = _EventLoop(_BATCH_FLUSH, self.metrics,
-                                              name=self._loop_name,
+                self._event_loop = _EventLoop(name=self._loop_name,
                                               servants=self.loop_workers)
             return self._event_loop
 

@@ -48,8 +48,8 @@ def test_transport_snapshot_never_tears():
     metrics = TransportMetrics()
 
     def write(index):
-        metrics.record(("host", 9000 + index), REQUEST_SIZE, REPLY_SIZE)
-        metrics.record_connection(reused=index % 2 == 0)
+        metrics.record(("host", 9000 + index), REQUEST_SIZE, REPLY_SIZE,
+                       reused=index % 2 == 0)
         metrics.record_shed("deadline" if index % 2 else "queue")
 
     stop, threads, errors = run_writers(write)

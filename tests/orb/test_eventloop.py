@@ -1,7 +1,8 @@
 """The event loop every TcpTransport serves from: loop mechanics,
 leader/followers dispatch with lazy promotion, back-to-back frames from
-a foreign client, batching, and metrics safety under mixed loop/servant
-access."""
+a foreign client, the one reply write path (what the socket did not
+take waits for writability), and metrics safety under mixed
+loop/servant access."""
 
 import socket
 import statistics
@@ -12,9 +13,10 @@ import time
 import pytest
 
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
-from repro.orb.giop import RequestMessage, decode_message, encode_message
-from repro.orb.transport import (_WATCH_INTERVAL, _WATCH_LINGER,
-                                 TransportMetrics, _EventLoop, _LoopStream,
+from repro.orb.giop import (HEADER_SIZE, RequestMessage, decode_message,
+                            encode_message, peek_frame_size)
+from repro.orb.transport import (_DRAIN_TIMEOUT, _WATCH_INTERVAL,
+                                 _WATCH_LINGER, TransportMetrics,
                                  read_giop_frame)
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
@@ -369,6 +371,102 @@ def test_concurrent_replies_on_one_connection_stay_whole():
         transport.close()
 
 
+# -------------------------------------------------------- the write path --
+
+
+def _eventually(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _pending_octets(transport, endpoint):
+    """Reply octets the server holds for *endpoint*'s connections
+    because their sockets would not take them yet."""
+    connections = list(transport._listeners[endpoint].connections)
+    return sum(len(connection._pending) for connection in connections)
+
+
+def _echo_frames(object_key, blobs):
+    return b"".join(encode_message(RequestMessage(
+        request_id=100 + index, object_key=object_key, operation="echo",
+        arguments=[blob])) for index, blob in enumerate(blobs))
+
+
+def _read_in_sips(sock, count, sip=16 * 1024):
+    """Read *count* GIOP frames *sip* octets at a time."""
+    data = bytearray()
+    frames = []
+    while len(frames) < count:
+        chunk = sock.recv(sip)
+        assert chunk, "connection closed mid-reply"
+        data += chunk
+        while len(data) >= HEADER_SIZE \
+                and len(data) >= peek_frame_size(data[:HEADER_SIZE]):
+            size = peek_frame_size(data[:HEADER_SIZE])
+            frames.append(bytes(data[:size]))
+            del data[:size]
+    assert not data
+    return frames
+
+
+def test_a_slow_reader_gets_its_pending_replies_whole_and_in_order():
+    """A raw client writes two requests back to back whose replies are
+    4 MiB each, more than the socket buffers hold, and reads nothing
+    yet.  With one servant slot the two servants run in turn, and
+    neither waits on the peer: the rest of the replies is pending on the
+    connection, and meanwhile a second connection's echo is answered —
+    its job runs on the same slot after both.  Read in 16 KiB sips,
+    both replies arrive whole and in request order."""
+    transport = TcpTransport(loop_workers=1)
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    blobs = [bytes([index + 1]) * (4 * 1024 * 1024) for index in range(2)]
+    try:
+        ior = orb.activate(EchoServant(), ECHO, object_name="echo")
+        proxy = orb.proxy(ior, ECHO)
+        with socket.create_connection(orb.endpoint, timeout=20.0) as sock:
+            sock.sendall(_echo_frames(ior.primary.object_key, blobs))
+            assert _eventually(lambda: orb.stats.requests_handled == 2)
+            assert proxy.echo("through") == "through"
+            assert _pending_octets(transport, orb.endpoint) > 0
+            time.sleep(0.1)
+            replies = [decode_message(frame)
+                       for frame in _read_in_sips(sock, 2)]
+        assert [reply.request_id for reply in replies] == [100, 101]
+        assert [reply.body for reply in replies] == blobs
+        assert _pending_octets(transport, orb.endpoint) == 0
+    finally:
+        transport.close()
+
+
+def test_a_peer_that_closes_with_output_pending_is_dropped():
+    """A client that closes while a multi-MiB reply is still pending
+    for it: the server drops the connection and its pending octets, the
+    loop keeps serving within its thread bound, and closing the
+    transport does not wait out ``_DRAIN_TIMEOUT``."""
+    transport = TcpTransport(loop_workers=2)
+    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
+    try:
+        ior = orb.activate(EchoServant(), ECHO, object_name="echo")
+        proxy = orb.proxy(ior, ECHO)
+        listener = transport._listeners[orb.endpoint]
+        with socket.create_connection(orb.endpoint, timeout=20.0) as sock:
+            sock.sendall(_echo_frames(ior.primary.object_key,
+                                      [bytes(8 * 1024 * 1024)]))
+            assert _eventually(
+                lambda: _pending_octets(transport, orb.endpoint) > 0)
+        assert _eventually(lambda: not listener.connections)
+        assert proxy.echo("after") == "after"
+        assert transport.server_thread_count() <= 2 + 1
+    finally:
+        started = time.monotonic()
+        transport.close()
+        assert time.monotonic() - started < _DRAIN_TIMEOUT
+
+
 def test_unregister_closes_loop_listener():
     transport, orb, proxy = _echo_deployment()
     endpoint = orb.endpoint
@@ -379,64 +477,6 @@ def test_unregister_closes_loop_listener():
             socket.create_connection(endpoint, timeout=0.5)
     finally:
         transport.close()
-
-
-# ---------------------------------------------------------- frame batching --
-
-
-def test_flush_coalesces_queued_frames_into_one_send():
-    """Deterministic batching check at the stream level: three frames
-    enqueued before one flush leave as a single send."""
-    metrics = TransportMetrics()
-    loop = _EventLoop(batch_flush=64 * 1024, metrics=metrics)
-    left, right = socket.socketpair()
-    left.setblocking(False)
-    try:
-        stream = _LoopStream(loop, left)
-        frames = [b"AAAA", b"BBBBBB", b"CC"]
-
-        def enqueue_and_flush():
-            for frame in frames:
-                stream.enqueue(frame)
-            stream.flush()
-
-        loop.call_soon_sync(enqueue_and_flush)
-        right.settimeout(2.0)
-        assert right.recv(4096) == b"".join(frames)
-        snapshot = metrics.snapshot()
-        assert snapshot["batch_flushes"] == 1
-        assert snapshot["frames_batched"] == 2
-    finally:
-        loop.stop()
-        right.close()
-
-
-def test_batch_flush_cap_limits_one_batch():
-    """A flush stops coalescing at ``batch_flush`` bytes; the rest
-    goes in subsequent sends (still all delivered, in order)."""
-    metrics = TransportMetrics()
-    loop = _EventLoop(batch_flush=8, metrics=metrics)
-    left, right = socket.socketpair()
-    left.setblocking(False)
-    try:
-        stream = _LoopStream(loop, left)
-
-        def enqueue_and_flush():
-            for frame in (b"12345", b"67890", b"abcde"):
-                stream.enqueue(frame)
-            stream.flush()
-
-        loop.call_soon_sync(enqueue_and_flush)
-        right.settimeout(2.0)
-        received = b""
-        while len(received) < 15:
-            received += right.recv(4096)
-        assert received == b"1234567890abcde"
-        # First batch took two frames (5 + 5 >= 8), the third went solo.
-        assert metrics.snapshot()["frames_batched"] == 1
-    finally:
-        loop.stop()
-        right.close()
 
 
 # ------------------------------------------------------ constructor surface --
@@ -457,8 +497,9 @@ def test_server_and_serial_client_are_not_selectable(keyword, value):
 
 def test_metrics_safe_under_mixed_loop_and_worker_access():
     """Satellite: every counter path hammered from many threads at
-    once (as the loop flushes while workers record dispatches) loses no
-    increments and snapshots never expose torn multi-field reads."""
+    once (as the poller records sheds while workers record dispatches)
+    loses no increments and snapshots never expose torn multi-field
+    reads."""
     metrics = TransportMetrics()
     endpoint = ("127.0.0.1", 9999)
     threads_count, iterations = 8, 500
@@ -468,11 +509,9 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
     def hammer(seed):
         start.wait()
         for index in range(iterations):
-            metrics.record(endpoint, 100, 50)
+            metrics.record(endpoint, 100, 50, reused=index % 2 == 0)
             metrics.record_shed("deadline" if (seed + index) % 2
                                 else "overload")
-            metrics.record_batch(frames=3)
-            metrics.record_connection(reused=index % 2 == 0)
 
     def reader():
         start.wait()
@@ -498,8 +537,6 @@ def test_metrics_safe_under_mixed_loop_and_worker_access():
     assert snapshot["messages_sent"] == total
     assert snapshot["bytes_sent"] == total * 100
     assert snapshot["requests_shed"] + snapshot["requests_expired"] == total
-    assert snapshot["batch_flushes"] == total
-    assert snapshot["frames_batched"] == total * 2
     assert snapshot["connections_opened"] \
         + snapshot["connections_reused"] == total
     assert metrics.per_endpoint[endpoint] == total

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 
 from repro.errors import CommFailure, MarshalError
 from repro.orb import InterfaceBuilder, TcpTransport, create_orb, ORBIX
-from repro.orb.giop import (HEADER_SIZE, ReplyMessage, ReplyStatus,
-                            RequestMessage, decode_message, encode_message)
+from repro.orb.giop import (HEADER_SIZE, MAX_FRAME_BODY, ReplyMessage,
+                            ReplyStatus, RequestMessage, decode_message,
+                            encode_message)
 from repro.orb.transport import FrameBuffer, read_giop_frame
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
@@ -300,16 +301,25 @@ def _one_shot_server(answer):
 
 @pytest.mark.parametrize("answer, error", [
     (lambda request: _reply() + b"GIOP\x01\x00", "past the GIOP frame"),
-    (lambda request: _reply()[:HEADER_SIZE + 3], "closed mid-message")])
+    (lambda request: _reply()[:HEADER_SIZE + 3], "closed mid-message"),
+    (lambda request: b"HTTP\x01\x00\x00\x00\xff\xff\xff\xf0" + bytes(64),
+     "bad GIOP magic"),
+    (lambda request: b"GIOP\x01\x00\x00\x01"
+     + (MAX_FRAME_BODY + 1).to_bytes(4, "big") + bytes(64),
+     "implausible GIOP body size")])
 def test_a_broken_reply_fails_the_call_and_is_not_pooled(answer, error):
-    """Octets past the reply frame, or a peer that closes mid-reply:
-    the call fails with ``CommFailure`` and the connection is closed,
-    never checked back into the pool."""
+    """Octets past the reply frame, a peer that closes mid-reply, a
+    header that is not GIOP or announces a body over
+    ``MAX_FRAME_BODY``: the call fails with ``CommFailure`` well inside
+    its socket timeout, and the connection is closed, never checked
+    back into the pool."""
     endpoint, server = _one_shot_server(answer)
     transport = TcpTransport(timeout=5.0)
     try:
+        started = time.monotonic()
         with pytest.raises(CommFailure, match=error):
             transport.send(endpoint, _REQUEST)
+        assert time.monotonic() - started < 1.0
         assert transport.idle_connections(endpoint) == 0
         assert transport.idle_connections() == 0
     finally:

@@ -143,7 +143,7 @@ class TestTransportMetricsThreadSafety:
 
         def hammer(reused: bool):
             for __ in range(1000):
-                metrics.record_connection(reused)
+                metrics.record(("127.0.0.1", 1), 0, 0, reused=reused)
 
         threads = [threading.Thread(target=hammer, args=(index % 2 == 0,))
                    for index in range(8)]
