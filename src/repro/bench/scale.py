@@ -46,6 +46,61 @@ class ScaledSpace:
         return DiscoveryEngine(self.local_resolver, **kwargs)
 
 
+@dataclass(frozen=True)
+class TopologyPlan:
+    """One generated topology, before anything is deployed: what
+    :func:`build_scaled_space` and :func:`build_scaled_system` both
+    build."""
+
+    #: Coalition name -> topic, in creation order.
+    coalition_topics: dict[str, str]
+    #: ``(database, coalition)`` in database order, round-robin.
+    memberships: list[tuple[str, str]]
+    #: Coalition-to-coalition service links, in creation order.
+    links: list[ServiceLink]
+
+
+def plan_topology(databases: int, coalitions: int,
+                  links_per_coalition: int = 2,
+                  seed: int = 1234) -> TopologyPlan:
+    """Plan *databases* sources in *coalitions* clusters with a
+    ring-plus-random link mesh.
+
+    Databases are distributed round-robin over coalitions; each
+    coalition links to its ring successor (guaranteeing reachability)
+    plus ``links_per_coalition - 1`` random others.
+    """
+    if coalitions < 1 or databases < coalitions:
+        raise ValueError("need at least one database per coalition")
+    rng = random.Random(seed)
+    coalition_topics: dict[str, str] = {}
+    for index in range(coalitions):
+        topic = _topic_for(index)
+        coalition_topics[f"C{index:04d} {topic}"] = topic
+    coalition_names = list(coalition_topics)
+    memberships = [(f"db{index:05d}", coalition_names[index % coalitions])
+                   for index in range(databases)]
+    links: list[ServiceLink] = []
+    for index, coalition_name in enumerate(coalition_names):
+        targets = {coalition_names[(index + 1) % coalitions]}
+        while len(targets) < min(links_per_coalition, coalitions - 1):
+            candidate = rng.choice(coalition_names)
+            if candidate != coalition_name:
+                targets.add(candidate)
+        links.extend(ServiceLink(
+            from_kind=EndpointKind.COALITION, from_name=coalition_name,
+            to_kind=EndpointKind.COALITION, to_name=target,
+            information_type=coalition_topics[target])
+            for target in targets)
+    return TopologyPlan(coalition_topics, memberships, links)
+
+
+def _topic_for(index: int) -> str:
+    noun = TOPIC_NOUNS[index % len(TOPIC_NOUNS)]
+    generation = index // len(TOPIC_NOUNS)
+    return f"{noun} {generation}" if generation else noun
+
+
 def build_scaled_system(databases: int, coalitions: int,
                         links_per_coalition: int = 2,
                         seed: int = 1234, **system_options):
@@ -55,41 +110,25 @@ def build_scaled_system(databases: int, coalitions: int,
     :class:`~repro.orb.transport.TcpTransport`) — so scalability can be
     measured in GIOP messages and wall-clock, not just metadata calls.
 
-    Sources rotate over the three ORB products.  Each source is a tiny
-    relational database with one table and one exported function.
-    *system_options* are the system's own keywords (``metadata_cache=``,
-    ``parallel_discovery=``, ``discovery_workers=``: the S1 hot-path
-    knobs).  Returns a :class:`~repro.core.system.WebFinditSystem`.
+    The topology is :func:`plan_topology`'s.  Sources rotate over the
+    three ORB products.  Each source is a tiny relational database with
+    one table and one exported function.  *system_options* are the
+    system's own keywords (``transport=``, ``metadata_cache=``, ...).
+    Returns a :class:`~repro.core.system.WebFinditSystem`.
     """
-    import random as _random
-
-    from repro.core.model import SourceDescription
-    from repro.core.service_link import EndpointKind, ServiceLink
     from repro.core.system import WebFinditSystem
     from repro.orb.products import ORBIX, ORBIXWEB, VISIBROKER
     from repro.sql.engine import Database
     from repro.wrappers.base import (ExportedAttribute, ExportedFunction,
                                      ExportedType, SqlBinding)
 
-    if coalitions < 1 or databases < coalitions:
-        raise ValueError("need at least one database per coalition")
-    rng = _random.Random(seed)
+    plan = plan_topology(databases, coalitions, links_per_coalition, seed)
     system = WebFinditSystem(**system_options)
     products = (ORBIX, ORBIXWEB, VISIBROKER)
-
-    coalition_names: list[str] = []
-    topics: dict[str, str] = {}
-    for index in range(coalitions):
-        topic = _topic_for(index)
-        name = f"C{index:04d} {topic}"
+    for name, topic in plan.coalition_topics.items():
         system.create_coalition(name, topic)
-        coalition_names.append(name)
-        topics[name] = topic
-
-    for index in range(databases):
-        coalition_name = coalition_names[index % coalitions]
-        topic = topics[coalition_name]
-        name = f"db{index:05d}"
+    for index, (name, coalition_name) in enumerate(plan.memberships):
+        topic = plan.coalition_topics[coalition_name]
         database = Database(name)
         database.execute("CREATE TABLE items (id INT PRIMARY KEY, "
                          "label VARCHAR(30))")
@@ -108,61 +147,24 @@ def build_scaled_system(databases: int, coalitions: int,
             exported_types=[exported],
             orb_product=products[index % len(products)])
         system.join(name, coalition_name)
-
-    for index, coalition_name in enumerate(coalition_names):
-        targets = {coalition_names[(index + 1) % coalitions]}
-        while len(targets) < min(links_per_coalition, coalitions - 1):
-            candidate = rng.choice(coalition_names)
-            if candidate != coalition_name:
-                targets.add(candidate)
-        for target in targets:
-            try:
-                system.registry.add_service_link(ServiceLink(
-                    from_kind=EndpointKind.COALITION,
-                    from_name=coalition_name,
-                    to_kind=EndpointKind.COALITION, to_name=target,
-                    information_type=topics[target]))
-            except Exception:
-                pass  # duplicate edge
+    for link in plan.links:
+        system.registry.add_service_link(link)
     return system
-
-
-def _topic_for(index: int) -> str:
-    noun = TOPIC_NOUNS[index % len(TOPIC_NOUNS)]
-    generation = index // len(TOPIC_NOUNS)
-    return f"{noun} {generation}" if generation else noun
 
 
 def build_scaled_space(databases: int, coalitions: int,
                        links_per_coalition: int = 2,
                        seed: int = 1234) -> ScaledSpace:
-    """Generate a federation of *databases* sources in *coalitions*
-    clusters with a ring-plus-random link mesh.
-
-    Databases are distributed round-robin over coalitions; each
-    coalition links to its ring successor (guaranteeing reachability)
-    plus ``links_per_coalition - 1`` random others.
-    """
-    if coalitions < 1 or databases < coalitions:
-        raise ValueError("need at least one database per coalition")
-    rng = random.Random(seed)
+    """Generate :func:`plan_topology`'s federation in process, with the
+    broadcast and global-schema baselines over the same sources."""
+    plan = plan_topology(databases, coalitions, links_per_coalition, seed)
     registry = Registry()
     broadcast = BroadcastDirectory()
     global_schema = GlobalSchemaMultidatabase()
-
-    coalition_topics: dict[str, str] = {}
-    for index in range(coalitions):
-        topic = _topic_for(index)
-        name = f"C{index:04d} {topic}"
+    for name, topic in plan.coalition_topics.items():
         registry.create_coalition(name, topic)
-        coalition_topics[name] = topic
-    coalition_names = list(coalition_topics)
-
-    database_names: list[str] = []
-    for index in range(databases):
-        coalition_name = coalition_names[index % coalitions]
-        topic = coalition_topics[coalition_name]
-        name = f"db{index:05d}"
+    for name, coalition_name in plan.memberships:
+        topic = plan.coalition_topics[coalition_name]
         description = SourceDescription(
             name=name, information_type=topic,
             location=f"{name}.example.net",
@@ -172,25 +174,11 @@ def build_scaled_space(databases: int, coalitions: int,
         broadcast.register(description)
         global_schema.integrate_source(
             description, [f"{topic}_table_{i}" for i in range(3)])
-        database_names.append(name)
-
-    for index, coalition_name in enumerate(coalition_names):
-        targets = {coalition_names[(index + 1) % coalitions]}
-        while len(targets) < min(links_per_coalition, coalitions - 1):
-            candidate = rng.choice(coalition_names)
-            if candidate != coalition_name:
-                targets.add(candidate)
-        for target in targets:
-            link = ServiceLink(
-                from_kind=EndpointKind.COALITION, from_name=coalition_name,
-                to_kind=EndpointKind.COALITION, to_name=target,
-                information_type=coalition_topics[target])
-            try:
-                registry.add_service_link(link)
-            except Exception:
-                pass  # duplicate ring/random edge; keep the mesh sparse
+    for link in plan.links:
+        registry.add_service_link(link)
 
     return ScaledSpace(registry=registry, broadcast=broadcast,
                        global_schema=global_schema,
-                       database_names=database_names,
-                       coalition_topics=coalition_topics)
+                       database_names=[name for name, __
+                                       in plan.memberships],
+                       coalition_topics=plan.coalition_topics)

@@ -263,7 +263,7 @@ class CoDatabase:
 
     def record_membership(self, coalition_name: str) -> None:
         """Note that the owner belongs to *coalition_name*."""
-        self._require_coalition(coalition_name)
+        self._require_coalition(coalition_name, write=True)
         self.epoch += 1
         if coalition_name not in self.memberships:
             self.memberships.append(coalition_name)
@@ -278,7 +278,7 @@ class CoDatabase:
     def add_member(self, coalition_name: str,
                    description: SourceDescription) -> None:
         """Store *description* as an instance of the coalition class."""
-        self._require_coalition(coalition_name)
+        self._require_coalition(coalition_name, write=True)
         self.epoch += 1
         if not self._db.select(coalition_name, include_subclasses=False,
                                name=description.name):
@@ -286,7 +286,7 @@ class CoDatabase:
         self.applied = self.epoch
 
     def remove_member(self, coalition_name: str, source_name: str) -> None:
-        self._require_coalition(coalition_name)
+        self._require_coalition(coalition_name, write=True)
         self.epoch += 1
         for obj in self._db.select(coalition_name, include_subclasses=False,
                                    name=source_name):
@@ -347,11 +347,18 @@ class CoDatabase:
 
     # ------------------------------------------------------------- queries --
 
-    def _require_coalition(self, name: str) -> None:
+    def _require_coalition(self, name: str, write: bool = False) -> None:
+        """Refuse a name that is no coalition class.  A *write* also
+        needs the coalition's record: a forgotten coalition's class
+        stays defined (append-only schema) but a snapshot-restored copy
+        has neither, and a write the live co-database took would
+        quarantine that copy."""
         if not self._db.schema.has_class(name) \
                 or name in (SOURCE_ROOT_CLASS, "CoalitionInfo", "ServiceLink",
                             "CoalitionServiceLink", "DatabaseServiceLink",
-                            "Document"):
+                            "Document") \
+                or write and not self._db.select(
+                    "CoalitionInfo", include_subclasses=False, name=name):
             raise UnknownCoalition(
                 f"co-database of {self.owner_name!r} knows no coalition "
                 f"{name!r}")

@@ -24,22 +24,12 @@ compares these counts against the broadcast baseline.  The engine
 reaches a co-database through exactly one thing,
 :class:`CoDatabaseClient` — the
 same class whatever sits behind it (in-process, one servant, a replica
-set) and whatever cache, if any, sits in front.
-
-Consultations within one BFS depth are independent — remote
-co-databases are autonomous servers — so the engine can fan them out
-concurrently (``parallel=True``) on a bounded thread pool.  Fetching
-(remote I/O) is separated from merging (scoring, dedup, tracing, cost
-accounting), and merges always happen in frontier order, so the
-parallel engine returns *byte-identical* results to the sequential
-one; only wall-clock differs.
+set) and whatever cache, if any, sits in front.  A resolution runs
+on the caller's thread, one co-database at a time, in frontier order.
 """
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional, Union
 
@@ -55,18 +45,8 @@ from repro.errors import (CircuitOpen, DeadlineExceeded, DiscoveryFailure,
                           ReproError, WebFinditError)
 from repro.orb.orb import Proxy
 
-#: Fan-out thread cap when ``max_workers`` is left unset: scaled to the
-#: frontier, never beyond this.
-DEFAULT_MAX_WORKERS = 16
-
 #: The score at which a lead *resolves* the query (``stop_at_first``).
 FULL_MATCH_SCORE = 0.999
-
-#: Extra seconds a parallel merge waits for an in-flight consultation
-#: after the query deadline expires, before writing it off as timed
-#: out.  Bounds the worst case: a query returns within deadline + grace
-#: even when a worker thread is wedged inside a stalled remote call.
-DEADLINE_GRACE = 0.25
 
 
 class CoDatabaseClient:
@@ -344,20 +324,12 @@ def _reason_for(error: ReproError) -> str:
 
 @dataclass
 class Consultation:
-    """What one co-database answered to one question.
-
-    Fetch and merge are separate phases: workers only gather, the
-    caller merges in frontier order — that split is what keeps the
-    parallel engine deterministic.
-    """
+    """What one co-database answered to one question."""
 
     client: Optional[CoDatabaseClient] = None
     #: The co-database's answer (for a frontier member: ``consult``'s).
     answer: Any = None
     error: Optional[ReproError] = None
-    #: True when the consultation was never attempted (query deadline
-    #: spent before this frontier member's turn came).
-    skipped: bool = False
 
 
 class DiscoveryEngine:
@@ -366,14 +338,6 @@ class DiscoveryEngine:
     *resolver* maps a database name to a :class:`CoDatabaseClient`;
     the deployed system backs it with naming-service lookups and CORBA
     proxies, tests may back it with local co-databases directly.
-
-    With *parallel* set, every frontier's consultations run
-    concurrently on a bounded thread pool (*max_workers*, default
-    scaled to the frontier size, capped at
-    :data:`DEFAULT_MAX_WORKERS`).  Results are merged in frontier
-    order, so leads, traces, and counters are identical to the
-    sequential engine's; ``stop_at_first`` still takes effect at the
-    depth boundary, after which no further depth is scheduled.
 
     With a *policy* (:class:`~repro.core.resilience.ResiliencePolicy`)
     every read of a co-database is one guarded call (:meth:`consult`):
@@ -388,28 +352,10 @@ class DiscoveryEngine:
 
     def __init__(self, resolver: Callable[[str], CoDatabaseClient],
                  match_threshold: float = 0.5,
-                 parallel: bool = False,
-                 max_workers: Optional[int] = None,
                  policy: Optional[ResiliencePolicy] = None):
         self._resolve = resolver
         self._threshold = match_threshold
-        self._parallel = parallel
-        self._max_workers = max_workers
         self._policy = policy
-        #: Lazily-created, engine-lifetime worker pool.  Threads are
-        #: spawned on demand (so the pool scales with actual frontier
-        #: sizes, capped at max_workers) and reused across depths and
-        #: discover() calls — per-depth pool creation would cost more
-        #: than the fan-out saves on fast networks.
-        self._executor: Optional[ThreadPoolExecutor] = None
-        self._executor_guard = threading.Lock()
-
-    def close(self) -> None:
-        """Release the fan-out worker pool (no-op when sequential)."""
-        with self._executor_guard:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=False)
 
     def discover(self, query: str, start_database: str,
                  max_hops: int = 6,
@@ -452,15 +398,14 @@ class DiscoveryEngine:
         while frontier and depth <= max_hops:
             max_depth_reached = depth
             next_frontier: list[tuple[str, list[str]]] = []
-            consultations = self._consult_frontier(
-                frontier,
-                lambda client: client.consult(query, depth == 0,
-                                              self._threshold),
-                deadline, start=depth == 0)
-            for (database_name, path), outcome in zip(frontier,
-                                                      consultations):
-                if outcome.skipped:
-                    # Budget spent before its turn: report, don't raise.
+            start = depth == 0
+            ask = (lambda client:
+                   client.consult(query, start, self._threshold))
+            for database_name, path in frontier:
+                if deadline is not None and deadline.expired:
+                    # Budget spent before its turn (before or in
+                    # mid-depth): report the rest of the frontier,
+                    # don't raise and don't silently drop it.
                     degraded.add(database_name, SKIPPED,
                                  "query deadline exhausted before "
                                  "consultation", depth=depth)
@@ -468,6 +413,8 @@ class DiscoveryEngine:
                         f"[depth {depth}] skipping co-database of "
                         f"{database_name!r}: deadline exhausted")
                     continue
+                outcome = self.consult(database_name, ask, deadline,
+                                       start=start)
                 if outcome.client is not None:
                     clients.append(outcome.client)
                     trace.append(
@@ -554,8 +501,8 @@ class DiscoveryEngine:
                 deadline: Optional[Deadline] = None,
                 start: bool = False) -> Consultation:
         """Ask one co-database one question: the one guarded read, for
-        frontier consultations (on a worker thread when parallel),
-        :meth:`members_of` and the query processor's explore reads.
+        frontier consultations, :meth:`members_of` and the query
+        processor's explore reads.
 
         Resolving the client is the connection step (naming lookup plus
         proxy setup), so it runs inside the same
@@ -587,63 +534,12 @@ class DiscoveryEngine:
 
     # -- internals ---------------------------------------------------------------
 
-    def _consult_frontier(self, frontier: list[tuple[str, list[str]]],
-                          ask: Callable[[CoDatabaseClient], Any],
-                          deadline: Optional[Deadline], start: bool
-                          ) -> list[Consultation]:
-        """Put *ask* to every frontier co-database.
-
-        Sequential and parallel modes return the same list in the same
-        (frontier) order; parallelism only overlaps the remote I/O.
-        """
-        if not self._parallel or len(frontier) < 2 \
-                or (deadline is not None and deadline.expired):
-            outcomes: list[Consultation] = []
-            for name, __ in frontier:
-                if deadline is not None and deadline.expired:
-                    # Expiry before or in mid-depth: the rest of the
-                    # frontier is reported, not silently dropped.
-                    outcomes.append(Consultation(skipped=True))
-                else:
-                    outcomes.append(self.consult(name, ask, deadline, start))
-            return outcomes
-        pool = self._ensure_executor()
-        futures = [pool.submit(self.consult, name, ask, deadline, start)
-                   for name, __ in frontier]
-        # Collect in submission order, not completion order.
-        if deadline is None:
-            return [future.result() for future in futures]
-        results: list[Consultation] = []
-        for (name, __), future in zip(frontier, futures):
-            # Workers bound their own I/O by the deadline, but a wedged
-            # remote can still hold a thread; never wait for it past
-            # deadline + grace — the worker's eventual result is
-            # discarded and the executor thread freed when it returns.
-            wait = max(0.0, deadline.remaining()) + DEADLINE_GRACE
-            try:
-                results.append(future.result(timeout=wait))
-            except FutureTimeout:
-                future.cancel()
-                results.append(Consultation(error=DeadlineExceeded(
-                    f"co-database of {name!r} did not answer within "
-                    f"the query deadline")))
-        return results
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        with self._executor_guard:
-            if self._executor is None:
-                workers = max(1, self._max_workers or DEFAULT_MAX_WORKERS)
-                self._executor = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="discovery")
-            return self._executor
-
     def _merge(self, answer: ConsultAnswer, path: list[str],
                leads: list[CoalitionLead], seen: set[str],
                trace: list[str]) -> None:
         """Fold one co-database's answer into the shared lead/trace
-        state.  Always runs on the coordinating thread, in frontier
-        order; *seen* is what keeps one lead per coalition or link
-        target across co-databases."""
+        state, in frontier order; *seen* is what keeps one lead per
+        coalition or link target across co-databases."""
         for match in answer.matches:
             key = f"coalition:{match.name}"
             if key in seen:

@@ -59,8 +59,8 @@ def _below(tag: Optional[int], floor: Optional[int]) -> bool:
 class MetadataCache:
     """A TTL + epoch-floor cache over co-database reads.
 
-    Thread-safe: parallel discovery fan-out hits it from many worker
-    threads at once.  Floors and entries share one lock, so a store
+    Thread-safe: concurrent sessions hit it from many threads at
+    once.  Floors and entries share one lock, so a store
     racing a floor update can never slip a pre-mutation value past its
     floor.  *clock* is injectable so tests can advance time without
     sleeping.

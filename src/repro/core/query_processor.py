@@ -92,8 +92,6 @@ class QueryProcessor:
                  wrapper_for: Callable[[str], InformationSourceInterface],
                  registry: Optional[Registry] = None,
                  match_threshold: float = 0.5,
-                 parallel: bool = False,
-                 max_workers: Optional[int] = None,
                  policy: Optional[ResiliencePolicy] = None):
         self._wrapper_for = wrapper_for
         self._registry = registry
@@ -101,8 +99,6 @@ class QueryProcessor:
         self.policy = policy
         self.discovery = DiscoveryEngine(resolver,
                                          match_threshold=match_threshold,
-                                         parallel=parallel,
-                                         max_workers=max_workers,
                                          policy=policy)
         #: Statements processed (Figure-3 layer accounting).
         self.statements_processed = 0

@@ -24,11 +24,11 @@ the client-side resilience of :mod:`repro.core.resilience` can only
   :class:`~repro.core.discovery.CoDatabaseClient` targets in place of a
   single servant's proxy.  Calls prefer the first replica whose
   circuit breaker admits them, fail over to siblings on transport
-  faults or timeouts, hedge a tail-slow primary, and re-resolve through
-  the naming service when a cached IOR's generation went stale.  It
-  knows nothing of caching: the client's cache stage sits in front of
-  it as in front of any target, and the cache's epoch floors are what
-  keep a lagging replica's answers out of it.
+  faults or timeouts, and re-resolve through the naming service when a
+  cached IOR's generation went stale.  It knows nothing of caching: the
+  client's cache stage sits in front of it as in front of any target,
+  and the cache's epoch floors are what keep a lagging replica's
+  answers out of it.
 
 ``docs/availability.md`` and ``docs/quorum.md`` document the protocol;
 ``tests/apps/test_healthcare_replication_chaos.py`` and
@@ -49,8 +49,7 @@ from repro.core.journal import (JournalEntry, ReplicaJournal, apply_entry,
                                 encode_operation, replay_entries)
 from repro.core.model import Ontology
 from repro.core.quorum import LeaseState, PrimaryLease, majority
-from repro.core.resilience import (FAILURE_ERRORS, HealthBoard, HedgePolicy,
-                                   call_policy, current_policy)
+from repro.core.resilience import FAILURE_ERRORS, HealthBoard, call_policy
 from repro.core.snapshot import export_codatabase, import_codatabase
 from repro.errors import (CommFailure, ElectionLost, FencedOut, LeaseExpired,
                           QuorumLost, WebFinditError)
@@ -638,19 +637,12 @@ class ReplicaRoute:
     failovers = 0
 
     def __init__(self, name: str, targets: list[ReplicaTarget],
-                 health: HealthBoard,
-                 hedge: Optional[HedgePolicy] = None):
+                 health: HealthBoard):
         if not targets:
             raise WebFinditError(f"no replicas known for {name!r}")
         self.name = name
         self._targets = targets
         self._health = health
-        #: Hedged reads: with a policy attached and >= 2 healthy
-        #: replicas, a primary slower than the rolling p99 gets a
-        #: second copy fired at a sibling, first success wins.  Safe
-        #: because every co-database operation routed here is an
-        #: idempotent metadata read.
-        self._hedge = hedge
         self._serving_index = 0
 
     def _invoke_target(self, target: ReplicaTarget, operation: str,
@@ -676,23 +668,7 @@ class ReplicaRoute:
         order = [*range(start, len(self._targets)), *range(0, start)]
         allowed = [index for index in order
                    if self._health.allow(self._targets[index].key)]
-        remaining = allowed
-        if self._hedge is not None and len(allowed) >= 2:
-            try:
-                value, winner = self._hedged_pair(
-                    allowed[0], allowed[1], operation, *args)
-            except FAILURE_ERRORS as exc:
-                last_error = exc
-                remaining = allowed[2:]
-            else:
-                if winner is not None:
-                    self._served_by(winner)
-                    return value
-                # Primary failed fast, before the hedge delay elapsed:
-                # nothing was hedged, fall through to plain sequential
-                # failover over the rest of the ring.
-                remaining = allowed[1:]
-        for index in remaining:
+        for index in allowed:
             target = self._targets[index]
             try:
                 value = self._invoke_target(target, operation, *args)
@@ -714,80 +690,3 @@ class ReplicaRoute:
         if index != self._serving_index:
             self.failovers += 1
             self._serving_index = index
-
-    def _hedged_pair(self, primary_index: int, backup_index: int,
-                     operation: str, *args: Any) -> tuple[Any, Optional[int]]:
-        """Attempt ``primary_index``; hedge to ``backup_index`` at p99.
-
-        Returns ``(value, winner_index)`` when either attempt succeeds,
-        ``(None, None)`` when the primary failed *before* the hedge
-        delay elapsed (the caller should continue plain failover from
-        the backup onwards — no hedge fired, nothing to account), and
-        raises the last failure when both attempts lose.
-        """
-        assert self._hedge is not None
-        hedge = self._hedge
-        primary = self._targets[primary_index]
-        policy = current_policy()
-        done = threading.Event()
-        outcome: dict[str, Any] = {}
-
-        def run_primary() -> None:
-            # Thread-locals do not cross threads: re-install the
-            # caller's policy so deadline budgets and retry budgets
-            # propagate into the hedged attempt.
-            with call_policy(deadline=policy.deadline, idempotent=True,
-                             traffic_class=policy.traffic_class,
-                             retry_budget=policy.retry_budget,
-                             attempt=policy.attempt):
-                began = time.monotonic()
-                try:
-                    outcome["value"] = self._invoke_target(
-                        primary, operation, *args)
-                except FAILURE_ERRORS as exc:
-                    outcome["error"] = exc
-                    self._health.record(primary.key, ok=False)
-                else:
-                    hedge.observe(self.name, time.monotonic() - began)
-                    self._health.record(primary.key, ok=True)
-                finally:
-                    done.set()
-
-        worker = threading.Thread(target=run_primary, daemon=True,
-                                  name=f"hedge-primary-{self.name}")
-        worker.start()
-        if done.wait(hedge.hedge_delay(self.name)):
-            if "value" in outcome:
-                return outcome["value"], primary_index
-            # Fast failure: signal the caller to keep failing over
-            # sequentially — hedging is for *slow* primaries.
-            return None, None
-        # The primary is slower than the rolling p99: fire the hedge
-        # against the backup inline.  First success wins; the loser is
-        # simply discarded (all routed operations are idempotent reads).
-        backup = self._targets[backup_index]
-        began = time.monotonic()
-        try:
-            value = self._invoke_target(backup, operation, *args)
-        except FAILURE_ERRORS as exc:
-            self._health.record(backup.key, ok=False)
-            # The hedge fired precisely because the primary is
-            # tail-slow, so this wait must not stall the caller past
-            # its deadline behind the very straggler hedging exists to
-            # escape: grant the primary only the remaining deadline
-            # budget, then surface the backup's failure and let the
-            # detached primary thread finish in the background.  With
-            # no deadline the wait is still bounded in practice — the
-            # primary attempt's socket timeouts settle ``done``.
-            if policy.deadline is not None:
-                settled = done.wait(max(0.0, policy.deadline.remaining()))
-            else:
-                settled = done.wait()
-            hedge.record_hedge(won=False)
-            if settled and "value" in outcome:
-                return outcome["value"], primary_index
-            raise exc
-        hedge.observe(self.name, time.monotonic() - began)
-        self._health.record(backup.key, ok=True)
-        hedge.record_hedge(won=True)
-        return value, backup_index

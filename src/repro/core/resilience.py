@@ -38,7 +38,6 @@ from __future__ import annotations
 import random
 import threading
 import time
-from collections import deque
 from typing import Callable, Optional, Union
 
 from repro.deadline import (BACKGROUND, INTERACTIVE, CallPolicy, Deadline,
@@ -48,7 +47,7 @@ from repro.errors import (CircuitOpen, CommFailure, DeadlineExceeded,
 
 __all__ = [
     "Deadline", "CallPolicy", "call_policy", "current_policy",
-    "RetryPolicy", "RetryBudget", "HedgePolicy", "CircuitBreaker",
+    "RetryPolicy", "RetryBudget", "CircuitBreaker",
     "HealthBoard", "ResiliencePolicy", "CLOSED", "OPEN", "HALF_OPEN",
     "FAILURE_ERRORS", "as_deadline", "INTERACTIVE", "BACKGROUND",
     "ServerBusy",
@@ -158,64 +157,6 @@ class RetryPolicy:
                     self.retries += 1
                 self._sleep(delay)
         raise AssertionError("unreachable")  # pragma: no cover
-
-
-class HedgePolicy:
-    """Hedged requests for idempotent reads: fire a second copy at a
-    different replica when the first is slower than the recent p99.
-
-    The hedge delay adapts per key from a rolling window of observed
-    latencies: hedges fire only for genuinely tail-slow attempts
-    (~1% of traffic), so the added load is bounded by construction —
-    the classic tail-at-scale trade.  Until *min_samples* observations
-    exist the fixed *default_delay* applies.  Thread-safe.
-    """
-
-    def __init__(self, default_delay: float = 0.05,
-                 percentile: float = 0.99, window: int = 256,
-                 min_samples: int = 20):
-        self.default_delay = default_delay
-        self.percentile = percentile
-        self.min_samples = min_samples
-        self._window = window
-        self._samples: dict[str, deque[float]] = {}
-        self._lock = threading.Lock()
-        self.hedges_fired = 0
-        self.hedges_won = 0
-        self.hedges_lost = 0
-
-    def observe(self, key: str, seconds: float) -> None:
-        """Record one attempt's latency for *key*."""
-        with self._lock:
-            samples = self._samples.get(key)
-            if samples is None:
-                samples = self._samples[key] = deque(maxlen=self._window)
-            samples.append(seconds)
-
-    def hedge_delay(self, key: str) -> float:
-        """How long to wait on the primary before hedging."""
-        with self._lock:
-            samples = self._samples.get(key)
-            if samples is None or len(samples) < self.min_samples:
-                return self.default_delay
-            ordered = sorted(samples)
-        index = min(len(ordered) - 1,
-                    int(self.percentile * len(ordered)))
-        return ordered[index]
-
-    def record_hedge(self, won: bool) -> None:
-        with self._lock:
-            self.hedges_fired += 1
-            if won:
-                self.hedges_won += 1
-            else:
-                self.hedges_lost += 1
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {"hedges_fired": self.hedges_fired,
-                    "hedges_won": self.hedges_won,
-                    "hedges_lost": self.hedges_lost}
 
 
 class CircuitBreaker:
@@ -372,14 +313,10 @@ class ResiliencePolicy:
 
     def __init__(self, retry: Optional[RetryPolicy] = None,
                  health: Optional[HealthBoard] = None,
-                 default_deadline: Optional[float] = None,
-                 hedge: Optional[HedgePolicy] = None):
+                 default_deadline: Optional[float] = None):
         self.retry = retry if retry is not None else RetryPolicy()
         self.health = health if health is not None else HealthBoard()
         self.default_deadline = default_deadline
-        #: Hedged requests for idempotent replica reads; None (the
-        #: default) disables hedging.  The replica route consults it.
-        self.hedge = hedge
 
     def deadline_for(self, budget: Union[None, float, Deadline]
                      ) -> Optional[Deadline]:

@@ -81,8 +81,6 @@ class WebFinditSystem:
     def __init__(self, transport: Optional[Transport] = None,
                  ontology: Optional[Ontology] = None,
                  metadata_cache: Optional[MetadataCache] = None,
-                 parallel_discovery: bool = False,
-                 discovery_workers: Optional[int] = None,
                  resilience: Optional[ResiliencePolicy] = None,
                  isolate_sources: bool = False,
                  replication_factor: int = 1,
@@ -95,13 +93,9 @@ class WebFinditSystem:
         self.transport = transport if transport is not None \
             else InMemoryNetwork()
         self.ontology = ontology
-        #: Hot-path knobs: a process-local cache over co-database reads
-        #: (its epoch floors raised by registry mutations) and
-        #: concurrent frontier fan-out in every DiscoveryEngine this
-        #: system hands out.
+        #: Hot-path knob: a process-local cache over co-database reads
+        #: (its epoch floors raised by registry mutations).
         self.metadata_cache = metadata_cache
-        self.parallel_discovery = parallel_discovery
-        self.discovery_workers = discovery_workers
         #: One ORB (hence one transport endpoint) *per source* instead
         #: of one per product — each site runs its own server, so a
         #: fault plan can kill exactly one co-database's endpoint.
@@ -525,8 +519,7 @@ class WebFinditSystem:
                 refresh=lambda binding=binding:
                     self._refresh_replica_proxy(binding)))
         targets[0].proxy()  # a source never deployed has no binding
-        return ReplicaRoute(name, targets, health=self.registry.health,
-                            hedge=self.resilience.hedge)
+        return ReplicaRoute(name, targets, health=self.registry.health)
 
     def codatabase_client(self, database_name: str) -> CoDatabaseClient:
         """A CORBA-backed metadata client for one source's co-database.
@@ -584,8 +577,6 @@ class WebFinditSystem:
                               wrapper_for=self.wrapper_client,
                               registry=self.registry,
                               match_threshold=match_threshold,
-                              parallel=self.parallel_discovery,
-                              max_workers=self.discovery_workers,
                               policy=self.resilience)
 
     def browser(self, home_database: str) -> Browser:
@@ -632,8 +623,6 @@ class WebFinditSystem:
                 "retry_budget": (self.resilience.retry.budget.snapshot()
                                  if self.resilience.retry.budget is not None
                                  else None),
-                "hedging": (self.resilience.hedge.snapshot()
-                            if self.resilience.hedge is not None else None),
             },
             "replication": self._replication_metrics(),
             "sharding": {"shards": len(self.registry.shards),

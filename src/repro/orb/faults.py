@@ -188,7 +188,7 @@ class FaultyTransport(Transport):
              ) -> "FaultyTransport":
         """The server sheds the request with a ``BUSY`` reply before
         doing any work — an overloaded admission queue, scripted.  Lets
-        retry-budget and hedging behaviour be tested without actually
+        retry-budget behaviour be tested without actually
         saturating a server: the client sees exactly the synthesized
         GIOP frame a shedding :class:`~repro.orb.transport.TcpTransport`
         would produce."""

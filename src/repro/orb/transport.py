@@ -51,7 +51,7 @@ class TransportMetrics:
     """Counters accumulated by a transport, consumed by benchmarks.
 
     Transports serve many client threads at once (the event loop's
-    threads on the server side, parallel discovery fan-out on the client
+    threads on the server side, concurrent sessions on the client
     side), so every update happens under one lock — unlocked ``+=`` on
     these counters loses increments under contention.
     """
@@ -165,7 +165,7 @@ class InMemoryNetwork(Transport):
 
     def send(self, endpoint: Endpoint, data: bytes) -> bytes:
         # The lookup must happen under the lock: concurrent
-        # register/unregister during parallel discovery must not let a
+        # register/unregister during concurrent sessions must not let a
         # sender observe a torn view of the handler table.
         with self._lock:
             handler = self._handlers.get(endpoint)
@@ -432,8 +432,8 @@ _RECV_SIZE = 64 * 1024
 
 
 #: Listen backlog for every endpoint.  The loop drains accepts in a
-#: tight non-blocking burst, so a storm of connecting clients (parallel
-#: discovery fan-out) queues here instead of hitting kernel SYN
+#: tight non-blocking burst, so a storm of connecting clients (many
+#: concurrent sessions) queues here instead of hitting kernel SYN
 #: retransmit timers.
 _LOOP_BACKLOG = 512
 

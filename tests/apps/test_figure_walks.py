@@ -117,7 +117,6 @@ def test_walk_matches_the_parent_commit_cold_and_warm(cell, golden):
         cold = observed(walk(deployment.browser(topo.QUT)))
         warm = observed(walk(deployment.browser(topo.QUT)))
     finally:
-        deployment.system.query_processor().discovery.close()
         if transport is not None:
             transport.close()
     if cell == "mem":

@@ -46,11 +46,8 @@ def build_replicated(seed, transport=None, cached=False):
 
 def sweep(deployment, query=QUERY, **kwargs):
     engine = deployment.system.query_processor().discovery
-    try:
-        return engine.discover(query, topo.QUT, stop_at_first=False,
-                               max_hops=6, **kwargs)
-    finally:
-        engine.close()
+    return engine.discover(query, topo.QUT, stop_at_first=False,
+                           max_hops=6, **kwargs)
 
 
 def pick_dead(seed):

@@ -115,6 +115,19 @@ class TestScaledSystem:
         value = isi.invoke("Items", "LabelOf", [1])
         assert isinstance(value, str)
 
+    def test_system_and_space_build_one_topology(self):
+        from repro.bench import build_scaled_system
+
+        def shape(registry):
+            return ([(name, registry.coalition(name).members)
+                     for name in registry.coalition_names()],
+                    [link.to_wire() for link in registry.service_links()])
+
+        system = build_scaled_system(databases=14, coalitions=5, seed=23)
+        space = build_scaled_space(databases=14, coalitions=5, seed=23)
+        assert shape(system.registry) == shape(space.registry)
+        assert system.registry.source_names() == space.database_names
+
     def test_scaled_system_shape_validated(self):
         from repro.bench import build_scaled_system
         import pytest as _pytest

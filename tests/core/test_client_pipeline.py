@@ -85,7 +85,6 @@ class Cell:
         self.warm_giop = self.system.metrics()["giop_messages"]
 
     def close(self):
-        self.engine.close()
         if self.transport is not None:
             self.transport.close()
 

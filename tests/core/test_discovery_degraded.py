@@ -56,7 +56,7 @@ class FakeClock:
             self.now += seconds
 
 
-def make_engine(registry, dead=(), clock=None, policy=None, **kwargs):
+def make_engine(registry, dead=(), clock=None, policy=None):
     dead = set(dead)
 
     def resolver(name: str) -> CoDatabaseClient:
@@ -66,7 +66,7 @@ def make_engine(registry, dead=(), clock=None, policy=None, **kwargs):
             clock.advance(1.0)  # each consultation costs one tick
         return CoDatabaseClient.for_local(registry.codatabase(name))
 
-    return DiscoveryEngine(resolver, policy=policy, **kwargs)
+    return DiscoveryEngine(resolver, policy=policy)
 
 
 class TestDegradedReport:
@@ -217,23 +217,6 @@ class TestDegradedDiscovery:
         assert "RMIT" not in result.unreachable
         assert not result.degraded
         assert policy.retry.retries >= 2
-
-    def test_parallel_engine_reports_same_degradation(self):
-        registry = build_world()
-        sequential = make_engine(registry, dead={"RMIT"})
-        parallel = make_engine(registry, dead={"RMIT"}, parallel=True,
-                               max_workers=4)
-        try:
-            seq = sequential.discover("Medical Insurance", "QUT",
-                                      stop_at_first=False, max_hops=3)
-            par = parallel.discover("Medical Insurance", "QUT",
-                                    stop_at_first=False, max_hops=3)
-            assert [lead.name for lead in seq.leads] == \
-                [lead.name for lead in par.leads]
-            assert seq.unreachable == par.unreachable
-            assert seq.degraded.names() == par.degraded.names()
-        finally:
-            parallel.close()
 
     def test_depth_zero_failure_still_raises(self):
         registry = build_world()

@@ -1,6 +1,5 @@
 """Property-based tests: discovery invariants over random topologies."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -123,119 +122,6 @@ def lead_fingerprint(result):
              lead.contact, lead.members) for lead in result.leads]
 
 
-@given(topologies(), st.booleans())
-@settings(max_examples=40, deadline=None)
-def test_parallel_equals_sequential(topology, stop_at_first):
-    """The parallel fan-out engine is an optimisation, not a different
-    algorithm: leads, contact counts, call counts, traces, and
-    unreachable lists are identical to the sequential engine's."""
-    registry, names, databases = build(*topology)
-    sequential = engine_for(registry)
-    parallel = DiscoveryEngine(
-        lambda name: CoDatabaseClient.for_local(registry.codatabase(name)),
-        parallel=True, max_workers=4)
-    try:
-        topics = {registry.coalition(name).information_type
-                  for name in names} | {"nonexistent subject matter"}
-        for topic in sorted(topics):
-            for start in (databases[0], databases[-1]):
-                first = sequential.discover(topic, start, max_hops=10,
-                                            stop_at_first=stop_at_first)
-                second = parallel.discover(topic, start, max_hops=10,
-                                           stop_at_first=stop_at_first)
-                assert lead_fingerprint(first) == lead_fingerprint(second)
-                assert first.codatabases_contacted == \
-                    second.codatabases_contacted
-                assert first.metadata_calls == second.metadata_calls
-                assert first.max_depth_reached == second.max_depth_reached
-                assert first.trace == second.trace
-                assert first.unreachable == second.unreachable
-    finally:
-        parallel.close()
-
-
-@given(topologies())
-@settings(max_examples=20, deadline=None)
-def test_parallel_equals_sequential_with_failures(topology):
-    """Unreachable co-databases are skipped identically in both modes
-    (same unreachable list, same surviving leads)."""
-    from repro.errors import CommFailure
-
-    registry, names, databases = build(*topology)
-    start = databases[0]
-    # Kill every other database except the start (which must answer).
-    dead = {name for index, name in enumerate(databases)
-            if index % 2 == 1 and name != start}
-
-    def resolver(name):
-        if name in dead:
-            raise CommFailure(f"connection refused: {name}")
-        return CoDatabaseClient.for_local(registry.codatabase(name))
-
-    sequential = DiscoveryEngine(resolver)
-    parallel = DiscoveryEngine(resolver, parallel=True, max_workers=4)
-    try:
-        topic = registry.coalition(names[-1]).information_type
-        first = sequential.discover(topic, start, max_hops=10)
-        second = parallel.discover(topic, start, max_hops=10)
-        assert lead_fingerprint(first) == lead_fingerprint(second)
-        assert first.unreachable == second.unreachable
-        assert first.codatabases_contacted == second.codatabases_contacted
-        assert first.metadata_calls == second.metadata_calls
-        assert first.trace == second.trace
-        assert set(first.unreachable) <= dead
-    finally:
-        parallel.close()
-
-
-@pytest.mark.parametrize("workers", [1, 2, 4],
-                         ids=["workers1", "workers2", "workers4"])
-@given(topologies())
-@settings(max_examples=6, deadline=None)
-def test_parallel_equals_sequential_over_tcp(workers, topology):
-    """The deterministic-merge invariant survives the TCP transport:
-    with co-databases behind one real IIOP endpoint whose event loop
-    runs at most `workers` servants at once, and the parallel fan-out's
-    four callers each on their own pooled connection, leads, counts,
-    traces, and unreachable lists still match the sequential engine
-    exactly."""
-    from repro.core.codatabase import CODATABASE_INTERFACE, CoDatabaseServant
-    from repro.orb import ORBIX, TcpTransport, create_orb
-
-    registry, names, databases = build(*topology)
-    transport = TcpTransport(loop_workers=workers)
-    orb = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
-    try:
-        iors = {
-            name: orb.activate(
-                CoDatabaseServant(registry.codatabase(name)),
-                CODATABASE_INTERFACE, object_name=f"codb-{name}")
-            for name in databases
-        }
-
-        def resolver(name):
-            return CoDatabaseClient.for_proxy(
-                orb.proxy(iors[name], CODATABASE_INTERFACE), name)
-
-        sequential = DiscoveryEngine(resolver)
-        parallel = DiscoveryEngine(resolver, parallel=True, max_workers=4)
-        try:
-            topic = registry.coalition(names[-1]).information_type
-            for start in (databases[0], databases[-1]):
-                first = sequential.discover(topic, start, max_hops=10)
-                second = parallel.discover(topic, start, max_hops=10)
-                assert lead_fingerprint(first) == lead_fingerprint(second)
-                assert first.codatabases_contacted == \
-                    second.codatabases_contacted
-                assert first.metadata_calls == second.metadata_calls
-                assert first.trace == second.trace
-                assert first.unreachable == second.unreachable
-        finally:
-            parallel.close()
-    finally:
-        transport.close()
-
-
 @given(topologies())
 @settings(max_examples=30, deadline=None)
 def test_leads_sorted_and_deduplicated(topology):
@@ -265,13 +151,12 @@ def result_bytes(result):
     return dataclasses.asdict(result)
 
 
-@given(topologies(), st.integers(min_value=2, max_value=5), st.booleans())
+@given(topologies(), st.integers(min_value=2, max_value=5))
 @settings(max_examples=25, deadline=None)
-def test_sharded_discovery_equals_singleton(topology, shard_count,
-                                            parallel_mode):
+def test_sharded_discovery_equals_singleton(topology, shard_count):
     """Sharding the registry is invisible to discovery: for any random
-    topology, any shard count, sequential or parallel fan-out, the
-    DiscoveryResult is byte-identical to the singleton deployment's."""
+    topology and any shard count, the DiscoveryResult is byte-identical
+    to the singleton deployment's."""
     from repro.core.sharding import HashRing
 
     singleton, names, databases = build(*topology)
@@ -279,24 +164,15 @@ def test_sharded_discovery_equals_singleton(topology, shard_count,
                        ring=HashRing(range(shard_count), vnodes=8))
     populate(sharded, *topology)
 
-    def sharded_engine():
-        return DiscoveryEngine(
-            lambda name: CoDatabaseClient.for_local(
-                sharded.codatabase(name)),
-            parallel=parallel_mode, max_workers=4)
-
     reference = engine_for(singleton)
-    engine = sharded_engine()
-    try:
-        topics = {singleton.coalition(name).information_type
-                  for name in names} | {"nonexistent subject matter"}
-        for topic in sorted(topics):
-            for start in (databases[0], databases[-1]):
-                expected = reference.discover(topic, start, max_hops=10)
-                actual = engine.discover(topic, start, max_hops=10)
-                assert result_bytes(actual) == result_bytes(expected)
-    finally:
-        engine.close()
+    engine = engine_for(sharded)
+    topics = {singleton.coalition(name).information_type
+              for name in names} | {"nonexistent subject matter"}
+    for topic in sorted(topics):
+        for start in (databases[0], databases[-1]):
+            expected = reference.discover(topic, start, max_hops=10)
+            actual = engine.discover(topic, start, max_hops=10)
+            assert result_bytes(actual) == result_bytes(expected)
 
 
 @given(topologies(), st.integers(min_value=2, max_value=4))

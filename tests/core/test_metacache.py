@@ -217,8 +217,7 @@ class TestSystemWiring:
         from repro.sql.engine import Database
 
         cache = MetadataCache()
-        system = WebFinditSystem(metadata_cache=cache,
-                                 parallel_discovery=True)
+        system = WebFinditSystem(metadata_cache=cache)
         for name, topic in [("alpha", "astronomy"), ("beta", "astronomy"),
                             ("gamma", "geology")]:
             database = Database(name)
@@ -246,7 +245,6 @@ class TestSystemWiring:
                     information_type="geology")
         after = processor.discovery.discover("geology", "alpha")
         assert after.resolved
-        processor.discovery.close()
 
 
 @pytest.mark.parametrize("operation", sorted(CACHEABLE_OPERATIONS))

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core.codatabase import CoDatabaseServant
+from repro.core.coalition import Coalition
+from repro.core.codatabase import CoDatabase, CoDatabaseServant
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -213,3 +214,38 @@ class TestEpochRoundTrip:
         assert restored.epoch == restored.applied == 3
         assert CoDatabaseServant(restored).versioned(
             "consult", ["Medical", True, 0.5])["epoch"] == 3
+
+
+
+def _verdict(codatabase, operation):
+    """What *codatabase* says to a write naming the coalition "Medical":
+    accepted, or the class of error it refuses with."""
+    calls = {
+        "add_member": lambda: codatabase.add_member(
+            "Medical", SourceDescription(name="Mater",
+                                         information_type="medical")),
+        "remove_member": lambda: codatabase.remove_member("Medical",
+                                                          "Mater"),
+        "record_membership": lambda: codatabase.record_membership(
+            "Medical"),
+    }
+    try:
+        calls[operation]()
+    except WebFinditError as exc:
+        return "refused", type(exc).__name__
+    return "accepted", codatabase.epoch
+
+
+@pytest.mark.parametrize("operation", ["add_member", "remove_member",
+                                       "record_membership"])
+def test_a_write_to_a_dissolved_coalition_gets_one_verdict(operation):
+    """A forgotten coalition's class stays in the live co-database's
+    append-only schema, but not in a snapshot-restored copy: both must
+    refuse a write that names it, or replication quarantines the copy
+    for a write the live one took."""
+    live = CoDatabase("RBH")
+    live.register_coalition(Coalition("Medical", "medical"))
+    live.forget_coalition("Medical")
+    restored = import_codatabase(export_codatabase(live))
+    assert _verdict(live, operation) == _verdict(restored, operation) \
+        == ("refused", "UnknownCoalition")
