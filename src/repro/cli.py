@@ -251,10 +251,6 @@ def main(argv: Optional[list[str]] = None,
                         help="with --tcp: servant dispatch threads the "
                              "event loop shares across all endpoints "
                              "(default 6; see docs/event-loop.md)")
-    parser.add_argument("--shedding", action="store_true",
-                        help="with --tcp: deadline-aware admission "
-                             "control and load shedding on every "
-                             "endpoint (see docs/overload.md)")
     parser.add_argument("--deadline", type=float, default=None,
                         help="total time budget (seconds) that bounds "
                              "every statement; a resolution reports "
@@ -283,11 +279,8 @@ def main(argv: Optional[list[str]] = None,
 
     transport = None
     if options.tcp:
-        from repro.orb.overload import OverloadPolicy
         from repro.orb.transport import TcpTransport
-        overload = OverloadPolicy(shed=True) if options.shedding else None
-        transport = TcpTransport(loop_workers=options.loop_workers,
-                                 overload=overload)
+        transport = TcpTransport(loop_workers=options.loop_workers)
     resilience = None
     if options.deadline is not None:
         from repro.core.resilience import ResiliencePolicy

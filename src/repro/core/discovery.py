@@ -38,6 +38,7 @@ from repro.core.codatabase import (CoDatabase, CoDatabaseServant,
                                    ConsultAnswer)
 from repro.core.metacache import CACHEABLE_OPERATIONS, MetadataCache
 from repro.core.model import SourceDescription
+from repro.core.replication import ReplicatedCoDatabase
 from repro.core.resilience import (Deadline, ResiliencePolicy, as_deadline,
                                    call_policy, current_policy)
 from repro.core.service_link import ServiceLink
@@ -63,7 +64,9 @@ class CoDatabaseClient:
     * **route** — *target* is anything with ``invoke``: one servant's
       CORBA proxy, or a :class:`~repro.core.replication.ReplicaRoute`
       across a replica set.  An in-process :class:`CoDatabase` (unit
-      tests, the centralized baseline) is read directly.
+      tests, the centralized baseline) is read directly, and an
+      in-process :class:`~repro.core.replication.ReplicatedCoDatabase`
+      through its current primary, as the facade's own reads are.
     * **invoke** — one metadata call, flagged idempotent, counted in
       :attr:`calls`: the *remote* metadata-call currency of
       ``DiscoveryResult.metadata_calls``.  Cache hits never increment
@@ -88,7 +91,8 @@ class CoDatabaseClient:
         self.cache_misses = 0
 
     @classmethod
-    def for_local(cls, codatabase: CoDatabase) -> "CoDatabaseClient":
+    def for_local(cls, codatabase: Union[CoDatabase, ReplicatedCoDatabase]
+                  ) -> "CoDatabaseClient":
         return cls(codatabase, codatabase.owner_name)
 
     @classmethod
@@ -123,6 +127,8 @@ class CoDatabaseClient:
     def _invoke(self, operation: str, *args: Any) -> Any:
         self.calls += 1
         target = self._target
+        if isinstance(target, ReplicatedCoDatabase):
+            target = target.primary
         if isinstance(target, CoDatabase):
             # In process, the operations are still the servant's: it is
             # what tags a ``versioned`` read for a cache and answers

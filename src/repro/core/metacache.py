@@ -171,10 +171,6 @@ class MetadataCache:
         self.invalidations += len(doomed)
         return len(doomed)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)

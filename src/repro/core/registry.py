@@ -462,9 +462,6 @@ class Registry:
     def source(self, name: str) -> SourceDescription:
         return self._shard(name).source(name)
 
-    def has_source(self, name: str) -> bool:
-        return self._shard(name).has_source(name)
-
     def codatabase(self, name: str) -> CoDatabase:
         return self._shard(name).codatabase(name)
 

@@ -278,10 +278,6 @@ class HealthBoard:
         with self._lock:
             self._breakers.pop(key, None)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._breakers.clear()
-
     def open_endpoints(self) -> list[str]:
         with self._lock:
             breakers = list(self._breakers.items())

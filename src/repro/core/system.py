@@ -599,14 +599,15 @@ class WebFinditSystem:
         # come from the same instant or they tear under load.
         transport_snapshot = (transport_metrics.snapshot()
                               if transport_metrics is not None else {})
-        orb_stats = {
-            orb.product: {
-                "requests_sent": orb.stats.requests_sent,
-                "requests_handled": orb.stats.requests_handled,
-                "cross_product_requests": orb.stats.cross_product_requests,
-            }
-            for orb in [self._system_orb, *self._orbs.values()]
-        }
+        # Isolated sources and replicas run several ORBs of one
+        # product: a product's row sums them all.
+        orb_stats: dict[str, dict[str, int]] = {}
+        for orb in [self._system_orb, *self._orbs.values()]:
+            row = orb_stats.setdefault(orb.product, dict.fromkeys(
+                ("requests_sent", "requests_handled",
+                 "cross_product_requests"), 0))
+            for counter in row:
+                row[counter] += getattr(orb.stats, counter)
         return {
             "giop_messages": transport_snapshot.get("messages_sent", 0),
             "giop_bytes_sent": transport_snapshot.get("bytes_sent", 0),

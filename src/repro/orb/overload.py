@@ -27,9 +27,7 @@ The :class:`AdmissionController` defends the dispatch pool of
 Every shed is answered with a distinct ``BUSY`` reply (never a silent
 close), so clients can tell "the server is protecting itself" from
 "the server is broken" and apply retry *budgets* rather than failover
-storms.  All of it is off by default (``OverloadPolicy.shed=False`` is
-never constructed implicitly); the transport behaves exactly as before
-unless a policy is passed or ``REPRO_SHEDDING=1`` is set.
+storms.
 """
 
 from __future__ import annotations
@@ -54,9 +52,6 @@ SHED_DEADLINE = "deadline"       # caller's budget already spent
 class OverloadPolicy:
     """Tuning knobs for one transport's admission controller."""
 
-    #: Master switch: when False the controller admits everything and
-    #: records nothing (the transport skips it entirely).
-    shed: bool = True
     #: Hard cap on admitted-but-undispatched requests.
     queue_limit: int = 256
     #: Fraction of ``queue_limit`` past which *background* requests are
@@ -100,10 +95,6 @@ class AdmissionController:
         self.shed_brownout = 0
         self.shed_overload = 0
         self.shed_deadline = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.policy.shed
 
     @property
     def pending(self) -> int:

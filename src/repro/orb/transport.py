@@ -24,7 +24,6 @@ Both expose the same two operations: ``register`` a server endpoint and
 from __future__ import annotations
 
 import itertools
-import os
 import selectors
 import socket
 import threading
@@ -37,7 +36,8 @@ from repro.deadline import Deadline, current_policy
 from repro.errors import CommFailure, DeadlineExceeded, MarshalError
 from repro.orb.giop import (HEADER_SIZE, busy_reply, peek_frame_size,
                             peek_request, peek_request_admission)
-from repro.orb.overload import AdmissionController, OverloadPolicy
+from repro.orb.overload import (AdmissionController, AdmissionTicket,
+                                OverloadPolicy)
 
 #: A server-side message handler: request bytes in, reply bytes out
 #: (None for oneway messages).
@@ -443,20 +443,10 @@ _LOOP_BACKLOG = 512
 _POOL_SIZE = 8
 
 
-def _shed_default() -> bool:
-    """Process-wide default for ``TcpTransport(overload=...)``: CI's
-    overload matrix turns admission control on for whole suites by
-    exporting ``REPRO_SHEDDING=1``.  Off unless asked for — shedding
-    changes observable behaviour (BUSY replies) and must never
-    surprise a test that queues deliberately."""
-    return os.environ.get("REPRO_SHEDDING", "").lower() in (
-        "1", "true", "yes", "on")
-
-
 #: One servant dispatch waiting for a thread: ``(run, cancel)``, where
-#: *cancel* (or None) hands back whatever the dispatch held if it is
-#: dropped unrun.
-_Job = tuple[Callable[[], None], Optional[Callable[[], None]]]
+#: *cancel* hands back whatever the dispatch held if it is dropped
+#: unrun.
+_Job = tuple[Callable[[], None], Callable[[], None]]
 
 
 class _LoopThread(threading.Thread):
@@ -589,8 +579,7 @@ class _EventLoop:
         with self._lock:
             doomed, self._jobs = self._jobs, deque()
         for __, cancel in doomed:
-            if cancel is not None:
-                cancel()
+            cancel()
 
     def drain(self, timeout: float) -> None:
         """Wait up to *timeout* seconds for running jobs to finish."""
@@ -617,7 +606,7 @@ class _EventLoop:
     # ---------------------------------------------------- poller only --
 
     def dispatch(self, run: Callable[[], None],
-                 cancel: Optional[Callable[[], None]] = None) -> None:
+                 cancel: Callable[[], None]) -> None:
         """Queue one servant job; the poller takes it at the end of its
         iteration, or a finishing thread or the watching spare soon
         after (nobody is woken for it)."""
@@ -996,13 +985,9 @@ class TcpTransport(Transport):
         self.host = host
         self.timeout = timeout
         self.loop_workers = max(1, int(loop_workers))
-        #: Server-side admission control, defaulting from
-        #: ``REPRO_SHEDDING``.  Disabled, the controller is never
-        #: consulted and the dispatch path is byte-identical to a
-        #: transport built before it existed.
-        if overload is None:
-            overload = OverloadPolicy(shed=_shed_default())
-        self.admission = AdmissionController(overload)
+        #: Server-side admission control: every request this transport
+        #: serves is admitted, queued and dequeued through it.
+        self.admission = AdmissionController(overload or OverloadPolicy())
         self._pool = _ConnectionPool(max_idle=_POOL_SIZE)
         self._listeners: dict[Endpoint, _LoopListener] = {}
         self._lock = threading.Lock()
@@ -1053,30 +1038,26 @@ class TcpTransport(Transport):
         Admission control runs *here*, so a shed request costs the
         poller a service-context peek and a BUSY reply instead of a
         servant slot."""
-        ticket = None
-        if self.admission.enabled:
-            ticket, reason = self.admission.enqueue(
-                *peek_request_admission(frame))
-            if reason is not None:
-                self._shed(connection, frame, reason)
-                return
+        ticket, reason = self.admission.enqueue(
+            *peek_request_admission(frame))
+        if reason is not None:
+            self._shed(connection, frame, reason)
+            return
         # A job that ``close()`` cancels before any thread runs it never
         # reaches ``_serve_loop_frame``, so its admission slot is handed
         # back by the cancel hook — or it leaks on the shared controller.
         connection.loop.dispatch(
             lambda: self._serve_loop_frame(connection, frame, ticket),
-            None if ticket is None
-            else lambda: self.admission.abandon(ticket))
+            lambda: self.admission.abandon(ticket))
 
     def _serve_loop_frame(self, connection: _LoopServerConnection,
-                          frame: Frame, ticket=None) -> None:
+                          frame: Frame, ticket: AdmissionTicket) -> None:
         """Loop thread, off the selector: run the servant and write
         the reply straight back."""
-        if ticket is not None:
-            reason = self.admission.dequeue(ticket)
-            if reason is not None:
-                self._shed(connection, frame, reason)
-                return
+        reason = self.admission.dequeue(ticket)
+        if reason is not None:
+            self._shed(connection, frame, reason)
+            return
         try:
             reply = connection.listener.handler(frame)
         except Exception:  # noqa: BLE001 - undecodable frame: the

@@ -1,19 +1,16 @@
 """Chaos acceptance: overload behaviour of the federation.
 
-Two scenarios, both seeded (``CHAOS_SEED``), the second honouring the
-shedding env switch the CI tier-2 matrix sweeps (``REPRO_SHEDDING``):
+Two scenarios, both seeded (``CHAOS_SEED``):
 
 * **busy faults** — co-databases that shed every request with a BUSY
   reply must degrade discovery, not crash it, and the retry *budget*
   must keep total retry volume a bounded fraction of offered load no
   matter how tempting the retries are.
 * **request storm** — a burst far past a tiny server's capacity, every
-  request carrying a deadline.  With shedding enabled the server
-  refuses work it cannot finish in budget (and the counters show it);
-  with shedding disabled the admission layer must be provably inert.
+  request carrying a deadline.  The server's admission controller
+  refuses work it cannot finish in budget (and the counters show it).
 """
 
-import os
 import random
 import threading
 import time
@@ -41,10 +38,6 @@ SERVICE_TIME = 0.02
 WORKERS = 2
 
 ECHO = InterfaceBuilder("Echo").operation("echo", "value").build()
-
-
-def _shedding_enabled():
-    return os.environ.get("REPRO_SHEDDING", "0") == "1"
 
 
 @pytest.mark.chaos
@@ -94,11 +87,8 @@ class SlowEchoServant:
 
 @pytest.mark.chaos
 def test_request_storm_respects_shedding_configuration(chaos_seed):
-    """A burst at ~6x capacity: shed when asked to, stay inert when not.
-
-    Shedding comes from the environment, so the CI matrix drives both
-    settings through this one test body.
-    """
+    """A burst at ~6x capacity against a default transport: its
+    admission controller sheds what it cannot serve in budget."""
     transport = TcpTransport(loop_workers=WORKERS, timeout=5.0)
     budget = RetryBudget(ratio=RETRY_RATIO, burst=10.0)
     outcomes = {"ok": 0, "shed": 0, "expired": 0, "comm": 0}
@@ -138,26 +128,19 @@ def test_request_storm_respects_shedding_configuration(chaos_seed):
         # Clients that missed their deadline gave up *client-side*; the
         # server is still working through the backlog and only sheds
         # their corpses at dequeue.  Let the queue drain before reading
-        # the counters (a no-op when admission is disabled: pending 0).
+        # the counters.
         drain_until = time.monotonic() + 10.0
         while transport.admission.pending > 0 \
                 and time.monotonic() < drain_until:
             time.sleep(0.02)
         shed = transport.metrics.requests_shed
         expired = transport.metrics.requests_expired
-        if _shedding_enabled():
-            # Overloaded and allowed to defend itself: the deadline-
-            # aware admission layer refused work it could not finish,
-            # and what it did accept largely completed in budget.
-            assert shed + expired > 0, transport.admission.snapshot()
-            assert outcomes["ok"] >= STORM_CLIENTS // 4, outcomes
-        else:
-            # The seed's behaviour, bit for bit: admission never even
-            # consulted, nothing shed, overload felt only as client-side
-            # deadline misses.
-            assert shed == 0 and expired == 0
-            assert transport.admission.snapshot()["admitted"] == 0
-        # Either way the storm's transparent resends stayed budgeted.
+        # Overloaded, the deadline-aware admission layer refused work
+        # it could not finish, and what it did accept largely completed
+        # in budget.
+        assert shed + expired > 0, transport.admission.snapshot()
+        assert outcomes["ok"] >= STORM_CLIENTS // 4, outcomes
+        # The storm's transparent resends stayed budgeted.
         snapshot = budget.snapshot()
         assert snapshot["granted"] <= \
             RETRY_RATIO * snapshot["attempts"] + 10.0, snapshot

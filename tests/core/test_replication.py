@@ -89,6 +89,22 @@ class TestReplicatedWrites:
         facade.mark_dead(0)
         assert facade.memberships == ["Cardio"]  # now served by r1
 
+    def test_a_local_client_reads_the_current_primary(self):
+        facade = populated(replicas=2)
+        client = CoDatabaseClient.for_local(facade)
+        assert client.describe_instance("Beta").name == "Beta"
+        facade.mark_dead(0)
+        assert client.memberships() == ["Cardio"]  # now served by r1
+        assert client.calls == 2
+
+    def test_a_local_client_over_a_replicated_deployment(self):
+        from repro.apps.healthcare import build_healthcare_system
+        from repro.apps.healthcare import topology as topo
+        registry = build_healthcare_system(replication_factor=2) \
+            .system.registry
+        client = CoDatabaseClient.for_local(registry.codatabase(topo.RBH))
+        assert client.describe_instance(topo.RBH).name == topo.RBH
+
     def test_needs_at_least_one_replica(self):
         with pytest.raises(WebFinditError):
             ReplicatedCoDatabase("Alpha", replicas=0)

@@ -116,6 +116,21 @@ class TestFourLayers:
         metrics = system.metrics()
         assert metrics["giop_messages"] == 0
 
+    def test_orb_counters_sum_every_orb_of_a_product(self):
+        """With a dedicated ORB per source, several ORBs share one
+        product: the per-product row adds all of them up."""
+        from repro.apps.healthcare import build_healthcare_system
+        system = build_healthcare_system(isolate_sources=True).system
+        system.reset_metrics()
+        for spec in topo.DATABASE_SPECS:
+            assert system.wrapper_client(spec.name).banner
+        per_orb = system.metrics()["orbs"]
+        for product in ("Orbix", "OrbixWeb", "VisiBroker for Java"):
+            orbs = [orb for orb in system.orbs() if orb.product == product]
+            assert len(orbs) > 1
+            assert per_orb[product]["requests_handled"] == \
+                sum(orb.stats.requests_handled for orb in orbs) > 1
+
 
 @pytest.fixture(scope="module")
 def deployments():

@@ -39,17 +39,13 @@ class FakeClock:
 
 
 def controller(clock, **overrides):
-    defaults = dict(shed=True, queue_limit=4, background_fraction=0.5,
+    defaults = dict(queue_limit=4, background_fraction=0.5,
                     codel_target=0.05, codel_interval=0.5)
     defaults.update(overrides)
     return AdmissionController(OverloadPolicy(**defaults), clock=clock)
 
 
 class TestAdmissionController:
-    def test_disabled_policy_reports_disabled(self):
-        admission = AdmissionController(OverloadPolicy(shed=False))
-        assert not admission.enabled
-
     def test_admit_and_dequeue_fast_request(self):
         clock = FakeClock()
         admission = controller(clock)
@@ -211,7 +207,7 @@ class TestOverloadWireProtocol:
 def _always_shedding_policy():
     """codel target+interval of zero: the first dispatch arms the CoDel
     clock and every later dequeue sheds — deterministic overload."""
-    return OverloadPolicy(shed=True, codel_target=0.0, codel_interval=0.0)
+    return OverloadPolicy(codel_target=0.0, codel_interval=0.0)
 
 
 #: The TCP tests run against the one server a TcpTransport has; the id
@@ -235,9 +231,11 @@ class TestSheddingOverTcp:
         finally:
             transport.close()
 
-    @EVENT_LOOP
-    def test_shedding_disabled_is_inert(self, server):
-        transport = TcpTransport(overload=OverloadPolicy(shed=False))
+    def test_default_transport_admits_every_request(self):
+        """Admission control has no off switch: a transport built with
+        no policy admits, queues and dequeues every request it serves
+        through its controller."""
+        transport = TcpTransport()
         try:
             server = create_orb(ORBIX, transport, host="127.0.0.1", port=0)
             client = create_orb(VISIBROKER, transport, host="127.0.0.1",
@@ -245,8 +243,10 @@ class TestSheddingOverTcp:
             proxy = client.proxy(server.activate(EchoServant(), ECHO), ECHO)
             for index in range(5):
                 assert proxy.echo(index) == index
+            snapshot = transport.admission.snapshot()
+            assert snapshot["admitted"] >= 5
+            assert snapshot["pending"] == 0
             assert transport.metrics.requests_shed == 0
-            assert transport.admission.snapshot()["admitted"] == 0
         finally:
             transport.close()
 
@@ -301,7 +301,7 @@ class TestSheddingOverTcp:
                 release.wait(5.0)
                 return value
 
-        policy = OverloadPolicy(shed=True, queue_limit=64,
+        policy = OverloadPolicy(queue_limit=64,
                                 codel_target=10.0, codel_interval=10.0)
         transport = TcpTransport(loop_workers=1, overload=policy)
         closer = threading.Thread(target=transport.close, daemon=True)
