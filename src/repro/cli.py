@@ -38,8 +38,8 @@ silently returning less, any other statement fails with the deadline.
 primary into majority-quorum writes under lease-fenced election, and
 ``--sync {never,batch,always}`` picks the journal's group-commit fsync
 policy with ``--durable-dir`` (see ``docs/quorum.md``).
-``--shards N`` splits the registry over N consistent-hash shards, each
-exported on its own ORB endpoint (see ``docs/sharding.md``).
+``--shards N`` splits the registry over N in-process consistent-hash
+shards (see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -160,9 +160,7 @@ class Shell:
             self._print_replicas(status)
         elif command == "shards":
             report = self.deployment.system.shard_report()
-            self._print(f"registry shards: {report['shards']} "
-                        f"(naming generation "
-                        f"{report['naming_generation']})")
+            self._print(f"registry shards: {report['shards']}")
             ring = report["ring"]
             points = ", ".join(
                 f"shard{node}={count}"

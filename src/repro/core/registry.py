@@ -37,19 +37,17 @@ primitives to whichever shard the ring says owns each name:
   federation-wide routing metadata and are replicated to every shard in
   coordinator order, so every shard stores the same link ordering.
 
-``Registry()`` is a ring of one in-process shard, ``Registry(shards=4)``
-a ring of four; the shard handles may equally be proxies over
-:data:`~repro.core.sharding.REGISTRY_SHARD_INTERFACE`, whose operations
-are these primitives under the same names.  The partition never
-shows: any shard count performs the same counted co-database writes and
-fires the same invalidation sets (the invariant
+``Registry()`` is a ring of one shard, ``Registry(shards=4)`` a ring
+of four; every shard is in-process.  The partition never shows:
+any shard count performs the same counted co-database writes and fires
+the same invalidation sets (the invariant
 ``tests/core/test_sharding_properties.py`` locks down).
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.core.coalition import Coalition
 from repro.core.codatabase import MAINTENANCE_WRITES, CoDatabase
@@ -60,7 +58,6 @@ from repro.core.service_link import EndpointKind, ServiceLink
 from repro.core.sharding import HashRing
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
-from repro.orb.orb import Proxy
 
 
 class RegistryShard:
@@ -286,7 +283,7 @@ class RegistryShard:
 
     def remove_link(self, link: ServiceLink) -> None:
         """Remove the stored link with *link*'s identity: the caller's
-        copy may have crossed GIOP, or lack the filled-in contact."""
+        copy may lack the filled-in contact."""
         stored = self.find_link(link)
         if stored is None:
             raise WebFinditError(
@@ -302,7 +299,7 @@ class RegistryShard:
     #: Co-database mutators the coordinator may issue through
     #: :meth:`codb_write` — the declared surface minus ``advertise``
     #: (an advertisement is written by ``add_source`` and
-    #: ``refresh_advertisement`` alone).  This is the auditable wire
+    #: ``refresh_advertisement`` alone).  This is the auditable write
     #: surface of a registry shard.
     CODB_WRITE_OPERATIONS = frozenset(MAINTENANCE_WRITES) - {"advertise"}
 
@@ -349,10 +346,6 @@ class RegistryShard:
         }
 
 
-#: An in-process shard, or a proxy over REGISTRY_SHARD_INTERFACE.
-ShardHandle = Union[RegistryShard, Proxy]
-
-
 class Registry:
     """Administers coalitions, service links, sources, and co-databases
     across one or more consistent-hash shards."""
@@ -360,17 +353,14 @@ class Registry:
     def __init__(self, ontology: Optional[Ontology] = None,
                  codatabase_factory: Optional[Callable[[str], CoDatabase]]
                  = None,
-                 shards: Union[int, Sequence[ShardHandle]] = 1,
+                 shards: int = 1,
                  ring: Optional[HashRing] = None):
-        """*shards* is a count of in-process shards to create, or the
-        handles (in-process, typed proxies, or a mix) to coordinate;
-        *ring* defaults to one over the shard indices."""
-        if isinstance(shards, int):
-            shards = [RegistryShard(ontology, codatabase_factory)
-                      for __ in range(shards)]
-        if not shards:
+        """*shards* is the count of in-process shards to create; *ring*
+        defaults to one over the shard indices."""
+        if shards < 1:
             raise WebFinditError("a registry needs >= 1 shard")
-        self.shards: list[ShardHandle] = list(shards)
+        self.shards = [RegistryShard(ontology, codatabase_factory)
+                       for __ in range(shards)]
         self.ring = ring if ring is not None \
             else HashRing(range(len(self.shards)))
         if sorted(self.ring.nodes()) != sorted(range(len(self.shards))):
@@ -387,28 +377,17 @@ class Registry:
         """Ring lookup: index of the shard owning *name*."""
         return self.ring.owner(name)
 
-    def _shard(self, name: str) -> ShardHandle:
+    def _shard(self, name: str) -> RegistryShard:
         return self.shards[self.ring.owner(name)]
 
     @property
     def update_operations(self) -> int:
         """Aggregate counted co-database writes across all shards."""
-        return sum(shard.shard_status()["update_operations"]
-                   for shard in self.shards)
+        return sum(shard.update_operations for shard in self.shards)
 
     def add_invalidation_listener(
             self, listener: Callable[[dict[str, int]], None]) -> None:
-        """Subscribe to mutations on every in-process shard.
-
-        Remote shards run their listeners server-side, in the shard
-        server's own process, so a proxy-only coordinator cannot
-        subscribe from here.
-        """
-        for shard in self.shards:
-            if not isinstance(shard, RegistryShard):
-                raise WebFinditError(
-                    "invalidation listeners attach in the shard server "
-                    "process, not through a remote shard handle")
+        """Subscribe to mutations on every shard."""
         for shard in self.shards:
             shard.add_invalidation_listener(listener)
 
@@ -455,9 +434,7 @@ class Registry:
                                                    description)
                 touched.add(member)
         self._notify(touched)
-        if isinstance(shard, RegistryShard):
-            return shard.codatabase(name)
-        return None
+        return shard.codatabase(name)
 
     def source(self, name: str) -> SourceDescription:
         return self._shard(name).source(name)

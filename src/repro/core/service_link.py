@@ -32,8 +32,8 @@ class EndpointKind(enum.Enum):
                 f"database, not {value!r}") from exc
 
 
-# A bare kind still crosses the wire: a remote registry shard's
-# ``drop_links_involving(kind, name)``.
+# A bare kind is a value type of its own: ``tests/orb/cdr_golden.json``
+# pins its bytes.
 register_value("EndpointKind", EndpointKind,
                *struct_value(lambda kind: kind.value, EndpointKind.parse))
 

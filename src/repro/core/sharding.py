@@ -1,7 +1,7 @@
 """Consistent-hash sharding of the WebFINDIT registry.
 
 The paper's repository layer is one logical catalog; this module is the
-machinery that lets N autonomous registry servants share it.
+machinery that splits it into N shards.
 Co-database and coalition names are placed on a :class:`HashRing`
 (SHA-1 based, vnode-weighted, so the mapping is identical in every
 process regardless of ``PYTHONHASHSEED``) and each shard owns the names
@@ -11,27 +11,19 @@ shard is asked what, and how fan-out reads merge — live once, in
 from the shard-local primitives of
 :class:`~repro.core.registry.RegistryShard`.
 
-Shards are exported over the ORB by :class:`RegistryShardServant`
-(interface :data:`REGISTRY_SHARD_INTERFACE`, bound at
-``webfindit/registry/shard<i>``).  The interface *is* the primitive
-surface — same operation names, same arities — and the model objects
-the primitives exchange are CDR value types, so a remote shard handle
-is nothing more than ``orb.proxy(ior, REGISTRY_SHARD_INTERFACE)``: the
-coordinator does not care whether a shard is in-process or across GIOP.
+Every shard is an in-process :class:`~repro.core.registry.RegistryShard`
+of the one coordinator: the paper's CORBA traffic is queries to
+co-database servers and calls to each source's ISI, and no peer reaches
+a registry shard over GIOP.
 """
 
 from __future__ import annotations
 
 import bisect
 import hashlib
-import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Iterable
 
 from repro.errors import WebFinditError
-from repro.orb.idl import InterfaceBuilder, InterfaceDef
-
-if TYPE_CHECKING:  # registry.py imports this module for the ring
-    from repro.core.registry import RegistryShard
 
 #: Virtual nodes per unit of shard weight.  64 points per shard keeps
 #: the largest/smallest arc ratio low enough that random name sets
@@ -117,80 +109,3 @@ class HashRing:
         return {"vnodes": self.vnodes,
                 "points": {str(node): count
                            for node, count in counts.items()}}
-
-
-# ---------------------------------------------------------------------------
-# CORBA surface of one registry shard
-# ---------------------------------------------------------------------------
-
-#: The registry-shard server interface: the shard-local primitive
-#: surface of :class:`RegistryShard` under the same names, plus the
-#: reads the coordinator fans out.  ``codatabase`` is deliberately not
-#: here — co-database objects are shard-local; remote peers resolve the
-#: co-database servant through the naming service instead.
-REGISTRY_SHARD_INTERFACE: InterfaceDef = (
-    InterfaceBuilder("RegistryShard", module="webfindit",
-                     doc="One consistent-hash arc of the registry")
-    .operation("has_source", "name")
-    .operation("source", "name")
-    .operation("source_names")
-    .operation("memberships_of", "name")
-    .operation("coalitions_containing", "member")
-    .operation("epochs")
-    .operation("epoch_of", "name")
-    .operation("leases")
-    .operation("summary")
-    .operation("has_coalition", "name")
-    .operation("coalition", "name")
-    .operation("coalition_names")
-    .operation("children_of", "name")
-    .operation("service_links")
-    .operation("find_link", "link")
-    .operation("shard_status")
-    .operation("add_source", "description", "codatabase_product")
-    .operation("refresh_advertisement", "description")
-    .operation("refresh_member", "member_name", "coalition_name",
-               "description")
-    .operation("drop_source", "name")
-    .operation("drop_links_involving", "kind", "name")
-    .operation("put_coalition", "coalition")
-    .operation("drop_coalition", "name")
-    .operation("note_child", "parent", "child")
-    .operation("forget_child", "parent", "child")
-    .operation("coalition_add_member", "coalition_name", "database_name")
-    .operation("coalition_remove_member", "coalition_name", "database_name")
-    .operation("append_link", "link")
-    .operation("remove_link", "link")
-    .operation("codb_write", "database_name", "operation", "arguments")
-    .operation("notify_mutation", "names")
-    .build())
-
-
-class RegistryShardServant:
-    """CORBA skeleton of one :class:`RegistryShard`.
-
-    Every operation of :data:`REGISTRY_SHARD_INTERFACE` is the shard's
-    same-named primitive; the skeleton adds only what a server adds.  A
-    shard server is a single authoritative writer for its arc, so every
-    operation runs under one lock (the in-process :class:`RegistryShard`
-    is not thread-safe); ``tests/core/test_sharding_properties.py``
-    holds every operation to that lock.
-    """
-
-    def __init__(self, registry: RegistryShard):
-        self.registry = registry
-        self._lock = threading.Lock()
-
-    def __getattr__(self, operation: str) -> Callable[..., Any]:
-        if REGISTRY_SHARD_INTERFACE.find_operation(operation) is None:
-            raise AttributeError(operation)
-        primitive = getattr(self.registry, operation)
-
-        def locked(*arguments: Any) -> Any:
-            with self._lock:
-                result = primitive(*arguments)
-            # add_source answers in-process callers with the new
-            # CoDatabase, which is shard-local and not a wire value.
-            return None if operation == "add_source" else result
-
-        return locked

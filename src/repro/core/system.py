@@ -45,8 +45,6 @@ from repro.core.replication import (DEFAULT_LEASE_DURATION, ReplicaRoute,
                                     replica_key)
 from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
-from repro.core.sharding import (REGISTRY_SHARD_INTERFACE,
-                                 RegistryShardServant)
 from repro.errors import UnknownDatabase, WebFinditError
 from repro.gateway.api import DriverManager
 from repro.gateway.drivers import LocalDriver
@@ -122,9 +120,8 @@ class WebFinditSystem:
                      or durable_dir is not None
                      or snapshot_every is not None
                      or quorum)
-        #: Scaling knob: N registry shards behind a consistent-hash
-        #: ring (each exported on its own ORB endpoint, see
-        #: ``docs/sharding.md``).
+        #: Scaling knob: N in-process registry shards behind a
+        #: consistent-hash ring (see ``docs/sharding.md``).
         self.registry = Registry(
             ontology=ontology, shards=shards,
             codatabase_factory=(self._replicated_codatabase
@@ -143,20 +140,6 @@ class WebFinditSystem:
                                host="system.webfindit.net",
                                product="WebFINDIT")
         __, self.naming = start_naming_service(self._system_orb)
-        #: Every shard is exported as its own registry servant
-        #: (``webfindit/registry/shard<i>``) so remote peers can run the
-        #: same ring-routed coordination over GIOP.
-        self._shard_orbs: list[Orb] = []
-        for index, shard in enumerate(self.registry.shards):
-            orb = Orb(name=f"webfindit-registry-shard{index}",
-                      transport=self.transport,
-                      host=f"registry-shard{index}.webfindit.net",
-                      product="WebFINDIT")
-            ior = orb.activate(RegistryShardServant(shard),
-                               REGISTRY_SHARD_INTERFACE,
-                               object_name=f"registry-shard{index}")
-            self.naming.bind(f"webfindit/registry/shard{index}", ior)
-            self._shard_orbs.append(orb)
         if metadata_cache is not None:
             # Every shard hands the cache its epoch floors inside the
             # mutating call, before the mutation returns.
@@ -468,8 +451,6 @@ class WebFinditSystem:
             "shards": len(self.registry.shards),
             "ring": self.registry.ring.describe(),
             "statuses": self.registry.shard_statuses(),
-            "naming_generation": self.naming.namespace_generation(
-                "webfindit/registry/"),
         }
 
     # ----------------------------------------------------------------- access --

@@ -2,20 +2,18 @@
 
 * :func:`~repro.gateway.api.connect` + :class:`~repro.gateway.api.DriverManager`
 * :class:`~repro.gateway.drivers.LocalDriver` — in-process engines
-* :class:`~repro.gateway.bridge.RemoteDriver` — databases reached over IIOP
+* :mod:`repro.gateway.bridge` — the ``ResultSet`` CDR value type
 """
 
+# Imported for its registration: a ResultSet crosses the ORB as a CDR
+# value type.
+import repro.gateway.bridge  # noqa: F401
 from repro.gateway.api import (Connection, Cursor, DriverManager, connect,
                                default_manager)
-from repro.gateway.bridge import (DATABASE_INTERFACE, DatabaseServant,
-                                  RemoteConnection, RemoteDriver,
-                                  serve_database)
 from repro.gateway.drivers import (LocalConnection, LocalDriver,
                                    make_vendor_drivers, parse_url)
 
 __all__ = [
     "connect", "Connection", "Cursor", "DriverManager", "default_manager",
     "LocalDriver", "LocalConnection", "make_vendor_drivers", "parse_url",
-    "RemoteDriver", "RemoteConnection", "DatabaseServant", "serve_database",
-    "DATABASE_INTERFACE",
 ]

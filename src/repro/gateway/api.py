@@ -1,9 +1,7 @@
 """A DB-API-2.0-shaped connectivity layer (the role JDBC plays in the paper).
 
 ``connect(url)`` hands back a :class:`Connection` whose cursors execute
-SQL against whatever a registered driver resolves the URL to — an
-in-process engine, or a remote database server object reached over the
-ORB (see :mod:`repro.gateway.bridge`).
+SQL against the in-process engine the URL names.
 
 URLs follow the JDBC convention::
 
@@ -132,8 +130,7 @@ class Cursor:
 class Connection:
     """A DB-API connection produced by a driver.
 
-    Subclasses (one per driver style) implement ``_run`` and the
-    metadata properties; everything user-facing lives here.
+    A subclass implements ``_run``; everything user-facing lives here.
     """
 
     def __init__(self, url: str):
@@ -143,15 +140,6 @@ class Connection:
     # -- to be provided by drivers ------------------------------------------------
 
     def _run(self, sql: str, params: list[Any]) -> ResultSet:
-        raise NotImplementedError  # pragma: no cover - interface
-
-    @property
-    def banner(self) -> str:
-        """Product banner of the underlying database."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def table_names(self) -> list[str]:
-        """Names of the tables visible through this connection."""
         raise NotImplementedError  # pragma: no cover - interface
 
     # -- DB-API surface -------------------------------------------------------------

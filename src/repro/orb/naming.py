@@ -27,8 +27,6 @@ NAMING_INTERFACE: InterfaceDef = (
                doc="IOR string plus the binding's generation counter")
     .operation("unbind", "name", doc="Remove a binding")
     .operation("list_names", "prefix", doc="All bound names under prefix")
-    .operation("namespace_generation", "prefix",
-               doc="Summed binding generations under prefix")
     .build())
 
 
@@ -81,18 +79,6 @@ class NamingServant:
         return sorted(name for name in self._bindings
                       if name.startswith(prefix))
 
-    def namespace_generation(self, prefix: str) -> int:
-        """Summed generation counters of every binding under *prefix*.
-
-        A monotonic change detector for a whole namespace: each new
-        ``bind`` and each ``rebind`` adds one, so a sharded-registry
-        client can watch ``webfindit/registry/`` with a single resolve
-        instead of polling every ``shard<i>`` binding.
-        """
-        return sum(generation
-                   for name, generation in self._generations.items()
-                   if name.startswith(prefix) and name in self._bindings)
-
 
 class NamingClient:
     """Typed client wrapper over a naming-service proxy."""
@@ -130,9 +116,6 @@ class NamingClient:
 
     def list_names(self, prefix: str = "") -> list[str]:
         return list(self._proxy.invoke("list_names", prefix))
-
-    def namespace_generation(self, prefix: str = "") -> int:
-        return int(self._proxy.invoke("namespace_generation", prefix))
 
 
 def start_naming_service(orb: Orb) -> tuple[Ior, NamingClient]:

@@ -7,9 +7,7 @@ from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
-from repro.orb.transport import InMemoryNetwork
-from tests.core.test_sharding_properties import (codb_fingerprint,
-                                                 export_shard)
+from tests.core.test_sharding_properties import codb_fingerprint
 
 
 def description(name, info="Medical"):
@@ -216,15 +214,15 @@ class TestAccounting:
 
 
 class TestCodbWriteGate:
-    """``codb_write`` is reachable over GIOP: it issues the declared
-    maintenance writes minus ``advertise``, and nothing else."""
+    """``codb_write`` issues the declared maintenance writes minus
+    ``advertise``, and nothing else."""
 
-    @pytest.fixture(params=["in-process", "giop"])
+    # The handle is the shard itself; the one parameter keeps the test
+    # ids stable.
+    @pytest.fixture(params=["in-process"])
     def handle(self, request, registry):
         [shard] = registry.shards
-        if request.param == "in-process":
-            return shard
-        return export_shard(0, shard, InMemoryNetwork())[2]
+        return shard
 
     @pytest.mark.parametrize("operation, arguments", [
         ("advertise", [description("A", "Forged")]),

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.apps.healthcare import build_healthcare_system
 from repro.apps.healthcare import topology as topo
 from repro.core.model import SourceDescription
+from repro.core.replication import replica_binding
 from repro.core.system import WebFinditSystem
 from repro.errors import UnknownDatabase, WebFinditError
 from repro.orb.products import ORBIX, ORBIXWEB, VISIBROKER
+from repro.orb.transport import InMemoryNetwork, TcpTransport
 from repro.sql.engine import Database
 
 
@@ -63,6 +66,40 @@ class TestWiring:
         assert description.orb_product == "VisiBroker for Java"
         assert description.interface == ["ResearchProjects",
                                          "PatientHistory"]
+
+
+class TestADeploymentServesOnlyWhatAClientCalls:
+    """A deployment binds the co-database and the ISI of each source
+    (and, when replicated, each replica): the objects clients call.
+    Registry shards are in-process and bind nothing."""
+
+    @staticmethod
+    def served(replicas=0):
+        names = {f"webfindit/{kind}/{source}"
+                 for source in topo.ALL_DATABASES
+                 for kind in ("codb", "isi")}
+        return names | {replica_binding(source, index)
+                        for source in topo.ALL_DATABASES
+                        for index in range(replicas)}
+
+    @pytest.fixture(params=["in-memory", "tcp"])
+    def transport(self, request):
+        if request.param == "in-memory":
+            yield InMemoryNetwork()
+            return
+        tcp = TcpTransport()
+        yield tcp
+        tcp.close()
+
+    def test_one_codb_and_one_isi_per_source(self, transport):
+        system = build_healthcare_system(transport=transport).system
+        assert len(topo.ALL_DATABASES) == 14
+        assert system.naming.list_names("") == sorted(self.served())
+
+    def test_replicas_add_only_their_own_bindings(self):
+        system = build_healthcare_system(replication_factor=3,
+                                         shards=4).system
+        assert system.naming.list_names("") == sorted(self.served(3))
 
 
 class TestFourLayers:
@@ -168,9 +205,6 @@ class TestAnyShardCountIsTheSameSystem:
         sharding = system.metrics()["sharding"]
         assert sharding["shards"] == len(sharding["per_shard"]) == shards
         assert sharding["ring"] == report["ring"]
-        names = system.naming.list_names("webfindit/registry/")
-        assert sorted(names) == [f"webfindit/registry/shard{index}"
-                                 for index in range(shards)]
 
     def test_registry_state_does_not_depend_on_the_partition(
             self, deployments):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import (ConnectionClosed, DriverNotFound, GatewayError)
+from repro.errors import (ConnectionClosed, DriverNotFound, GatewayError,
+                          TransactionError)
 from repro.gateway import (DriverManager, LocalDriver, connect,
                            make_vendor_drivers, parse_url)
 from repro.sql.engine import Database
@@ -148,6 +149,19 @@ class TestCursorProtocol:
         connection.rollback()
         cursor = connection.execute("SELECT COUNT(*) FROM item")
         assert cursor.fetchone()[0] >= 3
+
+    def test_commit_keeps_the_transaction_and_ends_it(self, manager):
+        connection = manager.connect("jdbc:oracle:shop")
+        connection.execute("BEGIN")
+        connection.execute("INSERT INTO item VALUES (4, 'mug', 6.0)")
+        connection.commit()
+        with pytest.raises(TransactionError):
+            connection.commit()
+        # A later rollback cannot take back what was committed.
+        connection.execute("BEGIN")
+        connection.rollback()
+        cursor = connection.execute("SELECT name FROM item WHERE id = 4")
+        assert cursor.fetchall() == [("mug",)]
 
     def test_module_level_connect_uses_default_manager(self):
         from repro.gateway import default_manager

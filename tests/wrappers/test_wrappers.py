@@ -1,8 +1,10 @@
 """Wrapper (Information Source Interface) tests for all three kinds."""
 
+import datetime
+
 import pytest
 
-from repro.errors import AccessError, TranslationError
+from repro.errors import AccessError, CatalogError, TranslationError
 from repro.gateway import LocalDriver
 from repro.oodb import Attribute, ObjectDatabase
 from repro.orb import InMemoryNetwork, create_orb, ORBIX, ORBIXWEB
@@ -223,3 +225,47 @@ class TestRemoteIsi:
         __, isi = remote
         with pytest.raises(AccessError):
             isi.invoke("Ghost", "Fn", [])
+
+    @pytest.fixture()
+    def grants(self, remote):
+        network, isi = remote
+        isi.execute_native("CREATE TABLE grants (Title VARCHAR(60), "
+                           "Started DATE)")
+        isi.execute_native("INSERT INTO grants VALUES "
+                           "('AIDS and drugs', '1990-05-20'), "
+                           "('Melanoma', '1995-11-02')")
+        return network, isi
+
+    def test_native_select_is_one_giop_message(self, grants):
+        network, isi = grants
+        network.metrics.reset()
+        result = isi.execute_native("SELECT Title FROM grants ORDER BY Title")
+        assert result.rows == [("AIDS and drugs",), ("Melanoma",)]
+        assert network.metrics.messages_sent == 1
+
+    def test_dates_cross_giop(self, grants):
+        """A DATE column comes back inside a ResultSet/3 reply."""
+        __, isi = grants
+        result = isi.execute_native(
+            "SELECT Started FROM grants WHERE Title = 'AIDS and drugs'")
+        assert result.rows == [(datetime.date(1990, 5, 20),)]
+
+    def test_params_cross_giop(self, grants):
+        """Bound parameters go out in the request."""
+        __, isi = grants
+        result = isi.execute_native(
+            "SELECT Started FROM grants WHERE Title = ?", ["Melanoma"])
+        assert result.rows == [(datetime.date(1995, 11, 2),)]
+
+    def test_dml_rowcount_crosses_giop(self, grants):
+        __, isi = grants
+        inserted = isi.execute_native(
+            "INSERT INTO grants VALUES (?, '1998-01-01')", ["Carol"])
+        assert inserted.rowcount == 1
+        count = isi.execute_native("SELECT COUNT(*) FROM grants")
+        assert count.rows == [(3,)]
+
+    def test_native_sql_errors_cross_giop(self, remote):
+        __, isi = remote
+        with pytest.raises(CatalogError):
+            isi.execute_native("SELECT * FROM nonexistent")
