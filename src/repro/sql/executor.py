@@ -13,9 +13,7 @@ pushed onto the *frame* ``(params, outer_row, outer_frame)``.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from itertools import repeat
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Iterable, Optional, Sequence, Union
 
 from repro.errors import IntegrityError, SqlError
 from repro.sql.expressions import SAME_KIND, Compiled, Frame, sql_equal
@@ -51,11 +49,11 @@ def run_query(plan: QueryPlan, frame: Frame) -> list[tuple]:
             rows = rows[:_constant_int(plan.limit, "LIMIT", frame)]
         return rows
 
-    rows = _materialize(plan.source, frame)
     if plan.aggregates is not None:
-        rows = _aggregate(plan, rows, frame)
-    project = plan.project
-    outputs = rows if project is None else [project(row, frame) for row in rows]
+        rows = _aggregate(plan, _materialize(plan.source, frame, False), frame)
+    else:
+        rows = _materialize(plan.source, frame)
+    outputs = rows if plan.project is None else plan.project(rows, frame)
     if plan.select.distinct:
         # output row -> the input row that first produced it (ORDER BY
         # keys may read the input); dicts keep first-insertion order.
@@ -81,28 +79,23 @@ def _constant_int(expression: Compiled, label: str, frame: Frame) -> int:
 
 # -- aggregation ------------------------------------------------------------
 
-def _aggregate(plan: SelectPlan, rows: list[tuple], frame: Frame) -> list[tuple]:
+def _aggregate(plan: SelectPlan, rows: Iterable[Sequence], frame: Frame
+               ) -> list[tuple]:
     """One row per group that passes HAVING: the group's first input row
     extended by its aggregate results.  One pass buckets the rows by
     group key; then each aggregate reduces one whole group at a time."""
-    group_key = plan.group_key
-    if group_key is None:
-        # Aggregates over an empty input still yield one row.
-        groups: dict[Any, list[tuple]] = {None: rows}
-    else:
-        groups = defaultdict(list)
-        for key, row in zip(map(group_key, rows, repeat(frame)), rows):
-            groups[key].append(row)
+    # Aggregates over an empty input still yield one row.
+    groups = {None: list(rows)} if plan.groups is None \
+        else plan.groups(rows, frame)
     blank = (None,) * len(plan.source.header)
     extended = [
-        (group[0] if group else blank) + tuple([
-            reducer(group if argument is None
-                    else [argument(row, frame) for row in group])
+        (tuple(group[0]) if group else blank) + tuple([
+            reducer(group if argument is None else argument(group, frame))
             for reducer, argument in plan.aggregates])
         for group in groups.values()]
     having = plan.having
     if having is not None:
-        extended = [row for row in extended if having(row, frame) is True]
+        extended = [row for row in extended if having(row, frame)]
     return extended
 
 
@@ -117,38 +110,40 @@ def _ordered(outputs: list[tuple], inputs: Sequence[Sequence],
              for output, row in zip(outputs, inputs)]
     # Stable-sort from the least-significant key to the most.
     for position in range(len(order) - 1, -1, -1):
-        keyed.sort(key=lambda pair: (pair[1][position] is not None,
-                                     pair[1][position]),
-                   reverse=not order[position][2])
+        try:
+            keyed.sort(key=lambda pair: (pair[1][position] is not None,
+                                         pair[1][position]),
+                       reverse=not order[position][2])
+        except TypeError:
+            kinds = sorted({type(keys[position]).__name__
+                            for __, keys in keyed} - {"NoneType"})
+            raise SqlError(f"cannot compare {' with '.join(kinds)} "
+                           "in ORDER BY") from None
     return [output for output, __ in keyed]
 
 
 # ------------------------------------------------------------- row sources --
 
-def _materialize(source: RowSource, frame: Frame) -> list[tuple]:
-    if isinstance(source, (IndexLookup, IndexRange)):
-        found = _probe(source, frame)
-        if found is not None:
-            # A read-only probe needs no ids: copy each stored row once.
-            return source.table.copies_at(found)
-    probe = source.child if isinstance(source, FilteredSource) else source
-    if isinstance(probe, (IndexLookup, IndexRange)):
-        return [tuple(row) for __, row in _access(source, frame)]
+def _materialize(source: RowSource, frame: Frame, copy: bool = True
+                 ) -> Iterable[Sequence]:
+    """The rows of *source*.  Unless *copy*, a base table's come as the
+    stored rows themselves, for a reader that copies only what it keeps
+    (the fused scan + filter, a hash join's build side, an aggregate)."""
     if isinstance(source, FilteredSource):
-        tests = source.tests
-        if isinstance(source.child, TableScan):
-            # Fused scan + filter: test the stored rows, copy survivors.
-            first = tests[0]
-            rows = [tuple(row) for row in source.child.table.rows()
-                    if first(row, frame) is True]
-            tests = tests[1:]
-        else:
-            rows = _materialize(source.child, frame)
-        for test in tests:
-            rows = [row for row in rows if test(row, frame) is True]
-        return rows
-    if isinstance(source, TableScan):
-        return [tuple(row) for row in source.table.rows()]
+        return source.keep(_materialize(source.child, frame, False), frame)
+    if isinstance(source, (TableScan, IndexLookup, IndexRange)):
+        table = source.table
+        found = None if isinstance(source, TableScan) \
+            else _probe(source, frame)
+        if found is not None:
+            return table.copies_at(found) if copy else table.rows_in(found)
+        rows = table.rows()
+        if not isinstance(source, TableScan):
+            # The index cannot compare this key, yet the conjunct may
+            # still hold (text spelling a date, say): ask every row.
+            fallback = source.fallback
+            rows = [row for row in rows if fallback(row, frame)]
+        return [tuple(row) for row in rows] if copy else rows
     if isinstance(source, HashJoin):
         return _hash_join(source, frame)
     if isinstance(source, NestedLoopJoin):
@@ -163,20 +158,18 @@ def _access(source: RowSource, frame: Frame) -> list[tuple[int, Row]]:
     """``(row_id, stored row)`` pairs of a single-table access path (an
     index probe or a scan, filtered or not) — how a probe finds rows,
     and the only form UPDATE and DELETE can use: they need the ids."""
-    tests: Sequence[Compiled] = ()
+    tests = []
     if isinstance(source, FilteredSource):
-        source, tests = source.child, source.tests
+        source, tests = source.child, [source.test]
     found = None if isinstance(source, TableScan) else _probe(source, frame)
     if found is not None:
         pairs = source.table.rows_at(found)
     else:
         if not isinstance(source, TableScan):
-            # The index cannot compare this key, yet the conjunct may
-            # still hold (text spelling a date, say): ask every row.
-            tests = [source.fallback, *tests]
+            tests.insert(0, source.fallback)  # as in _materialize
         pairs = list(source.table.scan())
     for test in tests:
-        pairs = [pair for pair in pairs if test(pair[1], frame) is True]
+        pairs = [pair for pair in pairs if test(pair[1], frame)]
     return pairs
 
 
@@ -202,16 +195,21 @@ def _probe(source: Union[IndexLookup, IndexRange], frame: Frame
 
 def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:
     left_rows = _materialize(source.left, frame)
-    right_rows = _materialize(source.right, frame)
-    left_keys = [source.left_key(row, frame) for row in left_rows]
-    keyed = [(key, row) for row in right_rows
-             if (key := source.right_key(row, frame)) is not None]
+    right_rows = _materialize(source.right, frame, False)
+    left_keys = source.left_key(left_rows, frame)
+    keyed = [(key, row) for key, row in
+             zip(source.right_key(right_rows, frame), right_rows)
+             if key is not None]
 
     if _one_kind(left_keys + [key for key, __ in keyed],
                  len(source.left_keys)):
-        buckets: dict[Any, list[tuple]] = {}
+        buckets: dict[Any, list[Sequence]] = {}
         for key, row in keyed:
-            buckets.setdefault(key, []).append(row)
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
         matching = buckets.get
     else:
         # Across kinds Python's == is not SQL's = (TRUE is not 1, a
@@ -226,10 +224,11 @@ def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:
     pad_misses = source.kind == "LEFT"
     null_pad = (None,) * len(source.right.header)
     for key, row in zip(left_keys, left_rows):
-        matches = matching(key) if key is not None else None
+        # NaN equals nothing, though a dict finds the very same object.
+        matches = matching(key) if key is not None and key == key else None
         if matches:
             for right_row in matches:
-                out.append(row + right_row)
+                out.append(row + tuple(right_row))
         elif pad_misses:
             out.append(row + null_pad)
     return out
@@ -264,7 +263,7 @@ def _nested_loop(source: NestedLoopJoin, frame: Frame) -> list[tuple]:
         found = False
         for inner_row in inner_rows:
             combined = inner_row + outer_row if swapped else outer_row + inner_row
-            if test is None or test(combined, frame) is True:
+            if test is None or test(combined, frame):
                 out.append(combined)
                 found = True
         if preserved and not found:

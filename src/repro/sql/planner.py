@@ -2,8 +2,9 @@
 
 The planner turns a parsed statement into the one plan object that the
 executor runs and ``EXPLAIN`` prints: a tree of row sources with every
-name resolved and every expression (filters, join keys, projection,
-group keys, aggregate arguments, ORDER BY keys) compiled to a closure.
+name resolved and every expression compiled by :mod:`repro.sql.codegen`
+(a per-row loop — filter, projection, join or group keys, aggregate
+argument — to one generated function over a list of rows).
 A plan binds storage objects and holds no per-execution state, so the
 engine caches it per statement text until the catalog changes.
 
@@ -33,8 +34,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 from repro.errors import CatalogError, SqlError
 from repro.sql import ast
 from repro.sql.catalog import Column
-from repro.sql.expressions import (SAME_KIND, Compiled, Compiler, Frame,
-                                   Header, Scope, iso_text_as_date)
+from repro.sql.codegen import Codegen, RowsFn
+from repro.sql.expressions import SAME_KIND, Compiled, Frame, Header, Scope
 from repro.sql.functions import AGGREGATE_FUNCTIONS, Reducer, is_aggregate
 from repro.sql.storage import HashIndex, Table
 from repro.sql.types import STORED_AS, SqlType
@@ -133,18 +134,20 @@ class HashJoin(RowSource):
     right: RowSource
     left_keys: list[ast.Expression]
     right_keys: list[ast.Expression]
-    left_key: Compiled
-    right_key: Compiled
+    left_key: RowsFn
+    right_key: RowsFn
 
 
 @dataclass
 class FilteredSource(RowSource):
     """A row source with predicates applied on top, one per conjunct in
-    WHERE order; over a :class:`TableScan` the executor fuses the two."""
+    WHERE order: ``keep(rows, frame)`` copies the passing rows in one
+    loop (over a base table, of the stored rows); ``test`` is one row's."""
 
     child: RowSource
     conjuncts: list[ast.Expression]
-    tests: list[Compiled]
+    keep: RowsFn
+    test: Compiled
 
 
 #: ``(output ordinal, None)`` or ``(None, closure)``, then ascending.
@@ -163,11 +166,11 @@ class SelectPlan:
     #: None when the block does not aggregate; else (reducer, argument)
     #: per aggregate call.  ``COUNT(*)`` is ``(len, None)``: it reduces
     #: the group's rows themselves.
-    aggregates: Optional[list[tuple[Reducer, Optional[Compiled]]]]
-    group_key: Optional[Compiled]
+    aggregates: Optional[list[tuple[Reducer, Optional[RowsFn]]]]
+    groups: Optional[RowsFn]
     having: Optional[Compiled]
     #: None when the source rows already are the output rows.
-    project: Optional[Compiled]
+    project: Optional[RowsFn]
     order: list[OrderKey]
     limit: Optional[Compiled]
     offset: Optional[Compiled]
@@ -236,20 +239,6 @@ def _positions(expression: ast.Expression, header: Header) -> Optional[set[int]]
     return found
 
 
-def _key_closure(parts: list[Compiled], nulls_match: bool) -> Compiled:
-    """One closure for a composite key.  A join key with a NULL part
-    collapses to None (NULL joins nothing); a group key keeps it."""
-    if len(parts) == 1:
-        return parts[0]
-    if nulls_match:
-        return lambda row, frame: tuple([part(row, frame) for part in parts])
-
-    def key(row, frame):
-        values = tuple([part(row, frame) for part in parts])
-        return None if None in values else values
-    return key
-
-
 def _equalities(conjunct: ast.Expression
                 ) -> Iterator[tuple[ast.ColumnRef, ast.Expression]]:
     """``(column, key)`` for each way *conjunct* reads ``column = key``."""
@@ -297,9 +286,9 @@ class Planner:
     def __init__(self, storage, run_query: Callable[[QueryPlan, Frame], list[tuple]]):
         self._storage = storage
         self._run_query = run_query
-        self._compiler = Compiler(
+        self._codegen = Codegen(
             lambda select, scope: partial(run_query, self._query(select, scope)))
-        self._compile = self._compiler.compile
+        self._compile = self._codegen.expression
 
     def plan(self, statement: ast.Statement):
         """The plan of any statement the executor runs."""
@@ -340,21 +329,21 @@ class Planner:
         calls = [node for expression in outputs if expression is not None
                  for node in ast.walk(expression)
                  if isinstance(node, ast.FunctionCall) and is_aggregate(node.name)]
-        aggregates = group_key = having = None
+        aggregates = groups = having = None
         if select.group_by or calls or select.having is not None:
             aggregates = [self._aggregate(call, scope) for call in calls]
             if select.group_by:
-                group_key = _key_closure(
-                    [self._compile(self._group_alias(expr, select, header), scope)
-                     for expr in select.group_by], nulls_match=True)
+                groups = self._codegen.groups(
+                    [self._group_alias(expr, select, header)
+                     for expr in select.group_by], scope)
             scope = Scope(header, outer, {id(call): len(header) + slot
                                           for slot, call in enumerate(calls)})
             if select.having is not None:
-                having = self._compile(select.having, scope)
+                having = self._codegen.predicate([select.having], scope)
         columns, project = self._projection(select, scope,
                                             identity=aggregates is None)
         return SelectPlan(
-            select, columns, source, aggregates, group_key, having, project,
+            select, columns, source, aggregates, groups, having, project,
             self._order_keys(select.order_by, columns, scope),
             self._constant(select.limit), self._constant(select.offset))
 
@@ -364,9 +353,9 @@ class Planner:
             else self._compile(expression, Scope(_EMPTY_HEADER))
 
     def _projection(self, select: ast.Select, scope: Scope, identity: bool
-                    ) -> tuple[list[str], Optional[Compiled]]:
-        """Output column names and the closure that makes an output row;
-        no closure when (*identity*) the input rows already are it."""
+                    ) -> tuple[list[str], Optional[RowsFn]]:
+        """Output column names and the loop that makes the output rows;
+        none when (*identity*) the input rows already are them."""
         header = scope.header
         names: list[str] = []
         parts: list[Union[int, ast.Expression]] = []  # a slot, or to compute
@@ -385,9 +374,7 @@ class Planner:
             parts.extend(positions)
         if identity and parts == list(range(len(header))):
             return names, None
-        items = [(lambda row, frame, slot=part: row[slot]) if isinstance(part, int)
-                 else self._compile(part, scope) for part in parts]
-        return names, lambda row, frame: tuple([item(row, frame) for item in items])
+        return names, self._codegen.rows(parts, scope)
 
     @staticmethod
     def _group_alias(expression: ast.Expression, select: ast.Select,
@@ -403,11 +390,11 @@ class Planner:
         return expression
 
     def _aggregate(self, call: ast.FunctionCall, scope: Scope
-                   ) -> tuple[Reducer, Optional[Compiled]]:
+                   ) -> tuple[Reducer, Optional[RowsFn]]:
         reducer = AGGREGATE_FUNCTIONS[call.name]
         if call.args and not isinstance(call.args[0], ast.Star):
             return (partial(reducer, distinct=call.distinct),
-                    self._compile(call.args[0], scope))
+                    self._codegen.values(call.args[0], scope))
         if call.name != "COUNT":
             raise SqlError(f"aggregate {call.name} requires an argument")
         return len, None
@@ -466,7 +453,7 @@ class Planner:
             condition, keep = self._using(join.using, left.header, right.header)
             return NestedLoopJoin(Header([header.slots[i] for i in keep]),
                                   join.kind, left, right,
-                                  test=self._compile(condition, scope),
+                                  test=self._codegen.predicate([condition], scope),
                                   using=join.using, keep=keep)
         if join.kind in ("INNER", "LEFT") and join.condition is not None:
             keys = self._equi_keys(join.condition, header, len(left.header))
@@ -474,11 +461,10 @@ class Planner:
                 left_keys, right_keys = keys
                 return HashJoin(
                     header, join.kind, left, right, left_keys, right_keys,
-                    _key_closure([self._compile(key, Scope(left.header, outer))
-                                  for key in left_keys], nulls_match=False),
-                    _key_closure([self._compile(key, Scope(right.header, outer))
-                                  for key in right_keys], nulls_match=False))
-        test = self._compile(join.condition, scope) \
+                    self._codegen.join_keys(left_keys, Scope(left.header, outer)),
+                    self._codegen.join_keys(right_keys,
+                                            Scope(right.header, outer)))
+        test = self._codegen.predicate([join.condition], scope) \
             if join.condition is not None else None
         return NestedLoopJoin(header, join.kind, left, right,
                               condition=join.condition, test=test)
@@ -554,9 +540,9 @@ class Planner:
             source, conjuncts = self._index_access(source, conjuncts, outer)
         if not conjuncts:
             return source
-        scope = Scope(source.header, outer)
         return FilteredSource(source.header, source, conjuncts,
-                              [self._compile(c, scope) for c in conjuncts])
+                              *self._codegen.filter(
+                                  conjuncts, Scope(source.header, outer)))
 
     def _index_access(self, scan: TableScan, conjuncts: list[ast.Expression],
                       outer: Optional[Scope]
@@ -567,7 +553,8 @@ class Planner:
         def probe(cls, conjunct, column: Column, index: HashIndex, *keys):
             return cls(scan.header, scan.table, scan.name, column.name, index,
                        *keys, SAME_KIND[STORED_AS[column.sql_type]],
-                       self._compile(conjunct, Scope(scan.header, outer))), \
+                       self._codegen.predicate([conjunct],
+                                               Scope(scan.header, outer))), \
                 [c for c in conjuncts if c is not conjunct]
 
         for conjunct in conjuncts:
@@ -607,9 +594,10 @@ class Planner:
     def _key(self, constant: ast.Expression, column: Column,
              outer: Optional[Scope]) -> Compiled:
         """A probe key or range end, compiled; against a DATE column an
-        ISO string probes as the date it spells."""
-        key = self._compile(constant, Scope(_EMPTY_HEADER, outer))
-        return _iso_text_as_date(key) if column.sql_type is SqlType.DATE else key
+        ISO string probes as the date it spells, the way ``=`` compares
+        the two (other text is left for the fallback scan)."""
+        return self._compile(constant, Scope(_EMPTY_HEADER, outer),
+                             as_date=column.sql_type is SqlType.DATE)
 
     # --------------------------------------------------------------------- DML --
 
@@ -622,13 +610,12 @@ class Planner:
             rows_of = partial(self._run_query, self._query(statement.select, None))
         else:
             scope = Scope(_EMPTY_HEADER)
-            value_rows = [[self._compile(value, scope) for value in row]
-                          for row in statement.rows]
+            value_rows = [self._codegen.row(row, scope) for row in statement.rows]
 
             def rows_of(frame):
                 # A generator: a row is evaluated after the rows before
                 # it are stored, so it may read them.
-                return ([value((), frame) for value in row] for row in value_rows)
+                return (values((), frame) for values in value_rows)
         return InsertPlan(table, statement.table, positions,
                           [column.default for column in schema.columns], rows_of)
 
@@ -647,15 +634,6 @@ class Planner:
             None if isinstance(statement, ast.Delete) else
             [(schema.column_index(a.column), self._compile(a.value, scope))
              for a in statement.assignments])
-
-
-def _iso_text_as_date(key: Compiled) -> Compiled:
-    """Probe a DATE index with the date an ISO string spells, the way
-    ``=`` compares the two; other text is left for the fallback scan."""
-    def normalised(row, frame):
-        value = key(row, frame)
-        return iso_text_as_date(value) if type(value) is str else value
-    return normalised
 
 
 def _derive_name(expression: ast.Expression) -> str:

@@ -199,6 +199,11 @@ class Table:
         rows = self._rows
         return [(row_id, rows[row_id]) for row_id in row_ids]
 
+    def rows_in(self, row_ids: Iterable[int]) -> list[Row]:
+        """The rows at *row_ids*, in that order, uncopied."""
+        rows = self._rows
+        return [rows[row_id] for row_id in row_ids]
+
     def copies_at(self, row_ids: Iterable[int]) -> list[tuple]:
         """Tuple copies of the rows at *row_ids*, in that order."""
         rows = self._rows

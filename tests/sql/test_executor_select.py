@@ -126,6 +126,15 @@ class TestOrderLimitDistinct:
         ages = [r[0] for r in result.rows]
         assert ages.count(28) == 1
 
+    def test_order_by_keys_of_mixed_kinds_is_an_sql_error(self, people_db):
+        # As `<` on text and a number: an SqlError, not Python's TypeError.
+        for sql in ("SELECT id FROM person "
+                    "ORDER BY CASE WHEN id = 1 THEN 'z' ELSE 5 END",
+                    "SELECT name AS k FROM person UNION ALL "
+                    "SELECT age FROM person ORDER BY 1"):
+            with pytest.raises(SqlError, match="cannot compare int with str"):
+                people_db.execute(sql)
+
     def test_negative_limit_rejected(self, people_db):
         with pytest.raises(SqlError):
             people_db.execute("SELECT id FROM person LIMIT ?", [-1])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.errors import SqlError, SqlTypeError
 from repro.sql.engine import Database
+from repro.sql.expressions import _like_regex, like_match
 from repro.sql.functions import AGGREGATE_FUNCTIONS, is_aggregate
 from repro.sql.types import SqlType, coerce, comparable, infer_type
 
@@ -151,3 +152,19 @@ class TestAggregateAccumulators:
         assert MIN(values) == 1
         assert MAX(values) == 3
         assert MIN([None]) is None and MAX([]) is None
+
+
+class TestLike:
+    def test_compiled_patterns_stay_bounded(self):
+        # A LIKE pattern is user input (an Invoke argument, say): each
+        # distinct one compiles a regex, and they must not pile up.
+        for n in range(2000):
+            assert like_match(f"p{n}-x", f"p{n}-%") is True
+        assert _like_regex.cache_info().currsize <= 512
+
+    def test_a_pattern_is_its_text(self):
+        # 1, 1.0 and TRUE are equal dict keys but different patterns.
+        assert like_match("1", 1) is True
+        assert like_match("1.0", 1.0) is True
+        assert like_match("True", True) is True
+        assert like_match("1", True) is False
