@@ -204,12 +204,6 @@ class RegistryShard:
         return [coalition.name for coalition in self._coalitions.values()
                 if coalition.has_member(member)]
 
-    def drop_links_involving(self, kind: EndpointKind, name: str) -> None:
-        """Forget stored links touching an endpoint, without co-database
-        writes (mirrors what source removal has always done)."""
-        self._links = [link for link in self._links
-                       if not link.involves(kind, name)]
-
     def drop_source(self, name: str) -> None:
         """Unregister an owned source whose coalition memberships and
         links the coordinator already unwound."""
@@ -469,8 +463,11 @@ class Registry:
         for coalition_shard in self.shards:
             for coalition_name in coalition_shard.coalitions_containing(name):
                 self.leave(name, coalition_name)
-        for any_shard in self.shards:
-            any_shard.drop_links_involving(EndpointKind.DATABASE, name)
+        # Links naming the source go through the removal path, so the
+        # peers' co-databases unlearn them and their caches are told.
+        for link in [l for l in self.service_links()
+                     if l.involves(EndpointKind.DATABASE, name)]:
+            self.remove_service_link(link)
         shard.drop_source(name)
         self.health.forget(name)
 

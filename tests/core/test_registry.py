@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.metacache import TOMBSTONE
 from repro.core.model import SourceDescription
 from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
@@ -47,6 +48,37 @@ class TestSources:
         # B's co-database no longer lists A
         members = registry.codatabase("B").instances_of("Med")
         assert {d.name for d in members} == {"B"}
+
+    def test_remove_source_unlearns_its_links_in_every_peer(self, registry):
+        registry.join("B", "Med")
+        registry.join("C", "Ins")
+        for link in (ServiceLink(EndpointKind.DATABASE, "D",
+                                 EndpointKind.DATABASE, "A"),
+                     ServiceLink(EndpointKind.COALITION, "Med",
+                                 EndpointKind.DATABASE, "A"),
+                     ServiceLink(EndpointKind.DATABASE, "A",
+                                 EndpointKind.COALITION, "Ins"),
+                     ServiceLink(EndpointKind.DATABASE, "B",
+                                 EndpointKind.DATABASE, "D")):
+            registry.add_service_link(link)
+        floors = []
+        registry.add_invalidation_listener(floors.append)
+        registry.remove_source("A")
+        assert [link.label for link in registry.service_links()] \
+            == ["B_to_D"]
+        for name in ("B", "C", "D"):
+            assert not any("A" in (link.from_name, link.to_name)
+                           for link in registry.codatabase(name)
+                           .service_links())
+        # B (through Med), C (through Ins) and D were written: a cache
+        # subscriber hears each one's floor, and A's tombstone last.
+        delivered = {}
+        for update in floors:
+            delivered.update(update)
+        assert delivered == {"A": TOMBSTONE,
+                             **{name: registry.codatabase(name).epoch
+                                for name in ("B", "C", "D")}}
+        assert floors[-1] == {"A": TOMBSTONE}
 
     def test_advertise_updates_peers(self, registry):
         registry.join("A", "Med")
@@ -136,6 +168,31 @@ class TestCoalitionLifecycle:
         assert "Med" not in registry.coalition_names()
         assert registry.codatabase("A").memberships == []
         assert registry.service_links() == []
+
+    def test_dissolve_a_specialisation(self, registry):
+        registry.create_coalition("P", "cardiology")
+        registry.create_coalition("C", "cardiology surgery", parent="P")
+        registry.join("A", "P")
+        registry.join("B", "C")
+        registry.join("D", "C")
+        registry.dissolve_coalition("C")
+        assert not registry.has_coalition("C")
+        for name in ("B", "D"):
+            assert registry.codatabase(name).memberships == []
+            assert "C" not in [coalition.name for coalition in
+                               registry.codatabase(name).known_coalitions()]
+        # P no longer lists C: a later joiner of P learns no child.
+        registry.add_source(description("E"))
+        registry.join("E", "P")
+        assert registry.codatabase("E").subclasses_of("P") == []
+        registry.create_coalition("C", "cardiology surgery", parent="P")
+        registry.add_source(description("F"))
+        registry.join("F", "P")
+        assert registry.codatabase("F").subclasses_of("P") == ["C"]
+        # C is listed under P once: one dissolve leaves P childless.
+        registry.dissolve_coalition("C")
+        registry.dissolve_coalition("P")
+        assert not registry.has_coalition("P")
 
     def test_dissolve_with_children_rejected(self, registry):
         registry.create_coalition("Cardio", "cardiology", parent="Med")
