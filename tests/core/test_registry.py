@@ -8,7 +8,7 @@ from repro.core.registry import Registry
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
-from tests.core.test_sharding_properties import codb_fingerprint
+from tests.core.registry_scripts import codb_fingerprint
 
 
 def description(name, info="Medical"):
