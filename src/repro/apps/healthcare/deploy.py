@@ -80,7 +80,7 @@ def build_healthcare_system(**system_options) -> HealthcareDeployment:
 
     *system_options* are :class:`~repro.core.system.WebFinditSystem`'s
     own keywords (``transport=``, ``resilience=``, ``isolate_sources=``,
-    ``shards=``, ...), declared there and nowhere else.
+    ``replication_factor=``, ...), declared there and nowhere else.
     """
     system = WebFinditSystem(ontology=topo.healthcare_ontology(),
                              **system_options)

@@ -22,9 +22,6 @@ The shell accepts WebTassili statements plus a few meta-commands:
     replica availability of one source (or all): epoch, lag, journal
     length, restarts, durability; with ``--quorum`` also the lease
     holder, its fence epoch, and each replica's promised fence
-``\\shards``
-    consistent-hash ring and per-shard registry state (see
-    ``docs/sharding.md``)
 ``\\home <database>``
     switch the session to another participating database
 ``\\help`` / ``\\quit``
@@ -38,8 +35,6 @@ silently returning less, any other statement fails with the deadline.
 primary into majority-quorum writes under lease-fenced election, and
 ``--sync {never,batch,always}`` picks the journal's group-commit fsync
 policy with ``--durable-dir`` (see ``docs/quorum.md``).
-``--shards N`` splits the registry over N in-process consistent-hash
-shards (see ``docs/sharding.md``).
 """
 
 from __future__ import annotations
@@ -62,7 +57,6 @@ _HELP = """Meta-commands:
   \\metrics         middleware counters
   \\health          circuit-breaker state per co-database (and replica)
   \\replicas [name] replica availability: epoch, lag, journal, restarts
-  \\shards          registry shard ring and per-shard state
   \\home <name>     re-home the session at another database
   \\help            this text
   \\quit            exit
@@ -158,22 +152,6 @@ class Shell:
                 self._print("no replicated co-databases "
                             "(run with --replicas N)")
             self._print_replicas(status)
-        elif command == "shards":
-            report = self.deployment.system.shard_report()
-            self._print(f"registry shards: {report['shards']}")
-            ring = report["ring"]
-            points = ", ".join(
-                f"shard{node}={count}"
-                for node, count in sorted(ring["points"].items()))
-            self._print(f"ring: {ring['vnodes']} vnodes/shard ({points})")
-            for status in report["statuses"]:
-                self._print(
-                    f"  shard{status['shard']}: "
-                    f"{status['sources']} source(s), "
-                    f"{status['coalitions']} coalition(s), "
-                    f"{status['service_links']} link(s), "
-                    f"{status['update_operations']} update(s), "
-                    f"mutation epoch {status['mutation_epoch']}")
         elif command == "home":
             if not argument:
                 self._print("usage: \\home <database name>")
@@ -269,10 +247,6 @@ def main(argv: Optional[list[str]] = None,
                         choices=["never", "batch", "always"],
                         help="journal group-commit fsync policy with "
                              "--durable-dir (default: never)")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="consistent-hash registry shards, each on "
-                             "its own ORB endpoint (default 1; see "
-                             "docs/sharding.md)")
     options = parser.parse_args(argv)
 
     transport = None
@@ -288,8 +262,7 @@ def main(argv: Optional[list[str]] = None,
                                          replication_factor=options.replicas,
                                          durable_dir=options.durable_dir,
                                          quorum=options.quorum,
-                                         journal_sync=options.sync,
-                                         shards=options.shards)
+                                         journal_sync=options.sync)
     shell = Shell(deployment, options.home, output=output)
     try:
         if options.statement:

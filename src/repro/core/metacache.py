@@ -7,7 +7,7 @@ handful more (``find_coalitions``, ``service_links``, ``memberships``,
 mutates the information space — a join, a leave, a new service link.
 :class:`MetadataCache` keeps those answers for a bounded TTL behind
 **one coherence rule** (``WebFinditSystem(metadata_cache=...)`` wires
-:meth:`MetadataCache.retire` to every registry shard):
+:meth:`MetadataCache.retire` to the registry):
 
 * every entry carries the epoch tag its value was read at (the
   ``applied`` watermark :meth:`~repro.core.codatabase.

@@ -10,9 +10,7 @@ co-databases (meta-data layer) and databases (data layer)."
 * a :class:`~repro.core.discovery.DiscoveryEngine` (topic resolution),
 * co-database clients (meta-data queries),
 * Information Source Interfaces (data queries),
-* a :class:`~repro.core.registry.Registry` (maintenance statements),
-  which routes them across however many consistent-hash registry
-  shards the deployment has.
+* a :class:`~repro.core.registry.Registry` (maintenance statements).
 
 Results come back as :class:`WtResult`: structured data plus the
 rendered text a browser displays (the content of Figures 4–6) — which

@@ -86,8 +86,7 @@ class WebFinditSystem:
                  snapshot_every: Optional[int] = None,
                  quorum: bool = False,
                  journal_sync: str = "never",
-                 lease_duration: float = DEFAULT_LEASE_DURATION,
-                 shards: int = 1):
+                 lease_duration: float = DEFAULT_LEASE_DURATION):
         self.transport = transport if transport is not None \
             else InMemoryNetwork()
         self.ontology = ontology
@@ -120,10 +119,8 @@ class WebFinditSystem:
                      or durable_dir is not None
                      or snapshot_every is not None
                      or quorum)
-        #: Scaling knob: N in-process registry shards behind a
-        #: consistent-hash ring (see ``docs/sharding.md``).
         self.registry = Registry(
-            ontology=ontology, shards=shards,
+            ontology=ontology,
             codatabase_factory=(self._replicated_codatabase
                                 if replicate else None))
         #: Fault-tolerance policy every query processor shares.  Its
@@ -141,7 +138,7 @@ class WebFinditSystem:
                                product="WebFINDIT")
         __, self.naming = start_naming_service(self._system_orb)
         if metadata_cache is not None:
-            # Every shard hands the cache its epoch floors inside the
+            # The registry hands the cache its epoch floors inside the
             # mutating call, before the mutation returns.
             self.registry.add_invalidation_listener(metadata_cache.retire)
         self._deployments: dict[str, DeploymentRecord] = {}
@@ -443,16 +440,6 @@ class WebFinditSystem:
             return sum(facade.reconcile()
                        for facade in self._replicated.values())
 
-    # --------------------------------------------------------------- sharding --
-
-    def shard_report(self) -> dict:
-        """Ring + per-shard inspection (the CLI's ``\\shards``)."""
-        return {
-            "shards": len(self.registry.shards),
-            "ring": self.registry.ring.describe(),
-            "statuses": self.registry.shard_statuses(),
-        }
-
     # ----------------------------------------------------------------- access --
 
     def _resolve_ior(self, kind: str, name: str) -> Ior:
@@ -607,9 +594,6 @@ class WebFinditSystem:
                                  else None),
             },
             "replication": self._replication_metrics(),
-            "sharding": {"shards": len(self.registry.shards),
-                         "ring": self.registry.ring.describe(),
-                         "per_shard": self.registry.shard_statuses()},
         }
 
     def _replication_metrics(self) -> Optional[dict]:

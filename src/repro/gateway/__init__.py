@@ -10,10 +10,9 @@
 import repro.gateway.bridge  # noqa: F401
 from repro.gateway.api import (Connection, Cursor, DriverManager, connect,
                                default_manager)
-from repro.gateway.drivers import (LocalConnection, LocalDriver,
-                                   make_vendor_drivers, parse_url)
+from repro.gateway.drivers import LocalDriver, make_vendor_drivers, parse_url
 
 __all__ = [
     "connect", "Connection", "Cursor", "DriverManager", "default_manager",
-    "LocalDriver", "LocalConnection", "make_vendor_drivers", "parse_url",
+    "LocalDriver", "make_vendor_drivers", "parse_url",
 ]

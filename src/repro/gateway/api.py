@@ -1,7 +1,8 @@
 """A DB-API-2.0-shaped connectivity layer (the role JDBC plays in the paper).
 
 ``connect(url)`` hands back a :class:`Connection` whose cursors execute
-SQL against the in-process engine the URL names.
+SQL against the in-process engine the URL names (a driver of
+:mod:`repro.gateway.drivers` resolves it).
 
 URLs follow the JDBC convention::
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import ConnectionClosed, DriverNotFound, GatewayError
+from repro.sql.engine import Database
 from repro.sql.result import ResultSet
 
 apilevel = "2.0"
@@ -55,7 +57,8 @@ class Cursor:
                 parameters: Optional[Sequence[Any]] = None) -> "Cursor":
         """Execute one SQL statement with optional ``?`` parameters."""
         self._check_open()
-        self._result = self._connection._run(sql, list(parameters or []))
+        self._result = self._connection.database.execute(
+            sql, list(parameters) if parameters else None)
         self._position = 0
         return self
 
@@ -65,7 +68,8 @@ class Cursor:
         self._check_open()
         total = 0
         for parameters in seq_of_parameters:
-            result = self._connection._run(sql, list(parameters))
+            result = self._connection.database.execute(
+                sql, list(parameters) if parameters else None)
             total += result.rowcount
         self._result = ResultSet.empty(total)
         self._position = 0
@@ -128,19 +132,21 @@ class Cursor:
 
 
 class Connection:
-    """A DB-API connection produced by a driver.
+    """A DB-API connection, produced by a driver, to one in-process
+    engine."""
 
-    A subclass implements ``_run``; everything user-facing lives here.
-    """
-
-    def __init__(self, url: str):
+    def __init__(self, url: str, database: Database):
         self.url = url
+        #: The engine every statement of this connection runs on.
+        self.database = database
         self._closed = False
 
-    # -- to be provided by drivers ------------------------------------------------
+    @property
+    def banner(self) -> str:
+        return self.database.banner
 
-    def _run(self, sql: str, params: list[Any]) -> ResultSet:
-        raise NotImplementedError  # pragma: no cover - interface
+    def table_names(self) -> list[str]:
+        return self.database.table_names()
 
     # -- DB-API surface -------------------------------------------------------------
 
@@ -157,11 +163,11 @@ class Connection:
 
     def commit(self) -> None:
         self._check_open()
-        self._run("COMMIT", [])
+        self.database.execute("COMMIT")
 
     def rollback(self) -> None:
         self._check_open()
-        self._run("ROLLBACK", [])
+        self.database.execute("ROLLBACK")
 
     def close(self) -> None:
         self._closed = True

@@ -10,12 +10,11 @@ the way a JDBC driver resolves the database part of its URL.
 from __future__ import annotations
 
 import re
-from typing import Any, Optional
+from typing import Optional
 
 from repro.errors import GatewayError
 from repro.gateway.api import Connection
 from repro.sql.engine import Database
-from repro.sql.result import ResultSet
 
 _URL_RE = re.compile(
     r"^jdbc:(?P<subprotocol>[a-z0-9]+):(?://(?P<host>[^/]+)/)?(?P<database>.+)$")
@@ -28,25 +27,6 @@ def parse_url(url: str) -> tuple[str, Optional[str], str]:
         raise GatewayError(f"malformed connection URL {url!r}")
     return (match.group("subprotocol"), match.group("host"),
             match.group("database"))
-
-
-class LocalConnection(Connection):
-    """A connection bound directly to an in-process engine."""
-
-    def __init__(self, url: str, database: Database):
-        super().__init__(url)
-        self._database = database
-
-    def _run(self, sql: str, params: list[Any]) -> ResultSet:
-        self._check_open()
-        return self._database.execute(sql, params or None)
-
-    @property
-    def banner(self) -> str:
-        return self._database.banner
-
-    def table_names(self) -> list[str]:
-        return self._database.table_names()
 
 
 class LocalDriver:
@@ -79,14 +59,14 @@ class LocalDriver:
             return False
         return subprotocol == self.subprotocol
 
-    def connect(self, url: str) -> LocalConnection:
+    def connect(self, url: str) -> Connection:
         __, __, database_name = parse_url(url)
         database = self._databases.get(database_name.lower())
         if database is None:
             raise GatewayError(
                 f"driver {self.subprotocol!r} knows no database "
                 f"{database_name!r}")
-        return LocalConnection(url, database)
+        return Connection(url, database)
 
     def database_names(self) -> list[str]:
         return sorted(db.name for db in self._databases.values())

@@ -19,7 +19,7 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import TranslationError
 from repro.gateway.api import Connection
-from repro.sql.dialect import GENERIC, Dialect
+from repro.sql.dialect import Dialect
 from repro.sql.result import ResultSet
 from repro.wrappers.base import (ExportedFunction, ExportedType,
                                  InformationSourceInterface, SqlBinding)
@@ -33,8 +33,7 @@ class RelationalWrapper(InformationSourceInterface):
                  dialect: Optional[Dialect] = None,
                  exported_types: Optional[Sequence[ExportedType]] = None):
         self._connection = connection
-        self._dialect = dialect or getattr(
-            getattr(connection, "_database", None), "dialect", GENERIC)
+        self._dialect = dialect or connection.database.dialect
         if wrapper_name is None:
             wrapper_name = f"WebTassili{self._dialect.product.split()[0]}"
         super().__init__(source_name, wrapper_name, exported_types)

@@ -229,7 +229,7 @@ def test_a1_early_stop_link_fanout_and_ontology(healthcare):
 
 def test_s12_the_metadata_cache_serves_the_warm_pass_and_drops_one_audience():
     cache = MetadataCache()
-    system = WebFinditSystem(shards=4, metadata_cache=cache)
+    system = WebFinditSystem(metadata_cache=cache)
     names = [f"src{index:05d}" for index in range(48)]
     for name in names:
         system.register_object_source(

@@ -19,12 +19,8 @@ Below the matrix, the one cache-coherence rule (epoch floors, see
 plus the regressions it fixed: the late fill, into a system's cache
 and into a cache wired to a bare registry, and the replicated source
 that ignored the cache it was deployed with.
-
-``WEBFINDIT_SHARDS`` sets the shard count (CI's tier-2 sharding job
-sweeps {1, 4}).
 """
 
-import os
 import threading
 
 import pytest
@@ -43,7 +39,6 @@ from repro.orb.transport import TcpTransport
 
 from tests.core.test_discovery_properties import lead_fingerprint
 
-SHARDS = int(os.environ.get("WEBFINDIT_SHARDS", "1"))
 QUERY = "Medical Insurance"
 
 #: replication factor × cache kind, plus one cell over real sockets.
@@ -75,7 +70,6 @@ class Cell:
         self.transport = TcpTransport() if tcp else None
         self.deployment = build_healthcare_system(
             transport=self.transport, replication_factor=replicas,
-            shards=SHARDS,
             metadata_cache=MetadataCache() if cache == "local" else None)
         self.system = self.deployment.system
         self.engine = self.system.query_processor().discovery
@@ -156,7 +150,7 @@ REPLICAS = pytest.mark.parametrize("replicas", [1, 2],
 
 
 def small_system(replicas=1):
-    system = WebFinditSystem(replication_factor=replicas, shards=SHARDS,
+    system = WebFinditSystem(replication_factor=replicas,
                              metadata_cache=MetadataCache())
     for name in SOURCES:
         database = ObjectDatabase(name=name.lower(), product="ObjectStore")
@@ -268,7 +262,7 @@ def test_b_a_cache_wired_to_a_bare_registry_refuses_the_late_fill():
     with the drop.  (Subscribed through ``invalidate``, it dropped
     entries but raised no floor, so the late fill was stored and hit as
     ``['Cardio']`` for a whole TTL.)"""
-    registry = Registry(shards=SHARDS)
+    registry = Registry()
     for name in ("Alpha", "Beta"):
         registry.add_source(SourceDescription(
             name=name, information_type="cardiology"))

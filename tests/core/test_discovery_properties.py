@@ -27,12 +27,8 @@ def topologies(draw):
 
 
 def build(coalition_count, sources_per, extra_links):
-    return populate(Registry(), coalition_count, sources_per, extra_links)
-
-
-def populate(registry, coalition_count, sources_per, extra_links):
-    """Apply one drawn topology to a ``Registry`` of any shard count,
-    in identical order."""
+    """One drawn topology, applied to a fresh ``Registry``."""
+    registry = Registry()
     names = []
     for index in range(coalition_count):
         topic = TOPICS[index % len(TOPICS)]
@@ -135,77 +131,3 @@ def test_leads_sorted_and_deduplicated(topology):
     coalition_leads = [lead.name for lead in result.leads
                        if lead.through_link is None]
     assert len(coalition_leads) == len(set(coalition_leads))
-
-
-# ---------------------------------------------------------------------------
-# Cross-shard equivalence: discovery over a sharded registry is
-# byte-identical to discovery over a singleton — every field of the
-# DiscoveryResult, including the degraded report.
-# ---------------------------------------------------------------------------
-
-
-def result_bytes(result):
-    """The full DiscoveryResult as one comparable structure — every
-    field, recursively, including the degraded report."""
-    import dataclasses
-    return dataclasses.asdict(result)
-
-
-@given(topologies(), st.integers(min_value=2, max_value=5))
-@settings(max_examples=25, deadline=None)
-def test_sharded_discovery_equals_singleton(topology, shard_count):
-    """Sharding the registry is invisible to discovery: for any random
-    topology and any shard count, the DiscoveryResult is byte-identical
-    to the singleton deployment's."""
-    from repro.core.sharding import HashRing
-
-    singleton, names, databases = build(*topology)
-    sharded = Registry(shards=shard_count,
-                       ring=HashRing(range(shard_count), vnodes=8))
-    populate(sharded, *topology)
-
-    reference = engine_for(singleton)
-    engine = engine_for(sharded)
-    topics = {singleton.coalition(name).information_type
-              for name in names} | {"nonexistent subject matter"}
-    for topic in sorted(topics):
-        for start in (databases[0], databases[-1]):
-            expected = reference.discover(topic, start, max_hops=10)
-            actual = engine.discover(topic, start, max_hops=10)
-            assert result_bytes(actual) == result_bytes(expected)
-
-
-@given(topologies(), st.integers(min_value=2, max_value=4))
-@settings(max_examples=15, deadline=None)
-def test_sharded_discovery_equals_singleton_with_failures(topology,
-                                                          shard_count):
-    """The equivalence holds through partial failure: with the same
-    co-databases dead in both deployments, unreachable lists, degraded
-    reports, and surviving leads match byte for byte."""
-    from repro.core.sharding import HashRing
-    from repro.errors import CommFailure
-
-    singleton, names, databases = build(*topology)
-    sharded = Registry(shards=shard_count,
-                       ring=HashRing(range(shard_count), vnodes=8))
-    populate(sharded, *topology)
-    start = databases[0]
-    dead = {name for index, name in enumerate(databases)
-            if index % 2 == 1 and name != start}
-
-    def resolver_over(registry_like):
-        def resolver(name):
-            if name in dead:
-                raise CommFailure(f"connection refused: {name}")
-            return CoDatabaseClient.for_local(
-                registry_like.codatabase(name))
-        return resolver
-
-    reference = DiscoveryEngine(resolver_over(singleton))
-    engine = DiscoveryEngine(resolver_over(sharded))
-    topic = singleton.coalition(names[-1]).information_type
-    expected = reference.discover(topic, start, max_hops=10)
-    actual = engine.discover(topic, start, max_hops=10)
-    assert result_bytes(actual) == result_bytes(expected)
-    assert actual.unreachable == expected.unreachable
-    assert set(actual.unreachable) <= dead

@@ -316,7 +316,7 @@ class TestEpochTaggedEntries:
         assert cache.lookup("RBH", "memberships", ()) == (True, ["new"])
 
     def test_invalidate_source_drops_only_that_owner(self):
-        """One source's floors, as a registry shard hands them over."""
+        """One source's floors, as the registry hands them over."""
         cache = MetadataCache()
         cache.store("RBH", "memberships", (), ["Research"], epoch=4)
         cache.store("QUT", "memberships", (), ["Research"], epoch=2)

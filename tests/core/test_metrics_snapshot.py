@@ -139,7 +139,7 @@ def test_system_metrics_reads_one_transport_snapshot():
     snapshot: while worker threads drive real GIOP traffic, the
     per-endpoint histogram it reports always sums to exactly the
     message total it reports."""
-    system = WebFinditSystem(shards=2)
+    system = WebFinditSystem()
     for name in ("Alpha", "Beta", "Gamma"):
         database = ObjectDatabase(name=name.lower(), product="ObjectStore")
         system.register_object_source(database, SourceDescription(

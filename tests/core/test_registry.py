@@ -274,12 +274,10 @@ class TestCodbWriteGate:
     """``codb_write`` issues the declared maintenance writes minus
     ``advertise``, and nothing else."""
 
-    # The handle is the shard itself; the one parameter keeps the test
-    # ids stable.
+    # The one parameter keeps the test ids stable.
     @pytest.fixture(params=["in-process"])
     def handle(self, request, registry):
-        [shard] = registry.shards
-        return shard
+        return registry
 
     @pytest.mark.parametrize("operation, arguments", [
         ("advertise", [description("A", "Forged")]),
@@ -308,15 +306,14 @@ class TestCodbWriteGate:
             {"format": "text", "content": "about A", "url": ""}]
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestLeaveUndoesJoin:
-    """Regressions fixed once in the one coordinator: what ``join``
+    """What ``join``
     copies into the joiner's co-database, ``leave`` takes out again —
     and a second ``join`` puts back."""
 
     @staticmethod
-    def build(shards):
-        registry = Registry(shards=shards)
+    def build():
+        registry = Registry()
         for name in ("A", "B", "G"):
             registry.add_source(description(name))
         registry.create_coalition("Med", "Medical")
@@ -334,8 +331,8 @@ class TestLeaveUndoesJoin:
         del fingerprint["epoch"], fingerprint["applied"]  # only ever grow
         return fingerprint
 
-    def test_leave_takes_the_coalitions_links_with_it(self, shards):
-        registry = self.build(shards)
+    def test_leave_takes_the_coalitions_links_with_it(self):
+        registry = self.build()
         before = self.contents(registry)
         registry.join("G", "Med")
         assert len(self.contents(registry)["links"]) == 1
@@ -345,8 +342,8 @@ class TestLeaveUndoesJoin:
         # forget_coalition + one link removal + A's remove_member
         assert registry.update_operations - writes == 3
 
-    def test_leaver_keeps_links_it_is_still_entitled_to(self, shards):
-        registry = self.build(shards)
+    def test_leaver_keeps_links_it_is_still_entitled_to(self):
+        registry = self.build()
         registry.add_service_link(ServiceLink(
             EndpointKind.DATABASE, "G", EndpointKind.COALITION, "Med"))
         registry.join("G", "Med")
@@ -359,8 +356,8 @@ class TestLeaveUndoesJoin:
                 for link in registry.codatabase("G").service_links()] \
             == ["G_to_Med"]
 
-    def test_rejoin_sees_the_coalition_again(self, shards):
-        registry = self.build(shards)
+    def test_rejoin_sees_the_coalition_again(self):
+        registry = self.build()
         registry.join("G", "Med")
         registry.leave("G", "Med")
         registry.join("G", "Med")

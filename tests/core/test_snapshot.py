@@ -89,13 +89,12 @@ class TestRoundTrip:
         assert restored.coalition("Pediatric Cardio").parent == "Cardio"
 
 
-@pytest.mark.parametrize("shards", [1, 4])
 class TestJoinOrderRoundTrip:
     """Membership order is join order, not coalition-listing order."""
 
     @staticmethod
-    def build(shards):
-        registry = Registry(shards=shards)
+    def build():
+        registry = Registry()
         for name in ("A", "B", "C"):
             registry.add_source(SourceDescription(
                 name=name, information_type="x", location=f"{name}.net"))
@@ -110,8 +109,8 @@ class TestJoinOrderRoundTrip:
         registry.join("A", "Alpha")
         return registry
 
-    def test_memberships_and_members_preserved(self, shards):
-        original = self.build(shards)
+    def test_memberships_and_members_preserved(self):
+        original = self.build()
         restored = import_topology(export_topology(original))
         assert restored.codatabase("A").memberships == ["Zeta", "Alpha"]
         for name in original.source_names():
@@ -122,15 +121,15 @@ class TestJoinOrderRoundTrip:
                 == original.coalition(name).members
         assert restored.coalition("Alpha").members == ["C", "B", "A"]
 
-    def test_payload_without_memberships_still_imports(self, shards):
-        payload = export_topology(self.build(shards))
+    def test_payload_without_memberships_still_imports(self):
+        payload = export_topology(self.build())
         del payload["memberships"]
         restored = import_topology(payload)
         assert restored.coalition("Zeta").members == ["C", "A"]
-        assert restored.summary() == self.build(shards).summary()
+        assert restored.summary() == self.build().summary()
 
-    def test_contradictory_orders_rejected(self, shards):
-        payload = export_topology(self.build(shards))
+    def test_contradictory_orders_rejected(self):
+        payload = export_topology(self.build())
         payload["memberships"]["A"] = ["Alpha", "Zeta"]
         payload["memberships"]["C"] = ["Zeta", "Alpha"]
         for coalition in payload["coalitions"]:

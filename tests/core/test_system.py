@@ -71,7 +71,7 @@ class TestWiring:
 class TestADeploymentServesOnlyWhatAClientCalls:
     """A deployment binds the co-database and the ISI of each source
     (and, when replicated, each replica): the objects clients call.
-    Registry shards are in-process and bind nothing."""
+    The registry is in-process and binds nothing."""
 
     @staticmethod
     def served(replicas=0):
@@ -97,8 +97,7 @@ class TestADeploymentServesOnlyWhatAClientCalls:
         assert system.naming.list_names("") == sorted(self.served())
 
     def test_replicas_add_only_their_own_bindings(self):
-        system = build_healthcare_system(replication_factor=3,
-                                         shards=4).system
+        system = build_healthcare_system(replication_factor=3).system
         assert system.naming.list_names("") == sorted(self.served(3))
 
 
@@ -167,64 +166,3 @@ class TestFourLayers:
             assert len(orbs) > 1
             assert per_orb[product]["requests_handled"] == \
                 sum(orb.stats.requests_handled for orb in orbs) > 1
-
-
-@pytest.fixture(scope="module")
-def deployments():
-    from repro.apps.healthcare import build_healthcare_system
-    return {shards: build_healthcare_system(shards=shards)
-            for shards in (1, 4)}
-
-
-class TestAnyShardCountIsTheSameSystem:
-    """The default deployment is the one-shard ring: nothing in the
-    facade branches on the shard count, so every report has the same
-    shape and every answer the same content at 1 and 4 shards."""
-
-    SCENARIO = [
-        "Display Coalitions With Information Medical Research",
-        "Display Instances of Class Research",
-        "Display Documentation of Instance Royal Brisbane Hospital "
-        "of Class Research",
-        "Find Coalitions With Information Medical Insurance",
-    ]
-
-    @pytest.mark.parametrize("shards", [1, 4])
-    def test_reports_have_one_shape(self, deployments, shards):
-        system = deployments[shards].system
-        report = system.shard_report()
-        assert report["shards"] == len(report["statuses"]) == shards
-        assert [status["shard"] for status in report["statuses"]] \
-            == list(range(shards))
-        assert report["ring"]["points"] \
-            == {str(index): report["ring"]["vnodes"]
-                for index in range(shards)}
-        assert set(report) == set(deployments[1].system.shard_report())
-        assert set(report["statuses"][0]) \
-            == set(deployments[1].system.shard_report()["statuses"][0])
-        sharding = system.metrics()["sharding"]
-        assert sharding["shards"] == len(sharding["per_shard"]) == shards
-        assert sharding["ring"] == report["ring"]
-
-    def test_registry_state_does_not_depend_on_the_partition(
-            self, deployments):
-        one, four = (deployments[n].system.registry for n in (1, 4))
-        assert one.summary() == four.summary()
-        assert one.epochs() == four.epochs()
-        assert one.update_operations == four.update_operations
-        assert one.source_names() == four.source_names() \
-            == sorted(one.source_names())
-        assert one.coalition_names() == four.coalition_names() \
-            == sorted(one.coalition_names())
-
-    def test_figure_4_to_6_answers_are_identical(self, deployments):
-        transcripts = {}
-        for shards, deployment in deployments.items():
-            browser = deployment.browser(topo.QUT)
-            answers = [browser.submit(text).text for text in self.SCENARIO]
-            fetched = browser.fetch(topo.RBH,
-                                    "SELECT * FROM MedicalStudent")
-            answers.append(fetched.text)
-            transcripts[shards] = answers
-        assert transcripts[1] == transcripts[4]
-        assert "Research" in transcripts[1][0]

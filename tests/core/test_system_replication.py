@@ -4,12 +4,7 @@ These tests exercise what tests/core/test_replication.py stubs out —
 replica servants on their own endpoints, the generation-checked proxy
 cache, kill/restart through the system facade, and the interaction
 with metrics and health state.
-
-``WEBFINDIT_SHARDS`` sets the registry shard count (CI's tier-2
-sharding job sweeps {1, 4}).
 """
-
-import os
 
 import pytest
 
@@ -22,11 +17,8 @@ from repro.errors import CommFailure, UnknownDatabase, WebFinditError
 from repro.oodb.database import ObjectDatabase
 
 
-SHARDS = int(os.environ.get("WEBFINDIT_SHARDS", "1"))
-
-
 def build_system(**kwargs):
-    system = WebFinditSystem(replication_factor=2, shards=SHARDS, **kwargs)
+    system = WebFinditSystem(replication_factor=2, **kwargs)
     for name in ("Alpha", "Beta"):
         database = ObjectDatabase(name=name.lower(), product="ObjectStore")
         system.register_object_source(database, SourceDescription(

@@ -76,14 +76,6 @@ class TestShell:
         repl.handle("\\metrics")
         assert "GIOP messages:" in output.getvalue()
 
-    def test_shards(self, shell):
-        repl, output = shell
-        repl.handle("\\shards")
-        lines = output.getvalue().splitlines()
-        assert lines[0] == "registry shards: 1"
-        assert lines[1] == "ring: 64 vnodes/shard (shard0=64)"
-        assert lines[2].startswith("  shard0: 14 source(s), 5 coalition(s)")
-
     def test_rehome(self, shell):
         repl, output = shell
         repl.handle("\\home Royal Brisbane Hospital")
