@@ -95,7 +95,7 @@ class Registry:
         affected = sorted({name for name in names if name})
         if not affected or not self._invalidation_listeners:
             return
-        floors = {name: getattr(self._codatabases[name], "epoch", 0)
+        floors = {name: self._codatabases[name].epoch
                   if name in self._sources else TOMBSTONE
                   for name in affected}
         for listener in self._invalidation_listeners:
@@ -176,7 +176,7 @@ class Registry:
 
     def epochs(self) -> dict[str, int]:
         """Per-co-database maintenance-write versions."""
-        return {name: getattr(codatabase, "epoch", 0)
+        return {name: codatabase.epoch
                 for name, codatabase in self._codatabases.items()}
 
     def leases(self) -> dict[str, dict]:
