@@ -306,10 +306,12 @@ class TestCodbWriteGate:
             {"format": "text", "content": "about A", "url": ""}]
 
 
+@pytest.mark.parametrize("cycles", [1, 4])
 class TestLeaveUndoesJoin:
     """What ``join``
     copies into the joiner's co-database, ``leave`` takes out again —
-    and a second ``join`` puts back."""
+    and a second ``join`` puts back, however many times the cycle
+    repeats."""
 
     @staticmethod
     def build():
@@ -331,35 +333,38 @@ class TestLeaveUndoesJoin:
         del fingerprint["epoch"], fingerprint["applied"]  # only ever grow
         return fingerprint
 
-    def test_leave_takes_the_coalitions_links_with_it(self):
+    def test_leave_takes_the_coalitions_links_with_it(self, cycles):
         registry = self.build()
         before = self.contents(registry)
-        registry.join("G", "Med")
-        assert len(self.contents(registry)["links"]) == 1
-        writes = registry.update_operations
-        registry.leave("G", "Med")
-        assert self.contents(registry) == before
-        # forget_coalition + one link removal + A's remove_member
-        assert registry.update_operations - writes == 3
+        for _ in range(cycles):
+            registry.join("G", "Med")
+            assert len(self.contents(registry)["links"]) == 1
+            writes = registry.update_operations
+            registry.leave("G", "Med")
+            assert self.contents(registry) == before
+            # forget_coalition + one link removal + A's remove_member
+            assert registry.update_operations - writes == 3
 
-    def test_leaver_keeps_links_it_is_still_entitled_to(self):
+    def test_leaver_keeps_links_it_is_still_entitled_to(self, cycles):
         registry = self.build()
         registry.add_service_link(ServiceLink(
             EndpointKind.DATABASE, "G", EndpointKind.COALITION, "Med"))
-        registry.join("G", "Med")
-        registry.join("G", "Ins")
-        registry.leave("G", "Med")
-        # Med_to_Ins still reaches G through Ins, G_to_Med through G.
-        assert len(registry.codatabase("G").service_links()) == 2
-        registry.leave("G", "Ins")
-        assert [link.label
-                for link in registry.codatabase("G").service_links()] \
-            == ["G_to_Med"]
+        for _ in range(cycles):
+            registry.join("G", "Med")
+            registry.join("G", "Ins")
+            registry.leave("G", "Med")
+            # Med_to_Ins still reaches G through Ins, G_to_Med through G.
+            assert len(registry.codatabase("G").service_links()) == 2
+            registry.leave("G", "Ins")
+            assert [link.label
+                    for link in registry.codatabase("G").service_links()] \
+                == ["G_to_Med"]
 
-    def test_rejoin_sees_the_coalition_again(self):
+    def test_rejoin_sees_the_coalition_again(self, cycles):
         registry = self.build()
-        registry.join("G", "Med")
-        registry.leave("G", "Med")
+        for _ in range(cycles):
+            registry.join("G", "Med")
+            registry.leave("G", "Med")
         registry.join("G", "Med")
         guest = registry.codatabase("G")
         assert [c.name for c in guest.known_coalitions()] == ["Med"]

@@ -89,8 +89,16 @@ class TestRoundTrip:
         assert restored.coalition("Pediatric Cardio").parent == "Cardio"
 
 
+@pytest.mark.parametrize("round_trips", [1, 4])
 class TestJoinOrderRoundTrip:
-    """Membership order is join order, not coalition-listing order."""
+    """Membership order is join order, not coalition-listing order, and
+    it survives any number of export/import round trips."""
+
+    @staticmethod
+    def round_trip(registry, times):
+        for _ in range(times):
+            registry = import_topology(export_topology(registry))
+        return registry
 
     @staticmethod
     def build():
@@ -109,9 +117,9 @@ class TestJoinOrderRoundTrip:
         registry.join("A", "Alpha")
         return registry
 
-    def test_memberships_and_members_preserved(self):
+    def test_memberships_and_members_preserved(self, round_trips):
         original = self.build()
-        restored = import_topology(export_topology(original))
+        restored = self.round_trip(original, round_trips)
         assert restored.codatabase("A").memberships == ["Zeta", "Alpha"]
         for name in original.source_names():
             assert restored.codatabase(name).memberships \
@@ -121,15 +129,17 @@ class TestJoinOrderRoundTrip:
                 == original.coalition(name).members
         assert restored.coalition("Alpha").members == ["C", "B", "A"]
 
-    def test_payload_without_memberships_still_imports(self):
+    def test_payload_without_memberships_still_imports(self, round_trips):
         payload = export_topology(self.build())
         del payload["memberships"]
-        restored = import_topology(payload)
+        restored = self.round_trip(import_topology(payload),
+                                   round_trips - 1)
         assert restored.coalition("Zeta").members == ["C", "A"]
         assert restored.summary() == self.build().summary()
 
-    def test_contradictory_orders_rejected(self):
-        payload = export_topology(self.build())
+    def test_contradictory_orders_rejected(self, round_trips):
+        payload = export_topology(
+            self.round_trip(self.build(), round_trips - 1))
         payload["memberships"]["A"] = ["Alpha", "Zeta"]
         payload["memberships"]["C"] = ["Zeta", "Alpha"]
         for coalition in payload["coalitions"]:
