@@ -27,13 +27,15 @@ def walk(node: Node) -> Iterator[Node]:
     """*node* and every node below it, depth first.  A nested query
     block is yielded but not entered: its columns and aggregates belong
     to its own scope."""
-    yield node
-    if isinstance(node, Statement):
-        return
-    for value in vars(node).values():
-        for child in value if isinstance(value, list) else (value,):
-            if isinstance(child, Node):
-                yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, Statement):
+            stack.extend(reversed([
+                child for value in vars(node).values()
+                for child in (value if isinstance(value, list) else (value,))
+                if isinstance(child, Node)]))
 
 
 # ---------------------------------------------------------------------------
@@ -74,6 +76,16 @@ class Param(Expression):
     """A positional ``?`` parameter; *index* is assigned left to right."""
 
     index: int
+
+
+@dataclass
+class Slot(Expression):
+    """The *index*-th literal of the statement text, read at run time;
+    *kind* (:func:`repro.sql.lexer.kind_of`) is the same for every text
+    of the shape: ``int``, ``float``, ``str`` or ``"date"``."""
+
+    index: int
+    kind: Any
 
 
 @dataclass

@@ -7,10 +7,13 @@ runs the column read, the :data:`SAME_KIND` check and the operator
 inline; NULLs, mixed kinds and dates against ISO text take the full
 rules of :mod:`repro.sql.expressions`.  Subqueries, scalar functions,
 CAST and LIKE are calls to helpers.  Source is generated per plan
-*shape*: literals, kind sets and helpers are parameters of a factory
+*shape*: constants, kind sets and helpers are parameters of a factory
 (``c0``, ``k1``, ``f2`` ...), column positions ints and operators from
-fixed tables, so no identifier or literal text is spliced into source,
-and ``... WHERE id = 17`` and ``... = 1234`` share one compiled function.
+fixed tables, so no identifier or literal text is spliced into source.
+The literals of a statement's shape are :class:`~repro.sql.ast.Slot`
+reads of the frame, and the engine caches the plan per shape: code is
+generated for a shape once.  AND, OR and arithmetic chains are
+generated flat, nesting no deeper than the parser lets a statement.
 """
 
 from __future__ import annotations
@@ -25,10 +28,11 @@ from repro.sql.expressions import (SAME_KIND, Compiled, Frame, Scope,
                                    _arith, _between, _compare, _member,
                                    iso_text_as_date, like_match)
 from repro.sql.functions import SCALAR_FUNCTIONS, is_aggregate
+from repro.sql.lexer import kind_of
 from repro.sql.types import TYPE_SYNONYMS, coerce
 
 #: Compiled factories kept, least recently used first out: the size of
-#: the engine's statement cache and the WebTassili parse cache.
+#: the engine's statement cache (of shapes) and the WebTassili parse cache.
 CACHE_SIZE = 512
 
 #: A generated loop: ``fn(rows, frame)`` over a whole list of rows.
@@ -84,7 +88,11 @@ _GLOBALS = {
 def _factory(source: str) -> Callable:
     """The ``make`` function *source* defines, compiled once per text."""
     namespace = dict(_GLOBALS)
-    exec(compile(source, "<sql pipeline>", "exec"), namespace)
+    try:  # a CASE of thousands of arms nests too deep for Python
+        code = compile(source, "<sql pipeline>", "exec")
+    except (RecursionError, MemoryError, SyntaxError):
+        raise SqlError("expression too large to compile") from None
+    exec(code, namespace)
     return namespace["make"]
 
 
@@ -139,8 +147,8 @@ class _Emitter:
         """Source that is truthy exactly when *node* is TRUE."""
         if isinstance(node, ast.Binary) and node.op in ("AND", "OR"):
             joiner = " and " if node.op == "AND" else " or "
-            return (f"({self.test(node.left, scope)}{joiner}"
-                    f"{self.test(node.right, scope)})")
+            return "(" + joiner.join(self.test(operand, scope)
+                                     for operand in _chain(node)) + ")"
         if isinstance(node, ast.Unary) and node.op == "NOT" \
                 and _is_predicate(node.operand):
             return f"({self.value(node.operand, scope)} is False)"
@@ -160,7 +168,7 @@ class _Emitter:
     def subquery(self, select: ast.Select, scope: Scope) -> str:
         """A call running the nested block with row ``r`` pushed."""
         rows_of = self.bind(self._plan_subquery(select, scope), "f")
-        return f"{rows_of}((frame[0], r, frame))"
+        return f"{rows_of}((frame[0], r, frame, frame[3]))"
 
     # -- leaf nodes -----------------------------------------------------------
 
@@ -175,6 +183,9 @@ class _Emitter:
 
     def emit_Param(self, node: ast.Param, scope: Scope) -> str:
         return f"_param(frame, {int(node.index)})"
+
+    def emit_Slot(self, node: ast.Slot, scope: Scope) -> str:
+        return f"frame[3][{int(node.index)}]"
 
     def emit_Star(self, node: ast.Star, scope: Scope) -> str:
         raise SqlError("* is only valid in a select list or COUNT(*)")
@@ -193,20 +204,43 @@ class _Emitter:
         op = node.op
         if op in _PYTHON_TESTS:
             return self.comparison(node, scope)
-        left, right = self.value(node.left, scope), self.value(node.right, scope)
         if op in ("AND", "OR"):
+            return self.logic(node, scope)
+        if op not in _ARITHMETIC:
+            raise SqlError(f"unknown arithmetic operator {op!r}")
+        # a + b - c: one step per operator, each result in a temp.
+        steps, spine = [], node
+        while isinstance(spine, ast.Binary) and spine.op in _ARITHMETIC:
+            steps.append(spine)
+            spine = spine.left
+        source, parts = self.value(spine, scope), []
+        for step in reversed(steps):
+            parts.append(f"_arith({step.op!r}, {source}, "
+                         f"{self.value(step.right, scope)})")
+            if step is not node:
+                source = self.temp()
+                parts[-1] = f"{source} := {parts[-1]}"
+        return parts[0] if len(parts) == 1 else f"({', '.join(parts)})[-1]"
+
+    def logic(self, node: ast.Binary, scope: Scope) -> str:
+        """Three-valued AND / OR of a whole chain: decided by the first
+        operand that is FALSE (AND) or TRUE (OR), else NULL if one was."""
+        operands = _chain(node)
+        if node.op == "AND" and not all(map(_is_predicate, operands)):
+            # Over values that are not truths, AND is the pairwise fold.
+            left, right = (self.value(node.left, scope),
+                           self.value(node.right, scope))
             a, b = self.temp(), self.temp()
-        if op == "AND":
             return (f"(False if ({a} := {left}) is False else False if "
                     f"({b} := {right}) is False else None if {a} is None or "
                     f"{b} is None else {a} is True and {b} is True)")
-        if op == "OR":
-            return (f"(True if ({a} := {left}) is True else True if "
-                    f"({b} := {right}) is True else None if {a} is None or "
-                    f"{b} is None else False)")
-        if op not in _ARITHMETIC:
-            raise SqlError(f"unknown arithmetic operator {op!r}")
-        return f"_arith({op!r}, {left}, {right})"
+        decisive = node.op == "OR"
+        temps = [self.temp() for __ in operands]
+        return (f"({decisive} if (" + " or ".join(
+            f"({t} := {self.value(operand, scope)}) is {decisive}"
+            for t, operand in zip(temps, operands)) + ") else None if ("
+            + " or ".join(f"{t} is None" for t in temps)
+            + f") else {not decisive})")
 
     def comparison(self, node: ast.Binary, scope: Scope,
                    test: bool = False) -> str:
@@ -219,16 +253,13 @@ class _Emitter:
         op, left, right = node.op, node.left, node.right
         a, b = self.value(left, scope), self.value(right, scope)
         fallback = f"_compare({op!r}, {a}, {b})"
-        simple = (ast.ColumnRef, ast.Literal)
-        if not (isinstance(left, simple) and isinstance(right, simple)):
+        if not (isinstance(left, _SIMPLE) and isinstance(right, _SIMPLE)):
             return fallback
-        constant, other = (right, a) if isinstance(right, ast.Literal) \
+        constant, other = (right, a) if isinstance(right, _CONSTANTS) \
             else (left, b)
-        if isinstance(constant, ast.Literal) and type(constant.value) in SAME_KIND:
-            value = constant.value
-            check = f"type({other}) in {self.bind(SAME_KIND[type(value)], 'k')}"
-            dated = type(value) is datetime.date or (
-                type(value) is str and iso_text_as_date(value) is not value)
+        value_type, dated = _constant(constant)
+        if value_type in SAME_KIND:
+            check = f"type({other}) in {self.bind(SAME_KIND[value_type], 'k')}"
             if test and op == "=" and not dated:
                 return f"({a} == {b} and ({check} or {fallback}))"
         else:
@@ -244,11 +275,9 @@ class _Emitter:
                               (node.operand, node.low, node.high))
         negated = bool(node.negated)
         fallback = f"_between({operand}, {low}, {high}, {negated})"
-        kinds = SAME_KIND.get(type(getattr(node.low, "value", None)), ())
-        if isinstance(node.operand, (ast.ColumnRef, ast.Literal)) \
-                and isinstance(node.low, ast.Literal) \
-                and isinstance(node.high, ast.Literal) \
-                and type(node.high.value) in kinds:
+        kinds = SAME_KIND.get(_constant(node.low)[0], ())
+        if isinstance(node.operand, _SIMPLE) \
+                and _constant(node.high)[0] in kinds:
             inside = f"({low} <= {operand} <= {high})"
             return (f"({'not ' if negated else ''}{inside} if type({operand})"
                     f" in {self.bind(kinds, 'k')} else {fallback})")
@@ -264,9 +293,9 @@ class _Emitter:
     def emit_InList(self, node: ast.InList, scope: Scope) -> str:
         operand = self.value(node.operand, scope)
         negated = bool(node.negated)
-        if all(isinstance(item, ast.Literal) for item in node.items):
-            constants = self.bind(tuple(item.value for item in node.items))
-            return f"_member({operand}, {constants}, {negated})"
+        if all(isinstance(item, _CONSTANTS) for item in node.items):
+            return f"_member({operand}, {self.tuple(node.items, scope)}, " \
+                   f"{negated})"
         # A generator, so items after a match are not evaluated.
         items = [self.value(item, scope) for item in node.items]
         chosen = items[-1]
@@ -294,9 +323,8 @@ class _Emitter:
         arms = [(self.test(when.condition if node.operand is None else
                            ast.Binary("=", node.operand, when.condition), scope),
                  self.value(when.result, scope)) for when in node.whens]
-        for condition, result in reversed(arms):
-            source = f"({result} if {condition} else {source})"
-        return source
+        return "(" + "".join(f"{result} if {condition} else "
+                             for condition, result in arms) + source + ")"
 
     def emit_Cast(self, node: ast.Cast, scope: Scope) -> str:
         target = TYPE_SYNONYMS.get(node.type_name)
@@ -320,6 +348,31 @@ class _Emitter:
 #: AST node class -> its ``emit_<ClassName>`` method.
 _EMIT = {getattr(ast, name[5:]): method for name, method in vars(_Emitter).items()
          if name.startswith("emit_")}
+
+
+_CONSTANTS = (ast.Literal, ast.Slot)
+#: Operands whose reads cost nothing and cannot fail.
+_SIMPLE = (ast.ColumnRef, *_CONSTANTS)
+
+
+def _constant(node: ast.Expression) -> tuple[Any, bool]:
+    """``(type, dated)`` of a constant's value: its type, and whether it
+    is a date or text spelling one; ``(None, False)`` for another node."""
+    kind = node.kind if isinstance(node, ast.Slot) else kind_of(node.value) \
+        if isinstance(node, ast.Literal) else None
+    return (str, True) if kind == "date" else (kind, kind is datetime.date)
+
+
+def _chain(node: ast.Binary) -> list[ast.Expression]:
+    """The operands of the chain of ``node.op`` down *node*'s left side:
+    the parser makes ``a OR b OR c`` ``(a OR b) OR c``."""
+    operands = []
+    op = node.op
+    while isinstance(node, ast.Binary) and node.op == op:
+        operands.append(node.right)
+        node = node.left
+    operands.append(node)
+    return operands[::-1]
 
 
 def _is_predicate(node: ast.Expression) -> bool:

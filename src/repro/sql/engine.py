@@ -4,10 +4,13 @@
 executor into a single object with an ``execute(sql, params)`` entry
 point, vendor dialects, and snapshot-based transactions.
 
-A statement text is parsed once and planned once, in an LRU cache keyed
-by the text; a plan is rebuilt when the *catalog version* it was made
-under is no longer current.  Every DDL statement and ``rollback()``
-moves it, since plans bind tables, indexes and column positions.
+A statement is parsed and planned once per *shape*, in an LRU cache
+keyed by the text with its literals cut out (:func:`repro.sql.lexer.shape`):
+``... WHERE id = 17`` and ``... = 18`` run one plan, which reads the
+literals from its frame; those the planner reads stay in the key.  A
+plan is rebuilt when the *catalog version* it was made under is no
+longer current.  Every DDL statement and ``rollback()`` moves it, since
+plans bind tables, indexes and column positions.
 
 Example::
 
@@ -30,6 +33,7 @@ from repro.sql.catalog import Catalog, Column, IndexDef, TableSchema
 from repro.sql.dialect import GENERIC, Dialect, get_dialect
 from repro.sql.executor import execute_plan, run_query
 from repro.sql.explain import explain_lines
+from repro.sql.lexer import shape
 from repro.sql.parser import Parser
 from repro.sql.planner import Planner
 from repro.sql.result import ResultSet
@@ -38,7 +42,7 @@ from repro.sql.storage import Table
 
 #: What the planner plans; DDL and transaction control run directly.
 _PLANNED = (ast.Select, ast.Union, ast.Insert, ast.Update, ast.Delete)
-#: Statement texts kept parsed and planned, least recently used first out.
+#: Statement shapes kept parsed and planned, least recently used first out.
 _STATEMENT_CACHE_SIZE = 512
 
 
@@ -63,7 +67,7 @@ class Database:
         self._tables: dict[str, Table] = {}
         self._views: dict[str, ast.Statement] = {}
         self._view_display_names: list[str] = []
-        self._statement_cache: OrderedDict[str, _Prepared] = OrderedDict()
+        self._statement_cache: OrderedDict[Any, Any] = OrderedDict()
         self._catalog_version = 0
         self._snapshot: Optional[dict[str, tuple[dict, int]]] = None
         self._lock = threading.RLock()
@@ -114,35 +118,58 @@ class Database:
     def execute(self, sql: str, params: Optional[list[Any]] = None) -> ResultSet:
         """Parse and execute one SQL statement."""
         with self._lock:
-            return self._run(self._prepare(sql), params)
+            return self._run(*self._prepare(sql), params)
 
     def executemany(self, sql: str, rows: Iterable[list[Any]]) -> int:
         """Execute one parameterized statement once per parameter row."""
         total = 0
         with self._lock:
-            prepared = self._prepare(sql)
+            prepared, literals = self._prepare(sql)
             for params in rows:
-                total += self._run(prepared, list(params)).rowcount
+                total += self._run(prepared, literals, list(params)).rowcount
         return total
 
     def execute_script(self, sql: str) -> list[ResultSet]:
         """Execute a ``;``-separated script, returning one result per statement."""
         with self._lock:
-            return [self._run(_Prepared(statement), None)
+            return [self._run(_Prepared(statement), (), None)
                     for statement in Parser(sql).parse_script()]
 
-    def _prepare(self, sql: str) -> _Prepared:
+    def _prepare(self, sql: str) -> tuple[_Prepared, list]:
+        """The cached statement of *sql*'s shape, and the values of the
+        literals the shape cut out of *sql* (what its slots read)."""
+        key, literals = shape(sql)
+        if key is None:  # it does not lex: the parser says why
+            return _Prepared(Parser(sql).parse_statement()), literals
         cache = self._statement_cache
-        prepared = cache.get(sql)
-        if prepared is None:
-            prepared = cache[sql] = _Prepared(Parser(sql).parse_statement())
-            if len(cache) > _STATEMENT_CACHE_SIZE:
-                cache.popitem(last=False)
-        else:
-            cache.move_to_end(sql)
-        return prepared
+        prepared = cache.get(key)
+        if type(prepared) is tuple:
+            # The positions of literals the planner reads: the statement
+            # is cached under the shape and their values.
+            cache.move_to_end(key)
+            key = (key, tuple([literals[i] for i in prepared]))
+            prepared = cache.get(key)
+        if prepared is not None:
+            cache.move_to_end(key)
+            return prepared, literals
+        parser = Parser(sql, shaped=True)
+        prepared = _Prepared(parser.parse_statement())
+        if list(zip(map(type, parser.literals), parser.literals)) \
+                != list(zip(map(type, literals), literals)):
+            # The shape cut the text where the lexer did not: run it
+            # as it stands, uncached.
+            return _Prepared(Parser(sql).parse_statement()), literals
+        pinned = parser.pinned()
+        if pinned and type(key) is str:
+            cache[key] = pinned
+            key = (key, tuple([literals[i] for i in pinned]))
+        cache[key] = prepared
+        while len(cache) > _STATEMENT_CACHE_SIZE:
+            cache.popitem(last=False)
+        return prepared, literals
 
-    def _run(self, prepared: _Prepared, params: Optional[list[Any]]) -> ResultSet:
+    def _run(self, prepared: _Prepared, literals: list,
+             params: Optional[list[Any]]) -> ResultSet:
         self.statements_executed += 1
         statement = prepared.statement
         ddl = self._DDL.get(type(statement))
@@ -164,7 +191,7 @@ class Database:
         if explained:
             return ResultSet(columns=["plan"], rows=[
                 (line,) for line in explain_lines(target, prepared.plan)])
-        return execute_plan(prepared.plan, params)
+        return execute_plan(prepared.plan, params, literals)
 
     # ----------------------------------------------------------------- DDL --
 

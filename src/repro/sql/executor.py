@@ -26,9 +26,11 @@ from repro.sql.result import ResultSet
 from repro.sql.storage import Row
 
 
-def execute_plan(plan, params: Optional[Sequence[Any]]) -> ResultSet:
-    """Run any planned statement with its ``?`` bindings."""
-    frame: Frame = (params or (), None, None)
+def execute_plan(plan, params: Optional[Sequence[Any]],
+                 literals: Sequence[Any] = ()) -> ResultSet:
+    """Run any planned statement with its ``?`` bindings and the values
+    of its shape's literals."""
+    frame: Frame = (params or (), None, None, literals)
     if isinstance(plan, (SelectPlan, UnionPlan)):
         return ResultSet._adopt(plan.columns, run_query(plan, frame))
     if isinstance(plan, InsertPlan):

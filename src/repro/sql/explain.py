@@ -30,9 +30,13 @@ def _render_expression(expression: ast.Expression) -> str:
         return "?"
     if isinstance(expression, ast.Unary):
         return f"{expression.op} {_render_expression(expression.operand)}"
-    if isinstance(expression, ast.Binary):
-        return (f"{_render_expression(expression.left)} {expression.op} "
-                f"{_render_expression(expression.right)}")
+    if isinstance(expression, ast.Binary):  # a chain, down its left side
+        tail = []
+        while isinstance(expression, ast.Binary):
+            tail.append(f" {expression.op} "
+                        f"{_render_expression(expression.right)}")
+            expression = expression.left
+        return _render_expression(expression) + "".join(reversed(tail))
     if isinstance(expression, ast.IsNull):
         return (f"{_render_expression(expression.operand)} "
                 f"IS{_negation(expression)} NULL")

@@ -8,9 +8,10 @@ comparisons and arithmetic, dates against ISO text, LIKE, IN, BETWEEN
 branch, behind its inline same-kind fast path.
 
 A *frame* is all that varies between executions: ``(params, outer_row,
-outer_frame)``, the ``?`` bindings plus the chain of enclosing rows a
-correlated subquery reads.  Generated functions hold none of it, so one
-plan serves concurrent and nested executions alike.
+outer_frame, literals)``, the ``?`` bindings, the chain of enclosing
+rows a correlated subquery reads and the values of the statement's
+literals (the slots of its shape).  Generated functions hold none of
+it, so one plan serves concurrent and nested executions alike.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.errors import CatalogError, SqlError
 from repro.sql import ast
 from repro.sql.types import comparable
 
-Frame = tuple  # (params, outer_row, outer_frame)
+Frame = tuple  # (params, outer_row, outer_frame, literals)
 Compiled = Callable[[Sequence, Frame], Any]
 
 

@@ -1,171 +1,159 @@
-"""Hand-written SQL tokenizer.
+"""Regex-driven SQL tokenizer, and the shape of a statement text.
 
-Supports:
-
-* identifiers (bare, ``"quoted"``, or dialect-specific ``[bracketed]``),
-* integer and real literals (including exponents),
-* single-quoted string literals with ``''`` escaping,
-* line comments (``-- ...``) and block comments (``/* ... */``),
-* positional parameters ``?``,
-* the operator and punctuation sets of :mod:`repro.sql.tokens`.
+Supports identifiers (bare, ``"quoted"`` or ``[bracketed]``), integer
+and real literals with exponents (a digit is what ``int()`` accepts),
+``'strings'`` with ``''`` escaping, ``--`` and ``/* */`` comments,
+``?`` parameters and the operators and punctuation of
+:mod:`repro.sql.tokens`.  One set of patterns drives two passes:
+:func:`tokenize` matches a token at a time; :func:`shape` cuts each
+number and string literal out of runs of other text, which gives the
+key the engine caches a plan under and the literals' values.
 """
 
 from __future__ import annotations
 
+import datetime
+import re
+from typing import Any, Optional
+
 from repro.errors import SqlSyntaxError
-from repro.sql.tokens import KEYWORDS, OPERATORS, PUNCTUATION, Token, TokenType
+from repro.sql.tokens import KEYWORDS, Token, TokenType
+
+# A block comment matches to the end of the text when it is not closed,
+# so that no later alternative reads its "/" as an operator.
+_SPACE = r"\s+|--[^\n]*|/\*(?:[\s\S]*?\*/|[\s\S]*)"
+_WORD = r"[^\W\d]\w*"
+_NUMBER = r"(?:\d+(?:\.(?!\.)\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_STRING = r"'[^']*(?:''[^']*)*'"
+_QUOTED = r'"[^"]*"|\[[^\]]*\]'
+_OPERATOR = r"<>|!=|<=|>=|\|\||[=<>+\-*/%]"
+
+#: One token, or a run of whitespace and comments, per match; the group
+#: that matched says which (``_SKIP`` ... ``_PARAM``).
+_TOKEN = re.compile(f"({_SPACE})|({_WORD})|({_NUMBER})|({_STRING})"
+                    f"|({_QUOTED})|({_OPERATOR})|([(),.;])|(\\?)")
+_SKIP, _NAME, _NUM, _TEXT, _QUOTE, _OP, _PUNCT, _PARAM = range(1, 9)
+#: A run of anything but a literal, then a number, a string, a quote
+#: no token closes, or the end of the text.  ASCII letters, whitespace
+#: and most punctuation are tried first, as one class, for speed; a
+#: digit glued to a word character is part of a name.  A run may hold
+#: characters no token is made of: the parser rejects such a text, and
+#: they are part of its key as written.
+_SHAPE = re.compile(f"((?:[A-Za-z_\\s,()=<>*+;?%|!]+|(?<=\\w)\\d\\w*|{_WORD}"
+                    f"|{_QUOTED}|{_SPACE}|[-/]|\\.(?!\\d)|[^\\w'\"\\[\\-/.]+)*+)"
+                    f"(?:({_NUMBER})|({_STRING})|(['\"\\[])|\\Z)")
+
+#: What stands for a literal of each kind in a shape.  NUL appears in a
+#: valid text only inside a literal, a comment or a quoted name; a text
+#: whose shape holds a NUL a marker did not put there has no shape.
+MARKERS = {int: "\0i", float: "\0r", str: "\0s", "date": "\0d"}
+
+_FIXED = {_OP: TokenType.OPERATOR, _PUNCT: TokenType.PUNCT,
+          _PARAM: TokenType.PARAM}
 
 
-class Lexer:
-    """Tokenizes a SQL string into a list of :class:`Token`."""
+def _error(message: str, text: str, index: int) -> SqlSyntaxError:
+    return SqlSyntaxError(message, text.count("\n", 0, index) + 1,
+                          index - text.rfind("\n", 0, index))
 
-    def __init__(self, text: str):
-        self._text = text
-        self._pos = 0
-        self._line = 1
-        self._column = 1
 
-    def tokenize(self) -> list[Token]:
-        """Return all tokens, terminated by a single EOF token."""
-        tokens: list[Token] = []
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._text):
-                tokens.append(Token(TokenType.EOF, None, self._line, self._column))
-                return tokens
-            tokens.append(self._next_token())
+def _unlexable(text: str, index: int) -> SqlSyntaxError:
+    """The error for a text no token matches at *index*."""
+    char = text[index]
+    if char == "'":
+        return _error("unterminated string literal", text, len(text))
+    if char in "\"[":
+        return _error("unterminated quoted identifier", text, len(text))
+    return _error(f"unexpected character {char!r}", text, index)
 
-    # -- internals ---------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        return self._text[index] if index < len(self._text) else ""
-
-    def _advance(self, count: int = 1) -> str:
-        consumed = self._text[self._pos:self._pos + count]
-        for char in consumed:
-            if char == "\n":
-                self._line += 1
-                self._column = 1
-            else:
-                self._column += 1
-        self._pos += count
-        return consumed
-
-    def _error(self, message: str) -> SqlSyntaxError:
-        return SqlSyntaxError(message, self._line, self._column)
-
-    def _skip_whitespace_and_comments(self) -> None:
-        while self._pos < len(self._text):
-            char = self._peek()
-            if char.isspace():
-                self._advance()
-            elif char == "-" and self._peek(1) == "-":
-                while self._pos < len(self._text) and self._peek() != "\n":
-                    self._advance()
-            elif char == "/" and self._peek(1) == "*":
-                self._advance(2)
-                while self._pos < len(self._text):
-                    if self._peek() == "*" and self._peek(1) == "/":
-                        self._advance(2)
-                        break
-                    self._advance()
-                else:
-                    raise self._error("unterminated block comment")
-            else:
-                return
-
-    def _next_token(self) -> Token:
-        line, column = self._line, self._column
-        char = self._peek()
-
-        if char.isalpha() or char == "_":
-            return self._lex_word(line, column)
-        if char.isdigit() or (char == "." and self._peek(1).isdigit()):
-            return self._lex_number(line, column)
-        if char == "'":
-            return self._lex_string(line, column)
-        if char == '"':
-            return self._lex_quoted_identifier(line, column, closer='"')
-        if char == "[":
-            return self._lex_quoted_identifier(line, column, closer="]")
-        if char == "?":
-            self._advance()
-            return Token(TokenType.PARAM, "?", line, column)
-        for op in OPERATORS:
-            if self._text.startswith(op, self._pos):
-                self._advance(len(op))
-                return Token(TokenType.OPERATOR, op, line, column)
-        if char in PUNCTUATION:
-            self._advance()
-            return Token(TokenType.PUNCT, char, line, column)
-        raise self._error(f"unexpected character {char!r}")
-
-    def _lex_word(self, line: int, column: int) -> Token:
-        start = self._pos
-        while self._pos < len(self._text) and (self._peek().isalnum() or self._peek() == "_"):
-            self._advance()
-        word = self._text[start:self._pos]
-        upper = word.upper()
-        if upper in KEYWORDS:
-            return Token(TokenType.KEYWORD, upper, line, column)
-        return Token(TokenType.IDENTIFIER, word, line, column)
-
-    def _lex_number(self, line: int, column: int) -> Token:
-        start = self._pos
-        is_real = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1) != ".":
-            is_real = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in ("e", "E"):
-            lookahead = 1
-            if self._peek(1) in ("+", "-"):
-                lookahead = 2
-            if self._peek(lookahead).isdigit():
-                is_real = True
-                self._advance(lookahead)
-                while self._peek().isdigit():
-                    self._advance()
-        text = self._text[start:self._pos]
-        if is_real:
-            return Token(TokenType.REAL, float(text), line, column)
-        return Token(TokenType.INTEGER, int(text), line, column)
-
-    def _lex_string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: list[str] = []
-        while True:
-            if self._pos >= len(self._text):
-                raise self._error("unterminated string literal")
-            char = self._peek()
-            if char == "'":
-                if self._peek(1) == "'":  # escaped quote
-                    parts.append("'")
-                    self._advance(2)
-                    continue
-                self._advance()
-                return Token(TokenType.STRING, "".join(parts), line, column)
-            parts.append(char)
-            self._advance()
-
-    def _lex_quoted_identifier(self, line: int, column: int, closer: str) -> Token:
-        self._advance()  # opening quote/bracket
-        start = self._pos
-        while self._pos < len(self._text) and self._peek() != closer:
-            self._advance()
-        if self._pos >= len(self._text):
-            raise self._error("unterminated quoted identifier")
-        name = self._text[start:self._pos]
-        self._advance()  # closer
-        if not name:
-            raise self._error("empty quoted identifier")
-        return Token(TokenType.IDENTIFIER, name, line, column)
+def number(lexeme: str) -> Any:
+    """The value of a number literal as the patterns match it."""
+    if "." in lexeme or "e" in lexeme or "E" in lexeme:
+        return float(lexeme)
+    return int(lexeme)
 
 
 def tokenize(text: str) -> list[Token]:
-    """Convenience wrapper: tokenize *text* in one call."""
-    return Lexer(text).tokenize()
+    """Return all tokens, terminated by a single EOF token."""
+    tokens: list[Token] = []
+    append = tokens.append
+    line, line_start, end = 1, 0, 0
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        if start != end:
+            raise _unlexable(text, end)
+        end = match.end()
+        group = match.lastindex
+        lexeme = match[group]
+        column = start - line_start + 1
+        if group == _NAME:
+            upper = lexeme.upper()
+            if upper in KEYWORDS:
+                append(Token(TokenType.KEYWORD, upper, line, column))
+            elif lexeme[0].isalpha() or lexeme[0] == "_":
+                append(Token(TokenType.IDENTIFIER, lexeme, line, column))
+            else:  # a numeral no number is made of: "½", "²"
+                raise _error(f"unexpected character {lexeme[0]!r}",
+                             text, start)
+            continue
+        if group == _NUM:
+            append(Token(TokenType.INTEGER if type(value := number(lexeme))
+                         is int else TokenType.REAL, value, line, column))
+            continue
+        if group == _SKIP:
+            if lexeme[:2] == "/*" and (len(lexeme) < 4 or lexeme[-2:] != "*/"):
+                raise _error("unterminated block comment", text, len(text))
+        elif group == _TEXT:
+            append(Token(TokenType.STRING, lexeme[1:-1].replace("''", "'"),
+                         line, column))
+        elif group == _QUOTE:
+            if len(lexeme) == 2:
+                raise _error("empty quoted identifier", text, end)
+            append(Token(TokenType.IDENTIFIER, lexeme[1:-1], line, column))
+        else:
+            append(Token(_FIXED[group], lexeme, line, column))
+        if "\n" in lexeme:
+            line += lexeme.count("\n")
+            line_start = start + lexeme.rindex("\n") + 1
+    if end != len(text):
+        raise _unlexable(text, end)
+    tokens.append(Token(TokenType.EOF, None, line, end - line_start + 1))
+    return tokens
+
+
+def kind_of(value: Any) -> Any:
+    """A literal value's kind: its type, or ``"date"`` for text that
+    spells an ISO date (it compares with a DATE column as that date)."""
+    if type(value) is str and value[:1].isdigit():
+        try:
+            datetime.date.fromisoformat(value)
+            return "date"
+        except ValueError:
+            pass
+    return type(value)
+
+
+def shape(text: str) -> tuple[Optional[str], list]:
+    """``(key, values)``: *text* with each number and string literal
+    replaced by the marker of its kind, and the literals' values in
+    text order.  The key is None when the text cannot be cut that way
+    (a quote is not closed); such a text is parsed as it stands."""
+    pieces: list[str] = []
+    values: list = []
+    for run, lexeme, string, unclosed in _SHAPE.findall(text):
+        pieces.append(run)
+        if lexeme:
+            value = number(lexeme)
+            pieces.append(MARKERS[type(value)])
+        elif string:
+            value = string[1:-1].replace("''", "'")
+            pieces.append(MARKERS[kind_of(value)] if value[:1].isdigit()
+                          else MARKERS[str])
+        elif unclosed:
+            return None, values
+        else:
+            continue  # the end
+        values.append(value)
+    key = "".join(pieces) if values else text
+    return (key if key.count("\0") == len(values) else None), values

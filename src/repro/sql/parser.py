@@ -16,6 +16,12 @@ Grammar (informal)::
     additive    := multiplicative ((+|-|'||') multiplicative)*
     multiplicative := unary ((*|/|%) unary)*
     unary       := (-|+) unary | primary
+
+A *shaped* parser (the engine's) makes each number and string literal
+an :class:`~repro.sql.ast.Slot`, so one plan serves every text of a
+shape, but *pins* those the planner reads: a bare select item (it names
+its column), an ORDER BY or GROUP BY item, type lengths and all of DDL
+and EXPLAIN.  Pinned literals stay part of the statement's cache key.
 """
 
 from __future__ import annotations
@@ -24,20 +30,39 @@ from typing import Optional
 
 from repro.errors import SqlSyntaxError
 from repro.sql import ast
-from repro.sql.lexer import tokenize
+from repro.sql.lexer import kind_of, tokenize
 from repro.sql.tokens import Token, TokenType
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", ">", "<=", ">="}
 _AGGREGATES = {"COUNT", "SUM", "AVG", "MIN", "MAX"}
+_LITERALS = (TokenType.INTEGER, TokenType.REAL, TokenType.STRING)
+_WORDS = {"NULL": None, "TRUE": True, "FALSE": False}
+_STATEMENTS = {"SELECT": "_select_statement", "INSERT": "_insert",
+               "UPDATE": "_update", "DELETE": "_delete", "CREATE": "_create",
+               "ALTER": "_alter", "DROP": "_drop"}
+_CONTROL = {"BEGIN": ast.BeginTransaction, "COMMIT": ast.Commit,
+            "ROLLBACK": ast.Rollback}
+#: Statements whose literals all stay literals.
+_UNSHAPED = {"EXPLAIN", "CREATE", "ALTER", "DROP", *_CONTROL}
+#: How deep expressions, SELECT blocks, parenthesised FROM items and
+#: EXPLAINs may nest: it bounds this parser's recursion and the nesting
+#: of generated code.  An AND, OR or arithmetic chain does not nest.
+MAX_DEPTH = 32
 
 
 class Parser:
     """Parses one or more SQL statements from a token stream."""
 
-    def __init__(self, text: str):
-        self._tokens = tokenize(text)
+    def __init__(self, text: str, shaped: bool = False):
+        tokens = self._tokens = tokenize(text)
+        tokens += tokens[-1:] * 2  # lookahead never runs off the end
         self._pos = 0
         self._param_count = 0
+        self._depth = 0
+        self._shaped = shaped
+        #: The value of every literal read, in text order.
+        self.literals: list = []
+        self._slots: set[int] = set()
 
     # -- public entry points -------------------------------------------------
 
@@ -58,11 +83,15 @@ class Parser:
         self._expect(TokenType.EOF)
         return statements
 
+    def pinned(self) -> tuple[int, ...]:
+        """Positions (in :attr:`literals`) of the literals left in place."""
+        return tuple(index for index in range(len(self.literals))
+                     if index not in self._slots)
+
     # -- token helpers ---------------------------------------------------------
 
     def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -87,9 +116,6 @@ class Parser:
 
     def _accept_punct(self, punct: str) -> bool:
         return self._accept(TokenType.PUNCT, punct) is not None
-
-    def _accept_operator(self, op: str) -> bool:
-        return self._accept(TokenType.OPERATOR, op) is not None
 
     def _expect(self, token_type: TokenType, value=None) -> Token:
         token = self._peek()
@@ -118,9 +144,47 @@ class Parser:
         raise SqlSyntaxError(
             f"expected identifier, found {token.value!r}", token.line, token.column)
 
+    def _list(self, parse) -> list:
+        """``parse()``, and again after each comma."""
+        items = [parse()]
+        while self._accept_punct(","):
+            items.append(parse())
+        return items
+
+    def _names(self) -> list[str]:
+        """``(name, ...)``."""
+        self._expect_punct("(")
+        names = self._list(self._expect_name)
+        self._expect_punct(")")
+        return names
+
     def _error(self, message: str) -> SqlSyntaxError:
         token = self._peek()
         return SqlSyntaxError(message, token.line, token.column)
+
+    def _nested(self, parse):
+        """``parse()``, one level deeper."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise self._error(f"nesting deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self._depth -= 1
+        return node
+
+    def _pin(self, node: ast.Expression) -> ast.Expression:
+        """*node*, a literal again if it is a slot."""
+        if not isinstance(node, ast.Slot):
+            return node
+        self._slots.discard(node.index)
+        return ast.Literal(self.literals[node.index])
+
+    def _type_length(self) -> None:
+        """Skip ``(n)`` or ``(p, s)`` after a type name."""
+        if self._accept_punct("("):
+            self.literals.append(self._expect(TokenType.INTEGER).value)
+            if self._accept_punct(","):
+                self.literals.append(self._expect(TokenType.INTEGER).value)
+            self._expect_punct(")")
 
     # -- statements ------------------------------------------------------------
 
@@ -129,35 +193,17 @@ class Parser:
         if token.type is not TokenType.KEYWORD:
             raise self._error(f"expected a statement, found {token.value!r}")
         keyword = token.value
+        if keyword in _UNSHAPED:
+            self._shaped = False
         if keyword == "EXPLAIN":
             self._advance()
-            return ast.Explain(self._statement())
-        if keyword == "SELECT":
-            return self._select_statement()
-        if keyword == "INSERT":
-            return self._insert()
-        if keyword == "UPDATE":
-            return self._update()
-        if keyword == "DELETE":
-            return self._delete()
-        if keyword == "CREATE":
-            return self._create()
-        if keyword == "ALTER":
-            return self._alter()
-        if keyword == "DROP":
-            return self._drop()
-        if keyword == "BEGIN":
+            return ast.Explain(self._nested(self._statement))
+        if keyword in _STATEMENTS:
+            return getattr(self, _STATEMENTS[keyword])()
+        if keyword in _CONTROL:
             self._advance()
             self._accept_keyword("TRANSACTION", "WORK")
-            return ast.BeginTransaction()
-        if keyword == "COMMIT":
-            self._advance()
-            self._accept_keyword("TRANSACTION", "WORK")
-            return ast.Commit()
-        if keyword == "ROLLBACK":
-            self._advance()
-            self._accept_keyword("TRANSACTION", "WORK")
-            return ast.Rollback()
+            return _CONTROL[keyword]()
         raise self._error(f"unsupported statement: {keyword}")
 
     # -- SELECT -----------------------------------------------------------------
@@ -170,41 +216,26 @@ class Parser:
             left = ast.Union(left=left, right=right, all=is_all)
         # Trailing ORDER BY / LIMIT binds to the whole union, or to the
         # single SELECT when there is no union.
-        order_by = self._order_by_clause()
-        limit, offset = self._limit_clause()
-        if isinstance(left, ast.Union):
-            left.order_by = order_by
-            left.limit = limit
-        else:
-            assert isinstance(left, ast.Select)
-            if order_by:
-                left.order_by = order_by
-            if limit is not None:
-                left.limit = limit
-            if offset is not None:
-                left.offset = offset
+        left.order_by = self._order_by_clause()
+        left.limit, offset = self._limit_clause()
+        if isinstance(left, ast.Select):
+            left.offset = offset
         return left
 
     def _select_core(self) -> ast.Select:
+        return self._nested(self._select_block)
+
+    def _select_block(self) -> ast.Select:
         self._expect_keyword("SELECT")
-        distinct = False
-        if self._accept_keyword("DISTINCT"):
-            distinct = True
-        else:
-            self._accept_keyword("ALL")
-        items = [self._select_item()]
-        while self._accept_punct(","):
-            items.append(self._select_item())
-        from_item = None
-        if self._accept_keyword("FROM"):
-            from_item = self._from_clause()
+        distinct = self._accept_keyword("DISTINCT", "ALL") == "DISTINCT"
+        items = self._list(self._select_item)
+        from_item = self._from_clause() if self._accept_keyword("FROM") \
+            else None
         where = self._expression() if self._accept_keyword("WHERE") else None
         group_by: list[ast.Expression] = []
         if self._accept_keyword("GROUP"):
             self._expect_keyword("BY")
-            group_by.append(self._expression())
-            while self._accept_punct(","):
-                group_by.append(self._expression())
+            group_by = self._list(lambda: self._pin(self._expression()))
         having = self._expression() if self._accept_keyword("HAVING") else None
         return ast.Select(
             items=items, from_item=from_item, where=where,
@@ -223,30 +254,28 @@ class Parser:
             self._advance()  # *
             return ast.SelectItem(ast.Star(table=table))
         expression = self._expression()
-        alias = None
+        alias = self._alias()
+        return ast.SelectItem(expression if alias else self._pin(expression),
+                              alias)
+
+    def _alias(self) -> Optional[str]:
+        """``[AS] name``, if there is one."""
         if self._accept_keyword("AS"):
-            alias = self._expect_name()
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.SelectItem(expression, alias)
+            return self._expect_name()
+        if self._peek().type is TokenType.IDENTIFIER:
+            return self._advance().value
+        return None
 
     def _order_by_clause(self) -> list[ast.OrderItem]:
         if not self._accept_keyword("ORDER"):
             return []
         self._expect_keyword("BY")
-        items = [self._order_item()]
-        while self._accept_punct(","):
-            items.append(self._order_item())
-        return items
+        return self._list(self._order_item)
 
     def _order_item(self) -> ast.OrderItem:
-        expression = self._expression()
-        ascending = True
-        if self._accept_keyword("DESC"):
-            ascending = False
-        else:
-            self._accept_keyword("ASC")
-        return ast.OrderItem(expression, ascending)
+        expression = self._pin(self._expression())
+        return ast.OrderItem(
+            expression, self._accept_keyword("ASC", "DESC") != "DESC")
 
     def _limit_clause(self) -> tuple[Optional[ast.Expression], Optional[ast.Expression]]:
         limit = offset = None
@@ -278,34 +307,21 @@ class Parser:
                 if self._accept_keyword("ON"):
                     condition = self._expression()
                 elif self._accept_keyword("USING"):
-                    self._expect_punct("(")
-                    using = [self._expect_name()]
-                    while self._accept_punct(","):
-                        using.append(self._expect_name())
-                    self._expect_punct(")")
+                    using = self._names()
                 else:
                     raise self._error(f"{kind} JOIN requires ON or USING")
             left = ast.Join(kind=kind, left=left, right=right,
                             condition=condition, using=using)
 
     def _join_kind(self) -> Optional[str]:
-        if self._accept_keyword("CROSS"):
-            self._expect_keyword("JOIN")
-            return "CROSS"
-        if self._accept_keyword("INNER"):
-            self._expect_keyword("JOIN")
-            return "INNER"
-        if self._accept_keyword("LEFT"):
-            self._accept_keyword("OUTER")
-            self._expect_keyword("JOIN")
-            return "LEFT"
-        if self._accept_keyword("RIGHT"):
-            self._accept_keyword("OUTER")
-            self._expect_keyword("JOIN")
-            return "RIGHT"
         if self._accept_keyword("JOIN"):
             return "INNER"
-        return None
+        kind = self._accept_keyword("CROSS", "INNER", "LEFT", "RIGHT")
+        if kind in ("LEFT", "RIGHT"):
+            self._accept_keyword("OUTER")
+        if kind is not None:
+            self._expect_keyword("JOIN")
+        return kind
 
     def _from_primary(self) -> ast.FromItem:
         if self._accept_punct("("):
@@ -313,18 +329,11 @@ class Parser:
                 subquery = self._select_core()
                 self._expect_punct(")")
                 self._accept_keyword("AS")
-                alias = self._expect_name()
-                return ast.SubqueryRef(subquery, alias)
-            item = self._from_clause()
+                return ast.SubqueryRef(subquery, self._expect_name())
+            item = self._nested(self._from_clause)
             self._expect_punct(")")
             return item
-        name = self._expect_name()
-        alias = None
-        if self._accept_keyword("AS"):
-            alias = self._expect_name()
-        elif self._peek().type is TokenType.IDENTIFIER:
-            alias = self._advance().value
-        return ast.TableRef(name, alias)
+        return ast.TableRef(self._expect_name(), self._alias())
 
     # -- DML -------------------------------------------------------------------
 
@@ -332,16 +341,9 @@ class Parser:
         self._expect_keyword("INSERT")
         self._expect_keyword("INTO")
         table = self._expect_name()
-        columns: Optional[list[str]] = None
-        if self._accept_punct("("):
-            columns = [self._expect_name()]
-            while self._accept_punct(","):
-                columns.append(self._expect_name())
-            self._expect_punct(")")
+        columns = self._names() if self._check(TokenType.PUNCT, "(") else None
         if self._accept_keyword("VALUES"):
-            rows = [self._value_row()]
-            while self._accept_punct(","):
-                rows.append(self._value_row())
+            rows = self._list(self._value_row)
             return ast.Insert(table=table, columns=columns, rows=rows)
         if self._check(TokenType.KEYWORD, "SELECT"):
             select = self._select_statement()
@@ -350,9 +352,7 @@ class Parser:
 
     def _value_row(self) -> list[ast.Expression]:
         self._expect_punct("(")
-        row = [self._expression()]
-        while self._accept_punct(","):
-            row.append(self._expression())
+        row = self._list(self._expression)
         self._expect_punct(")")
         return row
 
@@ -360,9 +360,7 @@ class Parser:
         self._expect_keyword("UPDATE")
         table = self._expect_name()
         self._expect_keyword("SET")
-        assignments = [self._assignment()]
-        while self._accept_punct(","):
-            assignments.append(self._assignment())
+        assignments = self._list(self._assignment)
         where = self._expression() if self._accept_keyword("WHERE") else None
         return ast.Update(table=table, assignments=assignments, where=where)
 
@@ -405,11 +403,10 @@ class Parser:
         return ast.AlterTableAddColumn(table=table, column=column)
 
     def _create_table(self) -> ast.CreateTable:
-        if_not_exists = False
-        if self._accept_keyword("IF"):
+        if_not_exists = self._accept_keyword("IF") is not None
+        if if_not_exists:
             self._expect_keyword("NOT")
             self._expect_keyword("EXISTS")
-            if_not_exists = True
         name = self._expect_name()
         self._expect_punct("(")
         columns: list[ast.ColumnDef] = []
@@ -417,11 +414,7 @@ class Parser:
         while True:
             if self._accept_keyword("PRIMARY"):
                 self._expect_keyword("KEY")
-                self._expect_punct("(")
-                table_pk.append(self._expect_name())
-                while self._accept_punct(","):
-                    table_pk.append(self._expect_name())
-                self._expect_punct(")")
+                table_pk += self._names()
             else:
                 columns.append(self._column_def())
             if not self._accept_punct(","):
@@ -433,55 +426,38 @@ class Parser:
     def _column_def(self) -> ast.ColumnDef:
         name = self._expect_name()
         type_name = self._expect_name().upper()
-        # optional length/precision: VARCHAR(40), DECIMAL(8, 2)
-        if self._accept_punct("("):
-            self._expect(TokenType.INTEGER)
-            if self._accept_punct(","):
-                self._expect(TokenType.INTEGER)
-            self._expect_punct(")")
+        self._type_length()  # VARCHAR(40), DECIMAL(8, 2)
         column = ast.ColumnDef(name=name, type_name=type_name)
-        while True:
-            if self._accept_keyword("PRIMARY"):
+        while word := self._accept_keyword("PRIMARY", "NOT", "UNIQUE", "NULL",
+                                           "DEFAULT"):  # NULL: the default
+            if word == "PRIMARY":
                 self._expect_keyword("KEY")
                 column.primary_key = True
-            elif self._accept_keyword("NOT"):
+            elif word == "NOT":
                 self._expect_keyword("NULL")
                 column.not_null = True
-            elif self._accept_keyword("UNIQUE"):
+            elif word == "UNIQUE":
                 column.unique = True
-            elif self._accept_keyword("NULL"):
-                pass  # explicit nullable, the default
-            elif self._accept_keyword("DEFAULT"):
+            elif word == "DEFAULT":
                 column.default = self._primary()
-            else:
-                break
         return column
 
     def _create_index(self, unique: bool) -> ast.CreateIndex:
         name = self._expect_name()
         self._expect_keyword("ON")
         table = self._expect_name()
-        self._expect_punct("(")
-        columns = [self._expect_name()]
-        while self._accept_punct(","):
-            columns.append(self._expect_name())
-        self._expect_punct(")")
+        columns = self._names()
         return ast.CreateIndex(name=name, table=table, columns=columns, unique=unique)
 
     def _drop(self) -> ast.Statement:
         self._expect_keyword("DROP")
-        if self._accept_keyword("TABLE"):
-            if_exists = False
-            if self._accept_keyword("IF"):
+        kind = self._accept_keyword("TABLE", "VIEW")
+        if kind is not None:
+            if_exists = self._accept_keyword("IF") is not None
+            if if_exists:
                 self._expect_keyword("EXISTS")
-                if_exists = True
-            return ast.DropTable(self._expect_name(), if_exists)
-        if self._accept_keyword("VIEW"):
-            if_exists = False
-            if self._accept_keyword("IF"):
-                self._expect_keyword("EXISTS")
-                if_exists = True
-            return ast.DropView(self._expect_name(), if_exists)
+            node = ast.DropTable if kind == "TABLE" else ast.DropView
+            return node(self._expect_name(), if_exists)
         if self._accept_keyword("INDEX"):
             return ast.DropIndex(self._expect_name())
         raise self._error("expected TABLE, VIEW, or INDEX after DROP")
@@ -489,23 +465,27 @@ class Parser:
     # -- expressions -------------------------------------------------------------
 
     def _expression(self) -> ast.Expression:
-        return self._or_expr()
+        return self._nested(self._or_expr)
+
+    def _binary_chain(self, ops: tuple[str, ...], operand) -> ast.Expression:
+        """``operand (op operand)*`` for the operators or keywords *ops*,
+        left-associative."""
+        left = operand()
+        while (token := self._peek()).value in ops and token.type in (
+                TokenType.OPERATOR, TokenType.KEYWORD):
+            self._advance()
+            left = ast.Binary(token.value, left, operand())
+        return left
 
     def _or_expr(self) -> ast.Expression:
-        left = self._and_expr()
-        while self._accept_keyword("OR"):
-            left = ast.Binary("OR", left, self._and_expr())
-        return left
+        return self._binary_chain(("OR",), self._and_expr)
 
     def _and_expr(self) -> ast.Expression:
-        left = self._not_expr()
-        while self._accept_keyword("AND"):
-            left = ast.Binary("AND", left, self._not_expr())
-        return left
+        return self._binary_chain(("AND",), self._not_expr)
 
     def _not_expr(self) -> ast.Expression:
         if self._accept_keyword("NOT"):
-            return ast.Unary("NOT", self._not_expr())
+            return ast.Unary("NOT", self._nested(self._not_expr))
         return self._predicate()
 
     def _predicate(self) -> ast.Expression:
@@ -540,52 +520,37 @@ class Parser:
             subquery = self._select_core()
             self._expect_punct(")")
             return ast.InSubquery(left, subquery, negated)
-        items = [self._expression()]
-        while self._accept_punct(","):
-            items.append(self._expression())
+        items = self._list(self._expression)
         self._expect_punct(")")
         return ast.InList(left, items, negated)
 
     def _additive(self) -> ast.Expression:
-        left = self._multiplicative()
-        while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.value in ("+", "-", "||"):
-                op = self._advance().value
-                left = ast.Binary(op, left, self._multiplicative())
-            else:
-                return left
+        return self._binary_chain(("+", "-", "||"), self._multiplicative)
 
     def _multiplicative(self) -> ast.Expression:
-        left = self._unary()
-        while True:
-            token = self._peek()
-            if token.type is TokenType.OPERATOR and token.value in ("*", "/", "%"):
-                op = self._advance().value
-                left = ast.Binary(op, left, self._unary())
-            else:
-                return left
+        return self._binary_chain(("*", "/", "%"), self._unary)
 
     def _unary(self) -> ast.Expression:
-        if self._accept_operator("-"):
-            return ast.Unary("-", self._unary())
-        if self._accept_operator("+"):
-            return ast.Unary("+", self._unary())
+        token = self._peek()
+        if token.type is TokenType.OPERATOR and token.value in ("+", "-"):
+            self._advance()
+            return ast.Unary(token.value, self._nested(self._unary))
         return self._primary()
 
     def _primary(self) -> ast.Expression:
         token = self._peek()
-        if token.type is TokenType.INTEGER or token.type is TokenType.REAL:
+        if token.type in _LITERALS:
             self._advance()
-            return ast.Literal(token.value)
-        if token.type is TokenType.STRING:
-            self._advance()
-            return ast.Literal(token.value)
+            self.literals.append(token.value)
+            if not self._shaped:
+                return ast.Literal(token.value)
+            index = len(self.literals) - 1
+            self._slots.add(index)
+            return ast.Slot(index, kind_of(token.value))
         if token.type is TokenType.PARAM:
             self._advance()
-            param = ast.Param(self._param_count)
             self._param_count += 1
-            return param
+            return ast.Param(self._param_count - 1)
         if token.type is TokenType.KEYWORD:
             return self._keyword_primary(token)
         if token.type is TokenType.IDENTIFIER:
@@ -602,15 +567,9 @@ class Parser:
 
     def _keyword_primary(self, token: Token) -> ast.Expression:
         keyword = token.value
-        if keyword == "NULL":
+        if keyword in _WORDS:
             self._advance()
-            return ast.Literal(None)
-        if keyword == "TRUE":
-            self._advance()
-            return ast.Literal(True)
-        if keyword == "FALSE":
-            self._advance()
-            return ast.Literal(False)
+            return ast.Literal(_WORDS[keyword])
         if keyword in _AGGREGATES:
             self._advance()
             return self._call_tail(keyword)
@@ -628,11 +587,7 @@ class Parser:
             operand = self._expression()
             self._expect_keyword("AS")
             type_name = self._expect_name().upper()
-            if self._accept_punct("("):
-                self._expect(TokenType.INTEGER)
-                if self._accept_punct(","):
-                    self._expect(TokenType.INTEGER)
-                self._expect_punct(")")
+            self._type_length()
             self._expect_punct(")")
             return ast.Cast(operand, type_name)
         raise self._error(f"unexpected keyword {keyword!r} in expression")
@@ -642,8 +597,7 @@ class Parser:
         if self._check(TokenType.PUNCT, "("):
             return self._call_tail(name)
         if self._accept_punct("."):
-            column = self._expect_name()
-            return ast.ColumnRef(name=column, table=name)
+            return ast.ColumnRef(name=self._expect_name(), table=name)
         return ast.ColumnRef(name=name)
 
     def _call_tail(self, name: str) -> ast.FunctionCall:
@@ -654,17 +608,14 @@ class Parser:
             self._advance()
             args.append(ast.Star())
         elif not self._check(TokenType.PUNCT, ")"):
-            args.append(self._expression())
-            while self._accept_punct(","):
-                args.append(self._expression())
+            args = self._list(self._expression)
         self._expect_punct(")")
         return ast.FunctionCall(name=name.upper(), args=args, distinct=distinct)
 
     def _case(self) -> ast.Case:
         self._expect_keyword("CASE")
-        operand = None
-        if not self._check(TokenType.KEYWORD, "WHEN"):
-            operand = self._expression()
+        operand = None if self._check(TokenType.KEYWORD, "WHEN") \
+            else self._expression()
         whens: list[ast.CaseWhen] = []
         while self._accept_keyword("WHEN"):
             condition = self._expression()

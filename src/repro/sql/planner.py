@@ -6,7 +6,7 @@ name resolved and every expression compiled by :mod:`repro.sql.codegen`
 (a per-row loop — filter, projection, join or group keys, aggregate
 argument — to one generated function over a list of rows).
 A plan binds storage objects and holds no per-execution state, so the
-engine caches it per statement text until the catalog changes.
+engine caches it per statement shape until the catalog changes.
 
 Four rewrites shape the row-source tree:
 
@@ -216,11 +216,15 @@ class ModifyPlan:
 
 def split_conjuncts(expression: Optional[ast.Expression]) -> list[ast.Expression]:
     """Flatten a predicate into its top-level AND-ed conjuncts."""
-    if expression is None:
-        return []
-    if isinstance(expression, ast.Binary) and expression.op == "AND":
-        return split_conjuncts(expression.left) + split_conjuncts(expression.right)
-    return [expression]
+    conjuncts: list[ast.Expression] = []
+    stack = [] if expression is None else [expression]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Binary) and node.op == "AND":
+            stack += (node.right, node.left)
+        else:
+            conjuncts.append(node)
+    return conjuncts
 
 
 def _positions(expression: ast.Expression, header: Header) -> Optional[set[int]]:

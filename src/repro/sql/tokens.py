@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 
 class TokenType(enum.Enum):
-    """Lexical categories produced by :class:`repro.sql.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.sql.lexer.tokenize`."""
 
     KEYWORD = "KEYWORD"
     IDENTIFIER = "IDENTIFIER"
@@ -43,8 +42,7 @@ OPERATORS = ("<>", "!=", "<=", ">=", "||", "=", "<", ">", "+", "-", "*", "/", "%
 PUNCTUATION = frozenset({"(", ")", ",", ".", ";"})
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token with source position for error messages."""
 
     type: TokenType
@@ -57,6 +55,3 @@ class Token:
         if self.type is not token_type:
             return False
         return value is None or self.value == value
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"Token({self.type.name}, {self.value!r}, {self.line}:{self.column})"

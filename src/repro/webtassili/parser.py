@@ -23,7 +23,7 @@ from repro.webtassili import ast
 from repro.webtassili.lexer import KEYWORDS, Token, TokenType, tokenize
 
 #: Statement texts whose trees :func:`parse` keeps (the SQL engine's
-#: statement cache holds as many plans).
+#: statement cache holds as many statement shapes).
 PARSE_CACHE_SIZE = 512
 
 
