@@ -139,7 +139,7 @@ class Database:
         """The cached statement of *sql*'s shape, and the values of the
         literals the shape cut out of *sql* (what its slots read)."""
         key, literals = shape(sql)
-        if key is None:  # it does not lex: the parser says why
+        if key is None:  # no shape: run the text as it stands, uncached
             return _Prepared(Parser(sql).parse_statement()), literals
         cache = self._statement_cache
         prepared = cache.get(key)

@@ -138,7 +138,8 @@ def shape(text: str) -> tuple[Optional[str], list]:
     """``(key, values)``: *text* with each number and string literal
     replaced by the marker of its kind, and the literals' values in
     text order.  The key is None when the text cannot be cut that way
-    (a quote is not closed); such a text is parsed as it stands."""
+    (a quote is not closed, a NUL stands outside a literal); such a
+    text is parsed as it stands."""
     pieces: list[str] = []
     values: list = []
     for run, lexeme, string, unclosed in _SHAPE.findall(text):
