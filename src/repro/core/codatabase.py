@@ -176,6 +176,14 @@ _SOURCE_ATTRIBUTES = [
 ]
 
 
+def _link_identity(link: ServiceLink) -> dict[str, str]:
+    """The stored attributes that say which record is *link* (the names
+    first: an equality select is answered by its first one's index)."""
+    return {"from_name": link.from_name, "to_name": link.to_name,
+            "from_kind": link.from_kind.value,
+            "to_kind": link.to_kind.value}
+
+
 class CoDatabase:
     """The metadata repository attached to one information source."""
 
@@ -316,25 +324,17 @@ class CoDatabase:
         involves_owner = link.involves(EndpointKind.DATABASE, self.owner_name)
         class_name = ("DatabaseServiceLink" if involves_owner
                       else "CoalitionServiceLink")
-        payload = link.to_wire()
-        existing = self._db.select(class_name, include_subclasses=False,
-                                   from_name=link.from_name,
-                                   to_name=link.to_name)
-        if not any(o.get("from_kind") == payload["from_kind"]
-                   and o.get("to_kind") == payload["to_kind"]
-                   for o in existing):
-            self._db.create(class_name, **payload)
+        if not self._db.select(class_name, include_subclasses=False,
+                               **_link_identity(link)):
+            self._db.create(class_name, **link.to_wire())
         self.applied = self.epoch
 
     def remove_service_link(self, link: ServiceLink) -> None:
         self.epoch += 1
         for class_name in ("DatabaseServiceLink", "CoalitionServiceLink"):
             for obj in self._db.select(class_name, include_subclasses=False,
-                                       from_name=link.from_name,
-                                       to_name=link.to_name):
-                if (obj.get("from_kind") == link.from_kind.value
-                        and obj.get("to_kind") == link.to_kind.value):
-                    self._db.delete(obj.oid)
+                                       **_link_identity(link)):
+                self._db.delete(obj.oid)
         self.applied = self.epoch
 
     def attach_document(self, source_name: str, format_name: str,

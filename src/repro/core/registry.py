@@ -62,7 +62,10 @@ class Registry:
         self._sources: dict[str, SourceDescription] = {}
         self._codatabases: dict[str, CoDatabase] = {}
         self._coalitions: dict[str, Coalition] = {}
-        self._links: list[ServiceLink] = []
+        #: Stored links by identity, in establishment order (see
+        #: :meth:`_find_link`).
+        self._links: dict[tuple[str, EndpointKind, EndpointKind],
+                          ServiceLink] = {}
         #: Children of each coalition (topic specialisations).
         self._children: dict[str, list[str]] = {}
         #: Count of individual co-database writes — the maintenance-cost
@@ -203,7 +206,7 @@ class Registry:
                 self.leave(name, coalition.name)
         # Links naming the source go through the removal path, so the
         # peers' co-databases unlearn them and their caches are told.
-        for link in [l for l in self._links
+        for link in [l for l in self._links.values()
                      if l.involves(EndpointKind.DATABASE, name)]:
             self.remove_service_link(link)
         del self._sources[name]
@@ -258,7 +261,7 @@ class Registry:
                 f"{children!r}; dissolve them first")
         for member in list(coalition.members):
             self.leave(member, name)
-        for link in [l for l in self._links
+        for link in [l for l in self._links.values()
                      if l.involves(EndpointKind.COALITION, name)]:
             self.remove_service_link(link)
         if coalition.parent is not None:
@@ -298,7 +301,7 @@ class Registry:
             self.codb_write(database_name, "add_member",
                             [coalition_name, self._sources[member]])
         # ...and existing links involving the coalition.
-        for link in list(self._links):
+        for link in list(self._links.values()):
             if link.involves(EndpointKind.COALITION, coalition_name):
                 self.codb_write(database_name, "add_service_link", [link])
 
@@ -322,7 +325,7 @@ class Registry:
         # in) unless the locality rule still entitles it to them: as a
         # database endpoint, or through a coalition it remains in.
         kept = list(self.codatabase(database_name).memberships)
-        for link in list(self._links):
+        for link in list(self._links.values()):
             if link.involves(EndpointKind.COALITION, coalition_name) \
                     and not link.involves(EndpointKind.DATABASE,
                                           database_name) \
@@ -337,14 +340,16 @@ class Registry:
 
     # ------------------------------------------------------------ service links --
 
+    @staticmethod
+    def _link_key(link: ServiceLink
+                  ) -> tuple[str, EndpointKind, EndpointKind]:
+        """A link's identity: label + endpoint kinds."""
+        return link.label, link.from_kind, link.to_kind
+
     def _find_link(self, link: ServiceLink) -> Optional[ServiceLink]:
-        """The stored link matching *link*'s identity (label + endpoint
-        kinds), or None: the caller's copy may lack the filled-in
-        contact."""
-        return next((stored for stored in self._links
-                     if stored.label == link.label
-                     and stored.from_kind == link.from_kind
-                     and stored.to_kind == link.to_kind), None)
+        """The stored link with *link*'s identity, or None: the caller's
+        copy may lack the filled-in contact."""
+        return self._links.get(self._link_key(link))
 
     def _audience_names(self, link: ServiceLink) -> list[str]:
         """Databases whose co-databases must know about *link*: members
@@ -382,9 +387,10 @@ class Registry:
                 members = self.coalition(link.to_name).members
                 contact = members[0] if members else ""
             link = replace(link, contact=contact)
-        if self._find_link(link) is not None:
+        key = self._link_key(link)
+        if key in self._links:
             raise WebFinditError(f"service link {link.label} already exists")
-        self._links.append(link)
+        self._links[key] = link
         audience = self._audience_names(link)
         for name in audience:
             self.codb_write(name, "add_service_link", [link])
@@ -394,14 +400,14 @@ class Registry:
         stored = self._find_link(link)
         if stored is None:
             raise WebFinditError(f"no service link {link.label}")
-        self._links.remove(stored)
+        del self._links[self._link_key(stored)]
         audience = self._audience_names(stored)
         for name in audience:
             self.codb_write(name, "remove_service_link", [stored])
         self._notify(audience)
 
     def service_links(self) -> list[ServiceLink]:
-        return list(self._links)
+        return list(self._links.values())
 
     # ------------------------------------------------------------- documents --
 

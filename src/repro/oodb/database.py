@@ -27,6 +27,10 @@ class ObjectDatabase:
         self.version = version
         self._objects: dict[Oid, OObject] = {}
         self._extents: dict[str, Extent] = {}
+        #: class -> attribute -> value -> that class's objects holding
+        #: it, in creation order, or ``None`` (see :meth:`_index`).
+        self._indexes: dict[str, dict[str, Optional[
+            dict[Any, dict[Oid, OObject]]]]] = {}
         self._next_oid = 1
 
     # ------------------------------------------------------------- metadata --
@@ -63,11 +67,12 @@ class ObjectDatabase:
             if attribute.name not in stored:
                 stored._values[attribute.name] = \
                     list(fill) if isinstance(fill, list) else fill
+        for indexes in self._indexes.values():  # rebuilt on next select
+            indexes.pop(attribute.name, None)
 
     def attribute_of(self, class_name: str, attribute_name: str) -> Attribute:
         """Resolve an attribute (inherited or own) of *class_name*."""
-        attributes = self.schema.all_attributes(class_name)
-        attribute = attributes.get(attribute_name)
+        attribute = self.schema.attribute_map(class_name).get(attribute_name)
         if attribute is None:
             raise SchemaError(
                 f"class {class_name!r} has no attribute {attribute_name!r}")
@@ -87,6 +92,9 @@ class ObjectDatabase:
             extent = Extent(class_name)
             self._extents[class_name] = extent
         extent.add(stored)
+        for name, index in self._indexes.get(class_name, {}).items():
+            if index is not None:
+                index.setdefault(normalized[name], {})[oid] = stored
         return stored
 
     def get(self, oid: Oid) -> OObject:
@@ -104,21 +112,41 @@ class ObjectDatabase:
         extent = self._extents.get(stored.class_name)
         if extent is not None:
             extent.remove(oid)
+        for name, index in self._indexes.get(stored.class_name, {}).items():
+            if index is not None:
+                _unindex(index, stored, stored.get(name))
+
+    def reindex(self, stored: OObject, name: str, value: Any) -> None:
+        """Move *stored* to *value*'s entry of its class's index on
+        *name*, keeping the entry in creation order (:meth:`OObject.set`
+        calls this before it stores *value*)."""
+        index = self._indexes.get(stored.class_name, {}).get(name)
+        if index is None or self._objects.get(stored.oid) is not stored:
+            return
+        _unindex(index, stored, stored.get(name))
+        entry = index.setdefault(value, {})
+        last = next(reversed(entry), None)
+        entry[stored.oid] = stored
+        if last is not None and stored.oid < last:
+            index[value] = dict(sorted(entry.items()))
 
     def __len__(self) -> int:
         return len(self._objects)
 
     # ---------------------------------------------------------------- queries --
 
+    def _class_names(self, class_name: str,
+                     include_subclasses: bool) -> tuple[str, ...]:
+        if include_subclasses:
+            return self.schema.family(class_name)
+        self.schema.get(class_name)
+        return (class_name,)
+
     def extent(self, class_name: str, include_subclasses: bool = True
                ) -> list[OObject]:
         """All instances of a class (by default including subclasses)."""
-        self.schema.get(class_name)
-        class_names = [class_name]
-        if include_subclasses:
-            class_names.extend(self.schema.descendants(class_name))
         result: list[OObject] = []
-        for name in class_names:
+        for name in self._class_names(class_name, include_subclasses):
             extent = self._extents.get(name)
             if extent is not None:
                 result.extend(extent.objects())
@@ -129,17 +157,53 @@ class ObjectDatabase:
                include_subclasses: bool = True,
                **equalities: Any) -> list[OObject]:
         """Instances of *class_name* matching a predicate and/or
-        attribute equalities, e.g. ``db.select("Doctor", position="RMO")``."""
-        candidates = self.extent(class_name, include_subclasses)
+        attribute equalities, e.g. ``db.select("Doctor", position="RMO")``.
+
+        Without a predicate, the first equality picks each class's
+        candidates from its index (classes in lattice order, objects in
+        creation order, as a scan finds them); every equality is then
+        checked on each candidate."""
+        probe = next(iter(equalities), None) if predicate is None else None
         result: list[OObject] = []
-        for candidate in candidates:
-            if predicate is not None and not predicate(candidate):
+        for name in self._class_names(class_name, include_subclasses):
+            extent = self._extents.get(name)
+            if extent is None:
                 continue
-            if any(candidate.get(attr) != wanted
-                   for attr, wanted in equalities.items()):
-                continue
-            result.append(candidate)
+            candidates = extent.objects()
+            index = self._index(name, probe) if probe is not None else None
+            if index is not None:
+                try:
+                    candidates = index.get(equalities[probe], _NONE).values()
+                except TypeError:  # an unhashable value: scan
+                    pass
+            for candidate in candidates:
+                if predicate is not None and not predicate(candidate):
+                    continue
+                if any(candidate.get(attr) != wanted
+                       for attr, wanted in equalities.items()):
+                    continue
+                result.append(candidate)
         return result
+
+    def _index(self, class_name: str, attribute_name: str
+               ) -> Optional[dict[Any, dict[Oid, OObject]]]:
+        """*class_name*'s index on a scalar attribute, built on first
+        use; ``None`` for an attribute a select must scan (many-valued,
+        kind ``any``, or not the class's)."""
+        try:
+            return self._indexes[class_name][attribute_name]
+        except KeyError:
+            pass
+        attribute = self.schema.attribute_map(class_name).get(attribute_name)
+        index = None
+        if attribute is not None and not attribute.many \
+                and attribute.kind != "any":
+            index = {}
+            for stored in self._extents[class_name].objects():
+                index.setdefault(stored.get(attribute_name),
+                                 {})[stored.oid] = stored
+        self._indexes.setdefault(class_name, {})[attribute_name] = index
+        return index
 
     def find_one(self, class_name: str, **equalities: Any) -> OObject:
         """The unique instance matching the equalities; raises otherwise."""
@@ -167,3 +231,16 @@ class ObjectDatabase:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"ObjectDatabase(name={self.name!r}, product={self.product!r}, "
                 f"objects={len(self._objects)})")
+
+
+#: An index's answer for a value no object holds.
+_NONE: dict[Oid, OObject] = {}
+
+
+def _unindex(index: dict[Any, dict[Oid, OObject]], stored: OObject,
+             value: Any) -> None:
+    """Take *stored* out of *value*'s entry; drop the entry if empty."""
+    entry = index[value]
+    del entry[stored.oid]
+    if not entry:
+        del index[value]

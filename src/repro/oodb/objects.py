@@ -59,7 +59,9 @@ class OObject:
     def set(self, name: str, value: Any) -> None:
         """Update one attribute, re-validating against the schema."""
         attribute = self._database.attribute_of(self.class_name, name)
-        self._values[name] = _validate_value(attribute, value)
+        value = _validate_value(attribute, value)
+        self._database.reindex(self, name, value)
+        self._values[name] = value
 
     def values(self) -> dict[str, Any]:
         """A copy of the attribute map."""
@@ -91,6 +93,10 @@ class ObjectDatabaseProtocol:
 
     def attribute_of(self, class_name: str,
                      attribute_name: str) -> Attribute:  # pragma: no cover
+        raise NotImplementedError
+
+    def reindex(self, stored: "OObject", name: str,
+                value: Any) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -161,21 +167,28 @@ def validate_new_object(schema: Schema, class_name: str,
 
     Unknown attribute names raise; missing optional attributes are
     filled with ``None`` (or ``[]`` for multi-valued ones) so stored
-    objects always carry the full attribute map of their class.
+    objects always carry the full attribute map of their class.  A value
+    of the exact type the cached plan names (a ``str`` for a scalar
+    ``string``), or a list of such items, passes on that type test.
     """
-    oclass = schema.get(class_name)
-    if oclass.abstract:
+    if schema.get(class_name).abstract:
         raise SchemaError(f"class {class_name!r} is abstract")
-    attributes = schema.all_attributes(class_name)
-    unknown = set(values) - set(attributes)
-    if unknown:
+    attributes = schema.attribute_map(class_name)
+    if not values.keys() <= attributes.keys():
+        unknown = set(values) - set(attributes)
         raise SchemaError(
             f"class {class_name!r} has no attributes {sorted(unknown)!r}")
     normalized: dict[str, Any] = {}
-    for name, attribute in attributes.items():
+    for attribute, exact, item_exact in schema.creation_plan(class_name):
+        name = attribute.name
         supplied = values.get(name)
-        if supplied is None and name not in values and attribute.many:
+        if supplied.__class__ is exact:
+            normalized[name] = supplied
+        elif supplied is None and attribute.many:
             normalized[name] = []
-            continue
-        normalized[name] = _validate_value(attribute, supplied)
+        elif supplied.__class__ is list and item_exact is not None \
+                and all(item.__class__ is item_exact for item in supplied):
+            normalized[name] = list(supplied)
+        else:
+            normalized[name] = _validate_value(attribute, supplied)
     return normalized

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import datetime
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, Optional
 
 from repro.errors import SchemaError
 
@@ -64,6 +65,12 @@ class Attribute:
         return value
 
 
+#: Per kind, the type whose exact instances :meth:`Attribute.validate`
+#: accepts unchanged: such a value needs no other test.
+_EXACT_TYPES = {"string": str, "integer": int, "real": float,
+                "boolean": bool, "date": datetime.date}
+
+
 @dataclass
 class OClass:
     """A class in the schema lattice."""
@@ -95,6 +102,9 @@ class Schema:
     def __init__(self, name: str = "schema"):
         self.name = name
         self._classes: dict[str, OClass] = {}
+        #: Per ``(what, class name)``, what the lattice derives: dropped
+        #: by every :meth:`define` and :meth:`add_attribute`.
+        self._derived: dict[tuple[str, str], Any] = {}
 
     # -- definition ------------------------------------------------------------
 
@@ -115,6 +125,7 @@ class Schema:
                         f"with kind {attribute.kind!r} (base has "
                         f"{inherited.kind!r})")
         self._classes[oclass.name] = oclass
+        self._derived.clear()
         return oclass
 
     def define_class(self, name: str, attributes: Optional[list[Attribute]] = None,
@@ -145,6 +156,7 @@ class Schema:
                     f"with kind {own.kind!r}, conflicting with new "
                     f"{attribute.kind!r}")
         oclass.attributes.append(attribute)
+        self._derived.clear()
 
     # -- lookup -----------------------------------------------------------------
 
@@ -175,13 +187,39 @@ class Schema:
 
     def all_attributes(self, class_name: str) -> dict[str, Attribute]:
         """Inherited + own attributes, subclass definitions winning."""
-        oclass = self.get(class_name)
-        merged: dict[str, Attribute] = {}
-        for base in oclass.bases:
-            merged.update(self.all_attributes(base))
-        for attribute in oclass.attributes:
-            merged[attribute.name] = attribute
+        return dict(self.attribute_map(class_name))
+
+    def attribute_map(self, class_name: str) -> Mapping[str, Attribute]:
+        """:meth:`all_attributes`, computed once per schema version and
+        shared read-only."""
+        key = ("attributes", class_name)
+        merged = self._derived.get(key)
+        if merged is None:
+            oclass = self.get(class_name)
+            merged = {}
+            for base in oclass.bases:
+                merged.update(self.attribute_map(base))
+            for attribute in oclass.attributes:
+                merged[attribute.name] = attribute
+            merged = self._derived[key] = MappingProxyType(merged)
         return merged
+
+    def creation_plan(self, class_name: str
+                      ) -> tuple[tuple[Attribute, Optional[type],
+                                       Optional[type]], ...]:
+        """Per attribute, once per schema version: ``(attribute, exact
+        type of a scalar value, exact type of a multi-valued one's
+        items)``, the unused one ``None`` (see ``_EXACT_TYPES``)."""
+        key = ("plan", class_name)
+        plan = self._derived.get(key)
+        if plan is None:
+            steps = []
+            for attribute in self.attribute_map(class_name).values():
+                exact = _EXACT_TYPES.get(attribute.kind)
+                steps.append((attribute, None, exact) if attribute.many
+                             else (attribute, exact, None))
+            plan = self._derived[key] = tuple(steps)
+        return plan
 
     # -- lattice queries ----------------------------------------------------------
 
@@ -206,15 +244,24 @@ class Schema:
 
     def descendants(self, class_name: str) -> list[str]:
         """All transitive subclasses, breadth-first."""
-        result: list[str] = []
-        frontier = self.subclasses(class_name)
-        while frontier:
-            next_frontier: list[str] = []
-            for name in frontier:
-                if name not in result:
-                    result.append(name)
-                    next_frontier.extend(self.subclasses(name))
-            frontier = next_frontier
+        return list(self.family(class_name)[1:])
+
+    def family(self, class_name: str) -> tuple[str, ...]:
+        """*class_name* then its :meth:`descendants`, once per schema
+        version: the classes an inclusive query walks, in order."""
+        key = ("family", class_name)
+        result = self._derived.get(key)
+        if result is None:
+            names = [class_name]
+            frontier = self.subclasses(class_name)
+            while frontier:
+                next_frontier: list[str] = []
+                for name in frontier:
+                    if name not in names:
+                        names.append(name)
+                        next_frontier.extend(self.subclasses(name))
+                frontier = next_frontier
+            result = self._derived[key] = tuple(names)
         return result
 
     def is_subclass(self, candidate: str, ancestor: str) -> bool:
