@@ -365,3 +365,31 @@ class TestNegatedPredicates:
         result = people_db.execute(
             "SELECT name || city FROM person WHERE id = 5")
         assert result.scalar() is None
+
+
+class TestLogicOverNonTruths:
+    """A value that is neither a truth nor NULL is never TRUE (the rule
+    in docs/engines.md); sqlite3, which reads a non-zero number as true,
+    answers 1, 1, 1 and 0 to the first four."""
+
+    @pytest.mark.parametrize("sql, answer", [
+        ("SELECT 1 AND TRUE", False),
+        ("SELECT 2 OR FALSE", False),
+        ("SELECT 0.5 AND 1", False),
+        ("SELECT NOT 5", True),
+        ("SELECT NOT 0", True),
+        ("SELECT 1 AND NULL", None),
+        ("SELECT 2 OR NULL", None),
+        ("SELECT 1 AND FALSE", False),
+        ("SELECT 2 OR TRUE", True),
+    ])
+    def test_value(self, sql, answer):
+        assert Database("logic").execute(sql).scalar() is answer
+
+    def test_filter(self, people_db):
+        def names(where):
+            return [row[0] for row in people_db.execute(
+                f"SELECT name FROM person WHERE {where} ORDER BY name").rows]
+        assert names("age") == []
+        assert names("age OR FALSE") == []
+        assert names("NOT age") == ["Alice", "Bob", "Carol", "Eve"]
