@@ -8,7 +8,7 @@ encoder), so they pin the *bytes* across any change of mechanics::
     PYTHONPATH=<checkout of eb762ab>/src python tests/orb/gen_cdr_golden.py
 
 ``retired`` holds wire forms this codec no longer reads, written by
-three commits: decoding one must be a ``MarshalError`` for an unknown
+four commits: decoding one must be a ``MarshalError`` for an unknown
 value type, never a misparse.  The ``eb762ab`` entries are the
 nine-key struct ``SourceDescription`` and the seven-key struct
 ``ServiceLink`` (the last two were the ``service_link`` and
@@ -19,7 +19,12 @@ byte when ``ServiceLink/2`` replaced that struct).  The
 string columns carried a character-length array — moved over byte for
 byte when ``ResultSet/3`` replaced it, and ``result_set_3_nested``
 (``RETIRED_AT_7FD89D0``) is the ``nested`` vector of ``7fd89d0``'s
-``result_sets``, whose cell holds a struct ``ServiceLink``; nothing here
+``result_sets``, whose cell holds a struct ``ServiceLink``.  The other
+``result_set_3_*`` entries (``RETIRED_RESULT_SET_3``) are the
+``result_sets`` section of commit ``011c70a`` — ``ResultSet/3``, which
+carried no declared column kinds — moved over byte for byte when
+``ResultSet/4`` replaced it (its ``nested`` vector, whose cell holds a
+``ServiceLink/2``, as ``result_set_3_nested_link_2``); nothing here
 rewrites those.
 
 The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
@@ -176,8 +181,15 @@ RETIRED_RESULT_SET_2 = {
 #: ``ServiceLink``.
 RETIRED_AT_7FD89D0 = {"result_set_3_nested": RESULT_SETS["nested"]}
 
+#: ``ResultSet/3`` bytes of the ``result_sets`` values ``011c70a`` had.
+RETIRED_RESULT_SET_3 = {
+    "result_set_3_nested_link_2" if name == "nested"
+    else f"result_set_3_{name}": RESULT_SETS[name]
+    for name in ("point", "every_kind", "fallbacks", "all_null_column", "dml",
+                 "no_rows", "no_columns", "nested", "nul_in_a_string")}
+
 RETIRED = {**RETIRED_AT_EB762AB, **RETIRED_RESULT_SET_2,
-           **RETIRED_AT_7FD89D0}
+           **RETIRED_AT_7FD89D0, **RETIRED_RESULT_SET_3}
 
 
 def consult_answers():
