@@ -522,19 +522,16 @@ class QueryProcessor:
     def _do_dropservicelink(self, statement: ast.DropServiceLink,
                             session: Session) -> WtResult:
         registry = self._require_registry()
-        matches = [link for link in registry.service_links()
-                   if link.from_name == statement.from_name
-                   and link.to_name == statement.to_name
-                   and link.from_kind.value == statement.from_kind
-                   and link.to_kind.value == statement.to_kind]
-        if not matches:
+        link = registry.service_link(
+            EndpointKind.parse(statement.from_kind), statement.from_name,
+            EndpointKind.parse(statement.to_kind), statement.to_name)
+        if link is None:
             raise WebFinditError(
                 f"no service link from {statement.from_name!r} "
                 f"to {statement.to_name!r}")
-        for link in matches:
-            registry.remove_service_link(link)
-        return WtResult(kind="ack", data=matches,
-                        text=f"Service link {matches[0].label} dropped")
+        registry.remove_service_link(link)
+        return WtResult(kind="ack", data=[link],
+                        text=f"Service link {link.label} dropped")
 
 
 def _render_value(value: Any) -> str:
@@ -542,17 +539,15 @@ def _render_value(value: Any) -> str:
     if isinstance(value, ResultSet):
         if not value.columns:
             return f"({value.rowcount} row(s) affected)"
-        widths = [max(len(str(column)),
-                      *(len(str(row[i])) for row in value.rows))
-                  if value.rows else len(str(column))
-                  for i, column in enumerate(value.columns)]
+        texts = [list(map(str, column)) for column in value.values]
+        widths = [max(len(str(name)), max(map(len, column), default=0))
+                  for name, column in zip(value.columns, texts)]
         header = "  ".join(str(c).ljust(w)
                            for c, w in zip(value.columns, widths))
         separator = "  ".join("-" * w for w in widths)
-        body = [
-            "  ".join(str(cell).ljust(w) for cell, w in zip(row, widths))
-            for row in value.rows
-        ]
+        padded = [[text.ljust(width) for text in column]
+                  for column, width in zip(texts, widths)]
+        body = list(map("  ".join, zip(*padded)))
         return "\n".join([header, separator, *body])
     if isinstance(value, list) and value and isinstance(value[0], dict):
         return "\n".join(str(row) for row in value)

@@ -36,7 +36,7 @@ from repro.core.codatabase import MAINTENANCE_WRITES, CoDatabase
 from repro.core.metacache import TOMBSTONE
 from repro.core.model import Ontology, SourceDescription
 from repro.core.resilience import HealthBoard
-from repro.core.service_link import EndpointKind, ServiceLink
+from repro.core.service_link import EndpointKind, ServiceLink, link_label
 from repro.errors import (MembershipError, UnknownCoalition, UnknownDatabase,
                           WebFinditError)
 
@@ -408,6 +408,19 @@ class Registry:
 
     def service_links(self) -> list[ServiceLink]:
         return list(self._links.values())
+
+    def service_link(self, from_kind: EndpointKind, from_name: str,
+                     to_kind: EndpointKind, to_name: str
+                     ) -> Optional[ServiceLink]:
+        """The stored link between exactly these ends, or None: found
+        by its key, then held to the names as written (a label drops
+        their spaces)."""
+        link = self._links.get((link_label(from_name, to_name), from_kind,
+                                to_kind))
+        if link is None or (link.from_name, link.to_name) \
+                != (from_name, to_name):
+            return None
+        return link
 
     # ------------------------------------------------------------- documents --
 

@@ -45,6 +45,15 @@ class Cursor:
                 for name in self._result.columns]
 
     @property
+    def result(self) -> ResultSet:
+        """The whole result of the last statement, as the engine made
+        it (shared, not copied; the fetch position does not move)."""
+        self._check_open()
+        if self._result is None:
+            raise GatewayError("no query has been executed on this cursor")
+        return self._result
+
+    @property
     def rowcount(self) -> int:
         """Rows affected by the last statement (-1 before any execute)."""
         if self._result is None:
@@ -102,10 +111,7 @@ class Cursor:
         return chunk
 
     def _rows(self) -> list[tuple]:
-        self._check_open()
-        if self._result is None:
-            raise GatewayError("no query has been executed on this cursor")
-        return self._result.rows
+        return self.result.rows
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -20,7 +20,7 @@ class Oid:
         return isinstance(other, Oid) and other.value == self.value
 
     def __hash__(self) -> int:
-        return hash(("oid", self.value))
+        return hash(self.value)
 
     def __lt__(self, other: "Oid") -> bool:
         return self.value < other.value

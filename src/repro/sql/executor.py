@@ -32,11 +32,26 @@ def execute_plan(plan, params: Optional[Sequence[Any]],
     of its shape's literals."""
     frame: Frame = (params or (), None, None, literals)
     if isinstance(plan, (SelectPlan, UnionPlan)):
-        return ResultSet._adopt(plan.columns, run_query(plan, frame))
+        return _result(plan, frame)
     if isinstance(plan, InsertPlan):
         return ResultSet.empty(_insert(plan, frame))
     assert isinstance(plan, ModifyPlan)
     return ResultSet.empty(_modify(plan, frame))
+
+
+def _result(plan: QueryPlan, frame: Frame) -> ResultSet:
+    """A query's result, column by column.  A SELECT whose output is its
+    source's rows as they come takes its columns straight from them —
+    over a base table the stored rows, uncopied; any other query's rows
+    are transposed once."""
+    if isinstance(plan, SelectPlan) and plan.project is None \
+            and not (plan.select.distinct or plan.order) \
+            and plan.limit is None and plan.offset is None:
+        rows = _materialize(plan.source, frame, False)
+    else:
+        rows = run_query(plan, frame)
+    values = list(zip(*rows)) if len(rows) else [()] * len(plan.columns)
+    return ResultSet.from_columns(plan.columns, values, len(rows), plan.kinds)
 
 
 def run_query(plan: QueryPlan, frame: Frame) -> list[tuple]:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.errors import CatalogError, SqlError
 from repro.sql import ast
-from repro.sql.types import comparable
+from repro.sql.types import SqlType, comparable
 
 Frame = tuple  # (params, outer_row, outer_frame, literals)
 Compiled = Callable[[Sequence, Frame], Any]
@@ -35,13 +35,18 @@ class Header:
     """The column layout of an intermediate relation.
 
     Each slot is a ``(binding, column_name)`` pair; *binding* is the
-    table alias (or None for computed columns).  Lookup resolves both
-    qualified (``t.c``) and bare (``c``) references, raising on
-    ambiguity as a real engine would.
+    table alias (or None for computed columns).  *kinds* holds each
+    slot's :class:`~repro.sql.types.SqlType` when the slot carries a
+    base table column's stored cells (every non-null one exactly
+    ``STORED_AS[kind]``), else None.  Lookup resolves both qualified
+    (``t.c``) and bare (``c``) references, raising on ambiguity as a
+    real engine would.
     """
 
-    def __init__(self, slots: list[tuple[Optional[str], str]]):
+    def __init__(self, slots: list[tuple[Optional[str], str]],
+                 kinds: Optional[list[Optional[SqlType]]] = None):
         self.slots = slots
+        self.kinds = [None] * len(slots) if kinds is None else kinds
         self._bindings = [b.lower() if b is not None else None
                           for b, _ in slots]
         self._by_qualified: dict[tuple[str, str], int] = {}
@@ -69,8 +74,13 @@ class Header:
         lowered = binding.lower()
         return [i for i, b in enumerate(self._bindings) if b == lowered]
 
+    def pick(self, positions: list[int]) -> "Header":
+        """The header of the slots at *positions*, in that order."""
+        return Header([self.slots[i] for i in positions],
+                      [self.kinds[i] for i in positions])
+
     def __add__(self, other: "Header") -> "Header":
-        return Header(self.slots + other.slots)
+        return Header(self.slots + other.slots, self.kinds + other.kinds)
 
     def __len__(self) -> int:
         return len(self.slots)

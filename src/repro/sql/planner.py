@@ -162,6 +162,9 @@ class SelectPlan:
 
     select: ast.Select
     columns: list[str]
+    #: Per output column: its slot's kind for a bare column reference
+    #: (or ``*``), else None.
+    kinds: list[Optional[SqlType]]
     source: RowSource
     #: None when the block does not aggregate; else (reducer, argument)
     #: per aggregate call.  ``COUNT(*)`` is ``(len, None)``: it reduces
@@ -182,6 +185,7 @@ class UnionPlan:
 
     union: ast.Union
     columns: list[str]
+    kinds: list[None]
     left: "QueryPlan"
     right: "QueryPlan"
     order: list[OrderKey]
@@ -316,7 +320,7 @@ class Planner:
             raise SqlError("UNION operands have different column counts")
         columns = list(left.columns)
         scope = Scope(Header([(None, name) for name in columns]), outer)
-        return UnionPlan(statement, columns, left, right,
+        return UnionPlan(statement, columns, [None] * len(columns), left, right,
                          self._order_keys(statement.order_by, columns, scope),
                          self._constant(statement.limit))
 
@@ -344,10 +348,10 @@ class Planner:
                                           for slot, call in enumerate(calls)})
             if select.having is not None:
                 having = self._codegen.predicate([select.having], scope)
-        columns, project = self._projection(select, scope,
-                                            identity=aggregates is None)
+        columns, kinds, project = self._projection(
+            select, scope, identity=aggregates is None)
         return SelectPlan(
-            select, columns, source, aggregates, groups, having, project,
+            select, columns, kinds, source, aggregates, groups, having, project,
             self._order_keys(select.order_by, columns, scope),
             self._constant(select.limit), self._constant(select.offset))
 
@@ -357,9 +361,11 @@ class Planner:
             else self._compile(expression, Scope(_EMPTY_HEADER))
 
     def _projection(self, select: ast.Select, scope: Scope, identity: bool
-                    ) -> tuple[list[str], Optional[RowsFn]]:
-        """Output column names and the loop that makes the output rows;
-        none when (*identity*) the input rows already are them."""
+                    ) -> tuple[list[str], list[Optional[SqlType]],
+                               Optional[RowsFn]]:
+        """Output column names, their kinds and the loop that makes the
+        output rows; none when (*identity*) the input rows already are
+        them."""
         header = scope.header
         names: list[str] = []
         parts: list[Union[int, ast.Expression]] = []  # a slot, or to compute
@@ -377,8 +383,9 @@ class Planner:
             names.extend(header.slots[slot][1] for slot in positions)
             parts.extend(positions)
         if identity and parts == list(range(len(header))):
-            return names, None
-        return names, self._codegen.rows(parts, scope)
+            return names, list(header.kinds), None
+        project = self._codegen.rows(parts, scope)
+        return names, [_kind(part, header) for part in parts], project
 
     @staticmethod
     def _group_alias(expression: ast.Expression, select: ast.Select,
@@ -433,8 +440,10 @@ class Planner:
             if view is not None:
                 return self._derived(view, item.binding, None)
             table = self._storage.table_for(item.name)
-            return TableScan(Header([(item.binding, name)
-                                     for name in table.schema.column_names]),
+            return TableScan(Header([(item.binding, column.name)
+                                     for column in table.schema.columns],
+                                    [column.sql_type
+                                     for column in table.schema.columns]),
                              table, item.name, item.binding)
         if isinstance(item, ast.SubqueryRef):
             return self._derived(item.subquery, item.alias, outer)
@@ -446,8 +455,8 @@ class Planner:
     def _derived(self, statement: ast.Statement, binding: str,
                  outer: Optional[Scope]) -> DerivedTable:
         plan = self._query(statement, outer)
-        return DerivedTable(Header([(binding, name) for name in plan.columns]),
-                            plan, binding)
+        return DerivedTable(Header([(binding, name) for name in plan.columns],
+                                   list(plan.kinds)), plan, binding)
 
     def _join(self, join: ast.Join, left: RowSource, right: RowSource,
               outer: Optional[Scope]) -> RowSource:
@@ -455,7 +464,7 @@ class Planner:
         scope = Scope(header, outer)
         if join.using is not None:
             condition, keep = self._using(join.using, left.header, right.header)
-            return NestedLoopJoin(Header([header.slots[i] for i in keep]),
+            return NestedLoopJoin(header.pick(keep),
                                   join.kind, left, right,
                                   test=self._codegen.predicate([condition], scope),
                                   using=join.using, keep=keep)
@@ -638,6 +647,16 @@ class Planner:
             None if isinstance(statement, ast.Delete) else
             [(schema.column_index(a.column), self._compile(a.value, scope))
              for a in statement.assignments])
+
+
+def _kind(part: Union[int, ast.Expression], header: Header
+          ) -> Optional[SqlType]:
+    """An output column's kind: its slot's for a slot or a bare
+    reference to one (a name from an enclosing block reads another
+    header: None), None for anything computed."""
+    if isinstance(part, ast.ColumnRef):
+        part = header.resolve(part.name, part.table)
+    return header.kinds[part] if isinstance(part, int) else None
 
 
 def _derive_name(expression: ast.Expression) -> str:

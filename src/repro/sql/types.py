@@ -70,7 +70,9 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
 
     ``None`` passes through untouched: NULL belongs to every type.
     Numeric widening (int -> real) is allowed; narrowing real -> integer
-    is allowed only when exact.
+    is allowed only when exact.  Any other value comes back exactly of
+    type ``STORED_AS[sql_type]``: a subclass instance (an ``IntEnum``, a
+    ``str`` subclass) is copied to the base type with the same value.
     """
     if value is None:
         return None
@@ -78,7 +80,7 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
         if isinstance(value, bool):
             return int(value)
         if isinstance(value, int):
-            return value
+            return value if type(value) is int else int.__int__(value)
         if isinstance(value, float) and value.is_integer():
             return int(value)
         if isinstance(value, str):
@@ -100,17 +102,16 @@ def coerce(value: Any, sql_type: SqlType) -> Any:
         raise SqlTypeError(f"cannot coerce {value!r} to REAL")
     if sql_type is SqlType.TEXT:
         if isinstance(value, str):
-            return value
+            return value if type(value) is str else str.__str__(value)
         if isinstance(value, (int, float, bool)):
-            return str(value)
+            return str.__str__(str(value))
         if isinstance(value, datetime.date):
             return value.isoformat()
         raise SqlTypeError(f"cannot coerce {value!r} to TEXT")
     if sql_type is SqlType.DATE:
-        if isinstance(value, datetime.datetime):
-            return value.date()
         if isinstance(value, datetime.date):
-            return value
+            return value if type(value) is datetime.date else \
+                datetime.date.fromordinal(datetime.date.toordinal(value))
         if isinstance(value, str):
             return parse_date(value)
         raise SqlTypeError(f"cannot coerce {value!r} to DATE")

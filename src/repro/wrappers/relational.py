@@ -51,10 +51,7 @@ class RelationalWrapper(InformationSourceInterface):
     def execute_native(self, query: str,
                        params: Optional[Sequence[Any]] = None) -> ResultSet:
         """Run raw SQL (the paper's 'directly using native query languages')."""
-        cursor = self._connection.execute(query, params)
-        columns = [d[0] for d in cursor.description] if cursor.description else []
-        # fetchall() is a new list of the result's (immutable) tuples.
-        return ResultSet._adopt(columns, cursor.fetchall(), cursor.rowcount)
+        return self._connection.execute(query, params).result
 
     def _run_binding(self, fn: ExportedFunction, args: list[Any]) -> Any:
         if not isinstance(fn.binding, SqlBinding):

@@ -229,6 +229,33 @@ class TestMaintenanceStatements:
         labels = {l.label for l in fresh.system.registry.service_links()}
         assert "QUTResearch_to_Medicare" not in labels
 
+    def test_drop_service_link_acks_the_link_or_names_the_missing_one(
+            self, fresh):
+        browser = fresh.browser(topo.QUT)
+        browser.submit("Create Service Link From Database 'QUT Research' "
+                       "To Database Medicare With Description 'benefits'")
+        # Same label (spaces drop out of it), other names: no such link.
+        with pytest.raises(WebFinditError, match=
+                           "no service link from 'QUTResearch' to 'Medicare'"):
+            browser.submit("Drop Service Link From Database QUTResearch "
+                           "To Database Medicare")
+        with pytest.raises(WebFinditError, match="no service link from "
+                           "'QUT Research' to 'Medicare'"):
+            browser.submit("Drop Service Link From Coalition 'QUT Research' "
+                           "To Database Medicare")
+        result = browser.submit("Drop Service Link From Database "
+                                "'QUT Research' To Database Medicare")
+        assert result.kind == "ack"
+        assert result.text == "Service link QUTResearch_to_Medicare dropped"
+        [link] = result.data
+        assert (link.from_name, link.to_name, link.contact,
+                link.description) == ("QUT Research", "Medicare", "Medicare",
+                                      "benefits")
+        with pytest.raises(WebFinditError, match="no service link from "
+                           "'QUT Research' to 'Medicare'"):
+            browser.submit("Drop Service Link From Database 'QUT Research' "
+                           "To Database Medicare")
+
     def test_advertise_renders_paper_block(self, fresh):
         browser = fresh.browser(topo.QUT)
         result = browser.submit(

@@ -2,7 +2,7 @@
 
 import datetime
 
-import repro.gateway  # noqa: F401 — registers ResultSet/3
+import repro.gateway  # noqa: F401 — registers ResultSet/4
 from repro.orb import decode_any, encode_any
 from repro.sql.result import ResultSet
 

@@ -28,7 +28,7 @@ carried no declared column kinds — moved over byte for byte when
 rewrites those.
 
 The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
-column-packed ``ResultSet/3``), ``descriptions`` (``DESCRIPTIONS``,
+column-packed ``ResultSet/4``, undeclared and declared columns), ``descriptions`` (``DESCRIPTIONS``,
 the positional ``SourceDescription/2``), ``service_links``
 (``SERVICE_LINKS``, the positional ``ServiceLink/2``) and
 ``consult_answers`` (``consult_answers()``, ``ConsultAnswer/1``) — are
@@ -57,6 +57,7 @@ from repro.orb.giop import (DEADLINE_BUDGET_CONTEXT, ORB_PRODUCT_CONTEXT,
                             ReplyStatus, RequestMessage, busy_reply,
                             encode_message)
 from repro.sql.result import ResultSet
+from repro.sql.types import SqlType
 
 GOLDEN = pathlib.Path(__file__).with_name("cdr_golden.json")
 
@@ -169,6 +170,21 @@ RESULT_SETS = {
     "nested": ResultSet(["cell"], [(ResultSet(["x"], [(1,)]),), (LINK,)]),
     "nul_in_a_string": ResultSet(["packed", "per_cell"],
                                  [("hé 𝄞", "a\x00b"), (None, None), ("", "")]),
+    # Declared kinds, as the engine hands them out: each column packed
+    # by its kind, unsniffed, with the fallbacks a kind still has.
+    "declared": ResultSet.from_columns(
+        ["long", "longlong", "bigint", "double", "text", "nul", "date",
+         "boolean", "holes"],
+        [(1, None, -2**31), (2**40, -2**63, None), (2**63, 0, None),
+         (1.5, -0.0, None), ("hé", "", None), ("a\x00b", None, ""),
+         (DAY, datetime.date.min, None), (True, None, False),
+         (None, None, None)], 3,
+        [SqlType.INTEGER, SqlType.INTEGER, SqlType.INTEGER, SqlType.REAL,
+         SqlType.TEXT, SqlType.TEXT, SqlType.DATE, SqlType.BOOLEAN,
+         SqlType.INTEGER]),
+    "declared_no_rows": ResultSet.from_columns(
+        ["i", "r", "t", "d", "b", "any"], [()] * 6, 0,
+        [*SqlType, None]),
 }
 
 #: ``ResultSet/2`` bytes of the ``result_sets`` values ``353b5d5`` had.

@@ -7,12 +7,12 @@ frames.  Those sections were generated by ``gen_cdr_golden.py`` running
 on the codec of commit ``eb762ab`` — the encoder has to write exactly
 those bytes and the decoder has to read them back.  The
 ``result_sets``, ``descriptions``, ``service_links`` and
-``consult_answers`` sections pin the column-packed ``ResultSet/3`` and
+``consult_answers`` sections pin the column-packed ``ResultSet/4`` and
 the positional ``SourceDescription/2``, ``ServiceLink/2`` and
 ``ConsultAnswer/1`` the same way for the next change; the ``retired``
 section keeps the forms they replaced (the nine-key
-``SourceDescription``, the seven-key ``ServiceLink``, ``ResultSet/2``),
-which must now be refused.
+``SourceDescription``, the seven-key ``ServiceLink``, ``ResultSet/2``,
+``ResultSet/3``), which must now be refused.
 """
 
 import json
@@ -34,7 +34,7 @@ def plain(value):
     """A comparable form: ``repr`` tells ``-0.0`` from ``0.0``, ``True``
     from ``1`` and ``nan`` from nothing; a ResultSet's is its fields."""
     if isinstance(value, ResultSet):
-        return repr(("ResultSet", value.columns, value.rowcount,
+        return repr(("ResultSet", value.columns, value.kinds, value.rowcount,
                      [[plain(cell) for cell in row] for row in value.rows]))
     return repr(value)
 

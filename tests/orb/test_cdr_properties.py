@@ -166,8 +166,10 @@ def same(a, b):
     if type(a) is not type(b):
         return False
     if isinstance(a, ResultSet):
-        return same([a.columns, a.rowcount, [list(row) for row in a.rows]],
-                    [b.columns, b.rowcount, [list(row) for row in b.rows]])
+        return same([a.columns, a.kinds, a.rowcount,
+                     [list(row) for row in a.rows]],
+                    [b.columns, b.kinds, b.rowcount,
+                     [list(row) for row in b.rows]])
     if dataclasses.is_dataclass(a):
         return same(vars(a), vars(b))
     if isinstance(a, (list, tuple)):
@@ -334,7 +336,7 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
     followed by some other ``any`` — is a value (the hook may accept
     it) or the codec's error naming the class, never the hook's own."""
     for type_id in ("SourceDescription/2", "ServiceLink/2", "EndpointKind",
-                    "ResultSet/3", "ConsultAnswer/1"):
+                    "ResultSet/4", "ConsultAnswer/1"):
         name = type_id.partition("/")[0]
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)
@@ -346,12 +348,14 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
             assert f"malformed {name} value" in str(exc)
             assert exc.__cause__ is not None
     # The ids of the forms this codec used to carry — the row-per-struct
-    # ResultSet, the length-array ResultSet/2, the nine-key
-    # SourceDescription, the seven-key ServiceLink — are unknown now: a
-    # stale peer is refused, never misparsed.
+    # ResultSet, the length-array ResultSet/2, the undeclared
+    # ResultSet/3, the nine-key SourceDescription, the seven-key
+    # ServiceLink — are unknown now: a stale peer is refused, never
+    # misparsed.
     for type_id, struct_form in (
             ("ResultSet", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
             ("ResultSet/2", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
+            ("ResultSet/3", {"columns": ["a"], "rows": [[1]], "rowcount": 1}),
             ("SourceDescription", {"name": "A", "information_type": "t"}),
             ("ServiceLink", ServiceLink(
                 EndpointKind.DATABASE, "A", EndpointKind.DATABASE,
@@ -365,12 +369,16 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
 
 
 def test_whatever_a_write_hook_raises_is_a_marshal_error():
-    ragged = ResultSet(["a", "b"], [(1, 2), (3,)])
+    ragged = ResultSet.from_columns(["a", "b"], [(1, 2), (3,)], 2)
     with pytest.raises(MarshalError, match="cannot marshal ResultSet") as info:
         encode_any([ragged])
-    assert isinstance(info.value.__cause__, ValueError)  # zip(strict=True)
-    with pytest.raises(MarshalError, match="not 1 cells wide"):
-        encode_any(ResultSet(["a"], [(1, 2), (3, 4)]))
+    assert isinstance(info.value.__cause__, MarshalError)
+    with pytest.raises(MarshalError, match="2 columns and 2 kinds for 1"):
+        encode_any(ResultSet.from_columns(["a"], [(1, 3), (2, 4)], 2,
+                                          [None, None]))
+    # Ragged rows never make a result: the columns are built strictly.
+    with pytest.raises(ValueError, match="not 1 cells wide"):
+        ResultSet(["a"], [(1, 2), (3, 4)])
     with pytest.raises(MarshalError, match="cannot marshal ResultSet"):
         encode_any(ResultSet(["a"], [("\ud800",), ("x",)]))
     # Nesting is counted across hooks: values in cells in values ...
@@ -446,7 +454,7 @@ def test_a_packed_result_is_smaller_and_keeps_empty_rows():
         assert same(arrived, empty) and len(arrived) == len(empty)
 
 
-def hostile(build, type_id="ResultSet/3"):
+def hostile(build, type_id="ResultSet/4"):
     """``TAG_VALUE``, *type_id*, then whatever *build* writes."""
     encoder = CdrEncoder()
     encoder.write_octet(cdr.TAG_VALUE)

@@ -244,7 +244,7 @@ class TestRemoteIsi:
         assert network.metrics.messages_sent == 1
 
     def test_dates_cross_giop(self, grants):
-        """A DATE column comes back inside a ResultSet/3 reply."""
+        """A DATE column comes back inside a ResultSet/4 reply."""
         __, isi = grants
         result = isi.execute_native(
             "SELECT Started FROM grants WHERE Title = 'AIDS and drugs'")
