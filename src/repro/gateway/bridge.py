@@ -77,10 +77,9 @@ def _write_column(encoder: CdrEncoder, column, declared=None) -> None:
     try:
         kind, body = _body(kind, column)
     except TypeError:
-        # A NULL cell: the body is made again with the NULLs filled in.
+        # A NULL cell: the body is made again with the NULLs filled in
+        # (a cell of no packing raises again).
         nulls = [index for index, cell in enumerate(column) if cell is None]
-        if not nulls:
-            raise
         filler = _PACKING[kind][1]
         kind, body = _body(kind, [filler if cell is None else cell
                                   for cell in column])

@@ -118,7 +118,9 @@ def test_a_result_round_trips_cell_for_cell_with_its_kinds(
     assert len(arrived.rows) == len(result.rows)
     assert all(len(x) == len(y) and all(map(exactly, x, y))
                for x, y in zip(arrived.rows, result.rows))
-    assert (arrived.first() is None) == (result.first() is None)
+    first = arrived.first()
+    assert first is None if not len(result) else \
+        all(map(exactly, first, result.rows[0]))
 
 
 @given(cells=st.lists(st.dates() | st.datetimes() | st.none(), min_size=1,
@@ -227,3 +229,21 @@ def test_a_declared_kind_is_a_promise_about_the_cells():
     for column, kind in zip(arrived.values, arrived.kinds):
         assert all(cell is None or type(cell) is STORED_AS[kind]
                    for cell in column)
+
+
+def test_the_columns_and_the_rows_view_agree():
+    """Column readers never build the rows; the view, once built, is
+    kept; both say the same."""
+    result = decode_any(encode_any(DECLARED))
+    assert (len(result), bool(result), result.scalar()) == (2, True, 7)
+    assert result.first() == (7, 2**40, 2**63, -0.0, "hé", "a\x00b",
+                              datetime.date(1999, 3, 23), None)
+    assert result.column("NUL") == ["a\x00b", ""]
+    assert result._rows is None
+    rows = result.rows
+    assert rows is result.rows and rows[1] == tuple(
+        column[1] for column in result.values)
+    assert result.to_dicts()[1]["b"] is True
+    empty = ResultSet.from_columns(["a"], [()], 0, [SqlType.INTEGER])
+    assert (len(empty), bool(empty), empty.first(), empty.scalar(),
+            empty.rows) == (0, False, None, None, [])
