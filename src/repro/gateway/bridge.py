@@ -36,12 +36,13 @@ _PACKING = {_LONG: ("i", 0), _LONGLONG: ("q", 0), _DOUBLE: ("d", 0.0),
             _STRING: ("I", "")}
 #: The declared kinds by their high nibble (found with ``index``: an
 #: enum member hashes in Python), the packing each is written as, and
-#: the packings each may arrive as.
+#: the packings each may arrive as: its own or ``any``, and an INTEGER
+#: column ``long long`` too.
 _DECLARED = (None, *SqlType)
 _DECLARED_PACKING = (_ANY, *(_KINDS[STORED_AS[kind]] for kind in SqlType))
-_ARRIVES_AS = (frozenset(_PACKING) | {_ANY}, *(
-    frozenset({packing, _ANY, *((_LONGLONG,) if packing == _LONG else ())})
-    for packing in _DECLARED_PACKING[1:]))
+_ARRIVES_AS = (set(range(7)),
+               *({packing, _ANY} for packing in _DECLARED_PACKING[1:]))
+_ARRIVES_AS[_DECLARED.index(SqlType.INTEGER)].add(_LONGLONG)
 
 
 def _write_result(encoder: CdrEncoder, result: ResultSet) -> None:

@@ -320,7 +320,8 @@ class Planner:
             raise SqlError("UNION operands have different column counts")
         columns = list(left.columns)
         scope = Scope(Header([(None, name) for name in columns]), outer)
-        return UnionPlan(statement, columns, [None] * len(columns), left, right,
+        return UnionPlan(statement, columns, [None] * len(columns),
+                         left, right,
                          self._order_keys(statement.order_by, columns, scope),
                          self._constant(statement.limit))
 
@@ -351,7 +352,8 @@ class Planner:
         columns, kinds, project = self._projection(
             select, scope, identity=aggregates is None)
         return SelectPlan(
-            select, columns, kinds, source, aggregates, groups, having, project,
+            select, columns, kinds, source, aggregates, groups, having,
+            project,
             self._order_keys(select.order_by, columns, scope),
             self._constant(select.limit), self._constant(select.offset))
 
@@ -383,7 +385,7 @@ class Planner:
             names.extend(header.slots[slot][1] for slot in positions)
             parts.extend(positions)
         if identity and parts == list(range(len(header))):
-            return names, list(header.kinds), None
+            return names, header.kinds, None
         project = self._codegen.rows(parts, scope)
         return names, [_kind(part, header) for part in parts], project
 
@@ -456,7 +458,7 @@ class Planner:
                  outer: Optional[Scope]) -> DerivedTable:
         plan = self._query(statement, outer)
         return DerivedTable(Header([(binding, name) for name in plan.columns],
-                                   list(plan.kinds)), plan, binding)
+                                   plan.kinds), plan, binding)
 
     def _join(self, join: ast.Join, left: RowSource, right: RowSource,
               outer: Optional[Scope]) -> RowSource:

@@ -24,11 +24,12 @@ class ResultSet:
     def __init__(self, columns: list[str], rows: Sequence[Sequence],
                  rowcount: int | None = None):
         rows = [tuple(row) for row in rows]
-        width = len(columns)
-        if any(len(row) != width for row in rows):
-            raise ValueError(f"rows are not {width} cells wide")
-        self._set(columns, list(zip(*rows)) if rows else [()] * width,
-                  len(rows), None, rowcount)
+        # strict: a ragged row list is an error, never zip's truncation.
+        values = list(zip(*rows, strict=True)) if rows \
+            else [()] * len(columns)
+        if len(values) != len(columns):
+            raise ValueError(f"rows are not {len(columns)} cells wide")
+        self._set(columns, values, len(rows), None, rowcount)
         self._rows = rows
 
     @classmethod

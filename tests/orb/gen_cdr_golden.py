@@ -28,8 +28,9 @@ carried no declared column kinds — moved over byte for byte when
 rewrites those.
 
 The *working-tree* sections — ``result_sets`` (``RESULT_SETS``, the
-column-packed ``ResultSet/4``, undeclared and declared columns), ``descriptions`` (``DESCRIPTIONS``,
-the positional ``SourceDescription/2``), ``service_links``
+column-packed ``ResultSet/4``, undeclared and declared columns),
+``descriptions`` (``DESCRIPTIONS``, the positional
+``SourceDescription/2``), ``service_links``
 (``SERVICE_LINKS``, the positional ``ServiceLink/2``) and
 ``consult_answers`` (``consult_answers()``, ``ConsultAnswer/1``) — are
 forms that did not exist at ``eb762ab``; ``--working-tree`` rewrites
