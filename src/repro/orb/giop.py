@@ -36,6 +36,7 @@ from repro.orb.cdr import _PAD, CdrDecoder, CdrEncoder, _not_utf8
 
 MAGIC = b"GIOP"
 VERSION = (1, 0)
+_MAJOR, _MINOR = VERSION
 HEADER_SIZE = 12
 
 
@@ -167,12 +168,13 @@ def _request_tail(little_endian: bool, response_expected: bool,
     return bytes(tail)
 
 
-def _write_contexts(buf: bytearray, context: list[tuple[int, str]],
-                    little_endian: bool) -> None:
-    """The service-context list: a count, then per context its id and
-    the string's length in one pack, the UTF-8 and the NUL."""
-    pair = _PAIRS[little_endian].pack
-    buf += _ULONGS[little_endian].pack(len(context))
+def _write_contexts(buf: bytearray, context, little_endian: bool) -> None:
+    """Append *context* to the service-context list in *buf*, its count
+    first: each id and string length in one pack, the UTF-8, the NUL."""
+    if not context:
+        return
+    ulong, pair = _ULONGS[little_endian], _PAIRS[little_endian].pack
+    ulong.pack_into(buf, 0, ulong.unpack_from(buf)[0] + len(context))
     for context_id, value in context:
         try:
             encoded = value.encode()
@@ -184,49 +186,78 @@ def _write_contexts(buf: bytearray, context: list[tuple[int, str]],
         buf.append(0)
 
 
-def encode_message(message: Message, little_endian: bool = False) -> bytes:
-    """Serialize *message* to GIOP bytes (header + CDR body)."""
-    # Body positions count from the end of the 12-octet header: the body
-    # is built on its own and the header put in front of it.
-    little = bool(little_endian)
+def context_octets(context: list[tuple[int, str]],
+                   little_endian: bool = False) -> bytes:
+    """A service-context list written once, as a request body starts
+    (the padding behind it included): a client ORB hands its product
+    context to :func:`request_frame` this way."""
+    return request_frame(0, b"", (), context, little_endian=little_endian
+                         )[HEADER_SIZE:-4]
+
+
+def _frame(message_type: int, little: bool, ready: bytes, context,
+           head: struct.Struct, fields: tuple, tail: bytes,
+           values) -> bytes:
+    """A frame: the *ready* service-context list (none for a Locate) and
+    *context*, *fields* packed by *head*, *tail*, each of *values* — the
+    body built on its own (CDR aligns from its start), then the header."""
+    buf = bytearray(ready)
     try:
-        if isinstance(message, RequestMessage):
-            message_type = _REQUEST
-            buf = bytearray()
-            _write_contexts(buf, message.service_context, little)
-            buf += _PAD[-len(buf) & 3]
-            buf += _ULONGS[little].pack(message.request_id)
-            arguments = message.arguments
-            buf += _request_tail(little, bool(message.response_expected),
-                                 message.object_key, message.operation,
-                                 len(arguments))
-            if arguments:
-                encoder = CdrEncoder(little, buf)
-                for argument in arguments:
-                    encoder.write_any(argument)
-        elif isinstance(message, ReplyMessage):
-            message_type = _REPLY
-            buf = bytearray()
-            _write_contexts(buf, message.service_context, little)
-            buf += _PAD[-len(buf) & 3]
-            buf += _PAIRS[little].pack(message.request_id, message.status)
-            CdrEncoder(little, buf).write_any(message.body)
-        elif isinstance(message, LocateRequestMessage):
-            message_type = _LOCATE_REQUEST
-            buf = _PAIRS[little].pack(message.request_id,
-                                      len(message.object_key)) \
-                + message.object_key
-        elif isinstance(message, LocateReplyMessage):
-            message_type = _LOCATE_REPLY
-            buf = _PAIRS[little].pack(message.request_id, message.status)
-        else:
-            raise MarshalError(f"cannot encode {type(message).__name__}")
+        _write_contexts(buf, context, little)
+        buf += _PAD[-len(buf) & 3]
+        buf += head.pack(*fields)
     except struct.error as exc:
         raise MarshalError(
-            f"cannot marshal the head of {type(message).__name__} "
-            f"{getattr(message, 'request_id', '?')!r}: {exc}") from exc
-    return _HEADERS[little].pack(MAGIC, *VERSION, little, message_type,
-                                 len(buf)) + buf
+            f"cannot marshal GIOP head fields {fields!r}: {exc}") from exc
+    buf += tail
+    if values:
+        write = CdrEncoder(little, buf).write_any
+        for value in values:
+            write(value)
+    return _HEADERS[little].pack(MAGIC, _MAJOR, _MINOR, little,
+                                 message_type, len(buf)) + buf
+
+
+def request_frame(request_id: int, tail: bytes, arguments, context=(),
+                  ready: bytes = b"\0\0\0\0", little_endian: bool = False
+                  ) -> bytes:
+    """A Request frame from its parts: the *ready* service-context list
+    (from :func:`context_octets`) with *context* appended, the id, the
+    :func:`_request_tail` octets and the arguments."""
+    little = bool(little_endian)
+    return _frame(_REQUEST, little, ready, context, _ULONGS[little],
+                  (request_id,), tail, arguments)
+
+
+def reply_frame(request_id: int, status: int, body: Any, context=(),
+                little_endian: bool = False) -> bytes:
+    """A Reply frame from its parts."""
+    little = bool(little_endian)
+    return _frame(_REPLY, little, b"\0\0\0\0", context, _PAIRS[little],
+                  (request_id, status), b"", (body,))
+
+
+def encode_message(message: Message, little_endian: bool = False) -> bytes:
+    """Serialize *message* to GIOP bytes (header + CDR body)."""
+    little = bool(little_endian)
+    if isinstance(message, RequestMessage):
+        return request_frame(
+            message.request_id,
+            _request_tail(little, bool(message.response_expected),
+                          message.object_key, message.operation,
+                          len(message.arguments)),
+            message.arguments, message.service_context, little_endian=little)
+    if isinstance(message, ReplyMessage):
+        return reply_frame(message.request_id, message.status, message.body,
+                           message.service_context, little)
+    if isinstance(message, LocateRequestMessage):
+        return _frame(_LOCATE_REQUEST, little, b"", (), _PAIRS[little],
+                      (message.request_id, len(message.object_key)),
+                      message.object_key, ())
+    if isinstance(message, LocateReplyMessage):
+        return _frame(_LOCATE_REPLY, little, b"", (), _PAIRS[little],
+                      (message.request_id, message.status), b"", ())
+    raise MarshalError(f"cannot encode {type(message).__name__}")
 
 
 #: Cap on the body size a peeked header may announce before the stream
@@ -282,7 +313,7 @@ def _frame_head(data: Buffer) -> tuple[int, bool, int]:
         _HEADERS[little].unpack_from(data)
     if magic != MAGIC:
         raise MarshalError(f"bad GIOP magic {magic!r}")
-    if major != VERSION[0] or minor != VERSION[1]:
+    if major != _MAJOR or minor != _MINOR:
         raise MarshalError(f"unsupported GIOP version {major}.{minor}")
     if message_type >= len(_MESSAGE_TYPES):
         raise MarshalError(f"unknown GIOP message type {message_type}")
@@ -328,53 +359,67 @@ def _read_contexts(data: Buffer, end: int, little: bool
     return contexts, pos + (-pos & 3)
 
 
+def read_request(data: Buffer) -> tuple:
+    """A Request's fields in :class:`RequestMessage`'s order, with no
+    message object; a frame of another kind is a MarshalError."""
+    message_type, little, end = _frame_head(data)
+    if message_type != _REQUEST:
+        raise MarshalError(f"not a Request: GIOP type {message_type}")
+    context, pos = _read_contexts(data, end, little)
+    if pos + 12 > end:
+        raise _underflow(12, pos, end)
+    request_id, response_flag, key_length = \
+        _REQUEST_HEADS[little].unpack_from(data, pos)
+    pos += 12
+    if pos + key_length > end:
+        raise _underflow(key_length, pos, end)
+    object_key = bytes(data[pos:pos + key_length])
+    pos += key_length
+    pos += -pos & 3
+    if pos + 4 > end:
+        raise _underflow(4, pos, end)
+    ulong = _ULONGS[little].unpack_from
+    length = ulong(data, pos)[0]
+    operation = _text(data, pos + 4, length, end)
+    pos += 4 + length
+    pos += -pos & 3
+    if pos + 4 > end:
+        raise _underflow(4, pos, end)
+    count = ulong(data, pos)[0]
+    arguments = []
+    if count:
+        read = CdrDecoder(data[HEADER_SIZE:end], little,
+                          pos + 4 - HEADER_SIZE).read_any
+        arguments = [read() for _ in range(count)]
+    return (request_id, object_key, operation, arguments,
+            response_flag != 0, context)
+
+
+def read_reply(data: Buffer) -> tuple:
+    """A Reply's fields in :class:`ReplyMessage`'s order, with no
+    message object; a frame of another kind is a MarshalError."""
+    message_type, little, end = _frame_head(data)
+    if message_type != _REPLY:
+        raise MarshalError(f"not a Reply: GIOP type {message_type}")
+    context, pos = _read_contexts(data, end, little)
+    if pos + 8 > end:
+        raise _underflow(8, pos, end)
+    request_id, status = _PAIRS[little].unpack_from(data, pos)
+    if status >= len(_REPLY_STATUSES):
+        raise MarshalError(f"unknown reply status {status}")
+    body = CdrDecoder(data[HEADER_SIZE:end], little,
+                      pos + 8 - HEADER_SIZE).read_any()
+    return request_id, _REPLY_STATUSES[status], body, context
+
+
 def decode_message(data: Buffer) -> Message:
     """Parse GIOP bytes (or a zero-copy ``memoryview``) into a message
     object."""
     message_type, little, end = _frame_head(data)
     if message_type == _REQUEST:
-        context, pos = _read_contexts(data, end, little)
-        if pos + 12 > end:
-            raise _underflow(12, pos, end)
-        request_id, response_flag, key_length = \
-            _REQUEST_HEADS[little].unpack_from(data, pos)
-        pos += 12
-        if pos + key_length > end:
-            raise _underflow(key_length, pos, end)
-        object_key = bytes(data[pos:pos + key_length])
-        pos += key_length
-        pos += -pos & 3
-        if pos + 4 > end:
-            raise _underflow(4, pos, end)
-        ulong = _ULONGS[little].unpack_from
-        length = ulong(data, pos)[0]
-        operation = _text(data, pos + 4, length, end)
-        pos += 4 + length
-        pos += -pos & 3
-        if pos + 4 > end:
-            raise _underflow(4, pos, end)
-        count = ulong(data, pos)[0]
-        arguments = []
-        if count:
-            read = CdrDecoder(data[HEADER_SIZE:end], little,
-                              pos + 4 - HEADER_SIZE).read_any
-            arguments = [read() for _ in range(count)]
-        return RequestMessage(request_id=request_id, object_key=object_key,
-                              operation=operation, arguments=arguments,
-                              response_expected=response_flag != 0,
-                              service_context=context)
+        return RequestMessage(*read_request(data))
     if message_type == _REPLY:
-        context, pos = _read_contexts(data, end, little)
-        if pos + 8 > end:
-            raise _underflow(8, pos, end)
-        request_id, status = _PAIRS[little].unpack_from(data, pos)
-        if status >= len(_REPLY_STATUSES):
-            raise MarshalError(f"unknown reply status {status}")
-        body = CdrDecoder(data[HEADER_SIZE:end], little,
-                          pos + 8 - HEADER_SIZE).read_any()
-        return ReplyMessage(request_id=request_id,
-                            status=_REPLY_STATUSES[status], body=body,
-                            service_context=context)
+        return ReplyMessage(*read_reply(data))
     if HEADER_SIZE + 8 > end:
         raise _underflow(8, HEADER_SIZE, end)
     request_id, second = _PAIRS[little].unpack_from(data, HEADER_SIZE)

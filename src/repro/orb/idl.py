@@ -13,7 +13,8 @@ real ORB rejects a request that is not part of the target's interface.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from repro.errors import BadOperation, IdlError
 
@@ -41,15 +42,20 @@ class OperationDef:
         return len(self.parameters)
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterfaceDef:
-    """A named interface with a repository id and operation table."""
+    """A named interface with a repository id and operation table;
+    frozen (a read-only copy), so tables compiled from it stay valid."""
 
     name: str
     repository_id: str
-    operations: dict[str, OperationDef] = field(default_factory=dict)
+    operations: Mapping[str, OperationDef] = field(default_factory=dict)
     bases: tuple["InterfaceDef", ...] = ()
     doc: str = ""
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operations",
+                           MappingProxyType(dict(self.operations)))
 
     def operation(self, name: str) -> OperationDef:
         """Look up an operation, searching base interfaces."""
@@ -126,7 +132,7 @@ class InterfaceBuilder:
     def build(self) -> InterfaceDef:
         return InterfaceDef(name=self._name,
                             repository_id=self._repository_id,
-                            operations=dict(self._operations),
+                            operations=self._operations,
                             bases=self._bases, doc=self._doc)
 
 

@@ -9,6 +9,7 @@ so ``resolve`` calls count as real middleware traffic.
 
 from __future__ import annotations
 
+import threading
 from typing import Optional
 
 from repro.errors import NamingError
@@ -37,26 +38,25 @@ class NamingServant:
     bumped atomically by each ``rebind``.  A client that cached an IOR
     (and a proxy built from it) can therefore tell, in one resolve,
     whether the name was re-bound behind its back — the stale-IOR
-    window a restarted server would otherwise leave open.
+    window a restarted server would otherwise leave open.  Requests run
+    concurrently: one lock keeps each IOR paired with its generation.
     """
 
     def __init__(self) -> None:
         self._bindings: dict[str, str] = {}
         self._generations: dict[str, int] = {}
+        self._lock = threading.RLock()
 
     def bind(self, name: str, ior: str) -> bool:
-        if name in self._bindings:
-            raise NamingError(f"name {name!r} already bound")
-        self._bindings[name] = ior
-        self._generations[name] = self._generations.get(name, 0) + 1
-        return True
+        with self._lock:
+            if name in self._bindings:
+                raise NamingError(f"name {name!r} already bound")
+            return self.rebind(name, ior)
 
     def rebind(self, name: str, ior: str) -> bool:
-        # The binding and its generation move together: a resolver can
-        # never observe the new IOR with the old generation or vice
-        # versa (the servant is dispatched one request at a time).
-        self._bindings[name] = ior
-        self._generations[name] = self._generations.get(name, 0) + 1
+        with self._lock:
+            self._bindings[name] = ior
+            self._generations[name] = self._generations.get(name, 0) + 1
         return True
 
     def resolve(self, name: str) -> str:
@@ -66,18 +66,21 @@ class NamingServant:
         return ior
 
     def resolve_with_generation(self, name: str) -> dict:
-        return {"ior": self.resolve(name),
-                "generation": self._generations.get(name, 0)}
+        with self._lock:
+            return {"ior": self.resolve(name),
+                    "generation": self._generations.get(name, 0)}
 
     def unbind(self, name: str) -> bool:
-        if name not in self._bindings:
-            raise NamingError(f"name {name!r} not bound")
-        del self._bindings[name]
+        with self._lock:
+            if name not in self._bindings:
+                raise NamingError(f"name {name!r} not bound")
+            del self._bindings[name]
         return True
 
     def list_names(self, prefix: str) -> list[str]:
-        return sorted(name for name in self._bindings
-                      if name.startswith(prefix))
+        with self._lock:
+            return sorted(name for name in self._bindings
+                          if name.startswith(prefix))
 
 
 class NamingClient:

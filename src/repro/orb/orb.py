@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Optional, Sequence
 
 from repro import errors
 from repro.deadline import INTERACTIVE, current_policy
@@ -31,9 +31,11 @@ from repro.errors import (BadOperation, CommFailure, DeadlineExceeded,
                           ServerBusy)
 from repro.orb.giop import (DEADLINE_BUDGET_CONTEXT, ORB_PRODUCT_CONTEXT,
                             TRAFFIC_CLASS_CONTEXT, LocateReplyMessage,
-                            LocateRequestMessage, LocateStatus, ReplyMessage,
-                            ReplyStatus, RequestMessage, decode_message,
-                            encode_message)
+                            LocateRequestMessage, LocateStatus, MessageType,
+                            ReplyMessage, ReplyStatus, RequestMessage,
+                            _request_tail, context_octets, decode_message,
+                            encode_message, read_reply, read_request,
+                            reply_frame, request_frame)
 from repro.orb.idl import InterfaceDef, InterfaceRepository
 from repro.orb.ior import Ior, make_ior
 from repro.orb.transport import Endpoint, InMemoryNetwork, Transport
@@ -56,6 +58,9 @@ class RemoteSystemError(OrbError):
 #: an id comes round again only after 2**32 requests, long after the
 #: connection that carried its last use has had that reply.
 _request_ids = itertools.count(1)
+
+# Read once: an enum member is a slow attribute on the hot path.
+_REQUEST, _NO_EXCEPTION = MessageType.REQUEST, ReplyStatus.NO_EXCEPTION
 
 
 @dataclass
@@ -96,7 +101,8 @@ class Proxy:
     ``proxy.find_sources("Medical")`` marshals the call through the
     owning ORB.  The optional interface enables client-side operation
     checking before any bytes move: a typed proxy stubs only what it
-    declares (else :class:`BadOperation`), an untyped one every name.
+    declares (else :class:`BadOperation`), an untyped one every name;
+    stubs are kept, and ``invoke`` / ``ior`` stay the proxy's own.
     """
 
     def __init__(self, orb: "Orb", ior: Ior,
@@ -109,26 +115,29 @@ class Proxy:
     def ior(self) -> Ior:
         return self._ior
 
+    def _is_oneway(self, operation: str) -> bool:
+        """Raises BadOperation for what a typed proxy does not declare."""
+        return self._interface is not None and (
+            self._interface.operations.get(operation)
+            or self._interface.operation(operation)).oneway
+
     def invoke(self, operation: str, *args: Any) -> Any:
         """Invoke *operation* remotely with positional arguments; a
         declared oneway operation goes out without waiting for a reply."""
-        oneway = False
-        if self._interface is not None:
-            # Raises BadOperation early.
-            oneway = self._interface.operation(operation).oneway
-        return self._orb.invoke(self._ior, operation, list(args),
-                                oneway=oneway)
+        return self._orb.invoke(self._ior, operation, args,
+                                self._is_oneway(operation))
 
     def __getattr__(self, name: str):
         if name.startswith("_"):
             raise AttributeError(name)
-        if self._interface is not None:
-            self._interface.operation(name)
+        oneway = self._is_oneway(name)
+        orb, ior = self._orb, self._ior
 
         def remote_call(*args: Any) -> Any:
-            return self.invoke(name, *args)
+            return orb.invoke(ior, name, args, oneway)
 
         remote_call.__name__ = name
+        self.__dict__[name] = remote_call
         return remote_call
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -157,7 +166,8 @@ class Orb:
             port = 0  # let a TCP transport pick
         self.interfaces = InterfaceRepository()
         self.stats = OrbStats()
-        self._servants: dict[bytes, tuple[object, InterfaceDef]] = {}
+        #: Object key -> (servant, interface, its operations' arities).
+        self._servants: dict[bytes, tuple] = {}
         self._request_ids = _request_ids
         self._key_counter = itertools.count(1)
         self._lock = threading.RLock()
@@ -168,6 +178,8 @@ class Orb:
         #: propagate — they are part of the request path, as in CORBA.
         self._client_interceptors: list = []
         self._server_interceptors: list = []
+        #: Every request leads with the product context, written once.
+        self._contexts = context_octets([(ORB_PRODUCT_CONTEXT, product)])
         self.endpoint: Endpoint = self.transport.register(
             (host, port), self._handle_message)
 
@@ -183,7 +195,9 @@ class Orb:
         with self._lock:
             if object_key in self._servants:
                 raise OrbError(f"object key {object_key!r} already active")
-            self._servants[object_key] = (servant, interface)
+            self._servants[object_key] = (servant, interface, {
+                name: operation.arity
+                for name, operation in interface.all_operations().items()})
         return make_ior(interface.repository_id, self.endpoint[0],
                         self.endpoint[1], object_key)
 
@@ -195,33 +209,44 @@ class Orb:
     def _handle_message(self, data: "bytes | memoryview") -> Optional[bytes]:
         # *data* may be a zero-copy ``memoryview`` sliced out of the
         # event-loop transport's receive buffer; decoding works on the
-        # view in place and only materialises the values produced.
-        message = decode_message(data)
-        if isinstance(message, LocateRequestMessage):
-            status = (LocateStatus.OBJECT_HERE
-                      if message.object_key in self._servants
-                      else LocateStatus.UNKNOWN_OBJECT)
+        # view in place and only materialises the values produced.  The
+        # type octet picks the path; the reader checks the whole frame.
+        if len(data) <= 7 or data[7] != _REQUEST:
+            message = decode_message(data)
+            if not isinstance(message, LocateRequestMessage):
+                raise MarshalError(
+                    f"server cannot handle {type(message).__name__}")
             return encode_message(LocateReplyMessage(
-                request_id=message.request_id, status=status))
-        if not isinstance(message, RequestMessage):
-            raise MarshalError(
-                f"server cannot handle {type(message).__name__}")
-        self.stats.note_handled(cross_product=any(
-            context_id == ORB_PRODUCT_CONTEXT and value != self.product
-            for context_id, value in message.service_context))
-        reply = self._dispatch(message)
-        for interceptor in self._server_interceptors:
-            interceptor(message, reply)
-        if not message.response_expected:
+                message.request_id, LocateStatus.OBJECT_HERE
+                if message.object_key in self._servants
+                else LocateStatus.UNKNOWN_OBJECT))
+        fields = read_request(data)
+        request_id, object_key, operation, arguments, response_expected, \
+            service_context = fields
+        cross_product = False
+        for context_id, value in service_context:
+            if context_id == ORB_PRODUCT_CONTEXT and value != self.product:
+                cross_product = True
+        self.stats.note_handled(cross_product)
+        status, body = self._dispatch(object_key, operation, arguments)
+        reply_context = ()
+        if self._server_interceptors:
+            # Interceptors see (and may amend) message objects.
+            request, reply = RequestMessage(*fields), \
+                ReplyMessage(request_id, status, body)
+            for interceptor in self._server_interceptors:
+                interceptor(request, reply)
+            status, body, reply_context = \
+                reply.status, reply.body, reply.service_context
+        if not response_expected:
             return None
         try:
-            return encode_message(reply)
+            return reply_frame(request_id, status, body, reply_context)
         except MarshalError as exc:
             # What the servant returned (or raised) is not a value the
             # codec carries.  That is the server's failure like any
             # other: the caller is told, the connection survives.
-            return encode_message(
-                _system_exception(message.request_id, exc))
+            return reply_frame(request_id, *_system_exception(exc))
 
     # -- interceptors -----------------------------------------------------------
 
@@ -235,91 +260,92 @@ class Orb:
         run after each dispatch, before the reply is marshalled."""
         self._server_interceptors.append(interceptor)
 
-    def _dispatch(self, request: RequestMessage) -> ReplyMessage:
-        entry = self._servants.get(request.object_key)
+    def _dispatch(self, object_key: bytes, operation: str,
+                  arguments: list[Any]) -> tuple[ReplyStatus, Any]:
+        """The skeleton: ``(reply status, body)`` of one request."""
+        entry = self._servants.get(object_key)
         if entry is None:
-            return _system_exception(request.request_id, ObjectNotExist(
+            return _system_exception(ObjectNotExist(
                 f"no servant for key "
-                f"{request.object_key.decode('utf-8', 'replace')!r}"))
-        servant, interface = entry
+                f"{object_key.decode('utf-8', 'replace')!r}"))
+        servant, interface, arities = entry
         try:
-            operation = interface.operation(request.operation)
-            if len(request.arguments) != operation.arity:
+            arity = arities.get(operation)
+            if arity is None:
+                interface.operation(operation)  # raises BadOperation
+            if len(arguments) != arity:
                 raise BadOperation(
-                    f"{interface.name}.{request.operation} expects "
-                    f"{operation.arity} arguments, got {len(request.arguments)}")
-            method = getattr(servant, request.operation)
-            result = method(*request.arguments)
-            return ReplyMessage(request_id=request.request_id,
-                                status=ReplyStatus.NO_EXCEPTION, body=result)
+                    f"{interface.name}.{operation} expects "
+                    f"{arity} arguments, got {len(arguments)}")
+            return _NO_EXCEPTION, getattr(servant, operation)(*arguments)
         except ReproError as exc:
-            return ReplyMessage(
-                request_id=request.request_id,
-                status=ReplyStatus.USER_EXCEPTION,
-                body={"exception": type(exc).__name__, "message": str(exc)})
+            return ReplyStatus.USER_EXCEPTION, {
+                "exception": type(exc).__name__, "message": str(exc)}
         except Exception as exc:  # noqa: BLE001 - server boundary
-            return _system_exception(request.request_id, exc)
+            return _system_exception(exc)
 
     # ------------------------------------------------------------ client side --
 
-    def invoke(self, ior: Ior, operation: str, arguments: list[Any],
+    def invoke(self, ior: Ior, operation: str, arguments: Sequence[Any],
                oneway: bool = False) -> Any:
         """Send one GIOP request to the object behind *ior*."""
         # Overload metadata rides in service contexts: the remaining
         # deadline budget (so a saturated server can refuse dead work
         # before dispatch) and any non-default traffic class (so it
         # sheds background housekeeping first).
-        service_context = [(ORB_PRODUCT_CONTEXT, self.product)]
+        context = []
         policy = current_policy()
         if policy.deadline is not None:
-            service_context.append(
-                (DEADLINE_BUDGET_CONTEXT,
-                 f"{policy.deadline.remaining():.6f}"))
+            context.append((DEADLINE_BUDGET_CONTEXT,
+                            f"{policy.deadline.remaining():.6f}"))
         if policy.traffic_class != INTERACTIVE:
-            service_context.append(
-                (TRAFFIC_CLASS_CONTEXT, policy.traffic_class))
-        request = RequestMessage(
-            request_id=self._next_id(),
-            object_key=ior.primary.object_key,
-            operation=operation,
-            arguments=arguments,
-            response_expected=not oneway,
-            service_context=service_context)
-        for interceptor in self._client_interceptors:
-            interceptor(request)
+            context.append((TRAFFIC_CLASS_CONTEXT, policy.traffic_class))
+        request_id = self._next_id()
+        target = ior.primary
+        if self._client_interceptors:
+            # Interceptors see (and may extend) a message object.
+            request = RequestMessage(
+                request_id, target.object_key, operation, list(arguments),
+                not oneway, [(ORB_PRODUCT_CONTEXT, self.product), *context])
+            for interceptor in self._client_interceptors:
+                interceptor(request)
+            request_id = request.request_id
+            frame = encode_message(request)
+        else:
+            frame = request_frame(
+                request_id, _request_tail(False, not oneway,
+                                          target.object_key, operation,
+                                          len(arguments)),
+                arguments, context, self._contexts)
         self.stats.note_sent()
-        raw_reply = self.transport.send(ior.primary.endpoint,
-                                        encode_message(request))
+        endpoint = target.endpoint
+        raw_reply = self.transport.send(endpoint, frame)
         if oneway:
             return None
         if not raw_reply:
-            raise CommFailure(f"no reply from {ior.primary.endpoint!r}")
-        reply = decode_message(raw_reply)
-        if not isinstance(reply, ReplyMessage):
-            raise MarshalError(f"expected Reply, got {type(reply).__name__}")
-        _check_answers(reply, request.request_id, ior, operation)
-        if reply.status is ReplyStatus.NO_EXCEPTION:
-            return reply.body
-        if reply.status is ReplyStatus.USER_EXCEPTION:
-            raise _revive_user_exception(reply.body)
-        if reply.status is ReplyStatus.BUSY:
-            body = reply.body if isinstance(reply.body, dict) else {}
-            reason = body.get("reason", "overload")
-            if reason == "deadline":
+            raise CommFailure(f"no reply from {endpoint!r}")
+        reply_id, status, body, __ = read_reply(raw_reply)
+        if reply_id != request_id:
+            raise _cross_wired(endpoint, reply_id, operation, request_id)
+        if status is _NO_EXCEPTION:
+            return body
+        if status is ReplyStatus.USER_EXCEPTION:
+            raise _revive_user_exception(body)
+        body = body if isinstance(body, dict) else {}
+        if status is ReplyStatus.BUSY:
+            if body.get("reason", "overload") == "deadline":
                 # The server saw our budget already spent: surface the
                 # same error the deadline itself would have raised, so
                 # no retry machinery touches it.
                 raise DeadlineExceeded(
-                    f"{ior.primary.endpoint!r} refused {operation}: "
+                    f"{endpoint!r} refused {operation}: "
                     f"deadline budget exhausted before dispatch")
-            raise ServerBusy(
-                f"{ior.primary.endpoint!r} shed {operation} ({reason})")
-        body = reply.body if isinstance(reply.body, dict) else {}
-        exception_type = body.get("exception", "Unknown")
-        message = body.get("message", "")
-        if exception_type == "ObjectNotExist":
-            raise ObjectNotExist(message)
-        raise RemoteSystemError(exception_type, message)
+            raise ServerBusy(f"{endpoint!r} shed {operation} "
+                             f"({body.get('reason', 'overload')})")
+        if body.get("exception") == "ObjectNotExist":
+            raise ObjectNotExist(body.get("message", ""))
+        raise RemoteSystemError(body.get("exception", "Unknown"),
+                                body.get("message", ""))
 
     def locate(self, ior: Ior) -> bool:
         """LocateRequest probe: is the object alive at its endpoint?"""
@@ -333,7 +359,9 @@ class Orb:
         reply = decode_message(raw_reply)
         if not isinstance(reply, LocateReplyMessage):
             return False
-        _check_answers(reply, message.request_id, ior, "locate")
+        if reply.request_id != message.request_id:
+            raise _cross_wired(ior.primary.endpoint, reply.request_id,
+                               "locate", message.request_id)
         return reply.status is LocateStatus.OBJECT_HERE
 
     def _next_id(self) -> int:
@@ -368,20 +396,17 @@ class Orb:
                 f"endpoint={self.endpoint!r}, servants={len(self._servants)})")
 
 
-def _check_answers(reply: "ReplyMessage | LocateReplyMessage",
-                   request_id: int, ior: Ior, operation: str) -> None:
+def _cross_wired(endpoint: Endpoint, reply_id: int, operation: str,
+                 request_id: int) -> CommFailure:
     """Never a cross-wired reply: one that answers another request is a
     communication failure, whatever it carries."""
-    if reply.request_id != request_id:
-        raise CommFailure(
-            f"{ior.primary.endpoint!r} answered request {reply.request_id} "
-            f"to {operation} request {request_id}")
+    return CommFailure(f"{endpoint!r} answered request {reply_id} "
+                       f"to {operation} request {request_id}")
 
 
-def _system_exception(request_id: int, exc: Exception) -> ReplyMessage:
-    return ReplyMessage(
-        request_id=request_id, status=ReplyStatus.SYSTEM_EXCEPTION,
-        body={"exception": type(exc).__name__, "message": str(exc)})
+def _system_exception(exc: Exception) -> tuple[ReplyStatus, dict]:
+    return ReplyStatus.SYSTEM_EXCEPTION, {
+        "exception": type(exc).__name__, "message": str(exc)}
 
 
 def _revive_user_exception(body: Any) -> ReproError:

@@ -21,6 +21,7 @@ from repro.sql.engine import Database
 # examples chosen by ``--hypothesis-seed``.  Only
 # tests/sql/test_differential_sqlite.py,
 # tests/orb/test_cdr_properties.py, tests/orb/test_giop_oracle.py,
+# tests/orb/test_call_path.py,
 # tests/gateway/test_result_set_wire.py, tests/sql/test_declared_kinds.py,
 # tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and

@@ -1,10 +1,12 @@
 """Interface-definition (IDL) layer tests."""
 
+import dataclasses
+
 import pytest
 
 from repro.errors import BadOperation, IdlError
-from repro.orb.idl import (InterfaceBuilder, InterfaceRepository,
-                           OperationDef, ParameterDef)
+from repro.orb.idl import (InterfaceBuilder, InterfaceDef,
+                           InterfaceRepository, OperationDef, ParameterDef)
 
 
 class TestBuilder:
@@ -52,6 +54,33 @@ class TestInheritance:
         base = InterfaceBuilder("Base").operation("ping").build()
         child = InterfaceBuilder("Child").extends(base).build()
         assert child.operation("ping").name == "ping"
+
+
+class TestImmutability:
+    """An ORB compiles operation tables from an interface once (the
+    skeleton at activation, the stub's oneway table at proxy creation);
+    a mutable interface could leave them stale."""
+
+    def test_an_interface_cannot_be_changed_after_build(self):
+        base = InterfaceBuilder("Base").operation("ping").build()
+        interface = (InterfaceBuilder("X").operation("a", "p")
+                     .extends(base).build())
+        with pytest.raises(TypeError):
+            interface.operations["b"] = OperationDef("b")
+        with pytest.raises(TypeError):
+            del interface.operations["a"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interface.operations = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            interface.bases = ()
+        assert set(interface.all_operations()) == {"a", "ping"}
+
+    def test_the_builders_table_is_copied(self):
+        table = {"a": OperationDef("a")}
+        interface = InterfaceDef(name="X", repository_id="IDL:X:1.0",
+                                 operations=table)
+        table["b"] = OperationDef("b")
+        assert set(interface.operations) == {"a"}
 
 
 class TestServantValidation:

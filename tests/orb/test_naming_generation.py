@@ -100,3 +100,77 @@ class TestStaleIorRegression:
         # proxy is still the freshest there is — no rebuild needed.
         __, again = naming.resolve_with_generation("svc")
         assert again == generation
+
+
+class TestConcurrentResolve:
+    def test_a_rebind_between_a_resolvers_two_reads_is_not_torn(self):
+        """Servants are dispatched concurrently (the event loop's
+        workers, in-memory callers' own threads).  A resolver paused
+        after reading a binding, while a rebind runs, must still return
+        an IOR with *its* generation: never the old IOR under the new
+        generation, which would have a cache keep a dead endpoint as
+        current until the next rebind."""
+        import threading
+
+        from repro.orb.naming import NamingServant
+
+        servant = NamingServant()
+        servant.bind("svc", "IOR:old")
+        resolve = servant.resolve
+        rebound = threading.Event()
+        writer = threading.Thread(
+            target=lambda: (servant.rebind("svc", "IOR:new"),
+                            rebound.set()))
+
+        def paused_resolve(name):
+            ior = resolve(name)
+            servant.resolve = resolve  # pause this one read only
+            # Let the rebind run between the two reads; a resolver that
+            # holds the tables' lock makes it wait instead.
+            writer.start()
+            rebound.wait(timeout=0.3)
+            return ior
+
+        servant.resolve = paused_resolve
+        answer = servant.resolve_with_generation("svc")
+        writer.join(timeout=5)
+        assert not writer.is_alive()
+        assert (answer["ior"], answer["generation"]) in {
+            ("IOR:old", 1), ("IOR:new", 2)}
+        assert servant.resolve_with_generation("svc") == {
+            "ior": "IOR:new", "generation": 2}
+
+    def test_concurrent_rebinds_never_tear_a_resolve(self):
+        """Stress: four resolvers against one rebinding writer, with the
+        interpreter switching threads as often as it can.  Generation g
+        is always bound to ``IOR:g``, so a torn pair shows at once."""
+        import sys
+        import threading
+
+        from repro.orb.naming import NamingServant
+
+        servant = NamingServant()
+        servant.bind("svc", "IOR:1")
+        torn, done = [], threading.Event()
+
+        def resolve():
+            while not done.is_set():
+                answer = servant.resolve_with_generation("svc")
+                if answer["ior"] != f"IOR:{answer['generation']}":
+                    torn.append(answer)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=resolve) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for generation in range(2, 20000):
+                servant.rebind("svc", f"IOR:{generation}")
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not any(reader.is_alive() for reader in readers)
+        assert torn == []
