@@ -16,6 +16,10 @@ so ``supervisor.name`` dereferences the ``supervisor`` reference and
 reads its ``name``.  Queries return lists of dicts keyed by the
 projection paths.
 
+A text is parsed once (:func:`parse` keeps the last
+:data:`~repro.sql.codegen.CACHE_SIZE` texts): the parsed query and its
+predicate nodes are immutable, each path split into its segments.
+
 This deliberately mirrors the level of query support the paper's
 object stores (ObjectStore, Ontos) exposed through their C++ APIs.
 """
@@ -23,11 +27,15 @@ object stores (ObjectStore, Ontos) exposed through their C++ APIs.
 from __future__ import annotations
 
 import datetime
+import operator
 import re
-from typing import Any, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any, Optional, Union
 
 from repro.errors import OqlError
 from repro.oodb.objects import Oid, OObject
+from repro.sql.codegen import CACHE_SIZE
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
@@ -41,8 +49,8 @@ _TOKEN_RE = re.compile(r"""
 _KEYWORDS = {"SELECT", "FROM", "WHERE", "AND", "OR", "NOT", "LIKE", "IS",
              "NULL", "ORDER", "BY", "ASC", "DESC", "TRUE", "FALSE"}
 
-#: Sentinel projection for ``SELECT COUNT(*)``.
-COUNT_STAR = ["__count__"]
+_TESTS = {"=": operator.eq, "<>": operator.ne, "<": operator.lt,
+          "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 def _tokenize(text: str) -> list[tuple[str, Any]]:
@@ -77,81 +85,102 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
     return tokens
 
 
-class _Comparison:
-    def __init__(self, path: str, op: str, value: Any):
-        self.path = path
-        self.op = op
-        self.value = value
+@dataclass(frozen=True)
+class Path:
+    """An attribute path as written, and its segments after the alias
+    (none when it names the alias alone)."""
 
-    def evaluate(self, obj: OObject, database, alias: Optional[str]) -> bool:
-        actual = resolve_path(database, obj, self.path, alias)
-        if self.op == "IS NULL":
+    text: str
+    segments: tuple[str, ...]
+
+
+def _path(text: str, alias: Optional[str]) -> Path:
+    segments = tuple(text.split("."))
+    if alias is not None and segments[0] == alias:
+        segments = segments[1:]
+    return Path(text, segments)
+
+
+@dataclass(frozen=True)
+class _Comparison:
+    """``path op value``, ``path LIKE pattern`` or ``path IS [NOT] NULL``.
+    *date* is a string value as the date it spells, for an attribute
+    holding a date; None when it spells none."""
+
+    path: Path
+    op: str
+    value: Any
+    date: Optional[datetime.date] = None
+    pattern: Optional[re.Pattern] = None
+
+    def evaluate(self, obj: OObject, database) -> bool:
+        actual = resolve_path(database, obj, self.path)
+        op = self.op
+        if op == "IS NULL":
             return actual is None
-        if self.op == "IS NOT NULL":
+        if op == "IS NOT NULL":
             return actual is not None
         if actual is None:
             return False
-        if self.op == "LIKE":
-            parts = ["^"]
-            for char in str(self.value):
-                if char == "%":
-                    parts.append(".*")
-                elif char == "_":
-                    parts.append(".")
-                else:
-                    parts.append(re.escape(char))
-            parts.append("$")
-            return re.match("".join(parts), str(actual),
-                            re.IGNORECASE | re.DOTALL) is not None
+        if op == "LIKE":
+            return self.pattern.match(str(actual)) is not None
         expected = self.value
         if isinstance(actual, datetime.date) and isinstance(expected, str):
-            expected = datetime.date.fromisoformat(expected)
+            if self.date is None:
+                raise OqlError(f"invalid date literal {expected!r}")
+            expected = self.date
         try:
-            if self.op == "=":
-                return actual == expected
-            if self.op == "<>":
-                return actual != expected
-            if self.op == "<":
-                return actual < expected
-            if self.op == "<=":
-                return actual <= expected
-            if self.op == ">":
-                return actual > expected
-            if self.op == ">=":
-                return actual >= expected
+            return _TESTS[op](actual, expected)
         except TypeError:
             return False
-        raise OqlError(f"unknown operator {self.op!r}")  # pragma: no cover
 
 
+def _comparison(path: Path, op: str, value: Any) -> _Comparison:
+    date = pattern = None
+    if op == "LIKE":
+        pattern = re.compile("".join(
+            ".*" if char == "%" else "." if char == "_" else re.escape(char)
+            for char in str(value)) + "$", re.IGNORECASE | re.DOTALL)
+    elif isinstance(value, str):
+        try:
+            date = datetime.date.fromisoformat(value)
+        except ValueError:
+            pass
+    return _Comparison(path, op, value, date, pattern)
+
+
+@dataclass(frozen=True)
 class _Not:
-    def __init__(self, inner):
-        self.inner = inner
+    inner: "Predicate"
 
-    def evaluate(self, obj, database, alias) -> bool:
-        return not self.inner.evaluate(obj, database, alias)
+    def evaluate(self, obj, database) -> bool:
+        return not self.inner.evaluate(obj, database)
 
 
+@dataclass(frozen=True)
 class _And:
-    def __init__(self, parts):
-        self.parts = parts
+    parts: tuple["Predicate", ...]
 
-    def evaluate(self, obj, database, alias) -> bool:
-        return all(part.evaluate(obj, database, alias) for part in self.parts)
+    def evaluate(self, obj, database) -> bool:
+        return all(part.evaluate(obj, database) for part in self.parts)
 
 
+@dataclass(frozen=True)
 class _Or:
-    def __init__(self, parts):
-        self.parts = parts
+    parts: tuple["Predicate", ...]
 
-    def evaluate(self, obj, database, alias) -> bool:
-        return any(part.evaluate(obj, database, alias) for part in self.parts)
+    def evaluate(self, obj, database) -> bool:
+        return any(part.evaluate(obj, database) for part in self.parts)
+
+
+Predicate = Union[_Comparison, _Not, _And, _Or]
 
 
 class _Parser:
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._pos = 0
+        self._alias: Optional[str] = None
 
     def _peek(self) -> tuple[str, Any]:
         return self._tokens[self._pos]
@@ -175,15 +204,14 @@ class _Parser:
 
     def parse(self) -> "ParsedQuery":
         self._expect_keyword("SELECT")
-        projection = self._projection()
+        projection, count = self._projection()
         self._expect_keyword("FROM")
         kind, class_name = self._advance()
         if kind != "path" or "." in class_name:
             raise OqlError("expected a class name after FROM")
-        alias = None
         kind, value = self._peek()
         if kind == "path" and "." not in value:
-            alias = value
+            self._alias = value
             self._advance()
         predicate = None
         if self._accept_keyword("WHERE"):
@@ -192,9 +220,10 @@ class _Parser:
         order_desc = False
         if self._accept_keyword("ORDER"):
             self._expect_keyword("BY")
-            kind, order_path = self._advance()
+            kind, text = self._advance()
             if kind != "path":
                 raise OqlError("expected a path after ORDER BY")
+            order_path = _path(text, self._alias)
             if self._accept_keyword("DESC"):
                 order_desc = True
             else:
@@ -202,27 +231,31 @@ class _Parser:
         kind, value = self._peek()
         if kind != "eof":
             raise OqlError(f"unexpected trailing token {value!r}")
-        return ParsedQuery(projection, class_name, alias, predicate,
+        if projection is not None:  # the alias is known only now
+            projection = tuple(_path(text, self._alias) for text in projection)
+        return ParsedQuery(projection, count, class_name, predicate,
                            order_path, order_desc)
 
-    def _projection(self) -> Optional[list[str]]:
+    def _projection(self) -> tuple[Optional[list[str]], bool]:
+        """The projection's paths as written (None for ``*``), and
+        whether it is ``COUNT(*)``."""
         kind, value = self._peek()
         if kind == "punct" and value == "*":
             self._advance()
-            return None
+            return None, False
         if kind == "path" and value.upper() == "COUNT" \
                 and self._tokens[self._pos + 1] == ("punct", "(") \
                 and self._tokens[self._pos + 2] == ("punct", "*") \
                 and self._tokens[self._pos + 3] == ("punct", ")"):
             self._pos += 4
-            return COUNT_STAR
-        paths = [self._path()]
+            return None, True
+        paths = [self._path_text()]
         while self._peek() == ("punct", ","):
             self._advance()
-            paths.append(self._path())
-        return paths
+            paths.append(self._path_text())
+        return paths, False
 
-    def _path(self) -> str:
+    def _path_text(self) -> str:
         kind, value = self._advance()
         if kind != "path":
             raise OqlError(f"expected attribute path, found {value!r}")
@@ -232,13 +265,13 @@ class _Parser:
         parts = [self._conjunction()]
         while self._accept_keyword("OR"):
             parts.append(self._conjunction())
-        return parts[0] if len(parts) == 1 else _Or(parts)
+        return parts[0] if len(parts) == 1 else _Or(tuple(parts))
 
     def _conjunction(self):
         parts = [self._condition()]
         while self._accept_keyword("AND"):
             parts.append(self._condition())
-        return parts[0] if len(parts) == 1 else _And(parts)
+        return parts[0] if len(parts) == 1 else _And(tuple(parts))
 
     def _condition(self):
         if self._accept_keyword("NOT"):
@@ -249,22 +282,22 @@ class _Parser:
             if self._advance() != ("punct", ")"):
                 raise OqlError("expected ')'")
             return inner
-        path = self._path()
+        path = _path(self._path_text(), self._alias)
         if self._accept_keyword("IS"):
             if self._accept_keyword("NOT"):
                 self._expect_keyword("NULL")
-                return _Comparison(path, "IS NOT NULL", None)
+                return _comparison(path, "IS NOT NULL", None)
             self._expect_keyword("NULL")
-            return _Comparison(path, "IS NULL", None)
+            return _comparison(path, "IS NULL", None)
         if self._accept_keyword("LIKE"):
             kind, value = self._advance()
             if kind != "string":
                 raise OqlError("LIKE requires a string literal")
-            return _Comparison(path, "LIKE", value)
+            return _comparison(path, "LIKE", value)
         kind, op = self._advance()
         if kind != "op":
             raise OqlError(f"expected comparison operator, found {op!r}")
-        return _Comparison(path, op, self._literal())
+        return _comparison(path, op, self._literal())
 
     def _literal(self) -> Any:
         kind, value = self._advance()
@@ -277,38 +310,39 @@ class _Parser:
         raise OqlError(f"expected a literal, found {value!r}")
 
 
+@dataclass(frozen=True)
 class ParsedQuery:
-    """A parsed OQL query ready for evaluation."""
+    """A parsed OQL query ready for evaluation; *projection* is None
+    for ``*`` and for ``COUNT(*)`` (*count*)."""
 
-    def __init__(self, projection: Optional[list[str]], class_name: str,
-                 alias: Optional[str], predicate,
-                 order_path: Optional[str], order_desc: bool):
-        self.projection = projection
-        self.class_name = class_name
-        self.alias = alias
-        self.predicate = predicate
-        self.order_path = order_path
-        self.order_desc = order_desc
+    projection: Optional[tuple[Path, ...]]
+    count: bool
+    class_name: str
+    predicate: Optional[Predicate]
+    order_path: Optional[Path]
+    order_desc: bool
 
 
-def resolve_path(database, obj: OObject, path: str,
-                 alias: Optional[str]) -> Any:
-    """Follow a dotted attribute path from *obj*, dereferencing object
-    attributes through *database*.  A leading alias segment is skipped."""
-    segments = path.split(".")
-    if alias is not None and segments and segments[0] == alias:
-        segments = segments[1:]
-        if not segments:
-            raise OqlError(f"path {path!r} names the alias but no attribute")
+@lru_cache(maxsize=CACHE_SIZE)
+def parse(oql: str) -> ParsedQuery:
+    """The parsed form of *oql* (memoised; shared by every caller)."""
+    return _Parser(oql).parse()
+
+
+def resolve_path(database, obj: OObject, path: Path) -> Any:
+    """Follow *path*'s segments from *obj*, dereferencing object
+    attributes through *database*."""
+    if not path.segments:
+        raise OqlError(f"path {path.text!r} names the alias but no attribute")
     current: Any = obj
-    for segment in segments:
+    for segment in path.segments:
         if current is None:
             return None
         if isinstance(current, Oid):
             current = database.get(current)
         if not isinstance(current, OObject):
-            raise OqlError(
-                f"path {path!r}: {segment!r} applied to non-object {current!r}")
+            raise OqlError(f"path {path.text!r}: {segment!r} applied to "
+                           f"non-object {current!r}")
         current = current.get(segment)
     if isinstance(current, Oid):
         current = database.get(current)
@@ -316,35 +350,33 @@ def resolve_path(database, obj: OObject, path: str,
 
 
 def run_query(database, oql: str) -> list[dict[str, Any]]:
-    """Parse and evaluate *oql* against *database*."""
-    parsed = _Parser(oql).parse()
+    """Parse (once per text) and evaluate *oql* against *database*."""
+    parsed = parse(oql)
     candidates = database.extent(parsed.class_name, include_subclasses=True)
-    selected: list[OObject] = []
-    for candidate in candidates:
-        if parsed.predicate is None or parsed.predicate.evaluate(
-                candidate, database, parsed.alias):
-            selected.append(candidate)
+    predicate = parsed.predicate
+    selected = list(candidates) if predicate is None else [
+        candidate for candidate in candidates
+        if predicate.evaluate(candidate, database)]
     if parsed.order_path is not None:
-        selected.sort(
-            key=lambda o: _sort_key(resolve_path(database, o,
-                                                 parsed.order_path,
-                                                 parsed.alias)),
-            reverse=parsed.order_desc)
-    if parsed.projection is COUNT_STAR:
+        order_path = parsed.order_path
+        selected.sort(key=lambda o: _sort_key(resolve_path(database, o,
+                                                           order_path)),
+                      reverse=parsed.order_desc)
+    if parsed.count:
         return [{"count": len(selected)}]
     rows: list[dict[str, Any]] = []
     for obj in selected:
         if parsed.projection is None:
-            row = {name: value for name, value in obj.values().items()}
+            row = dict(obj.values())
             row["_oid"] = obj.oid.value
             row["_class"] = obj.class_name
         else:
             row = {}
             for path in parsed.projection:
-                value = resolve_path(database, obj, path, parsed.alias)
+                value = resolve_path(database, obj, path)
                 if isinstance(value, OObject):
                     value = value.oid.value
-                row[path] = value
+                row[path.text] = value
         rows.append(row)
     return rows
 

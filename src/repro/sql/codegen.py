@@ -12,7 +12,9 @@ CAST and LIKE are calls to helpers.  Source is generated per plan
 fixed tables, so no identifier or literal text is spliced into source.
 The literals of a statement's shape are :class:`~repro.sql.ast.Slot`
 reads of the frame, and the engine caches the plan per shape: code is
-generated for a shape once.  AND, OR and arithmetic chains are
+generated for a shape once.  A function over a whole list of rows reads
+each slot once, into a local at its top (``s0 = frame[3][0]``); one
+over a single row reads it where it is used.  AND, OR and arithmetic chains are
 generated flat, nesting no deeper than the parser lets a statement.
 """
 
@@ -96,14 +98,19 @@ def _factory(source: str) -> Callable:
     return namespace["make"]
 
 
-#: Function bodies, each ``make``'s inner part; ``{}`` is emitted source.
+#: Function bodies, each ``make``'s inner part; ``{}`` is emitted source
+#: and ``{slots}`` the slot reads at the top of a whole-rows function.
+#: The filter's ``test``, a row's, reads them at its top as well: it is
+#: emitted from the same source as ``keep``.
 _EXPRESSION = "  def fn(r, frame):\n    return {}\n  return fn"
-_MAP = "  def fn(rows, frame):\n    return [{} for r in rows]\n  return fn"
-_FILTER = ("  def keep(rows, frame):\n"
+_MAP = ("  def fn(rows, frame):\n{slots}    return [{} for r in rows]\n"
+        "  return fn")
+_FILTER = ("  def keep(rows, frame):\n{slots}"
            "    return [tuple(r) for r in rows if {0}]\n"
-           "  def test(r, frame):\n    return {0}\n"
+           "  def test(r, frame):\n{slots}    return {0}\n"
            "  return keep, test")
-_GROUPS = ("  def fn(rows, frame):\n    groups = {{}}\n    for r in rows:\n"
+_GROUPS = ("  def fn(rows, frame):\n{slots}    groups = {{}}\n"
+           "    for r in rows:\n"
            "      key = {}\n      group = groups.get(key)\n"
            "      if group is None:\n        groups[key] = [r]\n"
            "      else:\n        group.append(r)\n    return groups\n"
@@ -112,12 +119,15 @@ _GROUPS = ("  def fn(rows, frame):\n    groups = {{}}\n    for r in rows:\n"
 
 class _Emitter:
     """The source of one generated function, and the objects its
-    factory parameters bind."""
+    factory parameters bind.  Over whole rows (*rows*), a slot is read
+    as the local ``s<index>``; :meth:`build` binds each one read."""
 
-    def __init__(self, plan_subquery):
+    def __init__(self, plan_subquery, rows: bool = False):
         self._plan_subquery = plan_subquery
+        self._rows = rows
         self.names: list[str] = []
         self.values: list[Any] = []
+        self.slots: dict[int, None] = {}
         self._temps = 0
 
     def bind(self, value: Any, prefix: str = "c") -> str:
@@ -132,7 +142,10 @@ class _Emitter:
 
     def build(self, body: str, *sources: str) -> Any:
         head = f"def make({', '.join(self.names)}):\n"
-        return _factory(head + body.format(*sources))(*self.values)
+        slots = "".join(f"    s{index} = frame[3][{index}]\n"
+                        for index in self.slots)
+        return _factory(head + body.format(*sources, slots=slots))(
+            *self.values)
 
     def value(self, node: Item, scope: Scope) -> str:
         """Source evaluating *node* over row ``r`` and ``frame``."""
@@ -185,7 +198,11 @@ class _Emitter:
         return f"_param(frame, {int(node.index)})"
 
     def emit_Slot(self, node: ast.Slot, scope: Scope) -> str:
-        return f"frame[3][{int(node.index)}]"
+        index = int(node.index)
+        if not self._rows:
+            return f"frame[3][{index}]"
+        self.slots[index] = None
+        return f"s{index}"
 
     def emit_Star(self, node: ast.Star, scope: Scope) -> str:
         raise SqlError("* is only valid in a select list or COUNT(*)")
@@ -415,29 +432,33 @@ class Codegen:
                ) -> tuple[RowsFn, Compiled]:
         """``(keep, test)``: ``keep(rows, frame)`` copies to tuples the
         rows that pass :meth:`predicate`, which ``test`` is."""
-        emit = _Emitter(self._plan_subquery)
+        emit = _Emitter(self._plan_subquery, rows=True)
         return emit.build(_FILTER, emit.conjunction(nodes, scope))
 
     def rows(self, items: Sequence[Item], scope: Scope) -> RowsFn:
         """``fn(rows, frame)`` -> a tuple of *items* per row."""
-        emit = _Emitter(self._plan_subquery)
+        emit = _Emitter(self._plan_subquery, rows=True)
         return emit.build(_MAP, emit.tuple(items, scope))
 
     def values(self, node: ast.Expression, scope: Scope) -> RowsFn:
         """``fn(rows, frame)`` -> *node*'s value per row."""
-        emit = _Emitter(self._plan_subquery)
+        emit = _Emitter(self._plan_subquery, rows=True)
         return emit.build(_MAP, emit.value(node, scope))
 
-    def join_keys(self, nodes: Sequence[ast.Expression], scope: Scope
-                  ) -> RowsFn:
+    def join_keys(self, nodes: Sequence[ast.Expression], scope: Scope,
+                  as_date: bool = False) -> RowsFn:
         """``fn(rows, frame)`` -> a join key per row; None when a part is
-        NULL, or a composite key's part NaN: neither joins anything."""
-        emit = _Emitter(self._plan_subquery)
-        return emit.build(_MAP, emit.value(nodes[0], scope) if len(nodes) == 1
-                          else f"_join_key({emit.tuple(nodes, scope)})")
+        NULL, or a composite key's part NaN: neither joins anything.
+        *as_date*: one key, an ISO string as the date it spells (a
+        probe key of a DATE index)."""
+        emit = _Emitter(self._plan_subquery, rows=True)
+        if len(nodes) > 1:
+            return emit.build(_MAP, f"_join_key({emit.tuple(nodes, scope)})")
+        source = emit.value(nodes[0], scope)
+        return emit.build(_MAP, f"_as_date({source})" if as_date else source)
 
     def groups(self, nodes: Sequence[ast.Expression], scope: Scope) -> RowsFn:
         """``fn(rows, frame)`` -> ``{group key: rows}``, first seen first."""
-        emit = _Emitter(self._plan_subquery)
+        emit = _Emitter(self._plan_subquery, rows=True)
         return emit.build(_GROUPS, emit.value(nodes[0], scope)
                           if len(nodes) == 1 else emit.tuple(nodes, scope))

@@ -18,7 +18,8 @@ from typing import Any, Iterable, Optional, Sequence, Union
 from repro.errors import IntegrityError, SqlError
 from repro.sql.expressions import SAME_KIND, Compiled, Frame, sql_equal
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
-                               IndexLookup, IndexRange, InsertPlan,
+                               IndexLookup, IndexProbeJoin, IndexRange,
+                               InsertPlan,
                                ModifyPlan, NestedLoopJoin, OrderKey,
                                QueryPlan, RowSource, SelectPlan, SingleRow,
                                TableScan, UnionPlan)
@@ -163,6 +164,8 @@ def _materialize(source: RowSource, frame: Frame, copy: bool = True
         return [tuple(row) for row in rows] if copy else rows
     if isinstance(source, HashJoin):
         return _hash_join(source, frame)
+    if isinstance(source, IndexProbeJoin):
+        return _index_probe_join(source, frame)
     if isinstance(source, NestedLoopJoin):
         return _nested_loop(source, frame)
     if isinstance(source, DerivedTable):
@@ -247,6 +250,36 @@ def _hash_join(source: HashJoin, frame: Frame) -> list[tuple]:
             for right_row in matches:
                 out.append(row + tuple(right_row))
         elif pad_misses:
+            out.append(row + null_pad)
+    return out
+
+
+def _index_probe_join(source: IndexProbeJoin, frame: Frame) -> list[tuple]:
+    """The rows and row order of the :class:`HashJoin` it replaces: per
+    left row, its right rows in scan order (at most one, unless a key of
+    another kind equals several)."""
+    left_rows = _materialize(source.left, frame)
+    table = source.right.table
+    lookup, rows_in = source.index.lookup, table.rows_in
+    kinds, test = source.key_types, source.test
+    position = source.index.column_positions[0]
+    null_pad = (None,) * len(source.right.header) \
+        if source.kind == "LEFT" else None
+    out: list[tuple] = []
+    for key, row in zip(source.left_key(left_rows, frame), left_rows):
+        if type(key) in kinds:
+            matches = rows_in(lookup((key,))) if key == key else ()
+        elif key is None:
+            matches = ()
+        else:  # as an IndexLookup's fallback: `=` itself, row by row
+            matches = [right for right in table.rows()
+                       if sql_equal(key, right[position])]
+        found = False
+        for right in matches:
+            if test is None or test(right, frame):
+                out.append(row + tuple(right))
+                found = True
+        if null_pad is not None and not found:
             out.append(row + null_pad)
     return out
 

@@ -11,14 +11,18 @@ very object the engine caches and the executor runs.
       Aggregate: group by c.region
 
 A ``Filter:`` line applies to the node just above it at the same depth.
-A range probe reads ``IndexRange(t) key=(col) range=[a, +inf)``.
+A range probe reads ``IndexRange(t) key=(col) range=[a, +inf)``; a join
+that probes the right side's unique index once per left row reads
+``IndexProbeJoin[INNER] on a.k = b.id`` over its left side and
+``IndexProbe(b) key=(id)``.
 """
 
 from __future__ import annotations
 
 from repro.sql import ast
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
-                               IndexLookup, IndexRange, InsertPlan,
+                               IndexLookup, IndexProbeJoin, IndexRange,
+                               InsertPlan,
                                ModifyPlan, NestedLoopJoin, RowSource,
                                SelectPlan, TableScan, UnionPlan)
 
@@ -102,13 +106,25 @@ def _render_source(source: RowSource, indent: int, lines: list[str]) -> None:
     elif isinstance(source, DerivedTable):
         lines.append(f"{pad}Derived({source.binding})")
         lines.extend(f"{pad}  {line}" for line in _query_lines(source.plan))
-    elif isinstance(source, HashJoin):
+    elif isinstance(source, (HashJoin, IndexProbeJoin)):
         keys = ", ".join(
             f"{_render_expression(l)} = {_render_expression(r)}"
             for l, r in zip(source.left_keys, source.right_keys))
-        lines.append(f"{pad}HashJoin[{source.kind}] on {keys}")
+        lines.append(f"{pad}{type(source).__name__}[{source.kind}] on {keys}")
         _render_source(source.left, indent + 1, lines)
-        _render_source(source.right, indent + 1, lines)
+        if isinstance(source, HashJoin):
+            _render_source(source.right, indent + 1, lines)
+            return
+        right = source.right
+        column = right.table.schema.columns[source.index.column_positions[0]]
+        lines.append(f"{pad}  IndexProbe({right.name})"
+                     + (f" as {right.binding}"
+                        if right.binding != right.name else "")
+                     + f" key=({column.name})")
+        if source.conjuncts:
+            lines.append(f"{pad}  Filter: " + " AND ".join(
+                _render_expression(conjunct)
+                for conjunct in source.conjuncts))
     elif isinstance(source, NestedLoopJoin):
         condition = (f" on {_render_expression(source.condition)}"
                      if source.condition is not None else "")

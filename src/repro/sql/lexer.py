@@ -6,8 +6,9 @@ and real literals with exponents (a digit is what ``int()`` accepts),
 ``?`` parameters and the operators and punctuation of
 :mod:`repro.sql.tokens`.  One set of patterns drives two passes:
 :func:`tokenize` matches a token at a time; :func:`shape` cuts each
-number and string literal out of runs of other text, which gives the
-key the engine caches a plan under and the literals' values.
+number and string literal out of runs of other text (the pass
+:func:`repro.shape.cut` shares with WebTassili), which gives the key
+the engine caches a plan under and the literals' values.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import re
 from typing import Any, Optional
 
 from repro.errors import SqlSyntaxError
+from repro.shape import cut
 from repro.sql.tokens import KEYWORDS, Token, TokenType
 
 # A block comment matches to the end of the text when it is not closed,
@@ -140,21 +142,8 @@ def shape(text: str) -> tuple[Optional[str], list]:
     text order.  The key is None when the text cannot be cut that way
     (a quote is not closed, a NUL stands outside a literal); such a
     text is parsed as it stands."""
-    pieces: list[str] = []
-    values: list = []
-    for run, lexeme, string, unclosed in _SHAPE.findall(text):
-        pieces.append(run)
-        if lexeme:
-            value = number(lexeme)
-            pieces.append(MARKERS[type(value)])
-        elif string:
-            value = string[1:-1].replace("''", "'")
-            pieces.append(MARKERS[kind_of(value)] if value[:1].isdigit()
-                          else MARKERS[str])
-        elif unclosed:
-            return None, values
-        else:
-            continue  # the end
-        values.append(value)
-    key = "".join(pieces) if values else text
-    return (key if key.count("\0") == len(values) else None), values
+    return cut(_SHAPE, text, number, _mark)
+
+
+def _mark(value: Any) -> str:
+    return MARKERS[kind_of(value)]

@@ -19,15 +19,20 @@ Four rewrites shape the row-source tree:
 * **hash join** — an INNER or LEFT join whose condition is a pure
   conjunction of cross-side equalities becomes a :class:`HashJoin`
   instead of a nested loop;
+* **index-probe join** — one whose condition is one such equality onto
+  a column of a base table (the right side) with a unique index becomes
+  an :class:`IndexProbeJoin`: one probe per left row is never more work
+  than hashing the whole table and then probing the hash;
 * **filter push-down** — a WHERE conjunct whose columns all belong to
   one join input is applied to that input before the join: either side
   of INNER/CROSS, only the preserved side of LEFT/RIGHT, never a
-  conjunct holding a subquery.  There it may in turn pick an index.
+  conjunct holding a subquery.  There it may in turn pick an index; on
+  an index-probe join's right side it is tested on each probed row.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -136,6 +141,26 @@ class HashJoin(RowSource):
     right_keys: list[ast.Expression]
     left_key: RowsFn
     right_key: RowsFn
+
+
+@dataclass
+class IndexProbeJoin(RowSource):
+    """Equi-join on one key that probes *index*, unique, on the right
+    side's key column, once per left row.  A key not of *key_types* is
+    answered by SQL's ``=`` against every right row, as an
+    :class:`IndexLookup`'s is.  *conjuncts* are WHERE conjuncts pushed
+    down to the right side, which *test* checks on each probed row."""
+
+    kind: str  # INNER or LEFT
+    left: RowSource
+    right: TableScan
+    left_keys: list[ast.Expression]
+    right_keys: list[ast.Expression]
+    left_key: RowsFn
+    index: HashIndex
+    key_types: frozenset
+    conjuncts: list[ast.Expression] = field(default_factory=list)
+    test: Optional[Compiled] = None
 
 
 @dataclass
@@ -474,6 +499,15 @@ class Planner:
             keys = self._equi_keys(join.condition, header, len(left.header))
             if keys is not None:
                 left_keys, right_keys = keys
+                probed = self._probed(right, right_keys)
+                if probed is not None:
+                    column, index = probed
+                    return IndexProbeJoin(
+                        header, join.kind, left, right, left_keys,
+                        right_keys, self._codegen.join_keys(
+                            left_keys, Scope(left.header, outer),
+                            as_date=column.sql_type is SqlType.DATE),
+                        index, SAME_KIND[STORED_AS[column.sql_type]])
                 return HashJoin(
                     header, join.kind, left, right, left_keys, right_keys,
                     self._codegen.join_keys(left_keys, Scope(left.header, outer)),
@@ -483,6 +517,16 @@ class Planner:
             if join.condition is not None else None
         return NestedLoopJoin(header, join.kind, left, right,
                               condition=join.condition, test=test)
+
+    def _probed(self, right: RowSource, right_keys: list[ast.Expression]
+                ) -> Optional[tuple[Column, HashIndex]]:
+        """The right key's column and its unique index, when the join
+        can probe it: one key, a bare column of a base table."""
+        if len(right_keys) != 1 or not isinstance(right, TableScan) \
+                or not isinstance(right_keys[0], ast.ColumnRef):
+            return None
+        found = self._indexed(right, right_keys[0], [])
+        return found if found is not None and found[1].unique else None
 
     @staticmethod
     def _equi_keys(condition: ast.Expression, header: Header, left_width: int):
@@ -534,7 +578,7 @@ class Planner:
         """Apply WHERE conjuncts as low in the tree as their columns
         allow: below a join when one input has them all, as an index
         probe when a base table can answer one."""
-        if isinstance(source, HashJoin) or (
+        if isinstance(source, (HashJoin, IndexProbeJoin)) or (
                 isinstance(source, NestedLoopJoin) and source.using is None):
             left_width = len(source.left.header)
             left, right, above = [], [], []
@@ -549,7 +593,12 @@ class Planner:
                 else:
                     above.append(conjunct)
             source.left = self._filter(source.left, left, outer)
-            source.right = self._filter(source.right, right, outer)
+            if not isinstance(source, IndexProbeJoin):
+                source.right = self._filter(source.right, right, outer)
+            elif right:
+                source.conjuncts = right
+                source.test = self._codegen.predicate(
+                    right, Scope(source.right.header, outer))
             conjuncts = above
         elif isinstance(source, TableScan):
             source, conjuncts = self._index_access(source, conjuncts, outer)

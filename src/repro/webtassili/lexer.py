@@ -5,15 +5,21 @@ Royal Brisbane Hospital Of Class Research;``): keywords are
 case-insensitive, names may span several bare words, and string
 literals use single quotes.  The lexer therefore emits WORD tokens and
 lets the parser decide which words are keywords in context.
+
+One compiled regex drives two passes: :func:`tokenize` matches a token
+at a time; :func:`shape` cuts each number and string literal out of
+runs of other text, the key :func:`repro.webtassili.parse` keeps a
+parsed tree under.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, NamedTuple, Optional
 
 from repro.errors import WebTassiliSyntaxError
+from repro.shape import cut
 
 
 class TokenType(enum.Enum):
@@ -36,11 +42,29 @@ KEYWORDS = frozenset({
     "AND",
 })
 
-_PUNCTUATION = "();,.="
+_SPACE = r"\s+"
+_STRING = r"'[^']*(?:''[^']*)*+'"
+_NUMBER = r"-?\d[\d.]*"
+#: A digit or a ``-`` after a word's first character is part of it.
+_WORD = r"[^\W\d][\w-]*"
+
+#: One token, or a run of whitespace, per match; the group that matched
+#: says which (``_SKIP`` ... ``_PUNCT``).  A word match that starts with
+#: a character that is not a letter, and a digit ``str.isdigit`` accepts
+#: that ``\d`` does not (``²``), are the rare cases the scan checks.
+_TOKEN = re.compile(f"({_SPACE})|({_STRING})|({_NUMBER})|({_WORD})|([();,.=])")
+_SKIP, _TEXT, _NUM, _NAME, _PUNCT = range(1, 6)
+#: A run of whole words and other text that holds no literal, then a
+#: number, a string, a quote no string closes, or the end.
+_SHAPE = re.compile(f"((?:{_WORD}|[^\\w'\\-]+|-(?!\\d))*+)"
+                    f"(?:({_NUMBER})|({_STRING})|(')|\\Z)")
+
+#: What stands for a literal in a shape: the parser never looks inside
+#: a literal, so a number and a string are the only kinds it tells apart.
+MARKERS = {str: "\0s", int: "\0n", float: "\0n"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     type: TokenType
     value: Any
     position: int
@@ -51,61 +75,72 @@ class Token:
         return str(self.value).upper()
 
 
+def number(lexeme: str) -> Any:
+    """The value of a number as written: ValueError if it has none."""
+    return float(lexeme) if "." in lexeme else int(lexeme)
+
+
+def _unlexable(text: str, position: int) -> WebTassiliSyntaxError:
+    """The error for the token that cannot start at *position*."""
+    char = text[position]
+    if char == "'":
+        return WebTassiliSyntaxError("unterminated string literal",
+                                     column=position)
+    if char.isdigit() or char == "-" and text[position + 1:position + 2
+                                              ].isdigit():
+        # ``1.2.3``, or a digit ``int`` refuses (``²``).
+        end = position + 1
+        while end < len(text) and (text[end].isdigit() or text[end] == "."):
+            end += 1
+        return WebTassiliSyntaxError(
+            f"malformed number {text[position:end]!r}", column=position)
+    return WebTassiliSyntaxError(f"unexpected character {char!r}",
+                                 column=position)
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize one WebTassili statement."""
     tokens: list[Token] = []
-    position = 0
-    length = len(text)
-    while position < length:
-        char = text[position]
-        if char.isspace():
-            position += 1
+    append = tokens.append
+    end = 0
+    for match in _TOKEN.finditer(text):
+        start = match.start()
+        if start != end:
+            raise _unlexable(text, end)
+        end = match.end()
+        group = match.lastindex
+        if group == _SKIP:
             continue
-        if char == "'":
-            end = position + 1
-            parts: list[str] = []
-            while True:
-                if end >= length:
-                    raise WebTassiliSyntaxError(
-                        "unterminated string literal", column=position)
-                if text[end] == "'":
-                    if end + 1 < length and text[end + 1] == "'":
-                        parts.append("'")
-                        end += 2
-                        continue
-                    break
-                parts.append(text[end])
-                end += 1
-            tokens.append(Token(TokenType.STRING, "".join(parts), position))
-            position = end + 1
-            continue
-        if char.isdigit() or (char == "-" and position + 1 < length
-                              and text[position + 1].isdigit()):
-            end = position + 1
-            while end < length and (text[end].isdigit() or text[end] == "."):
-                end += 1
-            raw = text[position:end]
+        lexeme = match[group]
+        if group == _NAME:
+            if not (lexeme[0].isalpha() or lexeme[0] == "_"):
+                raise _unlexable(text, start)
+            append(Token(TokenType.WORD, lexeme, start))
+        elif group == _TEXT:
+            append(Token(TokenType.STRING, lexeme[1:-1].replace("''", "'"),
+                         start))
+        elif group == _NUM:
+            if text[end:end + 1].isdigit():
+                raise _unlexable(text, start)
             try:
-                value: Any = float(raw) if "." in raw else int(raw)
+                append(Token(TokenType.NUMBER, number(lexeme), start))
             except ValueError:
-                # ``1.2.3``, or a digit ``int`` refuses (``²``).
-                raise WebTassiliSyntaxError(
-                    f"malformed number {raw!r}", column=position) from None
-            tokens.append(Token(TokenType.NUMBER, value, position))
-            position = end
-            continue
-        if char.isalpha() or char == "_":
-            end = position + 1
-            while end < length and (text[end].isalnum() or text[end] in "_-"):
-                end += 1
-            tokens.append(Token(TokenType.WORD, text[position:end], position))
-            position = end
-            continue
-        if char in _PUNCTUATION:
-            tokens.append(Token(TokenType.PUNCT, char, position))
-            position += 1
-            continue
-        raise WebTassiliSyntaxError(
-            f"unexpected character {char!r}", column=position)
-    tokens.append(Token(TokenType.EOF, None, length))
+                raise _unlexable(text, start) from None
+        else:
+            append(Token(TokenType.PUNCT, lexeme, start))
+    if end != len(text):
+        raise _unlexable(text, end)
+    append(Token(TokenType.EOF, None, len(text)))
     return tokens
+
+
+def shape(text: str) -> tuple[Optional[str], list]:
+    """``(key, values)``: *text* with each number and string literal
+    replaced by :data:`MARKERS`' marker for it, and the literals' values
+    in text order; a None key when the text has no shape (see
+    :func:`repro.shape.cut`)."""
+    return cut(_SHAPE, text, number, _mark)
+
+
+def _mark(value: Any) -> str:
+    return MARKERS[type(value)]

@@ -11,34 +11,72 @@ same few statements again and again, and the frozen tree (see
 one.  A parse reads nothing but its text (:data:`KEYWORDS` is a
 constant), so the memo is never invalidated.  A text that fails to
 parse is not memoised and raises the same error on every call.
+
+Behind the text memo is a memo of trees by *shape*
+(:func:`repro.webtassili.lexer.shape`): a native query or an invoke
+with new literals is a new text, but rarely a new shape.  The parser
+never looks inside a literal, so the tree of a shape is parsed once,
+with each literal a slot, and filled with each text's values.
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
+from dataclasses import fields
 from functools import lru_cache
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import WebTassiliSyntaxError
 from repro.webtassili import ast
-from repro.webtassili.lexer import KEYWORDS, Token, TokenType, tokenize
+from repro.webtassili.lexer import (KEYWORDS, Token, TokenType, shape,
+                                    tokenize)
 
-#: Statement texts whose trees :func:`parse` keeps (the SQL engine's
-#: statement cache holds as many statement shapes).
+#: Statement texts whose trees :func:`parse` keeps, and shapes whose
+#: templates it keeps (the SQL engine's statement cache holds as many
+#: statement shapes).
 PARSE_CACHE_SIZE = 512
 
 
-class Parser:
-    """Parses one WebTassili statement."""
+#: DISPLAY targets read as words, then the one name of the statement.
+_DISPLAY_NAMED = {
+    "SUBCLASSES": (("OF", "CLASS"), ast.DisplaySubclasses),
+    "INSTANCES": (("OF", "CLASS"), ast.DisplayInstances),
+    "ACCESS": (("INFORMATION", "OF", "INSTANCE"), ast.DisplayAccessInfo),
+    "INTERFACE": (("OF", "INSTANCE"), ast.DisplayInterface),
+    "STRUCTURE": (("OF", "INSTANCE"), ast.DisplayStructure),
+}
 
-    def __init__(self, text: str):
+
+_WORD_VALUES = {"TRUE": True, "FALSE": False, "NULL": None}
+
+
+class _Slot(int):
+    """Where the *n*-th literal of a shaped text goes in its tree."""
+
+
+class Parser:
+    """Parses one WebTassili statement.  A *shaped* parser reads each
+    number and string literal as a :class:`_Slot` and keeps the values
+    it read in :attr:`literals`."""
+
+    def __init__(self, text: str, shaped: bool = False):
         self._tokens = tokenize(text)
         self._pos = 0
+        self.literals: list = []
+        if shaped:
+            literals = self.literals
+            for index, token in enumerate(self._tokens):
+                if token.type is TokenType.STRING \
+                        or token.type is TokenType.NUMBER:
+                    self._tokens[index] = token._replace(
+                        value=_Slot(len(literals)))
+                    literals.append(token.value)
 
     # -- token plumbing ---------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]  # EOF is never passed
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -59,6 +97,11 @@ class Parser:
             raise self._error(f"expected {' or '.join(words)}")
         return accepted
 
+    def _expect_words(self, *words: str) -> None:
+        """Each of *words*, in order."""
+        for word in words:
+            self._expect_word(word)
+
     def _accept_punct(self, punct: str) -> bool:
         token = self._peek()
         if token.type is TokenType.PUNCT and token.value == punct:
@@ -72,8 +115,9 @@ class Parser:
         return WebTassiliSyntaxError(f"{message}, found {found!r}",
                                      column=token.position)
 
-    def _name(self, stop_words: frozenset[str] = KEYWORDS) -> str:
-        """A quoted string, or one-or-more bare words up to a keyword."""
+    def _name(self) -> str:
+        """A quoted string, or one-or-more bare words up to a keyword
+        (information topics, too, may be either)."""
         token = self._peek()
         if token.type is TokenType.STRING:
             self._advance()
@@ -83,7 +127,7 @@ class Parser:
             token = self._peek()
             if token.type is not TokenType.WORD:
                 break
-            if token.upper in stop_words and words:
+            if token.upper in KEYWORDS and words:
                 break
             words.append(str(token.value))
             self._advance()
@@ -98,23 +142,14 @@ class Parser:
         self._advance()
         return token.value
 
-    def _text_or_name(self) -> str:
-        """Information topics may be quoted or bare multi-word."""
-        if self._peek().type is TokenType.STRING:
-            return self._string()
-        return self._name()
-
     def _value(self) -> Any:
         token = self._peek()
         if token.type is TokenType.STRING or token.type is TokenType.NUMBER:
             self._advance()
             return token.value
-        if token.type is TokenType.WORD and token.upper in ("TRUE", "FALSE"):
+        if token.type is TokenType.WORD and token.upper in _WORD_VALUES:
             self._advance()
-            return token.upper == "TRUE"
-        if token.type is TokenType.WORD and token.upper == "NULL":
-            self._advance()
-            return None
+            return _WORD_VALUES[token.upper]
         raise self._error("expected a literal value")
 
     def _finish(self) -> None:
@@ -154,9 +189,8 @@ class Parser:
     def _find(self) -> ast.WtStatement:
         self._expect_word("FIND")
         kind = self._expect_word("COALITIONS", "SOURCES", "DATABASES")
-        self._expect_word("WITH")
-        self._expect_word("INFORMATION")
-        information = self._text_or_name()
+        self._expect_words("WITH", "INFORMATION")
+        information = self._name()
         structure = self._structure_tail()
         if kind == "COALITIONS":
             return ast.FindCoalitions(information=information,
@@ -208,23 +242,16 @@ class Parser:
         target = what.upper
         if target == "COALITIONS":
             self._advance()
-            self._expect_word("WITH")
-            self._expect_word("INFORMATION")
-            return ast.FindCoalitions(information=self._text_or_name())
-        if target == "SUBCLASSES":
+            self._expect_words("WITH", "INFORMATION")
+            return ast.FindCoalitions(information=self._name())
+        if target in _DISPLAY_NAMED:
             self._advance()
-            self._expect_word("OF")
-            self._expect_word("CLASS")
-            return ast.DisplaySubclasses(class_name=self._name())
-        if target == "INSTANCES":
-            self._advance()
-            self._expect_word("OF")
-            self._expect_word("CLASS")
-            return ast.DisplayInstances(class_name=self._name())
+            words, statement = _DISPLAY_NAMED[target]
+            self._expect_words(*words)
+            return statement(self._name())
         if target in ("DOCUMENT", "DOCUMENTATION"):
             self._advance()
-            self._expect_word("OF")
-            self._expect_word("INSTANCE")
+            self._expect_words("OF", "INSTANCE")
             instance = self._name()
             class_name = None
             if self._accept_word("OF"):
@@ -232,33 +259,15 @@ class Parser:
                 class_name = self._name()
             return ast.DisplayDocument(instance_name=instance,
                                        class_name=class_name)
-        if target == "ACCESS":
-            self._advance()
-            self._expect_word("INFORMATION")
-            self._expect_word("OF")
-            self._expect_word("INSTANCE")
-            return ast.DisplayAccessInfo(instance_name=self._name())
-        if target == "INTERFACE":
-            self._advance()
-            self._expect_word("OF")
-            self._expect_word("INSTANCE")
-            return ast.DisplayInterface(instance_name=self._name())
-        if target == "STRUCTURE":
-            self._advance()
-            self._expect_word("OF")
-            self._expect_word("INSTANCE")
-            return ast.DisplayStructure(instance_name=self._name())
         if target == "SERVICE":
             self._advance()
-            self._expect_word("LINKS")
-            self._expect_word("OF")
+            self._expect_words("LINKS", "OF")
             kind = self._expect_word("COALITION", "DATABASE").lower()
             return ast.DisplayServiceLinks(target_kind=kind, name=self._name())
         raise self._error("unknown DISPLAY target")
 
     def _connect(self) -> ast.WtStatement:
-        self._expect_word("CONNECT")
-        self._expect_word("TO")
+        self._expect_words("CONNECT", "TO")
         kind = self._expect_word("COALITION", "DATABASE").lower()
         return ast.ConnectTo(target_kind=kind, name=self._name())
 
@@ -273,8 +282,7 @@ class Parser:
     def _invoke(self) -> ast.WtStatement:
         self._expect_word("INVOKE")
         function_name = self._name()
-        self._expect_word("OF")
-        self._expect_word("TYPE")
+        self._expect_words("OF", "TYPE")
         type_name = self._name()
         self._expect_word("ON")
         on_coalition = self._accept_word("COALITION") is not None
@@ -302,39 +310,28 @@ class Parser:
         self._expect_word("CREATE")
         if self._accept_word("COALITION"):
             name = self._name()
-            self._expect_word("WITH")
-            self._expect_word("INFORMATION")
+            self._expect_words("WITH", "INFORMATION")
             return ast.CreateCoalition(name=name,
-                                       information=self._text_or_name())
+                                       information=self._name())
         if self._accept_word("SERVICE"):
-            self._expect_word("LINK")
-            self._expect_word("FROM")
-            from_kind = self._expect_word("COALITION", "DATABASE").lower()
-            from_name = self._name()
-            self._expect_word("TO")
-            to_kind = self._expect_word("COALITION", "DATABASE").lower()
-            to_name = self._name()
+            self._expect_words("LINK", "FROM")
+            ends = self._link_ends()
             description = None
             if self._accept_word("WITH"):
                 self._expect_word("DESCRIPTION")
                 description = self._string()
-            return ast.CreateServiceLink(from_kind=from_kind,
-                                         from_name=from_name,
-                                         to_kind=to_kind, to_name=to_name,
-                                         description=description)
+            return ast.CreateServiceLink(*ends, description=description)
         raise self._error("expected COALITION or SERVICE LINK after CREATE")
 
     def _dissolve(self) -> ast.WtStatement:
-        self._expect_word("DISSOLVE")
-        self._expect_word("COALITION")
+        self._expect_words("DISSOLVE", "COALITION")
         return ast.DissolveCoalition(name=self._name())
 
     def _advertise(self) -> ast.WtStatement:
-        self._expect_word("ADVERTISE")
-        self._expect_word("SOURCE")
+        self._expect_words("ADVERTISE", "SOURCE")
         name = self._name()
         self._expect_word("INFORMATION")
-        information = self._text_or_name()
+        information = self._name()
         clauses: dict[str, Any] = {}
         interface: list[str] = []
         while True:
@@ -354,38 +351,76 @@ class Parser:
                                    interface=tuple(interface), **clauses)
 
     def _join(self) -> ast.WtStatement:
-        self._expect_word("JOIN")
-        self._expect_word("DATABASE")
-        database = self._name()
-        self._expect_word("TO")
-        self._expect_word("COALITION")
-        return ast.JoinCoalition(database_name=database,
-                                 coalition_name=self._name())
+        return self._membership("JOIN", "TO", ast.JoinCoalition)
 
     def _leave(self) -> ast.WtStatement:
-        self._expect_word("LEAVE")
-        self._expect_word("DATABASE")
+        return self._membership("LEAVE", "FROM", ast.LeaveCoalition)
+
+    def _membership(self, verb: str, preposition: str, statement):
+        """``<verb> Database <name> <preposition> Coalition <name>``."""
+        self._expect_words(verb, "DATABASE")
         database = self._name()
-        self._expect_word("FROM")
-        self._expect_word("COALITION")
-        return ast.LeaveCoalition(database_name=database,
-                                  coalition_name=self._name())
+        self._expect_words(preposition, "COALITION")
+        return statement(database, self._name())
 
     def _drop(self) -> ast.WtStatement:
-        self._expect_word("DROP")
-        self._expect_word("SERVICE")
-        self._expect_word("LINK")
-        self._expect_word("FROM")
+        self._expect_words("DROP", "SERVICE", "LINK", "FROM")
+        return ast.DropServiceLink(*self._link_ends())
+
+    def _link_ends(self) -> tuple[str, str, str, str]:
+        """``<kind> <name> To <kind> <name>``: a service link's ends."""
         from_kind = self._expect_word("COALITION", "DATABASE").lower()
         from_name = self._name()
         self._expect_word("TO")
-        to_kind = self._expect_word("COALITION", "DATABASE").lower()
-        to_name = self._name()
-        return ast.DropServiceLink(from_kind=from_kind, from_name=from_name,
-                                   to_kind=to_kind, to_name=to_name)
+        return (from_kind, from_name,
+                self._expect_word("COALITION", "DATABASE").lower(),
+                self._name())
+
+
+#: Shape -> the function that fills its tree with a text's literals,
+#: least recently used first out.
+_templates: OrderedDict[str, Callable[[list], ast.WtStatement]] = OrderedDict()
+_templates_lock = threading.Lock()
 
 
 @lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse(text: str) -> ast.WtStatement:
     """Parse one WebTassili statement (memoised; the tree is shared)."""
-    return Parser(text).parse()
+    key, values = shape(text)
+    if key is None or not values:
+        return Parser(text).parse()
+    with _templates_lock:
+        template = _templates.get(key)
+        if template is not None:
+            _templates.move_to_end(key)
+    if template is None:
+        try:
+            parser = Parser(text, shaped=True)
+            template = _template(parser.parse())
+        except WebTassiliSyntaxError:
+            # Raise the error a parse of the text itself raises: its
+            # message quotes the literal, not a slot.
+            return Parser(text).parse()
+        if list(zip(map(type, parser.literals), parser.literals)) \
+                != list(zip(map(type, values), values)):
+            # The shape cut the text where the lexer did not.
+            return Parser(text).parse()
+        with _templates_lock:
+            _templates[key] = template
+            while len(_templates) > PARSE_CACHE_SIZE:
+                _templates.popitem(last=False)
+    return template(values)
+
+
+def _template(statement: ast.WtStatement
+              ) -> Callable[[list], ast.WtStatement]:
+    """``fill(values)``: *statement* with each slot replaced by its
+    value, the slots of a sequence field included."""
+    build = type(statement)
+    parts = [getattr(statement, field.name) for field in fields(statement)]
+
+    def fill(values: list) -> ast.WtStatement:
+        return build(*[values[part] if type(part) is _Slot else tuple(
+            [values[item] if type(item) is _Slot else item for item in part])
+            if type(part) is tuple else part for part in parts])
+    return fill

@@ -26,9 +26,11 @@ from repro.sql.engine import Database
 # tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
-# loaded profile, and tests/webtassili/test_roundtrip_properties.py,
-# tests/webtassili/test_parse_memo.py and tests/sql/test_shape_cache.py
-# ten times their own example counts; tier-1 loads none.
+# loaded profile, as does tests/sql/test_probe_join.py, and
+# tests/webtassili/test_roundtrip_properties.py,
+# tests/webtassili/test_parse_memo.py, tests/webtassili/test_shape_memo.py
+# and tests/sql/test_shape_cache.py ten times their own example counts;
+# tier-1 loads none.
 settings.register_profile(
     "ci", max_examples=10 * settings.get_profile("default").max_examples,
     derandomize=False, deadline=None)

@@ -36,7 +36,7 @@ class TestExplain:
 
     def test_hash_join(self, db):
         lines = plan_lines(db, "SELECT * FROM t JOIN u ON t.id = u.id")
-        assert any("HashJoin[INNER] on t.id = u.id" in line
+        assert any("IndexProbeJoin[INNER] on t.id = u.id" in line
                    for line in lines)
 
     def test_nested_loop_for_inequality(self, db):
@@ -100,9 +100,9 @@ class TestExplain:
                 "WHERE u.name IS NULL AND t.grp = 2")
         assert lines == [
             "Select",
-            "  HashJoin[LEFT] on t.id = u.id",
+            "  IndexProbeJoin[LEFT] on t.id = u.id",
             "    IndexLookup(t) key=(grp)",
-            "    SeqScan(u)",
+            "    IndexProbe(u) key=(id)",
             "  Filter: u.name IS NULL"]
 
     @pytest.mark.parametrize("where", ["v NOT BETWEEN 1 AND 5",
@@ -182,7 +182,7 @@ class TestExplainBenchmarkScans:
                  "WHERE h.DoctorId = 7 AND h.Description = 'asthma'")
         assert lines == [
             "Select",
-            "  HashJoin[INNER] on h.PatientId = p.PatientId",
+            "  IndexProbeJoin[INNER] on h.PatientId = p.PatientId",
             "    SeqScan(History) as h",
             "    Filter: h.DoctorId = 7 AND h.Description = 'asthma'",
-            "    SeqScan(Patient) as p"]
+            "    IndexProbe(Patient) as p key=(PatientId)"]
