@@ -14,8 +14,9 @@ The literals of a statement's shape are :class:`~repro.sql.ast.Slot`
 reads of the frame, and the engine caches the plan per shape: code is
 generated for a shape once.  A function over a whole list of rows reads
 each slot once, into a local at its top (``s0 = frame[3][0]``); one
-over a single row reads it where it is used.  AND, OR and arithmetic chains are
-generated flat, nesting no deeper than the parser lets a statement.
+over a single row reads it where it is used.  AND, OR and arithmetic
+chains are generated flat, nesting no deeper than the parser lets a
+statement.
 """
 
 from __future__ import annotations

@@ -19,10 +19,9 @@ from repro.errors import IntegrityError, SqlError
 from repro.sql.expressions import SAME_KIND, Compiled, Frame, sql_equal
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
                                IndexLookup, IndexProbeJoin, IndexRange,
-                               InsertPlan,
-                               ModifyPlan, NestedLoopJoin, OrderKey,
-                               QueryPlan, RowSource, SelectPlan, SingleRow,
-                               TableScan, UnionPlan)
+                               InsertPlan, ModifyPlan, NestedLoopJoin,
+                               OrderKey, QueryPlan, RowSource, SelectPlan,
+                               SingleRow, TableScan, UnionPlan)
 from repro.sql.result import ResultSet
 from repro.sql.storage import Row
 

@@ -22,9 +22,8 @@ from __future__ import annotations
 from repro.sql import ast
 from repro.sql.planner import (DerivedTable, FilteredSource, HashJoin,
                                IndexLookup, IndexProbeJoin, IndexRange,
-                               InsertPlan,
-                               ModifyPlan, NestedLoopJoin, RowSource,
-                               SelectPlan, TableScan, UnionPlan)
+                               InsertPlan, ModifyPlan, NestedLoopJoin,
+                               RowSource, SelectPlan, TableScan, UnionPlan)
 
 
 def _render_expression(expression: ast.Expression) -> str:

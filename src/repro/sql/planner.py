@@ -8,7 +8,7 @@ argument — to one generated function over a list of rows).
 A plan binds storage objects and holds no per-execution state, so the
 engine caches it per statement shape until the catalog changes.
 
-Four rewrites shape the row-source tree:
+Five rewrites shape the row-source tree:
 
 * **index lookup** — an equality conjunct ``col = <constant>`` on a base
   table with a matching hash index becomes an :class:`IndexLookup`;

@@ -61,7 +61,7 @@ _SHAPE = re.compile(f"((?:{_WORD}|[^\\w'\\-]+|-(?!\\d))*+)"
 
 #: What stands for a literal in a shape: the parser never looks inside
 #: a literal, so a number and a string are the only kinds it tells apart.
-MARKERS = {str: "\0s", int: "\0n", float: "\0n"}
+_MARKERS = {str: "\0s", int: "\0n", float: "\0n"}
 
 
 class Token(NamedTuple):
@@ -136,11 +136,11 @@ def tokenize(text: str) -> list[Token]:
 
 def shape(text: str) -> tuple[Optional[str], list]:
     """``(key, values)``: *text* with each number and string literal
-    replaced by :data:`MARKERS`' marker for it, and the literals' values
+    replaced by its marker (a string or a number), and the literals' values
     in text order; a None key when the text has no shape (see
     :func:`repro.shape.cut`)."""
     return cut(_SHAPE, text, number, _mark)
 
 
 def _mark(value: Any) -> str:
-    return MARKERS[type(value)]
+    return _MARKERS[type(value)]
