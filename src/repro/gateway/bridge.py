@@ -9,6 +9,9 @@ This module registers the CDR value type that carries it
 from __future__ import annotations
 
 import datetime
+import operator
+import struct
+import threading
 
 from repro.errors import MarshalError
 from repro.orb.cdr import CdrDecoder, CdrEncoder, register_value
@@ -22,10 +25,11 @@ from repro.sql.types import STORED_AS, SqlType
 # ONE packed array (a string column: its cells joined by NUL, one UTF-8
 # octet sequence).  The kind octet's low nibble is the packing, its high
 # nibble the column's declared SqlType (0: none).  A declared column is
-# packed by its kind: an INTEGER one as ``long`` or ``long long`` by its
-# range, else ``any`` a cell; a TEXT one with a NUL in a cell as ``any``
-# a cell.  An undeclared column is packed when every non-null cell is of
-# exactly one of the types below, else ``any`` a cell.
+# packed by its kind: an INTEGER one as ``long``, else ``long long``,
+# else ``any`` a cell, whichever the pack itself accepts; a TEXT one
+# with a NUL in a cell as ``any`` a cell.  An undeclared column is
+# packed when every non-null cell is of exactly one of the types below,
+# else ``any`` a cell.  No step of either side runs per cell in Python.
 
 _ANY, _LONG, _LONGLONG, _DOUBLE, _DATE, _BOOLEAN, _STRING = range(7)
 _KINDS = {int: _LONG, float: _DOUBLE, datetime.date: _DATE, bool: _BOOLEAN,
@@ -34,15 +38,28 @@ _KINDS = {int: _LONG, float: _DOUBLE, datetime.date: _DATE, bool: _BOOLEAN,
 _PACKING = {_LONG: ("i", 0), _LONGLONG: ("q", 0), _DOUBLE: ("d", 0.0),
             _DATE: ("i", datetime.date.min), _BOOLEAN: ("?", False),
             _STRING: ("I", "")}
+#: What a column too wide for its packing is sent as.
+_WIDER = {_LONG: _LONGLONG, _LONGLONG: _ANY}
 #: The declared kinds by their high nibble (found with ``index``: an
-#: enum member hashes in Python), the packing each is written as, and
-#: the packings each may arrive as: its own or ``any``, and an INTEGER
-#: column ``long long`` too.
+#: enum member hashes in Python) and the packing each is written as.
 _DECLARED = (None, *SqlType)
 _DECLARED_PACKING = (_ANY, *(_KINDS[STORED_AS[kind]] for kind in SqlType))
-_ARRIVES_AS = (set(range(7)),
-               *({packing, _ANY} for packing in _DECLARED_PACKING[1:]))
-_ARRIVES_AS[_DECLARED.index(SqlType.INTEGER)].add(_LONGLONG)
+#: Every kind octet a column may arrive with -> (packing, declared
+#: kind): an undeclared column in any packing, a declared one in its
+#: own or ``any``, and an INTEGER one in ``long long`` too.
+_ARRIVES_AS = {nibble << 4 | packing: (packing, declared)
+               for nibble, declared in enumerate(_DECLARED)
+               for packing in range(7)
+               if not nibble or packing in (_DECLARED_PACKING[nibble], _ANY)
+               or declared is SqlType.INTEGER and packing == _LONGLONG}
+
+#: The day table: decoded dates by ordinal, shared by every column read
+#: (a date is immutable).  It holds at most ``_DAYS_HELD`` days (≈ 45
+#: years' worth); a column whose new days would overflow it clears it.
+#: Reads take no lock; what changes it holds ``_DAYS_LOCK``.
+_DAYS: dict[int, datetime.date] = {}
+_DAYS_HELD = 1 << 14
+_DAYS_LOCK = threading.Lock()
 
 
 def _write_result(encoder: CdrEncoder, result: ResultSet) -> None:
@@ -74,49 +91,53 @@ def _write_column(encoder: CdrEncoder, column, declared=None) -> None:
         types = set(map(type, column))
         types.discard(type(None))
         kind = _KINDS.get(types.pop(), _ANY) if len(types) == 1 else _ANY
-    nulls = []
+    nulls = ()
     try:
-        kind, body = _body(kind, column)
+        kind, body = _body(encoder, kind, column)
     except TypeError:
         # A NULL cell: the body is made again with the NULLs filled in
         # (a cell of no packing raises again).
         nulls = [index for index, cell in enumerate(column) if cell is None]
         filler = _PACKING[kind][1]
-        kind, body = _body(kind, [filler if cell is None else cell
-                                  for cell in column])
+        kind, body = _body(encoder, kind, [filler if cell is None else cell
+                                           for cell in column])
     encoder.write_octet(nibble << 4 | kind)
     if kind == _ANY:
         for cell in column:
             encoder.write_any(cell)
         return
     encoder.write_ulong(len(nulls))
-    encoder.write_array("I", nulls)
+    if nulls:  # an empty array is no octets: nothing to write
+        encoder.write_array("I", nulls)
     if kind == _STRING:
         encoder.write_octets(body)
     else:
-        encoder.write_array(_PACKING[kind][0], body)
+        encoder.write_packed(_PACKING[kind][0], body)
 
 
-def _body(kind: int, cells):
-    """``(packing, what is packed)`` for *cells*, or a TypeError when
-    one of them is NULL (``join``, ``toordinal`` and ``min`` raise it
+def _body(encoder: CdrEncoder, kind: int, cells):
+    """``(packing, octets)`` for *cells*, or a TypeError when one of
+    them is NULL (``join``, ``toordinal`` and the pack refuse it
     themselves, so a column without NULLs is not searched for one)."""
     if kind == _ANY:
-        return kind, cells
+        return kind, None
     if kind == _STRING:
         text = "\x00".join(cells)
         # A cell that holds NUL would be split by the separator.
         return (kind, text.encode()) \
             if text.count("\x00") == len(cells) - 1 else (_ANY, None)
     if kind == _DATE:
-        return kind, list(map(datetime.date.toordinal, cells))
-    if kind == _LONG and cells:
-        low, high = min(cells), max(cells)
-        if not -2**31 <= low <= high < 2**31:
-            kind = _LONGLONG if -2**63 <= low <= high < 2**63 else _ANY
-    elif None in cells:
+        cells = list(map(datetime.date.toordinal, cells))
+    elif kind == _BOOLEAN and None in cells:  # "?" packs None as False
         raise TypeError("a NULL cell")
-    return kind, cells
+    try:
+        return kind, encoder.pack_array(_PACKING[kind][0], cells)
+    except struct.error:
+        if None in cells:
+            raise TypeError("a NULL cell") from None
+        if kind not in _WIDER:
+            raise
+    return _body(encoder, _WIDER[kind], cells)
 
 
 def _read_result(decoder: CdrDecoder) -> ResultSet:
@@ -131,10 +152,9 @@ def _read_result(decoder: CdrDecoder) -> ResultSet:
     values, kinds = [], []
     for _ in names:
         octet = decoder.read_octet()
-        nibble, kind = octet >> 4, octet & 0x0F
-        if nibble >= len(_DECLARED) or kind not in _ARRIVES_AS[nibble]:
+        if octet not in _ARRIVES_AS:
             raise MarshalError(f"unknown column kind {octet}")
-        declared = _DECLARED[nibble]
+        kind, declared = _ARRIVES_AS[octet]
         values.append(_read_column(decoder, kind, declared, count))
         kinds.append(declared)
     return ResultSet.from_columns(names, values, count, kinds, rowcount)
@@ -150,33 +170,52 @@ def _read_column(decoder: CdrDecoder, kind: int, declared, count: int):
                 for cell in column):
             raise MarshalError(f"a {declared} column holds other cells")
         return column
-    nulls = decoder.read_array("I", decoder.read_ulong())
+    nulls = decoder.read_ulong()
+    nulls = decoder.read_array("I", nulls) if nulls else ()
     if kind == _STRING:
-        column = _read_string_column(decoder, count)
+        # One octet sequence (its length checked against the frame
+        # before anything is built), decoded once, split at NUL.
+        column = decoder.read_text().split("\x00")
+        if len(column) != count:
+            raise MarshalError(f"a packed string column of {len(column)} "
+                               f"cells for {count} rows")
     else:
         column = decoder.read_array(_PACKING[kind][0], count)
         if kind == _DATE:
-            column = list(map(datetime.date.fromordinal, column))
-        elif nulls:
+            column = _dates(column)
+        if nulls:
             column = list(column)
     for index in nulls:
         column[index] = None  # an index past the last row: IndexError
     return column
 
 
-def _read_string_column(decoder: CdrDecoder, count: int) -> list[str]:
-    """A string column's *count* cells: one octet sequence (its length
-    checked against the frame before anything is built), decoded once,
-    split at NUL."""
+def _dates(ordinals):
+    """The date of each ordinal, read from the day table.  The days it
+    lacks are made once per column, under a lock; when they would take
+    it past ``_DAYS_HELD`` it starts again from this column's days (a
+    column of more days than that keeps its own).  An ordinal no date
+    has is a MarshalError and never enters the table."""
+    days = _DAYS
     try:
-        cells = str(decoder.read_octets(), "utf-8").split("\x00")
-    except UnicodeDecodeError as exc:
-        raise MarshalError(
-            f"a packed string column is not valid UTF-8: {exc}") from exc
-    if len(cells) != count:
-        raise MarshalError(
-            f"a packed string column of {len(cells)} cells for {count} rows")
-    return cells
+        if len(ordinals) > 1:  # (``itemgetter`` of one key: not a tuple)
+            return operator.itemgetter(*ordinals)(days)
+        return [days[day] for day in ordinals]
+    except KeyError:
+        wanted = set(ordinals)
+    with _DAYS_LOCK:
+        missing = wanted.difference(days)
+        if len(days) + len(missing) > _DAYS_HELD:
+            days.clear()
+            missing = wanted
+            if len(wanted) > _DAYS_HELD:
+                days = {}
+        try:
+            days.update(zip(missing, map(datetime.date.fromordinal, missing)))
+        except (ValueError, OverflowError) as exc:
+            raise MarshalError(f"a date column holds a day out of range: "
+                               f"{exc}") from exc
+        return list(map(days.__getitem__, ordinals))
 
 
 # Registered here, not beside the class: repro.sql imports nothing from

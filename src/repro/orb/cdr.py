@@ -165,13 +165,25 @@ class CdrEncoder:
     def write_array(self, code: str, values: Sequence) -> None:
         """Every element of *values* as the primitive *code*, aligned
         once and packed in one call; the reader is told the count."""
-        buf = self._buf
-        buf += _PAD[-len(buf) & (_SIZES[code] - 1)]
         try:
-            buf += struct.pack(f"{self._prefix}{len(values)}{code}", *values)
+            octets = self.pack_array(code, values)
         except _UNPACKABLE as exc:
             raise MarshalError(
                 f"cannot marshal a CDR {code!r} array: {exc}") from exc
+        self.write_packed(code, octets)
+
+    def pack_array(self, code: str, values: Sequence) -> bytes:
+        """The octets :meth:`write_array` appends behind its padding,
+        not written: ``struct.error`` when a value has no packing as
+        *code*.  A caller that picks a packing by whether the values
+        fit packs once and writes with :meth:`write_packed`."""
+        return struct.pack(f"{self._prefix}{len(values)}{code}", *values)
+
+    def write_packed(self, code: str, octets: bytes) -> None:
+        """*octets* from :meth:`pack_array`, aligned for *code*."""
+        buf = self._buf
+        buf += _PAD[-len(buf) & (_SIZES[code] - 1)]
+        buf += octets
 
     def write_strings(self, values: Sequence[str]) -> None:
         """Several strings, packed: their **character** lengths as one
@@ -349,7 +361,11 @@ class CdrDecoder:
         return start
 
     def read_octet(self) -> int:
-        return self._data[self._take(1)]
+        start = self._pos
+        if start >= self._end:
+            raise self._underflow(1, start)
+        self._pos = start + 1
+        return self._data[start]
 
     def read_boolean(self) -> bool:
         return self._data[self._take(1)] != 0
@@ -380,6 +396,23 @@ class CdrDecoder:
     def read_octets(self) -> bytes:
         start = self._take(self.read_ulong())
         return bytes(self._data[start:self._pos])
+
+    def read_text(self) -> str:
+        """An octet sequence read as UTF-8 where it lies in the frame,
+        not copied out as ``bytes`` first."""
+        data = self._data
+        start = self._pos + (-self._pos & 3) + 4  # behind the length
+        if start > self._end:
+            raise self._underflow(4, start - 4)
+        end = start + self._unpack["I"](data, start - 4)[0]
+        if end > self._end:
+            raise self._underflow(end - start, start)
+        self._pos = end
+        try:
+            return str(data[start:end], "utf-8")
+        except UnicodeDecodeError as exc:
+            raise MarshalError(f"CDR text is not valid UTF-8: {exc}") \
+                from exc
 
     def read_array(self, code: str, count: int) -> tuple:
         """*count* primitives of type *code* in one unpack; the size is

@@ -100,8 +100,13 @@ def tokenize(text: str) -> list[Token]:
                              text, start)
             continue
         if group == _NUM:
-            append(Token(TokenType.INTEGER if type(value := number(lexeme))
-                         is int else TokenType.REAL, value, line, column))
+            try:
+                value = number(lexeme)
+            except ValueError:  # more digits than ``int`` converts
+                raise _error(f"malformed number of {len(lexeme)} digits",
+                             text, start) from None
+            append(Token(TokenType.INTEGER if type(value) is int
+                         else TokenType.REAL, value, line, column))
             continue
         if group == _SKIP:
             if lexeme[:2] == "/*" and (len(lexeme) < 4 or lexeme[-2:] != "*/"):

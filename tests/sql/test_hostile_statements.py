@@ -59,6 +59,34 @@ class TestSuperscriptDigits:
             browser.fetch(topo.RBH, "SELECT ²")
 
 
+class TestLongIntegerLiterals:
+    """Python converts at most 4,300 digits to an ``int``; a longer
+    integer literal is a syntax error, directly and across the ORB (it
+    escaped as a bare ``ValueError``, a ``RemoteSystemError`` through a
+    wrapper).  A real literal of any length is a float."""
+
+    TEXT = "SELECT " + "1" * 5000
+
+    def test_an_integer_literal_past_the_digit_limit_is_a_syntax_error(self):
+        with pytest.raises(SqlSyntaxError,
+                           match="malformed number of 5000 digits") as caught:
+            Database("x").execute(self.TEXT)
+        assert (caught.value.line, caught.value.column) == (1, 8)
+        with pytest.raises(SqlSyntaxError, match="malformed number"):
+            tokenize(f"SELECT 1 FROM t WHERE x = {'9' * 4301}")
+        assert Database("x").execute("SELECT " + "1" * 4300).scalar() \
+            == int("1" * 4300)
+        assert Database("x").execute(self.TEXT + ".5").scalar() \
+            == float("inf")
+
+    def test_it_crosses_a_remote_isi_as_a_syntax_error(self, healthcare):
+        remote = healthcare.system.wrapper_client(topo.RBH)
+        with pytest.raises(SqlSyntaxError, match="malformed number"):
+            remote.execute_native(self.TEXT)
+        with pytest.raises(SqlSyntaxError, match="malformed number"):
+            healthcare.browser(topo.QUT).fetch(topo.RBH, self.TEXT)
+
+
 class TestLongChains:
     @pytest.mark.parametrize("op, term", [("OR", "x = {}"),
                                           ("AND", "x <> {}")])
