@@ -22,7 +22,8 @@ from repro.sql.engine import Database
 # tests/sql/test_differential_sqlite.py,
 # tests/orb/test_cdr_properties.py, tests/orb/test_giop_oracle.py,
 # tests/orb/test_call_path.py,
-# tests/gateway/test_result_set_wire.py, tests/sql/test_declared_kinds.py,
+# tests/gateway/test_result_set_wire.py, tests/gateway/test_day_table.py,
+# tests/sql/test_declared_kinds.py,
 # tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
