@@ -21,8 +21,10 @@ Layer map (Figure 3 of the paper):
   :class:`repro.core.Browser`
 * communication layer - :mod:`repro.orb` (CDR, GIOP/IIOP, IORs, naming)
 * meta-data layer - :class:`repro.core.CoDatabase` on :mod:`repro.oodb`
-* data layer - :mod:`repro.sql`, :mod:`repro.oodb`, :mod:`repro.gateway`,
-  :mod:`repro.wrappers`
+* data layer - :mod:`repro.wrappers` (the ISIs) over :mod:`repro.gateway`
+  (JDBC: one driver per dialect) to :mod:`repro.sql`, and over
+  :mod:`repro.oodb`; a :class:`~repro.sql.result.ResultSet` crosses the
+  ORB as the ``ResultSet/4`` value type its own module registers
 """
 
 from repro.core import (Browser, Coalition, CoDatabase, DiscoveryEngine,

@@ -46,8 +46,7 @@ from repro.core.replication import (DEFAULT_LEASE_DURATION, ReplicaRoute,
 from repro.core.resilience import BACKGROUND, ResiliencePolicy, call_policy
 from repro.core.service_link import EndpointKind, ServiceLink
 from repro.errors import UnknownDatabase, WebFinditError
-from repro.gateway.api import DriverManager
-from repro.gateway.drivers import LocalDriver
+from repro.gateway.api import LocalDriver
 from repro.oodb.database import ObjectDatabase
 from repro.orb.ior import Ior
 from repro.orb.naming import start_naming_service
@@ -145,7 +144,6 @@ class WebFinditSystem:
         self._wrappers: dict[str, InformationSourceInterface] = {}
         self._ior_cache: dict[str, Ior] = {}
         self._remote_isi_cache: dict[str, RemoteIsi] = {}
-        self.driver_manager = DriverManager()
         self._local_drivers: dict[str, LocalDriver] = {}
 
     # -------------------------------------------------------------------- ORBs --
@@ -200,7 +198,6 @@ class WebFinditSystem:
         connection = driver.connect(
             f"jdbc:{driver.subprotocol}:{database.name}")
         wrapper = RelationalWrapper(description.name, connection,
-                                    dialect=database.dialect,
                                     exported_types=exported_types)
         self._deploy(wrapper, description, dbms=database.dialect.product,
                      orb_product=orb_product, gateway="jdbc")
@@ -228,9 +225,8 @@ class WebFinditSystem:
         name = database.dialect.name
         driver = self._local_drivers.get(name)
         if driver is None:
-            driver = LocalDriver(name, name)
+            driver = LocalDriver(name)
             self._local_drivers[name] = driver
-            self.driver_manager.register(driver)
         driver.register_database(database)
         return driver
 

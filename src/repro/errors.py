@@ -168,7 +168,7 @@ class GatewayError(ReproError):
 
 
 class DriverNotFound(GatewayError):
-    """No registered driver accepts the connection URL."""
+    """The driver does not serve the connection URL's subprotocol."""
 
 
 class ConnectionClosed(GatewayError):

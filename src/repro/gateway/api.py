@@ -1,8 +1,8 @@
 """A DB-API-2.0-shaped connectivity layer (the role JDBC plays in the paper).
 
-``connect(url)`` hands back a :class:`Connection` whose cursors execute
-SQL against the in-process engine the URL names (a driver of
-:mod:`repro.gateway.drivers` resolves it).
+A :class:`LocalDriver` serves one vendor dialect's in-process engines:
+its ``connect(url)`` hands back a :class:`Connection` whose cursors
+execute SQL against the engine the URL names.
 
 URLs follow the JDBC convention::
 
@@ -12,6 +12,7 @@ URLs follow the JDBC convention::
 
 from __future__ import annotations
 
+import re
 from typing import Any, Iterable, Optional, Sequence
 
 from repro.errors import ConnectionClosed, DriverNotFound, GatewayError
@@ -147,13 +148,6 @@ class Connection:
         self.database = database
         self._closed = False
 
-    @property
-    def banner(self) -> str:
-        return self.database.banner
-
-    def table_names(self) -> list[str]:
-        return self.database.table_names()
-
     # -- DB-API surface -------------------------------------------------------------
 
     def cursor(self) -> Cursor:
@@ -189,31 +183,49 @@ class Connection:
         self.close()
 
 
-class DriverManager:
-    """Registry of drivers, mirroring ``java.sql.DriverManager``."""
+_URL_RE = re.compile(
+    r"^jdbc:(?P<subprotocol>[a-z0-9]+):(?://(?P<host>[^/]+)/)?(?P<database>.+)$")
 
-    def __init__(self) -> None:
-        self._drivers: list = []
 
-    def register(self, driver) -> None:
-        """Register a driver instance (checked in registration order)."""
-        self._drivers.append(driver)
+def parse_url(url: str) -> tuple[str, Optional[str], str]:
+    """Split a JDBC-style URL into (subprotocol, host, database)."""
+    match = _URL_RE.match(url)
+    if match is None:
+        raise GatewayError(f"malformed connection URL {url!r}")
+    return (match.group("subprotocol"), match.group("host"),
+            match.group("database"))
+
+
+class LocalDriver:
+    """The driver of one vendor dialect: ``jdbc:<dialect>:<database>``
+    resolves to one of the in-process engines registered with it."""
+
+    def __init__(self, dialect_name: str):
+        #: The URL subprotocol, which is the dialect's name.
+        self.subprotocol = dialect_name
+        self._databases: dict[str, Database] = {}
+
+    def register_database(self, database: Database) -> None:
+        """Make *database* reachable as ``jdbc:<subprotocol>:<name>``."""
+        if database.dialect.name != self.subprotocol:
+            raise GatewayError(
+                f"driver {self.subprotocol!r} serves only its own dialect; "
+                f"{database.name!r} speaks {database.dialect.name!r}")
+        key = database.name.lower()
+        if key in self._databases:
+            raise GatewayError(
+                f"database {database.name!r} already registered on "
+                f"driver {self.subprotocol!r}")
+        self._databases[key] = database
 
     def connect(self, url: str) -> Connection:
-        """Open a connection using the first driver accepting *url*."""
-        for driver in self._drivers:
-            if driver.accepts(url):
-                return driver.connect(url)
-        raise DriverNotFound(f"no registered driver accepts {url!r}")
-
-    def drivers(self) -> list:
-        return list(self._drivers)
-
-
-#: The default, process-wide driver manager.
-default_manager = DriverManager()
-
-
-def connect(url: str, manager: Optional[DriverManager] = None) -> Connection:
-    """Module-level ``connect``, as DB-API prescribes."""
-    return (manager or default_manager).connect(url)
+        subprotocol, __, database_name = parse_url(url)
+        if subprotocol != self.subprotocol:
+            raise DriverNotFound(
+                f"driver {self.subprotocol!r} does not accept {url!r}")
+        database = self._databases.get(database_name.lower())
+        if database is None:
+            raise GatewayError(
+                f"driver {self.subprotocol!r} knows no database "
+                f"{database_name!r}")
+        return Connection(url, database)

@@ -36,11 +36,12 @@ from typing import Any, Optional, Union
 from repro.errors import OqlError
 from repro.oodb.objects import Oid, OObject
 from repro.sql.codegen import CACHE_SIZE
+from repro.sql.lexer import number
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
         (?P<string>'(?:[^']|'')*')
-      | (?P<number>-?\d+(?:\.\d+)?)
+      | (?P<number>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
       | (?P<path>[A-Za-z_][\w]*(?:\.[A-Za-z_][\w]*)*)
       | (?P<op><=|>=|<>|!=|=|<|>)
       | (?P<punct>[(),*])
@@ -68,8 +69,11 @@ def _tokenize(text: str) -> list[tuple[str, Any]]:
             tokens.append(("string", raw[1:-1].replace("''", "'")))
         elif match.lastgroup == "number":
             raw = match.group("number")
-            value = float(raw) if "." in raw else int(raw)
-            tokens.append(("number", value))
+            try:
+                tokens.append(("number", number(raw)))
+            except ValueError:  # more digits than ``int`` converts
+                raise OqlError(f"malformed number of {len(raw)} digits") \
+                    from None
         elif match.lastgroup == "path":
             word = match.group("path")
             if word.upper() in _KEYWORDS and "." not in word:

@@ -109,12 +109,21 @@ class ExportedType:
 class InformationSourceInterface:
     """Abstract wrapper around one native database.
 
-    Concrete subclasses provide:
-
-    * :meth:`execute_native` — run a native-language query;
-    * :meth:`_run_binding` — execute one function binding;
-    * :attr:`native_language` and :attr:`banner`.
+    A concrete wrapper sets the two values and defines the two methods
+    declared below; one that forwards :meth:`invoke` whole (the remote
+    ISI) runs no binding and defines no ``_run_binding``.
     """
+
+    #: The source's native query language (``SQL``, ``OQL``, ...).
+    native_language: str
+    #: Product banner of the wrapped store.
+    banner: str
+    #: ``execute_native(query, params=None)``: run a query written in
+    #: the source's native language.
+    execute_native: Callable[..., Any]
+    #: ``_run_binding(fn, args)``: run one exported function's binding
+    #: (what :meth:`invoke` calls once the call is checked).
+    _run_binding: Callable[[ExportedFunction, list[Any]], Any]
 
     def __init__(self, source_name: str, wrapper_name: str,
                  exported_types: Optional[Sequence[ExportedType]] = None):
@@ -187,23 +196,3 @@ class InformationSourceInterface:
                 f"{type_name}.{function_name} has no execution binding")
         self.invocations += 1
         return self._run_binding(fn, list(args))
-
-    # -- to implement ------------------------------------------------------------------
-
-    @property
-    def native_language(self) -> str:
-        """The source's native query language (``SQL``, ``OQL``, ...)."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    @property
-    def banner(self) -> str:
-        """Product banner of the wrapped store."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def execute_native(self, query: str,
-                       params: Optional[Sequence[Any]] = None) -> Any:
-        """Run a query written in the source's native language."""
-        raise NotImplementedError  # pragma: no cover - interface
-
-    def _run_binding(self, fn: ExportedFunction, args: list[Any]) -> Any:
-        raise NotImplementedError  # pragma: no cover - interface

@@ -9,6 +9,7 @@ functions next to OQL-template bindings for declarative access.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Optional, Sequence
 
 from repro.errors import TranslationError
@@ -18,12 +19,16 @@ from repro.wrappers.base import (CallableBinding, ExportedFunction,
                                  OqlBinding)
 
 
-def _oql_literal(value: Any) -> str:
-    """Render a Python value as an OQL literal."""
+def _oql_literal(value: Any, function_name: str) -> str:
+    """Render a Python value as an OQL literal (an argument of
+    *function_name*)."""
     if value is None:
         return "NULL"
     if isinstance(value, bool):
         return "TRUE" if value else "FALSE"
+    if isinstance(value, float) and not math.isfinite(value):
+        raise TranslationError(
+            f"argument {value!r} of {function_name!r} has no OQL literal")
     if isinstance(value, (int, float)):
         return repr(value)
     escaped = str(value).replace("'", "''")
@@ -40,28 +45,16 @@ class ObjectDbWrapper(InformationSourceInterface):
     checked against Figure 2.
     """
 
+    native_language = "OQL"
+
     def __init__(self, source_name: str, database: ObjectDatabase,
-                 wrapper_name: Optional[str] = None,
                  binding_style: str = "c++",
                  exported_types: Optional[Sequence[ExportedType]] = None):
         self._database = database
         self.binding_style = binding_style
-        if wrapper_name is None:
-            wrapper_name = f"WebTassili{database.product}"
-        super().__init__(source_name, wrapper_name, exported_types)
-
-    @property
-    def native_language(self) -> str:
-        return "OQL"
-
-    @property
-    def banner(self) -> str:
-        return self._database.banner
-
-    @property
-    def database(self) -> ObjectDatabase:
-        """The wrapped object database."""
-        return self._database
+        self.banner = database.banner
+        super().__init__(source_name, f"WebTassili{database.product}",
+                         exported_types)
 
     def describe(self) -> dict[str, Any]:
         description = super().describe()
@@ -83,7 +76,7 @@ class ObjectDbWrapper(InformationSourceInterface):
             return binding.function(self._database, *args)
         if isinstance(binding, OqlBinding):
             substitutions = {
-                name: _oql_literal(value)
+                name: _oql_literal(value, fn.name)
                 for name, value in zip(binding.parameters, args)
             }
             try:

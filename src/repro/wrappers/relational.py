@@ -1,9 +1,8 @@
 """Wrapper for relational sources (the ``WebTassiliOracle`` role).
 
-Translates exported-function invocations into SQL executed through the
-gateway — over a local connection or a JDBC-over-IIOP one; the wrapper
-does not care, which is exactly the transparency JDBC gave the paper's
-server objects.
+Translates exported-function invocations into SQL executed through a
+gateway connection, the transparency JDBC gave the paper's server
+objects.
 
 The paper's running example (§2.3) is preserved by
 :meth:`RelationalWrapper.generate_sql`: invoking
@@ -19,8 +18,9 @@ from typing import Any, Optional, Sequence
 
 from repro.errors import TranslationError
 from repro.gateway.api import Connection
-from repro.sql.dialect import Dialect
+from repro.sql.lexer import tokenize
 from repro.sql.result import ResultSet
+from repro.sql.tokens import TokenType
 from repro.wrappers.base import (ExportedFunction, ExportedType,
                                  InformationSourceInterface, SqlBinding)
 
@@ -28,25 +28,18 @@ from repro.wrappers.base import (ExportedFunction, ExportedType,
 class RelationalWrapper(InformationSourceInterface):
     """ISI over a gateway connection to a relational database."""
 
+    native_language = "SQL"
+
     def __init__(self, source_name: str, connection: Connection,
-                 wrapper_name: Optional[str] = None,
-                 dialect: Optional[Dialect] = None,
                  exported_types: Optional[Sequence[ExportedType]] = None):
         self._connection = connection
-        self._dialect = dialect or connection.database.dialect
-        if wrapper_name is None:
-            wrapper_name = f"WebTassili{self._dialect.product.split()[0]}"
-        super().__init__(source_name, wrapper_name, exported_types)
+        self._dialect = connection.database.dialect
+        self.banner = connection.database.banner
+        super().__init__(source_name,
+                         f"WebTassili{self._dialect.product.split()[0]}",
+                         exported_types)
 
     # -- ISI surface -------------------------------------------------------------
-
-    @property
-    def native_language(self) -> str:
-        return "SQL"
-
-    @property
-    def banner(self) -> str:
-        return self._connection.banner
 
     def execute_native(self, query: str,
                        params: Optional[Sequence[Any]] = None) -> ResultSet:
@@ -69,23 +62,26 @@ class RelationalWrapper(InformationSourceInterface):
     def generate_sql(self, type_name: str, function_name: str,
                      args: Sequence[Any]) -> str:
         """The SQL text an invocation translates to, with literals
-        substituted in this source's dialect (for user display)."""
+        substituted in this source's dialect (for user display).  The
+        placeholders are the statement's ``?`` tokens, so a ``?`` inside
+        a string literal or a comment is text; there must be exactly
+        one per argument."""
         exported = self.exported_type(type_name)
         fn = exported.function(function_name)
         if not isinstance(fn.binding, SqlBinding):
             raise TranslationError(
                 f"{type_name}.{function_name} is not SQL-bound")
         sql = fn.binding.sql
-        for value in args:
-            literal = self._dialect.format_literal(value)
-            if "?" not in sql:
-                raise TranslationError(
-                    f"binding for {fn.name!r} has fewer placeholders "
-                    f"than arguments")
-            sql = sql.replace("?", literal, 1)
-        return sql
-
-    @property
-    def connection(self) -> Connection:
-        """The underlying gateway connection."""
-        return self._connection
+        line_starts = [0] + [index + 1 for index, char in enumerate(sql)
+                             if char == "\n"]
+        places = [line_starts[token.line - 1] + token.column - 1
+                  for token in tokenize(sql) if token.type is TokenType.PARAM]
+        if len(places) != len(args):
+            raise TranslationError(
+                f"binding for {fn.name!r} has {len(places)} placeholders "
+                f"for {len(args)} arguments")
+        pieces, end = [], 0
+        for place, value in zip(places, args):
+            pieces += (sql[end:place], self._dialect.format_literal(value))
+            end = place + 1
+        return "".join(pieces) + sql[end:]

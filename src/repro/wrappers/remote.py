@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-# Imported for its registration: a native query answers with a
-# ResultSet, which crosses this interface as a CDR value type.
-import repro.gateway.bridge  # noqa: F401
 from repro.errors import AccessError
 from repro.orb.idl import InterfaceBuilder, InterfaceDef
 from repro.orb.ior import Ior
@@ -69,7 +66,8 @@ class RemoteIsi(InformationSourceInterface):
         description = proxy.invoke("describe")
         if not isinstance(description, dict):
             raise AccessError("remote ISI returned a malformed description")
-        self._description = description
+        self.native_language = str(description.get("language", "unknown"))
+        self.banner = str(description.get("banner", "unknown"))
         types = [
             ExportedType(
                 name=t["name"],
@@ -89,14 +87,6 @@ class RemoteIsi(InformationSourceInterface):
                          wrapper_name=description.get("wrapper", "remote"),
                          exported_types=types)
 
-    @property
-    def native_language(self) -> str:
-        return str(self._description.get("language", "unknown"))
-
-    @property
-    def banner(self) -> str:
-        return str(self._description.get("banner", "unknown"))
-
     def execute_native(self, query: str,
                        params: Optional[Sequence[Any]] = None) -> Any:
         return self._proxy.invoke("execute_native", query,
@@ -109,7 +99,3 @@ class RemoteIsi(InformationSourceInterface):
         self.invocations += 1
         return self._proxy.invoke("invoke", type_name, function_name,
                                   list(args))
-
-    def _run_binding(self, fn: ExportedFunction,
-                     args: list[Any]) -> Any:  # pragma: no cover - unused
-        raise AccessError("RemoteIsi forwards invocations; no local bindings")

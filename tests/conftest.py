@@ -27,7 +27,9 @@ from repro.sql.engine import Database
 # tests/core/test_discovery_model.py,
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
-# loaded profile, as does tests/sql/test_probe_join.py, and
+# loaded profile, as do tests/sql/test_probe_join.py,
+# tests/wrappers/test_generate_sql.py and
+# tests/wrappers/test_oql_literals.py, and
 # tests/webtassili/test_roundtrip_properties.py,
 # tests/webtassili/test_parse_memo.py, tests/webtassili/test_shape_memo.py
 # and tests/sql/test_shape_cache.py ten times their own example counts;

@@ -30,7 +30,7 @@ import json
 import pathlib
 import random
 
-import repro.gateway.bridge  # noqa: F401  (registers ResultSet)
+import repro.sql.result  # noqa: F401  (registers ResultSet)
 from repro.orb.cdr import encode_any
 from repro.sql.result import ResultSet
 from repro.sql.types import SqlType

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
-from repro.gateway import bridge
+from repro.sql import result as bridge
 from repro.orb.cdr import decode_any, encode_any
 from repro.sql.result import ResultSet
 from repro.sql.types import SqlType

@@ -4,8 +4,7 @@ import pytest
 
 from repro.errors import (ConnectionClosed, DriverNotFound, GatewayError,
                           TransactionError)
-from repro.gateway import (DriverManager, LocalDriver, connect,
-                           make_vendor_drivers, parse_url)
+from repro.gateway import LocalDriver, parse_url
 from repro.sql.engine import Database
 
 
@@ -16,11 +15,9 @@ def manager():
                "price REAL)")
     db.executemany("INSERT INTO item VALUES (?, ?, ?)",
                    [[1, "pen", 1.5], [2, "book", 12.0], [3, "lamp", 40.0]])
-    driver = LocalDriver("oracle", "oracle")
+    driver = LocalDriver("oracle")
     driver.register_database(db)
-    mgr = DriverManager()
-    mgr.register(driver)
-    return mgr
+    return driver
 
 
 class TestUrls:
@@ -46,29 +43,15 @@ class TestUrls:
 
 class TestDrivers:
     def test_dialect_mismatch_rejected(self):
-        driver = LocalDriver("oracle", "oracle")
+        driver = LocalDriver("oracle")
         with pytest.raises(GatewayError):
             driver.register_database(Database("x", dialect="msql"))
 
     def test_duplicate_database_rejected(self):
-        driver = LocalDriver("repro", None)
+        driver = LocalDriver("generic")
         driver.register_database(Database("x"))
         with pytest.raises(GatewayError):
             driver.register_database(Database("x"))
-
-    def test_vendor_driver_set(self):
-        drivers = make_vendor_drivers()
-        assert set(drivers) == {"oracle", "msql", "db2", "sybase", "repro"}
-
-    def test_generic_driver_accepts_any_dialect(self):
-        driver = make_vendor_drivers()["repro"]
-        driver.register_database(Database("any", dialect="db2"))
-        connection = driver.connect("jdbc:repro:any")
-        assert connection.banner.startswith("DB2")
-
-    def test_database_names_listing(self, manager):
-        driver = manager.drivers()[0]
-        assert driver.database_names() == ["shop"]
 
 
 class TestCursorProtocol:
@@ -162,12 +145,3 @@ class TestCursorProtocol:
         connection.rollback()
         cursor = connection.execute("SELECT name FROM item WHERE id = 4")
         assert cursor.fetchall() == [("mug",)]
-
-    def test_module_level_connect_uses_default_manager(self):
-        from repro.gateway import default_manager
-        db = Database("global-test")
-        driver = LocalDriver("repro", None)
-        driver.register_database(db)
-        default_manager.register(driver)
-        connection = connect("jdbc:repro:global-test")
-        assert connection.table_names() == []

@@ -30,7 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import MarshalError
-from repro.gateway import bridge  # (importing it registers ResultSet)
+from repro.sql import result as bridge  # (importing it registers ResultSet)
 from repro.orb.cdr import CdrEncoder, decode_any, encode_any
 from repro.sql.result import ResultSet
 from repro.sql.types import STORED_AS, SqlType

@@ -113,6 +113,10 @@ class TestErrors:
         with pytest.raises(OqlError):
             db.query("SELECT name FROM Emp extra tokens ( (")
 
+    def test_number_too_long_for_int(self, db):
+        with pytest.raises(OqlError):
+            db.query("SELECT name FROM Emp WHERE salary = " + "1" * 5000)
+
     def test_like_requires_string(self, db):
         with pytest.raises(OqlError):
             db.query("SELECT name FROM Emp WHERE name LIKE 5")

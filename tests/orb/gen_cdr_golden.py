@@ -47,7 +47,7 @@ import json
 import pathlib
 import sys
 
-import repro.gateway.bridge  # noqa: F401  (registers ResultSet)
+import repro.sql.result  # noqa: F401  (registers ResultSet)
 from repro.core.coalition import Coalition
 from repro.core.model import SourceDescription
 from repro.core.service_link import EndpointKind, ServiceLink

@@ -10,7 +10,7 @@ equal, node for node of the same class (``True`` is not ``1``, a
 ``Coalition`` is not its struct).
 
 **Packed columns.**  A ``ResultSet`` travels column-packed
-(``gateway/bridge.py``): the ``result_sets`` strategy draws every column
+(``sql/result.py``): the ``result_sets`` strategy draws every column
 kind, the per-cell ``any`` fallback, nulls anywhere, ``True`` among
 ints, ``long`` -> ``long long`` -> bigint promotion inside one column,
 NaN and ``-0.0`` (compared bit for bit), strings empty / astral / with
@@ -47,7 +47,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.gateway import bridge  # (importing it registers ResultSet)
+from repro.sql import result as bridge  # (importing it registers ResultSet)
 from repro.core.coalition import Coalition
 from repro.core.codatabase import CoalitionMatch, ConsultAnswer, LinkLead
 from repro.core.model import SourceDescription

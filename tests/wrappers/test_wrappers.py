@@ -35,10 +35,10 @@ def relational():
     db.execute("CREATE TABLE projects (Title VARCHAR(60), Funding REAL)")
     db.execute("INSERT INTO projects VALUES ('AIDS and drugs', 1250000.0), "
                "('Melanoma', 400000.0)")
-    driver = LocalDriver("oracle", "oracle")
+    driver = LocalDriver("oracle")
     driver.register_database(db)
     connection = driver.connect("jdbc:oracle:RBH")
-    return RelationalWrapper("RBH", connection, dialect=db.dialect,
+    return RelationalWrapper("RBH", connection,
                              exported_types=[projects_type()])
 
 
