@@ -1,8 +1,7 @@
-"""The ``ResultSet`` CDR value type registered by the gateway."""
+"""The ``ResultSet`` CDR value type (``repro.sql.result`` registers it)."""
 
 import datetime
 
-import repro.gateway  # noqa: F401 — registers ResultSet/4
 from repro.orb import decode_any, encode_any
 from repro.sql.result import ResultSet
 

@@ -25,7 +25,6 @@ import enum
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.gateway  # noqa: F401  (registers ResultSet/4)
 from repro.apps.healthcare.schemas import RBH_DDL
 from repro.orb import decode_any, encode_any
 from repro.sql.engine import Database
