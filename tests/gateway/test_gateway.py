@@ -5,6 +5,7 @@ import pytest
 from repro.errors import (ConnectionClosed, DriverNotFound, GatewayError,
                           TransactionError)
 from repro.gateway import LocalDriver, parse_url
+from repro.sql.dialect import DIALECTS
 from repro.sql.engine import Database
 
 
@@ -52,6 +53,18 @@ class TestDrivers:
         driver.register_database(Database("x"))
         with pytest.raises(GatewayError):
             driver.register_database(Database("x"))
+
+    def test_vendor_driver_set(self):
+        drivers = {name: LocalDriver(name) for name in DIALECTS}
+        assert set(drivers) == {"oracle", "msql", "db2", "sybase", "generic"}
+        for name, driver in drivers.items():
+            db = Database(f"{name}-db", dialect=name)
+            driver.register_database(db)
+            connection = driver.connect(f"jdbc:{name}:{name}-db")
+            assert connection.database is db
+            for other in set(drivers) - {name}:
+                with pytest.raises(DriverNotFound):
+                    driver.connect(f"jdbc:{other}:{name}-db")
 
 
 class TestCursorProtocol:
