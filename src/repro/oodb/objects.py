@@ -6,6 +6,7 @@ from typing import Any, Iterable, Iterator, Optional
 
 from repro.errors import SchemaError
 from repro.oodb.schema import Attribute, Schema
+from repro.orb.cdr import CdrDecoder, CdrEncoder, register_value
 
 
 class Oid:
@@ -27,6 +28,20 @@ class Oid:
 
     def __repr__(self) -> str:
         return f"Oid({self.value})"
+
+
+def _write_oid(encoder: CdrEncoder, oid: Oid) -> None:
+    encoder.write_longlong(oid.value)
+
+
+def _read_oid(decoder: CdrDecoder) -> Oid:
+    return Oid(decoder.read_longlong())
+
+
+# A reference in an answer (a ``SELECT *`` row of a class with a
+# reference attribute) crosses the wire as the integer it carries, a CDR
+# long long (layout: docs/engines.md).
+register_value("Oid/1", Oid, _write_oid, _read_oid)
 
 
 class OObject:

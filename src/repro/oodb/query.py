@@ -37,6 +37,7 @@ from repro.errors import OqlError
 from repro.oodb.objects import Oid, OObject
 from repro.sql.codegen import CACHE_SIZE
 from repro.sql.lexer import number
+from repro.sql.parser import MAX_DEPTH
 
 _TOKEN_RE = re.compile(r"""
     \s*(?:
@@ -185,6 +186,7 @@ class _Parser:
         self._tokens = _tokenize(text)
         self._pos = 0
         self._alias: Optional[str] = None
+        self._depth = 0
 
     def _peek(self) -> tuple[str, Any]:
         return self._tokens[self._pos]
@@ -277,12 +279,21 @@ class _Parser:
             parts.append(self._condition())
         return parts[0] if len(parts) == 1 else _And(tuple(parts))
 
+    def _nested(self, parse):
+        """``parse()``, one level deeper (a ``NOT`` or a parenthesis)."""
+        self._depth += 1
+        if self._depth > MAX_DEPTH:
+            raise OqlError(f"OQL nests deeper than {MAX_DEPTH} levels")
+        node = parse()
+        self._depth -= 1
+        return node
+
     def _condition(self):
         if self._accept_keyword("NOT"):
-            return _Not(self._condition())
+            return _Not(self._nested(self._condition))
         if self._peek() == ("punct", "("):
             self._advance()
-            inner = self._predicate()
+            inner = self._nested(self._predicate)
             if self._advance() != ("punct", ")"):
                 raise OqlError("expected ')'")
             return inner
@@ -363,9 +374,13 @@ def run_query(database, oql: str) -> list[dict[str, Any]]:
         if predicate.evaluate(candidate, database)]
     if parsed.order_path is not None:
         order_path = parsed.order_path
-        selected.sort(key=lambda o: _sort_key(resolve_path(database, o,
-                                                           order_path)),
-                      reverse=parsed.order_desc)
+        try:
+            selected.sort(key=lambda o: _sort_key(
+                resolve_path(database, o, order_path)),
+                reverse=parsed.order_desc)
+        except TypeError:
+            raise OqlError(f"cannot order by {order_path.text!r}: its "
+                           "values do not compare") from None
     if parsed.count:
         return [{"count": len(selected)}]
     rows: list[dict[str, Any]] = []

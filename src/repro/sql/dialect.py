@@ -19,6 +19,7 @@ wrapper layer relies on.
 from __future__ import annotations
 
 import datetime
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -61,8 +62,8 @@ class Dialect:
             return "NULL"
         if isinstance(value, bool):
             return "TRUE" if value else "FALSE"
-        if isinstance(value, (int, float)):
-            return repr(value)
+        if isinstance(value, (int, float)) and abs(value) < math.inf:
+            return repr(value)  # NaN and the infinities have no literal
         if isinstance(value, datetime.date):
             return f"'{value.isoformat()}'"
         if isinstance(value, str):

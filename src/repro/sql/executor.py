@@ -40,14 +40,20 @@ def execute_plan(plan, params: Optional[Sequence[Any]],
 
 
 def _result(plan: QueryPlan, frame: Frame) -> ResultSet:
-    """A query's result, column by column.  A SELECT whose output is its
-    source's rows as they come takes its columns straight from them —
-    over a base table the stored rows, uncopied; any other query's rows
-    are transposed once."""
+    """A query's result, column by column: a base table's rows as they
+    come from its column view, any other rows transposed once."""
     if isinstance(plan, SelectPlan) and plan.project is None \
             and not (plan.select.distinct or plan.order) \
             and plan.limit is None and plan.offset is None:
-        rows = _materialize(plan.source, frame, False)
+        source = plan.source
+        found = source.table.row_ids() if isinstance(source, TableScan) \
+            else _probe(source, frame) \
+            if isinstance(source, (IndexLookup, IndexRange)) else None
+        if found is not None:
+            return ResultSet.from_columns(
+                plan.columns, source.table.columns_at(found), len(found),
+                plan.kinds)
+        rows = _materialize(source, frame, False)
     else:
         rows = run_query(plan, frame)
     values = list(zip(*rows)) if len(rows) else [()] * len(plan.columns)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
-from typing import AbstractSet, Any, Iterable, Iterator, Optional
+from typing import AbstractSet, Any, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import IntegrityError
 from repro.sql.catalog import TableSchema
@@ -124,6 +124,9 @@ class Table:
         self.schema = schema
         self._rows: dict[int, Row] = {}
         self._next_row_id = 1
+        #: Each row id's position, and per column its cells in that order:
+        #: built by the first whole-row read, dropped by every write.
+        self._columns: Optional[tuple[dict[int, int], list[list]]] = None
         self._indexes: dict[str, HashIndex] = {}
         if schema.primary_key:
             positions = [schema.column_index(c) for c in schema.primary_key]
@@ -166,6 +169,7 @@ class Table:
                 index.remove(row_id, row)
             raise
         self._rows[row_id] = row
+        self._columns = None
         self._next_row_id += 1
         return row_id
 
@@ -187,11 +191,13 @@ class Table:
                 index.insert(row_id, old_row)
             raise
         self._rows[row_id] = new_row
+        self._columns = None
 
     def delete(self, row_id: int) -> None:
         row = self._rows.pop(row_id)
         for index in self._indexes.values():
             index.remove(row_id, row)
+        self._columns = None
 
     def rows_at(self, row_ids: Iterable[int]) -> list[tuple[int, Row]]:
         """``(row_id, row)`` pairs, as :meth:`scan` yields them, for
@@ -208,6 +214,26 @@ class Table:
         """Tuple copies of the rows at *row_ids*, in that order."""
         rows = self._rows
         return [tuple(rows[row_id]) for row_id in row_ids]
+
+    def row_ids(self) -> list[int]:
+        """Every row id, in scan order (ascending)."""
+        return list(self._rows)
+
+    def columns_at(self, row_ids: Sequence[int]) -> list[tuple]:
+        """The cells of the rows at *row_ids* (ascending), one tuple per
+        column (the rows transposed), read from the column view."""
+        if not row_ids:
+            return [()] * len(self.schema.columns)
+        if self._columns is None:
+            self._columns = (
+                {row_id: at for at, row_id in enumerate(self._rows)},
+                [list(column) for column in zip(*self._rows.values())])
+        at, columns = self._columns
+        first, last = at[row_ids[0]], at[row_ids[-1]]
+        if last - first == len(row_ids) - 1:  # adjacent rows: one slice a column
+            return [tuple(column[first:last + 1]) for column in columns]
+        take = itemgetter(*itemgetter(*row_ids)(at))
+        return [take(column) for column in columns]
 
     def scan(self) -> Iterator[tuple[int, Row]]:
         """Iterate (row_id, row) pairs in insertion order."""
@@ -261,6 +287,7 @@ class Table:
         self.schema.columns.append(column)
         for row in self._rows.values():
             row.append(value)
+        self._columns = None
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -280,6 +307,7 @@ class Table:
             for row_id, row in rows.items()
         }
         self._next_row_id = next_row_id
+        self._columns = None
         for index in self._indexes.values():
             index.clear()
             for row_id, row in self._rows.items():

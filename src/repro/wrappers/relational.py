@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Any, Optional, Sequence
 
-from repro.errors import TranslationError
+from repro.errors import SqlError, TranslationError
 from repro.gateway.api import Connection
 from repro.sql.lexer import tokenize
 from repro.sql.result import ResultSet
@@ -82,6 +82,12 @@ class RelationalWrapper(InformationSourceInterface):
                 f"for {len(args)} arguments")
         pieces, end = [], 0
         for place, value in zip(places, args):
-            pieces += (sql[end:place], self._dialect.format_literal(value))
+            try:
+                literal = self._dialect.format_literal(value)
+            except SqlError:
+                raise TranslationError(
+                    f"argument {value!r} of {fn.name!r} has no SQL "
+                    f"literal") from None
+            pieces += (sql[end:place], literal)
             end = place + 1
         return "".join(pieces) + sql[end:]

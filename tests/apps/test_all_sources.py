@@ -8,6 +8,7 @@ this suite finds it.
 import pytest
 
 from repro.apps.healthcare import topology as topo
+from repro.oodb import Oid
 
 #: (source, type, function, args) — one call per exported function.
 INVOCATIONS = [
@@ -81,3 +82,28 @@ class TestAllSources:
             assert total > 0
         else:
             assert len(healthcare.objects[spec.name]) > 0
+
+    def test_every_object_class_answers_select_star(self, healthcare):
+        """Every class of every object store answers ``SELECT *`` through
+        a browser, over the ORB: the rows the store holds, with every
+        reference (a scalar or a list of them) arriving as an equal
+        ``Oid`` (the ``Oid/1`` value type)."""
+        browser = healthcare.system.browser(topo.QUT)
+        references = 0
+        for name, database in healthcare.objects.items():
+            for class_name in database.schema.class_names():
+                oql = f"SELECT * FROM {class_name}"
+                answer = browser.submit(f"Query '{name}' Native '{oql}'")
+                assert answer.data == database.query(oql), class_name
+                kinds = database.schema.attribute_map(class_name)
+                for row in answer.data:
+                    for attribute, value in row.items():
+                        if attribute in kinds \
+                                and kinds[attribute].kind == "object":
+                            cells = value if kinds[attribute].many \
+                                else [value]
+                            assert all(type(cell) is Oid
+                                       for cell in cells if cell is not None)
+                            references += len(cells)
+                assert class_name in answer.text
+        assert references > 0

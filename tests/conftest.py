@@ -28,6 +28,7 @@ from repro.sql.engine import Database
 # tests/core/test_topic_index.py and
 # tests/core/test_write_path_properties.py take their settings from the
 # loaded profile, as do tests/sql/test_probe_join.py,
+# tests/sql/test_column_view.py,
 # tests/wrappers/test_generate_sql.py and
 # tests/wrappers/test_oql_literals.py, and
 # tests/webtassili/test_roundtrip_properties.py,

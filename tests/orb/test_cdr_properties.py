@@ -336,7 +336,7 @@ def test_a_misshapen_value_payload_is_a_marshal_error(payload):
     followed by some other ``any`` — is a value (the hook may accept
     it) or the codec's error naming the class, never the hook's own."""
     for type_id in ("SourceDescription/2", "ServiceLink/2", "EndpointKind",
-                    "ResultSet/4", "ConsultAnswer/1"):
+                    "ResultSet/4", "ConsultAnswer/1", "Oid/1"):
         name = type_id.partition("/")[0]
         encoder = CdrEncoder()
         encoder.write_octet(cdr.TAG_VALUE)

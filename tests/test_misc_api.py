@@ -130,6 +130,18 @@ class TestDialectsEdgeCases:
         with pytest.raises(SqlError):
             GENERIC.format_literal(object())
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"),
+                                       float("nan")])
+    def test_a_non_finite_real_has_no_literal(self, value):
+        """``inf`` would lex as a column name: no literal is rendered."""
+        from repro.errors import SqlError
+        from repro.sql.dialect import GENERIC, ORACLE
+        for dialect in (GENERIC, ORACLE):
+            with pytest.raises(SqlError, match="as a SQL literal"):
+                dialect.format_literal(value)
+        assert GENERIC.format_literal(-0.0) == "-0.0"
+        assert GENERIC.format_literal(10 ** 30) == str(10 ** 30)
+
     def test_quote_identifier_doubles_quotes(self):
         from repro.sql.dialect import GENERIC
         assert GENERIC.quote_identifier('we"ird') == '"we""ird"'
