@@ -36,6 +36,10 @@ from repro.orb.idl import InterfaceBuilder, InterfaceDef
 #: Root class name for the coalition lattice inside every co-database.
 SOURCE_ROOT_CLASS = "InformationSource"
 
+#: Most ``consult`` answers one topic index keeps; a question past them
+#: is answered and not stored.
+CONSULT_MEMO_SIZE = 64
+
 
 class _TopicIndex(NamedTuple):
     """Everything ``consult`` scores, derived from one co-database state.
@@ -59,6 +63,10 @@ class _TopicIndex(NamedTuple):
     #: The links' distinct contacts, in link order.
     contacts: tuple[str, ...]
     neighbors: tuple[str, ...]
+    #: ``(query, neighbors, threshold)`` -> the :class:`ConsultAnswer`
+    #: given: it lives and dies with the index, whose key covers every
+    #: other input of ``consult``.
+    answers: dict[tuple[str, bool, float], "ConsultAnswer"]
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +500,22 @@ class CoDatabase:
         links route the query on to, advertised topic or not;
         ``neighbors`` is :meth:`neighbor_databases` when asked for (the
         start repository's courtesy check), else empty.
+
+        A question the topic index has answered is answered from its
+        memo: the answer is immutable, so every caller shares it.
         """
         index = self._topic_index()
+        question = (query, neighbors, threshold)
+        answer = index.answers.get(question)
+        if answer is None:
+            answer = self._answer(index, query, neighbors, threshold)
+            if len(index.answers) < CONSULT_MEMO_SIZE:
+                index.answers[question] = answer
+        return answer
+
+    def _answer(self, index: _TopicIndex, query: str, neighbors: bool,
+                threshold: float) -> ConsultAnswer:
+        """:meth:`consult`'s answer, scored from *index*."""
         score_of = word_scorer(query)
         leads: dict[tuple[str, str], LinkLead] = {}
         for kind, name, information_type, label, contact, words \
@@ -570,7 +592,7 @@ class CoDatabase:
         return _TopicIndex(
             key, tuple(coalitions), tuple(links),
             tuple(dict.fromkeys(link[4] for link in links if link[4])),
-            tuple(self.neighbor_databases()))
+            tuple(self.neighbor_databases()), {})
 
     @property
     def object_database(self) -> ObjectDatabase:

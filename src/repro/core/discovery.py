@@ -31,6 +31,7 @@ on the caller's thread, one co-database at a time, in frontier order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Optional, Union
 
 from repro.core.coalition import Coalition
@@ -48,6 +49,13 @@ from repro.orb.orb import Proxy
 
 #: The score at which a lead *resolves* the query (``stop_at_first``).
 FULL_MATCH_SCORE = 0.999
+
+#: Trace lines, recorded as ``(template, *arguments)`` steps.
+_SKIPPING = "[depth {}] skipping co-database of {!r}: deadline exhausted"
+_CONSULTING = "[depth {}] consulting co-database of {!r}"
+_FAILED = "[depth {}] co-database of {!r} {}: {}"
+_COALITION = "    coalition {!r} matches (score {:.2f})"
+_LINK = "    service link {} leads to {} {!r} (score {:.2f})"
 
 
 class CoDatabaseClient:
@@ -281,7 +289,8 @@ class DiscoveryResult:
     codatabases_contacted: int
     metadata_calls: int
     max_depth_reached: int
-    trace: list[str] = field(default_factory=list)
+    #: The trace as ``(template, *arguments)`` steps (see :attr:`trace`).
+    trace_steps: list[tuple] = field(default_factory=list, repr=False)
     #: Databases whose co-databases could not be reached (autonomous
     #: sources leave at their own discretion; resolution continues).
     unreachable: list[str] = field(default_factory=list)
@@ -300,6 +309,11 @@ class DiscoveryResult:
     #: The budget the resolution ran under; follow-up reads share it.
     deadline: Optional[Deadline] = field(default=None, compare=False,
                                          repr=False)
+
+    @cached_property
+    def trace(self) -> list[str]:
+        """One line per step, rendered on first read and kept."""
+        return [step[0].format(*step[1:]) for step in self.trace_steps]
 
     @property
     def resolved(self) -> bool:
@@ -389,15 +403,15 @@ class DiscoveryEngine:
         its circuit breaker says, and its failure raises.
         """
         deadline = as_deadline(deadline)
-        trace: list[str] = []
+        steps: list[tuple] = []
         leads: list[CoalitionLead] = []
         seen_leads: set[str] = set()
         visited: set[str] = {start_database}
         frontier: list[tuple[str, list[str]]] = [(start_database,
                                                   [start_database])]
-        clients: list[CoDatabaseClient] = []
         unreachable: list[str] = []
         degraded = DegradedReport()
+        contacted = calls = cache_hits = cache_misses = failovers = 0
         depth = 0
         max_depth_reached = 0
 
@@ -405,8 +419,6 @@ class DiscoveryEngine:
             max_depth_reached = depth
             next_frontier: list[tuple[str, list[str]]] = []
             start = depth == 0
-            ask = (lambda client:
-                   client.consult(query, start, self._threshold))
             for database_name, path in frontier:
                 if deadline is not None and deadline.expired:
                     # Budget spent before its turn (before or in
@@ -415,18 +427,25 @@ class DiscoveryEngine:
                     degraded.add(database_name, SKIPPED,
                                  "query deadline exhausted before "
                                  "consultation", depth=depth)
-                    trace.append(
-                        f"[depth {depth}] skipping co-database of "
-                        f"{database_name!r}: deadline exhausted")
+                    steps.append((_SKIPPING, depth, database_name))
                     continue
-                outcome = self.consult(database_name, ask, deadline,
-                                       start=start)
-                if outcome.client is not None:
-                    clients.append(outcome.client)
-                    trace.append(
-                        f"[depth {depth}] consulting co-database of "
-                        f"{database_name!r}")
-                error = outcome.error
+                client: Optional[CoDatabaseClient] = None
+
+                def attempt() -> ConsultAnswer:
+                    nonlocal client
+                    if client is None:
+                        client = self._resolve(database_name)
+                    return client.consult(query, start, self._threshold)
+
+                answer, error = self._guarded(attempt, database_name,
+                                              deadline, start)
+                if client is not None:
+                    contacted += 1
+                    calls += client.calls
+                    cache_hits += client.cache_hits
+                    cache_misses += client.cache_misses
+                    failovers += client.failovers
+                    steps.append((_CONSULTING, depth, database_name))
                 if error is not None:
                     # Sources join and leave at their own discretion
                     # (§2.1); a vanished, failing or known-dead
@@ -437,14 +456,12 @@ class DiscoveryEngine:
                     reason = _reason_for(error)
                     if reason != TRIPPED:
                         unreachable.append(database_name)
-                    degraded.add(database_name, reason, str(error),
-                                 depth=depth)
-                    trace.append(
-                        f"[depth {depth}] co-database of "
-                        f"{database_name!r} {reason}: {error}")
+                    detail = str(error)
+                    degraded.add(database_name, reason, detail, depth=depth)
+                    steps.append((_FAILED, depth, database_name, reason,
+                                  detail))
                     continue
-                answer = outcome.answer
-                self._merge(answer, path, leads, seen_leads, trace)
+                self._merge(answer, path, leads, seen_leads, steps)
                 # The paper's courtesy check (asked at depth 0 only):
                 # "WebFINDIT checks whether other databases from the
                 # local coalition are aware of a coalition or service
@@ -469,14 +486,14 @@ class DiscoveryEngine:
         return DiscoveryResult(
             query=query,
             leads=leads,
-            codatabases_contacted=len(clients),
-            metadata_calls=sum(client.calls for client in clients),
+            codatabases_contacted=contacted,
+            metadata_calls=calls,
             max_depth_reached=max_depth_reached,
-            trace=trace,
+            trace_steps=steps,
             unreachable=unreachable,
-            cache_hits=sum(client.cache_hits for client in clients),
-            cache_misses=sum(client.cache_misses for client in clients),
-            failovers=sum(client.failovers for client in clients),
+            cache_hits=cache_hits,
+            cache_misses=cache_misses,
+            failovers=failovers,
             degraded=degraded, deadline=deadline)
 
     def members_of(self, lead: CoalitionLead,
@@ -504,20 +521,18 @@ class DiscoveryEngine:
 
     def consult(self, database_name: str,
                 ask: Callable[[CoDatabaseClient], Any],
-                deadline: Optional[Deadline] = None,
-                start: bool = False) -> Consultation:
+                deadline: Optional[Deadline] = None) -> Consultation:
         """Ask one co-database one question: the one guarded read, for
-        frontier consultations, :meth:`members_of` and the query
-        processor's explore reads.
+        :meth:`members_of` and the query processor's explore reads (a
+        frontier consultation makes the same guarded call).
 
         Resolving the client is the connection step (naming lookup plus
         proxy setup), so it runs inside the same
         :meth:`~repro.core.resilience.ResiliencePolicy.call` as *ask*:
         breaker, deadline and retry budget in the call context, retry,
-        health record, all keyed by *database_name*.  The *start*
-        repository of a resolution is attempted whatever its breaker
-        says.  A :class:`~repro.errors.ReproError` comes back in the
-        outcome, not raised.
+        health record, all keyed by *database_name*.  A
+        :class:`~repro.errors.ReproError` comes back in the outcome, not
+        raised.
         """
         outcome = Consultation()
 
@@ -526,23 +541,31 @@ class DiscoveryEngine:
                 outcome.client = self._resolve(database_name)
             return ask(outcome.client)
 
-        try:
-            if self._policy is None:
-                with call_policy(deadline=deadline, idempotent=True):
-                    outcome.answer = attempt()
-            else:
-                outcome.answer = self._policy.call(
-                    attempt, key=database_name, idempotent=True,
-                    deadline=deadline, probe=start)
-        except ReproError as exc:
-            outcome.error = exc
+        outcome.answer, outcome.error = self._guarded(attempt, database_name,
+                                                      deadline)
         return outcome
 
     # -- internals ---------------------------------------------------------------
 
+    def _guarded(self, attempt: Callable[[], Any], database_name: str,
+                 deadline: Optional[Deadline], start: bool = False
+                 ) -> tuple[Any, Optional[ReproError]]:
+        """``(answer, None)`` or ``(None, error)`` of one guarded call
+        of *attempt*; the *start* repository of a resolution is
+        attempted whatever its breaker says."""
+        try:
+            if self._policy is None:
+                with call_policy(deadline=deadline, idempotent=True):
+                    return attempt(), None
+            return self._policy.call(attempt, key=database_name,
+                                     idempotent=True, deadline=deadline,
+                                     probe=start), None
+        except ReproError as exc:
+            return None, exc
+
     def _merge(self, answer: ConsultAnswer, path: list[str],
                leads: list[CoalitionLead], seen: set[str],
-               trace: list[str]) -> None:
+               steps: list[tuple]) -> None:
         """Fold one co-database's answer into the shared lead/trace
         state, in frontier order; *seen* is what keeps one lead per
         coalition or link target across co-databases."""
@@ -557,9 +580,7 @@ class DiscoveryEngine:
                 score=match.score,
                 members=list(match.members),
                 via=list(path)))
-            trace.append(
-                f"    coalition {match.name!r} matches "
-                f"(score {match.score:.2f})")
+            steps.append((_COALITION, match.name, match.score))
         for link in answer.leads:
             # One lead per link target: multiple links into the same
             # coalition (Figure 1 has seven into Medical) collapse.
@@ -574,7 +595,5 @@ class DiscoveryEngine:
                 via=list(path),
                 through_link=link.label,
                 contact=link.contact))
-            trace.append(
-                f"    service link {link.label} leads to "
-                f"{link.to_kind} {link.to_name!r} "
-                f"(score {link.score:.2f})")
+            steps.append((_LINK, link.label, link.to_kind, link.to_name,
+                          link.score))

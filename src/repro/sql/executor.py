@@ -334,23 +334,28 @@ def _nested_loop(source: NestedLoopJoin, frame: Frame) -> list[tuple]:
 
 def _insert(plan: InsertPlan, frame: Frame) -> int:
     positions = plan.positions
-    count = 0
-    for values in plan.rows_of(frame):
-        if len(values) != len(positions):
-            raise IntegrityError(
-                f"INSERT supplies {len(values)} values for "
-                f"{len(positions)} columns")
-        row = list(plan.defaults)
-        for position, value in zip(positions, values):
-            row[position] = value
-        plan.table.insert(row)
-        count += 1
-    return count
+    inserted: list[int] = []
+    try:
+        for values in plan.rows_of(frame):
+            if len(values) != len(positions):
+                raise IntegrityError(
+                    f"INSERT supplies {len(values)} values for "
+                    f"{len(positions)} columns")
+            row = list(plan.defaults)
+            for position, value in zip(positions, values):
+                row[position] = value
+            inserted.append(plan.table.insert(row))
+    except Exception:
+        for row_id in reversed(inserted):  # all or none, as in sqlite3
+            plan.table.delete(row_id)
+        raise
+    return len(inserted)
 
 
 def _modify(plan: ModifyPlan, frame: Frame) -> int:
     """UPDATE or DELETE: every affected row is found, and every new
-    value computed, before the first one is written."""
+    value computed, before the first one is written; a refused row puts
+    back the rows written before it, newest first, as sqlite3 would."""
     found = _access(plan.source, frame)
     if plan.assignments is None:
         for row_id, __ in found:
@@ -362,6 +367,11 @@ def _modify(plan: ModifyPlan, frame: Frame) -> int:
         for position, value in plan.assignments:
             new_row[position] = value(row, frame)
         touched.append((row_id, new_row))
-    for row_id, new_row in touched:
-        plan.table.update(row_id, new_row)
+    for done, (row_id, new_row) in enumerate(touched):
+        try:
+            plan.table.update(row_id, new_row)
+        except Exception:
+            for old_id, old_row in reversed(found[:done]):
+                plan.table.update(old_id, old_row)
+            raise
     return len(touched)

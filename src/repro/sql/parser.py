@@ -438,8 +438,16 @@ class Parser:
                 column.not_null = True
             elif word == "UNIQUE":
                 column.unique = True
-            elif word == "DEFAULT":
-                column.default = self._primary()
+            elif word == "DEFAULT":  # a literal; a number may be signed
+                sign = self._accept(TokenType.OPERATOR, "-") \
+                    or self._accept(TokenType.OPERATOR, "+")
+                if sign and self._peek().type not in (TokenType.INTEGER,
+                                                      TokenType.REAL):
+                    raise self._error(
+                        f"expected a number after {sign.value!r}")
+                column.default = self._primary()  # a Literal: DDL is unshaped
+                if sign and sign.value == "-":
+                    column.default = ast.Literal(-column.default.value)
         return column
 
     def _create_index(self, unique: bool) -> ast.CreateIndex:

@@ -25,7 +25,7 @@ from repro.sql.engine import Database
 # tests/gateway/test_result_set_wire.py, tests/gateway/test_day_table.py,
 # tests/sql/test_declared_kinds.py,
 # tests/core/test_discovery_model.py,
-# tests/core/test_topic_index.py and
+# tests/core/test_topic_index.py, tests/core/test_consult_memo.py and
 # tests/core/test_write_path_properties.py take their settings from the
 # loaded profile, as do tests/sql/test_probe_join.py,
 # tests/sql/test_column_view.py,

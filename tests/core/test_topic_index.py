@@ -85,7 +85,10 @@ class PlainCoDatabase:
         self.links = {"coalition": [], "database": []}  # by link class
 
     def _require(self, name):
-        if name not in self.classes:
+        # A write needs the coalition's record as well as its class: a
+        # forgotten coalition keeps its class and loses its record.
+        if name not in self.classes \
+                or all(record[0] != name for record in self.records):
             raise Refused(name)
 
     # -- the ten mutators ------------------------------------------------------

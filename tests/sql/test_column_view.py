@@ -8,8 +8,10 @@ the first such read and dropped by every write.
 
 Hypothesis draws scripts of INSERTs, UPDATEs (of a non-key column, of
 the primary key, of a unique column — refused when the value is
-taken), range DELETEs, ``load_rows`` batches, ``ALTER TABLE ADD
-COLUMN`` and transactions rolled back with writes inside.  After every
+taken — one row or a key range of them: a refused range UPDATE puts
+back the rows it wrote), range DELETEs, ``load_rows`` batches, ``ALTER
+TABLE ADD COLUMN`` with a signed DEFAULT and transactions rolled back
+with writes inside.  After every
 step (inside a transaction too) each read — a point key, a unique text
 key, a closed range, an open range, a full scan and a key of the wrong
 type (the row-by-row fallback), as ``SELECT *`` and as ``SELECT t.*``
@@ -60,12 +62,13 @@ WRITES = st.one_of(
     st.tuples(st.just("update"), ids, scores, borns),
     st.tuples(st.just("rekey"), ids, ids),
     st.tuples(st.just("rename"), ids, names),
+    st.tuples(st.just("rename range"), ids, ids, names),
     st.tuples(st.just("delete"), ids, ids),
     st.tuples(st.just("load"), st.integers(1, 3), scores, borns),
 )
 STEPS = st.one_of(
     WRITES,
-    st.tuples(st.just("alter"), st.integers(0, 3)),
+    st.tuples(st.just("alter"), st.integers(-3, 3)),
     st.tuples(st.just("rollback"), st.lists(WRITES, min_size=1, max_size=4)),
 )
 
@@ -128,6 +131,10 @@ class Pair:
         elif kind == "rename":
             self.both("UPDATE t SET name = ? WHERE id = ?",
                       (step[2], step[1]))
+        elif kind == "rename range":
+            __, low, high, name = step
+            self.both("UPDATE t SET name = ? WHERE id BETWEEN ? AND ?",
+                      (name, low, high))
         elif kind == "delete":
             self.both("DELETE FROM t WHERE id BETWEEN ? AND ?", step[1:])
         elif kind == "load":

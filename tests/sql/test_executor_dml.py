@@ -48,15 +48,15 @@ class TestInsert:
             "SELECT name, age FROM person WHERE id = 11").first()
         assert row == ("ZED", 30)
 
-    def test_failed_multi_row_insert_is_partial(self, people_db):
-        # Statement-level atomicity is not promised (era-faithful mSQL
-        # behaviour); the transaction layer provides rollback.
+    def test_failed_multi_row_insert_is_undone(self, people_db):
+        # A statement is atomic, as in sqlite3: the row written before
+        # the clash is taken back.
         with pytest.raises(IntegrityError):
             people_db.execute(
                 "INSERT INTO person VALUES (20, 'Ok', 1, 'A'), "
                 "(1, 'Clash', 2, 'B')")
         assert people_db.execute(
-            "SELECT COUNT(*) FROM person WHERE id = 20").scalar() == 1
+            "SELECT COUNT(*) FROM person WHERE id = 20").scalar() == 0
 
 
 class TestUpdate:
