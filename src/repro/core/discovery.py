@@ -84,9 +84,10 @@ class CoDatabaseClient:
     Whatever the route, a read answers with model objects (CDR value
     types: a proxy delivers them as themselves) or plain structs, and
     hands each caller its own copy of anything mutable — a cached value
-    or an in-process co-database's stored description is shared.  What
-    is immutable (a ``consult`` answer, a service link) is shared as
-    it is.
+    or an in-process co-database's stored description is shared; a
+    description decoded for this call alone (over the wire, no cache)
+    already is the caller's.  What is immutable (a ``consult`` answer,
+    a service link) is shared as it is.
     """
 
     def __init__(self, target: Any, name: str,
@@ -94,6 +95,8 @@ class CoDatabaseClient:
         self._target = target
         self.name = name
         self._cache = cache
+        self._decoded = cache is None and not isinstance(
+            target, (CoDatabase, ReplicatedCoDatabase))
         self.calls = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -182,7 +185,8 @@ class CoDatabaseClient:
         return list(self._call("instances_of", class_name))
 
     def describe_instance(self, source_name: str) -> SourceDescription:
-        return self._call("describe_instance", source_name).copy()
+        description = self._call("describe_instance", source_name)
+        return description if self._decoded else description.copy()
 
     def documents_of(self, source_name: str) -> list[dict[str, str]]:
         return [dict(d) for d in self._call("documents_of", source_name)]
@@ -342,16 +346,6 @@ def _reason_for(error: ReproError) -> str:
     return UNREACHABLE
 
 
-@dataclass
-class Consultation:
-    """What one co-database answered to one question."""
-
-    client: Optional[CoDatabaseClient] = None
-    #: The co-database's answer (for a frontier member: ``consult``'s).
-    answer: Any = None
-    error: Optional[ReproError] = None
-
-
 class DiscoveryEngine:
     """Breadth-first resolution across co-databases.
 
@@ -360,7 +354,7 @@ class DiscoveryEngine:
     proxies, tests may back it with local co-databases directly.
 
     With a *policy* (:class:`~repro.core.resilience.ResiliencePolicy`)
-    every read of a co-database is one guarded call (:meth:`consult`):
+    every read of a co-database is one guarded call (:meth:`read`):
     an open circuit breaker refuses it without a call, a transient
     failure is retried with backoff inside the remaining deadline and
     the retry budget, the outcome feeds the shared health board, and a
@@ -507,43 +501,40 @@ class DiscoveryEngine:
         entry = lead.entry_database
         if entry is None:
             return []
-        outcome = self.consult(
-            entry, lambda client: client.instances_of(lead.name),
-            result.deadline)
-        error = outcome.error
+        members, error = self.read(entry, "instances_of", lead.name,
+                                   deadline=result.deadline)
         if error is None:
-            return outcome.answer
+            return members
         if not isinstance(error, WebFinditError) \
                 and entry not in result.degraded.names():
             result.degraded.add(entry, _reason_for(error), str(error),
                                 depth=lead.hops + 1)
         return []
 
-    def consult(self, database_name: str,
-                ask: Callable[[CoDatabaseClient], Any],
-                deadline: Optional[Deadline] = None) -> Consultation:
-        """Ask one co-database one question: the one guarded read, for
-        :meth:`members_of` and the query processor's explore reads (a
-        frontier consultation makes the same guarded call).
+    def read(self, database_name: str, operation: str, *args: Any,
+             deadline: Optional[Deadline] = None
+             ) -> tuple[Any, Optional[ReproError]]:
+        """``client.<operation>(*args)`` of *database_name*'s
+        co-database as one guarded call, for :meth:`members_of` and the
+        query processor's explore reads (a frontier consultation makes
+        the same guarded call): ``(answer, None)`` or ``(None, error)``
+        for a :class:`~repro.errors.ReproError`, which is not raised.
 
         Resolving the client is the connection step (naming lookup plus
         proxy setup), so it runs inside the same
-        :meth:`~repro.core.resilience.ResiliencePolicy.call` as *ask*:
-        breaker, deadline and retry budget in the call context, retry,
-        health record, all keyed by *database_name*.  A
-        :class:`~repro.errors.ReproError` comes back in the outcome, not
-        raised.
+        :meth:`~repro.core.resilience.ResiliencePolicy.call` as the
+        read: breaker, deadline and retry budget in the call context,
+        retry, health record, all keyed by *database_name*.
         """
-        outcome = Consultation()
+        client: Optional[CoDatabaseClient] = None
 
         def attempt() -> Any:
-            if outcome.client is None:
-                outcome.client = self._resolve(database_name)
-            return ask(outcome.client)
+            nonlocal client
+            if client is None:
+                client = self._resolve(database_name)
+            return getattr(client, operation)(*args)
 
-        outcome.answer, outcome.error = self._guarded(attempt, database_name,
-                                                      deadline)
-        return outcome
+        return self._guarded(attempt, database_name, deadline)
 
     # -- internals ---------------------------------------------------------------
 

@@ -21,7 +21,6 @@ the data-level statements render only when it is first read: laying a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import methodcaller
 from typing import Any, Callable, Optional
 
 from repro.core.discovery import (CoDatabaseClient, DiscoveryEngine,
@@ -109,7 +108,9 @@ class QueryProcessor:
 
         Its call context is set here, once: the deadline and the retry
         budget reach every hop the handler makes — co-database reads
-        (each a guarded call) and wrapper calls (never retried).
+        (each a guarded call) and wrapper calls (never retried).  A
+        policy with neither installs nothing: the context would equal
+        the enclosing one.
         """
         if isinstance(statement, str):
             session.history.append(statement)
@@ -123,18 +124,20 @@ class QueryProcessor:
         policy = self.policy
         if policy is None:
             return handler(statement, session)
-        with call_policy(deadline=policy.deadline_for(None),
-                         retry_budget=policy.retry.budget):
+        deadline = policy.deadline_for(None)
+        budget = policy.retry.budget
+        if deadline is None and budget is None:
+            return handler(statement, session)
+        with call_policy(deadline=deadline, retry_budget=budget):
             return handler(statement, session)
 
     def _read(self, database_name: str, operation: str, *args: Any) -> Any:
         """One explore read of *database_name*'s co-database, guarded
-        like a frontier consultation (:meth:`DiscoveryEngine.consult`)."""
-        outcome = self.discovery.consult(database_name,
-                                         methodcaller(operation, *args))
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.answer
+        like a frontier consultation (:meth:`DiscoveryEngine.read`)."""
+        answer, error = self.discovery.read(database_name, operation, *args)
+        if error is not None:
+            raise error
+        return answer
 
     def _require_registry(self) -> Registry:
         if self._registry is None:

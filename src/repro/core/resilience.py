@@ -198,7 +198,15 @@ class CircuitBreaker:
 
     def allow(self) -> bool:
         """May a call proceed right now?  (Takes the probe slot when
-        half-open.)"""
+        half-open.)
+
+        A closed breaker admits without the lock: admitting takes
+        nothing from it, and a read that races a trip is one the lock
+        would have ordered before it.  Only leaving ``OPEN`` and the
+        half-open probe slot need it.
+        """
+        if self._state == CLOSED:
+            return True
         with self._lock:
             self._maybe_half_open()
             if self._state == CLOSED:
@@ -248,6 +256,11 @@ class HealthBoard:
         self._lock = threading.Lock()
 
     def breaker(self, key: str) -> CircuitBreaker:
+        # An existing breaker is a plain dict read; only creating one
+        # takes the lock, and looks again once it holds it.
+        breaker = self._breakers.get(key)
+        if breaker is not None:
+            return breaker
         with self._lock:
             breaker = self._breakers.get(key)
             if breaker is None:

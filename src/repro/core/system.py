@@ -50,7 +50,7 @@ from repro.gateway.api import LocalDriver
 from repro.oodb.database import ObjectDatabase
 from repro.orb.ior import Ior
 from repro.orb.naming import start_naming_service
-from repro.orb.orb import Orb
+from repro.orb.orb import Orb, Proxy
 from repro.orb.products import (ORBIX, VISIBROKER, OrbProduct, create_orb,
                                 get_product)
 from repro.orb.transport import InMemoryNetwork, Transport
@@ -142,7 +142,10 @@ class WebFinditSystem:
             self.registry.add_invalidation_listener(metadata_cache.retire)
         self._deployments: dict[str, DeploymentRecord] = {}
         self._wrappers: dict[str, InformationSourceInterface] = {}
-        self._ior_cache: dict[str, Ior] = {}
+        #: ``codb/<name>`` -> the proxy over that co-database's bound
+        #: IOR: one per non-replicated source, kept across reads and
+        #: dropped where the binding is rebound.
+        self._ior_cache: dict[str, Proxy] = {}
         self._remote_isi_cache: dict[str, RemoteIsi] = {}
         self._local_drivers: dict[str, LocalDriver] = {}
 
@@ -438,13 +441,15 @@ class WebFinditSystem:
 
     # ----------------------------------------------------------------- access --
 
-    def _resolve_ior(self, kind: str, name: str) -> Ior:
-        cache_key = f"{kind}/{name}"
-        ior = self._ior_cache.get(cache_key)
-        if ior is None:
-            ior = self.naming.resolve(f"webfindit/{kind}/{name}")
-            self._ior_cache[cache_key] = ior
-        return ior
+    def _codatabase_proxy(self, database_name: str) -> Proxy:
+        """The kept proxy over a non-replicated co-database."""
+        key = f"codb/{database_name}"
+        proxy = self._ior_cache.get(key)
+        if proxy is None:
+            proxy = self._ior_cache[key] = self._system_orb.proxy(
+                self.naming.resolve(f"webfindit/{key}"),
+                CODATABASE_INTERFACE)
+        return proxy
 
     def _replica_proxy(self, binding: str):
         """The current proxy for one replica binding (cached)."""
@@ -490,17 +495,14 @@ class WebFinditSystem:
 
         One class for every deployment; only what it is built over
         differs.  The route is the replica set's when the source is
-        replicated, else the single servant's proxy; the cache is the
-        system's metadata cache, if it has one.
+        replicated (built per client: it counts the client's
+        failovers), else the single servant's kept proxy; the cache is
+        the system's metadata cache, if it has one.
         """
         facade = self._replicated.get(database_name)
         try:
-            if facade is not None:
-                route = self._replica_route(database_name, facade)
-            else:
-                route = self._system_orb.proxy(
-                    self._resolve_ior("codb", database_name),
-                    CODATABASE_INTERFACE)
+            route = self._codatabase_proxy(database_name) if facade is None \
+                else self._replica_route(database_name, facade)
         except Exception as exc:
             raise UnknownDatabase(
                 f"no co-database bound for {database_name!r}") from exc
@@ -518,7 +520,7 @@ class WebFinditSystem:
         if cached is not None:
             return cached
         try:
-            ior = self._resolve_ior("isi", database_name)
+            ior = self.naming.resolve(f"webfindit/isi/{database_name}")
         except Exception as exc:
             raise UnknownDatabase(
                 f"no wrapper bound for {database_name!r}") from exc

@@ -173,6 +173,7 @@ class CallPolicy(NamedTuple):
 
 
 _DEFAULT_POLICY = CallPolicy()
+_new_policy = tuple.__new__
 _state = threading.local()
 
 
@@ -202,16 +203,18 @@ class call_policy:
                         attempt)
 
     def __enter__(self) -> CallPolicy:
-        previous = self._previous = current_policy()
+        previous = self._previous = getattr(_state, "policy",
+                                            _DEFAULT_POLICY)
         deadline, idempotent, traffic_class, retry_budget, attempt = \
             self._given
-        merged = _state.policy = CallPolicy(
+        # tuple.__new__ skips the namedtuple's Python-level __new__.
+        merged = _state.policy = _new_policy(CallPolicy, (
             previous.deadline if deadline is None else deadline,
             previous.idempotent if idempotent is None else idempotent,
             previous.traffic_class if traffic_class is None
             else traffic_class,
             previous.retry_budget if retry_budget is None else retry_budget,
-            previous.attempt if attempt is None else attempt)
+            previous.attempt if attempt is None else attempt))
         return merged
 
     def __exit__(self, *exc_info) -> None:

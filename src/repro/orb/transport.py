@@ -140,6 +140,9 @@ class InMemoryNetwork(Transport):
     """A synchronous, in-process network of GIOP endpoints."""
 
     def __init__(self) -> None:
+        #: Copy-on-write: ``register`` / ``unregister`` swap in a new
+        #: table under the lock, so ``send`` reads whichever whole table
+        #: is current without taking it.
         self._handlers: dict[Endpoint, Handler] = {}
         self._lock = threading.RLock()
         self.metrics = TransportMetrics()
@@ -156,19 +159,17 @@ class InMemoryNetwork(Transport):
         with self._lock:
             if endpoint in self._handlers:
                 raise CommFailure(f"endpoint {endpoint!r} already bound")
-            self._handlers[endpoint] = handler
+            self._handlers = {**self._handlers, endpoint: handler}
         return endpoint
 
     def unregister(self, endpoint: Endpoint) -> None:
         with self._lock:
-            self._handlers.pop(endpoint, None)
+            handlers = dict(self._handlers)
+            handlers.pop(endpoint, None)
+            self._handlers = handlers
 
     def send(self, endpoint: Endpoint, data: bytes) -> bytes:
-        # The lookup must happen under the lock: concurrent
-        # register/unregister during concurrent sessions must not let a
-        # sender observe a torn view of the handler table.
-        with self._lock:
-            handler = self._handlers.get(endpoint)
+        handler = self._handlers.get(endpoint)
         if handler is None:
             raise CommFailure(f"connection refused: {endpoint!r}")
         reply = handler(data)

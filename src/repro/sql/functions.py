@@ -4,7 +4,9 @@ Scalar functions are plain Python callables registered in
 :data:`SCALAR_FUNCTIONS`; they receive already-evaluated arguments and
 must implement SQL NULL propagation themselves where appropriate (the
 common case — return NULL when any argument is NULL — is provided by the
-``_null_propagating`` decorator).
+``_null_propagating`` decorator).  An argument a function cannot take
+raises :class:`~repro.errors.SqlTypeError` naming the function, never a
+bare Python error.
 
 Aggregates are reducers registered in :data:`AGGREGATE_FUNCTIONS`:
 each turns the argument values of one whole group into its result.
@@ -13,12 +15,13 @@ each turns the argument values of one whole group into its result.
 from __future__ import annotations
 
 import datetime
+import decimal
 import math
 import operator
 from functools import reduce
 from typing import Any, Callable, Optional
 
-from repro.errors import SqlError
+from repro.errors import SqlError, SqlTypeError
 
 # ---------------------------------------------------------------------------
 # Scalar functions
@@ -57,18 +60,40 @@ def _length(value: str) -> int:
 
 @_null_propagating
 def _substr(value: str, start: int, length: Optional[int] = None) -> str:
-    """SUBSTR(text, start[, length]) — 1-based substring."""
+    """SUBSTR(text, start[, length]) — 1-based substring, counted as
+    ``sqlite3`` counts: a negative start counts from the end, position
+    0 lies just before the first character, and a negative length takes
+    the characters before the start."""
     text = str(value)
-    begin = max(int(start) - 1, 0)
+    begin = int(start)
     if length is None:
-        return text[begin:]
-    return text[begin:begin + int(length)]
+        if begin > 0:
+            return text[begin - 1:]
+        return text[max(len(text) + begin, 0):] if begin < 0 else text
+    count = int(length)
+    backwards = count < 0
+    count = abs(count)
+    if begin < 0:
+        begin += len(text)
+        if begin < 0:
+            count = max(count + begin, 0)
+            begin = 0
+    elif begin > 0:
+        begin -= 1
+    elif count > 0:
+        count -= 1
+    if backwards:
+        begin -= count
+        if begin < 0:
+            count += begin
+            begin = 0
+    return text[begin:begin + count]
 
 
 @_null_propagating
 def _trim(value: str) -> str:
-    """TRIM(text) — strip leading/trailing whitespace."""
-    return str(value).strip()
+    """TRIM(text) — strip leading/trailing spaces."""
+    return str(value).strip(" ")
 
 
 @_null_propagating
@@ -77,11 +102,24 @@ def _abs(value: float) -> float:
     return abs(value)
 
 
+#: Enough digits for the 16 of a float below 2**52 and 30 places.
+_ROUNDING = decimal.Context(prec=60, rounding=decimal.ROUND_HALF_UP)
+
+
 @_null_propagating
 def _round(value: float, digits: int = 0) -> float:
-    """ROUND(number[, digits])."""
-    result = round(float(value), int(digits))
-    return result if digits else float(int(result))
+    """ROUND(number[, digits]) — a REAL, rounded as ``sqlite3`` rounds:
+    halves away from zero, on the number's shortest decimal spelling
+    (``ROUND(2.675, 2)`` is 2.68), 0 to 30 places; a number of 2**52 or
+    more has no fraction to round."""
+    number = float(value)
+    places = min(max(int(digits), 0), 30)
+    if not abs(number) < 4503599627370496.0:
+        return number
+    if places == 0:
+        return float(int(number + (-0.5 if number < 0 else 0.5)))
+    return float(decimal.Decimal(repr(number)).quantize(
+        decimal.Decimal(1).scaleb(-places), context=_ROUNDING))
 
 
 @_null_propagating
@@ -98,10 +136,14 @@ def _ceil(value: float) -> int:
 
 @_null_propagating
 def _mod(left: float, right: float) -> float:
-    """MOD(a, b)."""
+    """MOD(a, b) — the remainder of a division truncated toward zero,
+    so it has the sign of *a* (as in ``sqlite3``, Oracle and DB2)."""
     if right == 0:
         raise SqlError("MOD by zero")
-    return left % right
+    if isinstance(left, int) and isinstance(right, int):
+        remainder = abs(left) % abs(right)
+        return -remainder if left < 0 else remainder
+    return math.fmod(left, right)
 
 
 def _coalesce(*args: Any) -> Any:
@@ -128,10 +170,15 @@ def _concat(*args: Any) -> str:
     return "".join(str(arg) for arg in args)
 
 
-@_null_propagating
-def _replace(value: str, old: str, new: str) -> str:
-    """REPLACE(text, old, new)."""
-    return str(value).replace(str(old), str(new))
+def _replace(value: str, old: str, new: str) -> Optional[str]:
+    """REPLACE(text, old, new); as in ``sqlite3``, an empty *old*
+    replaces nothing, whatever *new* is (NULL included)."""
+    if value is None or old is None:
+        return None
+    old = str(old)
+    if not old:
+        return str(value)
+    return None if new is None else str(value).replace(old, str(new))
 
 
 @_null_propagating
@@ -166,6 +213,21 @@ def _date(value: str) -> datetime.date:
     return datetime.date.fromisoformat(str(value))
 
 
+def _reporting(name: str, fn: ScalarFn) -> ScalarFn:
+    """*fn* as SQL function *name*: an argument of a kind it cannot take
+    (the Python error that raises) is a :class:`SqlTypeError` naming it."""
+    def call(*args: Any) -> Any:
+        try:
+            return fn(*args)
+        except (TypeError, ValueError, AttributeError, OverflowError) as exc:
+            shown = ", ".join(map(repr, args))
+            raise SqlTypeError(f"{name}({shown}): {exc}") from None
+    call.__name__ = fn.__name__
+    call.__doc__ = fn.__doc__
+    return call
+
+
+#: SQL name -> the function behind it (SUBSTRING and SUBSTR are one).
 SCALAR_FUNCTIONS: dict[str, ScalarFn] = {
     "UPPER": _upper,
     "LOWER": _lower,
@@ -191,6 +253,8 @@ SCALAR_FUNCTIONS: dict[str, ScalarFn] = {
     "DAY": _day,
     "DATE": _date,
 }
+SCALAR_FUNCTIONS = {name: _reporting(name, fn)
+                    for name, fn in SCALAR_FUNCTIONS.items()}
 
 
 # ---------------------------------------------------------------------------

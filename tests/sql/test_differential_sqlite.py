@@ -19,7 +19,9 @@ Deliberate divergences, which the generator therefore never produces:
   ``WHERE`` is true in sqlite when non-zero and never true here;
 * a scalar subquery with several rows raises here and takes the first
   row in sqlite (only aggregates are generated in that position);
-* reals are multiples of 0.25, so sums do not depend on addition order.
+* reals are multiples of 0.25, so sums do not depend on addition order;
+* scalar functions are held to ``sqlite3`` by
+  ``test_differential_functions.py``, whose docstring lists theirs.
 
 **Metamorphic arm** (engine only).  The same rows and the same query,
 with and without a secondary index on the filtered column — including

@@ -12,7 +12,7 @@ import sqlite3
 import pytest
 
 from repro.apps.healthcare import topology as topo
-from repro.errors import SqlError, SqlSyntaxError
+from repro.errors import SqlError, SqlSyntaxError, SqlTypeError
 from repro.sql.engine import Database
 from repro.sql.lexer import tokenize
 from repro.sql.parser import MAX_DEPTH
@@ -85,6 +85,47 @@ class TestLongIntegerLiterals:
             remote.execute_native(self.TEXT)
         with pytest.raises(SqlSyntaxError, match="malformed number"):
             healthcare.browser(topo.QUT).fetch(topo.RBH, self.TEXT)
+
+
+class TestScalarArgumentsOfTheWrongKind:
+    """A scalar function given an argument it cannot take raised the
+    Python error behind it (``TypeError``, ``ValueError``,
+    ``AttributeError``, ``OverflowError``), which crossed the ORB as an
+    untyped ``RemoteSystemError``.  It is a ``SqlTypeError`` naming the
+    function, whether the argument is a literal, a ``?`` or a column."""
+
+    CALLS = [("ABS", ["'x'"]), ("SUBSTR", ["'abc'", "'x'"]),
+             ("SUBSTRING", ["'abc'", "1", "'x'"]), ("ROUND", ["'x'"]),
+             ("ROUND", ["1.5", "'x'"]), ("FLOOR", ["'x'"]),
+             ("CEIL", ["'x'"]), ("MOD", ["'a'", "2"]), ("YEAR", ["'x'"]),
+             ("MONTH", ["3"]), ("DATE", ["'x'"]), ("FLOOR", ["1e400"]),
+             ("CEIL", ["-1e400"])]
+
+    @pytest.mark.parametrize("name, arguments", CALLS,
+                             ids=[f"{n}({', '.join(a)})" for n, a in CALLS])
+    def test_a_literal_a_parameter_and_a_column_raise_sql_type_error(
+            self, name, arguments):
+        db = Database("kinds")
+        db.execute("CREATE TABLE k (v TEXT)")
+        db.execute("INSERT INTO k VALUES ('x')")
+        literal_call = f"{name}({', '.join(arguments)})"
+        with pytest.raises(SqlTypeError, match=rf"^{name}\("):
+            db.execute(f"SELECT {literal_call}")
+        values = [db.execute(f"SELECT {argument}").scalar()
+                  for argument in arguments]
+        marks = ", ".join("?" * len(values))
+        with pytest.raises(SqlTypeError, match=rf"^{name}\("):
+            db.execute(f"SELECT {name}({marks})", values)
+        if arguments[-1] == "'x'":
+            column_call = ", ".join(arguments[:-1] + ["v"])
+            with pytest.raises(SqlTypeError, match=rf"^{name}\("):
+                db.execute(f"SELECT {name}({column_call}) FROM k")
+
+    def test_the_browser_receives_the_typed_error(self, healthcare):
+        browser = healthcare.browser(topo.QUT)
+        with pytest.raises(SqlTypeError, match=r"ABS\('x'\)"):
+            browser.submit("Query 'Royal Brisbane Hospital' Native "
+                           "'SELECT ABS(''x'')'")
 
 
 class TestLongChains:
